@@ -59,14 +59,24 @@ pub fn wall<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, started.elapsed().as_secs_f64())
 }
 
-/// The tracing overhead as a share of untraced time, from passes over
-/// the same inputs in the order untraced, traced, traced, untraced, so a
-/// steady drift in machine speed cancels. `pass_secs(traced)` runs one
-/// pass and returns its wall time.
+/// Each [`overhead_share`] pass covers `1 / OVERHEAD_PARTS` of the
+/// inputs.
+pub const OVERHEAD_PARTS: usize = 32;
+
+/// The tracing overhead as a share of untraced time, from four quartets
+/// of passes over the same inputs, each in the order untraced, traced,
+/// traced, untraced: a steady drift in machine speed cancels within a
+/// quartet, and a change of speed lasting a few passes averages out
+/// over the quartets. `pass_secs(traced)` runs one pass and returns its
+/// wall time.
 pub fn overhead_share(mut pass_secs: impl FnMut(bool) -> f64) -> f64 {
-    let untraced = pass_secs(false);
-    let traced = pass_secs(true) + pass_secs(true);
-    (traced / (untraced + pass_secs(false))) - 1.0
+    let (mut untraced, mut traced) = (0.0, 0.0);
+    for _ in 0..4 {
+        untraced += pass_secs(false);
+        traced += pass_secs(true) + pass_secs(true);
+        untraced += pass_secs(false);
+    }
+    traced / untraced - 1.0
 }
 
 /// The engine paths `rvz_engine_queries_total` distinguishes.
@@ -145,6 +155,16 @@ impl EngineCounters {
             ratio(self.lanes_active as f64, lanes),
         );
     }
+}
+
+/// Requests the service has handled and their summed handling time, µs,
+/// from its `rvz_request_duration_us` histogram (each request's time is
+/// recorded in whole microseconds, rounded down).
+pub fn handled() -> (u64, u64) {
+    let h = registry()
+        .histogram("rvz_request_duration_us", &[])
+        .snapshot();
+    (h.count, h.sum)
 }
 
 /// The index of `algorithm` in [`Algorithm::ALL`] and in per-algorithm

@@ -15,6 +15,7 @@
 //! configurations and the layers they stress are described in
 //! `perfbench/WORKLOADS.md`.
 
+mod client;
 mod inputs;
 mod layers;
 mod serve;
@@ -80,40 +81,6 @@ const PER_LAYER: [(&str, &str); 39] = [
     ("trace.overhead_share", "ratio"),
 ];
 
-/// Consecutive rounds of equal work in a measured window. Throughput
-/// and latency percentiles are the median over rounds, so a burst of
-/// machine noise in one round does not move them.
-pub const ROUNDS: usize = 5;
-
-/// Per-round end-to-end figures of one measured window.
-#[derive(Default)]
-pub struct Rounds {
-    ops_per_s: Vec<f64>,
-    p50: Vec<f64>,
-    p99: Vec<f64>,
-}
-
-impl Rounds {
-    /// Records one round: its operations' latencies and its wall time.
-    pub fn record(&mut self, latencies_us: &[f64], secs: f64) {
-        self.ops_per_s.push(latencies_us.len() as f64 / secs);
-        self.p50.push(percentile(latencies_us, 50.0));
-        self.p99.push(percentile(latencies_us, 99.0));
-    }
-
-    /// Reports the median round's throughput and latency percentiles.
-    pub fn report(&self, m: &mut Metrics) {
-        m.insert("ops_per_s", median(&self.ops_per_s));
-        m.insert("latency_p50_us", median(&self.p50));
-        m.insert("latency_p99_us", median(&self.p99));
-    }
-}
-
-/// The `r`-th of `parts` consecutive, nearly equal parts of `items`.
-pub fn part<T>(items: &[T], r: usize, parts: usize) -> &[T] {
-    &items[items.len() * r / parts..items.len() * (r + 1) / parts]
-}
-
 /// What a workload run reports.
 pub struct Outcome {
     /// Operations measured (requests or scenarios).
@@ -177,7 +144,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("perfbench: {e}");
             eprintln!(
-                "usage: perfbench --workload serve_cold|serve_hot|sweep_mixed \
+                "usage: perfbench --workload serve_cold|sweep_mixed \
                  --seed N --seconds N --trace 0|1"
             );
             return ExitCode::from(2);
@@ -185,7 +152,6 @@ fn main() -> ExitCode {
     };
     let outcome = match args.workload.as_str() {
         "serve_cold" => serve::cold(&args),
-        "serve_hot" => serve::hot(&args),
         "sweep_mixed" => sweep::mixed(&args),
         other => {
             eprintln!("perfbench: unknown workload `{other}`");
@@ -277,4 +243,55 @@ pub fn peak_rss_mb() -> f64 {
                 .ok()
         })
         .map_or(0.0, |kb| kb / 1024.0)
+}
+
+/// Starts a new peak for [`peak_rss_mb`]: hands the allocator's free
+/// memory back to the kernel, then resets the process's `VmHWM` to its
+/// current resident set. Called after set-up, so the peak is the measured
+/// window's and not that of set-up's transient allocations, which the
+/// allocator kept or returned differently from run to run.
+pub fn reset_peak_rss() -> Result<(), String> {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: glibc's `malloc_trim` only releases free heap memory.
+    unsafe { malloc_trim(0) };
+    std::fs::write("/proc/self/clear_refs", "5")
+        .map_err(|e| format!("resetting the peak resident set failed: {e}"))
+}
+
+/// Confines the calling thread, and every thread it spawns afterwards,
+/// to one CPU: the lowest-numbered CPU it may run on. A run that cannot
+/// be pinned reports a broken premise, so its figures are never taken
+/// for a pinned run's.
+pub fn pin_to_one_cpu() -> Result<(), String> {
+    extern "C" {
+        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+    }
+    // Room for 1,024 CPUs, the size of glibc's `cpu_set_t`.
+    let mut allowed = [0u64; 16];
+    let size = std::mem::size_of_val(&allowed);
+    // SAFETY: `allowed` is a live CPU set of `size` bytes, which the call
+    // only writes; pid 0 names the calling thread.
+    if unsafe { sched_getaffinity(0, size, allowed.as_mut_ptr()) } != 0 {
+        return Err(format!(
+            "sched_getaffinity failed: {}",
+            std::io::Error::last_os_error()
+        ));
+    }
+    let cpu = (0..size * 8)
+        .find(|&c| allowed[c / 64] >> (c % 64) & 1 == 1)
+        .ok_or("the thread may run on no CPU")?;
+    let mut mask = [0u64; 16];
+    mask[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: `mask` is a live, initialized CPU set of `size` bytes,
+    // which the call only reads.
+    if unsafe { sched_setaffinity(0, size, mask.as_ptr()) } != 0 {
+        return Err(format!(
+            "sched_setaffinity to CPU {cpu} failed: {}",
+            std::io::Error::last_os_error()
+        ));
+    }
+    Ok(())
 }

@@ -1,27 +1,27 @@
-//! The serve workloads: closed loops of `POST /first-contact` over
-//! keep-alive loopback connections against an in-process `rvz serve`.
-//!
-//! * `serve_cold` — every request is a new canonical orbit at a depth
-//!   where the compiled stack covers the horizon, so each one pays
-//!   partner lowering, the SoA arena build and the lane kernel, and the
-//!   bounded caches insert and evict.
-//! * `serve_hot` — a working set of 64 orbits far below the cache
-//!   capacity, queried through both role-swap descriptions: every
-//!   measured request is a hit and the engine does nothing.
+//! The serve workload, `serve_cold`: a closed loop of `POST
+//! /first-contact` over a keep-alive loopback connection against an
+//! in-process `rvz serve`. Every request is a new canonical orbit at a
+//! depth where the compiled stack covers the horizon, so each one pays
+//! partner lowering, the SoA arena build and the lane kernel, and the
+//! bounded caches insert and evict.
 
+use crate::client::Client;
 use crate::inputs::{body, is_feasible, request_bytes, serve_mix};
 use crate::layers::{
-    arena_bytes, cursor_layers, overhead_share, p50_p99, replay_references, slot, wall,
-    EngineCounters, Spans,
+    arena_bytes, cursor_layers, handled, overhead_share, p50_p99, replay_references, slot, wall,
+    EngineCounters, Spans, OVERHEAD_PARTS,
 };
-use crate::{mean, median, part, peak_rss_mb, ratio, Args, Metrics, Outcome, Rounds, ROUNDS};
+use crate::{
+    mean, median, peak_rss_mb, percentile, pin_to_one_cpu, ratio, reset_peak_rss, Args, Metrics,
+    Outcome,
+};
 use rvz_experiments::{
-    json, record_from_json, record_to_json, scenario_from_json, Algorithm, Canonical, Json,
-    Scenario, SplitMix64, SweepOptions, SweepRecord, DEFAULT_GRID,
+    json, record_to_json, scenario_from_json, Algorithm, Canonical, Json, Scenario, SweepOptions,
+    SweepRecord, DEFAULT_GRID,
 };
 use rvz_model::feasibility;
 use rvz_server::http::read_request;
-use rvz_server::{HttpClient, Request, Response, ServerHandle, Service, ServiceOptions};
+use rvz_server::{Request, Response, ServerHandle, Service, ServiceOptions};
 use rvz_sim::batch::simulate_rendezvous_by_ref;
 use rvz_sim::{
     first_contact_batch_soa, try_first_contact_programs, ContactOptions, EngineScratch, SimOutcome,
@@ -38,24 +38,14 @@ const WORKERS: usize = 2;
 /// The service's compiled-program piece budget (the default).
 const PIECE_BUDGET: usize = 32_768;
 
-/// `serve_cold`: depth, cache capacity, twin share, requests per
-/// `--seconds`.
+/// Depth, cache capacity, twin share, requests per `--seconds`.
 const COLD_ROUNDS: u32 = 3;
 const COLD_CAPACITY: usize = 256;
 const COLD_TWINS_PER_100: usize = 25;
 const COLD_REQUESTS_PER_SECOND: usize = 500;
-/// One connection: with two, the workers' allocator arenas fragment
-/// differently from run to run and peak RSS is not repeatable.
-const COLD_CONNECTIONS: usize = 1;
-/// Set-ups per run; `setup_s` is their median.
-const COLD_SETUPS: usize = 7;
-
-/// `serve_hot`: orbits in the working set, requests per `--seconds`.
-const HOT_ORBITS: usize = 64;
-const HOT_TWINS_PER_100: usize = 25;
-const HOT_REQUESTS_PER_SECOND: usize = 7_000;
-const HOT_CONNECTIONS: usize = 2;
-const HOT_SETUPS: usize = 3;
+/// Set-ups timed before and after the measured window ([`setup_s`]).
+const COLD_SETUPS_BEFORE: usize = 4;
+const COLD_SETUPS_AFTER: usize = 3;
 
 fn cold_options() -> ServiceOptions {
     let defaults = SweepOptions::default();
@@ -74,7 +64,7 @@ fn cold_options() -> ServiceOptions {
 
 /// One measured request as the client saw it.
 struct Sample {
-    /// Index into the workload's request bodies.
+    /// Index into the workload's requests.
     body: usize,
     /// From the start of the request write to the last response byte.
     latency_us: f64,
@@ -82,93 +72,47 @@ struct Sample {
     reply: Result<String, String>,
 }
 
-/// Runs one closed loop per connection over its list of body indices,
-/// in `rounds` consecutive parts: every connection finishes its part of
-/// a round before any starts the next, and connections stay open
-/// across rounds. Returns each round's samples and wall time.
-///
-/// With `expected`, each `200` body is compared with `expected[body]`
-/// and dropped (a mismatch becomes a failure), so long runs keep no
-/// bodies in memory.
-fn drive(
-    server: &ServerHandle,
-    plan: &[Vec<usize>],
-    bodies: &[String],
-    expected: Option<&[String]>,
-    rounds: usize,
-) -> Vec<(Vec<Sample>, f64)> {
+/// Sends every request in order over one keep-alive connection, on a
+/// client thread of its own that connects before the clock starts.
+/// Returns every request's sample and the wall time from the start of
+/// the first request to the end of the last. One connection: with two,
+/// the workers' allocator arenas fragmented differently from run to run
+/// and peak RSS was not repeatable.
+fn drive(server: &ServerHandle, requests: &[Vec<u8>]) -> (Vec<Sample>, f64) {
     let addr = server.addr().to_string();
-    let barrier = Barrier::new(plan.len() + 1);
+    let barrier = Barrier::new(2);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = plan
-            .iter()
-            .map(|indices| {
-                let (addr, barrier) = (&addr, &barrier);
-                scope.spawn(move || {
-                    let mut client = HttpClient::connect(addr).ok();
-                    let mut out = Vec::with_capacity(rounds);
-                    for r in 0..rounds {
-                        barrier.wait();
-                        out.push(
-                            part(indices, r, rounds)
-                                .iter()
-                                .map(|&i| request(client.as_mut(), i, bodies, expected))
-                                .collect::<Vec<_>>(),
-                        );
-                        barrier.wait();
-                    }
-                    out
-                })
-            })
-            .collect();
-        let secs: Vec<f64> = (0..rounds)
-            .map(|_| {
-                barrier.wait();
-                let started = Instant::now();
-                barrier.wait();
-                started.elapsed().as_secs_f64()
-            })
-            .collect();
-        let mut per_round: Vec<Vec<Sample>> = (0..rounds).map(|_| Vec::new()).collect();
-        for h in handles {
-            for (r, samples) in h
-                .join()
-                .expect("client thread panicked")
-                .into_iter()
-                .enumerate()
-            {
-                per_round[r].extend(samples);
-            }
-        }
-        per_round.into_iter().zip(secs).collect()
+        let client = scope.spawn(|| {
+            let mut client = no_wakeup_preemption()
+                .and_then(|()| Client::connect(&addr).map_err(|e| format!("connect: {e}")));
+            barrier.wait();
+            let samples: Vec<Sample> = (0..requests.len())
+                .map(|i| request(client.as_mut(), i, requests))
+                .collect();
+            barrier.wait();
+            samples
+        });
+        barrier.wait();
+        let started = Instant::now();
+        barrier.wait();
+        let secs = started.elapsed().as_secs_f64();
+        (client.join().expect("client thread panicked"), secs)
     })
 }
 
-/// One `POST /first-contact` of `bodies[i]`, timed from the start of
-/// the request write to the last response byte.
-fn request(
-    client: Option<&mut HttpClient>,
-    i: usize,
-    bodies: &[String],
-    expected: Option<&[String]>,
-) -> Sample {
+/// `requests[i]`, timed from the start of the request write to the last
+/// response byte.
+fn request(client: Result<&mut Client, &mut String>, i: usize, requests: &[Vec<u8>]) -> Sample {
     let started = Instant::now();
     let reply = match client {
-        None => Err("connect failed".to_string()),
-        Some(c) => c
-            .request("POST", "/first-contact", Some(&bodies[i]))
-            .map_err(|e| format!("transport: {e}")),
+        Err(why) => Err(why.clone()),
+        Ok(c) => c.send(&requests[i]).map_err(|e| format!("transport: {e}")),
     };
     let latency_us = started.elapsed().as_secs_f64() * 1e6;
-    let reply = reply.and_then(|r| match r.status {
-        200 => Ok(r.body),
+    let reply = reply.and_then(|(status, body)| match status {
+        200 => Ok(body),
         s => Err(format!("status {s}")),
     });
-    let reply = match (reply, expected) {
-        (Ok(b), Some(exp)) if b == exp[i] => Ok(String::new()),
-        (Ok(_), Some(_)) => Err("body differs from set-up".to_string()),
-        (r, _) => r,
-    };
     Sample {
         body: i,
         latency_us,
@@ -191,12 +135,12 @@ fn theorem4_holds(body: &str, feasible: bool) -> bool {
 }
 
 /// Spawns a server `times` times, each followed by `warm` (the lazy
-/// one-time work); keeps the last and returns the median set-up time.
+/// one-time work); keeps the last and returns each set-up's seconds.
 fn set_up(
     options: &ServiceOptions,
     times: usize,
-    warm: impl Fn(&ServerHandle) -> Vec<Sample>,
-) -> (ServerHandle, Vec<Sample>, f64) {
+    warm: &dyn Fn(&ServerHandle) -> Vec<Sample>,
+) -> (ServerHandle, Vec<Sample>, Vec<f64>) {
     let mut secs_each = Vec::new();
     let mut kept = None;
     for _ in 0..times {
@@ -213,72 +157,90 @@ fn set_up(
         kept = Some((server, warmed));
     }
     let (server, warmed) = kept.expect("at least one set-up");
-    (server, warmed, median(&secs_each))
+    (server, warmed, secs_each)
 }
 
-/// Confines the calling thread, and every thread it spawns afterwards,
-/// to CPU 0. The serve workloads run server and clients on one CPU: left
-/// to the scheduler, client and worker threads sometimes shared a CPU and
+/// `setup_s`: the median of the set-ups timed before the measured
+/// window and of `after` more, timed after it once the measured server
+/// is shut down. Set-ups timed in one burst would catch the machine in
+/// one state: the one this was tuned on ran the same short task at
+/// either of two speeds, about 40% apart, for seconds at a time. None
+/// are timed during the window: a second server next to the measured
+/// one would add its memory to the peak RSS.
+fn setup_s(
+    mut before: Vec<f64>,
+    after: usize,
+    options: &ServiceOptions,
+    warm: &dyn Fn(&ServerHandle) -> Vec<Sample>,
+) -> f64 {
+    for _ in 0..after {
+        let (server, _, secs) = set_up(options, 1, warm);
+        assert!(server.shutdown(), "server drained");
+        before.extend(secs);
+    }
+    median(&before)
+}
+
+/// Confines server and client to one CPU ([`pin_to_one_cpu`]): left to
+/// the scheduler, client and worker threads sometimes shared a CPU and
 /// sometimes woke each other across CPUs, and latency moved between two
-/// levels from run to run. Where pinning fails (a narrower cpuset) the
-/// threads stay unpinned.
-fn pin_to_one_cpu() {
+/// levels from run to run. A failure is a broken premise.
+fn pinned() -> Vec<String> {
+    match pin_to_one_cpu() {
+        Ok(()) => Vec::new(),
+        Err(e) => vec![format!("server and client confined to one CPU ({e})")],
+    }
+}
+
+/// Puts the calling client thread under `SCHED_BATCH`: a fair share of
+/// the CPU like any thread, but its wake-ups never preempt the running
+/// one. The server answers with several writes, each of which wakes the
+/// client; under the default policy the client preempted the server at
+/// each of them, read a fragment and slept again, about sixteen context
+/// switches per request, and the figures were mostly the scheduler's. A
+/// client on another machine never takes the server's CPU mid-response;
+/// under `SCHED_BATCH` this one does not either, and a request costs two
+/// switches. A failure fails every request of the connection.
+fn no_wakeup_preemption() -> Result<(), String> {
     extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+        fn sched_setscheduler(pid: i32, policy: i32, param: *const i32) -> i32;
     }
-    let mask: u64 = 1;
-    // SAFETY: `mask` is a live, initialized CPU set of `cpusetsize`
-    // bytes, which the call only reads; pid 0 names the calling thread.
-    let _ = unsafe { sched_setaffinity(0, std::mem::size_of::<u64>(), &mask) };
-}
-
-/// Splits request indices `0..n` round-robin over `connections`.
-fn round_robin(n: usize, connections: usize) -> Vec<Vec<usize>> {
-    (0..connections)
-        .map(|c| (c..n).step_by(connections).collect())
-        .collect()
-}
-
-/// The measured window: every connection's plan, in [`ROUNDS`]
-/// consecutive rounds.
-fn measure(
-    server: &ServerHandle,
-    plan: &[Vec<usize>],
-    bodies: &[String],
-    expected: Option<&[String]>,
-) -> (Vec<Sample>, Rounds) {
-    let mut samples = Vec::new();
-    let mut rounds = Rounds::default();
-    for (round, secs) in drive(server, plan, bodies, expected, ROUNDS) {
-        let latencies: Vec<f64> = round.iter().map(|s| s.latency_us).collect();
-        rounds.record(&latencies, secs);
-        samples.extend(round);
+    const SCHED_BATCH: i32 = 3;
+    let priority: i32 = 0;
+    // SAFETY: `priority` is a live `struct sched_param` (one `int`), which
+    // the call only reads; pid 0 names the calling thread.
+    if unsafe { sched_setscheduler(0, SCHED_BATCH, &priority) } != 0 {
+        return Err(format!(
+            "sched_setscheduler(SCHED_BATCH) failed: {}",
+            std::io::Error::last_os_error()
+        ));
     }
-    (samples, rounds)
+    Ok(())
 }
 
-/// A single-round [`drive`] (set-up traffic).
-fn drive_once(server: &ServerHandle, plan: &[Vec<usize>], bodies: &[String]) -> Vec<Sample> {
-    drive(server, plan, bodies, None, 1)
-        .into_iter()
-        .flat_map(|(s, _)| s)
-        .collect()
-}
-
-fn end_to_end(m: &mut Metrics, rounds: &Rounds, setup_s: f64) {
-    rounds.report(m);
+/// The end-to-end metrics of a measured window of `secs` seconds: its
+/// throughput and the percentiles of all its requests' latencies. One
+/// window rather than the median of several rounds: the machine this was
+/// tuned on switched between two speeds, tens of percent apart, every
+/// few seconds, and a median of rounds took one speed or the other where
+/// the whole window's figures blend them.
+fn end_to_end(m: &mut Metrics, samples: &[Sample], secs: f64, setup_s: f64, peak_rss_mb: f64) {
+    let latencies: Vec<f64> = samples.iter().map(|s| s.latency_us).collect();
+    m.insert("ops_per_s", samples.len() as f64 / secs);
+    m.insert("latency_p50_us", percentile(&latencies, 50.0));
+    m.insert("latency_p99_us", percentile(&latencies, 99.0));
     m.insert("setup_s", setup_s);
-    m.insert("peak_rss_mb", peak_rss_mb());
+    m.insert("peak_rss_mb", peak_rss_mb);
 }
 
 /// One feasible scenario per algorithm, outside the measured set: the
-/// warm-up that triggers the service's one-time reference lowering and
-/// reference arena build.
-fn warmup_bodies() -> Vec<String> {
+/// warm-up requests that trigger the service's one-time reference
+/// lowering and reference arena build.
+fn warmup_requests() -> Vec<Vec<u8>> {
     Algorithm::ALL
         .iter()
         .map(|&algorithm| {
-            body(&Scenario {
+            request_bytes(&body(&Scenario {
                 id: 0,
                 algorithm,
                 speed: 0.5,
@@ -288,19 +250,18 @@ fn warmup_bodies() -> Vec<String> {
                 distance: 1.0,
                 bearing: 0.0,
                 visibility: 0.1,
-            })
+            }))
         })
         .collect()
 }
 
 pub fn cold(args: &Args) -> Outcome {
-    pin_to_one_cpu();
+    let mut broken = pinned();
     let n = COLD_REQUESTS_PER_SECOND * args.seconds as usize;
     let scenarios = serve_mix(n, COLD_TWINS_PER_100, args.seed);
-    let bodies: Vec<String> = scenarios.iter().map(body).collect();
-    let warm = warmup_bodies();
+    let requests: Vec<Vec<u8>> = scenarios.iter().map(|s| request_bytes(&body(s))).collect();
+    let warm = warmup_requests();
     let options = cold_options();
-    let mut broken = Vec::new();
 
     let keys: HashSet<_> = scenarios
         .iter()
@@ -313,17 +274,22 @@ pub fn cold(args: &Args) -> Outcome {
         ));
     }
 
-    let (server, warmed, setup_s) = set_up(&options, COLD_SETUPS, |server| {
-        drive_once(server, &[vec![0, 1]], &warm)
-    });
+    let warm_up = |server: &ServerHandle| drive(server, &warm).0;
+    let (server, warmed, setup_times) = set_up(&options, COLD_SETUPS_BEFORE, &warm_up);
     if warmed.iter().any(|s| s.reply.is_err()) {
         broken.push("warm-up requests answered".into());
     }
     let service = std::sync::Arc::clone(server.service());
     let cache_before = service.cache_stats();
     let engine_before = EngineCounters::read();
-    let (samples, rounds) = measure(&server, &round_robin(n, COLD_CONNECTIONS), &bodies, None);
+    let handled_before = handled();
+    if let Err(e) = reset_peak_rss() {
+        broken.push(e);
+    }
+    let (samples, secs) = drive(&server, &requests);
+    let peak_rss_mb = peak_rss_mb();
     let engine = EngineCounters::read().since(&engine_before);
+    let handled_after = handled();
     let cache = service.cache_stats();
     let program_entries = service.program_stats().entries;
     drop(service);
@@ -348,7 +314,8 @@ pub fn cold(args: &Args) -> Outcome {
 
     let mut m = Metrics::new();
     if !args.trace {
-        end_to_end(&mut m, &rounds, setup_s);
+        let setup_s = setup_s(setup_times, COLD_SETUPS_AFTER, &options, &warm_up);
+        end_to_end(&mut m, &samples, secs, setup_s, peak_rss_mb);
     } else {
         m.insert(
             "cache.hit_ratio",
@@ -356,8 +323,16 @@ pub fn cold(args: &Args) -> Outcome {
         );
         m.insert("cache.evictions_per_op", evictions as f64 / n as f64);
         m.insert("cache.program_entries", program_entries as f64);
+        // Loopback plus the worker queue: the client's mean latency less
+        // the server's mean handling time, over the same requests.
+        let handled_us = ratio(
+            (handled_after.1 - handled_before.1) as f64,
+            (handled_after.0 - handled_before.0) as f64,
+        );
+        let latencies: Vec<f64> = samples.iter().map(|s| s.latency_us).collect();
+        m.insert("service.wait_us", mean(&latencies) - handled_us);
         engine.report(&mut m);
-        failed += replay_cold(&options, &warm, &bodies, &samples, &mut m);
+        failed += replay_cold(&options, &warm, &requests, &samples, &mut m);
     }
     Outcome {
         attempted: n as u64,
@@ -515,10 +490,10 @@ fn decode(req: &Request) -> Scenario {
 }
 
 /// A fresh in-process service after the same warm-up the server got.
-fn warmed_service(options: &ServiceOptions, warm: &[String]) -> Service {
+fn warmed_service(options: &ServiceOptions, warm: &[Vec<u8>]) -> Service {
     let service = Service::new(*options);
-    for b in warm {
-        service.handle(&parse(&request_bytes(b)));
+    for raw in warm {
+        service.handle(&parse(raw));
     }
     service
 }
@@ -527,8 +502,8 @@ fn warmed_service(options: &ServiceOptions, warm: &[String]) -> Service {
 /// differ from the bodies the server returned.
 fn replay_cold(
     options: &ServiceOptions,
-    warm: &[String],
-    bodies: &[String],
+    warm: &[Vec<u8>],
+    raw: &[Vec<u8>],
     samples: &[Sample],
     m: &mut Metrics,
 ) -> u64 {
@@ -542,7 +517,7 @@ fn replay_cold(
         copts,
     };
     let served: Vec<&str> = {
-        let mut by_body = vec![""; bodies.len()];
+        let mut by_body = vec![""; raw.len()];
         for s in samples {
             if let Ok(b) = &s.reply {
                 by_body[s.body] = b;
@@ -550,7 +525,6 @@ fn replay_cold(
         }
         by_body
     };
-    let raw: Vec<Vec<u8>> = bodies.iter().map(|b| request_bytes(b)).collect();
     let pass = |on: bool, count: usize| {
         let service = warmed_service(options, warm);
         let mut spans = Spans::new(on);
@@ -595,16 +569,12 @@ fn replay_cold(
     // An untimed pass first, so no timed pass pays the first touch of
     // the heap the program cache grows into.
     pass(false, 2 * COLD_CAPACITY);
-    let overhead = overhead_share(|on| pass(on, raw.len() / 8).2);
+    let overhead = overhead_share(|on| pass(on, raw.len() / OVERHEAD_PARTS).2);
     let (spans, tally, _, mismatches) = pass(true, raw.len());
     m.insert("trace.overhead_share", overhead);
 
-    let n = bodies.len() as f64;
-    let mut latencies = vec![0.0; bodies.len()];
-    for s in samples {
-        latencies[s.body] = s.latency_us;
-    }
-    serve_layers(m, &spans, &latencies);
+    let n = raw.len() as f64;
+    serve_layers(m, &spans);
     let handle_total = spans.total(&["service.handle"]);
     let covered = spans.total(&[
         "json.decode",
@@ -640,10 +610,9 @@ fn replay_cold(
     mismatches
 }
 
-/// The layers both serve replays time: HTTP, JSON, canonicalization and
-/// `Service::handle`, plus the client-side wait outside the handler
-/// (`latencies` are in the replay's request order).
-fn serve_layers(m: &mut Metrics, spans: &Spans, latencies: &[f64]) {
+/// The request-path layers of the replay: HTTP, JSON, canonicalization
+/// and `Service::handle`.
+fn serve_layers(m: &mut Metrics, spans: &Spans) {
     m.insert("http.parse_us", mean(spans.samples("http.parse")));
     m.insert("http.write_us", mean(spans.samples("http.write")));
     m.insert("json.decode_us", mean(spans.samples("json.decode")));
@@ -653,156 +622,4 @@ fn serve_layers(m: &mut Metrics, spans: &Spans, latencies: &[f64]) {
     let (p50, p99) = p50_p99(handle);
     m.insert("service.handle_us_p50", p50);
     m.insert("service.handle_us_p99", p99);
-    let wait: Vec<f64> = latencies.iter().zip(handle).map(|(l, h)| l - h).collect();
-    m.insert("service.wait_us", median(&wait));
-}
-
-/// The `serve_hot` request sequence: each connection draws orbits with
-/// its own stream and alternates the two role-swap descriptions.
-fn hot_plan(requests: usize, seed: u64) -> Vec<Vec<usize>> {
-    let root = SplitMix64::new(seed).split(7);
-    (0..HOT_CONNECTIONS)
-        .map(|c| {
-            let mut rng = root.split(c as u64);
-            (0..requests / HOT_CONNECTIONS)
-                .map(|j| 2 * rng.next_below(HOT_ORBITS) + j % 2)
-                .collect()
-        })
-        .collect()
-}
-
-pub fn hot(args: &Args) -> Outcome {
-    pin_to_one_cpu();
-    let orbits = serve_mix(HOT_ORBITS, HOT_TWINS_PER_100, args.seed);
-    let scenarios: Vec<Scenario> = orbits.iter().flat_map(|s| [*s, s.role_swap().0]).collect();
-    let bodies: Vec<String> = scenarios.iter().map(body).collect();
-    let options = ServiceOptions::default();
-    let mut broken = Vec::new();
-
-    // Fill: each orbit's two descriptions back to back on one
-    // connection, orbits split over the connections.
-    let fill_plan: Vec<Vec<usize>> = (0..HOT_CONNECTIONS)
-        .map(|c| {
-            (c..HOT_ORBITS)
-                .step_by(HOT_CONNECTIONS)
-                .flat_map(|o| [2 * o, 2 * o + 1])
-                .collect()
-        })
-        .collect();
-    let (server, filled, setup_s) = set_up(&options, HOT_SETUPS, |server| {
-        drive_once(server, &fill_plan, &bodies)
-    });
-    let mut expected = vec![String::new(); bodies.len()];
-    for s in filled {
-        match s.reply {
-            Ok(b) if theorem4_holds(&b, is_feasible(&scenarios[s.body])) => expected[s.body] = b,
-            _ => broken.push(format!("set-up request {} answered per Theorem 4", s.body)),
-        }
-    }
-
-    let plan = hot_plan(HOT_REQUESTS_PER_SECOND * args.seconds as usize, args.seed);
-    let service = std::sync::Arc::clone(server.service());
-    let cache_before = service.cache_stats();
-    let engine_before = EngineCounters::read();
-    let (samples, rounds) = measure(&server, &plan, &bodies, Some(&expected));
-    let engine = EngineCounters::read().since(&engine_before);
-    let cache = service.cache_stats();
-    let program_entries = service.program_stats().entries;
-    drop(service);
-    assert!(server.shutdown(), "server drained");
-
-    let n = samples.len();
-    let misses = cache.misses - cache_before.misses;
-    if misses != 0 {
-        broken.push(format!("{misses} cache misses in the measured window"));
-    }
-    let mut failed = samples.iter().filter(|s| s.reply.is_err()).count() as u64;
-
-    let mut m = Metrics::new();
-    if !args.trace {
-        end_to_end(&mut m, &rounds, setup_s);
-    } else {
-        let hits = cache.hits - cache_before.hits;
-        m.insert(
-            "cache.hit_ratio",
-            ratio(hits as f64, (hits + misses) as f64),
-        );
-        m.insert(
-            "cache.evictions_per_op",
-            (cache.evictions - cache_before.evictions) as f64 / n as f64,
-        );
-        m.insert("cache.program_entries", program_entries as f64);
-        engine.report(&mut m);
-        let contact = options.sweep.contact;
-        replay_references(
-            &CompileOptions::to_horizon(contact.horizon).max_pieces(PIECE_BUDGET),
-            contact.horizon,
-            &mut Spans::new(true),
-            &mut m,
-        );
-        failed += replay_hot(&options, &bodies, &expected, &samples, &mut m);
-    }
-    Outcome {
-        attempted: n as u64,
-        failed,
-        broken_premises: broken,
-        metrics: m,
-    }
-}
-
-/// The `serve_hot` traced replay over the measured request sequence
-/// against one filled in-process service; returns how many replayed
-/// bodies differ from the set-up bodies.
-fn replay_hot(
-    options: &ServiceOptions,
-    bodies: &[String],
-    expected: &[String],
-    samples: &[Sample],
-    m: &mut Metrics,
-) -> u64 {
-    let service = warmed_service(options, bodies);
-    let raw: Vec<Vec<u8>> = bodies.iter().map(|b| request_bytes(b)).collect();
-    let records: Vec<SweepRecord> = expected
-        .iter()
-        .map(|b| {
-            let value = json::parse(b).expect("set-up bodies are JSON");
-            record_from_json(value.get("record").expect("a record")).expect("a valid record")
-        })
-        .collect();
-    let pass = |on: bool, count: usize| {
-        let mut spans = Spans::new(on);
-        let mut sink = Sink::open();
-        let mut mismatches = 0;
-        let ((), secs) = wall(|| {
-            for s in samples.iter().take(count) {
-                let i = s.body;
-                let req = spans.time("http.parse", || parse(&raw[i]));
-                let (handled, _) = spans.time("service.handle", || service.handle(&req));
-                let scenario = spans.time("json.decode", || decode(&req));
-                let canonical = spans.time("canonical", || scenario.canonicalize(DEFAULT_GRID));
-                let reply = spans.time("json.encode", || encode(&records[i], &canonical));
-                mismatches += u64::from(reply != expected[i] || handled.body != expected[i]);
-                spans.time("http.write", || {
-                    Response::ok(reply)
-                        .header("X-Rvz-Cache", "hit")
-                        .write_to(&mut sink.stream)
-                        .expect("write to the loopback sink")
-                });
-            }
-        });
-        sink.close();
-        (spans, secs, mismatches)
-    };
-    pass(false, samples.len() / 10);
-    let overhead = overhead_share(|on| pass(on, samples.len() / 8).1);
-    let (spans, _, mismatches) = pass(true, samples.len());
-    m.insert("trace.overhead_share", overhead);
-    let latencies: Vec<f64> = samples.iter().map(|s| s.latency_us).collect();
-    serve_layers(m, &spans, &latencies);
-    let covered = spans.total(&["json.decode", "canonical", "json.encode"]);
-    m.insert(
-        "trace.unattributed_share",
-        1.0 - covered / spans.total(&["service.handle"]),
-    );
-    mismatches
 }

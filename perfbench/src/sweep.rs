@@ -1,28 +1,47 @@
 //! The sweep workload: `run_sweep_with` over a seeded mix of
-//! Latin-hypercube instances and infeasible twins, one sweep per round,
-//! rendered through `write_jsonl`. At the default depth the reference
-//! lowering refuses coverage, so the cursor engine does the work; the
-//! twins' disproofs to the horizon make the cost heavy-tailed.
+//! Latin-hypercube instances and infeasible twins, one multi-worker
+//! sweep per round, rendered through `write_jsonl`, each followed by a
+//! single-worker sweep of one slice of the round for per-scenario
+//! service times. At the
+//! default depth the reference lowering refuses coverage, so the cursor
+//! engine does the work; the twins' disproofs to the horizon make the
+//! cost heavy-tailed.
 
 use crate::inputs::{is_feasible, sweep_mix};
 use crate::layers::{
     cursor_layers, overhead_share, replay_references, slot, wall, EngineCounters, Spans,
+    OVERHEAD_PARTS,
 };
-use crate::{mean, median, part, peak_rss_mb, Args, Metrics, Outcome, Rounds, ROUNDS};
+use crate::{mean, median, peak_rss_mb, percentile, pin_to_one_cpu, Args, Metrics, Outcome};
 use rvz_experiments::{
     record_to_json, run_sweep_with, write_jsonl, Algorithm, Scenario, SweepOptions, SweepRecord,
 };
 use rvz_sim::batch::{simulate_rendezvous_by_ref, try_simulate_rendezvous_lazy};
 use rvz_sim::{ContactOptions, EngineScratch, SimOutcome};
 use rvz_trajectory::{CompileOptions, CompiledProgram};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Executor threads.
 const THREADS: usize = 2;
-/// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 21;
 /// Scenarios per `--seconds`.
 const SCENARIOS_PER_SECOND: usize = 1_000;
+/// Sweeps in the measured window, each over its part of the batch. The
+/// single-worker latency sweeps and the set-up samples run between them,
+/// so that each spans the run.
+const ROUNDS: usize = 5;
+/// Slices per round. The batch is generated in `ROUNDS * SLICES` parts
+/// of the same mix, and an untraced run sweeps each round's first slice
+/// again on a single worker for per-scenario service times.
+const SLICES: usize = 5;
+/// Set-up samples taken before each round and after the last, and
+/// batch generations per sample: `setup_s` is the median sample's time
+/// per generation. The samples span the whole run: the machine this was
+/// tuned on ran one generation in either about 0.45 or 0.65 ms for
+/// seconds at a time, so samples taken in one burst at start-up put a
+/// run's set-up time in one mode or the other.
+const SETUP_SAMPLES_PER_ROUND: usize = 4;
+const GENERATIONS_PER_SETUP: usize = 8;
 
 pub fn mixed(args: &Args) -> Outcome {
     let n = SCENARIOS_PER_SECOND * args.seconds as usize;
@@ -30,38 +49,49 @@ pub fn mixed(args: &Args) -> Outcome {
         threads: THREADS,
         ..SweepOptions::default()
     };
-    let mut times = Vec::new();
-    let mut scenarios = Vec::new();
-    for _ in 0..SETUPS {
-        let (generated, secs) = wall(|| sweep_mix(n, args.seed));
-        times.push(secs);
-        scenarios = generated;
-    }
-    let setup_s = median(&times);
+    let scenarios = sweep_mix(n, args.seed, ROUNDS * SLICES);
+    // Untimed: the heap grows to its working size.
+    setup_sample(n, args.seed);
+    let mut setup_times = Vec::with_capacity((ROUNDS + 1) * SETUP_SAMPLES_PER_ROUND);
+    let mut sample_setup =
+        || setup_times.extend((0..SETUP_SAMPLES_PER_ROUND).map(|_| setup_sample(n, args.seed)));
 
     // Each round is one sweep over its part of the batch, rendered to
-    // JSONL: scenarios in, records out.
+    // JSONL: scenarios in, records out. The single-worker sweeps for
+    // service times run between rounds, outside the timed sweeps, and
+    // only in untraced runs, so the engine counters of traced runs count
+    // the rounds alone.
     let engine_before = EngineCounters::read();
     let mut records = Vec::with_capacity(n);
     let mut jsonl = Vec::new();
-    let mut rounds = Rounds::default();
+    let mut window_s = 0.0;
+    let mut latencies = Vec::new();
     let mut sweep_s = 0.0;
+    let mut failed = 0;
+    let mut broken = Vec::new();
     for r in 0..ROUNDS {
+        sample_setup();
         let batch = part(&scenarios, r, ROUNDS);
-        let mut completed = Vec::with_capacity(batch.len());
-        let started = Instant::now();
-        let batch = run_sweep_with(batch, &opts, |i, _| completed.push((i, Instant::now())));
-        sweep_s += started.elapsed().as_secs_f64();
-        write_jsonl(&mut jsonl, &batch).expect("writing to memory cannot fail");
-        rounds.record(
-            &service_latencies(started, &completed),
-            started.elapsed().as_secs_f64(),
-        );
-        records.extend(batch);
+        let (swept, secs) = wall(|| run_sweep_with(batch, &opts, |_, _| {}));
+        let ((), write_secs) =
+            wall(|| write_jsonl(&mut jsonl, &swept).expect("writing to memory cannot fail"));
+        sweep_s += secs;
+        window_s += secs + write_secs;
+        if !args.trace {
+            let slice = part(&scenarios, r * SLICES, ROUNDS * SLICES);
+            match service_times(slice, &swept[..slice.len()], &opts) {
+                Ok((gaps, mismatches)) => {
+                    latencies.extend(gaps);
+                    failed += mismatches;
+                }
+                Err(e) => broken.push(format!("single-worker sweep confined to one CPU ({e})")),
+            }
+        }
+        records.extend(swept);
     }
+    sample_setup();
     let engine = EngineCounters::read().since(&engine_before);
 
-    let mut broken = Vec::new();
     let lines = jsonl
         .split(|&b| b == b'\n')
         .filter(|l| !l.is_empty())
@@ -69,7 +99,7 @@ pub fn mixed(args: &Args) -> Outcome {
     if lines != n {
         broken.push(format!("{lines} JSONL records for {n} scenarios"));
     }
-    let mut failed = scenarios
+    failed += scenarios
         .iter()
         .zip(&records)
         .filter(|(s, r)| {
@@ -79,8 +109,10 @@ pub fn mixed(args: &Args) -> Outcome {
 
     let mut m = Metrics::new();
     if !args.trace {
-        rounds.report(&mut m);
-        m.insert("setup_s", setup_s);
+        m.insert("ops_per_s", n as f64 / window_s);
+        m.insert("latency_p50_us", percentile(&latencies, 50.0));
+        m.insert("latency_p99_us", percentile(&latencies, 99.0));
+        m.insert("setup_s", median(&setup_times));
         m.insert("peak_rss_mb", peak_rss_mb());
     } else {
         engine.report(&mut m);
@@ -94,25 +126,56 @@ pub fn mixed(args: &Args) -> Outcome {
     }
 }
 
-/// Per-scenario latency from the moment a worker claims the scenario to
-/// the moment its record reaches the collecting thread: service time,
-/// without the wait behind the rest of the batch.
-///
-/// The executor's workers claim scenario indices in order from a shared
-/// cursor, each right after sending its previous record, so the `k`-th
-/// record to arrive marks the claim of scenario `k + THREADS`; the first
-/// `THREADS` scenarios are claimed when the batch starts.
-fn service_latencies(start: Instant, completed: &[(usize, Instant)]) -> Vec<f64> {
-    let mut claimed = vec![start; completed.len()];
-    for (k, &(_, at)) in completed.iter().enumerate() {
-        if let Some(slot) = claimed.get_mut(k + THREADS) {
-            *slot = at;
+/// The `r`-th of `parts` consecutive, nearly equal parts of `items`.
+fn part<T>(items: &[T], r: usize, parts: usize) -> &[T] {
+    &items[items.len() * r / parts..items.len() * (r + 1) / parts]
+}
+
+/// Seconds per generation of the batch, over [`GENERATIONS_PER_SETUP`]
+/// back-to-back generations.
+fn setup_sample(n: usize, seed: u64) -> f64 {
+    let ((), secs) = wall(|| {
+        for _ in 0..GENERATIONS_PER_SETUP {
+            black_box(sweep_mix(n, seed, ROUNDS * SLICES));
         }
-    }
-    completed
-        .iter()
-        .map(|&(i, at)| (at - claimed[i]).as_secs_f64() * 1e6)
-        .collect()
+    });
+    secs / GENERATIONS_PER_SETUP as f64
+}
+
+/// Per-scenario service time, µs: a single-worker sweep of `scenarios`
+/// on a thread of its own confined to one CPU, like the serve workloads,
+/// timed as the gap between consecutive record callbacks. With one
+/// worker the executor runs each scenario and its callback inline on the
+/// calling thread, so each gap is exactly one scenario's `run_one` plus
+/// the callback; the first gap of each algorithm includes the worker's
+/// one-time reference lowering. Also returns how many records differ
+/// from the multi-worker sweep's `records` of the same scenarios.
+fn service_times(
+    scenarios: &[Scenario],
+    records: &[SweepRecord],
+    opts: &SweepOptions,
+) -> Result<(Vec<f64>, u64), String> {
+    let single = SweepOptions {
+        threads: 1,
+        ..*opts
+    };
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                pin_to_one_cpu()?;
+                let mut gaps = Vec::with_capacity(scenarios.len());
+                let mut last = Instant::now();
+                let serial = run_sweep_with(scenarios, &single, |_, _| {
+                    let now = Instant::now();
+                    gaps.push((now - last).as_secs_f64() * 1e6);
+                    last = now;
+                });
+                let mismatches = serial.iter().zip(records).filter(|(a, b)| a != b).count();
+                Ok((gaps, mismatches as u64))
+            })
+            .join()
+            .expect("single-worker sweep panicked")
+    })
 }
 
 /// Resolves one scenario through the calls a sweep worker makes: the
@@ -206,8 +269,9 @@ const CHUNKS: usize = 8;
 /// sweeps, chunk by chunk, each next to the traced replay of the same
 /// chunk in alternating order, so a drift in machine speed cancels out
 /// of the unattributed share. The tracing overhead comes from untimed
-/// and timed replays of the first eighth. Returns how many replayed
-/// outcomes, or single-worker records, differ from the sweep's records.
+/// and timed replays of the first `1 / OVERHEAD_PARTS` of the batch.
+/// Returns how many replayed outcomes, or single-worker records, differ
+/// from the sweep's records.
 fn replay(
     scenarios: &[Scenario],
     records: &[SweepRecord],
@@ -215,13 +279,13 @@ fn replay(
     sweep_s: f64,
     m: &mut Metrics,
 ) -> u64 {
-    let eighth = scenarios.len() / 8;
+    let head = scenarios.len() / OVERHEAD_PARTS;
     let overhead = overhead_share(|on| {
         let mut spans = Spans::new(on);
         let (_, secs) = wall(|| {
             replay_batch(
-                &scenarios[..eighth],
-                &records[..eighth],
+                &scenarios[..head],
+                &records[..head],
                 opts,
                 &mut spans,
                 &mut Metrics::new(),
