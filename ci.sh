@@ -39,6 +39,17 @@ echo "==> differential fuzz (fixed seed budget: five engine paths agree)"
 RVZ_FUZZ_CASES=24 RVZ_FUZZ_SEED=3134984190 \
     cargo test --release --quiet --test differential_fuzz
 
+echo "==> perfbench serve_cold --trace 1 (every served body equals the eager replay)"
+# The traced run replays each request through the eager public calls
+# (partner compile + from_program + batch kernel) and counts every
+# served body that differs; the streamed miss path must match them all.
+PERF_OUT="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_cold --seed 1 --seconds 2 --trace 1)"
+echo "$PERF_OUT" | grep -q '"correct": true' \
+    || { echo "perfbench serve_cold is not correct: $PERF_OUT"; exit 1; }
+echo "$PERF_OUT" | grep -q '"failed": 0,' \
+    || { echo "perfbench serve_cold failed operations: $PERF_OUT"; exit 1; }
+
 echo "==> rvz bench-engine --quick --enforce-steps (smoke: schema v5 intact, no step regressions)"
 BENCH_SMOKE="$(mktemp -t bench_engine_smoke.XXXXXX.json)"
 # --enforce-steps fails the run if the cursor engine takes more

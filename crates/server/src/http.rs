@@ -303,7 +303,11 @@ impl Response {
     }
 
     /// Serializes the response onto the stream (status line,
-    /// `Content-Type`, `Content-Length`, extras).
+    /// `Content-Type`, `Content-Length`, extras, body).
+    ///
+    /// The whole response is rendered into one buffer and handed to the
+    /// stream in a single `write_all`: on a `TCP_NODELAY` socket every
+    /// separate write would leave as its own segment.
     ///
     /// # Errors
     ///
@@ -319,8 +323,9 @@ impl Response {
             503 => "Service Unavailable",
             _ => "Response",
         };
+        let mut out = Vec::with_capacity(160 + self.body.len());
         write!(
-            stream,
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
             reason,
@@ -328,14 +333,15 @@ impl Response {
             self.body.len()
         )?;
         for (name, value) in &self.extra_headers {
-            write!(stream, "{name}: {value}\r\n")?;
+            write!(out, "{name}: {value}\r\n")?;
         }
         write!(
-            stream,
+            out,
             "Connection: {}\r\n\r\n",
             if self.close { "close" } else { "keep-alive" }
         )?;
-        stream.write_all(self.body.as_bytes())?;
+        out.extend_from_slice(self.body.as_bytes());
+        stream.write_all(&out)?;
         stream.flush()
     }
 }
@@ -445,5 +451,36 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("{\"error\":\"no such endpoint\"}"));
+    }
+
+    #[test]
+    fn a_response_leaves_in_exactly_one_write() {
+        /// Records every `write` call's bytes.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: Vec<Vec<u8>>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let resp = Response::ok("{\"ok\":true}".into())
+            .header("X-Rvz-Cache", "miss")
+            .header("X-Rvz-Trace", "0000000000000001");
+        let mut counting = CountingWriter::default();
+        resp.write_to(&mut counting).unwrap();
+        assert_eq!(counting.writes.len(), 1, "one write per response");
+        assert_eq!(
+            String::from_utf8(counting.writes.concat()).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+             X-Rvz-Cache: miss\r\nX-Rvz-Trace: 0000000000000001\r\n\
+             Connection: keep-alive\r\n\r\n{\"ok\":true}",
+            "the bytes on the wire are unchanged"
+        );
     }
 }

@@ -36,18 +36,14 @@ use rvz_experiments::{
 };
 use rvz_model::{feasibility, Chirality, RobotAttributes};
 use rvz_sim::{
-    first_contact_batch_soa, try_first_contact_programs, Budget, ContactOptions, EngineScratch,
+    first_contact_streamed, try_first_contact_programs, Budget, ContactOptions, EngineScratch,
     SimOutcome,
 };
-use rvz_trajectory::{Compile, CompileOptions, CompiledProgram, ProgramSoA};
+use rvz_trajectory::{Compile, CompileOptions, ProgramSoA, SoaStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-/// A lowered program shared between the program cache and in-flight
-/// queries.
-type SharedProgram = Arc<CompiledProgram>;
 
 /// Tuning for a [`Service`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,26 +61,24 @@ pub struct ServiceOptions {
     /// Engine options and batch thread count for cache misses.
     ///
     /// `sweep.compile_pieces` doubles as the piece budget of the
-    /// service's **compiled-program cache** (`0` disables it). Beside
-    /// the result cache, the service keeps compiled programs: the
-    /// **reference** program (the common algorithm from the origin, a
-    /// function of the algorithm and the service horizon alone) is
-    /// lowered **at most once per algorithm for the process lifetime**
-    /// — including the negative result, so a horizon too deep for the
-    /// budget is probed exactly once and every later query skips
-    /// straight to the cursor path — and its SoA arena (feeding the
-    /// lane/batch kernels) is built from it exactly once more. Each
-    /// orbit's frame-warped **partner** is lowered eagerly on a miss,
-    /// to the full budget-capped depth, and cached under the same
-    /// canonical key as its result, so warm misses replay on the
-    /// cached handle; since the partner cache shares the result
-    /// cache's capacity and access pattern, a partner is evicted no
-    /// later than its result — a fresh miss on an evicted orbit
-    /// re-lowers the partner (to the same depth, hence byte-identical
-    /// replies) but never re-lowers the reference (the dominant cost).
-    /// The service owns all lowering itself: the executor's own
-    /// compiled path is disabled at construction so no per-request
-    /// worker ever re-lowers a reference.
+    /// service's **compiled path** (`0` disables it). The **reference**
+    /// program (the common algorithm from the origin, a function of the
+    /// algorithm and the service horizon alone) is lowered **at most
+    /// once per algorithm for the process lifetime** and kept only as
+    /// its SoA arena — including the negative result, so a horizon too
+    /// deep for the budget is probed exactly once and every later query
+    /// skips straight to the cursor path. Each miss **streams** the
+    /// orbit's frame-warped **partner** into a transient SoA arena
+    /// ([`SoaStream`]), only as far as the lane kernel runs: a feasible
+    /// pair that meets early lowers an early prefix, an infeasible twin
+    /// streams to the horizon in one step, and the answer is
+    /// bit-for-bit the one the eager partner arena gives
+    /// ([`first_contact_streamed`]). Partners are never cached: a miss
+    /// on an evicted orbit re-streams its partner (same bytes) and
+    /// never re-lowers the reference. The service owns all lowering
+    /// itself: the executor's own compiled path is disabled at
+    /// construction so no per-request worker ever re-lowers a
+    /// reference.
     pub sweep: SweepOptions,
     /// Per-request wall-clock deadline for engine work. Each request
     /// gets a fresh [`Budget`] starting at dispatch; an exhausted one
@@ -143,22 +137,16 @@ pub enum Control {
 /// The shared, thread-safe query service.
 pub struct Service {
     opts: ServiceOptions,
-    /// The program-cache piece budget, taken from
+    /// The compiled path's piece budget, taken from
     /// `sweep.compile_pieces` at construction (the copy inside `opts`
     /// is zeroed so executor fallbacks never lower independently).
     compile_pieces: usize,
     cache: ResultCache<SimOutcome>,
-    /// Partner-program cache: one frame-warped partner program at full
-    /// (piece-budget-capped) coverage — or a remembered lowering
-    /// refusal — per canonical orbit, keyed like the result cache.
-    programs: ResultCache<Option<SharedProgram>>,
-    /// Reference programs, one per [`Algorithm`]: a pure function of
-    /// the algorithm and the service horizon, lowered at most once for
-    /// the process lifetime.
-    reference: [OnceLock<Option<SharedProgram>>; 2],
-    /// SoA arenas of the reference programs, built at most once per
-    /// algorithm and shared by the lane/batch kernels across requests.
-    reference_soa: [OnceLock<Option<Arc<ProgramSoA>>>; 2],
+    /// Reference arenas, one per [`Algorithm`]: a pure function of the
+    /// algorithm and the service horizon, lowered at most once for the
+    /// process lifetime (`None` when the lowering does not cover the
+    /// horizon) and shared by every miss.
+    reference: [OnceLock<Option<Arc<ProgramSoA>>>; 2],
     /// How many reference lowerings actually ran (observability: stays
     /// at ≤ 2 no matter how many orbits stream through).
     reference_lowerings: AtomicU64,
@@ -208,9 +196,9 @@ struct Durability {
 impl Service {
     /// Creates a service with the given tuning.
     pub fn new(mut opts: ServiceOptions) -> Self {
-        // The service owns lowering (reference OnceLock + partner
-        // cache); the executor must never attempt its own per-worker
-        // reference lowering on a fallback path.
+        // The service owns lowering (reference OnceLock + streamed
+        // partners); the executor must never attempt its own
+        // per-worker reference lowering on a fallback path.
         let compile_pieces = opts.sweep.compile_pieces;
         opts.sweep.compile_pieces = 0;
         let faults = opts
@@ -220,9 +208,7 @@ impl Service {
         preregister_metrics();
         Service {
             cache: ResultCache::new(opts.cache_capacity, opts.cache_shards),
-            programs: ResultCache::new(opts.cache_capacity, opts.cache_shards),
             reference: [OnceLock::new(), OnceLock::new()],
-            reference_soa: [OnceLock::new(), OnceLock::new()],
             reference_lowerings: AtomicU64::new(0),
             compile_pieces,
             opts,
@@ -258,19 +244,15 @@ impl Service {
         )
     }
 
-    /// Captures the current cache state for a snapshot: result entries
-    /// and program orbit keys, each in per-shard recency order.
-    /// In-flight single-flight claims and deadline outcomes are never
-    /// included (claims are not values; deadlines are never cached).
+    /// Captures the current cache state for a snapshot: the result
+    /// entries in per-shard recency order. In-flight single-flight
+    /// claims and deadline outcomes are never included (claims are not
+    /// values; deadlines are never cached). No program keys are
+    /// written: partners are streamed per miss, never cached.
     pub fn snapshot_data(&self) -> SnapshotData {
         SnapshotData {
             results: self.cache.export(),
-            program_keys: self
-                .programs
-                .export()
-                .into_iter()
-                .map(|(key, _)| key)
-                .collect(),
+            program_keys: Vec::new(),
         }
     }
 
@@ -278,18 +260,14 @@ impl Service {
     /// gracefully: corrupt or mismatched snapshots cold-start. Returns
     /// the outcome; it is also kept for `/stats` and the boot banner.
     ///
-    /// Program entries are restored as *placeholders* (`None`): the
-    /// first miss on the orbit re-streams the partner program, while
-    /// the cache's entry count and recency order match the snapshotted
-    /// process exactly.
+    /// Program keys in snapshots written before partners were streamed
+    /// still decode (they count toward the restore outcome) and are
+    /// dropped: there is no partner cache to restore them into.
     pub fn restore_from(&self, path: &Path) -> RestoreOutcome {
         let disk = self.faults.as_ref().and_then(|f| f.disk());
         let (data, outcome) = read_snapshot(path, self.engine_fingerprint(), disk.as_ref());
         for (key, value) in data.results {
             self.cache.insert(key, value);
-        }
-        for key in data.program_keys {
-            self.programs.insert(key, None);
         }
         let mut d = self.durability.lock().expect("durability poisoned");
         d.restore = Some(outcome.clone());
@@ -344,9 +322,20 @@ impl Service {
         self.cache.stats()
     }
 
-    /// Partner-program cache counters (also served under `/stats`).
+    /// The compiled programs the service holds: `entries` is the
+    /// number of reference arenas resident (at most one per algorithm)
+    /// and `misses` the reference lowerings that ran. Partners are
+    /// streamed per miss and never held.
     pub fn program_stats(&self) -> CacheStats {
-        self.programs.stats()
+        CacheStats {
+            entries: self
+                .reference
+                .iter()
+                .filter(|slot| matches!(slot.get(), Some(Some(_))))
+                .count(),
+            misses: self.reference_lowerings(),
+            ..CacheStats::default()
+        }
     }
 
     /// How many reference lowerings have run (at most one per algorithm).
@@ -487,7 +476,7 @@ impl Service {
 
     fn stats_response(&self) -> Response {
         let stats = self.cache.stats();
-        let programs = self.programs.stats();
+        let programs = self.program_stats().entries;
         let body = Json::obj(vec![
             (
                 "requests",
@@ -521,10 +510,8 @@ impl Service {
                 "programs",
                 Json::obj(vec![
                     ("enabled", Json::Bool(self.compile_pieces > 0)),
-                    ("entries", Json::Num(programs.entries as f64)),
+                    ("entries", Json::Num(programs as f64)),
                     ("piece_budget", Json::Num(self.compile_pieces as f64)),
-                    ("hits", Json::Num(programs.hits as f64)),
-                    ("misses", Json::Num(programs.misses as f64)),
                     (
                         "reference_lowerings",
                         Json::Num(self.reference_lowerings() as f64),
@@ -587,7 +574,7 @@ impl Service {
         gauge!("rvz_uptime_seconds").set(self.start.elapsed().as_secs() as i64);
         gauge!("rvz_inflight").set(self.inflight.load(Ordering::SeqCst) as i64);
         gauge!("rvz_cache_entries").set(self.cache.stats().entries as i64);
-        gauge!("rvz_program_cache_entries").set(self.programs.stats().entries as i64);
+        gauge!("rvz_program_cache_entries").set(self.program_stats().entries as i64);
         gauge!("rvz_queue_depth").set(
             self.server_queued
                 .get()
@@ -724,10 +711,10 @@ impl Service {
         let contact = self.request_contact();
         let (outcome, hit) = if self.opts.no_cache {
             // The A/B baseline bypasses the result cache *and* the
-            // compiled-program path: every request runs the cursor
-            // engine from scratch, so the loadtest speedup measures the
-            // whole caching+compilation stack against the bare engine.
-            (self.simulate(&canonical.scenario, &contact), false)
+            // compiled path: every request runs the cursor engine from
+            // scratch, so the loadtest speedup measures the whole
+            // caching+compilation stack against the bare engine.
+            (self.simulate(&canonical.scenario, &contact, false), false)
         } else {
             self.cache.get_or_compute_if(
                 canonical.key,
@@ -737,7 +724,7 @@ impl Service {
                             panic!("injected fault: cache compute failure");
                         }
                     }
-                    self.simulate_with_key(&canonical.scenario, Some(canonical.key), &contact)
+                    self.simulate(&canonical.scenario, &contact, true)
                 },
                 // A deadline outcome reflects this request's wall
                 // clock, not the scenario: caching it would serve a
@@ -772,20 +759,16 @@ impl Service {
         }
     }
 
-    fn simulate(&self, canonical: &Scenario, contact: &ContactOptions) -> SimOutcome {
-        self.simulate_with_key(canonical, None, contact)
-    }
-
-    /// Simulates the canonical representative: through the cached
-    /// compiled programs when possible (key provided and the orbit
-    /// lowers under the budget), otherwise through the cursor-path
-    /// sweep executor. Both paths are deterministic functions of the
-    /// scenario, so responses stay pure functions of the query.
-    fn simulate_with_key(
+    /// Simulates the canonical representative: through the compiled
+    /// path when `compiled` is set and the reference lowering covers
+    /// the horizon, otherwise through the cursor-path sweep executor.
+    /// Both paths are deterministic functions of the scenario, so
+    /// responses stay pure functions of the query.
+    fn simulate(
         &self,
         canonical: &Scenario,
-        key: Option<rvz_experiments::CacheKey>,
         contact: &ContactOptions,
+        compiled: bool,
     ) -> SimOutcome {
         if let Some(f) = &self.faults {
             if f.fires(FaultSite::EngineDelay) {
@@ -795,11 +778,9 @@ impl Service {
                 std::thread::sleep(f.delay());
             }
         }
-        if let Some(key) = key {
-            if self.compile_pieces > 0 {
-                if let Some(outcome) = self.simulate_compiled(canonical, key, contact) {
-                    return outcome;
-                }
+        if compiled && self.compile_pieces > 0 {
+            if let Some(outcome) = self.simulate_compiled(canonical, contact) {
+                return outcome;
             }
         }
         // opts.sweep.compile_pieces was zeroed at construction: the
@@ -812,203 +793,80 @@ impl Service {
         run_sweep(std::slice::from_ref(canonical), &single)[0].outcome
     }
 
-    /// The compiled fast path: the cached reference against the
-    /// orbit's partner program, resolved **kernel-first**. The query
-    /// runs as a one-element [`first_contact_batch_soa`] batch — the
-    /// *same* entry point `/sweep` groups route through, so a
-    /// representative produces identical bytes whether it arrives
-    /// alone or inside a batch (the batch kernel's per-pair decisions,
-    /// including the window-table disproof, are independent of the
-    /// other batch members). A kernel refusal (the advancement outran
-    /// the piece-budget-capped coverage) falls back to the scalar
-    /// ladder over the same pieces, and `None` hands the query to the
-    /// cursor executor.
+    /// The compiled path: the shared reference arena against the
+    /// orbit's partner, streamed into a transient SoA arena by
+    /// [`first_contact_streamed`] — bit-for-bit what the lane batch
+    /// kernel answers on the eager partner arena, at the cost of the
+    /// prefix the query actually runs on. Theorem-4-infeasible
+    /// representatives stream to the horizon in one step: their query
+    /// runs to the horizon anyway, so prefixes would only add retries.
+    /// A kernel refusal on the finished arena (the piece budget
+    /// truncated the partner) falls back to the scalar ladder over the
+    /// same arenas; `None` hands the query to the cursor executor,
+    /// as does a partner whose lowering fails.
     ///
-    /// The partner handle always holds the orbit's *full*
-    /// (budget-capped) lowering — [`Self::partner_program`] upgrades
-    /// anything shallower — so which engine resolves a representative
-    /// is a pure function of the scenario and the engine options,
-    /// never of cache history: the determinism contract holds for
-    /// every cached byte.
+    /// Which engine resolves a representative is a pure function of
+    /// the scenario and the engine options, so the determinism contract
+    /// holds for every cached byte; a `/sweep` representative resolves
+    /// through this same function, so batch and single answers agree
+    /// by construction.
     fn simulate_compiled(
         &self,
         canonical: &Scenario,
-        key: rvz_experiments::CacheKey,
         contact: &ContactOptions,
     ) -> Option<SimOutcome> {
-        let reference = Arc::clone(self.reference_for(canonical.algorithm).as_ref()?);
-        let partner = self.partner_program(canonical, key)?;
-        let mut scratch = EngineScratch::new();
-        if let Some(arena) = self.reference_soa_for(canonical.algorithm) {
-            let partner_arena = ProgramSoA::from_program(&partner);
-            if let Some(outcome) = first_contact_batch_soa(
-                &arena,
-                std::slice::from_ref(&partner_arena),
-                canonical.visibility,
-                contact,
-                &mut scratch,
-            )
-            .pop()
-            .flatten()
-            {
-                return Some(outcome);
-            }
-        }
-        try_first_contact_programs(
-            &reference,
-            &partner,
-            canonical.visibility,
-            contact,
-            &mut scratch,
-        )
-    }
-
-    /// Routes a `/sweep` miss batch through the SoA batch kernel: all
-    /// representatives sharing an algorithm and a visibility radius
-    /// resolve in one [`first_contact_batch_soa`] call that streams
-    /// the shared reference arena once (window tables disprove
-    /// far-infeasible cells without touching their pieces). Cells the
-    /// kernel refuses stay `None` for the per-representative ladder,
-    /// which resolves them identically by construction.
-    fn batch_compiled(
-        &self,
-        missing: &[Scenario],
-        missing_index: &std::collections::HashMap<rvz_experiments::CacheKey, usize>,
-        contact: &ContactOptions,
-        computed: &mut [Option<SimOutcome>],
-    ) {
-        let mut groups: std::collections::HashMap<(usize, u64), (Vec<usize>, Vec<ProgramSoA>)> =
-            std::collections::HashMap::new();
-        for (key, &j) in missing_index {
-            let rep = &missing[j];
-            let slot = match rep.algorithm {
-                Algorithm::WaitAndSearch => 0,
-                Algorithm::UniversalSearch => 1,
-            };
-            if self.reference_soa_for(rep.algorithm).is_none() {
-                continue;
-            }
-            let Some(partner) = self.partner_program(rep, *key) else {
-                continue;
-            };
-            let (indices, partners) = groups.entry((slot, rep.visibility.to_bits())).or_default();
-            indices.push(j);
-            partners.push(ProgramSoA::from_program(&partner));
-        }
-        let mut scratch = EngineScratch::new();
-        for ((slot, radius_bits), (indices, partners)) in &groups {
-            let algorithm = if *slot == 0 {
-                Algorithm::WaitAndSearch
-            } else {
-                Algorithm::UniversalSearch
-            };
-            let arena = self
-                .reference_soa_for(algorithm)
-                .expect("grouped only under a built arena");
-            let outcomes = first_contact_batch_soa(
-                &arena,
-                partners,
-                f64::from_bits(*radius_bits),
-                contact,
-                &mut scratch,
-            );
-            for (&j, outcome) in indices.iter().zip(outcomes) {
-                computed[j] = outcome;
-            }
-        }
-    }
-
-    /// The orbit's partner program at full (piece-budget-capped)
-    /// coverage. A cached handle is replayed when it either covers the
-    /// horizon or already spent the whole piece budget (eager lowering
-    /// is deterministic, so such a handle is byte-for-byte what a
-    /// fresh lowering would produce); anything shallower — absent, or
-    /// a pre-upgrade query-depth freeze — is lowered eagerly and
-    /// upgrades the cache slot. A remembered lowering refusal stays a
-    /// hit and keeps handing the orbit to the cursor path.
-    ///
-    /// Unlike `get_or_compute`, concurrent misses of one orbit may
-    /// both lower (the last insert wins the slot); both produce the
-    /// same handle, so responses stay pure.
-    fn partner_program(
-        &self,
-        canonical: &Scenario,
-        key: rvz_experiments::CacheKey,
-    ) -> Option<SharedProgram> {
-        let horizon = self.opts.sweep.contact.horizon;
-        if let Some(slot) = self.programs.probe(&key) {
-            match slot {
-                Some(partner)
-                    if partner.covers(horizon) || partner.pieces().len() >= self.compile_pieces =>
-                {
-                    self.programs.record(1, 0);
-                    return Some(partner);
-                }
-                Some(_) => {} // shallow handle: fall through and upgrade
-                None => {
-                    self.programs.record(1, 0);
-                    return None;
-                }
-            }
-        }
-        self.programs.record(0, 1);
+        let reference = self.reference_for(canonical.algorithm)?;
         let instance = canonical.instance().ok()?;
-        let copts = self.compile_options();
-        let compiled = match canonical.algorithm {
-            Algorithm::WaitAndSearch => instance
-                .attributes()
-                .frame_warp(rvz_core::WaitAndSearch, instance.offset())
-                .compile(&copts),
-            Algorithm::UniversalSearch => instance
-                .attributes()
-                .frame_warp(rvz_search::UniversalSearch, instance.offset())
-                .compile(&copts),
+        let (attrs, offset) = (instance.attributes(), instance.offset());
+        let source: Box<dyn Compile> = match canonical.algorithm {
+            Algorithm::WaitAndSearch => Box::new(attrs.frame_warp(rvz_core::WaitAndSearch, offset)),
+            Algorithm::UniversalSearch => {
+                Box::new(attrs.frame_warp(rvz_search::UniversalSearch, offset))
+            }
         };
-        let shared = compiled.ok().map(Arc::new);
-        self.programs.insert(key, shared.clone());
-        shared
+        let mut partner = SoaStream::new(&*source, self.compile_options());
+        if !feasibility(attrs).is_feasible() {
+            partner.finish();
+        }
+        let mut scratch = EngineScratch::new();
+        let radius = canonical.visibility;
+        let outcome =
+            first_contact_streamed(&reference, &mut partner, radius, contact, &mut scratch);
+        if !self.opts.no_metrics {
+            rvz_obs::histogram!("rvz_partner_pieces").observe(partner.arena().len() as u64);
+            rvz_obs::counter!("rvz_stream_extensions_total").add(partner.extensions());
+        }
+        if outcome.is_some() || partner.error().is_some() {
+            return outcome;
+        }
+        try_first_contact_programs(&*reference, partner.arena(), radius, contact, &mut scratch)
     }
 
     fn compile_options(&self) -> CompileOptions {
         CompileOptions::to_horizon(self.opts.sweep.contact.horizon).max_pieces(self.compile_pieces)
     }
 
-    /// The reference program for an algorithm, lowered at most once for
-    /// the process lifetime. A truncated reference would refuse every
-    /// disproof-shaped query, so only horizon-covering lowerings are
-    /// kept.
-    fn reference_for(&self, algorithm: Algorithm) -> &Option<SharedProgram> {
+    /// The reference arena for an algorithm, lowered at most once for
+    /// the process lifetime and kept only in SoA layout. A truncated
+    /// reference would refuse every disproof-shaped query, so only
+    /// horizon-covering lowerings are kept.
+    fn reference_for(&self, algorithm: Algorithm) -> Option<Arc<ProgramSoA>> {
         let slot = match algorithm {
             Algorithm::WaitAndSearch => 0,
             Algorithm::UniversalSearch => 1,
         };
-        self.reference[slot].get_or_init(|| {
-            self.reference_lowerings.fetch_add(1, Ordering::Relaxed);
-            let copts = self.compile_options();
-            let compiled = match algorithm {
-                Algorithm::WaitAndSearch => rvz_core::WaitAndSearch.compile(&copts),
-                Algorithm::UniversalSearch => rvz_search::UniversalSearch.compile(&copts),
-            };
-            compiled
-                .ok()
-                .filter(|p| p.covers(self.opts.sweep.contact.horizon))
-                .map(Arc::new)
-        })
-    }
-
-    /// The reference program's SoA arena, built at most once per
-    /// algorithm (a pure function of the reference program) and shared
-    /// by the lane kernel and the `/sweep` batch kernel.
-    fn reference_soa_for(&self, algorithm: Algorithm) -> Option<Arc<ProgramSoA>> {
-        let slot = match algorithm {
-            Algorithm::WaitAndSearch => 0,
-            Algorithm::UniversalSearch => 1,
-        };
-        self.reference_soa[slot]
+        self.reference[slot]
             .get_or_init(|| {
-                self.reference_for(algorithm)
-                    .as_ref()
-                    .map(|p| Arc::new(ProgramSoA::from_program(p)))
+                self.reference_lowerings.fetch_add(1, Ordering::Relaxed);
+                let copts = self.compile_options();
+                let compiled = match algorithm {
+                    Algorithm::WaitAndSearch => rvz_core::WaitAndSearch.compile(&copts),
+                    Algorithm::UniversalSearch => rvz_search::UniversalSearch.compile(&copts),
+                };
+                compiled
+                    .ok()
+                    .filter(|p| p.covers(self.opts.sweep.contact.horizon))
+                    .map(|p| Arc::new(ProgramSoA::from_program(&p)))
             })
             .clone()
     }
@@ -1104,27 +962,17 @@ impl Service {
         }
         let contact = self.request_contact();
         if !missing.is_empty() {
-            // Resolve representatives through the service's own compiled
-            // path first (the per-process reference and the partner
-            // cache), so a batch never re-lowers what the single-query
-            // path already memoized; whatever refuses goes through the
+            // Resolve each representative through the single-query
+            // compiled path (the per-process reference arena and a
+            // streamed partner), so batch and single answers are the
+            // same function; whatever it hands back goes through the
             // executor with its own lowering disabled — the executor
             // would otherwise rebuild (and, at deep horizons, discard) a
             // reference per worker per request.
-            //
-            // Representatives sharing an algorithm and a visibility
-            // radius route through the SoA **batch kernel** in one
-            // streaming pass over the shared reference arena (window
-            // tables disprove far-infeasible cells wholesale); kernel
-            // refusals and leftovers fall back to the per-representative
-            // ladder below, which resolves identically by construction.
             let mut computed: Vec<Option<SimOutcome>> = vec![None; missing.len()];
             if !self.opts.no_cache && self.compile_pieces > 0 {
-                self.batch_compiled(&missing, &missing_index, &contact, &mut computed);
-                for (key, &j) in &missing_index {
-                    if computed[j].is_none() {
-                        computed[j] = self.simulate_compiled(&missing[j], *key, &contact);
-                    }
+                for (slot, rep) in computed.iter_mut().zip(&missing) {
+                    *slot = self.simulate_compiled(rep, &contact);
                 }
             }
             let leftover: Vec<Scenario> = missing
@@ -1280,6 +1128,8 @@ fn preregister_metrics() {
     let _ = counter!("rvz_shed_total", "cause" => "queue");
     let _ = counter!("rvz_shed_total", "cause" => "max_inflight");
     let _ = counter!("rvz_shed_total", "cause" => "deadline");
+    let _ = histogram!("rvz_partner_pieces");
+    let _ = counter!("rvz_stream_extensions_total");
     crate::faults::preregister_injected_metrics();
     rvz_sim::telemetry::preregister_metrics();
 }
@@ -1576,10 +1426,11 @@ mod tests {
     fn warm_misses_reuse_cached_programs() {
         // A horizon the reference lowering covers: the compiled path
         // engages. The durable guarantee is the shared *reference*
-        // program — lowered once for the process no matter how many
-        // orbits stream through or get evicted; partners are cached
-        // per orbit but share the result cache's eviction, so an
-        // evicted orbit re-lowers its (cheap) partner only.
+        // arena — lowered once for the process no matter how many
+        // orbits stream through or get evicted. Partners are never
+        // cached: every miss streams its own, so an evicted orbit's
+        // re-miss re-streams its partner (and only its partner) and
+        // answers with the same bytes.
         let svc = Service::new(ServiceOptions {
             sweep: SweepOptions {
                 threads: 1,
@@ -1591,39 +1442,120 @@ mod tests {
                 ..SweepOptions::default()
             },
             // Capacity 1 with 1 shard: the second distinct orbit evicts
-            // the first result, but programs live in their own cache.
+            // the first result.
             cache_capacity: 1,
             cache_shards: 1,
             ..ServiceOptions::default()
         });
+        let compiled_path = || rvz_sim::telemetry::last().map(|t| t.path);
         let body_a = r#"{"algorithm":"alg4","speed":0.5,"distance":0.9,"visibility":0.25}"#;
         let body_b = r#"{"algorithm":"alg4","speed":0.75,"distance":0.9,"visibility":0.25}"#;
         let (first, _) = svc.handle(&request("POST", "/first-contact", body_a));
         assert_eq!(first.status, 200, "{}", first.body);
-        assert_eq!(svc.program_stats().misses, 1, "first miss lowers a partner");
-        assert_eq!(svc.reference_lowerings(), 1, "and the shared reference");
+        assert_eq!(compiled_path(), Some(rvz_sim::EnginePath::CompiledSoA));
+        assert_eq!(
+            svc.reference_lowerings(),
+            1,
+            "the first miss lowers the reference"
+        );
+        assert_eq!(svc.program_stats().entries, 1, "and holds it");
         let (_, _) = svc.handle(&request("POST", "/first-contact", body_b));
-        // A second orbit lowers its own partner but *shares* the
-        // reference program — the big arena is never lowered twice.
-        assert_eq!(svc.program_stats().misses, 2);
+        // A second orbit streams its own partner but *shares* the
+        // reference arena — the big arena is never lowered twice.
+        assert_eq!(compiled_path(), Some(rvz_sim::EnginePath::CompiledSoA));
         assert_eq!(svc.reference_lowerings(), 1, "reference must be shared");
         let (again, _) = svc.handle(&request("POST", "/first-contact", body_a));
         assert_eq!(header(&again, "X-Rvz-Cache"), "miss", "result was evicted");
+        assert_eq!(
+            compiled_path(),
+            Some(rvz_sim::EnginePath::CompiledSoA),
+            "the re-miss re-streams its partner through the kernel"
+        );
         assert_eq!(again.body, first.body, "same query, same bytes");
         assert_eq!(
             svc.reference_lowerings(),
             1,
             "a warm miss re-runs the engine without re-lowering the reference"
         );
-        // With capacity 1 the partner was evicted alongside its result:
-        // the re-miss re-lowers the partner (and only the partner).
-        assert_eq!(svc.program_stats().misses, 3);
+        assert_eq!(svc.program_stats().entries, 1, "no partner is held");
         let (stats, _) = svc.handle(&request("GET", "/stats", ""));
         assert!(
             stats.body.contains("\"reference_lowerings\":1"),
             "{}",
             stats.body
         );
+    }
+
+    #[test]
+    fn misses_answer_as_the_eager_partner_arena_does() {
+        // The served record is the eager `compile` + `from_program` +
+        // batch-kernel outcome, bit for bit, for feasible pairs of both
+        // algorithms and for an exact twin (streamed in one step).
+        let contact = rvz_sim::ContactOptions {
+            horizon: rvz_core::completion_time(3),
+            ..rvz_sim::ContactOptions::default()
+        };
+        let svc = Service::new(ServiceOptions {
+            sweep: SweepOptions {
+                contact,
+                ..SweepOptions::default()
+            },
+            ..ServiceOptions::default()
+        });
+        let copts = CompileOptions::to_horizon(contact.horizon)
+            .max_pieces(SweepOptions::default().compile_pieces);
+        for body in [
+            r#"{"algorithm":"alg4","speed":0.5,"time_unit":0.7,"distance":1.2,"visibility":0.1}"#,
+            r#"{"algorithm":"alg7","speed":0.8,"time_unit":0.6,"distance":0.7,"visibility":0.1}"#,
+            r#"{"algorithm":"alg4","distance":1.5,"visibility":0.1}"#,
+        ] {
+            let (resp, _) = svc.handle(&request("POST", "/first-contact", body));
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            let scenario =
+                rvz_experiments::scenario_from_json(&rvz_experiments::json::parse(body).unwrap())
+                    .unwrap();
+            let canonical = scenario.canonicalize(svc.options().cache_grid);
+            let rep = canonical.scenario;
+            let instance = rep.instance().unwrap();
+            let (attrs, offset) = (instance.attributes(), instance.offset());
+            let (reference, partner) = match rep.algorithm {
+                Algorithm::WaitAndSearch => (
+                    rvz_core::WaitAndSearch.compile(&copts).unwrap(),
+                    attrs
+                        .frame_warp(rvz_core::WaitAndSearch, offset)
+                        .compile(&copts)
+                        .unwrap(),
+                ),
+                Algorithm::UniversalSearch => (
+                    rvz_search::UniversalSearch.compile(&copts).unwrap(),
+                    attrs
+                        .frame_warp(rvz_search::UniversalSearch, offset)
+                        .compile(&copts)
+                        .unwrap(),
+                ),
+            };
+            let eager = rvz_sim::first_contact_batch_soa(
+                &ProgramSoA::from_program(&reference),
+                &[ProgramSoA::from_program(&partner)],
+                rep.visibility,
+                &contact,
+                &mut EngineScratch::new(),
+            )
+            .pop()
+            .flatten()
+            .expect("the eager kernel answers at this depth");
+            let record = SweepRecord {
+                scenario,
+                feasibility: feasibility(&scenario.attributes()),
+                outcome: canonical.transform.apply(eager),
+            };
+            let served = rvz_experiments::json::parse(&resp.body).unwrap();
+            assert_eq!(
+                served.get("record").unwrap().render(),
+                record_to_json(&record).render(),
+                "{body}"
+            );
+        }
     }
 
     #[test]
@@ -1750,7 +1682,7 @@ mod tests {
         let path = dir.join("cache.snap");
 
         // A horizon the reference lowering covers, so the compiled
-        // path engages and the program cache fills alongside results.
+        // path engages (one reference arena is held; partners are not).
         let program_options = || ServiceOptions {
             sweep: SweepOptions {
                 threads: 1,
@@ -1779,12 +1711,9 @@ mod tests {
             assert_eq!(header(&resp, "X-Rvz-Cache"), "miss");
             answers.push(resp.body);
         }
-        assert_eq!(svc.program_stats().entries, 3, "partners were cached");
+        assert_eq!(svc.program_stats().entries, 1, "one reference, no partners");
         let entries = svc.write_snapshot_to(&path).unwrap();
-        assert_eq!(
-            entries,
-            svc.cache_stats().entries + svc.program_stats().entries
-        );
+        assert_eq!(entries, svc.cache_stats().entries, "results only");
 
         // A fresh process: restore must be warm, and every previously
         // answered query must come back byte-identical as a cache hit
@@ -1793,11 +1722,6 @@ mod tests {
         let outcome = restored.restore_from(&path);
         assert!(matches!(outcome, RestoreOutcome::Warm { .. }), "{outcome}");
         assert_eq!(restored.cache_stats().entries, svc.cache_stats().entries);
-        assert_eq!(
-            restored.program_stats().entries,
-            svc.program_stats().entries,
-            "program orbit keys restore as placeholders"
-        );
         for (body, expected) in bodies.iter().zip(&answers) {
             let (resp, _) = restored.handle(&request("POST", "/first-contact", body));
             assert_eq!(
@@ -1811,6 +1735,11 @@ mod tests {
             0,
             "no engine ran after restore"
         );
+        assert_eq!(
+            restored.reference_lowerings(),
+            0,
+            "hits never lower a reference"
+        );
 
         let (stats, _) = restored.handle(&request("GET", "/stats", ""));
         assert!(
@@ -1819,7 +1748,7 @@ mod tests {
             stats.body
         );
         assert!(
-            stats.body.contains("\"restored_entries\":6"),
+            stats.body.contains("\"restored_entries\":3"),
             "{}",
             stats.body
         );
@@ -1832,6 +1761,36 @@ mod tests {
         let outcome = cold.restore_from(&path);
         assert!(matches!(outcome, RestoreOutcome::Cold { .. }), "{outcome}");
         assert_eq!(cold.cache_stats().entries, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn snapshots_with_partner_keys_still_restore() {
+        // Snapshots written while partners were cached carry program
+        // orbit keys; they still restore warm, results intact.
+        let dir = std::env::temp_dir().join(format!("rvz-svc-oldsnap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.snap");
+        let svc = service();
+        let body = r#"{"speed":0.5,"distance":0.9,"visibility":0.25}"#;
+        let (answer, _) = svc.handle(&request("POST", "/first-contact", body));
+        let mut data = svc.snapshot_data();
+        assert!(data.program_keys.is_empty(), "no partner keys are written");
+        data.program_keys = data.results.iter().map(|(key, _)| *key).collect();
+        write_snapshot(&path, svc.engine_fingerprint(), &data, None).unwrap();
+
+        let restored = service();
+        let outcome = restored.restore_from(&path);
+        assert_eq!(
+            outcome,
+            RestoreOutcome::Warm {
+                results: 1,
+                programs: 1
+            }
+        );
+        let (resp, _) = restored.handle(&request("POST", "/first-contact", body));
+        assert_eq!(header(&resp, "X-Rvz-Cache"), "hit");
+        assert_eq!(resp.body, answer.body);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -61,21 +61,21 @@ const KIND_META: u8 = 0;
 const KIND_RESULT: u8 = 1;
 const KIND_PROGRAM: u8 = 2;
 
-/// Everything a snapshot persists: result-cache entries and the
-/// program cache's orbit keys, each in recency order (least- to
+/// Everything a snapshot persists: result-cache entries and
+/// program-key records, each in recency order (least- to
 /// most-recently-used per shard).
 ///
-/// Program *bodies* are deliberately not persisted — a compiled
-/// program is large and cheap to re-stream lazily, and the key alone
-/// restores the cache's shape (entry count, recency, capacity
-/// pressure). Restored program slots hold `None` until the first miss
-/// re-streams them.
+/// Program *bodies* are never persisted: a compiled program is large
+/// and cheap to lower again.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SnapshotData {
     /// Result-cache entries. Deadline outcomes are never included (they
     /// are wall-clock artifacts and are never cached to begin with).
     pub results: Vec<(CacheKey, SimOutcome)>,
-    /// Program-cache orbit keys.
+    /// Compiled-program orbit keys. Services stopped caching partner
+    /// programs and write none; older snapshots still carry some, which
+    /// decode (and count toward the restore outcome) but restore
+    /// nothing.
     pub program_keys: Vec<CacheKey>,
 }
 

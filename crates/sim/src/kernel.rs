@@ -63,6 +63,14 @@
 //! * Truncated coverage refuses exactly like the scalar ladder
 //!   (`None`, never a guess), and every outcome folds `approx_eps`
 //!   into its threshold the same way.
+//! * On the open prefix of a streamed arena
+//!   ([`SoaStream`](rvz_trajectory::SoaStream)) the ladder also refuses
+//!   before it reads anything the prefix has not settled — a probe, a
+//!   lane, a round mark or an envelope window end at or past the
+//!   materialized end. A prefix run therefore either refuses or is the
+//!   finished arena's run, step for step
+//!   ([`first_contact_streamed`](crate::first_contact_streamed) grows
+//!   the prefix on refusal).
 //!
 //! Outcomes are classification-identical to the scalar ladder with
 //! contact times within the engines' shared declaration slack (the
@@ -133,7 +141,7 @@ pub fn try_first_contact_soa(
     opts: &ContactOptions,
     scratch: &mut EngineScratch,
 ) -> Option<SimOutcome> {
-    let out = try_first_contact_soa_impl(a, b, radius, opts, scratch);
+    let out = try_first_contact_soa_impl(a, b, radius, opts, scratch).ok();
     crate::telemetry::record(
         crate::telemetry::EnginePath::CompiledSoA,
         out.as_ref(),
@@ -204,6 +212,10 @@ enum Stream {
     /// Nothing could be gathered at the chain start (coverage end
     /// right away).
     Stalled,
+    /// The next lane starts at `at`, which an open arena prefix has not
+    /// settled yet: the finished arena would gather it, so the query
+    /// refuses rather than diverge.
+    Refused { at: f64 },
 }
 
 /// Positional state of one arena during the gather walk.
@@ -298,10 +310,12 @@ fn chain_scan(
     for _ in 0..MAX_CHAIN_CHUNKS {
         let mut c = Chunk::poisoned();
         while c.n < KERNEL_LANES && s < horizon {
-            let Some((pa, va, ra, ea)) = wa.lane_at(s, horizon) else {
-                break;
-            };
-            let Some((pb, vb, rb, eb)) = wb.lane_at(s, horizon) else {
+            let (Some((pa, va, ra, ea)), Some((pb, vb, rb, eb))) =
+                (wa.lane_at(s, horizon), wb.lane_at(s, horizon))
+            else {
+                if !a.settled(s) || !b.settled(s) {
+                    return (Stream::Refused { at: s }, jumped);
+                }
                 break;
             };
             let e = ea.min(eb).min(horizon);
@@ -424,16 +438,24 @@ fn chain_scan(
     (Stream::Advanced { until: s }, jumped)
 }
 
-/// The lane ladder proper (telemetry recorded by the public wrapper).
+/// The lane ladder proper (telemetry recorded by the callers).
 /// Structurally the scalar `try_first_contact_programs_impl` with the
 /// boundary-limited affine step widened to a chunk scan.
-fn try_first_contact_soa_impl(
+///
+/// `Err(t)` is a refusal: the query needed time `t`, which an arena
+/// does not cover or — for the open prefix of a
+/// [`SoaStream`](rvz_trajectory::SoaStream) — has not settled. Every
+/// probe, lane gather, round mark and envelope window end is checked
+/// against [`ProgramSoA::settled`] before it is read, so on a prefix the
+/// ladder either refuses or runs exactly the computation it runs on
+/// the finished arena.
+pub(crate) fn try_first_contact_soa_impl(
     a: &ProgramSoA,
     b: &ProgramSoA,
     radius: f64,
     opts: &ContactOptions,
     scratch: &mut EngineScratch,
-) -> Option<SimOutcome> {
+) -> Result<SimOutcome, f64> {
     opts.validate();
     assert!(
         radius > 0.0 && radius.is_finite(),
@@ -453,7 +475,7 @@ fn try_first_contact_soa_impl(
     let thr2 = threshold * threshold;
     if !a.covers(0.0) || !b.covers(0.0) {
         scratch.stats = EngineStats::default();
-        return None;
+        return Err(0.0);
     }
 
     let mut ia = 0_usize;
@@ -641,6 +663,10 @@ fn try_first_contact_soa_impl(
                     step = (until - t).max(conservative);
                 }
                 Stream::Stalled => {}
+                Stream::Refused { at } => {
+                    scratch.stats = stats;
+                    return Err(at);
+                }
             }
         }
         if exact_root {
@@ -680,7 +706,15 @@ fn try_first_contact_soa_impl(
                 let mut advanced = false;
                 let mut w = window.max(4.0 * base);
                 if window == 0.0 {
-                    let mark = match (a.next_mark_after(t_next), b.next_mark_after(t_next)) {
+                    let (ma, mb) = (a.next_mark_after(t_next), b.next_mark_after(t_next));
+                    // A prefix does not know yet whether its finished
+                    // arena keeps a mark past the materialized end.
+                    let unsettled = ma.filter(|&m| !a.settled(m));
+                    if let Some(m) = unsettled.or(mb.filter(|&m| !b.settled(m))) {
+                        scratch.stats = stats;
+                        return Err(m);
+                    }
+                    let mark = match (ma, mb) {
                         (Some(ma), Some(mb)) => Some(ma.max(mb)),
                         (m, None) | (None, m) => m,
                     };
@@ -693,9 +727,14 @@ fn try_first_contact_soa_impl(
                     if span <= 2.0 * base {
                         break;
                     }
+                    let end = t_next + span;
+                    if !a.settled(end) || !b.settled(end) {
+                        scratch.stats = stats;
+                        return Err(end);
+                    }
                     stats.envelope_queries += 2;
-                    let ea = a.envelope_box_impl(t_next, t_next + span);
-                    let eb = b.envelope_box_impl(t_next, t_next + span);
+                    let ea = a.envelope_box_impl(t_next, end);
+                    let eb = b.envelope_box_impl(t_next, end);
                     if ea.gap(&eb) > threshold {
                         stats.pruned_intervals += 1;
                         t_next += span;
@@ -721,11 +760,11 @@ fn try_first_contact_soa_impl(
         t = t_next.min(opts.horizon);
         if !a.covers(t) || !b.covers(t) {
             scratch.stats = stats;
-            return None;
+            return Err(t);
         }
     };
     scratch.stats = stats;
-    Some(outcome)
+    Ok(outcome)
 }
 
 /// Counter deltas between two cumulative [`EngineStats`] snapshots —
@@ -1000,6 +1039,7 @@ pub fn sweep_first_contact_soa(
                     step = (until - t).max(conservative);
                 }
                 Stream::Stalled => {}
+                Stream::Refused { .. } => unreachable!("horizon-covering arenas are final"),
             }
         }
         if exact_root {

@@ -78,7 +78,7 @@ pub use engine::{
 };
 pub use kernel::{first_contact_soa, sweep_first_contact_soa, try_first_contact_soa, KERNEL_LANES};
 pub use multi::{
-    first_contact_batch_soa, first_simultaneous_gathering,
+    first_contact_batch_soa, first_contact_streamed, first_simultaneous_gathering,
     first_simultaneous_gathering_homogeneous, first_simultaneous_gathering_programs,
     pairwise_meetings, pairwise_meetings_homogeneous, pairwise_meetings_programs,
     pairwise_meetings_soa, pairwise_sweep_soa, sweep_contacts_soa, SWEEP_WINDOWS,

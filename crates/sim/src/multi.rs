@@ -18,10 +18,11 @@
 
 use crate::compiled::{first_contact_programs, EngineScratch};
 use crate::engine::{first_contact_cursors, ContactOptions, EngineStats, SimOutcome};
-use crate::kernel::{sweep_first_contact_soa, try_first_contact_soa};
+use crate::kernel::{sweep_first_contact_soa, try_first_contact_soa, try_first_contact_soa_impl};
 use rvz_geometry::{Aabb, Vec2};
 use rvz_trajectory::{
-    CompiledProgram, Cursor, MonotoneDyn, MonotoneTrajectory, ProgramSoA, ProgramView, Trajectory,
+    CompiledProgram, Cursor, MonotoneDyn, MonotoneTrajectory, ProgramSoA, ProgramView, SoaStream,
+    Trajectory,
 };
 
 /// First-contact times for every unordered pair in a swarm.
@@ -214,6 +215,73 @@ pub fn first_contact_batch_soa(
     sweep_contacts_soa(reference, partners, &[radius], opts, scratch)
         .pop()
         .expect("one radius in, one row out")
+}
+
+/// [`first_contact_batch_soa`] for one partner lowered as a stream:
+/// the answer is bit-for-bit `first_contact_batch_soa(reference,
+/// [eager], radius, …)` where `eager` is
+/// [`ProgramSoA::from_program`] of the partner's eager lowering, but
+/// the partner is materialized only as far as the query runs.
+///
+/// The lane kernel runs on the open prefix and refuses at the first
+/// time the prefix has not settled (see
+/// [`ProgramSoA::settled`]); the stream then grows past that time
+/// and the query reruns. A prefix run that does not refuse is the
+/// finished arena's run, step for step. Only a contact is kept from a
+/// prefix: the batch's window prefilter, which needs the whole arena,
+/// could not have disproved that pair, because the windows containing
+/// the contact time are at most the contact distance apart — `min_gap
+/// ≤ d(t_c) ≤ threshold`. Any other prefix answer streams the partner
+/// to its end and resolves through the batch path itself, prefilter
+/// included; so does a partner that is already complete (callers
+/// finish infeasible representatives up front, so they pay no
+/// retries). A wall-clock deadline reached on a prefix is returned as
+/// is: it reflects the request, not the scenario.
+///
+/// `None` exactly when the batch would refuse on the finished arena
+/// (a piece-budget truncation), or when the partner's lowering fails
+/// — check [`SoaStream::error`] to tell the two apart: the eager path
+/// has no arena at all in the second case. Telemetry records one
+/// query, the run that answered it.
+///
+/// # Panics
+///
+/// On invalid options/radius, as in [`crate::first_contact`].
+pub fn first_contact_streamed(
+    reference: &ProgramSoA,
+    partner: &mut SoaStream<'_>,
+    radius: f64,
+    opts: &ContactOptions,
+    scratch: &mut EngineScratch,
+) -> Option<SimOutcome> {
+    loop {
+        if partner.error().is_some() {
+            return None;
+        }
+        if partner.is_complete() {
+            return first_contact_batch_soa(
+                reference,
+                std::slice::from_ref(partner.arena()),
+                radius,
+                opts,
+                scratch,
+            )
+            .pop()
+            .flatten();
+        }
+        match try_first_contact_soa_impl(reference, partner.arena(), radius, opts, scratch) {
+            Ok(out @ (SimOutcome::Contact { .. } | SimOutcome::Deadline { .. })) => {
+                crate::telemetry::record(
+                    crate::telemetry::EnginePath::CompiledSoA,
+                    Some(&out),
+                    scratch.stats,
+                );
+                return Some(out);
+            }
+            Ok(_) => partner.finish(),
+            Err(need) => partner.extend(need),
+        }
+    }
 }
 
 /// [`first_contact_batch_soa`] over a radius grid: window tables are

@@ -80,7 +80,7 @@ pub use program::{
     Piece, ProgramCursor, ProgramView,
 };
 pub use segment::Segment;
-pub use soa::{CircularLaw, ProgramSoA};
+pub use soa::{CircularLaw, ProgramSoA, SoaStream};
 pub use warp::FrameWarp;
 
 use rvz_geometry::Vec2;

@@ -16,17 +16,22 @@
 //! kernels test `circ[i] == AFFINE` (a plain integer compare) and fall
 //! back to the scalar cosine-law ladder for the rare circular interval.
 //!
-//! A `ProgramSoA` is built from any [`ProgramView`] — the eager
-//! [`CompiledProgram`] copies its arena field-for-field (bit-identical
-//! probes), and a lazy view is drained through the same
-//! extend-and-check walk the engine uses, appending in chunks so a
-//! streamed arena materializes exactly once. The SoA arena is itself a
+//! An arena comes from one of two places. [`ProgramSoA::from_program`]
+//! copies an eager [`CompiledProgram`] field-for-field (bit-identical
+//! probes). A [`SoaStream`] lowers a [`Compile`] source straight into
+//! the columns, only as far as queries need: its arena is a **prefix**
+//! of the one `from_program` builds on the eager lowering, and it says
+//! exactly which queries a prefix answers as the finished arena would
+//! ([`ProgramSoA::settled`]). The SoA arena is itself a
 //! [`ProgramView`] (it bakes the same envelope tree), so every scalar
-//! engine entry point runs on it unchanged; that equivalence is the
-//! bit-for-bit gate in `tests/engine_equivalence.rs`.
+//! engine entry point runs on a finished arena unchanged; that
+//! equivalence is the bit-for-bit gate in `tests/engine_equivalence.rs`.
 
-use crate::monotone::{Motion, Probe};
-use crate::program::{bake_tree, grow_box, tree_range_union, CompiledProgram, Piece, ProgramView};
+use crate::monotone::{Cursor, Motion, Probe};
+use crate::program::{
+    bake_tree, grow_box, tree_range_union, Compile, CompileError, CompileOptions, CompiledProgram,
+    CurvedApprox, LoweredStep, Piece, PieceStream, ProgramView,
+};
 use rvz_geometry::{Aabb, Vec2};
 
 /// Sentinel in the circular-index column marking an affine lane.
@@ -47,10 +52,14 @@ pub struct CircularLaw {
     pub angle: f64,
 }
 
-/// Pieces appended per growth step when draining a lazy view: matches
-/// the lazy arena's own materialization chunk so a streamed build does
-/// one `reserve` per chunk the source materializes.
+/// Pieces reserved per column growth step of a [`SoaStream`]: matches
+/// the lazy arena's own materialization chunk.
 const APPEND_CHUNK: usize = 256;
+
+/// The first prefix a [`SoaStream`] materializes covers at least
+/// `horizon / FIRST_PREFIX_DIVISOR` (the batch prefilter's window
+/// width); later extensions at least double the covered time.
+const FIRST_PREFIX_DIVISOR: f64 = 64.0;
 
 /// A compiled piece arena in structure-of-arrays layout.
 ///
@@ -80,16 +89,63 @@ pub struct ProgramSoA {
     speed_bound: f64,
     marks: Vec<f64>,
     approx_eps: f64,
+    /// Queries strictly before this time answer exactly as on the
+    /// finished arena: `+∞` once the arena is final, the materialized
+    /// end while a [`SoaStream`] is still open.
+    frontier: f64,
 }
 
 impl ProgramSoA {
+    /// An arena with no pieces yet and the given program-wide constants
+    /// (marks are normalized like the eager lowering's: finite,
+    /// positive, within `mark_end`, strictly increasing).
+    fn empty(
+        capacity: usize,
+        speed_bound: f64,
+        marks: Vec<f64>,
+        mark_end: f64,
+        approx_eps: f64,
+    ) -> Self {
+        let mut marks: Vec<f64> = marks
+            .into_iter()
+            .filter(|&m| m.is_finite() && m > 0.0 && m <= mark_end)
+            .collect();
+        marks.sort_by(f64::total_cmp);
+        marks.dedup();
+        ProgramSoA {
+            t0: Vec::with_capacity(capacity),
+            t1: Vec::with_capacity(capacity),
+            pos0x: Vec::with_capacity(capacity),
+            pos0y: Vec::with_capacity(capacity),
+            vx: Vec::with_capacity(capacity),
+            vy: Vec::with_capacity(capacity),
+            eps: Vec::with_capacity(capacity),
+            circ: Vec::with_capacity(capacity),
+            circles: Vec::new(),
+            tree: Vec::new(),
+            size: 0,
+            end_time: 0.0,
+            rest: None,
+            speed_bound,
+            marks,
+            approx_eps,
+            frontier: f64::INFINITY,
+        }
+    }
+
     /// Transposes an eager program's arena field-for-field. Per-piece
     /// `eps` and circular phases are copied exactly, so probes on the
     /// SoA arena are bit-identical to the source program's.
     pub fn from_program(program: &CompiledProgram) -> Self {
-        let mut b = Builder::with_capacity(program.pieces().len());
+        let mut soa = ProgramSoA::empty(
+            program.pieces().len(),
+            program.speed_bound(),
+            program.round_marks().to_vec(),
+            f64::INFINITY,
+            program.approx_eps(),
+        );
         for piece in program.pieces() {
-            b.push(piece);
+            soa.push(piece);
         }
         // The piece set is copied field-for-field, so the leaf boxes —
         // and therefore the whole baked tree — are identical to the
@@ -97,99 +153,74 @@ impl ProgramSoA {
         // arc-chunk disk, which dominates transposition cost on
         // circular-heavy programs.
         let (tree, size) = program.baked_tree();
-        b.finish_with_tree(
-            tree.to_vec(),
-            size,
-            program.rest(),
-            program.speed_bound(),
-            program.round_marks().to_vec(),
-            program.approx_eps(),
-        )
+        soa.tree = tree.to_vec();
+        soa.size = size;
+        soa.end_time = program.end_time();
+        soa.rest = program.rest();
+        soa
     }
 
-    /// Drains any [`ProgramView`] into an SoA arena covering
-    /// `[0, horizon]` (or to the view's coverage boundary, whichever
-    /// comes first — truncated views yield truncated arenas, exactly
-    /// like the eager lowering).
-    ///
-    /// Lazy views materialize through their own extend-and-check
-    /// [`ProgramView::covers`]; the walk appends in
-    /// `APPEND_CHUNK`-piece reservations so a streamed arena is
-    /// transposed as it materializes rather than after a full copy.
-    /// Per-piece error bounds are not observable through a probe, so
-    /// every piece carries the view-wide [`ProgramView::approx_eps`] —
-    /// looser per-piece envelopes than [`ProgramSoA::from_program`],
-    /// but the same program-wide bound, so engine thresholds are
-    /// unchanged.
-    pub fn from_view<V: ProgramView + ?Sized>(view: &V, horizon: f64) -> Self {
-        assert!(
-            horizon > 0.0 && horizon.is_finite(),
-            "SoA build horizon must be positive and finite, got {horizon}"
-        );
-        let eps = view.approx_eps();
-        let mut b = Builder::with_capacity(APPEND_CHUNK);
-        let mut rest = None;
-        let mut t = 0.0_f64;
-        let mut index = 0usize;
-        let mut stalls = 0u32;
-        while t < horizon {
-            if !view.covers(t) {
-                break; // truncated source: keep the covered prefix
+    /// Appends one piece to the columns.
+    fn push(&mut self, piece: &Piece) {
+        self.t0.push(piece.t0);
+        self.t1.push(piece.t1);
+        self.pos0x.push(piece.pos0.x);
+        self.pos0y.push(piece.pos0.y);
+        self.eps.push(piece.eps);
+        match piece.motion {
+            Motion::Affine { velocity } => {
+                self.vx.push(velocity.x);
+                self.vy.push(velocity.y);
+                self.circ.push(AFFINE);
             }
-            if b.t0.len() == b.t0.capacity() {
-                b.reserve(APPEND_CHUNK);
-            }
-            let p = view.probe_from(&mut index, t);
-            if p.piece_end == f64::INFINITY {
-                if let Motion::Affine { velocity } = p.motion {
-                    if velocity == Vec2::ZERO {
-                        rest = Some(p.position);
-                        break;
-                    }
-                }
-                // Infinite moving piece: close the arena at the horizon,
-                // as the lowering stream does.
-                b.push(&Piece {
-                    t0: t,
-                    t1: horizon,
-                    pos0: p.position,
-                    motion: p.motion,
-                    eps,
+            Motion::Circular {
+                center,
+                radius,
+                angular_velocity,
+                angle,
+            } => {
+                assert!(
+                    self.circles.len() < AFFINE as usize,
+                    "circular side table overflow"
+                );
+                self.vx.push(0.0);
+                self.vy.push(0.0);
+                self.circ.push(self.circles.len() as u32);
+                self.circles.push(CircularLaw {
+                    center,
+                    radius,
+                    angular_velocity,
+                    angle,
                 });
-                break;
             }
-            if p.piece_end <= t {
-                // Ulp-skewed boundary (see the lowering stream's stall
-                // nudges); a view that keeps stalling gets truncated
-                // rather than looping forever.
-                stalls += 1;
-                if stalls > 4 {
-                    break;
-                }
-                t = t.next_up();
-                continue;
+            Motion::Curved => {
+                unreachable!("compiled arenas never hold curved pieces")
             }
-            stalls = 0;
-            b.push(&Piece {
-                t0: t,
-                t1: p.piece_end.min(horizon),
-                pos0: p.position,
-                motion: p.motion,
-                eps,
-            });
-            t = p.piece_end;
         }
-        // Marks are exposed only as a successor query; walk them out.
-        let mut marks = Vec::new();
-        let mut m = 0.0_f64;
-        while let Some(next) = view.next_mark_after(m) {
-            if next > horizon {
-                break;
-            }
-            marks.push(next);
-            m = next;
-        }
-        b.finish(rest, view.speed_bound(), marks, eps)
+    }
+
+    /// Reserves room for `n` more pieces in every column.
+    fn reserve(&mut self, n: usize) {
+        self.t0.reserve(n);
+        self.t1.reserve(n);
+        self.pos0x.reserve(n);
+        self.pos0y.reserve(n);
+        self.vx.reserve(n);
+        self.vy.reserve(n);
+        self.eps.reserve(n);
+        self.circ.reserve(n);
+    }
+
+    /// `true` when every query up to `t` — probe, lane gather, envelope
+    /// window end, round mark — answers exactly as on the finished
+    /// arena. Always `true` for a finished arena; strictly below the
+    /// materialized end for the open prefix of a [`SoaStream`] (at the
+    /// end itself the finished arena would already see the next
+    /// piece). Engines that promise prefix exactness refuse instead of
+    /// reading an unsettled time.
+    #[inline]
+    pub fn settled(&self, t: f64) -> bool {
+        t < self.frontier
     }
 
     /// Number of pieces in the arena.
@@ -368,8 +399,10 @@ impl ProgramView for ProgramSoA {
         self.approx_eps
     }
 
+    /// An open prefix covers only its settled span (see
+    /// [`ProgramSoA::settled`]).
     fn covers(&self, t: f64) -> bool {
-        self.rest.is_some() || t <= self.end_time
+        self.rest.is_some() || (t <= self.end_time && t < self.frontier)
     }
 
     fn covered_end(&self) -> f64 {
@@ -435,148 +468,199 @@ impl ProgramView for ProgramSoA {
     }
 }
 
-/// Column-push builder shared by both constructors.
-struct Builder {
-    t0: Vec<f64>,
-    t1: Vec<f64>,
-    pos0x: Vec<f64>,
-    pos0y: Vec<f64>,
-    vx: Vec<f64>,
-    vy: Vec<f64>,
-    eps: Vec<f64>,
-    circ: Vec<u32>,
-    circles: Vec<CircularLaw>,
+/// A [`ProgramSoA`] lowered as a stream: pieces from the same producer
+/// as the eager lowering are appended straight into the arena's
+/// columns, and only as far as queries need them.
+///
+/// The arena is always a prefix of the one
+/// [`ProgramSoA::from_program`] builds on the eager
+/// [`Compile::compile`] of the same source under the same options, and
+/// it becomes exactly that arena once the stream is complete (the
+/// horizon, the rest state or the piece budget reached — the budget
+/// truncates as the eager lowering does). While the stream is open the
+/// arena reports [`ProgramSoA::settled`] only below its materialized
+/// end, so an engine that refuses on unsettled time either refuses or
+/// answers bit-for-bit as on the finished arena.
+///
+/// Growth is query-driven: [`SoaStream::extend`] materializes past the
+/// time a refused query needed and at least doubles the covered time,
+/// so a query that resolves early pays for an early prefix only.
+/// Sources lowered with an approximation tolerance materialize in one
+/// step: their arena-wide certified ε (which the engine folds into its
+/// contact threshold) is known only once every chord exists.
+///
+/// # Example
+///
+/// ```
+/// use rvz_trajectory::{CompileOptions, PathBuilder, ProgramView, SoaStream};
+/// use rvz_geometry::Vec2;
+///
+/// let path = PathBuilder::at(Vec2::ZERO)
+///     .line_to(Vec2::new(4.0, 0.0))
+///     .line_to(Vec2::new(4.0, 4.0))
+///     .build();
+/// let mut stream = SoaStream::new(&path, CompileOptions::to_horizon(100.0));
+/// stream.extend(1.0);
+/// assert!(stream.arena().settled(1.0) && !stream.is_complete());
+/// stream.finish();
+/// assert!(stream.is_complete() && stream.arena().covers(1e9));
+/// ```
+pub struct SoaStream<'a> {
+    stream: PieceStream<'a, Box<dyn Cursor + 'a>>,
+    opts: CompileOptions,
+    arena: ProgramSoA,
+    /// Per-piece leaf boxes, kept so growing the envelope tree never
+    /// re-derives a leaf.
+    leaves: Vec<Aabb>,
+    /// `None` while open; `Some(Ok(()))` once the arena is final;
+    /// `Some(Err(_))` when the eager lowering of the source would fail.
+    state: Option<Result<(), CompileError>>,
+    extensions: u64,
 }
 
-impl Builder {
-    fn with_capacity(n: usize) -> Self {
-        Builder {
-            t0: Vec::with_capacity(n),
-            t1: Vec::with_capacity(n),
-            pos0x: Vec::with_capacity(n),
-            pos0y: Vec::with_capacity(n),
-            vx: Vec::with_capacity(n),
-            vy: Vec::with_capacity(n),
-            eps: Vec::with_capacity(n),
-            circ: Vec::with_capacity(n),
-            circles: Vec::new(),
+impl<'a> SoaStream<'a> {
+    /// Wraps a compilable source; nothing is lowered until the first
+    /// [`SoaStream::extend`] or [`SoaStream::finish`].
+    ///
+    /// # Panics
+    ///
+    /// As for [`CompileOptions::to_horizon`] — invalid horizon or piece
+    /// budget.
+    pub fn new(source: &'a dyn Compile, opts: CompileOptions) -> Self {
+        assert!(
+            opts.horizon > 0.0 && opts.horizon.is_finite(),
+            "compile horizon must be positive and finite, got {}",
+            opts.horizon
+        );
+        assert!(opts.max_pieces > 0, "piece budget must be positive");
+        let handler = opts.approx_tolerance.map(|eps| CurvedApprox {
+            position: Box::new(move |t| source.position(t)) as Box<dyn Fn(f64) -> Vec2 + 'a>,
+            bound: Box::new(move |a, b| source.chord_error_bound(a, b)),
+            eps,
+        });
+        let mut arena = ProgramSoA::empty(
+            0,
+            source.speed_bound(),
+            source.round_marks(opts.horizon),
+            opts.horizon,
+            0.0,
+        );
+        arena.frontier = 0.0;
+        SoaStream {
+            stream: PieceStream::new(source.dyn_cursor(), handler, opts.horizon),
+            opts,
+            arena,
+            leaves: Vec::new(),
+            state: None,
+            extensions: 0,
         }
     }
 
-    fn reserve(&mut self, n: usize) {
-        self.t0.reserve(n);
-        self.t1.reserve(n);
-        self.pos0x.reserve(n);
-        self.pos0y.reserve(n);
-        self.vx.reserve(n);
-        self.vy.reserve(n);
-        self.eps.reserve(n);
-        self.circ.reserve(n);
+    /// The arena materialized so far.
+    pub fn arena(&self) -> &ProgramSoA {
+        &self.arena
     }
 
-    fn push(&mut self, piece: &Piece) {
-        self.t0.push(piece.t0);
-        self.t1.push(piece.t1);
-        self.pos0x.push(piece.pos0.x);
-        self.pos0y.push(piece.pos0.y);
-        self.eps.push(piece.eps);
-        match piece.motion {
-            Motion::Affine { velocity } => {
-                self.vx.push(velocity.x);
-                self.vy.push(velocity.y);
-                self.circ.push(AFFINE);
-            }
-            Motion::Circular {
-                center,
-                radius,
-                angular_velocity,
-                angle,
-            } => {
-                assert!(
-                    self.circles.len() < AFFINE as usize,
-                    "circular side table overflow"
-                );
-                self.vx.push(0.0);
-                self.vy.push(0.0);
-                self.circ.push(self.circles.len() as u32);
-                self.circles.push(CircularLaw {
-                    center,
-                    radius,
-                    angular_velocity,
-                    angle,
-                });
-            }
-            Motion::Curved => {
-                unreachable!("compiled arenas never hold curved pieces")
-            }
+    /// `true` once the arena is final: it equals the eager lowering's.
+    pub fn is_complete(&self) -> bool {
+        matches!(self.state, Some(Ok(())))
+    }
+
+    /// The error the eager lowering of this source fails with, once the
+    /// stream has reached it.
+    pub fn error(&self) -> Option<CompileError> {
+        match self.state {
+            Some(Err(e)) => Some(e),
+            _ => None,
         }
     }
 
-    fn finish(
-        self,
-        rest: Option<Vec2>,
-        speed_bound: f64,
-        marks: Vec<f64>,
-        approx_eps: f64,
-    ) -> ProgramSoA {
-        let (tree, size) = bake_tree((0..self.t0.len()).map(|i| {
-            Piece {
-                t0: self.t0[i],
-                t1: self.t1[i],
-                pos0: Vec2::new(self.pos0x[i], self.pos0y[i]),
-                motion: if self.circ[i] == AFFINE {
-                    Motion::Affine {
-                        velocity: Vec2::new(self.vx[i], self.vy[i]),
-                    }
-                } else {
-                    let c = &self.circles[self.circ[i] as usize];
-                    Motion::Circular {
-                        center: c.center,
-                        radius: c.radius,
-                        angular_velocity: c.angular_velocity,
-                        angle: c.angle,
-                    }
-                },
-                eps: self.eps[i],
-            }
-            .bounding_box()
-        }));
-        self.finish_with_tree(tree, size, rest, speed_bound, marks, approx_eps)
+    /// How many times an already materialized prefix was grown — one
+    /// per query run that had to be retried on a longer prefix.
+    pub fn extensions(&self) -> u64 {
+        self.extensions
     }
 
-    fn finish_with_tree(
-        self,
-        tree: Vec<Aabb>,
-        size: usize,
-        rest: Option<Vec2>,
-        speed_bound: f64,
-        marks: Vec<f64>,
-        approx_eps: f64,
-    ) -> ProgramSoA {
-        let end_time = self.t1.last().copied().unwrap_or(0.0);
-        let mut marks: Vec<f64> = marks
-            .into_iter()
-            .filter(|&m| m.is_finite() && m > 0.0)
-            .collect();
-        marks.sort_by(f64::total_cmp);
-        marks.dedup();
-        ProgramSoA {
-            t0: self.t0,
-            t1: self.t1,
-            pos0x: self.pos0x,
-            pos0y: self.pos0y,
-            vx: self.vx,
-            vy: self.vy,
-            eps: self.eps,
-            circ: self.circ,
-            circles: self.circles,
-            tree,
-            size,
-            end_time,
-            rest,
-            speed_bound,
-            marks,
-            approx_eps,
+    /// Materializes past `need` (the time a refused query asked for),
+    /// covering at least twice the previous span and at least the
+    /// first-prefix span, or until the stream ends.
+    pub fn extend(&mut self, need: f64) {
+        let target = if self.opts.approx_tolerance.is_some() {
+            f64::INFINITY
+        } else {
+            need.max(2.0 * self.arena.end_time)
+                .max(self.opts.horizon / FIRST_PREFIX_DIVISOR)
+        };
+        self.materialize_past(target);
+    }
+
+    /// Materializes the whole arena.
+    pub fn finish(&mut self) {
+        self.materialize_past(f64::INFINITY);
+    }
+
+    fn materialize_past(&mut self, target: f64) {
+        if self.state.is_some() {
+            return;
+        }
+        let before = self.arena.len();
+        if before > 0 {
+            self.extensions += 1;
+        }
+        // A piece reaching the horizon is the producer's last: pull the
+        // end marker too, so such a prefix is final rather than open.
+        while self.state.is_none()
+            && (self.arena.is_empty()
+                || self.arena.end_time <= target
+                || self.arena.end_time >= self.opts.horizon)
+        {
+            self.pull();
+        }
+        rvz_obs::counter!("rvz_streamed_pieces_total").add((self.arena.len() - before) as u64);
+        let (tree, size) = bake_tree(self.leaves.iter().copied());
+        self.arena.tree = tree;
+        self.arena.size = size;
+        if self.is_complete() {
+            self.arena.frontier = f64::INFINITY;
+            // The eager lowering keeps the marks within its final span.
+            let end = self.arena.end_time;
+            self.arena.marks.retain(|&m| m <= end);
+        } else {
+            self.arena.frontier = self.arena.end_time;
+        }
+    }
+
+    /// Consumes one producer event, exactly as the eager lowering loop
+    /// does.
+    fn pull(&mut self) {
+        match self.stream.next_step() {
+            Ok(LoweredStep::Piece { piece, counted }) => {
+                if counted && self.arena.len() == self.opts.max_pieces {
+                    self.state = Some(if self.opts.truncate {
+                        Ok(())
+                    } else {
+                        Err(CompileError::Budget {
+                            pieces: self.arena.len(),
+                            covered: piece.t0,
+                        })
+                    });
+                    return;
+                }
+                if self.arena.len() == self.arena.t0.capacity() {
+                    self.arena.reserve(APPEND_CHUNK);
+                    self.leaves.reserve(APPEND_CHUNK);
+                }
+                self.arena.push(&piece);
+                self.arena.end_time = piece.t1;
+                self.arena.approx_eps = self.arena.approx_eps.max(piece.eps);
+                self.leaves.push(piece.bounding_box());
+            }
+            Ok(LoweredStep::Rest(p)) => {
+                self.arena.rest = Some(p);
+                self.state = Some(Ok(()));
+            }
+            Ok(LoweredStep::Finished) => self.state = Some(Ok(())),
+            Err(e) => self.state = Some(Err(e)),
         }
     }
 }
@@ -647,37 +731,85 @@ mod tests {
     }
 
     #[test]
-    fn from_view_matches_from_program_on_eager_sources() {
+    fn finished_streams_equal_the_eager_arena() {
         let p = sample_path();
-        let program = p.compile(&CompileOptions::to_horizon(1e3)).unwrap();
-        let direct = ProgramSoA::from_program(&program);
-        let walked = ProgramSoA::from_view(&program, 1e3);
-        assert_eq!(walked.len(), direct.len());
-        assert_eq!(walked.rest(), direct.rest());
-        assert_eq!(walked.round_marks(), direct.round_marks());
-        for i in 0..direct.len() {
-            assert_eq!(walked.piece(i), direct.piece(i), "piece {i}");
+        for opts in [
+            CompileOptions::to_horizon(1e3),
+            CompileOptions::to_horizon(7.0),
+            // The budget truncates the stream where it truncates the
+            // eager lowering.
+            CompileOptions::to_horizon(1e3).max_pieces(3),
+        ] {
+            let eager = ProgramSoA::from_program(&p.compile(&opts).unwrap());
+            let mut stream = SoaStream::new(&p, opts);
+            stream.finish();
+            assert!(stream.is_complete() && stream.error().is_none());
+            assert_eq!(stream.arena(), &eager, "{opts:?}");
         }
+        // Certified chords: one extension materializes the whole arena,
+        // realized ε included.
+        let curve = crate::FnTrajectory::new(|t| Vec2::new(t.cos(), (0.5 * t).sin()), 1.0);
+        let opts = CompileOptions::to_horizon(20.0).approx_tolerance(1e-4);
+        let eager = ProgramSoA::from_program(&curve.compile(&opts).unwrap());
+        assert!(eager.approx_eps() > 0.0);
+        let mut stream = SoaStream::new(&curve, opts);
+        stream.extend(0.0);
+        assert!(stream.is_complete());
+        assert_eq!(stream.arena(), &eager);
     }
 
     #[test]
-    fn from_view_drains_lazy_sources() {
-        use crate::lazy::LazyProgram;
-        let p = sample_path();
-        let opts = CompileOptions::to_horizon(64.0);
-        let lazy = LazyProgram::new(&p, opts);
-        let soa = ProgramSoA::from_view(&lazy, 64.0);
-        let eager = p.compile(&opts).unwrap();
-        assert_eq!(soa.len(), eager.pieces().len());
-        for i in 0..soa.len() {
-            let a = soa.piece(i);
-            let b = eager.pieces()[i];
-            assert_eq!(a.t0, b.t0, "piece {i}");
-            assert_eq!(a.t1, b.t1, "piece {i}");
-            assert_eq!(a.pos0, b.pos0, "piece {i}");
-            assert_eq!(a.motion, b.motion, "piece {i}");
+    fn open_prefixes_settle_only_below_their_end() {
+        let mut builder = PathBuilder::at(Vec2::ZERO);
+        for i in 0..600 {
+            let y = if i % 2 == 0 { 0.5 } else { -0.5 };
+            builder = builder.line_to(Vec2::new((i + 1) as f64, y));
         }
-        assert_eq!(soa.rest(), eager.rest());
+        let p = builder.build();
+        let opts = CompileOptions::to_horizon(1e4);
+        let eager = ProgramSoA::from_program(&p.compile(&opts).unwrap());
+        let mut stream = SoaStream::new(&p, opts);
+        stream.extend(10.0);
+        let first = stream.arena().len();
+        assert!(
+            first > 0 && first < eager.len(),
+            "{first} of {}",
+            eager.len()
+        );
+        assert_eq!(stream.extensions(), 0, "the first prefix is no extension");
+        let end = stream.arena().end_time();
+        assert!(end > 10.0);
+        let prefix = stream.arena();
+        assert!(prefix.settled(end.next_down()) && !prefix.settled(end));
+        assert!(!prefix.covers(end), "the end itself is unsettled");
+        assert!(eager.settled(f64::INFINITY.next_down()));
+        // Below the end, every probe and envelope answers as the eager
+        // arena does.
+        let (mut ia, mut ib) = (0usize, 0usize);
+        for i in 0..500 {
+            let t = end * i as f64 / 500.0;
+            assert_eq!(prefix.probe_from(&mut ia, t), eager.probe_from(&mut ib, t));
+            let w = (t + 7.5).min(end.next_down());
+            assert_eq!(
+                prefix.envelope_box_impl(t, w),
+                eager.envelope_box_impl(t, w)
+            );
+        }
+        stream.extend(0.0);
+        assert!(stream.arena().end_time() >= 2.0 * end, "extensions double");
+        assert_eq!(stream.extensions(), 1);
+        stream.finish();
+        assert_eq!(stream.arena(), &eager);
+    }
+
+    #[test]
+    fn curved_sources_without_tolerance_fail_like_the_eager_lowering() {
+        let t = crate::FnTrajectory::new(|t| Vec2::new(t.cos(), t.sin()), 1.0);
+        let opts = CompileOptions::to_horizon(10.0);
+        let mut stream = SoaStream::new(&t, opts);
+        stream.extend(1.0);
+        assert_eq!(stream.error(), t.compile(&opts).err());
+        assert!(!stream.is_complete());
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //! 5. the SoA lane kernel (`try_first_contact_soa`) over arenas built
 //!    from the eager programs.
 //!
+//! On top of the agreement, the streamed partner of the serve miss
+//! path (`first_contact_streamed` over a `SoaStream`) must equal the
+//! batch kernel over the eager arena exactly, every outcome field.
+//!
 //! All five must agree within the certified tolerance: identical
 //! classifications with contact times in a slack band scaled by the
 //! folded approximation bound, or a contact/horizon split only inside
@@ -30,9 +34,12 @@
 use plane_rendezvous::baselines::ArchimedeanSpiral;
 use plane_rendezvous::prelude::*;
 use plane_rendezvous::sim::{
-    first_contact_cursors, try_first_contact_programs, try_first_contact_soa, EngineScratch,
+    first_contact_batch_soa, first_contact_cursors, first_contact_streamed,
+    try_first_contact_programs, try_first_contact_soa, EngineScratch,
 };
-use plane_rendezvous::trajectory::{ClockDrift, Compile, CompileOptions, LazyProgram, ProgramSoA};
+use plane_rendezvous::trajectory::{
+    ClockDrift, Compile, CompileOptions, LazyProgram, ProgramSoA, SoaStream,
+};
 
 /// Pointwise tolerance requested for curved spans; exact stacks ignore
 /// it and report a realized ε of zero.
@@ -245,6 +252,29 @@ fn run_case(case: &FuzzCase) -> Result<bool, String> {
     // shares the eager arms' certified band.
     let sa = ProgramSoA::from_program(&ea);
     let sb = ProgramSoA::from_program(&eb);
+
+    // The streamed partner (the serve miss path) must answer bit for bit
+    // as the batch kernel over the eager arena — every field, steps
+    // included — on the exact stacks, which stream prefix by prefix.
+    // (Curved stacks stream in one step to exactly the eager arena: the
+    // engine folds an arena-wide ε only the whole arena knows.)
+    if case.stack <= 1 {
+        let mut stream =
+            SoaStream::new(&*b, CompileOptions::to_horizon(horizon).max_pieces(1 << 18));
+        let streamed = first_contact_streamed(&sa, &mut stream, case.radius, &opts, &mut scratch);
+        let batch = first_contact_batch_soa(
+            &sa,
+            std::slice::from_ref(&sb),
+            case.radius,
+            &opts,
+            &mut scratch,
+        )
+        .pop()
+        .flatten();
+        if format!("{streamed:?}") != format!("{batch:?}") {
+            return Err(format!("streamed {streamed:?} vs batch {batch:?}"));
+        }
+    }
     let soa = match try_first_contact_soa(&sa, &sb, case.radius, &opts, &mut scratch) {
         Some(out) => out,
         None => return Ok(false),
