@@ -50,6 +50,17 @@ echo "$PERF_OUT" | grep -q '"correct": true' \
 echo "$PERF_OUT" | grep -q '"failed": 0,' \
     || { echo "perfbench serve_cold failed operations: $PERF_OUT"; exit 1; }
 
+echo "==> perfbench sweep_mixed --trace 1 (single-worker records and the replay equal the executor's)"
+# The traced run sweeps each chunk again on one worker and replays it
+# through the public engine calls, counting every record that differs
+# from the multi-worker sweep's.
+PERF_OUT="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload sweep_mixed --seed 1 --seconds 1 --trace 1)"
+echo "$PERF_OUT" | grep -q '"correct": true' \
+    || { echo "perfbench sweep_mixed is not correct: $PERF_OUT"; exit 1; }
+echo "$PERF_OUT" | grep -q '"failed": 0,' \
+    || { echo "perfbench sweep_mixed failed operations: $PERF_OUT"; exit 1; }
+
 echo "==> rvz bench-engine --quick --enforce-steps (smoke: schema v5 intact, no step regressions)"
 BENCH_SMOKE="$(mktemp -t bench_engine_smoke.XXXXXX.json)"
 # --enforce-steps fails the run if the cursor engine takes more

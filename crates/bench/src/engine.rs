@@ -1222,7 +1222,7 @@ pub fn grazing_summary(measurements: &[CaseMeasurement]) -> String {
 
 /// The sweep/batch acceptance metric: the warm-cache batch's
 /// throughput speedup (compiled vs cursor, lowering amortized) — the
-/// shape the sweep executor and `rvz serve` actually run. Held to
+/// shape `rvz serve` runs against its shared reference arena. Held to
 /// ≥ 2x. The swarm batch is reported alongside; its queries are short
 /// enough that lowering amortizes over Θ(n²)/Θ(n) more slowly.
 pub fn batch_acceptance_speedup(batches: &[BatchMeasurement]) -> f64 {

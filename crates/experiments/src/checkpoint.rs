@@ -36,8 +36,11 @@ use crate::scenario::Scenario;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Journal format version (bumped on any framing change).
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Journal format version, bumped on any framing change and whenever
+/// the records a sweep computes change: version 2 journals come from
+/// the cursor-only executor, so a version 1 journal (whose records may
+/// come from the retired compiled path) is refused, never resumed into.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Records between forced `fsync`s of the journal (each sync also
 /// rewrites the manifest). A crash loses at most this many records.
@@ -56,7 +59,6 @@ pub fn sweep_fingerprint(scenarios: &[Scenario], opts: &SweepOptions) -> u64 {
     h = word(h, opts.contact.horizon.to_bits());
     h = word(h, opts.contact.max_steps);
     h = word(h, opts.contact.prune as u64);
-    h = word(h, opts.compile_pieces as u64);
     h = word(h, scenarios.len() as u64);
     for s in scenarios {
         h = fnv1a64(s.algorithm.to_string().as_bytes(), h);
@@ -564,6 +566,21 @@ mod tests {
             sweep_fingerprint(&scenarios, &opts),
             sweep_fingerprint(&scenarios, &other)
         );
+
+        // A manifest from the version 1 executor, whose records could
+        // come from its retired compiled path: refused even under this
+        // sweep's own fingerprint.
+        let stale = Json::obj(vec![
+            ("version", Json::Num(1.0)),
+            (
+                "fingerprint",
+                Json::Str(format!("{:016x}", sweep_fingerprint(&scenarios, &opts))),
+            ),
+        ])
+        .render();
+        std::fs::write(manifest_path(&path), stale).unwrap();
+        let err = run_sweep_checkpointed(&scenarios, &opts, &path, true, None).unwrap_err();
+        assert!(err.contains("has version 1"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

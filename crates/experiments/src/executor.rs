@@ -13,19 +13,11 @@
 //!   never on which worker ran it or in what order, so the merged output
 //!   is *identical* for every thread count (this is tested, and it is
 //!   what makes sweep artifacts diffable across machines);
-//! * **Compiled fast path** — each worker lowers the common algorithm to
-//!   a [`CompiledProgram`] **once** and
-//!   reuses one [`EngineScratch`] across its whole batch; per scenario
-//!   the partner's frame-warped program runs as a **streaming**
-//!   [`LazyProgram`](rvz_trajectory::LazyProgram) whose pieces
-//!   materialize only as far as the query advances, and the query runs
-//!   on `rvz_sim`'s program engine. Whether the
-//!   compiled path applies is itself deterministic (it depends only on
-//!   the options and the scenario), so schedule independence survives.
-//!   When the reference lowering cannot cover the horizon within the
-//!   piece budget (deep dyadic rounds hold Θ(4ᵏ) segments), the worker
-//!   falls back to the monotone-cursor path wholesale — the escape hatch
-//!   and reference implementation;
+//! * **One engine** — every scenario runs on the monotone-cursor
+//!   engine ([`simulate_rendezvous_by_ref`]): no per-worker lowering,
+//!   no arena, no fallback. The cursor engine resolves a scenario at the
+//!   cost of the near approaches it actually meets, which at sweep
+//!   depths beats lowering the schedules into program arenas first;
 //! * **Orbit dedup** (opt-in, [`run_sweep_deduped`]) — scenarios are
 //!   collapsed through the exact role-swap canonicalization before
 //!   running, each orbit simulates once, and twins receive the
@@ -37,9 +29,8 @@ use crate::scenario::{Algorithm, Scenario};
 use rvz_core::WaitAndSearch;
 use rvz_model::{feasibility, Feasibility};
 use rvz_search::UniversalSearch;
-use rvz_sim::batch::{simulate_rendezvous_by_ref, try_simulate_rendezvous_lazy};
-use rvz_sim::{ContactOptions, EngineScratch, SimOutcome};
-use rvz_trajectory::{Compile, CompileOptions, CompiledProgram};
+use rvz_sim::batch::simulate_rendezvous_by_ref;
+use rvz_sim::{ContactOptions, SimOutcome};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Tuning for [`run_sweep`].
@@ -54,15 +45,11 @@ pub struct SweepOptions {
     /// default step budget is 300 000, which bounds the time spent
     /// *disproving* contact for infeasible (twin) scenarios.
     pub contact: ContactOptions,
-    /// Piece budget for the compiled fast path (`0` disables it).
-    ///
-    /// Each worker lowers the common algorithm once under this budget;
-    /// if the lowering covers the horizon, scenarios run on the
-    /// monomorphic program engine (partner lowered per scenario, scratch
-    /// reused across the batch) and fall back to the cursor path only
-    /// when a query outruns its partner's covered span. If even the
-    /// reference cannot cover the horizon — deep schedules hold Θ(4ᵏ)
-    /// segments per round — the whole batch stays on the cursor path.
+    /// Piece budget of `rvz serve`'s compiled path (`0` disables it):
+    /// the service lowers each algorithm's reference, and streams each
+    /// miss's partner, under this budget. The sweep executor itself
+    /// never lowers — every scenario runs on the cursor engine — so the
+    /// field does not change a sweep record.
     pub compile_pieces: usize,
     /// Emit a stderr progress line about once a second while the sweep
     /// runs (`rvz sweep --heartbeat`). Observation-only: the line goes
@@ -151,103 +138,21 @@ impl SweepRecord {
     }
 }
 
-/// Per-worker state: the lazily compiled reference programs (one per
-/// algorithm) and the reusable engine scratch.
-struct WorkerState {
-    /// `None` = not attempted yet; `Some(None)` = lowering cannot cover
-    /// the horizon under the budget (cursor path for the whole batch);
-    /// `Some(Some(p))` = the shared reference program.
-    reference: [Option<Option<CompiledProgram>>; 2],
-    compile: Option<CompileOptions>,
-    scratch: EngineScratch,
-}
-
-impl WorkerState {
-    fn new(opts: &SweepOptions) -> Self {
-        WorkerState {
-            reference: [None, None],
-            compile: (opts.compile_pieces > 0).then(|| {
-                CompileOptions::to_horizon(opts.contact.horizon).max_pieces(opts.compile_pieces)
-            }),
-            scratch: EngineScratch::new(),
-        }
-    }
-
-    /// The compiled fast-path attempt; `None` hands the scenario to the
-    /// cursor path. Deterministic per scenario: compile success and
-    /// coverage depend only on the options.
-    fn try_compiled(
-        &mut self,
-        scenario: &Scenario,
-        instance: &rvz_model::RendezvousInstance,
-        contact: &ContactOptions,
-    ) -> Option<SimOutcome> {
-        let copts = self.compile?;
-        let slot = match scenario.algorithm {
-            Algorithm::WaitAndSearch => 0,
-            Algorithm::UniversalSearch => 1,
-        };
-        if self.reference[slot].is_none() {
-            let compiled = match scenario.algorithm {
-                Algorithm::WaitAndSearch => WaitAndSearch.compile(&copts),
-                Algorithm::UniversalSearch => UniversalSearch.compile(&copts),
-            };
-            // Only keep lowerings that cover the horizon: a truncated
-            // reference would pay a per-scenario partner lowering only
-            // to refuse every disproof-shaped query.
-            self.reference[slot] = Some(compiled.ok().filter(|p| p.covers(contact.horizon)));
-        }
-        let reference = self.reference[slot]
-            .as_ref()
-            .expect("filled above")
-            .as_ref()?;
-        // The partner runs as a *streaming* program: pieces materialize
-        // only as far as the query advances, so a scenario that resolves
-        // in the first rounds no longer pays the full-horizon partner
-        // lowering that used to dominate per-scenario cost. The
-        // reference stays eager — it is lowered once and amortized over
-        // the whole batch, and its baked envelope tree prunes best.
-        match scenario.algorithm {
-            Algorithm::WaitAndSearch => try_simulate_rendezvous_lazy(
-                reference,
-                &WaitAndSearch,
-                instance,
-                contact,
-                &copts,
-                &mut self.scratch,
-            ),
-            Algorithm::UniversalSearch => try_simulate_rendezvous_lazy(
-                reference,
-                &UniversalSearch,
-                instance,
-                contact,
-                &copts,
-                &mut self.scratch,
-            ),
-        }
-    }
-}
-
-/// Runs one scenario: the compiled fast path when it applies, the
-/// monotone-cursor path otherwise.
+/// Runs one scenario on the monotone-cursor engine.
 ///
 /// Each scenario is one `"scenario"` span in the flight recorder and
 /// one sample in the `rvz_sweep_scenario_us` histogram — the per-worker
 /// cost profile `/metrics` and the checkpoint trace dump read.
-fn run_one(scenario: &Scenario, opts: &ContactOptions, state: &mut WorkerState) -> SweepRecord {
+fn run_one(scenario: &Scenario, opts: &ContactOptions) -> SweepRecord {
     rvz_obs::span!("scenario");
     let started = std::time::Instant::now();
     let instance = scenario
         .instance()
         .expect("generators only produce valid scenarios");
-    let outcome = state
-        .try_compiled(scenario, &instance, opts)
-        .unwrap_or_else(|| match scenario.algorithm {
-            Algorithm::WaitAndSearch => simulate_rendezvous_by_ref(&WaitAndSearch, &instance, opts),
-            Algorithm::UniversalSearch => {
-                simulate_rendezvous_by_ref(&UniversalSearch, &instance, opts)
-            }
-        });
+    let outcome = match scenario.algorithm {
+        Algorithm::WaitAndSearch => simulate_rendezvous_by_ref(&WaitAndSearch, &instance, opts),
+        Algorithm::UniversalSearch => simulate_rendezvous_by_ref(&UniversalSearch, &instance, opts),
+    };
     rvz_obs::histogram!("rvz_sweep_scenario_us").observe(started.elapsed().as_micros() as u64);
     SweepRecord {
         scenario: *scenario,
@@ -347,12 +252,11 @@ pub fn run_sweep_with(
     let threads = opts.effective_threads().min(scenarios.len()).max(1);
     let mut heartbeat = Heartbeat::new(scenarios.len(), opts.heartbeat);
     if threads == 1 {
-        let mut state = WorkerState::new(opts);
         return scenarios
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                let record = run_one(s, &opts.contact, &mut state);
+                let record = run_one(s, &opts.contact);
                 heartbeat.tick();
                 on_record(i, &record);
                 record
@@ -368,17 +272,14 @@ pub fn run_sweep_with(
             .map(|_| {
                 let cursor = &cursor;
                 let tx = tx.clone();
-                scope.spawn(move || {
-                    let mut state = WorkerState::new(opts);
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(scenario) = scenarios.get(i) else {
-                            return;
-                        };
-                        let record = run_one(scenario, &opts.contact, &mut state);
-                        if tx.send((i, record)).is_err() {
-                            return;
-                        }
+                scope.spawn(move || loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(scenario) = scenarios.get(i) else {
+                        return;
+                    };
+                    let record = run_one(scenario, &opts.contact);
+                    if tx.send((i, record)).is_err() {
+                        return;
                     }
                 })
             })
@@ -537,49 +438,55 @@ mod tests {
     }
 
     #[test]
-    fn compiled_and_cursor_paths_classify_identically() {
-        // A horizon the reference lowering covers within budget: the
-        // compiled path engages; with compile_pieces = 0 it cannot. Both
-        // runs must classify every scenario the same way.
+    fn records_are_the_cursor_engine_outcomes_exactly() {
+        // At a shallow horizon that a program lowering would cover, the
+        // executor still answers every scenario with the cursor engine:
+        // each record's outcome is `simulate_rendezvous_by_ref`'s, bit
+        // for bit and `steps` included, at any thread count.
         let scenarios = ScenarioGrid::new()
-            .algorithms(&[crate::Algorithm::UniversalSearch])
+            .algorithms(&crate::Algorithm::ALL)
             .speeds(&[0.5, 1.0])
-            .clocks(&[1.0])
+            .clocks(&[0.6, 1.0])
             .orientations(&[0.0, 1.3])
             .distances(&[0.9])
             .visibilities(&[0.25])
             .build();
-        let base = SweepOptions {
-            threads: 1,
-            contact: ContactOptions {
-                horizon: rvz_search::times::rounds_total(4),
-                max_steps: 300_000,
-                ..ContactOptions::default()
-            },
-            ..SweepOptions::default()
+        let contact = ContactOptions {
+            horizon: rvz_search::times::rounds_total(4),
+            max_steps: 300_000,
+            ..ContactOptions::default()
         };
-        let compiled = run_sweep(&scenarios, &base);
-        let cursor = run_sweep(
-            &scenarios,
-            &SweepOptions {
-                compile_pieces: 0,
-                ..base
-            },
-        );
-        for (a, b) in compiled.iter().zip(&cursor) {
-            assert_eq!(a.scenario, b.scenario);
-            assert_eq!(
-                a.outcome.classification(),
-                b.outcome.classification(),
-                "{:?}: {} vs {}",
-                a.scenario,
-                a.outcome,
-                b.outcome
+        let want: Vec<SimOutcome> = scenarios
+            .iter()
+            .map(|s| {
+                let instance = s.instance().unwrap();
+                match s.algorithm {
+                    Algorithm::WaitAndSearch => {
+                        simulate_rendezvous_by_ref(&WaitAndSearch, &instance, &contact)
+                    }
+                    Algorithm::UniversalSearch => {
+                        simulate_rendezvous_by_ref(&UniversalSearch, &instance, &contact)
+                    }
+                }
+            })
+            .collect();
+        for threads in [1, 4] {
+            let records = run_sweep(
+                &scenarios,
+                &SweepOptions {
+                    threads,
+                    contact,
+                    ..SweepOptions::default()
+                },
             );
-            if let (Some(ta), Some(tb)) = (a.outcome.contact_time(), b.outcome.contact_time()) {
-                assert!((ta - tb).abs() <= 1e-6 * (1.0 + tb.abs()), "{ta} vs {tb}");
+            for (r, w) in records.iter().zip(&want) {
+                assert_eq!(
+                    format!("{:?}", r.outcome),
+                    format!("{w:?}"),
+                    "threads={threads}: {:?}",
+                    r.scenario
+                );
             }
-            assert_eq!(a.consistent(), b.consistent());
         }
     }
 

@@ -35,11 +35,8 @@ use rvz_experiments::{
     Scenario, Summary, SweepOptions, SweepRecord, DEFAULT_GRID,
 };
 use rvz_model::{feasibility, Chirality, RobotAttributes};
-use rvz_sim::{
-    first_contact_streamed, try_first_contact_programs, Budget, ContactOptions, EngineScratch,
-    SimOutcome,
-};
-use rvz_trajectory::{Compile, CompileOptions, ProgramSoA, SoaStream};
+use rvz_sim::{first_contact_streamed, Budget, ContactOptions, EngineScratch, SimOutcome};
+use rvz_trajectory::{Compile, CompileOptions, ProgramSoA, ProgramView, SoaStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -60,25 +57,24 @@ pub struct ServiceOptions {
     pub no_cache: bool,
     /// Engine options and batch thread count for cache misses.
     ///
-    /// `sweep.compile_pieces` doubles as the piece budget of the
-    /// service's **compiled path** (`0` disables it). The **reference**
-    /// program (the common algorithm from the origin, a function of the
-    /// algorithm and the service horizon alone) is lowered **at most
-    /// once per algorithm for the process lifetime** and kept only as
-    /// its SoA arena — including the negative result, so a horizon too
-    /// deep for the budget is probed exactly once and every later query
-    /// skips straight to the cursor path. Each miss **streams** the
-    /// orbit's frame-warped **partner** into a transient SoA arena
+    /// `sweep.compile_pieces` is the piece budget of the service's
+    /// **compiled path** (`0` disables it). The **reference** program
+    /// (the common algorithm from the origin, a function of the
+    /// algorithm and the service horizon alone) is streamed into a SoA
+    /// arena **at most once per algorithm for the process lifetime** —
+    /// including the negative result, so a horizon too deep for the
+    /// budget is probed exactly once and every later query skips
+    /// straight to the cursor engine. Each miss **streams** the orbit's
+    /// frame-warped **partner** into a transient SoA arena
     /// ([`SoaStream`]), only as far as the lane kernel runs: a feasible
     /// pair that meets early lowers an early prefix, an infeasible twin
     /// streams to the horizon in one step, and the answer is
     /// bit-for-bit the one the eager partner arena gives
     /// ([`first_contact_streamed`]). Partners are never cached: a miss
     /// on an evicted orbit re-streams its partner (same bytes) and
-    /// never re-lowers the reference. The service owns all lowering
-    /// itself: the executor's own compiled path is disabled at
-    /// construction so no per-request worker ever re-lowers a
-    /// reference.
+    /// never re-lowers the reference. Everything the kernel does not
+    /// answer runs on the cursor engine through the sweep executor,
+    /// which never lowers.
     pub sweep: SweepOptions,
     /// Per-request wall-clock deadline for engine work. Each request
     /// gets a fresh [`Budget`] starting at dispatch; an exhausted one
@@ -137,10 +133,6 @@ pub enum Control {
 /// The shared, thread-safe query service.
 pub struct Service {
     opts: ServiceOptions,
-    /// The compiled path's piece budget, taken from
-    /// `sweep.compile_pieces` at construction (the copy inside `opts`
-    /// is zeroed so executor fallbacks never lower independently).
-    compile_pieces: usize,
     cache: ResultCache<SimOutcome>,
     /// Reference arenas, one per [`Algorithm`]: a pure function of the
     /// algorithm and the service horizon, lowered at most once for the
@@ -195,12 +187,7 @@ struct Durability {
 
 impl Service {
     /// Creates a service with the given tuning.
-    pub fn new(mut opts: ServiceOptions) -> Self {
-        // The service owns lowering (reference OnceLock + streamed
-        // partners); the executor must never attempt its own
-        // per-worker reference lowering on a fallback path.
-        let compile_pieces = opts.sweep.compile_pieces;
-        opts.sweep.compile_pieces = 0;
+    pub fn new(opts: ServiceOptions) -> Self {
         let faults = opts
             .faults
             .filter(|p| p.is_active())
@@ -210,7 +197,6 @@ impl Service {
             cache: ResultCache::new(opts.cache_capacity, opts.cache_shards),
             reference: [OnceLock::new(), OnceLock::new()],
             reference_lowerings: AtomicU64::new(0),
-            compile_pieces,
             opts,
             requests: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
@@ -240,7 +226,7 @@ impl Service {
         engine_fingerprint(
             self.opts.cache_grid,
             &self.opts.sweep.contact,
-            self.compile_pieces,
+            self.opts.sweep.compile_pieces,
         )
     }
 
@@ -509,9 +495,12 @@ impl Service {
             (
                 "programs",
                 Json::obj(vec![
-                    ("enabled", Json::Bool(self.compile_pieces > 0)),
+                    ("enabled", Json::Bool(self.opts.sweep.compile_pieces > 0)),
                     ("entries", Json::Num(programs as f64)),
-                    ("piece_budget", Json::Num(self.compile_pieces as f64)),
+                    (
+                        "piece_budget",
+                        Json::Num(self.opts.sweep.compile_pieces as f64),
+                    ),
                     (
                         "reference_lowerings",
                         Json::Num(self.reference_lowerings() as f64),
@@ -778,13 +767,11 @@ impl Service {
                 std::thread::sleep(f.delay());
             }
         }
-        if compiled && self.compile_pieces > 0 {
+        if compiled && self.opts.sweep.compile_pieces > 0 {
             if let Some(outcome) = self.simulate_compiled(canonical, contact) {
                 return outcome;
             }
         }
-        // opts.sweep.compile_pieces was zeroed at construction: the
-        // executor never lowers on the service's behalf.
         let single = SweepOptions {
             threads: 1,
             contact: *contact,
@@ -800,10 +787,9 @@ impl Service {
     /// prefix the query actually runs on. Theorem-4-infeasible
     /// representatives stream to the horizon in one step: their query
     /// runs to the horizon anyway, so prefixes would only add retries.
-    /// A kernel refusal on the finished arena (the piece budget
-    /// truncated the partner) falls back to the scalar ladder over the
-    /// same arenas; `None` hands the query to the cursor executor,
-    /// as does a partner whose lowering fails.
+    /// `None` — a kernel refusal on the finished arena (the piece
+    /// budget truncated the partner) or a partner whose lowering fails
+    /// — hands the query to the cursor executor.
     ///
     /// Which engine resolves a representative is a pure function of
     /// the scenario and the engine options, so the determinism contract
@@ -836,20 +822,18 @@ impl Service {
             rvz_obs::histogram!("rvz_partner_pieces").observe(partner.arena().len() as u64);
             rvz_obs::counter!("rvz_stream_extensions_total").add(partner.extensions());
         }
-        if outcome.is_some() || partner.error().is_some() {
-            return outcome;
-        }
-        try_first_contact_programs(&*reference, partner.arena(), radius, contact, &mut scratch)
+        outcome
     }
 
     fn compile_options(&self) -> CompileOptions {
-        CompileOptions::to_horizon(self.opts.sweep.contact.horizon).max_pieces(self.compile_pieces)
+        CompileOptions::to_horizon(self.opts.sweep.contact.horizon)
+            .max_pieces(self.opts.sweep.compile_pieces)
     }
 
-    /// The reference arena for an algorithm, lowered at most once for
-    /// the process lifetime and kept only in SoA layout. A truncated
-    /// reference would refuse every disproof-shaped query, so only
-    /// horizon-covering lowerings are kept.
+    /// The reference arena for an algorithm, streamed to its end at
+    /// most once for the process lifetime. A truncated reference would
+    /// refuse every disproof-shaped query, so only horizon-covering
+    /// lowerings are kept.
     fn reference_for(&self, algorithm: Algorithm) -> Option<Arc<ProgramSoA>> {
         let slot = match algorithm {
             Algorithm::WaitAndSearch => 0,
@@ -858,15 +842,14 @@ impl Service {
         self.reference[slot]
             .get_or_init(|| {
                 self.reference_lowerings.fetch_add(1, Ordering::Relaxed);
-                let copts = self.compile_options();
-                let compiled = match algorithm {
-                    Algorithm::WaitAndSearch => rvz_core::WaitAndSearch.compile(&copts),
-                    Algorithm::UniversalSearch => rvz_search::UniversalSearch.compile(&copts),
+                let source: &dyn Compile = match algorithm {
+                    Algorithm::WaitAndSearch => &rvz_core::WaitAndSearch,
+                    Algorithm::UniversalSearch => &rvz_search::UniversalSearch,
                 };
-                compiled
-                    .ok()
-                    .filter(|p| p.covers(self.opts.sweep.contact.horizon))
-                    .map(|p| Arc::new(ProgramSoA::from_program(&p)))
+                let mut stream = SoaStream::new(source, self.compile_options());
+                stream.finish();
+                (stream.error().is_none() && stream.arena().covers(self.opts.sweep.contact.horizon))
+                    .then(|| Arc::new(stream.into_arena()))
             })
             .clone()
     }
@@ -965,12 +948,10 @@ impl Service {
             // Resolve each representative through the single-query
             // compiled path (the per-process reference arena and a
             // streamed partner), so batch and single answers are the
-            // same function; whatever it hands back goes through the
-            // executor with its own lowering disabled — the executor
-            // would otherwise rebuild (and, at deep horizons, discard) a
-            // reference per worker per request.
+            // same function; whatever it hands back runs on the cursor
+            // engine through the executor.
             let mut computed: Vec<Option<SimOutcome>> = vec![None; missing.len()];
-            if !self.opts.no_cache && self.compile_pieces > 0 {
+            if !self.opts.no_cache && self.opts.sweep.compile_pieces > 0 {
                 for (slot, rep) in computed.iter_mut().zip(&missing) {
                     *slot = self.simulate_compiled(rep, &contact);
                 }
@@ -985,8 +966,6 @@ impl Service {
                 })
                 .collect();
             if !leftover.is_empty() {
-                // opts.sweep.compile_pieces is zeroed at construction:
-                // the executor runs leftovers on the cursor path.
                 let sweep = SweepOptions {
                     contact,
                     ..self.opts.sweep
@@ -1484,78 +1463,6 @@ mod tests {
             "{}",
             stats.body
         );
-    }
-
-    #[test]
-    fn misses_answer_as_the_eager_partner_arena_does() {
-        // The served record is the eager `compile` + `from_program` +
-        // batch-kernel outcome, bit for bit, for feasible pairs of both
-        // algorithms and for an exact twin (streamed in one step).
-        let contact = rvz_sim::ContactOptions {
-            horizon: rvz_core::completion_time(3),
-            ..rvz_sim::ContactOptions::default()
-        };
-        let svc = Service::new(ServiceOptions {
-            sweep: SweepOptions {
-                contact,
-                ..SweepOptions::default()
-            },
-            ..ServiceOptions::default()
-        });
-        let copts = CompileOptions::to_horizon(contact.horizon)
-            .max_pieces(SweepOptions::default().compile_pieces);
-        for body in [
-            r#"{"algorithm":"alg4","speed":0.5,"time_unit":0.7,"distance":1.2,"visibility":0.1}"#,
-            r#"{"algorithm":"alg7","speed":0.8,"time_unit":0.6,"distance":0.7,"visibility":0.1}"#,
-            r#"{"algorithm":"alg4","distance":1.5,"visibility":0.1}"#,
-        ] {
-            let (resp, _) = svc.handle(&request("POST", "/first-contact", body));
-            assert_eq!(resp.status, 200, "{}", resp.body);
-            let scenario =
-                rvz_experiments::scenario_from_json(&rvz_experiments::json::parse(body).unwrap())
-                    .unwrap();
-            let canonical = scenario.canonicalize(svc.options().cache_grid);
-            let rep = canonical.scenario;
-            let instance = rep.instance().unwrap();
-            let (attrs, offset) = (instance.attributes(), instance.offset());
-            let (reference, partner) = match rep.algorithm {
-                Algorithm::WaitAndSearch => (
-                    rvz_core::WaitAndSearch.compile(&copts).unwrap(),
-                    attrs
-                        .frame_warp(rvz_core::WaitAndSearch, offset)
-                        .compile(&copts)
-                        .unwrap(),
-                ),
-                Algorithm::UniversalSearch => (
-                    rvz_search::UniversalSearch.compile(&copts).unwrap(),
-                    attrs
-                        .frame_warp(rvz_search::UniversalSearch, offset)
-                        .compile(&copts)
-                        .unwrap(),
-                ),
-            };
-            let eager = rvz_sim::first_contact_batch_soa(
-                &ProgramSoA::from_program(&reference),
-                &[ProgramSoA::from_program(&partner)],
-                rep.visibility,
-                &contact,
-                &mut EngineScratch::new(),
-            )
-            .pop()
-            .flatten()
-            .expect("the eager kernel answers at this depth");
-            let record = SweepRecord {
-                scenario,
-                feasibility: feasibility(&scenario.attributes()),
-                outcome: canonical.transform.apply(eager),
-            };
-            let served = rvz_experiments::json::parse(&resp.body).unwrap();
-            assert_eq!(
-                served.get("record").unwrap().render(),
-                record_to_json(&record).render(),
-                "{body}"
-            );
-        }
     }
 
     #[test]

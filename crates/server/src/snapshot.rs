@@ -54,8 +54,12 @@ use std::sync::Arc;
 /// Magic prefix of every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RVZSNAP1";
 
-/// Snapshot format version (bumped on any layout change).
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Snapshot format version, bumped on any layout change and whenever
+/// the bytes a miss computes change. Version 2 entries come from a
+/// service whose kernel refusals fall straight to the cursor engine; a
+/// version 1 file may hold entries the retired scalar tier answered, so
+/// it cold-starts.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 const KIND_META: u8 = 0;
 const KIND_RESULT: u8 = 1;
@@ -648,6 +652,17 @@ mod tests {
         let (_, o) = decode_snapshot(&skewed, FP);
         assert!(
             matches!(&o, RestoreOutcome::Cold { reason } if reason.contains("version")),
+            "{o:?}"
+        );
+
+        // A version 1 file, whose entries the retired scalar tier may
+        // have answered, cold-starts too.
+        let mut previous = bytes.clone();
+        previous[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let (d, o) = decode_snapshot(&previous, FP);
+        assert_eq!(d, SnapshotData::default());
+        assert!(
+            matches!(&o, RestoreOutcome::Cold { reason } if reason.contains("snapshot version 1")),
             "{o:?}"
         );
 

@@ -1,21 +1,22 @@
 //! Exactness of the streamed partner path behind every `rvz serve` miss.
 //!
 //! The service lowers each miss's partner as a [`SoaStream`] and runs
-//! [`first_contact_streamed`] on it, falling back to the scalar ladder
-//! over the same arenas when the kernel refuses on a finished arena.
-//! The rule is exactness, not tolerance: every answer — each
+//! [`first_contact_streamed`] on it; when the kernel refuses on a
+//! finished arena, or the partner does not lower, the cursor engine
+//! answers. The rule is exactness, not tolerance: every answer — each
 //! `SimOutcome` field, `steps` included, compared through its `Debug`
 //! rendering so that every bit of every float counts — must equal the
 //! eager path's, which lowers the whole partner with `compile`,
 //! transposes it with `ProgramSoA::from_program`, runs
-//! `first_contact_batch_soa`, and on a refusal runs
-//! `try_first_contact_programs` over the AoS programs.
+//! `first_contact_batch_soa`, and on a refusal runs the cursor engine
+//! ([`simulate_rendezvous_by_ref`]).
 //!
 //! Two input sets live here: seeded serve-mix scenarios (both
 //! algorithms; feasible pairs, exact twins and mirror twins) at the
 //! depth `rvz serve` compiles, and the same mix under a piece budget too
 //! small for the partner, which forces the kernel refusal and the
-//! scalar fallback. The differential fuzz harness
+//! cursor fallback. A few requests also go through `Service::handle`
+//! itself, so the served record is held to the eager arena's too. The differential fuzz harness
 //! (`tests/differential_fuzz.rs`) runs the same comparison over its
 //! trajectory stacks.
 //!
@@ -28,10 +29,11 @@
 //! envelope boxes past it, stopping lane gathers at it) changes where
 //! a run stands when its budget runs out.
 
-use rvz_experiments::{Algorithm, Scenario, SplitMix64};
-use rvz_model::Chirality;
+use rvz_experiments::{record_to_json, Algorithm, Scenario, SplitMix64, SweepOptions, SweepRecord};
+use rvz_model::{feasibility, Chirality};
+use rvz_server::{Request, Service, ServiceOptions};
 use rvz_sim::{
-    first_contact_batch_soa, first_contact_streamed, try_first_contact_programs,
+    first_contact_batch_soa, first_contact_streamed, simulate_rendezvous_by_ref,
     try_first_contact_soa, ContactOptions, EngineScratch, SimOutcome,
 };
 use rvz_trajectory::{Compile, CompileOptions, CompiledProgram, ProgramSoA, SoaStream};
@@ -109,33 +111,43 @@ fn reference_program(algorithm: Algorithm, horizon: f64) -> CompiledProgram {
     program
 }
 
-/// What the eager path answers, and whether its kernel refused.
+/// The cursor engine's answer for a representative: what the service
+/// answers whenever the kernel does not.
+fn cursor(rep: &Scenario, opts: &ContactOptions) -> SimOutcome {
+    let instance = rep.instance().expect("generated scenarios are valid");
+    match rep.algorithm {
+        Algorithm::WaitAndSearch => {
+            simulate_rendezvous_by_ref(&rvz_core::WaitAndSearch, &instance, opts)
+        }
+        Algorithm::UniversalSearch => {
+            simulate_rendezvous_by_ref(&rvz_search::UniversalSearch, &instance, opts)
+        }
+    }
+}
+
+/// What the eager path answers, and whether its kernel refused a
+/// partner that lowered.
 fn eager(
     reference: &CompiledProgram,
-    partner: &dyn Compile,
+    rep: &Scenario,
     copts: &CompileOptions,
-    radius: f64,
     opts: &ContactOptions,
-) -> (Option<SimOutcome>, bool) {
-    let Ok(program) = partner.compile(copts) else {
-        return (None, false);
+) -> (SimOutcome, bool) {
+    let Ok(program) = partner(rep).compile(copts) else {
+        return (cursor(rep, opts), false);
     };
-    let mut scratch = EngineScratch::new();
     let kernel = first_contact_batch_soa(
         &ProgramSoA::from_program(reference),
         &[ProgramSoA::from_program(&program)],
-        radius,
+        rep.visibility,
         opts,
-        &mut scratch,
+        &mut EngineScratch::new(),
     )
     .pop()
     .flatten();
     match kernel {
-        Some(out) => (Some(out), false),
-        None => (
-            try_first_contact_programs(reference, &program, radius, opts, &mut scratch),
-            true,
-        ),
+        Some(out) => (out, false),
+        None => (cursor(rep, opts), true),
     }
 }
 
@@ -143,17 +155,20 @@ fn eager(
 /// materialized and the extensions it took.
 fn streamed(
     reference: &ProgramSoA,
-    partner: &dyn Compile,
+    rep: &Scenario,
     copts: &CompileOptions,
-    radius: f64,
     opts: &ContactOptions,
-) -> (Option<SimOutcome>, usize, u64) {
-    let mut stream = SoaStream::new(partner, *copts);
-    let mut scratch = EngineScratch::new();
-    let mut out = first_contact_streamed(reference, &mut stream, radius, opts, &mut scratch);
-    if out.is_none() && stream.error().is_none() {
-        out = try_first_contact_programs(reference, stream.arena(), radius, opts, &mut scratch);
-    }
+) -> (SimOutcome, usize, u64) {
+    let source = partner(rep);
+    let mut stream = SoaStream::new(&*source, *copts);
+    let out = first_contact_streamed(
+        reference,
+        &mut stream,
+        rep.visibility,
+        opts,
+        &mut EngineScratch::new(),
+    )
+    .unwrap_or_else(|| cursor(rep, opts));
     (out, stream.arena().len(), stream.extensions())
 }
 
@@ -210,17 +225,17 @@ fn compare_serve_mix(seed: u64, budget: usize) -> Vec<(usize, usize, u64, bool)>
         let rep = scenario
             .canonicalize(rvz_experiments::DEFAULT_GRID)
             .scenario;
-        let source = partner(&rep);
         let s = slot(rep.algorithm);
-        let (want, refused) = eager(&references[s], &*source, &copts, rep.visibility, &opts);
-        let (got, pieces, extensions) =
-            streamed(&arenas[s], &*source, &copts, rep.visibility, &opts);
+        let (want, refused) = eager(&references[s], &rep, &copts, &opts);
+        let (got, pieces, extensions) = streamed(&arenas[s], &rep, &copts, &opts);
         assert_eq!(
             format!("{got:?}"),
             format!("{want:?}"),
             "streamed vs eager for {rep:?} (budget {budget})"
         );
-        let eager_pieces = source.compile(&copts).map_or(0, |p| p.pieces().len());
+        let eager_pieces = partner(&rep)
+            .compile(&copts)
+            .map_or(0, |p| p.pieces().len());
         rows.push((eager_pieces, pieces, extensions, refused));
     }
     rows
@@ -280,13 +295,76 @@ fn prefix_runs_refuse_or_agree_with_the_finished_arena() {
 }
 
 #[test]
-fn budget_refusals_fall_back_to_the_scalar_ladder_exactly() {
+fn budget_refusals_fall_back_to_the_cursor_engine_exactly() {
     // A budget far below the partners' size: most streams end
     // truncated, the kernel refuses on the finished arena and the
-    // scalar ladder answers (or refuses) over the same pieces.
+    // cursor engine answers, on both paths alike.
     let rows = compare_serve_mix(0x5eed_0014, 700);
     assert!(
         rows.iter().any(|r| r.3),
         "the budget never forced a kernel refusal"
     );
+}
+
+#[test]
+fn service_misses_answer_as_the_eager_partner_arena_does() {
+    // The record `Service` serves is the eager `compile` +
+    // `from_program` + batch-kernel outcome, bit for bit, for feasible
+    // pairs of both algorithms and for an exact twin (streamed in one
+    // step).
+    let horizon = rvz_core::completion_time(3);
+    let contact = ContactOptions {
+        horizon,
+        ..ContactOptions::default()
+    };
+    let svc = Service::new(ServiceOptions {
+        sweep: SweepOptions {
+            contact,
+            ..SweepOptions::default()
+        },
+        ..ServiceOptions::default()
+    });
+    let copts = CompileOptions::to_horizon(horizon).max_pieces(PIECE_BUDGET);
+    for body in [
+        r#"{"algorithm":"alg4","speed":0.5,"time_unit":0.7,"distance":1.2,"visibility":0.1}"#,
+        r#"{"algorithm":"alg7","speed":0.8,"time_unit":0.6,"distance":0.7,"visibility":0.1}"#,
+        r#"{"algorithm":"alg4","distance":1.5,"visibility":0.1}"#,
+    ] {
+        let (resp, _) = svc.handle(&Request {
+            method: "POST".into(),
+            path: "/first-contact".into(),
+            query: Vec::new(),
+            headers: Default::default(),
+            body: body.as_bytes().to_vec(),
+        });
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let scenario =
+            rvz_experiments::scenario_from_json(&rvz_experiments::json::parse(body).unwrap())
+                .unwrap();
+        let canonical = scenario.canonicalize(svc.options().cache_grid);
+        let rep = canonical.scenario;
+        let eager = first_contact_batch_soa(
+            &ProgramSoA::from_program(&reference_program(rep.algorithm, horizon)),
+            &[ProgramSoA::from_program(
+                &partner(&rep).compile(&copts).unwrap(),
+            )],
+            rep.visibility,
+            &contact,
+            &mut EngineScratch::new(),
+        )
+        .pop()
+        .flatten()
+        .expect("the eager kernel answers at this depth");
+        let record = SweepRecord {
+            scenario,
+            feasibility: feasibility(&scenario.attributes()),
+            outcome: canonical.transform.apply(eager),
+        };
+        let served = rvz_experiments::json::parse(&resp.body).unwrap();
+        assert_eq!(
+            served.get("record").unwrap().render(),
+            record_to_json(&record).render(),
+            "{body}"
+        );
+    }
 }

@@ -14,8 +14,7 @@
 
 use crate::compiled::{try_first_contact_programs, EngineScratch};
 use crate::engine::{first_contact, ContactOptions, SimOutcome};
-use crate::stationary::Stationary;
-use rvz_model::{RendezvousInstance, SearchInstance};
+use rvz_model::RendezvousInstance;
 use rvz_trajectory::{Compile, CompileError, CompileOptions, CompiledProgram, MonotoneTrajectory};
 
 /// [`crate::simulate_rendezvous`] with the algorithm taken by reference:
@@ -47,16 +46,6 @@ pub fn simulate_rendezvous_by_ref<T: MonotoneTrajectory>(
         .attributes()
         .frame_warp(algorithm, instance.offset());
     first_contact(algorithm, &partner, instance.visibility(), opts)
-}
-
-/// [`crate::simulate_search`] with the algorithm taken by reference.
-pub fn simulate_search_by_ref<T: MonotoneTrajectory>(
-    algorithm: &T,
-    instance: &SearchInstance,
-    opts: &ContactOptions,
-) -> SimOutcome {
-    let target = Stationary::new(instance.target());
-    first_contact(algorithm, &target, instance.visibility(), opts)
 }
 
 /// Lowers the partner robot of a rendezvous instance — the algorithm
@@ -132,19 +121,6 @@ pub fn try_simulate_rendezvous_lazy<T: Compile + MonotoneTrajectory>(
     try_first_contact_programs(reference, &lazy, instance.visibility(), opts, scratch)
 }
 
-/// Runs a batch of rendezvous instances under one shared algorithm value,
-/// returning outcomes in instance order.
-pub fn run_rendezvous_batch<T: MonotoneTrajectory>(
-    algorithm: &T,
-    instances: &[RendezvousInstance],
-    opts: &ContactOptions,
-) -> Vec<SimOutcome> {
-    instances
-        .iter()
-        .map(|inst| simulate_rendezvous_by_ref(algorithm, inst, opts))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,21 +136,6 @@ mod tests {
         let by_ref = simulate_rendezvous_by_ref(&UniversalSearch, &inst, &opts);
         let by_value = crate::simulate_rendezvous(UniversalSearch, &inst, &opts);
         assert_eq!(by_ref, by_value);
-    }
-
-    #[test]
-    fn batch_preserves_instance_order() {
-        let attrs = RobotAttributes::reference().with_speed(0.5);
-        let instances: Vec<_> = [0.4, 0.8, 1.2]
-            .iter()
-            .map(|&d| RendezvousInstance::new(Vec2::new(0.0, d), 0.05, attrs).unwrap())
-            .collect();
-        let outcomes =
-            run_rendezvous_batch(&UniversalSearch, &instances, &ContactOptions::default());
-        assert_eq!(outcomes.len(), 3);
-        let times: Vec<f64> = outcomes.iter().map(|o| o.contact_time().unwrap()).collect();
-        // Farther instances cannot meet earlier under the same algorithm.
-        assert!(times[0] <= times[1] && times[1] <= times[2], "{times:?}");
     }
 
     #[test]
@@ -215,15 +176,5 @@ mod tests {
                 assert!((tl - to).abs() < 1e-6, "d = {d}: {tl} vs {to}");
             }
         }
-    }
-
-    #[test]
-    fn search_by_ref_matches_by_value() {
-        let inst = SearchInstance::new(Vec2::new(0.6, 0.6), 0.05).unwrap();
-        let opts = ContactOptions::default();
-        assert_eq!(
-            simulate_search_by_ref(&UniversalSearch, &inst, &opts),
-            crate::simulate_search(UniversalSearch, &inst, &opts)
-        );
     }
 }

@@ -68,8 +68,7 @@ pub mod trace;
 pub mod verify;
 
 pub use batch::{
-    compile_rendezvous_partner, run_rendezvous_batch, simulate_rendezvous_by_ref,
-    simulate_search_by_ref, try_simulate_rendezvous_compiled,
+    compile_rendezvous_partner, simulate_rendezvous_by_ref, try_simulate_rendezvous_compiled,
 };
 pub use compiled::{first_contact_programs, try_first_contact_programs, EngineScratch};
 pub use engine::{
@@ -79,8 +78,7 @@ pub use engine::{
 pub use kernel::{first_contact_soa, sweep_first_contact_soa, try_first_contact_soa, KERNEL_LANES};
 pub use multi::{
     first_contact_batch_soa, first_contact_streamed, first_simultaneous_gathering,
-    first_simultaneous_gathering_homogeneous, first_simultaneous_gathering_programs,
-    pairwise_meetings, pairwise_meetings_homogeneous, pairwise_meetings_programs,
+    first_simultaneous_gathering_programs, pairwise_meetings, pairwise_meetings_programs,
     pairwise_meetings_soa, pairwise_sweep_soa, sweep_contacts_soa, SWEEP_WINDOWS,
 };
 pub use runners::{simulate_rendezvous, simulate_search};

@@ -17,12 +17,11 @@
 //! precisely why the paper leaves it open.
 
 use crate::compiled::{first_contact_programs, EngineScratch};
-use crate::engine::{first_contact_cursors, ContactOptions, EngineStats, SimOutcome};
+use crate::engine::{ContactOptions, EngineStats, SimOutcome};
 use crate::kernel::{sweep_first_contact_soa, try_first_contact_soa, try_first_contact_soa_impl};
 use rvz_geometry::{Aabb, Vec2};
 use rvz_trajectory::{
-    CompiledProgram, Cursor, MonotoneDyn, MonotoneTrajectory, ProgramSoA, ProgramView, SoaStream,
-    Trajectory,
+    CompiledProgram, Cursor, MonotoneDyn, ProgramSoA, ProgramView, SoaStream, Trajectory,
 };
 
 /// First-contact times for every unordered pair in a swarm.
@@ -32,8 +31,9 @@ use rvz_trajectory::{
 /// Diagonal and lower-triangle entries are `None`.
 ///
 /// The robots are taken as [`MonotoneDyn`] trait objects (implemented
-/// automatically for every [`MonotoneTrajectory`]), so each pair runs
-/// on the engine's cursor fast path through
+/// automatically for every
+/// [`MonotoneTrajectory`](rvz_trajectory::MonotoneTrajectory)), so each
+/// pair runs on the engine's cursor fast path through
 /// [`first_contact_dyn`](crate::first_contact_dyn)'s scoped stack
 /// cursors — no per-pair boxing.
 ///
@@ -57,37 +57,6 @@ pub fn pairwise_meetings(
     for i in 0..n {
         for j in (i + 1)..n {
             let outcome = crate::engine::first_contact_dyn(robots[i], robots[j], radius, opts);
-            table[i][j] = outcome.contact_time();
-        }
-    }
-    table
-}
-
-/// [`pairwise_meetings`] for homogeneous swarms: every robot is the
-/// *same concrete* [`MonotoneTrajectory`] type, so each pairwise check
-/// runs on monomorphized cursors — no `Box<dyn Cursor>` allocation and
-/// no virtual dispatch in the engine's hot loop. Mixed collections keep
-/// using the [`MonotoneDyn`] entry point.
-///
-/// # Panics
-///
-/// As for [`pairwise_meetings`].
-pub fn pairwise_meetings_homogeneous<T: MonotoneTrajectory>(
-    robots: &[T],
-    radius: f64,
-    opts: &ContactOptions,
-) -> Vec<Vec<Option<f64>>> {
-    assert!(robots.len() >= 2, "need at least two robots");
-    let n = robots.len();
-    let mut table = vec![vec![None; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let outcome = first_contact_cursors(
-                &mut robots[i].cursor(),
-                &mut robots[j].cursor(),
-                radius,
-                opts,
-            );
             table[i][j] = outcome.contact_time();
         }
     }
@@ -599,38 +568,6 @@ pub fn first_simultaneous_gathering(
     // One boxed cursor per robot, built once: the loop only advances
     // `t`, so every position sample is an amortized-O(1) monotone query.
     let mut cursors: Vec<Box<dyn Cursor + '_>> = robots.iter().map(|r| r.dyn_cursor()).collect();
-    gathering_on_cursors(&mut cursors, closing_bound, radius, opts)
-}
-
-/// [`first_simultaneous_gathering`] for homogeneous swarms: monomorphized
-/// cursors, no boxing, no virtual dispatch per sample.
-///
-/// # Panics
-///
-/// As for [`first_simultaneous_gathering`].
-pub fn first_simultaneous_gathering_homogeneous<T: MonotoneTrajectory>(
-    robots: &[T],
-    radius: f64,
-    opts: &ContactOptions,
-) -> SimOutcome {
-    assert!(robots.len() >= 2, "need at least two robots");
-    let closing_bound: f64 = 2.0
-        * robots
-            .iter()
-            .map(|r| r.speed_bound())
-            .fold(0.0_f64, f64::max);
-    let mut cursors: Vec<T::Cursor<'_>> = robots.iter().map(|r| r.cursor()).collect();
-    gathering_on_cursors(&mut cursors, closing_bound, radius, opts)
-}
-
-/// The cursor-based gathering entry points' adapter onto the shared
-/// diameter loop.
-fn gathering_on_cursors<C: Cursor>(
-    cursors: &mut [C],
-    closing_bound: f64,
-    radius: f64,
-    opts: &ContactOptions,
-) -> SimOutcome {
     let mut positions = vec![Vec2::ZERO; cursors.len()];
     gathering_loop(
         &mut positions,
@@ -722,7 +659,7 @@ fn gathering_loop(
 mod tests {
     use super::*;
     use rvz_geometry::Vec2;
-    use rvz_trajectory::FnTrajectory;
+    use rvz_trajectory::{FnTrajectory, MonotoneTrajectory};
 
     fn approach(start: Vec2, speed: f64) -> impl MonotoneTrajectory {
         // Moves from `start` straight toward the origin, then stays.
@@ -774,44 +711,6 @@ mod tests {
             }
             other => panic!("diverging robots gathered? {other:?}"),
         }
-    }
-
-    #[test]
-    fn homogeneous_pairwise_matches_dyn_path() {
-        // A homogeneous swarm run through the monomorphic entry point
-        // must produce exactly the table the boxed-cursor path does.
-        let robots: Vec<_> = [
-            Vec2::new(2.0, 0.0),
-            Vec2::new(-2.0, 0.0),
-            Vec2::new(0.0, 30.0),
-        ]
-        .iter()
-        .map(|&start| approach(start, 1.0))
-        .collect();
-        let opts = ContactOptions::with_horizon(50.0);
-        let mono = pairwise_meetings_homogeneous(&robots, 0.5, &opts);
-        let dyn_refs: Vec<&dyn MonotoneDyn> = robots.iter().map(|r| r as _).collect();
-        let boxed = pairwise_meetings(&dyn_refs, 0.5, &opts);
-        assert_eq!(mono, boxed);
-        assert!(mono[0][1].is_some());
-    }
-
-    #[test]
-    fn homogeneous_gathering_matches_dyn_path() {
-        let robots: Vec<_> = [
-            Vec2::new(4.0, 0.0),
-            Vec2::new(0.0, 4.0),
-            Vec2::new(-4.0, -4.0),
-        ]
-        .iter()
-        .map(|&start| approach(start, 0.8))
-        .collect();
-        let opts = ContactOptions::with_horizon(100.0);
-        let mono = first_simultaneous_gathering_homogeneous(&robots, 0.5, &opts);
-        let dyn_refs: Vec<&dyn MonotoneDyn> = robots.iter().map(|r| r as _).collect();
-        let boxed = first_simultaneous_gathering(&dyn_refs, 0.5, &opts);
-        assert_eq!(mono, boxed);
-        assert!(mono.is_contact());
     }
 
     #[test]
@@ -1079,13 +978,6 @@ mod tests {
             &ContactOptions::with_horizon(horizon),
             &mut crate::EngineScratch::new(),
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two robots")]
-    fn homogeneous_single_robot_rejected() {
-        let robots = [approach(Vec2::UNIT_X, 1.0)];
-        let _ = pairwise_meetings_homogeneous(&robots, 1.0, &ContactOptions::default());
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! allocation observed by the counter) guards against the vacuous pass
 //! where the allocator silently failed to register.
 //!
-//! Single-threaded by construction: the counter is process-wide, so
-//! this binary holds exactly these serial tests.
+//! The counter is process-wide and libtest runs tests on parallel
+//! threads, so every test holds [`SERIAL`] from its set-up through its
+//! last measurement: no test's set-up allocations can land in another
+//! test's count.
 
 use rvz_geometry::Vec2;
 use rvz_model::RobotAttributes;
@@ -22,8 +24,20 @@ use rvz_sim::{
 use rvz_trajectory::{Compile, CompileOptions, CompiledProgram, MonotoneDyn, ProgramSoA};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Serializes the tests of this binary around the shared counter.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a test that failed while holding it does not fail
+/// the others.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 struct Counting;
 
@@ -86,6 +100,7 @@ fn swarm(n: usize, horizon: f64) -> Vec<CompiledProgram> {
 
 #[test]
 fn compiled_queries_allocate_nothing_after_warmup() {
+    let _serial = serial();
     // Positive control first: the counter must actually observe heap
     // traffic, or a zero below would be meaningless.
     let (_, control) = allocs(|| std::hint::black_box(vec![0_u8; 4096]));
@@ -134,6 +149,7 @@ fn compiled_queries_allocate_nothing_after_warmup() {
 
 #[test]
 fn cursor_dyn_queries_allocate_nothing() {
+    let _serial = serial();
     let (_, control) = allocs(|| std::hint::black_box(vec![0_u8; 4096]));
     assert!(control > 0, "counting allocator is not registered");
 
@@ -155,6 +171,7 @@ fn cursor_dyn_queries_allocate_nothing() {
 
 #[test]
 fn soa_kernel_queries_allocate_nothing_after_warmup() {
+    let _serial = serial();
     let (_, control) = allocs(|| std::hint::black_box(vec![0_u8; 4096]));
     assert!(control > 0, "counting allocator is not registered");
 

@@ -561,6 +561,11 @@ impl<'a> SoaStream<'a> {
         &self.arena
     }
 
+    /// Takes the arena materialized so far out of the stream.
+    pub fn into_arena(self) -> ProgramSoA {
+        self.arena
+    }
+
     /// `true` once the arena is final: it equals the eager lowering's.
     pub fn is_complete(&self) -> bool {
         matches!(self.state, Some(Ok(())))

@@ -191,7 +191,6 @@ Closed-form bounds: Theorem 1/2, and Lemma 13's k* when tau ≠ 1.",
             ("max-steps", true),
             ("horizon-rounds", true),
             ("no-prune", false),
-            ("compile-budget", true),
             ("dedup-orbits", false),
             ("out", true),
             ("checkpoint", true),
@@ -204,16 +203,15 @@ USAGE:
   rvz sweep [--speeds L] [--clocks L] [--phis L] [--chis L] [--distances L]
             [--bearings L] [--r R] [--algos L] [--lhs N] [--seed S]
             [--threads N] [--max-steps M] [--horizon-rounds K] [--no-prune]
-            [--compile-budget P] [--dedup-orbits] [--out PREFIX]
-            [--checkpoint PATH] [--resume] [--faults SPEC] [--heartbeat]
+            [--dedup-orbits] [--out PREFIX] [--checkpoint PATH] [--resume]
+            [--faults SPEC] [--heartbeat]
 
 Run a parallel scenario sweep (grid by default, Latin-hypercube sample
-with --lhs N) and write PREFIX.jsonl + PREFIX.csv. List flags (L) take
-comma-separated values, e.g. --speeds 0.5,1. --no-prune disables the
-engine's swept-envelope pruning layer (A/B escape hatch; outcomes keep
-the same classification). --compile-budget caps the compiled fast
-path's piece arena per trajectory (0 keeps everything on the cursor
-path). --dedup-orbits collapses role-swap symmetric scenarios through
+with --lhs N) on the monotone-cursor engine and write PREFIX.jsonl +
+PREFIX.csv. List flags (L) take comma-separated values, e.g. --speeds
+0.5,1. --no-prune disables the engine's swept-envelope pruning layer
+(A/B escape hatch; outcomes keep the same classification).
+--dedup-orbits collapses role-swap symmetric scenarios through
 the exact canonical orbit before running, simulates one representative
 per orbit, and maps outcomes back through the orbit transform.
 
@@ -244,13 +242,11 @@ checkpoints are byte-identical with it on or off.",
             ("max-steps", true),
             ("horizon-rounds", true),
             ("no-prune", false),
-            ("compile-budget", true),
         ],
         usage: "\
 USAGE:
   rvz map [--speeds L] [--clocks L] [--phis L] [--d D] [--r R] [--threads N]
           [--max-steps M] [--horizon-rounds K] [--no-prune]
-          [--compile-budget P]
 
 Print the Theorem 4 feasibility map over the attribute grid and confirm
 every cell by simulation. Raise --horizon-rounds (default 9) and
@@ -322,7 +318,11 @@ sharded LRU cache keyed by each scenario's attribute-symmetry orbit.
 --port 0 binds an ephemeral port (printed on startup). --cache-grid is
 the canonicalization step, snapped to a power of two (default 2^-30;
 0 = bit-exact keys); --no-cache simulates every request (the loadtest
-baseline). Engine flags mirror `rvz sweep`. Stop with POST /shutdown.
+baseline). Engine flags mirror `rvz sweep`. A miss runs the SoA lane
+kernel on arenas streamed under --compile-budget pieces per trajectory
+(default 32768) and falls back to the cursor engine when the kernel
+refuses; 0 serves every miss on the cursor engine. Stop with POST
+/shutdown.
 
 Overload controls: --deadline-ms caps each request's engine wall clock
 (outcome \"deadline\", never cached; default: none), --max-inflight
@@ -539,8 +539,9 @@ fn get_algorithms(opts: &Flags) -> Result<Option<Vec<Algorithm>>, String> {
 }
 
 /// Applies the shared engine-tuning flags (`--max-steps`,
-/// `--horizon-rounds`, `--no-prune`) plus the thread flag named
-/// `thread_key` on top of the sweep defaults.
+/// `--horizon-rounds`, `--no-prune`, and `--compile-budget`, which only
+/// `rvz serve` accepts) plus the thread flag named `thread_key` on top
+/// of the sweep defaults.
 fn sweep_options(opts: &Flags, thread_key: &str) -> Result<SweepOptions, String> {
     let mut sweep_opts = SweepOptions {
         threads: get_usize(opts, thread_key, 0)?,

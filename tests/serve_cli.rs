@@ -226,4 +226,15 @@ fn unknown_flags_name_the_subcommand() {
     let (ok, _, stderr) = rvz(&["serve", "--por", "1"]);
     assert!(!ok);
     assert!(stderr.contains("unknown flag `--por` for `rvz serve`"));
+
+    // The piece budget belongs to serve's compiled path alone: sweep
+    // and map run every scenario on the cursor engine.
+    for cmd in ["sweep", "map"] {
+        let (ok, _, stderr) = rvz(&[cmd, "--compile-budget", "0"]);
+        assert!(!ok, "rvz {cmd} accepted --compile-budget");
+        assert!(
+            stderr.contains(&format!("unknown flag `--compile-budget` for `rvz {cmd}`")),
+            "{stderr}"
+        );
+    }
 }

@@ -243,32 +243,3 @@ fn sweep_dedup_orbits_collapses_and_stays_consistent() {
     let jsonl = std::fs::read_to_string(format!("{prefix_str}.jsonl")).unwrap();
     assert_eq!(jsonl.lines().count(), 4, "records keep the input scenarios");
 }
-
-#[test]
-fn sweep_compile_budget_flag_is_accepted() {
-    let prefix = out_prefix("compile-budget");
-    let prefix_str = prefix.to_str().unwrap();
-    // Budget 0 = cursor path only; the records must be just as
-    // consistent (the compiled path never changes classifications).
-    let (ok, stdout, stderr) = rvz(&[
-        "sweep",
-        "--compile-budget",
-        "0",
-        "--speeds",
-        "0.5",
-        "--clocks",
-        "1.0",
-        "--phis",
-        "0",
-        "--chis",
-        "+1",
-        "--distances",
-        "0.9",
-        "--r",
-        "0.25",
-        "--out",
-        prefix_str,
-    ]);
-    assert!(ok, "sweep --compile-budget failed: {stderr}");
-    assert!(stdout.contains("theorem-4 consistency: 1/1"), "{stdout}");
-}
