@@ -80,6 +80,7 @@ grep -q '"allocs_per_query":' "$BENCH_SMOKE"
 grep -q '"lane_chunks":' "$BENCH_SMOKE"
 grep -q '"soa_ns_per_query":' "$BENCH_SMOKE"
 grep -q '"soa_speedup":' "$BENCH_SMOKE"
+grep -q '"name": "swarm_pairwise"' "$BENCH_SMOKE"
 grep -q '"name": "swarm_many_vs_many"' "$BENCH_SMOKE"
 # Certified chords mean every case — the spiral included — now carries
 # a compiled sample: no escape-hatch nulls in the smoke artifact or in
@@ -107,7 +108,9 @@ if grep -qE '"soa_allocs_per_query": [1-9][0-9]*' "$BENCH_SMOKE"; then
 fi
 # The SoA kernel must never lose to the scalar compiled loop on the
 # quick batch workloads (a 10% grace bound absorbs timer noise; a real
-# regression — the lane gate mispricing chunks — overshoots it).
+# regression — the lane gate mispricing chunks — overshoots it). All
+# three batch rows must be present, so a rewired row cannot drop out of
+# the gate unnoticed.
 check_soa_not_slower() {
     awk '
         /"soa_ns_per_query"/ && /"compiled_ns_per_query"/ {
@@ -116,7 +119,7 @@ check_soa_not_slower() {
             n += 1
             if (s + 0 > (c + 0) * 1.10) { print "SoA slower than scalar: " $0; bad += 1 }
         }
-        END { if (n == 0) { print "no batch rows found"; exit 1 }; exit bad > 0 }
+        END { if (n != 3) { print "expected 3 batch rows, found " n; exit 1 }; exit bad > 0 }
     ' "$1"
 }
 check_soa_not_slower "$BENCH_SMOKE"

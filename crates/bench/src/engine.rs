@@ -36,8 +36,8 @@ use rvz_model::RobotAttributes;
 use rvz_search::UniversalSearch;
 use rvz_sim::{
     first_contact_cursors_instrumented, first_contact_generic, pairwise_meetings,
-    pairwise_meetings_programs, simulate_rendezvous_by_ref, sweep_contacts_soa, ContactOptions,
-    EngineScratch, EngineStats, SimOutcome, KERNEL_LANES,
+    simulate_rendezvous_by_ref, sweep_contacts_soa, ContactOptions, EngineScratch, EngineStats,
+    SimOutcome, KERNEL_LANES,
 };
 use rvz_trajectory::{
     Compile, CompileOptions, CompiledProgram, MonotoneDyn, PathBuilder, ProgramSoA,
@@ -840,16 +840,23 @@ pub fn measure_swarm_batch(quick: bool) -> BatchMeasurement {
     let compile_ns = compile_start.elapsed().as_nanos() as f64;
     let pieces = programs.iter().map(|p| p.pieces().len()).sum::<usize>() as u64;
     let mut scratch = EngineScratch::new();
+    // Compiled arm: the per-pair scalar ladder over lowered programs.
     let run_compiled = |scratch: &mut EngineScratch| {
         for radius in radii {
-            std::hint::black_box(pairwise_meetings_programs(
-                &programs, radius, &opts, scratch,
-            ));
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    std::hint::black_box(rvz_sim::first_contact_programs(
+                        &programs[i],
+                        &programs[j],
+                        radius,
+                        &opts,
+                        scratch,
+                    ));
+                }
+            }
         }
     };
     run_compiled(&mut scratch);
-    // Per-pair allocations after warmup: a single pair query (the table
-    // rows allocate in both arms; the engine itself must not).
     let (_, allocs) = crate::alloc::count(|| {
         std::hint::black_box(rvz_sim::first_contact_programs(
             &programs[0],
@@ -860,15 +867,24 @@ pub fn measure_swarm_batch(quick: bool) -> BatchMeasurement {
         ));
     });
 
-    // SoA arm: arenas built once, the whole radius grid resolved in one
-    // sweep — per-robot window tables built once, one gap profile per
-    // pair prices every radius, and the surviving radii share a single
+    // SoA arm: arenas built once, the whole radius grid resolved as one
+    // batch row per robot against the robots after it — each row builds
+    // its reference's window table once, one gap profile per pair
+    // prices every radius, and the surviving radii share a single
     // multi-threshold ladder run per pair.
     let build_start = Instant::now();
     let arenas: Vec<ProgramSoA> = programs.iter().map(ProgramSoA::from_program).collect();
     let arena_ns = build_start.elapsed().as_nanos() as f64;
     let run_soa = |scratch: &mut EngineScratch| {
-        std::hint::black_box(rvz_sim::pairwise_sweep_soa(&arenas, &radii, &opts, scratch));
+        for i in 0..n {
+            std::hint::black_box(sweep_contacts_soa(
+                &arenas[i],
+                &arenas[i + 1..],
+                &radii,
+                &opts,
+                scratch,
+            ));
+        }
     };
     run_soa(&mut scratch);
     let (_, soa_allocs) = crate::alloc::count(|| {
@@ -890,23 +906,32 @@ pub fn measure_swarm_batch(quick: bool) -> BatchMeasurement {
         soa_total = soa_total.min(best_ns(|| run_soa(&mut scratch), 1));
     }
 
+    // Cross-check every cell against the per-pair scalar outcome: the
+    // cursor arm at the first radius, the SoA rows at every radius.
     let cursor_table = pairwise_meetings(&dyn_refs, radii[0], &opts);
-    let sweep_tables = rvz_sim::pairwise_sweep_soa(&arenas, &radii, &opts, &mut scratch);
-    for (r, &radius) in radii.iter().enumerate() {
-        let compiled_table = pairwise_meetings_programs(&programs, radius, &opts, &mut scratch);
-        for i in 0..n {
+    for i in 0..n {
+        let rows = sweep_contacts_soa(&arenas[i], &arenas[i + 1..], &radii, &opts, &mut scratch);
+        for (r, &radius) in radii.iter().enumerate() {
             for j in (i + 1)..n {
+                let scalar = rvz_sim::first_contact_programs(
+                    &programs[i],
+                    &programs[j],
+                    radius,
+                    &opts,
+                    &mut scratch,
+                );
                 if r == 0 {
                     assert_eq!(
                         cursor_table[i][j].is_some(),
-                        compiled_table[i][j].is_some(),
+                        scalar.is_contact(),
                         "swarm arms disagree on pair ({i}, {j})"
                     );
                 }
+                let soa_out = rows[r][j - i - 1].as_ref().expect("covered arenas resolve");
                 assert_eq!(
-                    compiled_table[i][j].is_some(),
-                    sweep_tables[r][i][j].is_some(),
-                    "swarm SoA sweep disagrees on pair ({i}, {j}) at radius {radius}"
+                    scalar.classification(),
+                    soa_out.classification(),
+                    "swarm SoA rows disagree on pair ({i}, {j}) at radius {radius}"
                 );
             }
         }

@@ -9,10 +9,11 @@
 //! service's fixed engine options, then maps the outcome back through
 //! the orbit's inverse transform; a cache hit returns the stored value
 //! of that same computation. Identical requests therefore produce
-//! byte-identical JSON regardless of worker count, arrival order or
-//! cache state. Mutable observability (hit/miss markers, counters)
-//! lives in the `X-Rvz-Cache` response header and the `/stats`
-//! endpoint, never in a result body.
+//! byte-identical JSON regardless of worker count, arrival order,
+//! cache state, or whether the cache is enabled at all. Mutable
+//! observability (hit/miss markers, counters) lives in the
+//! `X-Rvz-Cache` response header and the `/stats` endpoint, never in a
+//! result body.
 //!
 //! ## Engine-frame semantics
 //!
@@ -53,7 +54,9 @@ pub struct ServiceOptions {
     /// `≤ 0` for bit-exact keys). Defaults to [`DEFAULT_GRID`].
     pub cache_grid: f64,
     /// Disables the cache entirely: every request simulates its
-    /// canonical representative (the A/B baseline for `rvz loadtest`).
+    /// canonical representative on the engine route a miss takes, so
+    /// response bytes are the same either way (the A/B baseline for
+    /// `rvz loadtest`).
     pub no_cache: bool,
     /// Engine options and batch thread count for cache misses.
     ///
@@ -233,22 +236,16 @@ impl Service {
     /// Captures the current cache state for a snapshot: the result
     /// entries in per-shard recency order. In-flight single-flight
     /// claims and deadline outcomes are never included (claims are not
-    /// values; deadlines are never cached). No program keys are
-    /// written: partners are streamed per miss, never cached.
+    /// values; deadlines are never cached).
     pub fn snapshot_data(&self) -> SnapshotData {
         SnapshotData {
             results: self.cache.export(),
-            program_keys: Vec::new(),
         }
     }
 
     /// Restores caches from the snapshot at `path` (if any), degrading
     /// gracefully: corrupt or mismatched snapshots cold-start. Returns
     /// the outcome; it is also kept for `/stats` and the boot banner.
-    ///
-    /// Program keys in snapshots written before partners were streamed
-    /// still decode (they count toward the restore outcome) and are
-    /// dropped: there is no partner cache to restore them into.
     pub fn restore_from(&self, path: &Path) -> RestoreOutcome {
         let disk = self.faults.as_ref().and_then(|f| f.disk());
         let (data, outcome) = read_snapshot(path, self.engine_fingerprint(), disk.as_ref());
@@ -271,7 +268,7 @@ impl Service {
     /// caller's log line.
     pub fn write_snapshot_to(&self, path: &Path) -> std::io::Result<usize> {
         let data = self.snapshot_data();
-        let entries = data.results.len() + data.program_keys.len();
+        let entries = data.results.len();
         let disk = self.faults.as_ref().and_then(|f| f.disk());
         let result = write_snapshot(path, self.engine_fingerprint(), &data, disk);
         let mut d = self.durability.lock().expect("durability poisoned");
@@ -699,11 +696,10 @@ impl Service {
         let canonical = scenario.canonicalize(self.opts.cache_grid);
         let contact = self.request_contact();
         let (outcome, hit) = if self.opts.no_cache {
-            // The A/B baseline bypasses the result cache *and* the
-            // compiled path: every request runs the cursor engine from
-            // scratch, so the loadtest speedup measures the whole
-            // caching+compilation stack against the bare engine.
-            (self.simulate(&canonical.scenario, &contact, false), false)
+            // The A/B baseline bypasses the result cache only: every
+            // request runs the same engine route a miss takes, so the
+            // bytes do not depend on the cache setting.
+            (self.simulate(&canonical.scenario, &contact), false)
         } else {
             self.cache.get_or_compute_if(
                 canonical.key,
@@ -713,7 +709,7 @@ impl Service {
                             panic!("injected fault: cache compute failure");
                         }
                     }
-                    self.simulate(&canonical.scenario, &contact, true)
+                    self.simulate(&canonical.scenario, &contact)
                 },
                 // A deadline outcome reflects this request's wall
                 // clock, not the scenario: caching it would serve a
@@ -749,16 +745,11 @@ impl Service {
     }
 
     /// Simulates the canonical representative: through the compiled
-    /// path when `compiled` is set and the reference lowering covers
-    /// the horizon, otherwise through the cursor-path sweep executor.
-    /// Both paths are deterministic functions of the scenario, so
-    /// responses stay pure functions of the query.
-    fn simulate(
-        &self,
-        canonical: &Scenario,
-        contact: &ContactOptions,
-        compiled: bool,
-    ) -> SimOutcome {
+    /// path when it is enabled and the reference lowering covers the
+    /// horizon, otherwise through the cursor-path sweep executor. Both
+    /// paths are deterministic functions of the scenario, so responses
+    /// stay pure functions of the query.
+    fn simulate(&self, canonical: &Scenario, contact: &ContactOptions) -> SimOutcome {
         if let Some(f) = &self.faults {
             if f.fires(FaultSite::EngineDelay) {
                 // Injected engine latency: the request spends extra
@@ -767,7 +758,7 @@ impl Service {
                 std::thread::sleep(f.delay());
             }
         }
-        if compiled && self.opts.sweep.compile_pieces > 0 {
+        if self.opts.sweep.compile_pieces > 0 {
             if let Some(outcome) = self.simulate_compiled(canonical, contact) {
                 return outcome;
             }
@@ -951,7 +942,7 @@ impl Service {
             // same function; whatever it hands back runs on the cursor
             // engine through the executor.
             let mut computed: Vec<Option<SimOutcome>> = vec![None; missing.len()];
-            if !self.opts.no_cache && self.opts.sweep.compile_pieces > 0 {
+            if self.opts.sweep.compile_pieces > 0 {
                 for (slot, rep) in computed.iter_mut().zip(&missing) {
                     *slot = self.simulate_compiled(rep, &contact);
                 }
@@ -1481,6 +1472,44 @@ mod tests {
     }
 
     #[test]
+    fn no_cache_answers_byte_identical_to_the_cached_service() {
+        // A depth-3 horizon the reference lowering covers, so a cached
+        // miss takes the compiled path; with the cache off, a request
+        // must take the same engine route or its bytes would depend on
+        // the cache setting.
+        let options = |no_cache| ServiceOptions {
+            no_cache,
+            sweep: SweepOptions {
+                threads: 1,
+                contact: rvz_sim::ContactOptions {
+                    horizon: rvz_core::completion_time(3),
+                    ..SweepOptions::default().contact
+                },
+                ..SweepOptions::default()
+            },
+            ..ServiceOptions::default()
+        };
+        // A feasible pair and an exact twin.
+        let feasible = r#"{"speed":0.5,"distance":0.9,"visibility":0.25}"#;
+        let twin = r#"{"speed":1,"distance":0.9,"visibility":0.1}"#;
+        let sweep = format!(r#"{{"scenarios":[{feasible},{twin}]}}"#);
+        let requests = [
+            ("/first-contact", feasible.to_string()),
+            ("/first-contact", twin.to_string()),
+            ("/sweep", sweep),
+        ];
+        for (path, body) in &requests {
+            // Fresh services per request: the cached side answers a miss.
+            let cached = Service::new(options(false));
+            let bypass = Service::new(options(true));
+            let (a, _) = cached.handle(&request("POST", path, body));
+            let (b, _) = bypass.handle(&request("POST", path, body));
+            assert_eq!(a.status, 200, "{}", a.body);
+            assert_eq!(a.body, b.body, "{path} {body}");
+        }
+    }
+
+    #[test]
     fn unknown_paths_and_methods_are_distinguished() {
         let svc = service();
         let (resp, _) = svc.handle(&request("GET", "/nope", ""));
@@ -1668,36 +1697,6 @@ mod tests {
         let outcome = cold.restore_from(&path);
         assert!(matches!(outcome, RestoreOutcome::Cold { .. }), "{outcome}");
         assert_eq!(cold.cache_stats().entries, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn snapshots_with_partner_keys_still_restore() {
-        // Snapshots written while partners were cached carry program
-        // orbit keys; they still restore warm, results intact.
-        let dir = std::env::temp_dir().join(format!("rvz-svc-oldsnap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.snap");
-        let svc = service();
-        let body = r#"{"speed":0.5,"distance":0.9,"visibility":0.25}"#;
-        let (answer, _) = svc.handle(&request("POST", "/first-contact", body));
-        let mut data = svc.snapshot_data();
-        assert!(data.program_keys.is_empty(), "no partner keys are written");
-        data.program_keys = data.results.iter().map(|(key, _)| *key).collect();
-        write_snapshot(&path, svc.engine_fingerprint(), &data, None).unwrap();
-
-        let restored = service();
-        let outcome = restored.restore_from(&path);
-        assert_eq!(
-            outcome,
-            RestoreOutcome::Warm {
-                results: 1,
-                programs: 1
-            }
-        );
-        let (resp, _) = restored.handle(&request("POST", "/first-contact", body));
-        assert_eq!(header(&resp, "X-Rvz-Cache"), "hit");
-        assert_eq!(resp.body, answer.body);
         std::fs::remove_dir_all(&dir).ok();
     }
 

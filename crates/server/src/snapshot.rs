@@ -1,5 +1,5 @@
 //! Crash-safe cache snapshots: persist the symmetry-canonicalized
-//! result cache (and the compiled-program orbit keys) across restarts.
+//! result cache across restarts.
 //!
 //! ## Why this is sound
 //!
@@ -23,9 +23,8 @@
 //! ```
 //!
 //! Payload kinds (first byte): `0` = meta (engine fingerprint plus
-//! the expected record counts, must be the first record), `1` = result
-//! entry (key + outcome, fixed width), `2` = program orbit key. The
-//! counts let a restore tell a complete-but-small snapshot apart from
+//! the expected result count, must be the first record), `1` = result
+//! entry (key + outcome, fixed width). The count lets a restore tell a complete-but-small snapshot apart from
 //! one truncated exactly at a record boundary (which CRC framing alone
 //! cannot see). Records appear in cache recency order
 //! (least- to most-recent per shard), so replaying inserts reproduces
@@ -55,32 +54,24 @@ use std::sync::Arc;
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RVZSNAP1";
 
 /// Snapshot format version, bumped on any layout change and whenever
-/// the bytes a miss computes change. Version 2 entries come from a
-/// service whose kernel refusals fall straight to the cursor engine; a
-/// version 1 file may hold entries the retired scalar tier answered, so
-/// it cold-starts.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// the bytes a miss computes change. Version 3 dropped the program-key
+/// record kind and its count in the meta record; a version 1 or 2 file
+/// cold-starts rather than misparses.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const KIND_META: u8 = 0;
 const KIND_RESULT: u8 = 1;
-const KIND_PROGRAM: u8 = 2;
 
-/// Everything a snapshot persists: result-cache entries and
-/// program-key records, each in recency order (least- to
-/// most-recently-used per shard).
-///
-/// Program *bodies* are never persisted: a compiled program is large
-/// and cheap to lower again.
+/// Meta payload: kind byte, engine fingerprint, result count.
+const META_BYTES: usize = 1 + 8 + 4;
+
+/// Everything a snapshot persists: result-cache entries in recency
+/// order (least- to most-recently-used per shard).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SnapshotData {
     /// Result-cache entries. Deadline outcomes are never included (they
     /// are wall-clock artifacts and are never cached to begin with).
     pub results: Vec<(CacheKey, SimOutcome)>,
-    /// Compiled-program orbit keys. Services stopped caching partner
-    /// programs and write none; older snapshots still carry some, which
-    /// decode (and count toward the restore outcome) but restore
-    /// nothing.
-    pub program_keys: Vec<CacheKey>,
 }
 
 /// How a boot-time restore went; reported in the banner and `/stats`.
@@ -97,15 +88,11 @@ pub enum RestoreOutcome {
     Warm {
         /// Result entries restored.
         results: usize,
-        /// Program orbit keys restored.
-        programs: usize,
     },
     /// A valid prefix was restored; the damaged tail was discarded.
     Salvaged {
         /// Result entries restored.
         results: usize,
-        /// Program orbit keys restored.
-        programs: usize,
         /// Bytes discarded after the last valid record.
         dropped_bytes: usize,
     },
@@ -118,20 +105,15 @@ impl RestoreOutcome {
         match self {
             RestoreOutcome::Cold { .. } => "cold".to_string(),
             RestoreOutcome::Warm { .. } => "warm".to_string(),
-            RestoreOutcome::Salvaged {
-                results, programs, ..
-            } => format!("salvaged {}", results + programs),
+            RestoreOutcome::Salvaged { results, .. } => format!("salvaged {results}"),
         }
     }
 
-    /// Entries restored (results + program keys).
+    /// Result entries restored.
     pub fn entries(&self) -> usize {
         match self {
             RestoreOutcome::Cold { .. } => 0,
-            RestoreOutcome::Warm { results, programs }
-            | RestoreOutcome::Salvaged {
-                results, programs, ..
-            } => results + programs,
+            RestoreOutcome::Warm { results } | RestoreOutcome::Salvaged { results, .. } => *results,
         }
     }
 }
@@ -140,18 +122,13 @@ impl std::fmt::Display for RestoreOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RestoreOutcome::Cold { reason } => write!(f, "cold ({reason})"),
-            RestoreOutcome::Warm { results, programs } => {
-                write!(f, "warm ({results} results, {programs} program keys)")
-            }
+            RestoreOutcome::Warm { results } => write!(f, "warm ({results} results)"),
             RestoreOutcome::Salvaged {
                 results,
-                programs,
                 dropped_bytes,
             } => write!(
                 f,
-                "salvaged {} ({results} results, {programs} program keys; \
-                 {dropped_bytes} damaged bytes dropped)",
-                results + programs
+                "salvaged {results} ({dropped_bytes} damaged bytes dropped)"
             ),
         }
     }
@@ -295,7 +272,7 @@ fn push_record(out: &mut Vec<u8>, payload: &[u8]) {
 /// the durable path).
 pub fn encode_snapshot(fingerprint: u64, data: &SnapshotData) -> Vec<u8> {
     let mut out = Vec::with_capacity(
-        8 + 4 + (8 + 9) + (8 + 1 + KEY_BYTES + OUTCOME_BYTES) * data.results.len(),
+        8 + 4 + (8 + META_BYTES) + (8 + 1 + KEY_BYTES + OUTCOME_BYTES) * data.results.len(),
     );
     out.extend_from_slice(SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
@@ -307,7 +284,6 @@ pub fn encode_snapshot(fingerprint: u64, data: &SnapshotData) -> Vec<u8> {
         .filter(|(_, o)| !matches!(o, SimOutcome::Deadline { .. }))
         .count();
     meta.extend_from_slice(&(persisted_results as u32).to_le_bytes());
-    meta.extend_from_slice(&(data.program_keys.len() as u32).to_le_bytes());
     push_record(&mut out, &meta);
     let mut payload = Vec::with_capacity(1 + KEY_BYTES + OUTCOME_BYTES);
     for (key, outcome) in &data.results {
@@ -317,12 +293,6 @@ pub fn encode_snapshot(fingerprint: u64, data: &SnapshotData) -> Vec<u8> {
         if !push_outcome(&mut payload, outcome) {
             continue; // deadline outcome: skip, never persist
         }
-        push_record(&mut out, &payload);
-    }
-    for key in &data.program_keys {
-        payload.clear();
-        payload.push(KIND_PROGRAM);
-        push_key(&mut payload, key);
         push_record(&mut out, &payload);
     }
     out
@@ -373,7 +343,7 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> (SnapshotData, Restore
     let mut offset = 12usize;
     let mut first = true;
     let mut clean = true;
-    let mut expected = (0usize, 0usize);
+    let mut expected = 0usize;
     while offset < bytes.len() {
         let Some(payload) = next_record(bytes, &mut offset) else {
             clean = false;
@@ -381,7 +351,7 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> (SnapshotData, Restore
         };
         let ok = match payload.first() {
             Some(&KIND_META) if first => {
-                if payload.len() != 17 {
+                if payload.len() != META_BYTES {
                     return cold("malformed meta record");
                 }
                 let stored = read_u64(payload, 1);
@@ -391,15 +361,11 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> (SnapshotData, Restore
                          snapshot entries would not be byte-identical to recompute",
                     );
                 }
-                expected = (
-                    u32::from_le_bytes(payload[9..13].try_into().expect("length checked")) as usize,
-                    u32::from_le_bytes(payload[13..17].try_into().expect("length checked"))
-                        as usize,
-                );
+                expected =
+                    u32::from_le_bytes(payload[9..13].try_into().expect("length checked")) as usize;
                 true
             }
             Some(&KIND_RESULT) if !first => decode_result(payload, &mut data),
-            Some(&KIND_PROGRAM) if !first => decode_program(payload, &mut data),
             _ => false,
         };
         if !ok {
@@ -412,19 +378,17 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> (SnapshotData, Restore
         // Header but no meta record: nothing trustworthy.
         return cold("snapshot holds no meta record");
     }
-    if clean && expected == (data.results.len(), data.program_keys.len()) {
+    if clean && expected == data.results.len() {
         let outcome = RestoreOutcome::Warm {
             results: data.results.len(),
-            programs: data.program_keys.len(),
         };
         (data, outcome)
     } else {
         // Either a record failed its frame check, or the file ended
-        // cleanly but short of the counts the meta record promised
+        // cleanly but short of the count the meta record promised
         // (truncation at a record boundary).
         let outcome = RestoreOutcome::Salvaged {
             results: data.results.len(),
-            programs: data.program_keys.len(),
             dropped_bytes: bytes.len() - offset,
         };
         (data, outcome)
@@ -465,17 +429,6 @@ fn decode_result(payload: &[u8], data: &mut SnapshotData) -> bool {
         return false;
     };
     data.results.push((key, outcome));
-    true
-}
-
-fn decode_program(payload: &[u8], data: &mut SnapshotData) -> bool {
-    if payload.len() != 1 + KEY_BYTES {
-        return false;
-    }
-    let Some(key) = parse_key(&payload[1..]) else {
-        return false;
-    };
-    data.program_keys.push(key);
     true
 }
 
@@ -521,7 +474,7 @@ mod tests {
     }
 
     fn sample() -> SnapshotData {
-        let ks = keys(5);
+        let ks = keys(3);
         SnapshotData {
             results: vec![
                 (
@@ -549,7 +502,6 @@ mod tests {
                     },
                 ),
             ],
-            program_keys: vec![ks[3], ks[4]],
         }
     }
 
@@ -561,15 +513,9 @@ mod tests {
         let bytes = encode_snapshot(FP, &data);
         let (back, outcome) = decode_snapshot(&bytes, FP);
         assert_eq!(back, data, "bit patterns survive exactly");
-        assert_eq!(
-            outcome,
-            RestoreOutcome::Warm {
-                results: 3,
-                programs: 2
-            }
-        );
+        assert_eq!(outcome, RestoreOutcome::Warm { results: 3 });
         assert_eq!(outcome.label(), "warm");
-        assert_eq!(outcome.entries(), 5);
+        assert_eq!(outcome.entries(), 3);
     }
 
     #[test]
@@ -580,22 +526,15 @@ mod tests {
             let (partial, outcome) = decode_snapshot(&bytes[..cut], FP);
             // Salvage must never fabricate entries...
             assert!(partial.results.len() <= data.results.len());
-            assert!(partial.program_keys.len() <= data.program_keys.len());
             // ...and every salvaged entry must be a true prefix.
             assert_eq!(partial.results[..], data.results[..partial.results.len()]);
-            assert_eq!(
-                partial.program_keys[..],
-                data.program_keys[..partial.program_keys.len()]
-            );
             match outcome {
                 RestoreOutcome::Warm { .. } => {
                     assert_eq!(cut, bytes.len(), "only the full file is warm")
                 }
-                RestoreOutcome::Cold { .. } => assert_eq!(
-                    partial.results.len() + partial.program_keys.len(),
-                    0,
-                    "cold restores nothing"
-                ),
+                RestoreOutcome::Cold { .. } => {
+                    assert_eq!(partial.results.len(), 0, "cold restores nothing")
+                }
                 RestoreOutcome::Salvaged { .. } => {}
             }
         }
@@ -611,10 +550,10 @@ mod tests {
         let data = sample();
         let clean = encode_snapshot(FP, &data);
         // Flip a byte inside the *second* result record's payload:
-        // header (12) + meta record (8 + 17) + first result record
+        // header (12) + meta record (8 + META_BYTES) + first result record
         // (8 + 1 + KEY_BYTES + OUTCOME_BYTES) puts us at its frame.
         let mut bytes = clean.clone();
-        let second_record = 12 + (8 + 17) + (8 + 1 + KEY_BYTES + OUTCOME_BYTES);
+        let second_record = 12 + (8 + META_BYTES) + (8 + 1 + KEY_BYTES + OUTCOME_BYTES);
         bytes[second_record + 8 + 10] ^= 0x10;
         let (partial, outcome) = decode_snapshot(&bytes, FP);
         match outcome {
@@ -655,16 +594,20 @@ mod tests {
             "{o:?}"
         );
 
-        // A version 1 file, whose entries the retired scalar tier may
-        // have answered, cold-starts too.
-        let mut previous = bytes.clone();
-        previous[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let (d, o) = decode_snapshot(&previous, FP);
-        assert_eq!(d, SnapshotData::default());
-        assert!(
-            matches!(&o, RestoreOutcome::Cold { reason } if reason.contains("snapshot version 1")),
-            "{o:?}"
-        );
+        // Version 1 files (entries the retired scalar tier may have
+        // answered) and version 2 files (a meta record with a program
+        // count) cold-start too.
+        for old in [1u32, 2] {
+            let mut previous = bytes.clone();
+            previous[8..12].copy_from_slice(&old.to_le_bytes());
+            let (d, o) = decode_snapshot(&previous, FP);
+            assert_eq!(d, SnapshotData::default());
+            let expected = format!("snapshot version {old}");
+            assert!(
+                matches!(&o, RestoreOutcome::Cold { reason } if reason.contains(&expected)),
+                "{o:?}"
+            );
+        }
 
         let (_, o) = decode_snapshot(b"not a snapshot at all", FP);
         assert!(matches!(&o, RestoreOutcome::Cold { reason } if reason.contains("magic")));
@@ -695,7 +638,6 @@ mod tests {
                     },
                 ),
             ],
-            program_keys: vec![],
         };
         let bytes = encode_snapshot(FP, &data);
         let (back, outcome) = decode_snapshot(&bytes, FP);
@@ -728,8 +670,17 @@ mod tests {
             ..DiskFaultPlan::default()
         }));
         let bigger = SnapshotData {
-            program_keys: keys(8),
-            ..data.clone()
+            results: keys(8)
+                .into_iter()
+                .map(|key| {
+                    let outcome = SimOutcome::Contact {
+                        time: 1.0,
+                        distance: 0.25,
+                        steps: 3,
+                    };
+                    (key, outcome)
+                })
+                .collect(),
         };
         assert!(write_snapshot(&path, FP, &bigger, Some(Arc::clone(&faults))).is_err());
         assert_eq!(faults.injected(DiskFaultSite::TornRename), 1);

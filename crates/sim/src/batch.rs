@@ -70,42 +70,21 @@ pub fn compile_rendezvous_partner<T: Compile + MonotoneTrajectory>(
         .compile(opts)
 }
 
-/// [`simulate_rendezvous_by_ref`] on the compiled fast path: the
-/// reference program is compiled once per batch, the partner per
-/// instance, and the query runs monomorphically with the shared
-/// `scratch`.
-///
-/// Returns `None` when the partner cannot be lowered within `compile`'s
-/// budget **or** the query needs time beyond the covered span — the
-/// caller falls back to [`simulate_rendezvous_by_ref`]; a returned
-/// outcome always equals the fully compiled run's.
-pub fn try_simulate_rendezvous_compiled<T: Compile + MonotoneTrajectory>(
-    reference: &CompiledProgram,
-    algorithm: &T,
-    instance: &RendezvousInstance,
-    opts: &ContactOptions,
-    compile: &CompileOptions,
-    scratch: &mut EngineScratch,
-) -> Option<SimOutcome> {
-    let partner = compile_rendezvous_partner(algorithm, instance, compile).ok()?;
-    try_first_contact_programs(reference, &partner, instance.visibility(), opts, scratch)
-}
-
-/// [`try_simulate_rendezvous_compiled`] with a **streaming** partner:
-/// instead of eagerly lowering the warped partner to the full horizon
-/// before the first probe, the partner runs as a
+/// [`simulate_rendezvous_by_ref`] on the compiled fast path with a
+/// **streaming** partner: the reference program is compiled once per
+/// batch and amortized, while the warped partner runs as a
 /// [`LazyProgram`](rvz_trajectory::LazyProgram) that materializes
 /// pieces only as far as the query advances. On deep schedules whose
 /// queries resolve early this removes the dominant per-instance
-/// lowering tax; the reference program is still compiled eagerly once
-/// per batch and amortized.
+/// lowering tax.
 ///
 /// Returns `None` when the query needs time the partner cannot cover
 /// (piece budget, a curved span without an
 /// [`approx_tolerance`](rvz_trajectory::CompileOptions::approx_tolerance),
-/// an uncertifiable bound) — the caller falls back to the cursor path,
-/// exactly as with the eager variant. A returned outcome always equals
-/// the fully compiled run's.
+/// an uncertifiable bound) — the caller falls back to the cursor path.
+/// A returned outcome always equals the run on the eagerly lowered
+/// partner ([`compile_rendezvous_partner`] +
+/// [`try_first_contact_programs`]).
 pub fn try_simulate_rendezvous_lazy<T: Compile + MonotoneTrajectory>(
     reference: &CompiledProgram,
     algorithm: &T,
@@ -156,12 +135,13 @@ mod tests {
                 &mut scratch,
             )
             .expect("lazy partner covers the resolved span");
-            let eager = try_simulate_rendezvous_compiled(
+            let partner = compile_rendezvous_partner(&UniversalSearch, &inst, &compile)
+                .expect("the partner lowers");
+            let eager = try_first_contact_programs(
                 &reference,
-                &UniversalSearch,
-                &inst,
+                &partner,
+                inst.visibility(),
                 &opts,
-                &compile,
                 &mut scratch,
             )
             .expect("eager partner covers the horizon");

@@ -50,27 +50,22 @@
 use crate::engine::{
     circular_pair_law, piece_gap_lower_bound, ContactOptions, EngineStats, SimOutcome,
 };
-use rvz_geometry::Vec2;
 use rvz_trajectory::{Motion, ProgramView};
 
-/// Reusable per-worker workspace for the compiled engine.
+/// Reusable per-worker workspace for the compiled and SoA engines.
 ///
-/// Holds the multi-robot position/index buffers and the last query's
-/// pruning-layer counters. One scratch per thread, reused across a
-/// whole batch: after the first query warms the buffers, subsequent
-/// queries perform **zero** heap allocations (test-gated).
+/// Holds the last query's pruning-layer counters, which telemetry and
+/// the benches read back after each query. One scratch per thread,
+/// reused across a whole batch; the compiled and lane-kernel queries
+/// perform **zero** heap allocations (test-gated).
 #[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
     /// Pruning-layer work counters of the most recent query.
     pub(crate) stats: EngineStats,
-    /// Swarm position buffer (gathering queries).
-    positions: Vec<Vec2>,
-    /// Swarm piece-index buffer (gathering queries).
-    indices: Vec<usize>,
 }
 
 impl EngineScratch {
-    /// A fresh scratch (buffers grow on first use).
+    /// A fresh scratch.
     pub fn new() -> Self {
         EngineScratch::default()
     }
@@ -78,15 +73,6 @@ impl EngineScratch {
     /// The pruning-layer counters of the most recent pair query.
     pub fn last_stats(&self) -> EngineStats {
         self.stats
-    }
-
-    /// Swarm buffers sized for `n` robots, reused across calls.
-    pub(crate) fn swarm_buffers(&mut self, n: usize) -> (&mut Vec<Vec2>, &mut Vec<usize>) {
-        self.positions.clear();
-        self.positions.resize(n, Vec2::ZERO);
-        self.indices.clear();
-        self.indices.resize(n, 0);
-        (&mut self.positions, &mut self.indices)
     }
 }
 
@@ -402,6 +388,7 @@ mod tests {
     use super::*;
     use crate::engine::{first_contact, first_contact_cursors_instrumented};
     use crate::Stationary;
+    use rvz_geometry::Vec2;
     use rvz_search::UniversalSearch;
     use rvz_trajectory::{
         Compile, CompileOptions, CompiledProgram, MonotoneTrajectory, PathBuilder,

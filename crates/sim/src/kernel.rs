@@ -804,7 +804,7 @@ fn stats_delta(now: &EngineStats, prev: &EngineStats) -> EngineStats {
 /// When either arena does not cover `opts.horizon`, when `radii` is
 /// empty or not ascending, or on invalid options/radii as in
 /// [`crate::first_contact`].
-pub fn sweep_first_contact_soa(
+pub(crate) fn sweep_first_contact_soa(
     a: &ProgramSoA,
     b: &ProgramSoA,
     radii: &[f64],

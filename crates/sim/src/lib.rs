@@ -67,19 +67,16 @@ pub mod telemetry;
 pub mod trace;
 pub mod verify;
 
-pub use batch::{
-    compile_rendezvous_partner, simulate_rendezvous_by_ref, try_simulate_rendezvous_compiled,
-};
+pub use batch::{compile_rendezvous_partner, simulate_rendezvous_by_ref};
 pub use compiled::{first_contact_programs, try_first_contact_programs, EngineScratch};
 pub use engine::{
     first_contact, first_contact_cursors, first_contact_cursors_instrumented, first_contact_dyn,
     first_contact_generic, Budget, ContactOptions, EngineStats, SimOutcome,
 };
-pub use kernel::{first_contact_soa, sweep_first_contact_soa, try_first_contact_soa, KERNEL_LANES};
+pub use kernel::{first_contact_soa, try_first_contact_soa, KERNEL_LANES};
 pub use multi::{
     first_contact_batch_soa, first_contact_streamed, first_simultaneous_gathering,
-    first_simultaneous_gathering_programs, pairwise_meetings, pairwise_meetings_programs,
-    pairwise_meetings_soa, pairwise_sweep_soa, sweep_contacts_soa, SWEEP_WINDOWS,
+    pairwise_meetings, sweep_contacts_soa,
 };
 pub use runners::{simulate_rendezvous, simulate_search};
 pub use stationary::Stationary;

@@ -15,14 +15,21 @@
 //! The gathering demo example uses both to show that pairwise feasibility
 //! does **not** obviously compose into simultaneous gathering — which is
 //! precisely why the paper leaves it open.
+//!
+//! ## The arena batch loop
+//!
+//! Over SoA arenas ([`ProgramSoA`]) there is one batch loop,
+//! [`sweep_contacts_soa`]: one reference against many partners over a
+//! radius grid, with a window-envelope prefilter and one
+//! multi-threshold ladder run per partner. [`first_contact_batch_soa`]
+//! is its one-radius row, [`first_contact_streamed`] its single-partner
+//! form over a partner lowered as a stream (the serve miss path).
 
-use crate::compiled::{first_contact_programs, EngineScratch};
+use crate::compiled::EngineScratch;
 use crate::engine::{ContactOptions, EngineStats, SimOutcome};
 use crate::kernel::{sweep_first_contact_soa, try_first_contact_soa, try_first_contact_soa_impl};
 use rvz_geometry::{Aabb, Vec2};
-use rvz_trajectory::{
-    CompiledProgram, Cursor, MonotoneDyn, ProgramSoA, ProgramView, SoaStream, Trajectory,
-};
+use rvz_trajectory::{Cursor, MonotoneDyn, ProgramSoA, ProgramView, SoaStream, Trajectory};
 
 /// First-contact times for every unordered pair in a swarm.
 ///
@@ -63,41 +70,12 @@ pub fn pairwise_meetings(
     table
 }
 
-/// [`pairwise_meetings`] over compiled programs: each robot is lowered
-/// **once** and every one of the `n(n−1)/2` pairwise queries runs on the
-/// monomorphic zero-allocation engine with a shared [`EngineScratch`] —
-/// the swarm shape where compilation amortizes best (`n` lowerings,
-/// `Θ(n²)` queries).
-///
-/// # Panics
-///
-/// Panics when fewer than two programs are supplied or when any program
-/// does not cover `opts.horizon` (compile with a matching
-/// [`CompileOptions`](rvz_trajectory::CompileOptions) horizon).
-pub fn pairwise_meetings_programs(
-    programs: &[CompiledProgram],
-    radius: f64,
-    opts: &ContactOptions,
-    scratch: &mut EngineScratch,
-) -> Vec<Vec<Option<f64>>> {
-    assert!(programs.len() >= 2, "need at least two robots");
-    let n = programs.len();
-    let mut table = vec![vec![None; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let outcome = first_contact_programs(&programs[i], &programs[j], radius, opts, scratch);
-            table[i][j] = outcome.contact_time();
-        }
-    }
-    table
-}
-
 /// Envelope windows per robot in the batch prefilter: coarse enough
 /// that the tables stay cache-resident for realistic swarms, fine
 /// enough that separated pairs are disproved without touching the
 /// kernel. Radius-independent — a sweep builds them once and reuses
 /// them for every radius.
-pub const SWEEP_WINDOWS: usize = 64;
+const SWEEP_WINDOWS: usize = 64;
 
 /// Fills `out` with `SWEEP_WINDOWS` conservative envelope boxes
 /// partitioning `[0, horizon]` for one arena.
@@ -253,14 +231,16 @@ pub fn first_contact_streamed(
     }
 }
 
-/// [`first_contact_batch_soa`] over a radius grid: window tables are
-/// radius-independent, so one table build serves every `(radius,
-/// partner)` cell, one gap-profile scan prices every threshold, and
-/// the radii the prefilter cannot disprove resolve in a **single**
-/// multi-threshold ladder run per partner
-/// ([`sweep_first_contact_soa`])
+/// The arena batch loop: one reference against many partners over a
+/// radius grid. Window tables are radius-independent, so one table
+/// build serves every `(radius, partner)` cell, one gap-profile scan
+/// prices every threshold, and the radii the prefilter cannot disprove
+/// resolve in a **single** multi-threshold ladder run per partner
 /// instead of one kernel run per `(radius, partner)` cell. Row `r` of
 /// the result is the batch outcome vector for `radii[r]`.
+///
+/// A swarm grid over arenas is the rows `sweep_contacts_soa(&arenas[i],
+/// &arenas[i + 1..], radii, …)`.
 ///
 /// # Panics
 ///
@@ -345,194 +325,6 @@ pub fn sweep_contacts_soa(
     out
 }
 
-/// [`pairwise_meetings_programs`] over SoA arenas on the lane kernel:
-/// each robot's window-envelope row is built once and every pair runs
-/// the gap prefilter before the kernel, so a spread-out swarm costs
-/// `Θ(n²)` box comparisons plus kernel time only on the pairs that
-/// genuinely approach.
-///
-/// # Panics
-///
-/// Panics when fewer than two arenas are supplied or when any arena
-/// does not cover `opts.horizon`.
-pub fn pairwise_meetings_soa(
-    arenas: &[ProgramSoA],
-    radius: f64,
-    opts: &ContactOptions,
-    scratch: &mut EngineScratch,
-) -> Vec<Vec<Option<f64>>> {
-    assert!(arenas.len() >= 2, "need at least two robots");
-    assert!(
-        arenas.iter().all(|a| a.covers(opts.horizon)),
-        "every arena must cover the horizon {}",
-        opts.horizon
-    );
-    let n = arenas.len();
-    let prefilter = opts.horizon.is_finite();
-    let mut tables = Vec::with_capacity(if prefilter { n * SWEEP_WINDOWS } else { 0 });
-    if prefilter {
-        for arena in arenas {
-            window_boxes(arena, opts.horizon, &mut tables);
-        }
-    }
-    let mut table = vec![vec![None; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if prefilter {
-                let wi = &tables[i * SWEEP_WINDOWS..(i + 1) * SWEEP_WINDOWS];
-                let wj = &tables[j * SWEEP_WINDOWS..(j + 1) * SWEEP_WINDOWS];
-                let threshold =
-                    radius + opts.tolerance + arenas[i].approx_eps() + arenas[j].approx_eps();
-                let (min_gap, argmin) = window_gap_profile(wi, wj);
-                if min_gap > threshold {
-                    disproved_outcome(&arenas[i], &arenas[j], argmin, opts.horizon);
-                    continue;
-                }
-            }
-            let outcome = try_first_contact_soa(&arenas[i], &arenas[j], radius, opts, scratch)
-                .expect("covered arenas always resolve");
-            table[i][j] = outcome.contact_time();
-        }
-    }
-    table
-}
-
-/// [`pairwise_meetings_soa`] over a radius grid: per-robot window
-/// tables are built **once**, each pair's gap profile prices every
-/// threshold from one scan, and the radii that survive the prefilter
-/// resolve in one multi-threshold ladder run per pair
-/// ([`sweep_first_contact_soa`]) —
-/// `Θ(n)` table builds and at most `n(n−1)/2` kernel runs for the
-/// whole `radii × pairs` grid. Entry `[r][i][j]` (for `i < j`) is the
-/// contact time of pair `(i, j)` at `radii[r]`, as
-/// [`pairwise_meetings_soa`] would report it.
-///
-/// # Panics
-///
-/// As for [`pairwise_meetings_soa`]; additionally when `radii` is
-/// empty.
-pub fn pairwise_sweep_soa(
-    arenas: &[ProgramSoA],
-    radii: &[f64],
-    opts: &ContactOptions,
-    scratch: &mut EngineScratch,
-) -> Vec<Vec<Vec<Option<f64>>>> {
-    assert!(arenas.len() >= 2, "need at least two robots");
-    assert!(!radii.is_empty(), "need at least one radius");
-    assert!(
-        arenas.iter().all(|a| a.covers(opts.horizon)),
-        "every arena must cover the horizon {}",
-        opts.horizon
-    );
-    let n = arenas.len();
-    let prefilter = opts.horizon.is_finite();
-    let mut tables = Vec::with_capacity(if prefilter { n * SWEEP_WINDOWS } else { 0 });
-    if prefilter {
-        for arena in arenas {
-            window_boxes(arena, opts.horizon, &mut tables);
-        }
-    }
-    let mut order: Vec<usize> = (0..radii.len()).collect();
-    order.sort_by(|&x, &y| radii[x].total_cmp(&radii[y]));
-    let mut kernel_radii: Vec<f64> = Vec::with_capacity(radii.len());
-    let mut kernel_rows: Vec<usize> = Vec::with_capacity(radii.len());
-    let mut sweep_out: Vec<SimOutcome> = Vec::with_capacity(radii.len());
-    let mut out = vec![vec![vec![None; n]; n]; radii.len()];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            kernel_radii.clear();
-            kernel_rows.clear();
-            if prefilter {
-                let wi = &tables[i * SWEEP_WINDOWS..(i + 1) * SWEEP_WINDOWS];
-                let wj = &tables[j * SWEEP_WINDOWS..(j + 1) * SWEEP_WINDOWS];
-                let (min_gap, argmin) = window_gap_profile(wi, wj);
-                let approx = arenas[i].approx_eps() + arenas[j].approx_eps();
-                for &r in &order {
-                    if min_gap > radii[r] + opts.tolerance + approx {
-                        // Telemetry parity with the per-radius path: each
-                        // disproved cell is a recorded envelope answer.
-                        disproved_outcome(&arenas[i], &arenas[j], argmin, opts.horizon);
-                    } else {
-                        kernel_rows.push(r);
-                        kernel_radii.push(radii[r]);
-                    }
-                }
-            } else {
-                kernel_rows.extend(order.iter().copied());
-                kernel_radii.extend(order.iter().map(|&r| radii[r]));
-            }
-            match kernel_rows.len() {
-                0 => {}
-                1 => {
-                    let outcome = try_first_contact_soa(
-                        &arenas[i],
-                        &arenas[j],
-                        kernel_radii[0],
-                        opts,
-                        scratch,
-                    )
-                    .expect("covered arenas always resolve");
-                    out[kernel_rows[0]][i][j] = outcome.contact_time();
-                }
-                _ => {
-                    sweep_first_contact_soa(
-                        &arenas[i],
-                        &arenas[j],
-                        &kernel_radii,
-                        opts,
-                        scratch,
-                        &mut sweep_out,
-                    );
-                    for (&r, outcome) in kernel_rows.iter().zip(&sweep_out) {
-                        out[r][i][j] = outcome.contact_time();
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// [`first_simultaneous_gathering`] over compiled programs: the diameter
-/// loop samples every robot through a flat piece-index walk, reusing the
-/// scratch's position/index buffers across calls.
-///
-/// # Panics
-///
-/// As for [`pairwise_meetings_programs`].
-pub fn first_simultaneous_gathering_programs(
-    programs: &[CompiledProgram],
-    radius: f64,
-    opts: &ContactOptions,
-    scratch: &mut EngineScratch,
-) -> SimOutcome {
-    assert!(programs.len() >= 2, "need at least two robots");
-    assert!(
-        programs.iter().all(|p| p.covers(opts.horizon)),
-        "every program must cover the horizon {}",
-        opts.horizon
-    );
-    let closing_bound: f64 = 2.0
-        * programs
-            .iter()
-            .map(|p| p.speed_bound())
-            .fold(0.0_f64, f64::max);
-    let (positions, indices) = scratch.swarm_buffers(programs.len());
-    gathering_loop(
-        positions,
-        |t, positions| {
-            for ((position, index), program) in
-                positions.iter_mut().zip(indices.iter_mut()).zip(programs)
-            {
-                *position = program.probe_from(index, t).position;
-            }
-        },
-        closing_bound,
-        radius,
-        opts,
-    )
-}
-
 /// The largest pairwise distance among sampled positions.
 fn diameter_of(positions: &[Vec2]) -> f64 {
     let mut max = 0.0_f64;
@@ -560,6 +352,10 @@ pub fn first_simultaneous_gathering(
     opts: &ContactOptions,
 ) -> SimOutcome {
     assert!(robots.len() >= 2, "need at least two robots");
+    assert!(
+        radius > 0.0 && radius.is_finite(),
+        "radius must be positive"
+    );
     let closing_bound: f64 = 2.0
         * robots
             .iter()
@@ -569,41 +365,15 @@ pub fn first_simultaneous_gathering(
     // `t`, so every position sample is an amortized-O(1) monotone query.
     let mut cursors: Vec<Box<dyn Cursor + '_>> = robots.iter().map(|r| r.dyn_cursor()).collect();
     let mut positions = vec![Vec2::ZERO; cursors.len()];
-    gathering_loop(
-        &mut positions,
-        |t, positions| {
-            for (position, cursor) in positions.iter_mut().zip(cursors.iter_mut()) {
-                *position = cursor.position(t);
-            }
-        },
-        closing_bound,
-        radius,
-        opts,
-    )
-}
-
-/// The single diameter-advancement loop behind every gathering entry
-/// point — cursor-based or compiled — parameterized over how positions
-/// are sampled. Callers supply the position buffer, so the compiled
-/// path can reuse its scratch (zero allocation per call).
-fn gathering_loop(
-    positions: &mut [Vec2],
-    mut sample: impl FnMut(f64, &mut [Vec2]),
-    closing_bound: f64,
-    radius: f64,
-    opts: &ContactOptions,
-) -> SimOutcome {
-    assert!(
-        radius > 0.0 && radius.is_finite(),
-        "radius must be positive"
-    );
     let mut t = 0.0_f64;
     let mut min_diameter = f64::INFINITY;
     let mut min_diameter_time = 0.0;
     let mut steps = 0_u64;
     loop {
-        sample(t, positions);
-        let d = diameter_of(positions);
+        for (position, cursor) in positions.iter_mut().zip(cursors.iter_mut()) {
+            *position = cursor.position(t);
+        }
+        let d = diameter_of(&positions);
         if d < min_diameter {
             min_diameter = d;
             min_diameter_time = t;
@@ -714,95 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn program_swarm_matches_cursor_swarm() {
-        use rvz_search::UniversalSearch;
-        use rvz_trajectory::{Compile, CompileOptions};
-        let horizon = rvz_search::times::rounds_total(3);
-        let opts = ContactOptions::with_horizon(horizon);
-        let robots: Vec<_> = (0..4)
-            .map(|i| {
-                let angle = std::f64::consts::TAU * i as f64 / 4.0;
-                rvz_model::RobotAttributes::reference()
-                    .with_speed(0.5 + 0.2 * i as f64)
-                    .frame_warp(UniversalSearch, Vec2::from_polar(1.0, angle))
-            })
-            .collect();
-        let programs: Vec<_> = robots
-            .iter()
-            .map(|r| r.compile(&CompileOptions::to_horizon(horizon)).unwrap())
-            .collect();
-        let mut scratch = crate::EngineScratch::new();
-        let compiled = pairwise_meetings_programs(&programs, 0.2, &opts, &mut scratch);
-        let dyn_refs: Vec<&dyn MonotoneDyn> = robots.iter().map(|r| r as _).collect();
-        let cursor = pairwise_meetings(&dyn_refs, 0.2, &opts);
-        let mut contacts = 0;
-        for i in 0..robots.len() {
-            for j in (i + 1)..robots.len() {
-                assert_eq!(
-                    compiled[i][j].is_some(),
-                    cursor[i][j].is_some(),
-                    "pair ({i}, {j}) disagrees"
-                );
-                if let (Some(tc), Some(tk)) = (compiled[i][j], cursor[i][j]) {
-                    contacts += 1;
-                    assert!((tc - tk).abs() < 1e-6 * (1.0 + tk), "{tc} vs {tk}");
-                }
-            }
-        }
-        assert!(contacts > 0, "the swarm must exercise the contact branch");
-
-        // Gathering through programs agrees with the boxed-cursor path
-        // on classification.
-        let compiled_gather =
-            first_simultaneous_gathering_programs(&programs, 0.2, &opts, &mut scratch);
-        let cursor_gather = first_simultaneous_gathering(&dyn_refs, 0.2, &opts);
-        assert_eq!(
-            compiled_gather.is_contact(),
-            cursor_gather.is_contact(),
-            "{compiled_gather} vs {cursor_gather}"
-        );
-    }
-
-    #[test]
-    fn soa_swarm_matches_program_swarm() {
-        use rvz_search::UniversalSearch;
-        use rvz_trajectory::{Compile, CompileOptions};
-        let horizon = rvz_search::times::rounds_total(3);
-        let opts = ContactOptions::with_horizon(horizon);
-        let robots: Vec<_> = (0..4)
-            .map(|i| {
-                let angle = std::f64::consts::TAU * i as f64 / 4.0;
-                rvz_model::RobotAttributes::reference()
-                    .with_speed(0.5 + 0.2 * i as f64)
-                    .frame_warp(UniversalSearch, Vec2::from_polar(1.0, angle))
-            })
-            .collect();
-        let programs: Vec<_> = robots
-            .iter()
-            .map(|r| r.compile(&CompileOptions::to_horizon(horizon)).unwrap())
-            .collect();
-        let arenas: Vec<_> = programs.iter().map(ProgramSoA::from_program).collect();
-        let mut scratch = crate::EngineScratch::new();
-        let compiled = pairwise_meetings_programs(&programs, 0.2, &opts, &mut scratch);
-        let soa = pairwise_meetings_soa(&arenas, 0.2, &opts, &mut scratch);
-        let mut contacts = 0;
-        for i in 0..robots.len() {
-            for j in (i + 1)..robots.len() {
-                assert_eq!(
-                    soa[i][j].is_some(),
-                    compiled[i][j].is_some(),
-                    "pair ({i}, {j}) disagrees"
-                );
-                if let (Some(ts), Some(tc)) = (soa[i][j], compiled[i][j]) {
-                    contacts += 1;
-                    assert!((ts - tc).abs() < 1e-6 * (1.0 + tc), "{ts} vs {tc}");
-                }
-            }
-        }
-        assert!(contacts > 0, "the swarm must exercise the contact branch");
-    }
-
-    #[test]
     fn sweep_pairwise_matches_per_radius_tables() {
         use rvz_search::UniversalSearch;
         use rvz_trajectory::{Compile, CompileOptions};
@@ -824,19 +505,27 @@ mod tests {
         // the caller's radius order.
         let radii = [0.2, 0.05, 0.5];
         let mut scratch = crate::EngineScratch::new();
-        let sweep = pairwise_sweep_soa(&arenas, &radii, &opts, &mut scratch);
-        assert_eq!(sweep.len(), radii.len());
         let mut contacts = 0;
-        for (r, &radius) in radii.iter().enumerate() {
-            let single = pairwise_meetings_soa(&arenas, radius, &opts, &mut scratch);
-            for i in 0..arenas.len() {
-                for j in (i + 1)..arenas.len() {
+        // The swarm grid is one batch row per robot against the robots
+        // after it.
+        for i in 0..arenas.len() {
+            let rows =
+                sweep_contacts_soa(&arenas[i], &arenas[i + 1..], &radii, &opts, &mut scratch);
+            assert_eq!(rows.len(), radii.len());
+            for (r, &radius) in radii.iter().enumerate() {
+                assert_eq!(rows[r].len(), arenas.len() - i - 1);
+                for (k, cell) in rows[r].iter().enumerate() {
+                    let j = i + 1 + k;
+                    let swept = cell.expect("covered arenas always resolve");
+                    let single =
+                        try_first_contact_soa(&arenas[i], &arenas[j], radius, &opts, &mut scratch)
+                            .expect("covered arenas always resolve");
                     assert_eq!(
-                        sweep[r][i][j].is_some(),
-                        single[i][j].is_some(),
+                        swept.classification(),
+                        single.classification(),
                         "radius {radius}, pair ({i}, {j})"
                     );
-                    if let (Some(ts), Some(tp)) = (sweep[r][i][j], single[i][j]) {
+                    if let (Some(ts), Some(tp)) = (swept.contact_time(), single.contact_time()) {
                         contacts += 1;
                         assert!(
                             (ts - tp).abs() < 1e-6 * (1.0 + tp),
@@ -956,28 +645,6 @@ mod tests {
             first_contact_batch_soa(&reference, &[covered, truncated], 1.0, &opts, &mut scratch);
         assert!(batch[0].is_some(), "covered partner must resolve");
         assert_eq!(batch[1], None, "truncated partner must refuse");
-    }
-
-    #[test]
-    #[should_panic(expected = "must cover the horizon")]
-    fn program_gathering_rejects_uncovered_programs() {
-        use rvz_search::UniversalSearch;
-        use rvz_trajectory::{Compile, CompileOptions};
-        let horizon = rvz_search::times::rounds_total(4);
-        let truncated: Vec<_> = (0..2)
-            .map(|i| {
-                rvz_model::RobotAttributes::reference()
-                    .frame_warp(UniversalSearch, Vec2::new(i as f64, 2.0))
-                    .compile(&CompileOptions::to_horizon(horizon).max_pieces(64))
-                    .unwrap()
-            })
-            .collect();
-        let _ = first_simultaneous_gathering_programs(
-            &truncated,
-            0.1,
-            &ContactOptions::with_horizon(horizon),
-            &mut crate::EngineScratch::new(),
-        );
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Registers a counting global allocator for this test binary and
 //! proves that, after a warm-up query, the compiled fast path
-//! ([`first_contact_programs`] and the program-swarm gathering loop),
-//! the type-erased cursor path ([`first_contact_dyn`]'s scoped stack
-//! cursors), and the SoA lane kernel ([`first_contact_soa`]) perform
-//! **zero** heap allocations per query. A positive control (an explicit
+//! ([`first_contact_programs`]), the type-erased cursor path
+//! ([`first_contact_dyn`]'s scoped stack cursors), and the SoA lane
+//! kernel ([`first_contact_soa`]) perform **zero** heap allocations per
+//! query. A positive control (an explicit
 //! allocation observed by the counter) guards against the vacuous pass
 //! where the allocator silently failed to register.
 //!
@@ -18,8 +18,7 @@ use rvz_geometry::Vec2;
 use rvz_model::RobotAttributes;
 use rvz_search::UniversalSearch;
 use rvz_sim::{
-    first_contact_dyn, first_contact_programs, first_contact_soa,
-    first_simultaneous_gathering_programs, ContactOptions, EngineScratch,
+    first_contact_dyn, first_contact_programs, first_contact_soa, ContactOptions, EngineScratch,
 };
 use rvz_trajectory::{Compile, CompileOptions, CompiledProgram, MonotoneDyn, ProgramSoA};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -111,7 +110,7 @@ fn compiled_queries_allocate_nothing_after_warmup() {
     let programs = swarm(4, horizon);
     let mut scratch = EngineScratch::new();
 
-    // Warm-up: first queries may lazily size scratch buffers.
+    // Warm-up: first queries may initialize lazy state.
     for i in 0..programs.len() {
         for j in (i + 1)..programs.len() {
             first_contact_programs(&programs[i], &programs[j], 0.1, &opts, &mut scratch);
@@ -133,18 +132,6 @@ fn compiled_queries_allocate_nothing_after_warmup() {
         }
     });
     assert_eq!(during, 0, "compiled pair queries allocated {during} times");
-
-    // Gathering reuses the scratch's swarm buffers after its warm-up.
-    first_simultaneous_gathering_programs(&programs, 0.1, &opts, &mut scratch);
-    let gather = min_allocs(|| {
-        std::hint::black_box(first_simultaneous_gathering_programs(
-            &programs,
-            0.1,
-            &opts,
-            &mut scratch,
-        ));
-    });
-    assert_eq!(gather, 0, "gathering allocated {gather} times after warmup");
 }
 
 #[test]

@@ -317,8 +317,9 @@ Serve feasibility/first-contact/sweep queries over HTTP/1.1 with a
 sharded LRU cache keyed by each scenario's attribute-symmetry orbit.
 --port 0 binds an ephemeral port (printed on startup). --cache-grid is
 the canonicalization step, snapped to a power of two (default 2^-30;
-0 = bit-exact keys); --no-cache simulates every request (the loadtest
-baseline). Engine flags mirror `rvz sweep`. A miss runs the SoA lane
+0 = bit-exact keys); --no-cache simulates every request the way a miss
+runs, so its answers are byte-identical to the cached server's (the
+loadtest baseline). Engine flags mirror `rvz sweep`. A miss runs the SoA lane
 kernel on arenas streamed under --compile-budget pieces per trajectory
 (default 32768) and falls back to the cursor engine when the kernel
 refuses; 0 serves every miss on the cursor engine. Stop with POST
