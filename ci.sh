@@ -27,15 +27,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo test --release -p rvz-trajectory (release-only contracts: t >= 0 asserts)"
+cargo test --release --quiet -p rvz-trajectory
+
 echo "==> compiled-engine allocation gate (zero heap allocations per query)"
 cargo test --release --quiet -p rvz-sim --test alloc_gate
 
-echo "==> differential fuzz (fixed seed budget: five engine paths agree)"
+echo "==> differential fuzz (fixed seed budget: four engine paths agree)"
 # The seeded harness in tests/differential_fuzz.rs runs the generic,
-# cursor, compiled-eager, compiled-lazy, and SoA lane-kernel paths on
-# random scenario x trajectory-stack draws and requires agreement
-# within the certified tolerance. The budget and seed are pinned so CI
-# is deterministic.
+# cursor, compiled-eager, and SoA lane-kernel paths on random scenario
+# x trajectory-stack draws and requires agreement within the certified
+# tolerance; the streamed serve miss path must equal the batch kernel
+# exactly on every stack. The budget and seed are pinned so CI is
+# deterministic.
 RVZ_FUZZ_CASES=24 RVZ_FUZZ_SEED=3134984190 \
     cargo test --release --quiet --test differential_fuzz
 

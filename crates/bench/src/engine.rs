@@ -15,8 +15,9 @@
 //! pair lowers under the piece budget — through the monomorphic
 //! compiled-program engine ([`rvz_sim::first_contact_programs`]),
 //! recording wall time, advancement steps, lowering cost (eager
-//! `compile_eager_ns` to the horizon vs streaming `compile_lazy_ns` to
-//! the query's resolution depth, plus `pieces` and the certified
+//! `compile_eager_ns` to the horizon vs `compile_lazy_ns`, the
+//! [`SoaStream`] lowering serve runs, to the query's resolution depth,
+//! plus `pieces` and the certified
 //! `approx_eps` for curved sources) and per-query allocation counts for
 //! each. Recording steps and allocations alongside time is what makes a
 //! speedup attributable: fewer queries (analytic jumps), cheaper
@@ -40,7 +41,7 @@ use rvz_sim::{
     SimOutcome, KERNEL_LANES,
 };
 use rvz_trajectory::{
-    Compile, CompileOptions, CompiledProgram, MonotoneDyn, PathBuilder, ProgramSoA,
+    Compile, CompileOptions, CompiledProgram, MonotoneDyn, PathBuilder, ProgramSoA, SoaStream,
 };
 use std::time::Instant;
 
@@ -309,10 +310,11 @@ pub struct CompiledSample {
     /// Nanoseconds to eagerly lower both trajectories to the horizon
     /// (what a cold cache pays up front).
     pub compile_eager_ns: f64,
-    /// Nanoseconds for the streaming path to materialize only the span
-    /// this query actually visited ([`rvz_trajectory::LazyProgram`]
-    /// construction plus `drive_to` the resolution time) — the
-    /// lowering tax a single cold query pays under streaming.
+    /// Nanoseconds for the streaming lowering to materialize the span
+    /// this query visited ([`SoaStream::new`] plus
+    /// [`SoaStream::extend`] to the resolution time, for both
+    /// trajectories) — the lowering tax a single cold query pays on
+    /// serve's streamed miss path.
     pub compile_lazy_ns: f64,
     /// Certified approximation bound the engine folded into its contact
     /// threshold (the larger of the two arenas'; `0` for exactly
@@ -485,12 +487,12 @@ pub fn measure_case(case: &EngineCase, iters: u32) -> CaseMeasurement {
             };
             let copts = case.compile_options();
             let lazy_start = Instant::now();
-            let la = rvz_trajectory::LazyProgram::new(&*case.a, copts);
-            let lb = rvz_trajectory::LazyProgram::new(&*case.b, copts);
-            la.drive_to(resolved);
-            lb.drive_to(resolved);
+            let mut la = SoaStream::new(&*case.a, copts);
+            let mut lb = SoaStream::new(&*case.b, copts);
+            la.extend(resolved);
+            lb.extend(resolved);
             let compile_lazy_ns = lazy_start.elapsed().as_nanos() as f64;
-            std::hint::black_box((&la, &lb));
+            std::hint::black_box((la.arena(), lb.arena()));
 
             // The lane-kernel row over arenas built from the same
             // programs — the kernel-vs-scalar comparison on identical

@@ -37,7 +37,7 @@ use rvz_experiments::{
 };
 use rvz_model::{feasibility, Chirality, RobotAttributes};
 use rvz_sim::{first_contact_streamed, Budget, ContactOptions, EngineScratch, SimOutcome};
-use rvz_trajectory::{Compile, CompileOptions, ProgramSoA, ProgramView, SoaStream};
+use rvz_trajectory::{Compile, CompileOptions, ProgramSoA, SoaStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

@@ -70,21 +70,20 @@ pub fn compile_rendezvous_partner<T: Compile + MonotoneTrajectory>(
         .compile(opts)
 }
 
-/// [`simulate_rendezvous_by_ref`] on the compiled fast path with a
-/// **streaming** partner: the reference program is compiled once per
-/// batch and amortized, while the warped partner runs as a
-/// [`LazyProgram`](rvz_trajectory::LazyProgram) that materializes
-/// pieces only as far as the query advances. On deep schedules whose
-/// queries resolve early this removes the dominant per-instance
-/// lowering tax.
+/// [`simulate_rendezvous_by_ref`] on the scalar compiled ladder: the
+/// partner is lowered with [`compile_rendezvous_partner`] and run
+/// against the shared reference program with
+/// [`try_first_contact_programs`], and the result is exactly theirs.
 ///
-/// Returns `None` when the query needs time the partner cannot cover
-/// (piece budget, a curved span without an
+/// Returns `None` when the partner does not lower (curved pieces
+/// without an
 /// [`approx_tolerance`](rvz_trajectory::CompileOptions::approx_tolerance),
-/// an uncertifiable bound) — the caller falls back to the cursor path.
-/// A returned outcome always equals the run on the eagerly lowered
-/// partner ([`compile_rendezvous_partner`] +
-/// [`try_first_contact_programs`]).
+/// an uncertifiable bound, a budget trip with truncation off) or when
+/// the query needs time a truncated program does not cover; the caller
+/// falls back to the cursor path.
+///
+/// Kept only because `perfbench`'s sweep replay calls it; it goes when
+/// the benchmark harness stops calling it.
 pub fn try_simulate_rendezvous_lazy<T: Compile + MonotoneTrajectory>(
     reference: &CompiledProgram,
     algorithm: &T,
@@ -93,11 +92,8 @@ pub fn try_simulate_rendezvous_lazy<T: Compile + MonotoneTrajectory>(
     compile: &CompileOptions,
     scratch: &mut EngineScratch,
 ) -> Option<SimOutcome> {
-    let partner = instance
-        .attributes()
-        .frame_warp(algorithm, instance.offset());
-    let lazy = rvz_trajectory::LazyProgram::new(&partner, *compile);
-    try_first_contact_programs(reference, &lazy, instance.visibility(), opts, scratch)
+    let partner = compile_rendezvous_partner(algorithm, instance, compile).ok()?;
+    try_first_contact_programs(reference, &partner, instance.visibility(), opts, scratch)
 }
 
 #[cfg(test)]
@@ -121,40 +117,52 @@ mod tests {
     fn lazy_batch_matches_eager_and_cursor() {
         let attrs = RobotAttributes::reference().with_speed(0.5);
         let opts = ContactOptions::default();
-        let compile = CompileOptions::to_horizon(opts.horizon);
-        let reference = UniversalSearch.compile(&compile).unwrap();
+        let full = CompileOptions::to_horizon(opts.horizon);
+        let reference = UniversalSearch.compile(&full).unwrap();
         let mut scratch = EngineScratch::new();
-        for d in [0.4, 0.9, 1.5] {
-            let inst = RendezvousInstance::new(Vec2::new(0.0, d), 0.05, attrs).unwrap();
-            let lazy = try_simulate_rendezvous_lazy(
-                &reference,
-                &UniversalSearch,
-                &inst,
-                &opts,
-                &compile,
-                &mut scratch,
-            )
-            .expect("lazy partner covers the resolved span");
-            let partner = compile_rendezvous_partner(&UniversalSearch, &inst, &compile)
-                .expect("the partner lowers");
-            let eager = try_first_contact_programs(
-                &reference,
-                &partner,
-                inst.visibility(),
-                &opts,
-                &mut scratch,
-            )
-            .expect("eager partner covers the horizon");
-            let cursor = simulate_rendezvous_by_ref(&UniversalSearch, &inst, &opts);
-            // Step counts may differ when the eager partner
-            // budget-truncates (its round marks stop at the truncated
-            // end, the lazy program's reach the horizon), but the
-            // verdict and contact time must agree across all three.
-            for other in [&eager, &cursor] {
-                assert_eq!(lazy.classification(), other.classification(), "d = {d}");
-                let (tl, to) = (lazy.contact_time().unwrap(), other.contact_time().unwrap());
-                assert!((tl - to).abs() < 1e-6, "d = {d}: {tl} vs {to}");
+        // The default budget, a truncating budget that answers the near
+        // placement and refuses the two farther ones, and a failing
+        // lowering: the entry point answers exactly as the two eager
+        // calls do, `None` included.
+        let budgets = [
+            full,
+            full.max_pieces(64),
+            full.max_pieces(64).truncate(false),
+        ];
+        let mut refusals = 0;
+        for compile in budgets {
+            for d in [0.4, 0.9, 1.5] {
+                let inst = RendezvousInstance::new(Vec2::new(0.0, d), 0.05, attrs).unwrap();
+                let lazy = try_simulate_rendezvous_lazy(
+                    &reference,
+                    &UniversalSearch,
+                    &inst,
+                    &opts,
+                    &compile,
+                    &mut scratch,
+                );
+                let eager = compile_rendezvous_partner(&UniversalSearch, &inst, &compile)
+                    .ok()
+                    .and_then(|partner| {
+                        try_first_contact_programs(
+                            &reference,
+                            &partner,
+                            inst.visibility(),
+                            &opts,
+                            &mut scratch,
+                        )
+                    });
+                assert_eq!(lazy, eager, "d = {d}, {compile:?}");
+                let Some(lazy) = lazy else {
+                    refusals += 1;
+                    continue;
+                };
+                let cursor = simulate_rendezvous_by_ref(&UniversalSearch, &inst, &opts);
+                assert_eq!(lazy.classification(), cursor.classification(), "d = {d}");
+                let (tl, tc) = (lazy.contact_time().unwrap(), cursor.contact_time().unwrap());
+                assert!((tl - tc).abs() < 1e-6, "d = {d}: {tl} vs {tc}");
             }
         }
+        assert_eq!(refusals, 2 + 3, "truncated refusals plus failed lowerings");
     }
 }

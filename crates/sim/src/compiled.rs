@@ -5,8 +5,7 @@
 //! generality per probe: frame-warp matrix products, schedule round
 //! arithmetic, and (on the heterogeneous swarm path) virtual dispatch
 //! through `Box<dyn Cursor>`. This module runs the *same certificate
-//! ladder* on two flat [`CompiledProgram`](rvz_trajectory::CompiledProgram)
-//! arenas instead:
+//! ladder* on two flat [`CompiledProgram`] arenas instead:
 //!
 //! * a probe is an index bump plus one fused multiply-add (the warp and
 //!   clock arithmetic were baked into the pieces at lowering time);
@@ -20,17 +19,13 @@
 //! * the whole query runs without a single heap allocation — enforced
 //!   by a counting-allocator test gate (`tests/alloc_gate.rs`).
 //!
-//! ## Program views
+//! ## Certified approximate pieces
 //!
-//! The engine is generic over [`ProgramView`]: the eager
-//! [`CompiledProgram`](rvz_trajectory::CompiledProgram) (baked envelope
-//! tree, zero work per query beyond the ladder itself) and the
-//! streaming [`LazyProgram`](rvz_trajectory::LazyProgram) (pieces
-//! materialize on demand, so the lowering cost is proportional to the
-//! time the query actually examines) run through the same ladder.
-//! Views carrying certified approximate pieces fold their error bound
-//! into the contact threshold — see
-//! [`try_first_contact_programs`] for the soundness argument.
+//! Programs carrying certified approximate pieces fold their error
+//! bound into the contact threshold — see
+//! [`try_first_contact_programs`] for the soundness argument. The
+//! streaming lowering ([`SoaStream`](rvz_trajectory::SoaStream)) feeds
+//! the lane kernel (`crate::kernel`), not this ladder.
 //!
 //! ## Partial programs
 //!
@@ -50,7 +45,7 @@
 use crate::engine::{
     circular_pair_law, piece_gap_lower_bound, ContactOptions, EngineStats, SimOutcome,
 };
-use rvz_trajectory::{Motion, ProgramView};
+use rvz_trajectory::{CompiledProgram, Motion};
 
 /// Reusable per-worker workspace for the compiled and SoA engines.
 ///
@@ -83,9 +78,9 @@ impl EngineScratch {
 /// Panics when either program does not cover `opts.horizon` (use
 /// [`try_first_contact_programs`] for budget-truncated programs), and on
 /// invalid options/radius as in [`crate::first_contact`].
-pub fn first_contact_programs<A: ProgramView + ?Sized, B: ProgramView + ?Sized>(
-    a: &A,
-    b: &B,
+pub fn first_contact_programs(
+    a: &CompiledProgram,
+    b: &CompiledProgram,
     radius: f64,
     opts: &ContactOptions,
     scratch: &mut EngineScratch,
@@ -94,20 +89,15 @@ pub fn first_contact_programs<A: ProgramView + ?Sized, B: ProgramView + ?Sized>(
         a.covers(opts.horizon) && b.covers(opts.horizon),
         "programs must cover the horizon {} (covered: {} / {})",
         opts.horizon,
-        a.covered_end(),
-        b.covered_end()
+        a.end_time(),
+        b.end_time()
     );
     try_first_contact_programs(a, b, radius, opts, scratch)
         .expect("fully covered programs always resolve")
 }
 
-/// First contact between two program views, tolerating truncated
+/// First contact between two compiled programs, tolerating truncated
 /// coverage.
-///
-/// Generic over [`ProgramView`], so it accepts any mix of eager
-/// [`CompiledProgram`](rvz_trajectory::CompiledProgram)s and streaming
-/// [`LazyProgram`](rvz_trajectory::LazyProgram)s — the latter
-/// materialize pieces only as far as the query actually advances.
 ///
 /// Returns `Some` when the query resolves within the covered span — a
 /// contact (or the horizon) no later than both programs' covered end —
@@ -118,8 +108,8 @@ pub fn first_contact_programs<A: ProgramView + ?Sized, B: ProgramView + ?Sized>(
 ///
 /// ## Certified approximate pieces
 ///
-/// When a view carries certified approximate pieces
-/// ([`ProgramView::approx_eps`] > 0), the contact threshold is inflated
+/// When a program carries certified approximate pieces
+/// ([`CompiledProgram::approx_eps`] > 0), the contact threshold is inflated
 /// by `εₐ + ε_b`: every probe sits within that sum of the true pair
 /// distance, so a **contact** verdict certifies a true contact at
 /// tolerance `tolerance + 2(εₐ + ε_b)`, and a **horizon** verdict
@@ -132,28 +122,27 @@ pub fn first_contact_programs<A: ProgramView + ?Sized, B: ProgramView + ?Sized>(
 /// # Panics
 ///
 /// On invalid options or radius, as in [`crate::first_contact`].
-pub fn try_first_contact_programs<A: ProgramView + ?Sized, B: ProgramView + ?Sized>(
-    a: &A,
-    b: &B,
+pub fn try_first_contact_programs(
+    a: &CompiledProgram,
+    b: &CompiledProgram,
     radius: f64,
     opts: &ContactOptions,
     scratch: &mut EngineScratch,
 ) -> Option<SimOutcome> {
-    let path = if a.is_streaming() || b.is_streaming() {
-        crate::telemetry::EnginePath::CompiledLazy
-    } else {
-        crate::telemetry::EnginePath::CompiledEager
-    };
     let out = try_first_contact_programs_impl(a, b, radius, opts, scratch);
-    crate::telemetry::record(path, out.as_ref(), scratch.stats);
+    crate::telemetry::record(
+        crate::telemetry::EnginePath::CompiledEager,
+        out.as_ref(),
+        scratch.stats,
+    );
     out
 }
 
 /// The compiled ladder proper (telemetry recorded by the public wrapper
 /// above).
-fn try_first_contact_programs_impl<A: ProgramView + ?Sized, B: ProgramView + ?Sized>(
-    a: &A,
-    b: &B,
+fn try_first_contact_programs_impl(
+    a: &CompiledProgram,
+    b: &CompiledProgram,
     radius: f64,
     opts: &ContactOptions,
     scratch: &mut EngineScratch,
@@ -174,12 +163,6 @@ fn try_first_contact_programs_impl<A: ProgramView + ?Sized, B: ProgramView + ?Si
         "approx bounds must be finite and >= 0, got {approx}"
     );
     let threshold = radius + opts.tolerance + approx;
-    if !a.covers(0.0) || !b.covers(0.0) {
-        // A view may fail to cover even t = 0 (a lazy program whose
-        // source refuses immediately): refuse before the first probe.
-        scratch.stats = EngineStats::default();
-        return None;
-    }
 
     let mut ia = 0_usize;
     let mut ib = 0_usize;
@@ -373,8 +356,6 @@ fn try_first_contact_programs_impl<A: ProgramView + ?Sized, B: ProgramView + ?Si
         t = t_next.min(opts.horizon);
         if !a.covers(t) || !b.covers(t) {
             // The query needs uncovered time: refuse rather than guess.
-            // (Lazy views materialize pieces inside `covers` before
-            // answering, so a `true` here also warms the next probe.)
             scratch.stats = stats;
             return None;
         }

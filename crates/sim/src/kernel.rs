@@ -77,8 +77,8 @@
 //! kernel reaches an interval at its exact `t0` while the scalar ladder
 //! arrives via accumulated `t + Δ` sums, so times differ by ulps);
 //! `tests/engine_equivalence.rs` and `tests/differential_fuzz.rs` gate
-//! both, and the SoA arena itself is gated **bit-for-bit** against the
-//! eager program under the scalar ladder.
+//! both, and the SoA arena's probes and envelope boxes are gated
+//! **bit-for-bit** against the eager program's.
 
 use crate::compiled::EngineScratch;
 use crate::engine::{
@@ -86,7 +86,7 @@ use crate::engine::{
 };
 use rvz_geometry::Vec2;
 use rvz_trajectory::soa::AFFINE;
-use rvz_trajectory::{Motion, Probe, ProgramSoA, ProgramView};
+use rvz_trajectory::{Motion, Probe, ProgramSoA};
 
 /// Merged intervals evaluated per chunk scan. Eight f64 lanes = two
 /// AVX2 vectors (or four NEON) per column — wide enough to amortize
@@ -118,8 +118,8 @@ pub fn first_contact_soa(
         a.covers(opts.horizon) && b.covers(opts.horizon),
         "arenas must cover the horizon {} (covered: {} / {})",
         opts.horizon,
-        a.covered_end(),
-        b.covered_end()
+        a.end_time(),
+        b.end_time()
     );
     try_first_contact_soa(a, b, radius, opts, scratch).expect("fully covered arenas always resolve")
 }
@@ -493,8 +493,8 @@ pub(crate) fn try_first_contact_soa_impl(
     let mut miss_streak = 0_u32;
 
     let outcome = loop {
-        let pa = ProgramView::probe_from(a, &mut ia, t);
-        let pb = ProgramView::probe_from(b, &mut ib, t);
+        let pa = a.probe_from(&mut ia, t);
+        let pb = b.probe_from(&mut ib, t);
         let d = pa.position.distance(pb.position);
         debug_assert!(
             d.is_finite(),
@@ -733,8 +733,8 @@ pub(crate) fn try_first_contact_soa_impl(
                         return Err(end);
                     }
                     stats.envelope_queries += 2;
-                    let ea = a.envelope_box_impl(t_next, end);
-                    let eb = b.envelope_box_impl(t_next, end);
+                    let ea = a.envelope_box(t_next, end);
+                    let eb = b.envelope_box(t_next, end);
                     if ea.gap(&eb) > threshold {
                         stats.pruned_intervals += 1;
                         t_next += span;
@@ -826,8 +826,8 @@ pub(crate) fn sweep_first_contact_soa(
         a.covers(opts.horizon) && b.covers(opts.horizon),
         "arenas must cover the horizon {} (covered: {} / {})",
         opts.horizon,
-        a.covered_end(),
-        b.covered_end()
+        a.end_time(),
+        b.end_time()
     );
     let rel_speed = a.speed_bound() + b.speed_bound();
     assert!(
@@ -862,8 +862,8 @@ pub(crate) fn sweep_first_contact_soa(
     // `None` when every radius resolved by contact; `Some(outcome)`
     // terminates all still-unresolved radii at once.
     let terminal = 'run: loop {
-        let pa = ProgramView::probe_from(a, &mut ia, t);
-        let pb = ProgramView::probe_from(b, &mut ib, t);
+        let pa = a.probe_from(&mut ia, t);
+        let pb = b.probe_from(&mut ib, t);
         let d = pa.position.distance(pb.position);
         debug_assert!(
             d.is_finite(),
@@ -1088,8 +1088,8 @@ pub(crate) fn sweep_first_contact_soa(
                         break;
                     }
                     stats.envelope_queries += 2;
-                    let ea = a.envelope_box_impl(t_next, t_next + span);
-                    let eb = b.envelope_box_impl(t_next, t_next + span);
+                    let ea = a.envelope_box(t_next, t_next + span);
+                    let eb = b.envelope_box(t_next, t_next + span);
                     if ea.gap(&eb) > threshold {
                         stats.pruned_intervals += 1;
                         t_next += span;

@@ -29,7 +29,7 @@ use crate::compiled::EngineScratch;
 use crate::engine::{ContactOptions, EngineStats, SimOutcome};
 use crate::kernel::{sweep_first_contact_soa, try_first_contact_soa, try_first_contact_soa_impl};
 use rvz_geometry::{Aabb, Vec2};
-use rvz_trajectory::{Cursor, MonotoneDyn, ProgramSoA, ProgramView, SoaStream, Trajectory};
+use rvz_trajectory::{Cursor, MonotoneDyn, ProgramSoA, SoaStream, Trajectory};
 
 /// First-contact times for every unordered pair in a swarm.
 ///
@@ -88,7 +88,7 @@ fn window_boxes(soa: &ProgramSoA, horizon: f64, out: &mut Vec<Aabb>) {
         } else {
             (w + 1) as f64 * dt
         };
-        out.push(soa.envelope_box_impl(t0, t1));
+        out.push(soa.envelope_box(t0, t1));
     }
 }
 
@@ -119,8 +119,8 @@ fn disproved_outcome(a: &ProgramSoA, b: &ProgramSoA, argmin: usize, horizon: f64
     let dt = horizon / SWEEP_WINDOWS as f64;
     let mid = ((argmin as f64 + 0.5) * dt).min(horizon);
     let (mut ia, mut ib) = (0_usize, 0_usize);
-    let pa = ProgramView::probe_from(a, &mut ia, mid);
-    let pb = ProgramView::probe_from(b, &mut ib, mid);
+    let pa = a.probe_from(&mut ia, mid);
+    let pb = b.probe_from(&mut ib, mid);
     let outcome = SimOutcome::Horizon {
         min_distance: pa.position.distance(pb.position),
         min_distance_time: mid,

@@ -26,10 +26,8 @@ pub enum EnginePath {
     Generic,
     /// The monotone-cursor engine with swept-envelope pruning.
     Cursor,
-    /// The compiled engine over fully lowered (eager) programs.
+    /// The scalar compiled ladder over eagerly lowered programs.
     CompiledEager,
-    /// The compiled engine with at least one streaming (lazy) view.
-    CompiledLazy,
     /// The lane kernel over structure-of-arrays arenas
     /// (`rvz_sim::kernel`), including the many-vs-many batch entry
     /// points.
@@ -43,7 +41,6 @@ impl EnginePath {
             EnginePath::Generic => "generic",
             EnginePath::Cursor => "cursor",
             EnginePath::CompiledEager => "compiled-eager",
-            EnginePath::CompiledLazy => "compiled-lazy",
             EnginePath::CompiledSoA => "compiled-soa",
         }
     }
@@ -106,10 +103,6 @@ fn path_counters(path: EnginePath) -> (&'static Counter, &'static Counter) {
             counter!("rvz_engine_queries_total", "path" => "compiled-eager"),
             counter!("rvz_engine_steps_total", "path" => "compiled-eager"),
         ),
-        EnginePath::CompiledLazy => (
-            counter!("rvz_engine_queries_total", "path" => "compiled-lazy"),
-            counter!("rvz_engine_steps_total", "path" => "compiled-lazy"),
-        ),
         EnginePath::CompiledSoA => (
             counter!("rvz_engine_queries_total", "path" => "compiled-soa"),
             counter!("rvz_engine_steps_total", "path" => "compiled-soa"),
@@ -171,9 +164,7 @@ pub(crate) fn record(path: EnginePath, outcome: Option<&SimOutcome>, stats: Engi
     counter!("rvz_engine_steps_analytic_total").add(stats.analytic_steps);
     counter!("rvz_engine_steps_conservative_total").add(stats.conservative_steps);
     match path {
-        EnginePath::CompiledEager | EnginePath::CompiledLazy => {
-            dispatch_counter(false).inc();
-        }
+        EnginePath::CompiledEager => dispatch_counter(false).inc(),
         EnginePath::CompiledSoA => {
             dispatch_counter(true).inc();
             counter!("rvz_engine_kernel_chunks_total").add(stats.lane_chunks);
@@ -190,7 +181,6 @@ pub fn preregister_metrics() {
         EnginePath::Generic,
         EnginePath::Cursor,
         EnginePath::CompiledEager,
-        EnginePath::CompiledLazy,
         EnginePath::CompiledSoA,
     ] {
         let _ = path_counters(path);
@@ -242,7 +232,6 @@ mod tests {
         assert_eq!(EnginePath::Generic.label(), "generic");
         assert_eq!(EnginePath::Cursor.label(), "cursor");
         assert_eq!(EnginePath::CompiledEager.label(), "compiled-eager");
-        assert_eq!(EnginePath::CompiledLazy.label(), "compiled-lazy");
         assert_eq!(EnginePath::CompiledSoA.label(), "compiled-soa");
     }
 }

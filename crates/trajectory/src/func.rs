@@ -75,7 +75,7 @@ impl<F: Fn(f64) -> Vec2> FnTrajectory<F> {
 
 impl<F: Fn(f64) -> Vec2> Trajectory for FnTrajectory<F> {
     fn position(&self, t: f64) -> Vec2 {
-        debug_assert!(t >= 0.0 && !t.is_nan(), "position requires t >= 0, got {t}");
+        assert!(t >= 0.0 && !t.is_nan(), "position requires t >= 0, got {t}");
         let t = match self.duration {
             Some(d) => t.min(d),
             None => t,

@@ -33,10 +33,10 @@
 //!   Curved motions lower to certified approximate pieces carrying a
 //!   proven error bound when [`CompileOptions::approx_tolerance`] is
 //!   set (see the [`program`] module docs);
-//! * [`LazyProgram`] — the streaming counterpart: the same pieces
-//!   materialized on demand behind the dense start-time index, so
-//!   compile cost is proportional to the time a query actually examines
-//!   rather than the horizon (see the [`lazy`] module docs).
+//! * [`ProgramSoA`] / [`SoaStream`] — the same arena in
+//!   structure-of-arrays layout for the lane kernel, either transposed
+//!   from an eager program or lowered as a stream straight into the
+//!   columns, only as far as queries need (see the [`soa`] module docs).
 //!
 //! ## Example
 //!
@@ -59,7 +59,6 @@
 pub mod cursor;
 pub mod drift;
 pub mod func;
-pub mod lazy;
 pub mod monotone;
 pub mod path;
 pub mod program;
@@ -70,14 +69,13 @@ pub mod warp;
 pub use cursor::StreamCursor;
 pub use drift::ClockDrift;
 pub use func::FnTrajectory;
-pub use lazy::LazyProgram;
 pub use monotone::{
     Cursor, GenericCursor, MonotoneDyn, MonotoneGuard, MonotoneTrajectory, Motion, Probe,
 };
 pub use path::{Path, PathBuilder};
 pub use program::{
     lower_program, sampled_chord_bound, Compile, CompileError, CompileOptions, CompiledProgram,
-    Piece, ProgramCursor, ProgramView,
+    Piece, ProgramCursor,
 };
 pub use segment::Segment;
 pub use soa::{CircularLaw, ProgramSoA, SoaStream};

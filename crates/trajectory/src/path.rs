@@ -152,7 +152,7 @@ impl Path {
 
 impl Trajectory for Path {
     fn position(&self, t: f64) -> Vec2 {
-        debug_assert!(t >= 0.0 && !t.is_nan(), "position requires t >= 0, got {t}");
+        assert!(t >= 0.0 && !t.is_nan(), "position requires t >= 0, got {t}");
         match self.segment_index_at(t) {
             Some(i) => self.segments[i].position_at(t - self.starts[i]),
             None => self.end_position(),

@@ -29,9 +29,10 @@
 //! *deliberately* refused (or truncated — see
 //! [`CompileOptions::truncate`]) rather than silently materializing
 //! millions of pieces. The eager lowering is one consumer of the shared
-//! piece producer; [`crate::LazyProgram`] drains the same producer *on
-//! demand*, so compile cost is proportional to the time a query actually
-//! examines rather than the horizon.
+//! piece producer; [`SoaStream`](crate::SoaStream) drains the same
+//! producer *on demand*, straight into structure-of-arrays columns, so
+//! lowering cost is proportional to the time a query actually examines
+//! rather than the horizon.
 //!
 //! Trajectories that expose a [`Motion::Curved`] piece (the Archimedean
 //! spiral, arbitrary `FnTrajectory` closures) have no exact closed-form
@@ -53,8 +54,7 @@
 //! [`MonotoneTrajectory`](crate::MonotoneTrajectory)
 //! over its covered span, so it flows through every existing engine
 //! entry point; the dedicated monomorphic fast path lives in
-//! `rvz_sim::compiled` and is generic over [`ProgramView`], the facade
-//! shared by eager and lazy programs.
+//! `rvz_sim::compiled` and runs on two [`CompiledProgram`]s.
 
 use crate::monotone::{Cursor, MonotoneDyn, MonotoneGuard, Motion, Probe};
 use crate::Trajectory;
@@ -473,14 +473,43 @@ impl CompiledProgram {
     /// truncated program; callers gate on [`CompiledProgram::covers`].
     #[inline]
     pub fn probe_from(&self, index: &mut usize, t: f64) -> Probe {
-        probe_pieces(
-            &self.pieces,
-            &self.starts,
-            self.rest,
-            self.end_time,
-            index,
-            t,
-        )
+        // A short linear walk (the common case: the next piece or the
+        // one after), then a binary search over the remaining starts —
+        // a pruning skip can jump an entire Θ(4ᵏ) round, and walking it
+        // piece by piece would swamp the query.
+        let pieces = &self.pieces;
+        let n = pieces.len();
+        let mut i = *index;
+        let mut hops = 0;
+        while i < n && t >= pieces[i].t1 {
+            i += 1;
+            hops += 1;
+            if hops == 8 && i < n && t >= pieces[i].t1 {
+                i += self.starts[i..].partition_point(|&s| s <= t);
+                i = i.saturating_sub(1).max(*index);
+                // The found piece may already be finished (t == its t1
+                // exactly); let the loop's next test settle it.
+                while i < n && t >= pieces[i].t1 {
+                    i += 1;
+                }
+                break;
+            }
+        }
+        *index = i;
+        if i == n {
+            debug_assert!(
+                self.rest.is_some() || t <= self.end_time * (1.0 + 16.0 * f64::EPSILON),
+                "probe at t={t} beyond the covered span {}",
+                self.end_time
+            );
+            return match self.rest {
+                Some(p) => Probe::resting(p),
+                // `t == end_time` on a truncated program: the boundary
+                // itself still evaluates on the final piece.
+                None => pieces[n - 1].probe_at(t.min(self.end_time)),
+            };
+        }
+        pieces[i].probe_at(t)
     }
 
     /// The swept envelope over `[t0, t1]` as a bounding box: contains
@@ -585,54 +614,6 @@ pub(crate) fn tree_range_union(tree: &[Aabb], size: usize, l: usize, r: usize) -
     acc
 }
 
-/// The shared indexed probe walk over a piece arena: a short linear walk
-/// (the common case: the next piece or the one after), then a binary
-/// search over the remaining starts — a pruning skip can jump an entire
-/// Θ(4ᵏ) round, and walking it piece by piece would swamp the query.
-/// Used by both [`CompiledProgram::probe_from`] and the lazy arena, so
-/// the two answer identically on identical piece prefixes.
-#[inline]
-pub(crate) fn probe_pieces(
-    pieces: &[Piece],
-    starts: &[f64],
-    rest: Option<Vec2>,
-    end_time: f64,
-    index: &mut usize,
-    t: f64,
-) -> Probe {
-    let n = pieces.len();
-    let mut i = *index;
-    let mut hops = 0;
-    while i < n && t >= pieces[i].t1 {
-        i += 1;
-        hops += 1;
-        if hops == 8 && i < n && t >= pieces[i].t1 {
-            i += starts[i..].partition_point(|&s| s <= t);
-            i = i.saturating_sub(1).max(*index);
-            // The found piece may already be finished (t == its t1
-            // exactly); let the loop's next test settle it.
-            while i < n && t >= pieces[i].t1 {
-                i += 1;
-            }
-            break;
-        }
-    }
-    *index = i;
-    if i == n {
-        debug_assert!(
-            rest.is_some() || t <= end_time * (1.0 + 16.0 * f64::EPSILON),
-            "probe at t={t} beyond the covered span {end_time}"
-        );
-        return match rest {
-            Some(p) => Probe::resting(p),
-            // `t == end_time` on a truncated program: the boundary
-            // itself still evaluates on the final piece.
-            None => pieces[n - 1].probe_at(t.min(end_time)),
-        };
-    }
-    pieces[i].probe_at(t)
-}
-
 /// A box grown to stay sound `span` time units past its certificate,
 /// at speed `s` (∞-safe).
 pub(crate) fn grow_box(base: Aabb, s: f64, span: f64) -> Aabb {
@@ -712,115 +693,6 @@ impl crate::monotone::MonotoneTrajectory for CompiledProgram {
             index: 0,
             guard: MonotoneGuard::default(),
         }
-    }
-}
-
-/// The facade the compiled engine (`rvz_sim::compiled`) is generic
-/// over: everything a first-contact query needs from a program arena,
-/// implemented by the eager [`CompiledProgram`] and the streaming
-/// [`crate::LazyProgram`].
-///
-/// The contract mirrors the eager program's: [`ProgramView::covers`] is
-/// the *extend-and-check* coverage test — a lazy implementation may
-/// materialize pieces to answer it, so a `true` return promises that
-/// probes up to `t` are now answerable. Probes and envelope queries on
-/// a lazy view likewise materialize on demand; beyond an exhausted
-/// coverage boundary, envelope queries stay sound by growing at the
-/// speed bound while probes are out of contract (engine callers gate
-/// every advance on `covers`).
-pub trait ProgramView {
-    /// The wrapped trajectory's speed bound.
-    fn speed_bound(&self) -> f64;
-
-    /// An upper bound on every [`Piece::eps`] the view can expose: the
-    /// engine folds `a.approx_eps() + b.approx_eps()` into its contact
-    /// threshold. Must never increase after a query has started (the
-    /// eager program reports its arena maximum; the lazy program
-    /// reports the requested compile tolerance a priori).
-    fn approx_eps(&self) -> f64;
-
-    /// Extend-and-check coverage: `true` promises every probe in
-    /// `[0, t]` is answerable exactly.
-    fn covers(&self, t: f64) -> bool;
-
-    /// The time currently covered by materialized pieces (for
-    /// diagnostics and panic messages).
-    fn covered_end(&self) -> f64;
-
-    /// Forward probe driven by an external index; see
-    /// [`CompiledProgram::probe_from`].
-    fn probe_from(&self, index: &mut usize, t: f64) -> Probe;
-
-    /// The swept envelope over `[t0, t1]` as a bounding box; see
-    /// [`CompiledProgram::envelope_box`].
-    fn envelope_box(&self, t0: f64, t1: f64) -> Aabb;
-
-    /// The first round mark strictly after `t`, if any.
-    fn next_mark_after(&self, t: f64) -> Option<f64>;
-
-    /// `true` for views that materialize pieces on demand (the lazy
-    /// program). Purely observational — engine telemetry uses it to
-    /// attribute a query to the eager or streaming compiled path; it
-    /// must never influence the answer.
-    fn is_streaming(&self) -> bool {
-        false
-    }
-}
-
-macro_rules! forward_program_view {
-    ($($ptr:ty),*) => {$(
-        impl<T: ProgramView + ?Sized> ProgramView for $ptr {
-            fn speed_bound(&self) -> f64 {
-                (**self).speed_bound()
-            }
-            fn approx_eps(&self) -> f64 {
-                (**self).approx_eps()
-            }
-            fn covers(&self, t: f64) -> bool {
-                (**self).covers(t)
-            }
-            fn covered_end(&self) -> f64 {
-                (**self).covered_end()
-            }
-            fn probe_from(&self, index: &mut usize, t: f64) -> Probe {
-                (**self).probe_from(index, t)
-            }
-            fn envelope_box(&self, t0: f64, t1: f64) -> Aabb {
-                (**self).envelope_box(t0, t1)
-            }
-            fn next_mark_after(&self, t: f64) -> Option<f64> {
-                (**self).next_mark_after(t)
-            }
-            fn is_streaming(&self) -> bool {
-                (**self).is_streaming()
-            }
-        }
-    )*};
-}
-
-forward_program_view!(&T, Box<T>, std::rc::Rc<T>, std::sync::Arc<T>);
-
-impl ProgramView for CompiledProgram {
-    fn speed_bound(&self) -> f64 {
-        CompiledProgram::speed_bound(self)
-    }
-    fn approx_eps(&self) -> f64 {
-        CompiledProgram::approx_eps(self)
-    }
-    fn covers(&self, t: f64) -> bool {
-        CompiledProgram::covers(self, t)
-    }
-    fn covered_end(&self) -> f64 {
-        self.end_time()
-    }
-    fn probe_from(&self, index: &mut usize, t: f64) -> Probe {
-        CompiledProgram::probe_from(self, index, t)
-    }
-    fn envelope_box(&self, t0: f64, t1: f64) -> Aabb {
-        CompiledProgram::envelope_box(self, t0, t1)
-    }
-    fn next_mark_after(&self, t: f64) -> Option<f64> {
-        CompiledProgram::next_mark_after(self, t)
     }
 }
 
@@ -984,11 +856,11 @@ pub(crate) enum LoweredStep {
 }
 
 /// The single piece producer behind both the eager lowering and
-/// [`crate::LazyProgram`]: drives a cursor forward, applies the ulp
-/// stall nudges, and (when a [`CurvedApprox`] handler is present)
+/// [`SoaStream`](crate::SoaStream): drives a cursor forward, applies the
+/// ulp stall nudges, and (when a [`CurvedApprox`] handler is present)
 /// subdivides curved spans into certified affine chords. Because both
-/// consumers drain the *same* producer, a lazy program's materialized
-/// prefix is bit-identical to the eager lowering's.
+/// consumers drain the *same* producer, a stream's materialized prefix
+/// is bit-identical to the eager lowering's.
 pub(crate) struct PieceStream<'h, C> {
     cursor: C,
     handler: Option<CurvedApprox<'h>>,
@@ -1242,23 +1114,16 @@ fn lower_impl(
             LoweredStep::Finished => break,
         }
     }
-    Ok(assemble_program(pieces, marks, rest, speed_bound, None))
+    Ok(assemble_program(pieces, marks, rest, speed_bound))
 }
 
 /// Bakes a piece arena into a [`CompiledProgram`]: envelope tree,
-/// dense start index, mark filtering. Shared by eager lowering and
-/// [`crate::LazyProgram::freeze`].
-///
-/// `mark_end` overrides the mark cutoff: `None` keeps only marks within
-/// the pieces' span (eager semantics), `Some(h)` keeps marks up to `h`
-/// regardless of coverage (a frozen lazy prefix keeps its full mark
-/// list so that replayed queries seed identical pruning windows).
-pub(crate) fn assemble_program(
+/// dense start index, and the marks within the pieces' span.
+fn assemble_program(
     pieces: Vec<Piece>,
     marks: Vec<f64>,
     rest: Option<Vec2>,
     speed_bound: f64,
-    mark_end: Option<f64>,
 ) -> CompiledProgram {
     let end_time = pieces.last().map_or(0.0, |p| p.t1);
     let approx_eps = pieces.iter().fold(0.0_f64, |acc, p| acc.max(p.eps));
@@ -1266,15 +1131,7 @@ pub(crate) fn assemble_program(
     // Bake the envelope tree.
     let (tree, size) = bake_tree(pieces.iter().map(Piece::bounding_box));
 
-    // Keep only in-cutoff, strictly increasing marks.
-    let cutoff = mark_end.unwrap_or(end_time);
-    let mut marks: Vec<f64> = marks
-        .into_iter()
-        .filter(|&m| m.is_finite() && m > 0.0 && m <= cutoff)
-        .collect();
-    marks.sort_by(f64::total_cmp);
-    marks.dedup();
-
+    let marks = normalize_marks(marks, end_time);
     let starts = pieces.iter().map(|p| p.t0).collect();
     CompiledProgram {
         pieces,
@@ -1287,6 +1144,18 @@ pub(crate) fn assemble_program(
         marks,
         approx_eps,
     }
+}
+
+/// Round marks as both arenas keep them: finite, positive, at most
+/// `end`, strictly increasing.
+pub(crate) fn normalize_marks(marks: Vec<f64>, end: f64) -> Vec<f64> {
+    let mut marks: Vec<f64> = marks
+        .into_iter()
+        .filter(|&m| m.is_finite() && m > 0.0 && m <= end)
+        .collect();
+    marks.sort_by(f64::total_cmp);
+    marks.dedup();
+    marks
 }
 
 // ------------------------------------------------------------------

@@ -22,15 +22,16 @@
 //! the columns, only as far as queries need: its arena is a **prefix**
 //! of the one `from_program` builds on the eager lowering, and it says
 //! exactly which queries a prefix answers as the finished arena would
-//! ([`ProgramSoA::settled`]). The SoA arena is itself a
-//! [`ProgramView`] (it bakes the same envelope tree), so every scalar
-//! engine entry point runs on a finished arena unchanged; that
-//! equivalence is the bit-for-bit gate in `tests/engine_equivalence.rs`.
+//! ([`ProgramSoA::settled`]). Probes and envelope boxes on an arena are
+//! bit-identical to the source program's (it bakes the same envelope
+//! tree); `tests/engine_equivalence.rs` gates that on a time grid, and
+//! `tests/lazy_prefix.rs` gates every open prefix of a stream against
+//! the eager arena.
 
 use crate::monotone::{Cursor, Motion, Probe};
 use crate::program::{
-    bake_tree, grow_box, tree_range_union, Compile, CompileError, CompileOptions, CompiledProgram,
-    CurvedApprox, LoweredStep, Piece, PieceStream, ProgramView,
+    bake_tree, grow_box, normalize_marks, tree_range_union, Compile, CompileError, CompileOptions,
+    CompiledProgram, CurvedApprox, LoweredStep, Piece, PieceStream,
 };
 use rvz_geometry::{Aabb, Vec2};
 
@@ -52,8 +53,7 @@ pub struct CircularLaw {
     pub angle: f64,
 }
 
-/// Pieces reserved per column growth step of a [`SoaStream`]: matches
-/// the lazy arena's own materialization chunk.
+/// Pieces reserved per column growth step of a [`SoaStream`].
 const APPEND_CHUNK: usize = 256;
 
 /// The first prefix a [`SoaStream`] materializes covers at least
@@ -106,12 +106,7 @@ impl ProgramSoA {
         mark_end: f64,
         approx_eps: f64,
     ) -> Self {
-        let mut marks: Vec<f64> = marks
-            .into_iter()
-            .filter(|&m| m.is_finite() && m > 0.0 && m <= mark_end)
-            .collect();
-        marks.sort_by(f64::total_cmp);
-        marks.dedup();
+        let marks = normalize_marks(marks, mark_end);
         ProgramSoA {
             t0: Vec::with_capacity(capacity),
             t1: Vec::with_capacity(capacity),
@@ -347,66 +342,29 @@ impl ProgramSoA {
             .min(self.t0.len().saturating_sub(1))
     }
 
-    /// [`CompiledProgram::envelope_box`], lane edition: identical tree
-    /// layout, identical chunk math, so the box is bit-identical to the
-    /// source program's on the same query.
-    pub fn envelope_box_impl(&self, t0: f64, t1: f64) -> Aabb {
-        let t1 = t1.max(t0);
-        if self.t0.is_empty() {
-            return Aabb::point(self.rest.unwrap_or(Vec2::ZERO));
-        }
-        if let Some(p) = self.rest {
-            if t0 >= self.end_time {
-                return Aabb::point(p);
-            }
-            return self.envelope_within(t0, t1.min(self.end_time));
-        }
-        if t0 >= self.end_time {
-            let anchor = self.piece(self.len() - 1).position_at(self.end_time);
-            return grow_box(Aabb::point(anchor), self.speed_bound, t1 - self.end_time);
-        }
-        if t1 > self.end_time {
-            let base = self.envelope_within(t0, self.end_time);
-            return grow_box(base, self.speed_bound, t1 - self.end_time);
-        }
-        self.envelope_within(t0, t1)
-    }
-
-    fn envelope_within(&self, t0: f64, t1: f64) -> Aabb {
-        let i0 = self.piece_index_at(t0);
-        let i1 = self.piece_index_at(t1);
-        let p0 = self.piece(i0);
-        let first = p0.chunk_box(t0, t1.min(p0.t1));
-        if i0 == i1 {
-            return first;
-        }
-        let p1 = self.piece(i1);
-        let last = p1.chunk_box(p1.t0, t1);
-        let mut acc = first.union(&last);
-        if i1 > i0 + 1 {
-            acc = acc.union(&tree_range_union(&self.tree, self.size, i0 + 1, i1 - 1));
-        }
-        acc
-    }
-}
-
-impl ProgramView for ProgramSoA {
-    fn speed_bound(&self) -> f64 {
+    /// The wrapped trajectory's speed bound.
+    pub fn speed_bound(&self) -> f64 {
         self.speed_bound
     }
 
-    fn approx_eps(&self) -> f64 {
+    /// The largest certified error bound in the arena (`0.0` for an
+    /// exactly lowered source); the engine folds it into its contact
+    /// threshold.
+    pub fn approx_eps(&self) -> f64 {
         self.approx_eps
     }
 
-    /// An open prefix covers only its settled span (see
-    /// [`ProgramSoA::settled`]).
-    fn covers(&self, t: f64) -> bool {
+    /// `true` when every query in `[0, t]` is answerable exactly, as
+    /// [`CompiledProgram::covers`]; an open prefix covers only its
+    /// settled span (see [`ProgramSoA::settled`]).
+    pub fn covers(&self, t: f64) -> bool {
         self.rest.is_some() || (t <= self.end_time && t < self.frontier)
     }
 
-    fn covered_end(&self) -> f64 {
-        self.end_time
+    /// The first round mark strictly after `t`, if any.
+    pub fn next_mark_after(&self, t: f64) -> Option<f64> {
+        let i = self.marks.partition_point(|&m| m <= t);
+        self.marks.get(i).copied()
     }
 
     /// The indexed probe walk of [`CompiledProgram::probe_from`] over
@@ -414,7 +372,7 @@ impl ProgramView for ProgramSoA {
     /// reconstructed on the fly, so probes are bit-identical to the
     /// source program's.
     #[inline]
-    fn probe_from(&self, index: &mut usize, t: f64) -> Probe {
+    pub fn probe_from(&self, index: &mut usize, t: f64) -> Probe {
         let n = self.t1.len();
         let mut i = *index;
         let mut hops = 0;
@@ -458,13 +416,46 @@ impl ProgramView for ProgramSoA {
         self.piece(i).probe_at(t)
     }
 
-    fn envelope_box(&self, t0: f64, t1: f64) -> Aabb {
-        self.envelope_box_impl(t0, t1)
+    /// [`CompiledProgram::envelope_box`], lane edition: identical tree
+    /// layout, identical chunk math, so the box is bit-identical to the
+    /// source program's on the same query.
+    pub fn envelope_box(&self, t0: f64, t1: f64) -> Aabb {
+        let t1 = t1.max(t0);
+        if self.t0.is_empty() {
+            return Aabb::point(self.rest.unwrap_or(Vec2::ZERO));
+        }
+        if let Some(p) = self.rest {
+            if t0 >= self.end_time {
+                return Aabb::point(p);
+            }
+            return self.envelope_within(t0, t1.min(self.end_time));
+        }
+        if t0 >= self.end_time {
+            let anchor = self.piece(self.len() - 1).position_at(self.end_time);
+            return grow_box(Aabb::point(anchor), self.speed_bound, t1 - self.end_time);
+        }
+        if t1 > self.end_time {
+            let base = self.envelope_within(t0, self.end_time);
+            return grow_box(base, self.speed_bound, t1 - self.end_time);
+        }
+        self.envelope_within(t0, t1)
     }
 
-    fn next_mark_after(&self, t: f64) -> Option<f64> {
-        let i = self.marks.partition_point(|&m| m <= t);
-        self.marks.get(i).copied()
+    fn envelope_within(&self, t0: f64, t1: f64) -> Aabb {
+        let i0 = self.piece_index_at(t0);
+        let i1 = self.piece_index_at(t1);
+        let p0 = self.piece(i0);
+        let first = p0.chunk_box(t0, t1.min(p0.t1));
+        if i0 == i1 {
+            return first;
+        }
+        let p1 = self.piece(i1);
+        let last = p1.chunk_box(p1.t0, t1);
+        let mut acc = first.union(&last);
+        if i1 > i0 + 1 {
+            acc = acc.union(&tree_range_union(&self.tree, self.size, i0 + 1, i1 - 1));
+        }
+        acc
     }
 }
 
@@ -492,7 +483,7 @@ impl ProgramView for ProgramSoA {
 /// # Example
 ///
 /// ```
-/// use rvz_trajectory::{CompileOptions, PathBuilder, ProgramView, SoaStream};
+/// use rvz_trajectory::{CompileOptions, PathBuilder, SoaStream};
 /// use rvz_geometry::Vec2;
 ///
 /// let path = PathBuilder::at(Vec2::ZERO)
@@ -716,7 +707,7 @@ mod tests {
             let t0 = horizon * w as f64 / 61.0;
             for span in [0.0, 0.03, 0.9, 4.2, horizon, f64::INFINITY] {
                 let a = program.envelope_box(t0, t0 + span);
-                let b = soa.envelope_box_impl(t0, t0 + span);
+                let b = soa.envelope_box(t0, t0 + span);
                 assert_eq!(a, b, "window [{t0}, {}]", t0 + span);
             }
         }
@@ -795,10 +786,7 @@ mod tests {
             let t = end * i as f64 / 500.0;
             assert_eq!(prefix.probe_from(&mut ia, t), eager.probe_from(&mut ib, t));
             let w = (t + 7.5).min(end.next_down());
-            assert_eq!(
-                prefix.envelope_box_impl(t, w),
-                eager.envelope_box_impl(t, w)
-            );
+            assert_eq!(prefix.envelope_box(t, w), eager.envelope_box(t, w));
         }
         stream.extend(0.0);
         assert!(stream.arena().end_time() >= 2.0 * end, "extensions double");
@@ -829,9 +817,6 @@ mod tests {
             soa.probe_from(&mut i, 3.0).position,
             program.probe_from(&mut j, 3.0).position
         );
-        assert_eq!(
-            soa.envelope_box_impl(0.0, 10.0),
-            program.envelope_box(0.0, 10.0)
-        );
+        assert_eq!(soa.envelope_box(0.0, 10.0), program.envelope_box(0.0, 10.0));
     }
 }

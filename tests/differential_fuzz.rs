@@ -1,4 +1,4 @@
-//! Differential fuzzing of the five first-contact engine paths.
+//! Differential fuzzing of the four first-contact engine paths.
 //!
 //! A seeded generator draws random rendezvous scenarios — attribute
 //! frames, offsets, radii — crossed with trajectory stacks (plain
@@ -7,16 +7,16 @@
 //!
 //! 1. the seed conservative-advancement loop (`first_contact_generic`),
 //! 2. the monotone-cursor engine (`first_contact_cursors`),
-//! 3. the compiled engine over **eager** programs,
-//! 4. the compiled engine over **streaming** [`LazyProgram`] views,
-//! 5. the SoA lane kernel (`try_first_contact_soa`) over arenas built
+//! 3. the scalar compiled ladder over eager programs,
+//! 4. the SoA lane kernel (`try_first_contact_soa`) over arenas built
 //!    from the eager programs.
 //!
 //! On top of the agreement, the streamed partner of the serve miss
 //! path (`first_contact_streamed` over a `SoaStream`) must equal the
-//! batch kernel over the eager arena exactly, every outcome field.
+//! batch kernel over the eager arena exactly, every outcome field, on
+//! every stack.
 //!
-//! All five must agree within the certified tolerance: identical
+//! All four must agree within the certified tolerance: identical
 //! classifications with contact times in a slack band scaled by the
 //! folded approximation bound, or a contact/horizon split only inside
 //! the `radius ± (tolerance + 2ε)` band that the ε-folding soundness
@@ -37,9 +37,7 @@ use plane_rendezvous::sim::{
     first_contact_batch_soa, first_contact_cursors, first_contact_streamed,
     try_first_contact_programs, try_first_contact_soa, EngineScratch,
 };
-use plane_rendezvous::trajectory::{
-    ClockDrift, Compile, CompileOptions, LazyProgram, ProgramSoA, SoaStream,
-};
+use plane_rendezvous::trajectory::{ClockDrift, Compile, CompileOptions, ProgramSoA, SoaStream};
 
 /// Pointwise tolerance requested for curved spans; exact stacks ignore
 /// it and report a realized ε of zero.
@@ -255,25 +253,29 @@ fn run_case(case: &FuzzCase) -> Result<bool, String> {
 
     // The streamed partner (the serve miss path) must answer bit for bit
     // as the batch kernel over the eager arena — every field, steps
-    // included — on the exact stacks, which stream prefix by prefix.
-    // (Curved stacks stream in one step to exactly the eager arena: the
-    // engine folds an arena-wide ε only the whole arena knows.)
-    if case.stack <= 1 {
-        let mut stream =
-            SoaStream::new(&*b, CompileOptions::to_horizon(horizon).max_pieces(1 << 18));
-        let streamed = first_contact_streamed(&sa, &mut stream, case.radius, &opts, &mut scratch);
-        let batch = first_contact_batch_soa(
-            &sa,
-            std::slice::from_ref(&sb),
-            case.radius,
-            &opts,
-            &mut scratch,
-        )
-        .pop()
-        .flatten();
-        if format!("{streamed:?}") != format!("{batch:?}") {
-            return Err(format!("streamed {streamed:?} vs batch {batch:?}"));
-        }
+    // included — on every stack. Exact partners stream prefix by prefix
+    // under serve's options (no tolerance: their eager arena is the same
+    // either way); the curved partner of stack 2 needs the eager arms'
+    // tolerance and streams in one step, because the engine folds an
+    // arena-wide ε only the whole arena knows.
+    let stream_opts = if case.stack == 2 {
+        copts
+    } else {
+        CompileOptions::to_horizon(horizon).max_pieces(1 << 18)
+    };
+    let mut stream = SoaStream::new(&*b, stream_opts);
+    let streamed = first_contact_streamed(&sa, &mut stream, case.radius, &opts, &mut scratch);
+    let batch = first_contact_batch_soa(
+        &sa,
+        std::slice::from_ref(&sb),
+        case.radius,
+        &opts,
+        &mut scratch,
+    )
+    .pop()
+    .flatten();
+    if format!("{streamed:?}") != format!("{batch:?}") {
+        return Err(format!("streamed {streamed:?} vs batch {batch:?}"));
     }
     let soa = match try_first_contact_soa(&sa, &sb, case.radius, &opts, &mut scratch) {
         Some(out) => out,
@@ -286,25 +288,6 @@ fn run_case(case: &FuzzCase) -> Result<bool, String> {
         return Err(format!("compiled-eager vs soa-kernel: {why}"));
     }
 
-    let la = LazyProgram::new(&*a, copts);
-    let lb = LazyProgram::new(&*b, copts);
-    // Lazy views report the *a-priori* requested tolerance (they cannot
-    // know the realized bound before materializing), so their certified
-    // band is wider than the eager programs' realized one.
-    let lazy_eps = {
-        use plane_rendezvous::trajectory::ProgramView;
-        la.approx_eps() + lb.approx_eps()
-    };
-    let lazy = match try_first_contact_programs(&la, &lb, case.radius, &opts, &mut scratch) {
-        Some(out) => out,
-        None => return Ok(false),
-    };
-    if let Some(why) = agrees(&generic, &lazy, case.radius, lazy_eps) {
-        return Err(format!("generic vs compiled-lazy: {why}"));
-    }
-    if let Some(why) = agrees(&eager, &lazy, case.radius, eps_total + lazy_eps) {
-        return Err(format!("compiled-eager vs compiled-lazy: {why}"));
-    }
     Ok(true)
 }
 

@@ -121,14 +121,15 @@ fn bound_calculators_reject_out_of_domain_parameters() {
 #[test]
 fn all_four_engine_paths_surface_deadline_precisely() {
     use plane_rendezvous::sim::{
-        first_contact_cursors, try_first_contact_programs, Budget, EngineScratch,
+        first_contact_cursors, first_contact_streamed, try_first_contact_programs,
+        try_first_contact_soa, Budget, EngineScratch,
     };
-    use plane_rendezvous::trajectory::{Compile, CompileOptions, LazyProgram};
+    use plane_rendezvous::trajectory::{Compile, CompileOptions, ProgramSoA, SoaStream};
     use std::time::Duration;
 
-    // An already-expired budget checked every 4 steps: every path must
-    // stop at exactly its first check boundary — `steps == 4` — and
-    // report Deadline, not Horizon/StepBudget/hang.
+    // An already-expired budget checked every 4 steps: the scalar paths
+    // must stop at exactly their first check boundary — `steps == 4` —
+    // and every path must report Deadline, not Horizon/StepBudget/hang.
     let attrs = RobotAttributes::new(0.8, 1.1, 0.3, Chirality::Consistent);
     let partner = attrs.frame_warp(UniversalSearch, Vec2::new(1.5, 0.9));
     let horizon = times::rounds_total(3);
@@ -172,12 +173,27 @@ fn all_four_engine_paths_surface_deadline_precisely() {
             .expect("deadline is a definitive outcome, not a coverage refusal"),
     );
 
-    let la = LazyProgram::new(&UniversalSearch, copts);
-    let lb = LazyProgram::new(&partner, copts);
-    assert_deadline(
-        "compiled-lazy",
-        try_first_contact_programs(&la, &lb, radius, &opts, &mut scratch)
-            .expect("deadline is a definitive outcome, not a coverage refusal"),
+    // The lane kernel checks the budget at lane-jump granularity, so its
+    // step count at the first check past the boundary is its own; the
+    // streamed partner (the serve miss path) must report exactly the
+    // kernel's Deadline on the eager arenas, every field.
+    let sa = ProgramSoA::from_program(&ea);
+    let sb = ProgramSoA::from_program(&eb);
+    let kernel = try_first_contact_soa(&sa, &sb, radius, &opts, &mut scratch)
+        .expect("deadline is a definitive outcome, not a coverage refusal");
+    let mut stream = SoaStream::new(&partner, copts);
+    let streamed = first_contact_streamed(&sa, &mut stream, radius, &opts, &mut scratch)
+        .expect("deadline is a definitive outcome, not a coverage refusal");
+    match streamed {
+        SimOutcome::Deadline { time, .. } => {
+            assert!(time >= 0.0 && time <= horizon, "streamed: time {time}")
+        }
+        other => panic!("streamed: expected Deadline, got {other}"),
+    }
+    assert_eq!(
+        format!("{streamed:?}"),
+        format!("{kernel:?}"),
+        "streamed deadline must equal the kernel's on the eager arenas"
     );
 }
 

@@ -1,108 +1,138 @@
-//! Streaming-lowering prefix equivalence: a [`LazyProgram`] driven to
-//! any depth must be **bit-identical** to the eager lowering on the
-//! span it has materialized — same pieces, same marks, same probes,
-//! same envelope boxes.
+//! Streaming-lowering prefix equivalence: a [`SoaStream`] grown to any
+//! depth must be **bit-identical** to the eager lowering on the span it
+//! has materialized — its arena is the first `n` rows of
+//! `ProgramSoA::from_program` of the eager program, with the same
+//! marks, and answers the same probes and envelope boxes.
 //!
-//! This is the contract that makes the streaming fast path a drop-in
-//! replacement: both paths pull from the same piece stream, so the lazy
-//! arena is a literal prefix of the eager arena (no re-derived
-//! geometry, no tolerance slop), and every engine-visible query over
-//! the covered span answers identically down to the last ulp.
+//! This is the contract that lets the serve miss path run the lane
+//! kernel on an open prefix: both lowerings pull from the same piece
+//! stream, so the streamed arena is a literal prefix of the eager arena
+//! (no re-derived geometry, no tolerance slop), and every query over
+//! the settled span answers identically down to the last ulp.
 
 use plane_rendezvous::core::WaitAndSearch;
 use plane_rendezvous::prelude::*;
-use plane_rendezvous::trajectory::{
-    ClockDrift, Compile, CompileOptions, CompiledProgram, LazyProgram, ProgramView,
-};
+use plane_rendezvous::trajectory::{ClockDrift, Compile, CompileOptions, ProgramSoA, SoaStream};
 
-/// Drives `lazy` to a ladder of depths and checks the materialized
-/// prefix against the eager arena after every step.
-fn assert_prefix_equivalence(label: &str, source: &dyn Compile, opts: CompileOptions) {
-    let eager = source.compile(&opts).expect("eager lowering succeeds");
-    let lazy = LazyProgram::new(source, opts);
-    assert_eq!(
-        lazy.materialized_pieces(),
-        0,
-        "{label}: construction must not lower"
-    );
+fn bits(column: &[f64]) -> Vec<u64> {
+    column.iter().map(|x| x.to_bits()).collect()
+}
 
-    let horizon = opts.horizon;
-    for step in 1..=8 {
-        let t = horizon * step as f64 / 8.0;
-        lazy.drive_to(t);
-        let n = lazy.materialized_pieces();
-        let prefix = lazy.pieces_snapshot();
-        assert_eq!(
-            prefix.as_slice(),
-            &eager.pieces()[..n],
-            "{label}: lazy pieces diverge from the eager arena at depth t={t}"
-        );
-        assert!(
-            lazy.covered_end() >= t.min(eager.end_time()),
-            "{label}: drive_to({t}) left the frontier at {}",
-            lazy.covered_end()
-        );
+/// Checks an open prefix against the first `prefix.len()` rows of the
+/// eager arena, and every query strictly below its materialized end.
+fn assert_prefix_rows(label: &str, prefix: &ProgramSoA, eager: &ProgramSoA) {
+    let n = prefix.len();
+    assert!(n <= eager.len(), "{label}: prefix longer than the arena");
+    for (name, p, e) in [
+        ("t0", prefix.t0s(), eager.t0s()),
+        ("t1", prefix.t1s(), eager.t1s()),
+        ("pos0x", prefix.pos0xs(), eager.pos0xs()),
+        ("pos0y", prefix.pos0ys(), eager.pos0ys()),
+        ("vx", prefix.vxs(), eager.vxs()),
+        ("vy", prefix.vys(), eager.vys()),
+        ("eps", prefix.epss(), eager.epss()),
+    ] {
+        assert_eq!(bits(p), bits(&e[..n]), "{label}: column {name} diverges");
+    }
+    assert_eq!(prefix.circ_column(), &eager.circ_column()[..n], "{label}");
+    for i in 0..n {
+        assert_eq!(prefix.piece(i), eager.piece(i), "{label}: piece {i}");
     }
 
-    // The full mark list is fixed at construction and identical to the
-    // eager program's (both filter the source's round marks to the
-    // horizon; nothing truncated here).
-    assert_eq!(
-        lazy.marks_snapshot(),
-        eager.round_marks(),
-        "{label}: mark lists diverge"
-    );
+    // The open prefix carries the full mark list up to the horizon,
+    // which is the eager arena's (nothing truncated here).
+    assert_eq!(prefix.round_marks(), eager.round_marks(), "{label}: marks");
+    let mut m = 0.0;
+    while let Some(next) = prefix.next_mark_after(m) {
+        assert_eq!(
+            Some(next),
+            eager.next_mark_after(m),
+            "{label}: mark after {m}"
+        );
+        m = next;
+    }
+    assert_eq!(eager.next_mark_after(m), None, "{label}: mark after {m}");
 
-    // Engine-visible queries: probes and envelope boxes agree bit for
-    // bit across the covered span, including the hint-index protocol.
-    let end = lazy.covered_end().min(eager.end_time());
-    let (mut hint_lazy, mut hint_eager) = (0usize, 0usize);
-    for i in 0..=600 {
+    // Engine-visible queries over the settled span: probes (including
+    // the hint-index protocol) and envelope boxes agree bit for bit.
+    let end = prefix.end_time();
+    let (mut hint_prefix, mut hint_eager) = (0usize, 0usize);
+    for i in 0..600 {
         let t = end * i as f64 / 600.0;
-        let pl = lazy.probe_from(&mut hint_lazy, t);
+        assert!(prefix.settled(t) && prefix.covers(t), "{label}: t={t}");
+        let pp = prefix.probe_from(&mut hint_prefix, t);
         let pe = eager.probe_from(&mut hint_eager, t);
-        assert_eq!(pl, pe, "{label}: probe diverges at t={t}");
+        assert_eq!(pp, pe, "{label}: probe diverges at t={t}");
     }
     for w in 0..23 {
         let t0 = end * w as f64 / 23.0;
         for span in [0.05, end / 11.0, end / 3.0] {
-            let t1 = (t0 + span).min(end);
+            let t1 = (t0 + span).min(end.next_down());
             assert_eq!(
-                lazy.envelope_box(t0, t1),
+                prefix.envelope_box(t0, t1),
                 eager.envelope_box(t0, t1),
                 "{label}: envelope diverges on [{t0}, {t1}]"
             );
         }
     }
-    let mut m = 0.0;
-    loop {
-        let (nl, ne) = (lazy.next_mark_after(m), eager.next_mark_after(m));
-        assert_eq!(nl, ne, "{label}: next mark after {m} diverges");
-        match nl {
-            Some(next) => m = next,
-            None => break,
+}
+
+/// Grows a stream through a ladder of 8 depths, extending only where
+/// a query at that depth would refuse (as the serve miss path does),
+/// and checks every open prefix against the eager arena. Returns how
+/// many open prefixes were checked.
+fn assert_prefix_equivalence(label: &str, source: &dyn Compile, opts: CompileOptions) -> usize {
+    let eager = ProgramSoA::from_program(&source.compile(&opts).expect("eager lowering succeeds"));
+    let mut stream = SoaStream::new(source, opts);
+    assert_eq!(
+        stream.arena().len(),
+        0,
+        "{label}: construction must not lower"
+    );
+
+    let mut open = 0;
+    for step in 1..=8 {
+        let t = opts.horizon * step as f64 / 8.0;
+        if !stream.arena().settled(t) {
+            stream.extend(t);
         }
+        assert!(stream.error().is_none(), "{label}: stream failed at t={t}");
+        if stream.is_complete() {
+            break;
+        }
+        assert!(
+            stream.arena().settled(t),
+            "{label}: extend({t}) left it unsettled"
+        );
+        assert_prefix_rows(label, stream.arena(), &eager);
+        open += 1;
     }
+    stream.finish();
+    assert!(stream.is_complete(), "{label}");
+    assert_eq!(stream.arena(), &eager, "{label}: finished arena diverges");
+    open
 }
 
 #[test]
 fn universal_search_prefixes_match_eager() {
     let horizon = times::rounds_total(4);
-    assert_prefix_equivalence(
+    let open = assert_prefix_equivalence(
         "alg4",
         &UniversalSearch,
         CompileOptions::to_horizon(horizon).max_pieces(1 << 16),
     );
+    assert!(open >= 2, "alg4: only {open} open prefixes");
 }
 
 #[test]
 fn wait_and_search_prefixes_match_eager() {
     let horizon = plane_rendezvous::core::completion_time(4);
-    assert_prefix_equivalence(
+    let open = assert_prefix_equivalence(
         "alg7",
         &WaitAndSearch,
         CompileOptions::to_horizon(horizon).max_pieces(1 << 16),
     );
+    assert!(open >= 2, "alg7: only {open} open prefixes");
 }
 
 #[test]
@@ -111,45 +141,25 @@ fn warp_drift_stack_prefixes_match_eager() {
     let drift = ClockDrift::from_rates(UniversalSearch, &[(10.0, 0.7), (25.0, 1.3)], 0.9);
     let stack = RobotAttributes::new(0.8, 1.25, 1.1, Chirality::Mirrored)
         .frame_warp(drift, Vec2::new(0.4, -0.7));
-    assert_prefix_equivalence(
+    let open = assert_prefix_equivalence(
         "warp∘drift",
         &stack,
         CompileOptions::to_horizon(horizon).max_pieces(1 << 16),
     );
+    assert!(open >= 2, "warp∘drift: only {open} open prefixes");
 }
 
 #[test]
 fn certified_spiral_prefixes_match_eager() {
     use plane_rendezvous::baselines::ArchimedeanSpiral;
-    assert_prefix_equivalence(
+    // The arena-wide ε is known only once every chord exists, so a
+    // certified source streams in one step, straight to the eager arena.
+    let open = assert_prefix_equivalence(
         "spiral",
         &ArchimedeanSpiral::for_visibility(0.05),
         CompileOptions::to_horizon(40.0)
             .max_pieces(1 << 18)
             .approx_tolerance(1e-5),
     );
-}
-
-#[test]
-fn freeze_replays_as_an_eager_program() {
-    // The serve-cache contract: freezing the materialized prefix yields
-    // a CompiledProgram whose queries over the frozen span are
-    // bit-identical to the live lazy view's.
-    let horizon = times::rounds_total(4);
-    let opts = CompileOptions::to_horizon(horizon).max_pieces(1 << 16);
-    let lazy = LazyProgram::new(&UniversalSearch, opts);
-    lazy.drive_to(horizon * 0.6);
-    let frozen: CompiledProgram = lazy.freeze();
-    assert_eq!(frozen.pieces(), lazy.pieces_snapshot().as_slice());
-    let end = lazy.covered_end();
-    let (mut ha, mut hb) = (0usize, 0usize);
-    for i in 0..=400 {
-        // Stay strictly inside the frozen span: at the boundary the
-        // live view materializes further while the frozen arena stops.
-        let t = end * i as f64 / 401.0;
-        assert_eq!(frozen.probe_from(&mut ha, t), lazy.probe_from(&mut hb, t));
-    }
-    // Marks survive freezing in full, so replayed engine queries seed
-    // identical pruning windows.
-    assert_eq!(frozen.round_marks(), lazy.marks_snapshot().as_slice());
+    assert_eq!(open, 0, "spiral: a certified source has no open prefix");
 }
