@@ -334,8 +334,7 @@ pub struct Summary {
 ///
 /// Returns `None` for an empty sample or a NaN `p` (an empty slice used
 /// to panic here through `clamp` with `min > max`); `p` is clamped into
-/// `[0, 100]` otherwise. Shared by the sweep [`Summary`] and the
-/// `rvz loadtest` latency report.
+/// `[0, 100]` otherwise. Used by the sweep [`Summary`].
 ///
 /// # Example
 ///

@@ -222,8 +222,9 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Builds a snapshot directly from observations (for offline use,
-    /// e.g. the loadtest latency recorder).
+    /// Builds a snapshot directly from observations, without a
+    /// registry (the metrics property tests build their merge and
+    /// percentile samples with it).
     pub fn from_values(values: impl IntoIterator<Item = u64>) -> Self {
         let mut snap = HistogramSnapshot::default();
         for v in values {

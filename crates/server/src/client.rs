@@ -1,7 +1,7 @@
 //! A tiny blocking HTTP/1.1 client for `rvz serve`: the `rvz client`
-//! subcommand, the CI smoke test and the `rvz loadtest` closed-loop
-//! generator all speak through this (the workspace ships its own client
-//! so the whole serve stack stays dependency-free and testable offline).
+//! subcommand and the CI smoke test speak through this (the workspace
+//! ships its own client so the whole serve stack stays dependency-free
+//! and testable offline).
 
 use rvz_experiments::SplitMix64;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -207,7 +207,7 @@ impl RetryPolicy {
     /// Jitter multiplies the backoff by a factor in `[0.5, 1.0)` drawn
     /// from a per-policy [`SplitMix64`] stream, so synchronized
     /// clients de-correlate instead of re-stampeding the server, while
-    /// a pinned seed keeps tests and loadtests reproducible.
+    /// a pinned seed keeps tests and benchmarks reproducible.
     pub fn delay(&self, attempt: u32, retry_after_s: Option<u64>) -> Duration {
         let backoff = self
             .base

@@ -32,10 +32,10 @@
 //! single-flight), [`service`] (endpoints, admission control and the
 //! determinism contract), [`server`] (listener, bounded connection
 //! queue, workers, load shedding, graceful drain), [`client`] (the
-//! blocking client used by `rvz client`, the CI smoke and
-//! `rvz loadtest`), [`faults`] (deterministic seeded fault injection
-//! for the overload/panic-isolation test suite), [`snapshot`]
-//! (crash-safe cache snapshots for warm restarts).
+//! blocking client used by `rvz client` and the CI smoke), [`faults`]
+//! (deterministic seeded fault injection for the overload/panic-isolation
+//! test suite), [`snapshot`] (crash-safe cache snapshots for warm
+//! restarts).
 
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -89,7 +89,7 @@ impl ServerHandle {
     }
 
     /// The shared service (for in-process inspection in tests and the
-    /// loadtest harness).
+    /// periodic snapshot writer).
     pub fn service(&self) -> &Arc<Service> {
         &self.service
     }

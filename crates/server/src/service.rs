@@ -55,8 +55,8 @@ pub struct ServiceOptions {
     pub cache_grid: f64,
     /// Disables the cache entirely: every request simulates its
     /// canonical representative on the engine route a miss takes, so
-    /// response bytes are the same either way (the A/B baseline for
-    /// `rvz loadtest`).
+    /// response bytes are the same either way. Tests set it to force
+    /// engine work on every request.
     pub no_cache: bool,
     /// Engine options and batch thread count for cache misses.
     ///
@@ -696,7 +696,7 @@ impl Service {
         let canonical = scenario.canonicalize(self.opts.cache_grid);
         let contact = self.request_contact();
         let (outcome, hit) = if self.opts.no_cache {
-            // The A/B baseline bypasses the result cache only: every
+            // Cache off bypasses the result cache only: every
             // request runs the same engine route a miss takes, so the
             // bytes do not depend on the cache setting.
             (self.simulate(&canonical.scenario, &contact), false)

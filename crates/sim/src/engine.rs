@@ -151,7 +151,7 @@ pub struct ContactOptions {
     /// Enables the swept-envelope pruning layer (cursor engine only).
     ///
     /// On by default; an escape hatch for A/B measurements
-    /// (`rvz bench-engine --no-prune`, `rvz sweep --no-prune`) and for
+    /// (`rvz sweep --no-prune`, `rvz serve --no-prune`) and for
     /// exotic cursors whose envelope fallback is slower than stepping.
     /// Pruning never changes which contacts exist — envelopes are sound
     /// over-approximations — but `Horizon` outcomes may observe their
@@ -320,8 +320,7 @@ impl SimOutcome {
 
     /// The outcome's stable classification label
     /// (`"contact"` / `"horizon"` / `"step-budget"` / `"deadline"`), as
-    /// used by the engine-equivalence tests and the `BENCH_engine.json`
-    /// schema.
+    /// used by the engine-equivalence tests and engine telemetry.
     pub fn classification(&self) -> &'static str {
         match self {
             SimOutcome::Contact { .. } => "contact",
@@ -466,8 +465,8 @@ where
 }
 
 /// [`first_contact_cursors`] plus the pruning-layer work counters —
-/// the entry point `rvz bench-engine` uses to report pruned intervals
-/// alongside steps and queries.
+/// the entry point the step and telemetry-identity tests use to read
+/// pruned intervals and envelope queries alongside steps.
 ///
 /// # Panics
 ///

@@ -767,376 +767,6 @@ pub(crate) fn try_first_contact_soa_impl(
     Ok(outcome)
 }
 
-/// Counter deltas between two cumulative [`EngineStats`] snapshots —
-/// the per-radius share of a sweep ladder's work for telemetry.
-fn stats_delta(now: &EngineStats, prev: &EngineStats) -> EngineStats {
-    EngineStats {
-        pruned_intervals: now.pruned_intervals - prev.pruned_intervals,
-        envelope_queries: now.envelope_queries - prev.envelope_queries,
-        analytic_steps: now.analytic_steps - prev.analytic_steps,
-        conservative_steps: now.conservative_steps - prev.conservative_steps,
-        lane_chunks: now.lane_chunks - prev.lane_chunks,
-        lane_intervals: now.lane_intervals - prev.lane_intervals,
-    }
-}
-
-/// Resolves a whole ascending radius grid against one pair in a
-/// **single** ladder run: the ladder steps conservatively with respect
-/// to the largest *unresolved* radius, so every certificate it takes is
-/// sound for all smaller radii, and each threshold's first crossing is
-/// recorded en route. First contact times are monotone in the radius
-/// (`d(t)` is continuous), so once the largest threshold resolves at
-/// `τ` the ladder simply keeps walking from `τ` with the next one —
-/// per-cell classifications and contact times match per-radius
-/// [`first_contact_soa`] runs up to the engines' shared declaration
-/// slack. Interior dips below a *smaller* unresolved threshold cannot
-/// be skipped: conservative jumps keep the distance above the active
-/// radius, which is at least one grid step above every smaller
-/// threshold.
-///
-/// `out` is cleared and filled with one outcome per radius, aligned
-/// with `radii`. `Horizon`/`StepBudget`/`Deadline` terminations apply
-/// to every still-unresolved radius (the shared minimum-distance
-/// account is identical for all of them).
-///
-/// # Panics
-///
-/// When either arena does not cover `opts.horizon`, when `radii` is
-/// empty or not ascending, or on invalid options/radii as in
-/// [`crate::first_contact`].
-pub(crate) fn sweep_first_contact_soa(
-    a: &ProgramSoA,
-    b: &ProgramSoA,
-    radii: &[f64],
-    opts: &ContactOptions,
-    scratch: &mut EngineScratch,
-    out: &mut Vec<SimOutcome>,
-) {
-    opts.validate();
-    assert!(!radii.is_empty(), "need at least one radius");
-    assert!(
-        radii.iter().all(|r| r.is_finite() && *r > 0.0),
-        "radii must be positive and finite, got {radii:?}"
-    );
-    assert!(
-        radii.windows(2).all(|w| w[0] <= w[1]),
-        "radii must be ascending, got {radii:?}"
-    );
-    assert!(
-        a.covers(opts.horizon) && b.covers(opts.horizon),
-        "arenas must cover the horizon {} (covered: {} / {})",
-        opts.horizon,
-        a.end_time(),
-        b.end_time()
-    );
-    let rel_speed = a.speed_bound() + b.speed_bound();
-    assert!(
-        rel_speed.is_finite(),
-        "speed bounds must be finite, got {rel_speed}"
-    );
-    let approx = a.approx_eps() + b.approx_eps();
-    assert!(
-        approx >= 0.0 && approx.is_finite(),
-        "approx bounds must be finite and >= 0, got {approx}"
-    );
-
-    let mut slots: Vec<Option<SimOutcome>> = vec![None; radii.len()];
-    let mut k = radii.len() - 1;
-    let mut radius = radii[k];
-    let mut threshold = radius + opts.tolerance + approx;
-    let mut thr2 = threshold * threshold;
-
-    let mut ia = 0_usize;
-    let mut ib = 0_usize;
-    let mut t = 0.0_f64;
-    let mut min_distance = f64::INFINITY;
-    let mut min_distance_time = 0.0;
-    let mut best = (f64::INFINITY, 0.0_f64);
-    let mut steps = 0_u64;
-    let mut stats = EngineStats::default();
-    let mut recorded = EngineStats::default();
-    let mut window = 0.0_f64;
-    let mut cooldown = 0_u32;
-    let mut miss_streak = 0_u32;
-
-    // `None` when every radius resolved by contact; `Some(outcome)`
-    // terminates all still-unresolved radii at once.
-    let terminal = 'run: loop {
-        let pa = a.probe_from(&mut ia, t);
-        let pb = b.probe_from(&mut ib, t);
-        let d = pa.position.distance(pb.position);
-        debug_assert!(
-            d.is_finite(),
-            "SoA arena produced a non-finite position at t={t}"
-        );
-        if d < min_distance {
-            min_distance = d;
-            min_distance_time = t;
-        }
-        if best.0 < min_distance * min_distance {
-            min_distance = best.0.sqrt();
-            min_distance_time = best.1;
-        }
-        while d <= threshold {
-            let outcome = SimOutcome::Contact {
-                time: t,
-                distance: d,
-                steps,
-            };
-            crate::telemetry::record(
-                crate::telemetry::EnginePath::CompiledSoA,
-                Some(&outcome),
-                stats_delta(&stats, &recorded),
-            );
-            recorded = stats;
-            slots[k] = Some(outcome);
-            if k == 0 {
-                break 'run None;
-            }
-            k -= 1;
-            radius = radii[k];
-            threshold = radius + opts.tolerance + approx;
-            thr2 = threshold * threshold;
-        }
-        if t >= opts.horizon {
-            break Some(SimOutcome::Horizon {
-                min_distance,
-                min_distance_time,
-                steps,
-            });
-        }
-        steps += 1;
-        if steps > opts.max_steps {
-            break Some(SimOutcome::StepBudget {
-                time: t,
-                min_distance,
-                steps: opts.max_steps,
-            });
-        }
-        if let Some(budget) = &opts.budget {
-            if budget.fires_at(steps) {
-                break Some(SimOutcome::Deadline {
-                    time: t,
-                    min_distance,
-                    steps,
-                });
-            }
-        }
-
-        let conservative = if rel_speed > 0.0 {
-            (d - radius) / rel_speed
-        } else {
-            f64::INFINITY
-        };
-        let mut exact_root = false;
-        let mut jumped = 0_u64;
-        let chains_on = !opts.prune || cooldown > 0 || miss_streak > 0;
-        let mut chain_from = f64::NAN;
-        let mut step = match (pa.motion, pb.motion) {
-            (Motion::Affine { velocity: va }, Motion::Affine { velocity: vb }) => {
-                let boundary = pa.piece_end.min(pb.piece_end).min(opts.horizon);
-                let ub = (boundary - t).max(0.0);
-                let q0 = pb.position - pa.position;
-                let dv = vb - va;
-                let a2 = dv.norm_squared();
-                let b2 = q0.dot(dv);
-                let c2 = q0.norm_squared() - thr2;
-                let mut jump = f64::NAN;
-                if a2 > 0.0 && b2 < 0.0 {
-                    let disc = b2 * b2 - a2 * c2;
-                    if disc >= 0.0 {
-                        let root = c2 / (-b2 + disc.sqrt());
-                        if root <= ub {
-                            jump = root;
-                            exact_root = true;
-                        }
-                    }
-                    if !exact_root {
-                        let vertex = -b2 / a2;
-                        if vertex < ub {
-                            let dmin = (q0 + dv * vertex).norm();
-                            if dmin < min_distance {
-                                min_distance = dmin;
-                                min_distance_time = t + vertex;
-                            }
-                        }
-                    }
-                }
-                if exact_root {
-                    jump
-                } else {
-                    if chains_on && conservative <= ub && boundary < opts.horizon {
-                        chain_from = boundary;
-                    }
-                    ub.max(conservative)
-                }
-            }
-            (ma, mb) => {
-                let boundary = pa.piece_end.min(pb.piece_end).min(opts.horizon);
-                let ub = (boundary - t).max(0.0);
-                if let Some(law) = circular_pair_law(&pa, &pb, ma, mb) {
-                    match law.first_crossing(thr2, ub) {
-                        Some(du) => {
-                            exact_root = true;
-                            du
-                        }
-                        None => {
-                            if law.p - law.q.abs() < min_distance * min_distance * (1.0 - 1e-12) {
-                                if let Some((dmin, smin)) = law.minimum_within(ub) {
-                                    if dmin < min_distance {
-                                        min_distance = dmin;
-                                        min_distance_time = t + smin;
-                                    }
-                                }
-                            }
-                            if chains_on && conservative <= ub && boundary < opts.horizon {
-                                chain_from = boundary;
-                            }
-                            ub.max(conservative)
-                        }
-                    }
-                } else if piece_gap_lower_bound(&pa, &pb, ma, mb, ub) > threshold {
-                    if chains_on && conservative <= ub && boundary < opts.horizon {
-                        chain_from = boundary;
-                    }
-                    ub.max(conservative)
-                } else if conservative.is_finite() {
-                    conservative
-                } else {
-                    break Some(SimOutcome::Horizon {
-                        min_distance,
-                        min_distance_time,
-                        steps,
-                    });
-                }
-            }
-        };
-        let mut lane_jumped = false;
-        if chain_from.is_finite() {
-            let (stream, chained) = chain_scan(
-                a,
-                b,
-                ia,
-                ib,
-                chain_from,
-                threshold,
-                thr2,
-                opts.horizon,
-                &mut min_distance,
-                &mut min_distance_time,
-                &mut best,
-                &mut stats,
-            );
-            jumped = chained;
-            steps += chained;
-            match stream {
-                Stream::Candidate { entry } => {
-                    lane_jumped = true;
-                    step = entry - t;
-                }
-                Stream::Advanced { until } => {
-                    lane_jumped = true;
-                    step = (until - t).max(conservative);
-                }
-                Stream::Stalled => {}
-                Stream::Refused { .. } => unreachable!("horizon-covering arenas are final"),
-            }
-        }
-        if exact_root {
-            stats.analytic_steps += 1;
-        } else {
-            stats.conservative_steps += 1;
-        }
-        if steps > opts.max_steps {
-            break Some(SimOutcome::StepBudget {
-                time: t,
-                min_distance,
-                steps: opts.max_steps,
-            });
-        }
-        if let Some(budget) = &opts.budget {
-            let every = budget.check_interval();
-            if lane_jumped && (jumped >= every || steps % every < jumped) && budget.exhausted() {
-                break Some(SimOutcome::Deadline {
-                    time: t,
-                    min_distance,
-                    steps,
-                });
-            }
-        }
-        let floor = 4.0 * f64::EPSILON * (1.0 + t.abs());
-        let base = step.max(floor);
-        let mut t_next = t + base;
-        if opts.prune && !exact_root && t_next < opts.horizon {
-            if cooldown > 0 {
-                cooldown -= 1;
-            } else {
-                let mut advanced = false;
-                let mut w = window.max(4.0 * base);
-                if window == 0.0 {
-                    let mark = match (a.next_mark_after(t_next), b.next_mark_after(t_next)) {
-                        (Some(ma), Some(mb)) => Some(ma.max(mb)),
-                        (m, None) | (None, m) => m,
-                    };
-                    if let Some(m) = mark {
-                        w = w.max(m - t_next);
-                    }
-                }
-                loop {
-                    let span = w.min(opts.horizon - t_next);
-                    if span <= 2.0 * base {
-                        break;
-                    }
-                    stats.envelope_queries += 2;
-                    let ea = a.envelope_box(t_next, t_next + span);
-                    let eb = b.envelope_box(t_next, t_next + span);
-                    if ea.gap(&eb) > threshold {
-                        stats.pruned_intervals += 1;
-                        t_next += span;
-                        advanced = true;
-                        if t_next >= opts.horizon {
-                            break;
-                        }
-                        w *= 2.0;
-                    } else {
-                        w *= 0.5;
-                        break;
-                    }
-                }
-                window = w;
-                if advanced {
-                    miss_streak = 0;
-                } else {
-                    miss_streak = (miss_streak + 1).min(3);
-                    cooldown = 1 << miss_streak;
-                }
-            }
-        }
-        t = t_next.min(opts.horizon);
-    };
-    if let Some(terminal) = terminal {
-        // One termination covers every unresolved radius: the shared
-        // minimum account is identical for all of them. The first cell
-        // carries the run's remaining counter deltas in telemetry.
-        for slot in slots.iter_mut().take(k + 1) {
-            crate::telemetry::record(
-                crate::telemetry::EnginePath::CompiledSoA,
-                Some(&terminal),
-                stats_delta(&stats, &recorded),
-            );
-            recorded = stats;
-            *slot = Some(terminal);
-        }
-    }
-    scratch.stats = stats;
-    out.clear();
-    out.extend(
-        slots
-            .into_iter()
-            .map(|s| s.expect("the sweep ladder resolves every radius")),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

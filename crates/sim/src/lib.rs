@@ -76,7 +76,7 @@ pub use engine::{
 pub use kernel::{first_contact_soa, try_first_contact_soa, KERNEL_LANES};
 pub use multi::{
     first_contact_batch_soa, first_contact_streamed, first_simultaneous_gathering,
-    pairwise_meetings, sweep_contacts_soa,
+    pairwise_meetings,
 };
 pub use runners::{simulate_rendezvous, simulate_search};
 pub use stationary::Stationary;

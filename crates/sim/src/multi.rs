@@ -19,15 +19,14 @@
 //! ## The arena batch loop
 //!
 //! Over SoA arenas ([`ProgramSoA`]) there is one batch loop,
-//! [`sweep_contacts_soa`]: one reference against many partners over a
-//! radius grid, with a window-envelope prefilter and one
-//! multi-threshold ladder run per partner. [`first_contact_batch_soa`]
-//! is its one-radius row, [`first_contact_streamed`] its single-partner
-//! form over a partner lowered as a stream (the serve miss path).
+//! [`first_contact_batch_soa`]: one reference against many partners,
+//! with a window-envelope prefilter in front of the lane kernel.
+//! [`first_contact_streamed`] is its single-partner form over a partner
+//! lowered as a stream (the serve miss path).
 
 use crate::compiled::EngineScratch;
 use crate::engine::{ContactOptions, EngineStats, SimOutcome};
-use crate::kernel::{sweep_first_contact_soa, try_first_contact_soa, try_first_contact_soa_impl};
+use crate::kernel::{try_first_contact_soa, try_first_contact_soa_impl};
 use rvz_geometry::{Aabb, Vec2};
 use rvz_trajectory::{Cursor, MonotoneDyn, ProgramSoA, SoaStream, Trajectory};
 
@@ -71,19 +70,17 @@ pub fn pairwise_meetings(
 }
 
 /// Envelope windows per robot in the batch prefilter: coarse enough
-/// that the tables stay cache-resident for realistic swarms, fine
-/// enough that separated pairs are disproved without touching the
-/// kernel. Radius-independent — a sweep builds them once and reuses
-/// them for every radius.
-const SWEEP_WINDOWS: usize = 64;
+/// that the tables stay cache-resident for large batches, fine enough
+/// that separated pairs are disproved without touching the kernel.
+const PREFILTER_WINDOWS: usize = 64;
 
-/// Fills `out` with `SWEEP_WINDOWS` conservative envelope boxes
+/// Fills `out` with `PREFILTER_WINDOWS` conservative envelope boxes
 /// partitioning `[0, horizon]` for one arena.
 fn window_boxes(soa: &ProgramSoA, horizon: f64, out: &mut Vec<Aabb>) {
-    let dt = horizon / SWEEP_WINDOWS as f64;
-    for w in 0..SWEEP_WINDOWS {
+    let dt = horizon / PREFILTER_WINDOWS as f64;
+    for w in 0..PREFILTER_WINDOWS {
         let t0 = w as f64 * dt;
-        let t1 = if w + 1 == SWEEP_WINDOWS {
+        let t1 = if w + 1 == PREFILTER_WINDOWS {
             horizon
         } else {
             (w + 1) as f64 * dt
@@ -94,9 +91,7 @@ fn window_boxes(soa: &ProgramSoA, horizon: f64, out: &mut Vec<Aabb>) {
 
 /// A pair's window-gap profile `(min_gap, argmin)`: the smallest
 /// envelope gap over the windows and the window attaining it. The pair
-/// is disproved for every threshold below `min_gap` — the profile is
-/// radius-independent, so a radius sweep prices all its thresholds
-/// from one scan.
+/// is disproved for every threshold below `min_gap`.
 fn window_gap_profile(a: &[Aabb], b: &[Aabb]) -> (f64, usize) {
     let mut min_gap = f64::INFINITY;
     let mut argmin = 0;
@@ -116,7 +111,7 @@ fn window_gap_profile(a: &[Aabb], b: &[Aabb]) -> (f64, usize) {
 /// it), and the disproof is recorded in telemetry as a lane-kernel
 /// query answered purely by envelope pruning.
 fn disproved_outcome(a: &ProgramSoA, b: &ProgramSoA, argmin: usize, horizon: f64) -> SimOutcome {
-    let dt = horizon / SWEEP_WINDOWS as f64;
+    let dt = horizon / PREFILTER_WINDOWS as f64;
     let mid = ((argmin as f64 + 0.5) * dt).min(horizon);
     let (mut ia, mut ib) = (0_usize, 0_usize);
     let pa = a.probe_from(&mut ia, mid);
@@ -127,8 +122,8 @@ fn disproved_outcome(a: &ProgramSoA, b: &ProgramSoA, argmin: usize, horizon: f64
         steps: 1,
     };
     let stats = EngineStats {
-        envelope_queries: 2 * SWEEP_WINDOWS as u64,
-        pruned_intervals: SWEEP_WINDOWS as u64,
+        envelope_queries: 2 * PREFILTER_WINDOWS as u64,
+        pruned_intervals: PREFILTER_WINDOWS as u64,
         ..EngineStats::default()
     };
     crate::telemetry::record(
@@ -143,7 +138,10 @@ fn disproved_outcome(a: &ProgramSoA, b: &ProgramSoA, argmin: usize, horizon: f64
 /// a shared window-envelope prefilter: the reference's envelope table
 /// is built **once** and each partner either falls to a whole-pair
 /// disproof (one gap profile, no kernel run) or runs
-/// [`try_first_contact_soa`].
+/// [`try_first_contact_soa`]. Pairs whose arenas do not both cover a
+/// finite horizon skip the prefilter, so their refusals land per
+/// partner exactly as a caller loop over [`try_first_contact_soa`]
+/// would produce them.
 ///
 /// Entry `k` is `None` exactly when partner `k`'s query was refused
 /// (truncated coverage) — callers fall back per partner, as the serve
@@ -159,9 +157,27 @@ pub fn first_contact_batch_soa(
     opts: &ContactOptions,
     scratch: &mut EngineScratch,
 ) -> Vec<Option<SimOutcome>> {
-    sweep_contacts_soa(reference, partners, &[radius], opts, scratch)
-        .pop()
-        .expect("one radius in, one row out")
+    let prefilter = opts.horizon.is_finite() && reference.covers(opts.horizon);
+    let mut ref_table = Vec::with_capacity(PREFILTER_WINDOWS);
+    if prefilter {
+        window_boxes(reference, opts.horizon, &mut ref_table);
+    }
+    let mut partner_table = Vec::with_capacity(PREFILTER_WINDOWS);
+    partners
+        .iter()
+        .map(|partner| {
+            if prefilter && partner.covers(opts.horizon) {
+                partner_table.clear();
+                window_boxes(partner, opts.horizon, &mut partner_table);
+                let (min_gap, argmin) = window_gap_profile(&ref_table, &partner_table);
+                let approx = reference.approx_eps() + partner.approx_eps();
+                if min_gap > radius + opts.tolerance + approx {
+                    return Some(disproved_outcome(reference, partner, argmin, opts.horizon));
+                }
+            }
+            try_first_contact_soa(reference, partner, radius, opts, scratch)
+        })
+        .collect()
 }
 
 /// [`first_contact_batch_soa`] for one partner lowered as a stream:
@@ -229,100 +245,6 @@ pub fn first_contact_streamed(
             Err(need) => partner.extend(need),
         }
     }
-}
-
-/// The arena batch loop: one reference against many partners over a
-/// radius grid. Window tables are radius-independent, so one table
-/// build serves every `(radius, partner)` cell, one gap-profile scan
-/// prices every threshold, and the radii the prefilter cannot disprove
-/// resolve in a **single** multi-threshold ladder run per partner
-/// instead of one kernel run per `(radius, partner)` cell. Row `r` of
-/// the result is the batch outcome vector for `radii[r]`.
-///
-/// A swarm grid over arenas is the rows `sweep_contacts_soa(&arenas[i],
-/// &arenas[i + 1..], radii, …)`.
-///
-/// # Panics
-///
-/// As for [`first_contact_batch_soa`]; additionally when `radii` is
-/// empty.
-pub fn sweep_contacts_soa(
-    reference: &ProgramSoA,
-    partners: &[ProgramSoA],
-    radii: &[f64],
-    opts: &ContactOptions,
-    scratch: &mut EngineScratch,
-) -> Vec<Vec<Option<SimOutcome>>> {
-    assert!(!radii.is_empty(), "need at least one radius");
-    let prefilter = opts.horizon.is_finite() && reference.covers(opts.horizon);
-    let mut ref_table = Vec::with_capacity(SWEEP_WINDOWS);
-    if prefilter {
-        window_boxes(reference, opts.horizon, &mut ref_table);
-    }
-    // The sweep ladder wants its thresholds ascending; the output rows
-    // keep the caller's radius order.
-    let mut order: Vec<usize> = (0..radii.len()).collect();
-    order.sort_by(|&x, &y| radii[x].total_cmp(&radii[y]));
-    let mut partner_table = Vec::with_capacity(SWEEP_WINDOWS);
-    let mut kernel_radii: Vec<f64> = Vec::with_capacity(radii.len());
-    let mut kernel_rows: Vec<usize> = Vec::with_capacity(radii.len());
-    let mut sweep_out: Vec<SimOutcome> = Vec::with_capacity(radii.len());
-    let mut out = vec![Vec::with_capacity(partners.len()); radii.len()];
-    for partner in partners {
-        let pair_prefilter = prefilter && partner.covers(opts.horizon);
-        if !pair_prefilter {
-            // Truncated or unbounded queries stay on the per-radius
-            // path so refusals land per cell, exactly as a caller loop
-            // over [`try_first_contact_soa`] would produce them.
-            for (r, &radius) in radii.iter().enumerate() {
-                out[r].push(try_first_contact_soa(
-                    reference, partner, radius, opts, scratch,
-                ));
-            }
-            continue;
-        }
-        partner_table.clear();
-        window_boxes(partner, opts.horizon, &mut partner_table);
-        let (min_gap, argmin) = window_gap_profile(&ref_table, &partner_table);
-        let slot = out[0].len();
-        for row in out.iter_mut() {
-            row.push(None);
-        }
-        kernel_radii.clear();
-        kernel_rows.clear();
-        let approx = reference.approx_eps() + partner.approx_eps();
-        for &r in &order {
-            if min_gap > radii[r] + opts.tolerance + approx {
-                out[r][slot] = Some(disproved_outcome(reference, partner, argmin, opts.horizon));
-            } else {
-                kernel_rows.push(r);
-                kernel_radii.push(radii[r]);
-            }
-        }
-        match kernel_rows.len() {
-            0 => {}
-            // A single surviving radius takes the plain kernel — the
-            // serve stack's single-query path, byte for byte.
-            1 => {
-                out[kernel_rows[0]][slot] =
-                    try_first_contact_soa(reference, partner, kernel_radii[0], opts, scratch);
-            }
-            _ => {
-                sweep_first_contact_soa(
-                    reference,
-                    partner,
-                    &kernel_radii,
-                    opts,
-                    scratch,
-                    &mut sweep_out,
-                );
-                for (&r, outcome) in kernel_rows.iter().zip(&sweep_out) {
-                    out[r][slot] = Some(*outcome);
-                }
-            }
-        }
-    }
-    out
 }
 
 /// The largest pairwise distance among sampled positions.
@@ -484,61 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_pairwise_matches_per_radius_tables() {
-        use rvz_search::UniversalSearch;
-        use rvz_trajectory::{Compile, CompileOptions};
-        let horizon = rvz_search::times::rounds_total(3);
-        let opts = ContactOptions::with_horizon(horizon);
-        let arenas: Vec<_> = (0..4)
-            .map(|i| {
-                let angle = std::f64::consts::TAU * i as f64 / 4.0;
-                ProgramSoA::from_program(
-                    &rvz_model::RobotAttributes::reference()
-                        .with_speed(0.5 + 0.2 * i as f64)
-                        .frame_warp(UniversalSearch, Vec2::from_polar(1.0, angle))
-                        .compile(&CompileOptions::to_horizon(horizon))
-                        .unwrap(),
-                )
-            })
-            .collect();
-        // Deliberately unsorted: the sweep must map ladder rows back to
-        // the caller's radius order.
-        let radii = [0.2, 0.05, 0.5];
-        let mut scratch = crate::EngineScratch::new();
-        let mut contacts = 0;
-        // The swarm grid is one batch row per robot against the robots
-        // after it.
-        for i in 0..arenas.len() {
-            let rows =
-                sweep_contacts_soa(&arenas[i], &arenas[i + 1..], &radii, &opts, &mut scratch);
-            assert_eq!(rows.len(), radii.len());
-            for (r, &radius) in radii.iter().enumerate() {
-                assert_eq!(rows[r].len(), arenas.len() - i - 1);
-                for (k, cell) in rows[r].iter().enumerate() {
-                    let j = i + 1 + k;
-                    let swept = cell.expect("covered arenas always resolve");
-                    let single =
-                        try_first_contact_soa(&arenas[i], &arenas[j], radius, &opts, &mut scratch)
-                            .expect("covered arenas always resolve");
-                    assert_eq!(
-                        swept.classification(),
-                        single.classification(),
-                        "radius {radius}, pair ({i}, {j})"
-                    );
-                    if let (Some(ts), Some(tp)) = (swept.contact_time(), single.contact_time()) {
-                        contacts += 1;
-                        assert!(
-                            (ts - tp).abs() < 1e-6 * (1.0 + tp),
-                            "radius {radius}, pair ({i}, {j}): {ts} vs {tp}"
-                        );
-                    }
-                }
-            }
-        }
-        assert!(contacts > 0, "the grid must exercise the contact branch");
-    }
-
-    #[test]
     fn batch_soa_matches_per_pair_kernel_and_prefilters_far_partners() {
         use rvz_search::UniversalSearch;
         use rvz_trajectory::{Compile, CompileOptions};
@@ -593,23 +460,6 @@ mod tests {
                 assert!(*min_distance > 1e5, "observed {min_distance}");
             }
             other => panic!("parked partner met the reference? {other:?}"),
-        }
-
-        // A radius sweep reuses the same tables and stays consistent
-        // with the single-radius batch on every cell.
-        let radii = [0.1, 0.2, 0.4];
-        let sweep = sweep_contacts_soa(&reference, &partners, &radii, &opts, &mut scratch);
-        assert_eq!(sweep.len(), radii.len());
-        for (r, &radius) in radii.iter().enumerate() {
-            let single =
-                first_contact_batch_soa(&reference, &partners, radius, &opts, &mut scratch);
-            for k in 0..partners.len() {
-                assert_eq!(
-                    sweep[r][k].as_ref().map(SimOutcome::classification),
-                    single[k].as_ref().map(SimOutcome::classification),
-                    "radius {radius}, partner {k}"
-                );
-            }
         }
     }
 

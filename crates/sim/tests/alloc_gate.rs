@@ -1,4 +1,5 @@
-//! The zero-allocation gate on the engine's steady-state query paths.
+//! The zero-allocation gate on the engine's steady-state query paths,
+//! and the SoA-not-slower gate on the lane kernel.
 //!
 //! Registers a counting global allocator for this test binary and
 //! proves that, after a warm-up query, the compiled fast path
@@ -9,21 +10,33 @@
 //! allocation observed by the counter) guards against the vacuous pass
 //! where the allocator silently failed to register.
 //!
+//! The lane kernel leans on autovectorization, so the timing gate
+//! holds it to the scalar compiled loop's speed on a warm batch. It
+//! asserts only in release builds; run it with and without
+//! `-C target-cpu=native`:
+//!
+//! ```text
+//! cargo test --release -p rvz-sim --test alloc_gate
+//! RUSTFLAGS="-C target-cpu=native" cargo test --release -p rvz-sim --test alloc_gate
+//! ```
+//!
 //! The counter is process-wide and libtest runs tests on parallel
 //! threads, so every test holds [`SERIAL`] from its set-up through its
 //! last measurement: no test's set-up allocations can land in another
-//! test's count.
+//! test's count, and no test's work lands in the timing gate's clock.
 
 use rvz_geometry::Vec2;
-use rvz_model::RobotAttributes;
+use rvz_model::{RendezvousInstance, RobotAttributes};
 use rvz_search::UniversalSearch;
 use rvz_sim::{
-    first_contact_dyn, first_contact_programs, first_contact_soa, ContactOptions, EngineScratch,
+    compile_rendezvous_partner, first_contact_dyn, first_contact_programs, first_contact_soa,
+    ContactOptions, EngineScratch,
 };
 use rvz_trajectory::{Compile, CompileOptions, CompiledProgram, MonotoneDyn, ProgramSoA};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -189,4 +202,108 @@ fn soa_kernel_queries_allocate_nothing_after_warmup() {
         }
     });
     assert_eq!(during, 0, "SoA kernel queries allocated {during} times");
+}
+
+/// `f`'s value and its wall time in nanoseconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let value = f();
+    (value, start.elapsed().as_nanos() as f64)
+}
+
+/// The warm batch of the serve stack: six Algorithm 4 rendezvous
+/// scenarios sharing one reference, each queried 32 times. Both arms
+/// pay their lowering once, amortized over the batch; the SoA arm also
+/// pays its arena builds. The lane kernel must stay within 10% of the
+/// scalar loop's ns/query (the grace absorbs timer noise; a real
+/// regression, such as the lane gate mispricing chunks, overshoots it).
+#[test]
+fn soa_kernel_is_not_slower_than_the_scalar_loop_on_a_warm_batch() {
+    let _serial = serial();
+    let horizon = rvz_search::times::rounds_total(3);
+    let opts = ContactOptions::with_horizon(horizon);
+    let copts = CompileOptions::to_horizon(horizon).max_pieces(1 << 19);
+    let instances: Vec<RendezvousInstance> = [0.5, 0.6, 0.75, 0.9, 1.1, 1.25]
+        .iter()
+        .map(|&v| {
+            let attrs = RobotAttributes::reference().with_speed(v);
+            RendezvousInstance::new(Vec2::new(0.3, 0.85), 0.05, attrs).expect("valid instance")
+        })
+        .collect();
+    let reps = 32;
+    let queries = (reps * instances.len()) as f64;
+
+    let ((reference, partners), compile_ns) = timed(|| {
+        let reference = UniversalSearch.compile(&copts).expect("covers the horizon");
+        let partners: Vec<CompiledProgram> = instances
+            .iter()
+            .map(|inst| {
+                compile_rendezvous_partner(&UniversalSearch, inst, &copts)
+                    .expect("covers the horizon")
+            })
+            .collect();
+        (reference, partners)
+    });
+    let ((soa_reference, soa_partners), arena_ns) = timed(|| {
+        let soa_reference = ProgramSoA::from_program(&reference);
+        let soa_partners: Vec<ProgramSoA> = partners.iter().map(ProgramSoA::from_program).collect();
+        (soa_reference, soa_partners)
+    });
+
+    let mut scratch = EngineScratch::new();
+    for ((inst, partner), arena) in instances.iter().zip(&partners).zip(&soa_partners) {
+        let r = inst.visibility();
+        let scalar = first_contact_programs(&reference, partner, r, &opts, &mut scratch);
+        let lanes = first_contact_soa(&soa_reference, arena, r, &opts, &mut scratch);
+        assert_eq!(
+            scalar.classification(),
+            lanes.classification(),
+            "arms disagree at v = {}",
+            inst.attributes().speed()
+        );
+    }
+    // Debug timings say nothing about release code; the ratio is
+    // asserted in release only, so skip the timing rounds here.
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let run_scalar = |scratch: &mut EngineScratch| {
+        for _ in 0..reps {
+            for (inst, partner) in instances.iter().zip(&partners) {
+                std::hint::black_box(first_contact_programs(
+                    &reference,
+                    partner,
+                    inst.visibility(),
+                    &opts,
+                    scratch,
+                ));
+            }
+        }
+    };
+    let run_soa = |scratch: &mut EngineScratch| {
+        for _ in 0..reps {
+            for (inst, arena) in instances.iter().zip(&soa_partners) {
+                std::hint::black_box(first_contact_soa(
+                    &soa_reference,
+                    arena,
+                    inst.visibility(),
+                    &opts,
+                    scratch,
+                ));
+            }
+        }
+    };
+    // Interleaved best-of rounds: transient interference lands on both
+    // arms instead of skewing whichever ran during the spike.
+    let (mut scalar_ns, mut soa_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..9 {
+        scalar_ns = scalar_ns.min(timed(|| run_scalar(&mut scratch)).1);
+        soa_ns = soa_ns.min(timed(|| run_soa(&mut scratch)).1);
+    }
+    let scalar_per_query = (scalar_ns + compile_ns) / queries;
+    let soa_per_query = (soa_ns + compile_ns + arena_ns) / queries;
+    assert!(
+        soa_per_query <= 1.10 * scalar_per_query,
+        "SoA lane kernel {soa_per_query:.0} ns/query vs scalar {scalar_per_query:.0} ns/query"
+    );
 }

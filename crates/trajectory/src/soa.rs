@@ -8,7 +8,8 @@
 //! distance-certificate kernels in `rvz_sim` stream four to eight
 //! pieces per loop iteration out of contiguous `f64` lanes, and the
 //! compiler vectorizes the branch-free inner loop on its own (measured,
-//! not assumed — see `BENCH_engine.json`).
+//! not assumed: the release `alloc_gate` test holds the lane kernel to
+//! the scalar loop's speed, with and without `-C target-cpu=native`).
 //!
 //! Circular pieces are the cold minority (arc moves appear only in a
 //! few schedules); they park their law in a **side table** indexed by a

@@ -5,7 +5,6 @@
 //! rvz rendezvous  --dx 0.3 --dy 0.8 --r 0.05 --v 0.6
 //! rvz sweep       --speeds 0.5,1 --clocks 0.6,1 --out sweep
 //! rvz serve       --port 7878
-//! rvz loadtest    --quick
 //! rvz <command> --help
 //! ```
 //!
@@ -26,13 +25,6 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
-
-/// The counting allocator behind the `allocs_per_query` columns of
-/// `BENCH_engine.json`: counts allocation calls, defers everything to
-/// the system allocator (negligible overhead for a CLI).
-#[global_allocator]
-static ALLOC: plane_rendezvous::bench::alloc::CountingAlloc =
-    plane_rendezvous::bench::alloc::CountingAlloc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -86,9 +78,7 @@ COMMANDS:
   bounds        closed-form bounds (Theorems 1/2, Lemma 13)
   sweep         parallel scenario sweep -> JSONL + CSV artifacts
   map           Theorem 4 feasibility map, confirmed by simulation
-  bench-engine  first-contact engine benchmark -> BENCH_engine.json
   serve         HTTP query service with the symmetry-canonicalized cache
-  loadtest      closed-loop A/B loadtest of serve -> BENCH_serve.json
   client        one-shot HTTP client for a running rvz serve
   version       print the rvz version
 
@@ -254,32 +244,6 @@ every cell by simulation. Raise --horizon-rounds (default 9) and
         run: cmd_map,
     },
     CommandSpec {
-        name: "bench-engine",
-        flags: &[
-            ("quick", false),
-            ("no-prune", false),
-            ("enforce-steps", false),
-            ("no-metrics", false),
-            ("out", true),
-        ],
-        usage: "\
-USAGE:
-  rvz bench-engine [--quick] [--no-prune] [--enforce-steps]
-                   [--no-metrics] [--out PATH]
-
-Benchmark the first-contact engine (seed conservative loop vs the
-monotone-cursor fast path with swept-envelope pruning) on the canonical
-case set; print the comparison table (incl. pruned intervals and
-envelope queries) and write the machine-readable report to PATH
-(default BENCH_engine.json). --quick runs a sub-second smoke variant
-for CI; --no-prune A/Bs the pruning layer; --enforce-steps fails if the
-cursor engine ever takes more steps than the generic loop.
---no-metrics flips the global telemetry kill switch before measuring —
-CI diffs the deterministic report fields against a metrics-on run to
-prove recording never changes an outcome.",
-        run: cmd_bench_engine,
-    },
-    CommandSpec {
         name: "serve",
         flags: &[
             ("addr", true),
@@ -318,12 +282,11 @@ sharded LRU cache keyed by each scenario's attribute-symmetry orbit.
 --port 0 binds an ephemeral port (printed on startup). --cache-grid is
 the canonicalization step, snapped to a power of two (default 2^-30;
 0 = bit-exact keys); --no-cache simulates every request the way a miss
-runs, so its answers are byte-identical to the cached server's (the
-loadtest baseline). Engine flags mirror `rvz sweep`. A miss runs the SoA lane
-kernel on arenas streamed under --compile-budget pieces per trajectory
-(default 32768) and falls back to the cursor engine when the kernel
-refuses; 0 serves every miss on the cursor engine. Stop with POST
-/shutdown.
+runs, so its answers are byte-identical to the cached server's. Engine
+flags mirror `rvz sweep`. A miss runs the SoA lane kernel on arenas
+streamed under --compile-budget pieces per trajectory (default 32768)
+and falls back to the cursor engine when the kernel refuses; 0 serves
+every miss on the cursor engine. Stop with POST /shutdown.
 
 Overload controls: --deadline-ms caps each request's engine wall clock
 (outcome \"deadline\", never cached; default: none), --max-inflight
@@ -364,41 +327,6 @@ ENDPOINTS:
   GET  /metrics | GET /trace/recent     observability (unless --no-metrics)
   GET  /stats | GET /healthz | POST /shutdown",
         run: cmd_serve,
-    },
-    CommandSpec {
-        name: "loadtest",
-        flags: &[
-            ("quick", false),
-            ("clients", true),
-            ("requests", true),
-            ("families", true),
-            ("out", true),
-            ("timeout-ms", true),
-            ("check-overload", false),
-            ("retries", true),
-        ],
-        usage: "\
-USAGE:
-  rvz loadtest [--quick] [--clients N] [--requests N] [--families N]
-               [--out PATH] [--timeout-ms T] [--check-overload]
-               [--retries N]
-
-Loadtest of the serve stack. First the closed loop on a symmetric
-workload: an in-process server per arm (cached, then --no-cache), N
-clients issuing /first-contact queries over keep-alive connections,
-throughput/latency percentiles and the cached-vs-uncached speedup.
-Then the open loop: one-shot requests offered at 1x and 2x the
-measured no-cache capacity against an admission-controlled server,
-reporting offered vs accepted rate, 503 shed rate, and accepted p50/p99
-per arm. Writes the machine-readable schema-v2 report to PATH (default
-BENCH_serve.json). --requests is per client per arm; --timeout-ms sets
-the client connect/read timeouts; --check-overload exits nonzero
-unless the 2x arm sheds without collapsing (nonzero 503s, nonzero
-accepted, accepted p99 within 5x of the 1x arm's). --retries lets each
-closed-loop client retry 503s with capped jittered backoff honoring
-Retry-After (default 0; the overload arms never retry — they measure
-shedding).",
-        run: cmd_loadtest,
     },
     CommandSpec {
         name: "client",
@@ -858,51 +786,6 @@ fn cmd_sweep(opts: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench_engine(opts: &Flags) -> Result<(), String> {
-    use plane_rendezvous::bench::engine::{
-        batch_summary, grazing_summary, measure_all, measure_batches, render_batch_table,
-        render_json, render_table, step_regressions,
-    };
-    let quick = opts.contains_key("quick");
-    let prune = !opts.contains_key("no-prune");
-    if opts.contains_key("no-metrics") {
-        plane_rendezvous::obs::set_enabled(false);
-    }
-    let path = opts
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("BENCH_engine.json");
-    println!(
-        "benchmarking the first-contact engine ({} mode{}): seed loop vs cursor fast path vs compiled programs ...",
-        if quick { "quick" } else { "full" },
-        if prune { "" } else { ", pruning off" }
-    );
-    let start = Instant::now();
-    let measurements = measure_all(quick, prune);
-    print!("{}", render_table(&measurements));
-    let batches = measure_batches(quick);
-    print!("{}", render_batch_table(&batches));
-    let json = render_json(&measurements, &batches, quick);
-    std::fs::write(path, &json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    println!(
-        "wrote {path}  ({:.2} s total)",
-        start.elapsed().as_secs_f64()
-    );
-    println!("{}", grazing_summary(&measurements));
-    println!("{}", batch_summary(&batches));
-    if opts.contains_key("enforce-steps") {
-        let regressions = step_regressions(&measurements);
-        if !regressions.is_empty() {
-            return Err(format!(
-                "cursor engine took more steps than the generic engine on: {}",
-                regressions.join(", ")
-            ));
-        }
-        println!("step check: cursor engine never exceeded the generic engine's steps");
-    }
-    Ok(())
-}
-
 fn cmd_map(opts: &Flags) -> Result<(), String> {
     let speeds = get_list_f64(opts, "speeds")?.unwrap_or_else(|| vec![0.5, 1.0]);
     let clocks = get_list_f64(opts, "clocks")?.unwrap_or_else(|| vec![0.6, 1.0]);
@@ -1145,60 +1028,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         println!("rvz serve: shut down cleanly");
     } else {
         println!("rvz serve: drain deadline expired, detached stalled workers");
-    }
-    Ok(())
-}
-
-fn cmd_loadtest(opts: &Flags) -> Result<(), String> {
-    use plane_rendezvous::bench::serve::{
-        check_overload, render_json, render_overload_table, render_table, run_loadtest,
-        run_overload, LoadtestConfig,
-    };
-    let defaults = LoadtestConfig::new(opts.contains_key("quick"));
-    let cfg = LoadtestConfig {
-        clients: get_usize(opts, "clients", defaults.clients)?.max(1),
-        requests_per_client: get_usize(opts, "requests", defaults.requests_per_client)?.max(1),
-        families: get_usize(opts, "families", defaults.families)?.max(1),
-        timeout_ms: get_timeout_ms(opts)?.unwrap_or(defaults.timeout_ms),
-        retries: get_u32(opts, "retries", defaults.retries)?,
-        ..defaults
-    };
-    let path = opts
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("BENCH_serve.json");
-    println!(
-        "loadtesting the serve stack ({} mode): {} clients × {} requests over {} symmetric families ...",
-        if cfg.quick { "quick" } else { "full" },
-        cfg.clients,
-        cfg.requests_per_client,
-        cfg.families
-    );
-    let start = Instant::now();
-    let (arms, speedup) = run_loadtest(&cfg);
-    print!("{}", render_table(&arms, speedup));
-    // The open loop is calibrated against the engine-bound capacity:
-    // the closed-loop no-cache throughput measured moments ago.
-    let base_rps = arms
-        .iter()
-        .find(|a| a.name == "no-cache")
-        .map(|a| a.rps)
-        .ok_or("closed loop did not produce a no-cache arm")?;
-    println!(
-        "open-loop overload: offering 1× and 2× of {base_rps:.0} r/s for {} ms per arm ...",
-        cfg.overload_duration_ms
-    );
-    let overload = run_overload(&cfg, base_rps);
-    print!("{}", render_overload_table(&overload));
-    std::fs::write(path, render_json(&arms, speedup, &overload, &cfg))
-        .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    println!(
-        "wrote {path}  ({:.2} s total)",
-        start.elapsed().as_secs_f64()
-    );
-    if opts.contains_key("check-overload") {
-        check_overload(&overload).map_err(|e| format!("overload check failed: {e}"))?;
-        println!("overload check passed: shed-not-collapse holds at 2×");
     }
     Ok(())
 }

@@ -28,7 +28,6 @@
 //! | [`baselines`] | omniscient spiral, schedule ablations |
 //! | [`experiments`] | scenario grids, Latin-hypercube samples, parallel sweeps, symmetry canonicalization |
 //! | [`server`] | the `rvz serve` HTTP query service with the symmetry-canonicalized result cache |
-//! | [`mod@bench`] | bench tables, the engine benchmark cases, the `rvz loadtest` harness |
 //!
 //! ## Quickstart
 //!
@@ -52,7 +51,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub use rvz_baselines as baselines;
-pub use rvz_bench as bench;
 pub use rvz_core as core;
 pub use rvz_experiments as experiments;
 pub use rvz_geometry as geometry;

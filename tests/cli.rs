@@ -75,10 +75,13 @@ fn bounds_covers_both_clock_regimes() {
 
 #[test]
 fn errors_are_reported_with_usage() {
-    let (ok, _, stderr) = rvz(&["unknown-command"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown command"));
-    assert!(stderr.contains("USAGE"));
+    // The retired benchmark harnesses are unknown commands like any other.
+    for command in ["unknown-command", "bench-engine", "loadtest"] {
+        let (ok, _, stderr) = rvz(&[command, "--quick"]);
+        assert!(!ok, "`rvz {command}` succeeded");
+        assert!(stderr.contains("unknown command"), "{command}: {stderr}");
+        assert!(stderr.contains("USAGE"), "{command}: {stderr}");
+    }
 
     let (ok, _, stderr) = rvz(&["search", "--x", "1.0"]);
     assert!(!ok);

@@ -75,6 +75,11 @@ fn universal_search_lowers_faithfully() {
         .expect("rounds 1..=3 fit the default budget");
     assert!(program.covers(horizon));
     assert!(!program.round_marks().is_empty(), "schedule marks recorded");
+    assert_eq!(
+        program.approx_eps(),
+        0.0,
+        "exact lowering carries no chord bound"
+    );
     assert_positions_match("alg4", &UniversalSearch, &program, horizon, 4000);
     assert_envelopes_contain("alg4", &UniversalSearch, &program, horizon);
 }
@@ -86,6 +91,11 @@ fn wait_and_search_lowers_faithfully() {
         .compile(&CompileOptions::to_horizon(horizon))
         .expect("rounds 1..=3 fit the default budget");
     assert!(program.covers(horizon));
+    assert_eq!(
+        program.approx_eps(),
+        0.0,
+        "exact lowering carries no chord bound"
+    );
     assert_positions_match("alg7", &WaitAndSearch, &program, horizon, 4000);
     assert_envelopes_contain("alg7", &WaitAndSearch, &program, horizon);
 }

@@ -13,6 +13,8 @@
 //! knife-edge, and any such case would surface here as a classification
 //! mismatch.
 
+mod common;
+
 use plane_rendezvous::experiments::{latin_hypercube, Algorithm, SampleSpace, Scenario};
 use plane_rendezvous::prelude::*;
 
@@ -225,6 +227,88 @@ fn pruned_and_unpruned_engines_agree() {
             "pruning increased steps on {scenario:?}: {} vs {}",
             pruned.steps(),
             unpruned.steps()
+        );
+    }
+}
+
+/// The step gate on the canonical cases: with pruning on and off, the
+/// cursor engine classifies every case exactly as the seed loop and
+/// never takes more advancement steps. On the grazing passes, which
+/// the closed-form piece certificates exist for, it takes under 1% of
+/// the seed loop's steps. Unpruned runs issue no envelope queries, and
+/// pruning fires on the twin disproofs.
+#[test]
+fn cursor_engine_never_takes_more_steps_than_generic_on_canonical_cases() {
+    for prune in [true, false] {
+        for case in common::canonical_cases(prune) {
+            let name = case.name;
+            let generic = case.run_generic();
+            let (cursor, stats) = case.run_cursor();
+            assert_eq!(
+                cursor.classification(),
+                generic.classification(),
+                "{name} (prune {prune}): cursor {cursor} vs generic {generic}"
+            );
+            assert!(
+                cursor.steps() <= generic.steps(),
+                "{name} (prune {prune}): cursor {} vs generic {} steps",
+                cursor.steps(),
+                generic.steps()
+            );
+            if name.starts_with("grazing") {
+                assert!(
+                    cursor.steps() * 100 < generic.steps().max(100),
+                    "{name} (prune {prune}): cursor {} vs generic {} steps",
+                    cursor.steps(),
+                    generic.steps()
+                );
+            }
+            if !prune {
+                assert_eq!(stats.pruned_intervals, 0, "{name}");
+                assert_eq!(stats.envelope_queries, 0, "{name}");
+            } else if name.starts_with("universal") {
+                assert!(stats.pruned_intervals > 0, "{name} pruned nothing");
+            }
+        }
+    }
+}
+
+/// The compiled arms on the canonical cases: every case lowers, and
+/// both the scalar compiled ladder and the SoA lane kernel (on arenas
+/// built from the same programs) resolve it with the seed loop's
+/// classification. This covers the knife-edge grazing passes, which
+/// Latin-hypercube scenarios never hit. The spiral lowers through
+/// certified chords with ε in `(0, tolerance]`; every exact lowering
+/// carries ε = 0.
+#[test]
+fn compiled_and_lane_engines_classify_canonical_cases_like_generic() {
+    use plane_rendezvous::sim::{try_first_contact_programs, try_first_contact_soa, EngineScratch};
+    use plane_rendezvous::trajectory::ProgramSoA;
+
+    let mut scratch = EngineScratch::new();
+    for case in common::canonical_cases(true) {
+        let name = case.name;
+        let generic = case.run_generic();
+        let (a, b) = case.lower();
+        let eps = a.approx_eps().max(b.approx_eps());
+        match case.approx_tolerance {
+            Some(tol) => assert!(eps > 0.0 && eps <= tol, "{name}: eps {eps} vs {tol}"),
+            None => assert_eq!(eps, 0.0, "{name}"),
+        }
+        let compiled = try_first_contact_programs(&a, &b, case.radius, &case.opts, &mut scratch)
+            .unwrap_or_else(|| panic!("{name}: compiled ladder refused"));
+        assert_eq!(
+            compiled.classification(),
+            generic.classification(),
+            "{name}: compiled {compiled} vs generic {generic}"
+        );
+        let (sa, sb) = (ProgramSoA::from_program(&a), ProgramSoA::from_program(&b));
+        let lane = try_first_contact_soa(&sa, &sb, case.radius, &case.opts, &mut scratch)
+            .unwrap_or_else(|| panic!("{name}: lane kernel refused"));
+        assert_eq!(
+            lane.classification(),
+            generic.classification(),
+            "{name}: lane kernel {lane} vs generic {generic}"
         );
     }
 }

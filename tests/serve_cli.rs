@@ -1,6 +1,5 @@
-//! End-to-end tests of the `rvz serve`, `rvz client` and `rvz loadtest`
-//! subcommands: a real child process on an ephemeral port, driven over
-//! real sockets.
+//! End-to-end tests of the `rvz serve` and `rvz client` subcommands: a
+//! real child process on an ephemeral port, driven over real sockets.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -129,59 +128,6 @@ fn client_reports_server_errors_with_nonzero_exit() {
 }
 
 #[test]
-fn loadtest_quick_writes_the_bench_artifact() {
-    let out_path =
-        std::env::temp_dir().join(format!("rvz-loadtest-test-{}.json", std::process::id()));
-    let out_str = out_path.to_str().unwrap();
-    let (ok, stdout, stderr) = rvz(&[
-        "loadtest",
-        "--quick",
-        "--clients",
-        "2",
-        "--requests",
-        "10",
-        "--families",
-        "2",
-        "--out",
-        out_str,
-    ]);
-    assert!(ok, "loadtest failed: {stderr}");
-    assert!(stdout.contains("cached"));
-    assert!(stdout.contains("no-cache"));
-    assert!(stdout.contains("speedup"));
-    let json = std::fs::read_to_string(&out_path).unwrap();
-    std::fs::remove_file(&out_path).ok();
-    let parsed = plane_rendezvous::experiments::json::parse(json.trim()).unwrap();
-    assert_eq!(
-        parsed.get("schema").and_then(|s| s.as_str()),
-        Some("rvz-bench-serve/v3")
-    );
-    assert!(parsed.get("speedup").and_then(|s| s.as_f64()).unwrap() > 0.0);
-    // v3: each closed-loop arm carries its full latency distribution.
-    for arm in parsed.get("arms").and_then(|a| a.as_array()).unwrap() {
-        let hist = arm
-            .get("latency_histogram")
-            .expect("v3 arms carry a latency histogram");
-        assert!(hist.get("count").and_then(|c| c.as_f64()).unwrap() > 0.0);
-        assert!(!hist
-            .get("buckets")
-            .and_then(|b| b.as_array())
-            .unwrap()
-            .is_empty());
-    }
-    // The open-loop overload phase must be part of the artifact.
-    let overload = parsed
-        .get("overload")
-        .expect("the artifact carries an overload object");
-    let arms = overload.get("arms").and_then(|a| a.as_array()).unwrap();
-    assert_eq!(arms.len(), 2, "1x and 2x arms");
-    for arm in arms {
-        assert!(arm.get("shed_rate").and_then(|s| s.as_f64()).is_some());
-        assert!(arm.get("accepted_latency_us").is_some());
-    }
-}
-
-#[test]
 fn per_subcommand_help_and_version() {
     let (ok, stdout, _) = rvz(&["version"]);
     assert!(ok);
@@ -198,9 +144,7 @@ fn per_subcommand_help_and_version() {
         "bounds",
         "sweep",
         "map",
-        "bench-engine",
         "serve",
-        "loadtest",
         "client",
     ] {
         let (ok, stdout, _) = rvz(&[cmd, "--help"]);
