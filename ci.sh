@@ -110,10 +110,13 @@ echo "$FC_METRICS_ON" | grep -q 'X-Rvz-Cache: miss'
 "$RVZ" client --addr "$ADDR" --path /first-contact \
     --body '{"speed":2,"distance":1.8,"visibility":0.5,"bearing":4.188790204786391}' \
     | grep -q 'X-Rvz-Cache: hit'
-# A batch sweep reuses the cached orbit and stays Theorem 4 consistent.
-"$RVZ" client --addr "$ADDR" --path /sweep \
-    --body '{"scenarios":[{"speed":0.5,"distance":0.9,"visibility":0.25},{"time_unit":0.6,"distance":0.9,"visibility":0.25}]}' \
-    | grep -q '"consistent":2'
+# A batch sweep reuses the cached orbit, runs the engine once for the
+# new one, and stays Theorem 4 consistent.
+SWEEP_OUT="$("$RVZ" client --addr "$ADDR" --path /sweep \
+    --body '{"scenarios":[{"speed":0.5,"distance":0.9,"visibility":0.25},{"time_unit":0.6,"distance":0.9,"visibility":0.25}]}')"
+echo "$SWEEP_OUT" | grep -q '"consistent":2'
+echo "$SWEEP_OUT" | grep -q 'X-Rvz-Cache: hits=1;misses=1' \
+    || { echo "sweep did not resolve through the cache: $SWEEP_OUT"; exit 1; }
 # Every response carries a 16-hex-digit trace ID.
 "$RVZ" client --addr "$ADDR" --path /healthz \
     | grep -Eq '^X-Rvz-Trace: [0-9a-f]{16}$'

@@ -182,28 +182,13 @@ impl<V: Clone> ResultCache<V> {
 
     /// Looks the key up, refreshing recency; counts a hit or a miss.
     pub fn get(&self, key: &CacheKey) -> Option<V> {
-        let value = self.probe(key);
+        let (lock, _) = self.shard(key);
+        let value = lock.lock().expect("cache shard poisoned").get(key);
         match value {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         value
-    }
-
-    /// Looks the key up (refreshing recency) **without** touching the
-    /// hit/miss counters — for batch resolvers that dedup misses and
-    /// account for them via [`ResultCache::record`] so `misses` keeps
-    /// meaning "engine runs".
-    pub fn probe(&self, key: &CacheKey) -> Option<V> {
-        let (lock, _) = self.shard(key);
-        lock.lock().expect("cache shard poisoned").get(key)
-    }
-
-    /// Adds to the hit/miss counters in bulk (the batch-resolver
-    /// companion of [`ResultCache::probe`]).
-    pub fn record(&self, hits: u64, misses: u64) {
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
     }
 
     /// Inserts a computed value.

@@ -9,11 +9,10 @@
 //! service's fixed engine options, then maps the outcome back through
 //! the orbit's inverse transform; a cache hit returns the stored value
 //! of that same computation. Identical requests therefore produce
-//! byte-identical JSON regardless of worker count, arrival order,
-//! cache state, or whether the cache is enabled at all. Mutable
-//! observability (hit/miss markers, counters) lives in the
-//! `X-Rvz-Cache` response header and the `/stats` endpoint, never in a
-//! result body.
+//! byte-identical JSON regardless of worker count, arrival order or
+//! cache state. Mutable observability (hit/miss markers, counters)
+//! lives in the `X-Rvz-Cache` response header and the `/stats`
+//! endpoint, never in a result body.
 //!
 //! ## Engine-frame semantics
 //!
@@ -53,12 +52,8 @@ pub struct ServiceOptions {
     /// Canonicalization grid step (snapped to a power of two;
     /// `≤ 0` for bit-exact keys). Defaults to [`DEFAULT_GRID`].
     pub cache_grid: f64,
-    /// Disables the cache entirely: every request simulates its
-    /// canonical representative on the engine route a miss takes, so
-    /// response bytes are the same either way. Tests set it to force
-    /// engine work on every request.
-    pub no_cache: bool,
-    /// Engine options and batch thread count for cache misses.
+    /// Engine options for cache misses (`threads` is not read: every
+    /// miss runs on the thread that handles its request).
     ///
     /// `sweep.compile_pieces` is the piece budget of the service's
     /// **compiled path** (`0` disables it). The **reference** program
@@ -113,7 +108,6 @@ impl Default for ServiceOptions {
             cache_capacity: 65_536,
             cache_shards: 16,
             cache_grid: DEFAULT_GRID,
-            no_cache: false,
             sweep: SweepOptions::default(),
             deadline: None,
             max_inflight: 0,
@@ -479,7 +473,6 @@ impl Service {
             (
                 "cache",
                 Json::obj(vec![
-                    ("enabled", Json::Bool(!self.opts.no_cache)),
                     ("entries", Json::Num(stats.entries as f64)),
                     ("capacity", Json::Num(self.opts.cache_capacity as f64)),
                     ("hits", Json::Num(stats.hits as f64)),
@@ -689,34 +682,33 @@ impl Service {
         Response::ok(body)
     }
 
-    /// Answers one scenario through the canonical cache; returns the
-    /// record, the canonical reduction it travelled through, and
-    /// whether the outcome came from the cache.
-    fn answer(&self, scenario: &Scenario) -> (SweepRecord, rvz_experiments::Canonical, bool) {
+    /// Answers one scenario through the canonical cache under the
+    /// request's engine options; returns the record, the canonical
+    /// reduction it travelled through, and whether the outcome came
+    /// from the cache. Every `/first-contact` and every `/sweep`
+    /// scenario resolves here, so a miss is one single-flight claim
+    /// per orbit whichever endpoint asks.
+    fn answer(
+        &self,
+        scenario: &Scenario,
+        contact: &ContactOptions,
+    ) -> (SweepRecord, rvz_experiments::Canonical, bool) {
         let canonical = scenario.canonicalize(self.opts.cache_grid);
-        let contact = self.request_contact();
-        let (outcome, hit) = if self.opts.no_cache {
-            // Cache off bypasses the result cache only: every
-            // request runs the same engine route a miss takes, so the
-            // bytes do not depend on the cache setting.
-            (self.simulate(&canonical.scenario, &contact), false)
-        } else {
-            self.cache.get_or_compute_if(
-                canonical.key,
-                || {
-                    if let Some(f) = &self.faults {
-                        if f.fires(FaultSite::CacheFail) {
-                            panic!("injected fault: cache compute failure");
-                        }
+        let (outcome, hit) = self.cache.get_or_compute_if(
+            canonical.key,
+            || {
+                if let Some(f) = &self.faults {
+                    if f.fires(FaultSite::CacheFail) {
+                        panic!("injected fault: cache compute failure");
                     }
-                    self.simulate(&canonical.scenario, &contact)
-                },
-                // A deadline outcome reflects this request's wall
-                // clock, not the scenario: caching it would serve a
-                // timeout to future requests that had time to finish.
-                |outcome| !matches!(outcome, SimOutcome::Deadline { .. }),
-            )
-        };
+                }
+                self.simulate(&canonical.scenario, contact)
+            },
+            // A deadline outcome reflects this request's wall clock,
+            // not the scenario: caching it would serve a timeout to
+            // future requests that had time to finish.
+            |outcome| !matches!(outcome, SimOutcome::Deadline { .. }),
+        );
         let record = SweepRecord {
             scenario: *scenario,
             feasibility: feasibility(&scenario.attributes()),
@@ -724,24 +716,16 @@ impl Service {
         };
         LAST_ORBIT.with(|o| o.set(Some(orbit_digest(&canonical.key))));
         if matches!(record.outcome, SimOutcome::Deadline { .. }) {
-            self.count_deadlines(1);
+            // The third shed cause in `/stats` → `admission.shed_by_cause`.
+            self.deadline_outcomes.fetch_add(1, Ordering::Relaxed);
+            if !self.opts.no_metrics {
+                rvz_obs::counter!("rvz_shed_total", "cause" => "deadline").inc();
+            }
         }
         if !self.opts.no_metrics {
-            cache_counter(self.opts.no_cache, hit).inc();
+            cache_counter(hit).inc();
         }
         (record, canonical, hit)
-    }
-
-    /// Counts wall-clock deadline outcomes (the third shed cause in
-    /// `/stats` → `admission.shed_by_cause`).
-    fn count_deadlines(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.deadline_outcomes.fetch_add(n, Ordering::Relaxed);
-        if !self.opts.no_metrics {
-            rvz_obs::counter!("rvz_shed_total", "cause" => "deadline").add(n);
-        }
     }
 
     /// Simulates the canonical representative: through the compiled
@@ -784,9 +768,7 @@ impl Service {
     ///
     /// Which engine resolves a representative is a pure function of
     /// the scenario and the engine options, so the determinism contract
-    /// holds for every cached byte; a `/sweep` representative resolves
-    /// through this same function, so batch and single answers agree
-    /// by construction.
+    /// holds for every cached byte.
     fn simulate_compiled(
         &self,
         canonical: &Scenario,
@@ -850,7 +832,7 @@ impl Service {
             Ok(s) => s,
             Err(e) => return Response::error(400, &e),
         };
-        let (record, canonical, hit) = self.answer(&scenario);
+        let (record, canonical, hit) = self.answer(&scenario, &self.request_contact());
         let body = Json::obj(vec![
             ("record", record_to_json(&record)),
             (
@@ -866,7 +848,7 @@ impl Service {
             ),
         ])
         .render();
-        Response::ok(body).header("X-Rvz-Cache", cache_marker(self.opts.no_cache, hit))
+        Response::ok(body).header("X-Rvz-Cache", if hit { "hit" } else { "miss" })
     }
 
     fn sweep(&self, req: &Request) -> Response {
@@ -894,106 +876,21 @@ impl Service {
             Err(e) => return Response::error(400, &e),
         };
 
-        // Resolve each scenario against the cache; batch the distinct
-        // missing representatives through one `run_sweep` call. Probes
-        // bypass the per-lookup counters so that `misses` keeps meaning
-        // "engine runs" — orbit-mates deduped within the batch count as
-        // one miss, which is also what the response header reports.
-        let canonicals: Vec<_> = scenarios
-            .iter()
-            .map(|s| s.canonicalize(self.opts.cache_grid))
-            .collect();
-        let mut outcomes: Vec<Option<SimOutcome>> = vec![None; scenarios.len()];
-        let mut hits = 0u64;
-        if !self.opts.no_cache {
-            for (i, c) in canonicals.iter().enumerate() {
-                if let Some(outcome) = self.cache.probe(&c.key) {
-                    outcomes[i] = Some(outcome);
-                    hits += 1;
-                }
-            }
-        }
-        let mut missing: Vec<Scenario> = Vec::new();
-        let mut missing_index: std::collections::HashMap<rvz_experiments::CacheKey, usize> =
-            std::collections::HashMap::new();
-        for (i, c) in canonicals.iter().enumerate() {
-            if outcomes[i].is_none() && !missing_index.contains_key(&c.key) {
-                missing_index.insert(c.key, missing.len());
-                let mut rep = c.scenario;
-                rep.id = missing.len() as u64;
-                missing.push(rep);
-            }
-        }
-        let misses = missing.len() as u64;
-        if !self.opts.no_cache {
-            self.cache.record(hits, misses);
-            if !self.opts.no_metrics {
-                cache_counter(false, true).add(hits);
-                cache_counter(false, false).add(misses);
-            }
-        } else if !self.opts.no_metrics {
-            cache_counter(true, false).add(scenarios.len() as u64);
-        }
+        // Each scenario resolves the way a `/first-contact` does, under
+        // one engine budget for the whole body. `misses` counts engine
+        // runs: an orbit-mate later in the body is a hit.
         let contact = self.request_contact();
-        if !missing.is_empty() {
-            // Resolve each representative through the single-query
-            // compiled path (the per-process reference arena and a
-            // streamed partner), so batch and single answers are the
-            // same function; whatever it hands back runs on the cursor
-            // engine through the executor.
-            let mut computed: Vec<Option<SimOutcome>> = vec![None; missing.len()];
-            if self.opts.sweep.compile_pieces > 0 {
-                for (slot, rep) in computed.iter_mut().zip(&missing) {
-                    *slot = self.simulate_compiled(rep, &contact);
-                }
-            }
-            let leftover: Vec<Scenario> = missing
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| computed[*j].is_none())
-                .map(|(idx, rep)| Scenario {
-                    id: idx as u64,
-                    ..*rep
-                })
-                .collect();
-            if !leftover.is_empty() {
-                let sweep = SweepOptions {
-                    contact,
-                    ..self.opts.sweep
-                };
-                for record in run_sweep(&leftover, &sweep) {
-                    computed[record.scenario.id as usize] = Some(record.outcome);
-                }
-            }
-            let computed: Vec<SimOutcome> =
-                computed.into_iter().map(|o| o.expect("resolved")).collect();
-            for (key, &j) in &missing_index {
-                // Deadline outcomes are wall-clock artifacts of this
-                // request; never let them answer future queries.
-                if !self.opts.no_cache && !matches!(computed[j], SimOutcome::Deadline { .. }) {
-                    self.cache.insert(*key, computed[j]);
-                }
-            }
-            for (i, c) in canonicals.iter().enumerate() {
-                if outcomes[i].is_none() {
-                    let j = *missing_index.get(&c.key).expect("every miss was batched");
-                    outcomes[i] = Some(computed[j]);
-                }
-            }
-        }
-
+        let mut hits = 0u64;
         let records: Vec<SweepRecord> = scenarios
             .iter()
-            .zip(&canonicals)
-            .zip(&outcomes)
-            .map(|((s, c), outcome)| SweepRecord {
-                scenario: *s,
-                feasibility: feasibility(&s.attributes()),
-                outcome: c.transform.apply(outcome.expect("resolved above")),
+            .map(|s| {
+                let (record, _, hit) = self.answer(s, &contact);
+                hits += u64::from(hit);
+                record
             })
             .collect();
+        let misses = records.len() as u64 - hits;
         let summary = Summary::from_records(&records);
-        self.count_deadlines(summary.deadlines as u64);
         let body = Json::obj(vec![
             (
                 "records",
@@ -1071,14 +968,14 @@ fn status_counter(status: u16) -> &'static rvz_obs::Counter {
     }
 }
 
-/// The `rvz_cache_requests_total{outcome=…}` counter matching
-/// [`cache_marker`]'s labels.
-fn cache_counter(no_cache: bool, hit: bool) -> &'static rvz_obs::Counter {
+/// The `rvz_cache_requests_total{outcome=…}` counter matching the
+/// `X-Rvz-Cache` marker.
+fn cache_counter(hit: bool) -> &'static rvz_obs::Counter {
     use rvz_obs::counter;
-    match (no_cache, hit) {
-        (true, _) => counter!("rvz_cache_requests_total", "outcome" => "bypass"),
-        (false, true) => counter!("rvz_cache_requests_total", "outcome" => "hit"),
-        (false, false) => counter!("rvz_cache_requests_total", "outcome" => "miss"),
+    if hit {
+        counter!("rvz_cache_requests_total", "outcome" => "hit")
+    } else {
+        counter!("rvz_cache_requests_total", "outcome" => "miss")
     }
 }
 
@@ -1092,9 +989,8 @@ fn preregister_metrics() {
     for status in [200, 400, 404, 405, 413, 500, 503, 0] {
         let _ = status_counter(status);
     }
-    let _ = cache_counter(true, false);
-    let _ = cache_counter(false, true);
-    let _ = cache_counter(false, false);
+    let _ = cache_counter(true);
+    let _ = cache_counter(false);
     let _ = counter!("rvz_shed_total", "cause" => "queue");
     let _ = counter!("rvz_shed_total", "cause" => "max_inflight");
     let _ = counter!("rvz_shed_total", "cause" => "deadline");
@@ -1164,14 +1060,6 @@ fn slow_log(req: &Request, resp: &Response, trace: u64, elapsed: Duration) {
     eprintln!("{line}");
 }
 
-fn cache_marker(no_cache: bool, hit: bool) -> &'static str {
-    match (no_cache, hit) {
-        (true, _) => "bypass",
-        (false, true) => "hit",
-        (false, false) => "miss",
-    }
-}
-
 fn reference_scenario() -> Scenario {
     rvz_experiments::ScenarioGrid::new().build()[0]
 }
@@ -1237,7 +1125,11 @@ mod tests {
         assert_eq!(resp.body, r#"{"ok":true}"#);
         let (resp, _) = svc.handle(&request("GET", "/stats", ""));
         assert!(resp.body.contains("\"requests\":2"));
-        assert!(resp.body.contains("\"enabled\":true"));
+        assert!(
+            resp.body.contains("\"cache\":{\"entries\":0,"),
+            "{}",
+            resp.body
+        );
     }
 
     #[test]
@@ -1337,9 +1229,10 @@ mod tests {
         assert!(resp.body.contains("\"id\":2"));
         assert_eq!(
             header(&resp, "X-Rvz-Cache"),
-            "hits=0;misses=2",
-            "the symmetric family funnels into one engine run"
+            "hits=1;misses=2",
+            "the twin hits the entry its orbit-mate just filled"
         );
+        assert_eq!(svc.cache_stats().misses, 2, "one engine run per orbit");
         let (resp2, _) = svc.handle(&request("POST", "/sweep", body));
         assert_eq!(resp2.body, resp.body);
         assert_eq!(header(&resp2, "X-Rvz-Cache"), "hits=3;misses=0");
@@ -1457,28 +1350,11 @@ mod tests {
     }
 
     #[test]
-    fn no_cache_mode_bypasses_the_cache() {
-        let svc = Service::new(ServiceOptions {
-            no_cache: true,
-            ..test_options()
-        });
-        let body = r#"{"speed":0.5,"distance":0.9,"visibility":0.25}"#;
-        let (a, _) = svc.handle(&request("POST", "/first-contact", body));
-        let (b, _) = svc.handle(&request("POST", "/first-contact", body));
-        assert_eq!(a.body, b.body);
-        assert_eq!(header(&a, "X-Rvz-Cache"), "bypass");
-        assert_eq!(header(&b, "X-Rvz-Cache"), "bypass");
-        assert_eq!(svc.cache_stats().entries, 0);
-    }
-
-    #[test]
-    fn no_cache_answers_byte_identical_to_the_cached_service() {
-        // A depth-3 horizon the reference lowering covers, so a cached
-        // miss takes the compiled path; with the cache off, a request
-        // must take the same engine route or its bytes would depend on
-        // the cache setting.
-        let options = |no_cache| ServiceOptions {
-            no_cache,
+    fn depth3_cold_misses_and_warm_hits_answer_byte_identical() {
+        // A depth-3 horizon the reference lowering covers, so a miss
+        // takes the compiled path; the hit that follows must replay the
+        // same bytes on both endpoints.
+        let options = ServiceOptions {
             sweep: SweepOptions {
                 threads: 1,
                 contact: rvz_sim::ContactOptions {
@@ -1494,18 +1370,20 @@ mod tests {
         let twin = r#"{"speed":1,"distance":0.9,"visibility":0.1}"#;
         let sweep = format!(r#"{{"scenarios":[{feasible},{twin}]}}"#);
         let requests = [
-            ("/first-contact", feasible.to_string()),
-            ("/first-contact", twin.to_string()),
-            ("/sweep", sweep),
+            ("/first-contact", feasible.to_string(), "miss", "hit"),
+            ("/first-contact", twin.to_string(), "miss", "hit"),
+            ("/sweep", sweep, "hits=0;misses=2", "hits=2;misses=0"),
         ];
-        for (path, body) in &requests {
-            // Fresh services per request: the cached side answers a miss.
-            let cached = Service::new(options(false));
-            let bypass = Service::new(options(true));
-            let (a, _) = cached.handle(&request("POST", path, body));
-            let (b, _) = bypass.handle(&request("POST", path, body));
-            assert_eq!(a.status, 200, "{}", a.body);
-            assert_eq!(a.body, b.body, "{path} {body}");
+        for (path, body, cold_marker, warm_marker) in &requests {
+            // A fresh service per request: the first answer is a miss.
+            let svc = Service::new(options);
+            let (cold, _) = svc.handle(&request("POST", path, body));
+            let (warm, _) = svc.handle(&request("POST", path, body));
+            assert_eq!(cold.status, 200, "{}", cold.body);
+            assert_eq!(header(&cold, "X-Rvz-Cache"), *cold_marker);
+            assert_eq!(header(&warm, "X-Rvz-Cache"), *warm_marker);
+            assert_eq!(cold.body, warm.body, "{path} {body}");
+            assert_eq!(svc.program_stats().entries, 1, "the compiled path ran");
         }
     }
 
@@ -1574,7 +1452,6 @@ mod tests {
         use crate::faults::FaultPlan;
         let mut opts = test_options();
         opts.max_inflight = 1;
-        opts.no_cache = true;
         // Every engine run sleeps 200ms, guaranteeing overlap.
         opts.faults = Some(FaultPlan {
             seed: 1,

@@ -164,6 +164,46 @@ fn cache_compute_failure_does_not_strand_concurrent_waiters() {
 }
 
 #[test]
+fn sweep_joins_a_concurrent_first_contact_for_the_same_orbit() {
+    // Every engine run sleeps 300 ms. A `/first-contact` claims the
+    // orbit; a `/sweep` holding the same scenario arrives while that
+    // claim is in flight and must join it, not run the engine again.
+    let svc = std::sync::Arc::new(Service::new(ServiceOptions {
+        faults: Some(FaultPlan::parse("seed=7,delay_rate=1,delay_ms=300").unwrap()),
+        ..service_options()
+    }));
+    let post = |path: &str, body: &str| rvz_server::Request {
+        method: "POST".to_string(),
+        path: path.to_string(),
+        query: Vec::new(),
+        headers: Default::default(),
+        body: body.as_bytes().to_vec(),
+    };
+    let single = {
+        let svc = std::sync::Arc::clone(&svc);
+        let req = post("/first-contact", BODY);
+        std::thread::spawn(move || svc.handle(&req).0)
+    };
+    std::thread::sleep(Duration::from_millis(50));
+    let (batch, _) = svc.handle(&post("/sweep", &format!(r#"{{"scenarios":[{BODY}]}}"#)));
+    let single = single.join().unwrap();
+    assert_eq!((single.status, batch.status), (200, 200), "{}", batch.body);
+
+    let stats = svc.cache_stats();
+    assert_eq!(stats.misses, 1, "the sweep re-ran the engine: {stats:?}");
+    assert_eq!(stats.joined, 1, "{stats:?}");
+    let parse = |body: &str| rvz_experiments::json::parse(body).unwrap();
+    let (single, batch) = (parse(&single.body), parse(&batch.body));
+    assert_eq!(
+        single.get("record"),
+        batch
+            .get("records")
+            .and_then(rvz_experiments::Json::as_array)
+            .map(|records| &records[0]),
+    );
+}
+
+#[test]
 fn connection_reset_truncates_one_response_then_recovers() {
     let server = start(
         service_options(),
@@ -231,7 +271,6 @@ fn drain_deadline_detaches_a_wedged_worker_instead_of_hanging() {
     let server = start(
         ServiceOptions {
             faults: Some(FaultPlan::parse("seed=7,delay_rate=1,delay_ms=1500").unwrap()),
-            no_cache: true,
             ..service_options()
         },
         &ServerOptions {

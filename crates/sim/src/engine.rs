@@ -384,8 +384,7 @@ where
     first_contact_cursors(&mut a.cursor(), &mut b.cursor(), radius, opts)
 }
 
-/// [`first_contact`] for type-erased robots: the heterogeneous-swarm
-/// entry point.
+/// [`first_contact`] for type-erased robots.
 ///
 /// Runs the cursor fast path through [`MonotoneDyn::with_cursor`]'s
 /// scoped stack cursors instead of `dyn_cursor()`'s boxed ones, so a
@@ -445,7 +444,7 @@ pub struct EngineStats {
 /// The cursor-level engine behind [`first_contact`].
 ///
 /// Takes the two cursors directly, which lets heterogeneous callers
-/// (e.g. `&[&dyn MonotoneDyn]` swarms) drive the fast path through boxed
+/// (e.g. `dyn MonotoneDyn` robots) drive the fast path through boxed
 /// cursors.
 ///
 /// # Panics

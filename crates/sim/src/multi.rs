@@ -1,22 +1,4 @@
-//! Multi-robot simulation — the paper's concluding open problem.
-//!
-//! Section 5 poses "deterministic gathering for multiple robots in this
-//! setting of minimal knowledge" as future work. This module provides the
-//! simulation machinery to *explore* that question empirically:
-//!
-//! * [`pairwise_meetings`] — for a swarm all running the same algorithm
-//!   in their own frames, the first time each pair sees the other
-//!   (pairwise rendezvous is exactly the two-robot problem, so Theorem 4
-//!   applies to each pair independently);
-//! * [`first_simultaneous_gathering`] — conservative advancement on the
-//!   swarm *diameter*: the first time all robots are mutually within `r`
-//!   at once, if it ever happens.
-//!
-//! The gathering demo example uses both to show that pairwise feasibility
-//! does **not** obviously compose into simultaneous gathering — which is
-//! precisely why the paper leaves it open.
-//!
-//! ## The arena batch loop
+//! The arena batch loop.
 //!
 //! Over SoA arenas ([`ProgramSoA`]) there is one batch loop,
 //! [`first_contact_batch_soa`]: one reference against many partners,
@@ -27,47 +9,8 @@
 use crate::compiled::EngineScratch;
 use crate::engine::{ContactOptions, EngineStats, SimOutcome};
 use crate::kernel::{try_first_contact_soa, try_first_contact_soa_impl};
-use rvz_geometry::{Aabb, Vec2};
-use rvz_trajectory::{Cursor, MonotoneDyn, ProgramSoA, SoaStream, Trajectory};
-
-/// First-contact times for every unordered pair in a swarm.
-///
-/// Entry `[i][j]` (for `i < j`) is `Some(t)` when robots `i` and `j` come
-/// within `radius` at time `t ≤ opts.horizon`; `None` otherwise.
-/// Diagonal and lower-triangle entries are `None`.
-///
-/// The robots are taken as [`MonotoneDyn`] trait objects (implemented
-/// automatically for every
-/// [`MonotoneTrajectory`](rvz_trajectory::MonotoneTrajectory)), so each
-/// pair runs on the engine's cursor fast path through
-/// [`first_contact_dyn`](crate::first_contact_dyn)'s scoped stack
-/// cursors — no per-pair boxing.
-///
-/// A wall-clock [`Budget`](crate::Budget) in `opts` is shared by every
-/// pair (the deadline is absolute): once it expires, remaining pairs
-/// resolve to `None` almost immediately instead of running to their
-/// horizons, exactly like a pair whose query ends at the horizon.
-///
-/// # Panics
-///
-/// Panics when fewer than two robots are supplied (or on invalid
-/// options/radius, as in [`crate::first_contact`]).
-pub fn pairwise_meetings(
-    robots: &[&dyn MonotoneDyn],
-    radius: f64,
-    opts: &ContactOptions,
-) -> Vec<Vec<Option<f64>>> {
-    assert!(robots.len() >= 2, "need at least two robots");
-    let n = robots.len();
-    let mut table = vec![vec![None; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let outcome = crate::engine::first_contact_dyn(robots[i], robots[j], radius, opts);
-            table[i][j] = outcome.contact_time();
-        }
-    }
-    table
-}
+use rvz_geometry::Aabb;
+use rvz_trajectory::{ProgramSoA, SoaStream};
 
 /// Envelope windows per robot in the batch prefilter: coarse enough
 /// that the tables stay cache-resident for large batches, fine enough
@@ -247,163 +190,10 @@ pub fn first_contact_streamed(
     }
 }
 
-/// The largest pairwise distance among sampled positions.
-fn diameter_of(positions: &[Vec2]) -> f64 {
-    let mut max = 0.0_f64;
-    for (i, pi) in positions.iter().enumerate() {
-        for pj in positions.iter().skip(i + 1) {
-            max = max.max(pi.distance(*pj));
-        }
-    }
-    max
-}
-
-/// Finds the first time the swarm's diameter drops to `radius` — all
-/// robots simultaneously within visibility of each other.
-///
-/// Conservative advancement applies verbatim: the diameter decreases at
-/// a rate at most the sum of the two largest speed bounds, which we
-/// over-approximate by twice the maximum bound.
-///
-/// # Panics
-///
-/// Panics when fewer than two robots are supplied or on invalid options.
-pub fn first_simultaneous_gathering(
-    robots: &[&dyn MonotoneDyn],
-    radius: f64,
-    opts: &ContactOptions,
-) -> SimOutcome {
-    assert!(robots.len() >= 2, "need at least two robots");
-    assert!(
-        radius > 0.0 && radius.is_finite(),
-        "radius must be positive"
-    );
-    let closing_bound: f64 = 2.0
-        * robots
-            .iter()
-            .map(|r| r.speed_bound())
-            .fold(0.0_f64, f64::max);
-    // One boxed cursor per robot, built once: the loop only advances
-    // `t`, so every position sample is an amortized-O(1) monotone query.
-    let mut cursors: Vec<Box<dyn Cursor + '_>> = robots.iter().map(|r| r.dyn_cursor()).collect();
-    let mut positions = vec![Vec2::ZERO; cursors.len()];
-    let mut t = 0.0_f64;
-    let mut min_diameter = f64::INFINITY;
-    let mut min_diameter_time = 0.0;
-    let mut steps = 0_u64;
-    loop {
-        for (position, cursor) in positions.iter_mut().zip(cursors.iter_mut()) {
-            *position = cursor.position(t);
-        }
-        let d = diameter_of(&positions);
-        if d < min_diameter {
-            min_diameter = d;
-            min_diameter_time = t;
-        }
-        if d <= radius + opts.tolerance {
-            return SimOutcome::Contact {
-                time: t,
-                distance: d,
-                steps,
-            };
-        }
-        // Note the ordering: `t` is clamped to the horizon when stepping,
-        // so the diameter at exactly `t = horizon` is sampled (and folded
-        // into the minimum) before this returns.
-        if t >= opts.horizon {
-            return SimOutcome::Horizon {
-                min_distance: min_diameter,
-                min_distance_time: min_diameter_time,
-                steps,
-            };
-        }
-        steps += 1;
-        if steps > opts.max_steps {
-            return SimOutcome::StepBudget {
-                time: t,
-                min_distance: min_diameter,
-                steps: opts.max_steps,
-            };
-        }
-        if let Some(budget) = &opts.budget {
-            if budget.fires_at(steps) {
-                return SimOutcome::Deadline {
-                    time: t,
-                    min_distance: min_diameter,
-                    steps,
-                };
-            }
-        }
-        if closing_bound == 0.0 {
-            return SimOutcome::Horizon {
-                min_distance: min_diameter,
-                min_distance_time: min_diameter_time,
-                steps,
-            };
-        }
-        let step = (d - radius) / closing_bound;
-        let floor = 4.0 * f64::EPSILON * (1.0 + t.abs());
-        t = (t + step.max(floor)).min(opts.horizon);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rvz_geometry::Vec2;
-    use rvz_trajectory::{FnTrajectory, MonotoneTrajectory};
-
-    fn approach(start: Vec2, speed: f64) -> impl MonotoneTrajectory {
-        // Moves from `start` straight toward the origin, then stays.
-        FnTrajectory::new(
-            move |t| {
-                let dist = start.norm();
-                let travelled = (speed * t).min(dist);
-                start * (1.0 - travelled / dist)
-            },
-            speed,
-        )
-    }
-
-    #[test]
-    fn three_converging_robots_gather() {
-        let a = approach(Vec2::new(4.0, 0.0), 1.0);
-        let b = approach(Vec2::new(0.0, 4.0), 0.5);
-        let c = approach(Vec2::new(-4.0, -4.0), 0.8);
-        let robots: Vec<&dyn MonotoneDyn> = vec![&a, &b, &c];
-        let out = first_simultaneous_gathering(&robots, 0.5, &ContactOptions::with_horizon(100.0));
-        let t = out.contact_time().expect("all converge to the origin");
-        // Slowest robot (b) needs 4/0.5 = 8 time units minus the slack the
-        // radius allows.
-        assert!(t > 5.0 && t <= 8.0, "t = {t}");
-    }
-
-    #[test]
-    fn pairwise_table_shape_and_symmetric_reach() {
-        let a = approach(Vec2::new(2.0, 0.0), 1.0);
-        let b = approach(Vec2::new(-2.0, 0.0), 1.0);
-        let c = FnTrajectory::new(|_| Vec2::new(0.0, 50.0), 0.0); // far away, parked
-        let robots: Vec<&dyn MonotoneDyn> = vec![&a, &b, &c];
-        let table = pairwise_meetings(&robots, 0.5, &ContactOptions::with_horizon(50.0));
-        assert!(table[0][1].is_some());
-        assert_eq!(table[1][0], None); // lower triangle unused
-        assert_eq!(table[0][2], None); // c is unreachable
-        assert_eq!(table[1][2], None);
-    }
-
-    #[test]
-    fn diverging_robots_report_horizon() {
-        let a = FnTrajectory::new(|t| Vec2::new(1.0 + t, 0.0), 1.0);
-        let b = FnTrajectory::new(|t| Vec2::new(-1.0 - t, 0.0), 1.0);
-        let robots: Vec<&dyn MonotoneDyn> = vec![&a, &b];
-        let out = first_simultaneous_gathering(&robots, 0.5, &ContactOptions::with_horizon(10.0));
-        match out {
-            SimOutcome::Horizon { min_distance, .. } => {
-                assert!((min_distance - 2.0).abs() < 1e-9)
-            }
-            other => panic!("diverging robots gathered? {other:?}"),
-        }
-    }
 
     #[test]
     fn batch_soa_matches_per_pair_kernel_and_prefilters_far_partners() {
@@ -495,13 +285,5 @@ mod tests {
             first_contact_batch_soa(&reference, &[covered, truncated], 1.0, &opts, &mut scratch);
         assert!(batch[0].is_some(), "covered partner must resolve");
         assert_eq!(batch[1], None, "truncated partner must refuse");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two robots")]
-    fn single_robot_rejected() {
-        let a = FnTrajectory::new(|_| Vec2::ZERO, 0.0);
-        let robots: Vec<&dyn MonotoneDyn> = vec![&a];
-        let _ = first_simultaneous_gathering(&robots, 1.0, &ContactOptions::default());
     }
 }

@@ -251,8 +251,6 @@ every cell by simulation. Raise --horizon-rounds (default 9) and
             ("workers", true),
             ("cache-capacity", true),
             ("cache-grid", true),
-            ("no-cache", false),
-            ("sweep-threads", true),
             ("max-steps", true),
             ("horizon-rounds", true),
             ("no-prune", false),
@@ -270,10 +268,9 @@ every cell by simulation. Raise --horizon-rounds (default 9) and
         usage: "\
 USAGE:
   rvz serve [--addr A] [--port P] [--workers N] [--cache-capacity N]
-            [--cache-grid G] [--no-cache] [--sweep-threads N]
-            [--max-steps M] [--horizon-rounds K] [--no-prune]
-            [--compile-budget P] [--deadline-ms D] [--max-inflight N]
-            [--queue-depth N] [--drain-ms D] [--faults SPEC]
+            [--cache-grid G] [--max-steps M] [--horizon-rounds K]
+            [--no-prune] [--compile-budget P] [--deadline-ms D]
+            [--max-inflight N] [--queue-depth N] [--drain-ms D] [--faults SPEC]
             [--snapshot PATH] [--snapshot-interval-s S]
             [--no-metrics] [--slow-log-ms T]
 
@@ -281,17 +278,21 @@ Serve feasibility/first-contact/sweep queries over HTTP/1.1 with a
 sharded LRU cache keyed by each scenario's attribute-symmetry orbit.
 --port 0 binds an ephemeral port (printed on startup). --cache-grid is
 the canonicalization step, snapped to a power of two (default 2^-30;
-0 = bit-exact keys); --no-cache simulates every request the way a miss
-runs, so its answers are byte-identical to the cached server's. Engine
-flags mirror `rvz sweep`. A miss runs the SoA lane kernel on arenas
-streamed under --compile-budget pieces per trajectory (default 32768)
-and falls back to the cursor engine when the kernel refuses; 0 serves
-every miss on the cursor engine. Stop with POST /shutdown.
+0 = bit-exact keys). Every /first-contact and every /sweep scenario
+resolves through the cache, one entry per orbit; a miss runs on the
+worker handling its request, so --workers bounds concurrent engine
+work. --max-steps, --horizon-rounds and --no-prune mean what they mean
+for `rvz sweep`, applied in each orbit's canonical frame. A miss runs
+the SoA lane kernel on arenas streamed under --compile-budget pieces
+per trajectory (default 32768) and falls back to the cursor engine
+when the kernel refuses; 0 serves every miss on the cursor engine.
+Stop with POST /shutdown.
 
-Overload controls: --deadline-ms caps each request's engine wall clock
-(outcome \"deadline\", never cached; default: none), --max-inflight
-bounds concurrent engine runs (excess shed with 503 + Retry-After;
-default: unlimited), --queue-depth bounds accepted-but-unserved
+Overload controls: --deadline-ms caps each request's engine wall clock,
+shared by a /sweep's scenarios (outcome \"deadline\", never cached;
+default: none), --max-inflight bounds concurrent engine requests
+(excess shed with 503 + Retry-After; default: unlimited),
+--queue-depth bounds accepted-but-unserved
 connections (overflow shed with 503; default 1024), --drain-ms is the
 graceful-shutdown drain deadline (default 5000). --faults takes a
 deterministic seeded fault-injection spec `key=value,...` (keys: seed,
@@ -344,9 +345,9 @@ USAGE:
              [--body JSON] [--timeout-ms T] [--retries N]
 
 One-shot HTTP client for a running `rvz serve`: sends a single request
-and prints the status, the X-Rvz-Cache (hit/miss/bypass) and
-X-Rvz-Trace headers when present, and the response body. The method defaults to GET without a
-body and POST with one. --timeout-ms bounds both the connect and the
+and prints the status, the X-Rvz-Cache (hit/miss, or hits=H;misses=M
+for /sweep) and X-Rvz-Trace headers when present, and the response
+body. The method defaults to GET without a body and POST with one. --timeout-ms bounds both the connect and the
 read (default: connect 5000, read 30000). --retries N retries `503
 Retry-After` sheds up to N times with capped jittered backoff,
 sleeping at least the server's Retry-After hint (default 0: fail
@@ -471,9 +472,9 @@ fn get_algorithms(opts: &Flags) -> Result<Option<Vec<Algorithm>>, String> {
 /// `--horizon-rounds`, `--no-prune`, and `--compile-budget`, which only
 /// `rvz serve` accepts) plus the thread flag named `thread_key` on top
 /// of the sweep defaults.
-fn sweep_options(opts: &Flags, thread_key: &str) -> Result<SweepOptions, String> {
+fn sweep_options(opts: &Flags) -> Result<SweepOptions, String> {
     let mut sweep_opts = SweepOptions {
-        threads: get_usize(opts, thread_key, 0)?,
+        threads: get_usize(opts, "threads", 0)?,
         ..SweepOptions::default()
     };
     if let Some(max_steps) = opts.get("max-steps") {
@@ -702,7 +703,7 @@ fn cmd_sweep(opts: &Flags) -> Result<(), String> {
         grid.build()
     };
 
-    let mut sweep_opts = sweep_options(opts, "threads")?;
+    let mut sweep_opts = sweep_options(opts)?;
     sweep_opts.heartbeat = opts.contains_key("heartbeat");
 
     let checkpoint = opts.get("checkpoint").map(std::path::PathBuf::from);
@@ -856,7 +857,7 @@ fn cmd_map(opts: &Flags) -> Result<(), String> {
         }
     }
 
-    let sweep_opts = sweep_options(opts, "threads")?;
+    let sweep_opts = sweep_options(opts)?;
     println!(
         "simulation confirmation (universal Algorithm 7, d = {d}, r = {r}, {} cells):",
         scenarios.len()
@@ -935,8 +936,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
     let service_opts = ServiceOptions {
         cache_capacity: get_usize(opts, "cache-capacity", 65_536)?.max(1),
         cache_grid,
-        no_cache: opts.contains_key("no-cache"),
-        sweep: sweep_options(opts, "sweep-threads")?,
+        sweep: sweep_options(opts)?,
         deadline,
         max_inflight: get_usize(opts, "max-inflight", 0)?,
         faults,
@@ -944,7 +944,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         slow_log_ms,
         ..ServiceOptions::default()
     };
-    let no_cache = service_opts.no_cache;
     let server_opts = plane_rendezvous::server::ServerOptions {
         workers,
         queue_depth: get_usize(opts, "queue-depth", 1024)?.max(1),
@@ -966,8 +965,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
             .map_err(|e| format!("cannot bind {addr}:{port}: {e}"))?;
     println!("rvz serve listening on {}", server.addr());
     println!(
-        "workers = {workers}, cache = {}, grid = {}, queue = {}, deadline = {}, metrics = {}",
-        if no_cache { "off" } else { "on" },
+        "workers = {workers}, grid = {}, queue = {}, deadline = {}, metrics = {}",
         plane_rendezvous::experiments::snap_grid(cache_grid),
         server_opts.queue_depth,
         deadline.map_or("none".to_string(), |d| format!("{} ms", d.as_millis())),

@@ -96,19 +96,6 @@ fn serve_answers_queries_and_shuts_down_gracefully() {
 }
 
 #[test]
-fn serve_no_cache_reports_bypass() {
-    let (mut child, addr) = spawn_server(&["--no-cache"]);
-    let body = r#"{"speed":0.5,"distance":0.9,"visibility":0.25}"#;
-    for _ in 0..2 {
-        let (ok, out) = client(&addr, &["--path", "/first-contact", "--body", body]);
-        assert!(ok);
-        assert!(out.contains("X-Rvz-Cache: bypass"), "{out}");
-    }
-    let (_, _) = client(&addr, &["--path", "/shutdown", "--method", "POST"]);
-    child.wait().expect("serve exits");
-}
-
-#[test]
 fn client_reports_server_errors_with_nonzero_exit() {
     let (mut child, addr) = spawn_server(&[]);
     let (ok, stdout, stderr) = rvz(&[
@@ -170,6 +157,22 @@ fn unknown_flags_name_the_subcommand() {
     let (ok, _, stderr) = rvz(&["serve", "--por", "1"]);
     assert!(!ok);
     assert!(stderr.contains("unknown flag `--por` for `rvz serve`"));
+
+    // Every serve request resolves through the cache on its own worker:
+    // there is no cache bypass and no per-sweep thread pool. The
+    // out-of-range port makes a serve that took the flag exit instead
+    // of listening.
+    for (flag, args) in [
+        ("no-cache", &["serve", "--no-cache"][..]),
+        ("sweep-threads", &["serve", "--sweep-threads", "2"][..]),
+    ] {
+        let (ok, _, stderr) = rvz(&[args, &["--port", "70000"]].concat());
+        assert!(!ok, "rvz serve accepted --{flag}");
+        assert!(
+            stderr.contains(&format!("unknown flag `--{flag}` for `rvz serve`")),
+            "{stderr}"
+        );
+    }
 
     // The piece budget belongs to serve's compiled path alone: sweep
     // and map run every scenario on the cursor engine.
