@@ -39,14 +39,18 @@ echo "==> allocation + SoA-not-slower gate, -C target-cpu=native arm"
 RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/ci-native \
     cargo test --release --quiet -p rvz-sim --test alloc_gate
 
-echo "==> step gate + canonical compiled arms + telemetry byte-identity (release)"
+echo "==> step gate + canonical compiled arms + Lemma 4 oracle + telemetry byte-identity (release)"
 # The cursor engine never takes more steps than the seed loop on the
 # canonical cases, the compiled ladder and lane kernel classify them
-# as the seed loop does, and flipping the metrics kill switch changes
-# no outcome, work counter or piece count. Tier-1 runs all in debug.
+# as the seed loop does, τ = 1 queries on the relative trajectory agree
+# with the two-cursor oracle on the full sets (tier-1 runs a debug
+# sample) and disprove every twin in a few steps, and flipping the
+# metrics kill switch changes no outcome, work counter or piece count.
 cargo test --release --quiet --test engine_equivalence -- \
     cursor_engine_never_takes_more_steps_than_generic_on_canonical_cases \
-    compiled_and_lane_engines_classify_canonical_cases_like_generic
+    compiled_and_lane_engines_classify_canonical_cases_like_generic \
+    relative_trajectory_disproves_twins_in_a_few_steps \
+    relative_trajectory_matches_the_two_cursor_oracle
 cargo test --release --quiet --test telemetry_identity
 
 echo "==> differential fuzz (fixed seed budget: four engine paths agree)"

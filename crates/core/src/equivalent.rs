@@ -11,6 +11,13 @@
 //!
 //! so the pair rendezvous exactly when the single "virtual" robot
 //! `T∘·S(t)` finds a stationary target at `d⃗` — a search problem.
+//!
+//! This is the query production runs: `rvz_sim::simulate_rendezvous_by_ref`
+//! answers every `τ = 1` instance as a `Stationary` target at `d⃗`
+//! against the common algorithm warped by exactly [`EquivalentSearch::matrix`]
+//! (`I − frame_linear()`, which equals `I − lemma4_matrix()` at `τ = 1`).
+//! The analysis below (Lemma 5's QR factors, the projection factors of
+//! Lemma 7) bounds that search; the engine runs it directly.
 //! Lemma 5 QR-factors `T∘ = Φ·T∘'` with `Φ` a rotation (irrelevant to
 //! distances) and `T∘'` upper triangular; the top-left entry of `T∘'` is
 //! the symmetry-breaking scale `µ = √(v² − 2v·cos φ + 1)`.
@@ -184,6 +191,11 @@ mod tests {
             (1.0, 2.7, Chirality::Consistent, 1.0),
         ] {
             let eq = EquivalentSearch::new(&attrs(v, phi, chi));
+            // The map the engine runs τ = 1 queries through, bit for bit.
+            assert_eq!(
+                eq.matrix(),
+                Mat2::IDENTITY - attrs(v, phi, chi).frame_linear()
+            );
             let expected = Mat2::new(
                 1.0 - v * phi.cos(),
                 v * chi_s * phi.sin(),

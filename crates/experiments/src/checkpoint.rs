@@ -37,10 +37,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Journal format version, bumped on any framing change and whenever
-/// the records a sweep computes change: version 2 journals come from
-/// the cursor-only executor, so a version 1 journal (whose records may
-/// come from the retired compiled path) is refused, never resumed into.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// the records a sweep computes change. Version 3 journals run every
+/// τ = 1 scenario on the Lemma 4 relative trajectory, whose `steps` and
+/// `observed_distance` differ from the two-cursor run's, so a version 2
+/// journal (two cursors for every scenario) or a version 1 journal
+/// (records possibly from the retired compiled path) is refused, never
+/// resumed into.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Records between forced `fsync`s of the journal (each sync also
 /// rewrites the manifest). A crash loses at most this many records.
@@ -567,20 +570,23 @@ mod tests {
             sweep_fingerprint(&scenarios, &other)
         );
 
-        // A manifest from the version 1 executor, whose records could
-        // come from its retired compiled path: refused even under this
-        // sweep's own fingerprint.
-        let stale = Json::obj(vec![
-            ("version", Json::Num(1.0)),
-            (
-                "fingerprint",
-                Json::Str(format!("{:016x}", sweep_fingerprint(&scenarios, &opts))),
-            ),
-        ])
-        .render();
-        std::fs::write(manifest_path(&path), stale).unwrap();
-        let err = run_sweep_checkpointed(&scenarios, &opts, &path, true, None).unwrap_err();
-        assert!(err.contains("has version 1"), "{err}");
+        // A manifest from the version 1 executor (records possibly from
+        // its retired compiled path) or the version 2 one (τ = 1 records
+        // from two cursors): refused even under this sweep's own
+        // fingerprint.
+        for version in [1, 2] {
+            let stale = Json::obj(vec![
+                ("version", Json::Num(f64::from(version))),
+                (
+                    "fingerprint",
+                    Json::Str(format!("{:016x}", sweep_fingerprint(&scenarios, &opts))),
+                ),
+            ])
+            .render();
+            std::fs::write(manifest_path(&path), stale).unwrap();
+            let err = run_sweep_checkpointed(&scenarios, &opts, &path, true, None).unwrap_err();
+            assert!(err.contains(&format!("has version {version}")), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1408,10 +1408,11 @@ mod tests {
     #[test]
     fn deadline_outcomes_surface_and_are_never_cached() {
         // A zero budget expires before the first check boundary. The
-        // scenario is the fully symmetric (infeasible) twin with a huge
-        // horizon and pruning off, so every engine path has to *step*
-        // its way forward — past the 1024-step check — rather than
-        // resolving from envelopes or compiled strides.
+        // scenario is an on-axis mirror twin (infeasible) with a huge
+        // horizon and pruning off, so the engine has to *step* its way
+        // forward — past the 1024-step check — rather than resolving
+        // from envelopes. An exact twin would not do: its relative
+        // trajectory is a fixed point, disproved in one step.
         let options = || {
             let mut opts = test_options();
             opts.sweep.contact.prune = false;
@@ -1421,7 +1422,10 @@ mod tests {
         let mut opts = options();
         opts.deadline = Some(std::time::Duration::ZERO);
         let svc = Service::new(opts);
-        let body = r#"{"speed":1,"distance":0.9,"visibility":0.25}"#;
+        let body = concat!(
+            r#"{"speed":1,"orientation":2,"chirality":"-1","#,
+            r#""bearing":1,"distance":0.9,"visibility":0.25}"#
+        );
         let (resp, _) = svc.handle(&request("POST", "/first-contact", body));
         assert_eq!(resp.status, 200, "{}", resp.body);
         assert!(
@@ -1440,7 +1444,7 @@ mod tests {
         let healthy = Service::new(options());
         let (resp, _) = healthy.handle(&request("POST", "/first-contact", body));
         assert!(
-            !resp.body.contains("\"outcome\":\"deadline\""),
+            resp.body.contains("\"outcome\":\"step_budget\""),
             "{}",
             resp.body
         );

@@ -54,10 +54,13 @@ use std::sync::Arc;
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RVZSNAP1";
 
 /// Snapshot format version, bumped on any layout change and whenever
-/// the bytes a miss computes change. Version 3 dropped the program-key
-/// record kind and its count in the meta record; a version 1 or 2 file
-/// cold-starts rather than misparses.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// the bytes a miss computes change. Version 4 caches τ = 1 outcomes
+/// computed on the Lemma 4 relative trajectory (their `steps` and
+/// distances differ from the two-cursor run's), so a version 3 file
+/// cold-starts rather than serving stale bytes; version 3 dropped the
+/// program-key record kind and its count in the meta record, so a
+/// version 1 or 2 file cold-starts rather than misparses.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 const KIND_META: u8 = 0;
 const KIND_RESULT: u8 = 1;
@@ -595,9 +598,10 @@ mod tests {
         );
 
         // Version 1 files (entries the retired scalar tier may have
-        // answered) and version 2 files (a meta record with a program
-        // count) cold-start too.
-        for old in [1u32, 2] {
+        // answered), version 2 files (a meta record with a program
+        // count) and version 3 files (τ = 1 entries from two cursors)
+        // cold-start too.
+        for old in [1u32, 2, 3] {
             let mut previous = bytes.clone();
             previous[8..12].copy_from_slice(&old.to_le_bytes());
             let (d, o) = decode_snapshot(&previous, FP);

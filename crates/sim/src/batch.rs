@@ -1,24 +1,39 @@
 //! Reusable batch entry points for sweep-style workloads.
 //!
-//! [`crate::simulate_rendezvous`] takes its algorithm by value and clones
-//! it for the reference robot, which is the convenient shape for one-off
-//! calls but forces a `Clone` bound and a fresh algorithm value per
-//! instance. When a caller runs thousands of instances under the *same*
-//! algorithm (the `rvz-experiments` sweep executor, the throughput
-//! bench), the *by-ref* entry points here let one algorithm value be
-//! built once per worker and reused for the whole batch: the
-//! [`MonotoneTrajectory`] blanket impl for `&T` means the frame warp
-//! wraps a borrow, and the engine itself holds no per-call buffers, so
-//! the hot loop performs no allocation at all. Each simulation builds its
-//! two cursors once and runs entirely on the monotone fast path.
+//! [`simulate_rendezvous_by_ref`] is the one rendezvous query every
+//! production path runs: the `rvz-experiments` sweep executor, serve's
+//! cursor miss path, and [`crate::simulate_rendezvous`], which takes its
+//! algorithm by value and delegates here. Taking the algorithm by
+//! reference lets one algorithm value be built once per worker and
+//! reused for the whole batch: the [`MonotoneTrajectory`] blanket impl
+//! for `&T` means the frame warp wraps a borrow, and the engine itself
+//! holds no per-call buffers, so the hot loop performs no allocation at
+//! all.
+//!
+//! The query takes one of two shapes, chosen by the clocks alone:
+//!
+//! * **τ = 1: the Lemma 4 relative trajectory.** The pair is within `r`
+//!   exactly when `T∘·S(t)`, `T∘ = I − v·Rot(φ)·Refl(χ)`, is within `r`
+//!   of the fixed target `d⃗`: one cursor against a [`Stationary`]
+//!   point. Exact twins (`T∘ = 0`) and mirror twins with `|d⃗·û| > r`
+//!   (rank-1 `T∘`, seen by the warp cursor's
+//!   [`gap_to`](rvz_trajectory::Cursor::gap_to)) disprove to the horizon
+//!   in one step.
+//! * **τ ≠ 1: two cursors**, the reference robot against its
+//!   frame-warped partner.
 
 use crate::compiled::{try_first_contact_programs, EngineScratch};
 use crate::engine::{first_contact, ContactOptions, SimOutcome};
+use crate::stationary::Stationary;
+use rvz_geometry::{Mat2, Vec2};
 use rvz_model::RendezvousInstance;
-use rvz_trajectory::{Compile, CompileError, CompileOptions, CompiledProgram, MonotoneTrajectory};
+use rvz_trajectory::{
+    Compile, CompileError, CompileOptions, CompiledProgram, FrameWarp, MonotoneTrajectory,
+};
 
-/// [`crate::simulate_rendezvous`] with the algorithm taken by reference:
-/// no `Clone` bound, no per-call algorithm construction.
+/// Simulates the rendezvous problem with the algorithm taken by
+/// reference: on the Lemma 4 relative trajectory when `τ = 1` exactly,
+/// on two cursors otherwise (see the [module docs](self)).
 ///
 /// # Example
 ///
@@ -42,9 +57,19 @@ pub fn simulate_rendezvous_by_ref<T: MonotoneTrajectory>(
     instance: &RendezvousInstance,
     opts: &ContactOptions,
 ) -> SimOutcome {
-    let partner = instance
-        .attributes()
-        .frame_warp(algorithm, instance.offset());
+    let attrs = instance.attributes();
+    if attrs.time_unit() == 1.0 {
+        // Lemma 4: the relative robot `T∘·S(t)` against the target `d⃗`.
+        let relative = FrameWarp::new(
+            algorithm,
+            Mat2::IDENTITY - attrs.frame_linear(),
+            Vec2::ZERO,
+            1.0,
+        );
+        let target = Stationary::new(instance.offset());
+        return first_contact(&target, &relative, instance.visibility(), opts);
+    }
+    let partner = attrs.frame_warp(algorithm, instance.offset());
     first_contact(algorithm, &partner, instance.visibility(), opts)
 }
 
@@ -70,10 +95,14 @@ pub fn compile_rendezvous_partner<T: Compile + MonotoneTrajectory>(
         .compile(opts)
 }
 
-/// [`simulate_rendezvous_by_ref`] on the scalar compiled ladder: the
+/// The two-cursor rendezvous query on the scalar compiled ladder: the
 /// partner is lowered with [`compile_rendezvous_partner`] and run
 /// against the shared reference program with
 /// [`try_first_contact_programs`], and the result is exactly theirs.
+/// For `τ ≠ 1` that is the query [`simulate_rendezvous_by_ref`] runs.
+/// For `τ = 1` it matches [`simulate_rendezvous_by_ref`] (the Lemma 4
+/// relative trajectory) in outcome kind, and in contact time up to the
+/// declaration slack, but not in `steps` or `min_distance`.
 ///
 /// Returns `None` when the partner does not lower (curved pieces
 /// without an

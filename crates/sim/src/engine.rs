@@ -45,12 +45,18 @@
 //!    often than the generic loop).
 //! 5. **Swept-envelope pruning** (when [`ContactOptions::prune`] is on)
 //!    — starting from the certified advance, test
-//!    `envelope_a.gap(envelope_b) > radius + tolerance` over a galloping
+//!    `b.gap_to(window, &envelope_a) > radius + tolerance` (the disk
+//!    gap, or a map-aware bound through a singular frame warp; see
+//!    [`Cursor::gap_to`]) over a galloping
 //!    look-ahead window: success skips the window wholesale (entire
 //!    sub-rounds of `Search(k)` at the top of the hierarchy) and doubles
 //!    it, failure halves it — coarse-to-fine descent that hands off to
 //!    certificates 1–4 at leaf scale. Complete misses back off
-//!    exponentially so unprunable stretches pay almost nothing.
+//!    exponentially so unprunable stretches pay almost nothing. Against
+//!    a fixed `a` (speed bound 0) a skipped window's gap is a lower
+//!    bound on the distance over the window, so it is folded into the
+//!    `Horizon` minimum: a one-step disproof on the Lemma 4 relative
+//!    trajectory still reports the closest approach.
 //!
 //! The progress floor (a few ulps of `t`) guarantees termination exactly
 //! as before; the horizon endpoint is always sampled.
@@ -156,6 +162,8 @@ pub struct ContactOptions {
     /// Pruning never changes which contacts exist — envelopes are sound
     /// over-approximations — but `Horizon` outcomes may observe their
     /// `min_distance` at a different (sparser) set of sample times.
+    /// Against a fixed first trajectory each skipped window contributes
+    /// its certified gap instead, so the minimum is not overstated.
     pub prune: bool,
     /// Optional wall-clock budget; when it expires the engines surface
     /// [`SimOutcome::Deadline`] instead of running to the horizon or
@@ -265,9 +273,11 @@ pub enum SimOutcome {
     Horizon {
         /// The smallest distance observed at any step (on analytically
         /// solved pieces this includes the true within-piece closest
-        /// approach, not just the sampled endpoints).
+        /// approach, not just the sampled endpoints; against a fixed
+        /// first trajectory, a pruned window's certified lower bound).
         min_distance: f64,
-        /// When that minimum was observed.
+        /// When that minimum was observed (for a pruned window, the
+        /// window's start).
         min_distance_time: f64,
         /// Advancement steps used.
         steps: u64,
@@ -508,6 +518,10 @@ where
         "speed bounds must be finite, got {rel_speed}"
     );
     let threshold = radius + opts.tolerance;
+    // A fixed `a` (a stationary target) has a point envelope, so a
+    // skipped window's gap bounds `b`'s distance to it over the whole
+    // window: the skip folds that bound into `min_distance`.
+    let fixed_a = a.speed_bound() == 0.0;
 
     let mut t = 0.0_f64;
     let mut min_distance = f64::INFINITY;
@@ -707,13 +721,14 @@ where
         let mut t_next = t + base;
 
         // Coarse-to-fine envelope pruning: starting from the already
-        // certified `t_next`, test whether the two swept envelopes stay
-        // separated over a look-ahead window. Success skips the window
-        // wholesale (an entire sub-round in one query at the top of the
-        // hierarchy) and doubles the next window; failure halves it —
-        // the bisection half of the coarse-to-fine descent — until the
-        // window collapses to leaf scale and the analytic/conservative
-        // machinery above takes over. Skips never pass a declarable
+        // certified `t_next`, test whether `b`'s trajectory stays
+        // separated from `a`'s swept envelope over a look-ahead window.
+        // Success skips the window wholesale (an entire sub-round in one
+        // query at the top of the hierarchy) and doubles the next
+        // window; failure halves it — the bisection half of the
+        // coarse-to-fine descent — until the window collapses to leaf
+        // scale and the analytic/conservative machinery above takes
+        // over. Skips never pass a declarable
         // contact: a gap above `threshold` excludes every point the
         // sampling engines could declare on. Not attempted past an exact
         // root — `t_next` *is* the contact time there.
@@ -732,8 +747,12 @@ where
                     }
                     stats.envelope_queries += 2;
                     let ea = a.envelope(t_next, t_next + span);
-                    let eb = b.envelope(t_next, t_next + span);
-                    if ea.gap(&eb) > threshold {
+                    let gap = b.gap_to(t_next, t_next + span, &ea);
+                    if gap > threshold {
+                        if fixed_a && gap < min_distance {
+                            min_distance = gap;
+                            min_distance_time = t_next;
+                        }
                         stats.pruned_intervals += 1;
                         t_next += span;
                         advanced = true;

@@ -1,10 +1,16 @@
 //! High-level drivers: search and rendezvous simulations from model
 //! instances.
+//!
+//! Both are one stationary-target search at heart: [`simulate_search`]
+//! looks for the Section 2 target, and [`simulate_rendezvous`] (through
+//! [`simulate_rendezvous_by_ref`]) looks, for `τ = 1`, for the target
+//! `d⃗` of Lemma 4's relative robot `T∘·S(t)`.
 
+use crate::batch::simulate_rendezvous_by_ref;
 use crate::engine::{first_contact, ContactOptions, SimOutcome};
 use crate::stationary::Stationary;
 use rvz_model::{RendezvousInstance, SearchInstance};
-use rvz_trajectory::{FrameWarp, MonotoneTrajectory};
+use rvz_trajectory::MonotoneTrajectory;
 
 /// Simulates the Section 2 search problem: a robot at the origin runs
 /// `algorithm`; a stationary target sits at `instance.target()`.
@@ -35,6 +41,10 @@ pub fn simulate_search<T: MonotoneTrajectory>(
 /// through its own frame (Lemma 4, generalized with the `v·τ` distance
 /// unit) starting at `instance.offset()`.
 ///
+/// Delegates to [`simulate_rendezvous_by_ref`], so both runners answer
+/// identically: with `τ = 1` the query runs on the Lemma 4 relative
+/// trajectory, otherwise on two cursors.
+///
 /// # Example
 ///
 /// ```
@@ -49,16 +59,12 @@ pub fn simulate_search<T: MonotoneTrajectory>(
 /// let out = simulate_rendezvous(UniversalSearch, &inst, &ContactOptions::default());
 /// assert!(out.is_contact());
 /// ```
-pub fn simulate_rendezvous<T: MonotoneTrajectory + Clone>(
+pub fn simulate_rendezvous<T: MonotoneTrajectory>(
     algorithm: T,
     instance: &RendezvousInstance,
     opts: &ContactOptions,
 ) -> SimOutcome {
-    let reference = algorithm.clone();
-    let partner: FrameWarp<T> = instance
-        .attributes()
-        .frame_warp(algorithm, instance.offset());
-    first_contact(&reference, &partner, instance.visibility(), opts)
+    simulate_rendezvous_by_ref(&algorithm, instance, opts)
 }
 
 #[cfg(test)]

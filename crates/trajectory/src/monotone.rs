@@ -203,6 +203,21 @@ pub trait Cursor {
         };
         Disk::new(p.position, radius)
     }
+
+    /// A lower bound on the distance from the trajectory over
+    /// `[t0, t1]` to the disk `other` (negative when they may overlap)
+    /// — the swept-envelope prune test of the contact engine.
+    ///
+    /// The default is the disk gap of [`Cursor::envelope`], written as
+    /// `other.gap(&envelope)`. Cursors whose swept set is much thinner
+    /// than its bounding disk (a frame warp through a singular or
+    /// strongly anisotropic linear map) override it with a tighter
+    /// bound that is never below the disk gap.
+    ///
+    /// Counts as a probe at `t0`, exactly as [`Cursor::envelope`].
+    fn gap_to(&mut self, t0: f64, t1: f64, other: &Disk) -> f64 {
+        other.gap(&self.envelope(t0, t1))
+    }
 }
 
 impl<C: Cursor + ?Sized> Cursor for &mut C {
@@ -215,6 +230,9 @@ impl<C: Cursor + ?Sized> Cursor for &mut C {
     fn envelope(&mut self, t0: f64, t1: f64) -> Disk {
         (**self).envelope(t0, t1)
     }
+    fn gap_to(&mut self, t0: f64, t1: f64, other: &Disk) -> f64 {
+        (**self).gap_to(t0, t1, other)
+    }
 }
 
 impl<C: Cursor + ?Sized> Cursor for Box<C> {
@@ -226,6 +244,9 @@ impl<C: Cursor + ?Sized> Cursor for Box<C> {
     }
     fn envelope(&mut self, t0: f64, t1: f64) -> Disk {
         (**self).envelope(t0, t1)
+    }
+    fn gap_to(&mut self, t0: f64, t1: f64, other: &Disk) -> f64 {
+        (**self).gap_to(t0, t1, other)
     }
 }
 

@@ -19,7 +19,7 @@
 
 use crate::monotone::{Cursor, MonotoneTrajectory, Motion, Probe};
 use crate::Trajectory;
-use rvz_geometry::{Mat2, Vec2};
+use rvz_geometry::{Disk, Mat2, Vec2};
 
 /// A trajectory viewed through another reference frame:
 /// `position(t) = translation + linear · inner.position(t / time_scale)`.
@@ -140,6 +140,65 @@ pub struct WarpCursor<C> {
     /// flipping under a reflection). The paper's attribute frames
     /// (`v·τ·Rot(φ)·Refl(χ)`) are always conformal.
     conformal: Option<(f64, f64, f64)>,
+    /// The singular axes of a non-conformal linear map, cached once
+    /// (`None` for conformal maps, whose disk envelope is already
+    /// exact up to the inner envelope): the map sends a disk to an
+    /// ellipse, possibly flat, that its disk envelope overstates.
+    axes: Option<SingularAxes>,
+}
+
+/// The SVD `M = s₁·u₁·v₁ᵀ + s₂·u₂·v₂ᵀ` of a 2×2 map, with `u₂ = u₁⊥`,
+/// `v₂ = v₁⊥` and the signed `sᵢ = (M·vᵢ)·uᵢ` (`s₂ < 0` when the map
+/// reverses orientation).
+///
+/// `u₂` is the perpendicular of `u₁`, never `M·v₂` normalized: for a
+/// numerically rank-1 map (the mirror-twin `I − Rot(φ)·Refl`) `M·v₂` is
+/// rounding noise, and an axis pair that is not orthonormal does not
+/// bound anything.
+#[derive(Debug, Clone, Copy)]
+struct SingularAxes {
+    u: [Vec2; 2],
+    v: [Vec2; 2],
+    s: [f64; 2],
+}
+
+impl SingularAxes {
+    fn of(m: Mat2) -> SingularAxes {
+        // v₁ is the major eigenvector of the symmetric MᵀM.
+        let (c0, c1) = (m.col0(), m.col1());
+        let theta = 0.5 * f64::atan2(2.0 * c0.dot(c1), c0.norm_squared() - c1.norm_squared());
+        let v1 = Vec2::from_polar(1.0, theta);
+        let u1 = (m * v1).normalized().unwrap_or(Vec2::UNIT_X);
+        let (u, v) = ([u1, u1.perp()], [v1, v1.perp()]);
+        SingularAxes {
+            u,
+            v,
+            s: [(m * v[0]).dot(u[0]), (m * v[1]).dot(u[1])],
+        }
+    }
+
+    /// A lower bound on the distance from `translation + M·D(center,
+    /// radius)` to the disk `other`: the image lies in the box centred
+    /// on `translation + Σ sᵢ·(center·vᵢ)·uᵢ` with half-widths
+    /// `|sᵢ|·radius` along the `uᵢ`, and the distance to that box is the
+    /// bound. For a rank-1 map the box is a segment and the bound is
+    /// exact.
+    fn gap(&self, translation: Vec2, center: Vec2, radius: f64, other: &Disk) -> f64 {
+        let q = other.center - translation;
+        let mut sum = 0.0;
+        for i in 0..2 {
+            let offset = (q.dot(self.u[i]) - self.s[i] * center.dot(self.v[i])).abs();
+            // `0·∞` would be NaN: a collapsed axis has zero width.
+            let half = if self.s[i] == 0.0 {
+                0.0
+            } else {
+                self.s[i].abs() * radius
+            };
+            let outside = (offset - half).max(0.0);
+            sum += outside * outside;
+        }
+        sum.sqrt() - other.radius
+    }
 }
 
 /// Decomposes a conformal linear map into `(scale, rotation, handedness)`
@@ -199,14 +258,42 @@ impl<C: Cursor> Cursor for WarpCursor<C> {
         self.speed_bound
     }
 
-    /// Maps the inner envelope through the affine stack: the local
-    /// interval is `[t0/τ, t1/τ]`, the center maps exactly, and the
-    /// radius scales by `‖M‖₂` — every point within `r` of the inner
-    /// center lands within `‖M‖₂·r` of the mapped center.
-    fn envelope(&mut self, t0: f64, t1: f64) -> rvz_geometry::Disk {
+    /// Maps the inner envelope over the local interval `[t0/τ, t1/τ]`
+    /// through the affine stack: the center maps exactly, and the
+    /// radius scales by `‖M‖₂`.
+    fn envelope(&mut self, t0: f64, t1: f64) -> Disk {
         let inner = self
             .inner
             .envelope(t0 / self.time_scale, t1 / self.time_scale);
+        self.map_disk(inner)
+    }
+
+    /// For a conformal map, exactly the disk gap of
+    /// [`WarpCursor::envelope`]. Otherwise the larger of that and the
+    /// singular-axis box bound of the mapped inner envelope, which sees
+    /// that a rank-1 map confines the whole trajectory to one line —
+    /// the relative motion of mirror twins (Lemma 4 with `v = 1`,
+    /// `χ = −1`).
+    fn gap_to(&mut self, t0: f64, t1: f64, other: &Disk) -> f64 {
+        let inner = self
+            .inner
+            .envelope(t0 / self.time_scale, t1 / self.time_scale);
+        let disk_gap = other.gap(&self.map_disk(inner));
+        match &self.axes {
+            None => disk_gap,
+            Some(axes) => axes
+                .gap(self.translation, inner.center, inner.radius, other)
+                .max(disk_gap),
+        }
+    }
+}
+
+impl<C> WarpCursor<C> {
+    /// Maps an inner envelope disk through the affine stack: the center
+    /// maps exactly, and the radius scales by `‖M‖₂` — every point
+    /// within `r` of the inner center lands within `‖M‖₂·r` of the
+    /// mapped center.
+    fn map_disk(&self, inner: Disk) -> Disk {
         let radius = if inner.radius.is_finite() {
             self.operator_norm * inner.radius
         } else if self.operator_norm == 0.0 {
@@ -214,7 +301,7 @@ impl<C: Cursor> Cursor for WarpCursor<C> {
         } else {
             f64::INFINITY
         };
-        rvz_geometry::Disk::new(self.translation + self.linear * inner.center, radius)
+        Disk::new(self.translation + self.linear * inner.center, radius)
     }
 }
 
@@ -225,6 +312,7 @@ impl<T: MonotoneTrajectory> MonotoneTrajectory for FrameWarp<T> {
         T: 'a;
 
     fn cursor(&self) -> Self::Cursor<'_> {
+        let conformal = conformal_parts(self.linear);
         WarpCursor {
             inner: self.inner.cursor(),
             linear: self.linear,
@@ -232,7 +320,8 @@ impl<T: MonotoneTrajectory> MonotoneTrajectory for FrameWarp<T> {
             time_scale: self.time_scale,
             speed_bound: self.speed_bound(),
             operator_norm: self.linear.operator_norm(),
-            conformal: conformal_parts(self.linear),
+            conformal,
+            axes: conformal.is_none().then(|| SingularAxes::of(self.linear)),
         }
     }
 }
@@ -373,6 +462,148 @@ mod tests {
                 "mismatch at t={t}"
             );
         }
+    }
+
+    /// Legs and arcs in several directions, plus a wait: an inner
+    /// trajectory whose envelopes range from exact segment disks to
+    /// speed-bound disks.
+    fn legs_and_arcs() -> crate::Path {
+        PathBuilder::at(Vec2::new(0.3, -0.2))
+            .line_to(Vec2::new(2.0, 0.5))
+            .arc_around(Vec2::new(1.5, 1.0), 2.0)
+            .line_to(Vec2::new(-1.0, 1.5))
+            .wait(0.5)
+            .arc_around(Vec2::new(-1.0, 0.5), -PI)
+            .line_to(Vec2::new(0.5, -1.5))
+            .build()
+    }
+
+    /// Mirror-twin relative map `I − v·Rot(φ)·Refl(−1)` (Lemma 4 with
+    /// `χ = −1`): numerically rank-1 at `v = 1`, invertible with a
+    /// negative determinant for `v > 1`.
+    fn mirror_relative(v: f64, phi: f64) -> Mat2 {
+        Mat2::IDENTITY - v * (Mat2::rotation(phi) * Mat2::chirality_reflection(-1.0))
+    }
+
+    /// `(t0, t1)` windows from a point to the whole path and past it.
+    fn windows(end: f64) -> Vec<(f64, f64)> {
+        let mut out = Vec::new();
+        for i in 0..8 {
+            let t0 = end * i as f64 / 8.0;
+            for span in [0.0, 0.3, end / 4.0, end, f64::INFINITY] {
+                out.push((t0, t0 + span));
+            }
+        }
+        out
+    }
+
+    /// The non-conformal gap never exceeds the true distance from the
+    /// warped trajectory over the window to the disk (dense-sampled,
+    /// which can only overstate it), for the zero map, rank-1 maps
+    /// (exact and the numerically rank-1 mirror-twin map) and
+    /// invertible non-conformal maps of either orientation. For a
+    /// rank-1 map it is never below the distance from the disk to the
+    /// map's range line: the box collapses onto it.
+    #[test]
+    fn non_conformal_gap_is_a_lower_bound() {
+        let maps = [
+            (Mat2::ZERO, true),
+            (Mat2::new(2.0, 1.0, 4.0, 2.0), true),
+            (mirror_relative(1.0, 1.0), true),
+            (mirror_relative(1.0, 2.0), true),
+            (mirror_relative(1.0, 3.0), true),
+            (mirror_relative(1.0, 0.7), true),
+            (mirror_relative(1.5, 1.0), false),
+            (mirror_relative(0.6, 2.0), false),
+            (Mat2::new(2.0, 0.0, 0.0, -0.5), false),
+            (Mat2::new(1.0, 3.0, 0.0, 1.0), false),
+        ];
+        let inner = legs_and_arcs();
+        let end = inner.duration();
+        let mut checked = 0;
+        for (m, rank1) in maps {
+            assert!(conformal_parts(m).is_none(), "{m:?}");
+            for (translation, tau) in [(Vec2::ZERO, 1.0), (Vec2::new(0.7, -1.2), 1.7)] {
+                let w = FrameWarp::new(inner.clone(), m, translation, tau);
+                // The range line of a rank-1 map, through `translation`.
+                let normal = (m * Vec2::UNIT_X + m * Vec2::UNIT_Y)
+                    .normalized()
+                    .map(Vec2::perp);
+                for (t0, t1) in windows(end * tau) {
+                    let samples: Vec<Vec2> = (0..=2000)
+                        .map(|i| {
+                            w.position(t0 + (t1.min(2.0 * end * tau) - t0) * i as f64 / 2000.0)
+                        })
+                        .collect();
+                    for qx in [-3.0, -1.0, -0.25, 0.0, 0.4, 1.5, 3.0] {
+                        for qy in [-2.5, -0.6, 0.0, 0.3, 1.1, 2.8] {
+                            for radius in [0.0, 0.2] {
+                                let other = Disk::new(Vec2::new(qx, qy), radius);
+                                let bound = w.cursor().gap_to(t0, t1, &other);
+                                let sampled = samples
+                                    .iter()
+                                    .map(|p| p.distance(other.center))
+                                    .fold(f64::INFINITY, f64::min)
+                                    - radius;
+                                assert!(
+                                    bound <= sampled + 1e-9,
+                                    "{m:?}, [{t0}, {t1}], {other:?}: bound {bound} > sampled {sampled}"
+                                );
+                                if let (true, Some(n)) = (rank1, normal) {
+                                    let line = (other.center - translation).dot(n).abs() - radius;
+                                    assert!(bound >= line - 1e-9, "{m:?}: {bound} < {line}");
+                                }
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 10 * 2 * 40 * 7 * 6 * 2);
+    }
+
+    /// Conformal maps (the paper's partner frames, and the `χ = +1`
+    /// relative map) answer exactly the engine's disk test,
+    /// `other.gap(&envelope)`, bit for bit.
+    #[test]
+    fn conformal_gap_is_the_disk_gap_bit_for_bit() {
+        let maps = [
+            Mat2::IDENTITY,
+            Mat2::rotation(1.0) * Mat2::scaling(0.5),
+            2.0 * (Mat2::rotation(0.3) * Mat2::chirality_reflection(-1.0)),
+            Mat2::IDENTITY - 0.5 * Mat2::rotation(1.0),
+            Mat2::IDENTITY - Mat2::rotation(0.01),
+        ];
+        let inner = legs_and_arcs();
+        let end = inner.duration();
+        for m in maps {
+            assert!(conformal_parts(m).is_some(), "{m:?}");
+            let w = FrameWarp::new(inner.clone(), m, Vec2::new(0.7, -1.2), 1.3);
+            for (t0, t1) in windows(end * 1.3) {
+                for q in [Vec2::ZERO, Vec2::new(2.0, -1.0), Vec2::new(-0.4, 3.0)] {
+                    let other = Disk::new(q, 0.1);
+                    let gap = w.cursor().gap_to(t0, t1, &other);
+                    let disk = other.gap(&w.cursor().envelope(t0, t1));
+                    assert_eq!(gap.to_bits(), disk.to_bits(), "{m:?}, [{t0}, {t1}], {q}");
+                }
+            }
+        }
+    }
+
+    /// A rank-1 warp disproves a whole window the disk envelope cannot:
+    /// the mirror-twin relative map confines the trajectory to a line
+    /// at distance 1 from the target.
+    #[test]
+    fn rank1_gap_sees_the_line_the_disk_misses() {
+        let phi = 2.0;
+        let axis = Vec2::from_polar(1.0, phi / 2.0);
+        let w = FrameWarp::new(legs_and_arcs(), mirror_relative(1.0, phi), Vec2::ZERO, 1.0);
+        let other = Disk::point(axis);
+        let end = w.duration().unwrap();
+        let gap = w.cursor().gap_to(0.0, end, &other);
+        assert!((gap - 1.0).abs() < 1e-12, "{gap}");
+        assert!(other.gap(&w.cursor().envelope(0.0, end)) < 0.0);
     }
 
     #[test]

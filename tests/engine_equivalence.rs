@@ -15,7 +15,9 @@
 
 mod common;
 
-use plane_rendezvous::experiments::{latin_hypercube, Algorithm, SampleSpace, Scenario};
+use plane_rendezvous::experiments::{
+    latin_hypercube, Algorithm, SampleSpace, Scenario, ScenarioGrid, SweepOptions,
+};
 use plane_rendezvous::prelude::*;
 
 /// The fast path, via the public rendezvous runner.
@@ -654,17 +656,20 @@ fn batch_kernel_matches_per_pair_scalar_ladder() {
 }
 
 /// The full sweep executor with pruning on vs off: feasible records are
-/// identical, infeasible records stay (strictly) consistent in both
-/// modes.
+/// identical, infeasible records are (strictly) consistent alike in
+/// both modes, and the grid's exact twins, a fixed point on the relative
+/// trajectory, are disproved in at most two steps either way.
 #[test]
 fn sweep_records_equivalent_with_and_without_pruning() {
-    use plane_rendezvous::experiments::{run_sweep, ScenarioGrid, SweepOptions};
+    use plane_rendezvous::experiments::run_sweep;
+    // Bearing 0 is the invariant direction of the φ = 0 mirror twin.
     let scenarios = ScenarioGrid::new()
         .speeds(&[0.5, 1.0])
         .clocks(&[1.0])
         .orientations(&[0.0])
         .chiralities(&[Chirality::Consistent, Chirality::Mirrored])
         .distances(&[0.9])
+        .bearings(&[0.0, std::f64::consts::FRAC_PI_3])
         .visibilities(&[0.25])
         .build();
     let mut opts = SweepOptions {
@@ -675,7 +680,7 @@ fn sweep_records_equivalent_with_and_without_pruning() {
     opts.contact.prune = false;
     let off = run_sweep(&scenarios, &opts);
     assert_eq!(on.len(), off.len());
-    let mut upgrades = 0_usize;
+    let mut exact_twins = Vec::new();
     for (a, b) in on.iter().zip(off.iter()) {
         assert_eq!(a.scenario, b.scenario);
         assert_eq!(a.outcome.is_contact(), b.outcome.is_contact());
@@ -683,14 +688,236 @@ fn sweep_records_equivalent_with_and_without_pruning() {
             assert_eq!(a.outcome.contact_time(), b.outcome.contact_time());
         }
         assert_eq!(a.consistent(), b.consistent());
-        assert_eq!(a.strictly_consistent(), b.strictly_consistent());
-        if let (SimOutcome::Horizon { .. }, SimOutcome::StepBudget { .. }) =
-            (&a.outcome, &b.outcome)
-        {
-            upgrades += 1;
+        // Off the invariant direction (bearing π/3) the mirror twin dips
+        // to `|d⃗·û|` = 0.45: the pruned one-step disproof must observe
+        // that dip as the unpruned run does.
+        assert_eq!(
+            a.strictly_consistent(),
+            b.strictly_consistent(),
+            "{:?}: pruned {}, unpruned {}",
+            a.scenario,
+            a.outcome,
+            b.outcome
+        );
+        if a.scenario.attributes().is_reference() {
+            exact_twins.push(a.scenario);
+            for out in [&a.outcome, &b.outcome] {
+                assert!(
+                    matches!(out, SimOutcome::Horizon { .. }) && out.steps() <= 2,
+                    "{:?}: {out}",
+                    a.scenario
+                );
+            }
         }
     }
-    // The grid's exact twins burn the whole step budget unpruned; the
-    // envelope layer must complete their disproof to the horizon.
-    assert!(upgrades > 0, "no step-budget upgrades sampled");
+    assert_eq!(exact_twins.len(), 2);
+    // On two cursors the exact twins still burn the whole step budget
+    // unpruned; the envelope layer must complete their disproof to the
+    // horizon.
+    for scenario in &exact_twins {
+        let pruned = run_two_cursor(scenario, &opts.contact.prune(true));
+        let unpruned = run_two_cursor(scenario, &opts.contact.prune(false));
+        assert!(
+            matches!(
+                (pruned, unpruned),
+                (SimOutcome::Horizon { .. }, SimOutcome::StepBudget { .. })
+            ),
+            "{scenario:?}: pruned {pruned}, unpruned {unpruned}"
+        );
+    }
+}
+
+/// The query every scenario ran before τ = 1 moved to the Lemma 4
+/// relative trajectory: the reference robot and its frame-warped
+/// partner on two cursors. The Lemma 4 tests below use it as the
+/// oracle.
+fn run_two_cursor(scenario: &Scenario, opts: &ContactOptions) -> SimOutcome {
+    let instance = scenario.instance().expect("valid scenario");
+    let (attrs, offset, r) = (
+        instance.attributes(),
+        instance.offset(),
+        instance.visibility(),
+    );
+    match scenario.algorithm {
+        Algorithm::WaitAndSearch => first_contact(
+            &WaitAndSearch,
+            &attrs.frame_warp(WaitAndSearch, offset),
+            r,
+            opts,
+        ),
+        Algorithm::UniversalSearch => first_contact(
+            &UniversalSearch,
+            &attrs.frame_warp(UniversalSearch, offset),
+            r,
+            opts,
+        ),
+    }
+}
+
+/// Exact twins (`v = τ = 1`, `φ = 0`, `χ = +1`): both algorithms, five
+/// distances, four bearings, `r = 0.25`.
+fn exact_twins() -> Vec<Scenario> {
+    ScenarioGrid::new()
+        .algorithms(&Algorithm::ALL)
+        .distances(&[0.5, 0.9, 1.3, 1.7, 2.0])
+        .bearings(&[0.0, 1.0, 2.5, 4.0])
+        .visibilities(&[0.25])
+        .build()
+}
+
+/// Mirror twins (`v = τ = 1`, `χ = −1`), `r = 0.25`: both algorithms,
+/// `φ ∈ {1, 2, 3}`, `d ∈ {0.5, 1, 2}`, and five bearings per `φ` — on
+/// the invariant direction `û = (cos φ/2, sin φ/2)` and at four angles
+/// off it. Returns `(on_axis, off_axis)`.
+fn mirror_twins() -> (Vec<Scenario>, Vec<Scenario>) {
+    let (mut on, mut off) = (Vec::new(), Vec::new());
+    for phi in [1.0, 2.0, 3.0] {
+        let grid = |bearings: &[f64]| {
+            ScenarioGrid::new()
+                .algorithms(&Algorithm::ALL)
+                .orientations(&[phi])
+                .chiralities(&[Chirality::Mirrored])
+                .distances(&[0.5, 1.0, 2.0])
+                .bearings(bearings)
+                .visibilities(&[0.25])
+                .build()
+        };
+        let axis = phi / 2.0;
+        on.extend(grid(&[axis]));
+        off.extend(grid(&[axis + 0.3, axis + 0.9, axis + 1.4, axis + 2.6]));
+    }
+    (on, off)
+}
+
+/// `|d⃗·û| > r`: the relative trajectory of a mirror twin lies on the
+/// line through the origin orthogonal to `û`, so the pair never comes
+/// within `r`.
+fn mirror_twin_is_disprovable(s: &Scenario) -> bool {
+    let u = Vec2::from_polar(1.0, s.orientation / 2.0);
+    Vec2::from_polar(s.distance, s.bearing).dot(u).abs() > s.visibility
+}
+
+/// Lemma 4 on production: every exact twin with `d > r` and every
+/// mirror twin with `|d⃗·û| > r`, on the invariant direction or off
+/// it, completes its disproof to the horizon in a handful of steps and
+/// reports the true closest approach (`d`, or `|d⃗·û|`) although it
+/// samples almost nothing.
+/// The two-cursor engine takes ≥ 100k steps or exhausts the step
+/// budget on each of them.
+#[test]
+fn relative_trajectory_disproves_twins_in_a_few_steps() {
+    let opts = SweepOptions::default().contact;
+    let (on, off) = mirror_twins();
+    let twins: Vec<Scenario> = exact_twins()
+        .into_iter()
+        .filter(|s| s.distance > s.visibility)
+        .chain(on.into_iter().chain(off).filter(mirror_twin_is_disprovable))
+        .collect();
+    assert_eq!(twins.len(), 40 + 18 + 60);
+    for scenario in &twins {
+        let out = run_fast(scenario, &opts);
+        let closest = if scenario.chirality == Chirality::Mirrored {
+            let u = Vec2::from_polar(1.0, scenario.orientation / 2.0);
+            Vec2::from_polar(scenario.distance, scenario.bearing)
+                .dot(u)
+                .abs()
+        } else {
+            scenario.distance
+        };
+        match out {
+            SimOutcome::Horizon {
+                min_distance,
+                steps,
+                ..
+            } => assert!(
+                steps <= 64 && (min_distance - closest).abs() <= 1e-9,
+                "{scenario:?}: {out}, closest approach {closest}"
+            ),
+            _ => panic!("{scenario:?}: {out}"),
+        }
+    }
+}
+
+/// Lemma 4 as a metamorphic check: production (the relative trajectory
+/// for τ = 1) against the two-cursor oracle on τ = 1 Latin-hypercube
+/// draws, near-boundary feasible pairs, exact twins and mirror twins.
+/// Wherever the oracle finishes, both give the same outcome kind and
+/// contact times agree within the engines' declaration slack;
+/// production never truncates at the step budget where the oracle
+/// completes a disproof. Debug builds run a sample of each set (the
+/// oracle costs tens of ms per twin even in release); the release run
+/// in ci.sh runs them in full.
+#[test]
+fn relative_trajectory_matches_the_two_cursor_oracle() {
+    let opts = SweepOptions::default().contact;
+    let full = !cfg!(debug_assertions);
+    // A debug sample skips `d = 0.5`, where the oracle exhausts its
+    // step budget on most twins and so checks nothing.
+    let sample = |set: Vec<Scenario>, n: usize| -> Vec<Scenario> {
+        if full {
+            return set;
+        }
+        let set: Vec<Scenario> = set.into_iter().filter(|s| s.distance > 0.5).collect();
+        let step = set.len().div_ceil(n);
+        set.into_iter().step_by(step).collect()
+    };
+    let lhs = latin_hypercube(
+        &SampleSpace {
+            time_unit: (1.0, 1.0),
+            algorithms: Algorithm::ALL.to_vec(),
+            ..Default::default()
+        },
+        if full { 4000 } else { 40 },
+        7,
+    );
+    let near_boundary = ScenarioGrid::new()
+        .algorithms(&Algorithm::ALL)
+        .speeds(&[0.9, 0.97, 0.99, 0.999])
+        .orientations(&[0.0, 0.01, 0.1])
+        .chiralities(&[Chirality::Consistent, Chirality::Mirrored])
+        .distances(&[1.0, 3.0])
+        .bearings(&[0.0, 1.5])
+        .build();
+    let (on, off) = mirror_twins();
+    let sets = [
+        ("lhs", lhs),
+        ("near-boundary", sample(near_boundary, 16)),
+        ("exact twins", sample(exact_twins(), 4)),
+        ("on-axis mirror twins", sample(on, 3)),
+        ("off-axis mirror twins", sample(off, 6)),
+    ];
+    for (name, set) in sets {
+        let mut finished = 0_usize;
+        for scenario in &set {
+            assert_eq!(scenario.time_unit, 1.0);
+            let oracle = run_two_cursor(scenario, &opts);
+            let production = run_fast(scenario, &opts);
+            match (oracle, production) {
+                (SimOutcome::StepBudget { .. }, _) => continue,
+                (SimOutcome::Horizon { .. }, SimOutcome::StepBudget { .. }) => {
+                    panic!("{name}: production truncated a completed disproof ({scenario:?})")
+                }
+                (
+                    SimOutcome::Contact { time: to, .. },
+                    SimOutcome::Contact {
+                        time: tp, distance, ..
+                    },
+                ) => {
+                    let slack = opts.tolerance * 10.0 + 1e-9 * to.abs() + 1e-6;
+                    assert!(
+                        (tp - to).abs() <= slack,
+                        "{name}: contact {tp} vs oracle {to} ({scenario:?})"
+                    );
+                    assert!(distance <= scenario.visibility + opts.tolerance);
+                }
+                (o, p) => assert_eq!(
+                    p.classification(),
+                    o.classification(),
+                    "{name}: production {p} vs oracle {o} ({scenario:?})"
+                ),
+            }
+            finished += 1;
+        }
+        assert!(finished > 0, "{name}: the oracle finished nothing");
+    }
 }
