@@ -31,6 +31,10 @@ echo "==> cargo test --release -p rvz-trajectory (release-only contracts: t >= 0
 cargo test --release --quiet -p rvz-trajectory
 
 echo "==> allocation + SoA-not-slower gate (zero heap allocations per query; lane kernel within 10% of the scalar loop)"
+# Zero allocations per warm query on the compiled ladder, the lane
+# kernel, and simulate_rendezvous_by_ref — the cursor call every sweep
+# worker and every serve miss off the lane kernel make — on a feasible
+# tau = 1 pair, an exact twin, a mirror twin and a tau != 1 pair.
 cargo test --release --quiet -p rvz-sim --test alloc_gate
 
 echo "==> allocation + SoA-not-slower gate, -C target-cpu=native arm"
@@ -52,6 +56,13 @@ cargo test --release --quiet --test engine_equivalence -- \
     relative_trajectory_disproves_twins_in_a_few_steps \
     relative_trajectory_matches_the_two_cursor_oracle
 cargo test --release --quiet --test telemetry_identity
+
+echo "==> engine vs analytic discovery and brute force (release: 10,000 seeded draws per property)"
+# tests/cross_validation.rs checks the engine against the closed-form
+# discovery time (never late, early only by the declaration slack) and
+# against dense sampling (never later); tier-1 runs a 48-draw debug
+# sample of the same fixed-seed stream.
+cargo test --release --quiet --test cross_validation
 
 echo "==> differential fuzz (fixed seed budget: four engine paths agree)"
 # The seeded harness in tests/differential_fuzz.rs runs the generic,

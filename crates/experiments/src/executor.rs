@@ -7,24 +7,21 @@
 //! thread-local buffer tagged with the scenario id. After the scoped
 //! threads join, the buffers are merged back into id order.
 //!
-//! Three properties follow by construction:
+//! Two properties follow by construction:
 //!
 //! * **Schedule independence** — a record depends only on its scenario,
 //!   never on which worker ran it or in what order, so the merged output
 //!   is *identical* for every thread count (this is tested, and it is
 //!   what makes sweep artifacts diffable across machines);
-//! * **One engine** — every scenario runs on the monotone-cursor
-//!   engine ([`simulate_rendezvous_by_ref`]): no per-worker lowering,
-//!   no arena, no fallback. The cursor engine resolves a scenario at the
-//!   cost of the near approaches it actually meets, which at sweep
-//!   depths beats lowering the schedules into program arenas first;
-//! * **Orbit dedup** (opt-in, [`run_sweep_deduped`]) — scenarios are
-//!   collapsed through the exact role-swap canonicalization before
-//!   running, each orbit simulates once, and twins receive the
-//!   representative's record mapped back through the orbit's
-//!   [`OutcomeTransform`](crate::OutcomeTransform).
+//! * **One engine, one call** — every scenario runs through
+//!   [`run_scenario`] on the monotone-cursor engine
+//!   ([`simulate_rendezvous_by_ref`]): no per-worker lowering, no arena,
+//!   no fallback. The cursor engine resolves a scenario at the cost of
+//!   the near approaches it actually meets, which at sweep depths beats
+//!   lowering the schedules into program arenas first. `rvz serve`
+//!   answers a cache miss its lane kernel does not cover through the
+//!   same function.
 
-use crate::canonical::DEFAULT_GRID;
 use crate::scenario::{Algorithm, Scenario};
 use rvz_core::WaitAndSearch;
 use rvz_model::{feasibility, Feasibility};
@@ -42,8 +39,9 @@ pub struct SweepOptions {
     ///
     /// The default horizon is `PhaseSchedule::round_end(9)` — enough for
     /// every feasible scenario of moderate difficulty to meet — and the
-    /// default step budget is 300 000, which bounds the time spent
-    /// *disproving* contact for infeasible (twin) scenarios.
+    /// default step budget is 300 000. Pruned twins disprove in a few
+    /// steps, so the budget binds only on unpruned mirror twins and on
+    /// unusually hard pairs.
     pub contact: ContactOptions,
     /// Piece budget of `rvz serve`'s compiled path (`0` disables it):
     /// the service lowers each algorithm's reference, and streams each
@@ -138,12 +136,19 @@ impl SweepRecord {
     }
 }
 
-/// Runs one scenario on the monotone-cursor engine.
+/// Runs one scenario on the monotone-cursor engine: the per-scenario
+/// call behind every sweep worker, `rvz map`, and a `rvz serve` miss
+/// that the lane kernel does not answer.
 ///
 /// Each scenario is one `"scenario"` span in the flight recorder and
 /// one sample in the `rvz_sweep_scenario_us` histogram — the per-worker
 /// cost profile `/metrics` and the checkpoint trace dump read.
-fn run_one(scenario: &Scenario, opts: &ContactOptions) -> SweepRecord {
+///
+/// # Panics
+///
+/// Panics when the scenario does not describe a valid instance (the
+/// generators and the wire decoder only produce valid ones).
+pub fn run_scenario(scenario: &Scenario, opts: &ContactOptions) -> SweepRecord {
     rvz_obs::span!("scenario");
     let started = std::time::Instant::now();
     let instance = scenario
@@ -207,9 +212,9 @@ impl Heartbeat {
 /// Runs every scenario and returns the records in scenario order.
 ///
 /// Work is distributed dynamically (scenarios vary in cost by orders of
-/// magnitude — a feasible near pair meets in a handful of advancement
-/// steps, an infeasible twin burns its whole step budget), but the output
-/// is independent of the schedule: records are merged back by scenario
+/// magnitude — a twin disproves in a step or two, a feasible pair that
+/// meets late walks many rounds of near approaches), but the output is
+/// independent of the schedule: records are merged back by scenario
 /// index.
 ///
 /// # Example
@@ -256,7 +261,7 @@ pub fn run_sweep_with(
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                let record = run_one(s, &opts.contact);
+                let record = run_scenario(s, &opts.contact);
                 heartbeat.tick();
                 on_record(i, &record);
                 record
@@ -277,7 +282,7 @@ pub fn run_sweep_with(
                     let Some(scenario) = scenarios.get(i) else {
                         return;
                     };
-                    let record = run_one(scenario, &opts.contact);
+                    let record = run_scenario(scenario, &opts.contact);
                     if tx.send((i, record)).is_err() {
                         return;
                     }
@@ -300,104 +305,6 @@ pub fn run_sweep_with(
     out.into_iter()
         .map(|r| r.expect("every scenario index was claimed exactly once"))
         .collect()
-}
-
-/// How much an orbit-deduplicated sweep collapsed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DedupStats {
-    /// Scenarios in the input batch.
-    pub scenarios: usize,
-    /// Distinct orbit representatives actually simulated.
-    pub representatives: usize,
-}
-
-impl DedupStats {
-    /// `scenarios / representatives` — `1.0` means nothing collapsed.
-    pub fn ratio(&self) -> f64 {
-        if self.representatives == 0 {
-            1.0
-        } else {
-            self.scenarios as f64 / self.representatives as f64
-        }
-    }
-}
-
-/// [`run_sweep`] with exact-symmetry orbit deduplication: scenarios are
-/// collapsed through [`crate::canonicalize`] (the role-swap gauge plus
-/// power-of-two-grid quantization — the same reduction that keys the
-/// `rvz serve` cache), only the orbit representatives are simulated, and
-/// each twin's record is the representative's outcome mapped back
-/// through the orbit's exact [`OutcomeTransform`](crate::OutcomeTransform)
-/// (time × τ, distance × v·τ).
-///
-/// Note this is the **exact** outcome-level orbit, not the coarser
-/// verdict-level [`crate::orbit_key`]: the latter quotients away the
-/// placement, under which only the feasibility verdict — not the contact
-/// time — is invariant, so reusing records across *that* orbit would be
-/// unsound.
-///
-/// **Engine options apply in the canonical frame** (the same semantics
-/// as the `rvz serve` cache): the representative always carries the
-/// *smaller* clock of its orbit (`τ_rep = min(τ, 1/τ) ≤ 1`), so a
-/// swapped twin's mapped window spans `τ·horizon ≥ horizon` — windows
-/// only ever *extend*, never shrink. Consequently a deduplicated
-/// record can upgrade a near-miss `Horizon` into a `Contact` whose
-/// time lies past the nominal horizon (the contact is real; the plain
-/// run simply stopped looking sooner), and can differ from the plain
-/// [`run_sweep`] record by grid round-off (`2⁻³⁰` by default).
-/// Feasibility verdicts and Theorem 4 consistency are unaffected:
-/// infeasible orbits never contact at any horizon, and extra contacts
-/// on feasible orbits only *increase* agreement.
-///
-/// # Panics
-///
-/// As for [`run_sweep`].
-pub fn run_sweep_deduped(
-    scenarios: &[Scenario],
-    opts: &SweepOptions,
-    grid: f64,
-) -> (Vec<SweepRecord>, DedupStats) {
-    let canonicals: Vec<crate::Canonical> =
-        scenarios.iter().map(|s| s.canonicalize(grid)).collect();
-    let mut representatives: Vec<Scenario> = Vec::new();
-    let mut index: std::collections::HashMap<crate::CacheKey, usize> =
-        std::collections::HashMap::new();
-    let mut slot: Vec<usize> = Vec::with_capacity(scenarios.len());
-    for c in &canonicals {
-        let j = *index.entry(c.key).or_insert_with(|| {
-            let mut rep = c.scenario;
-            rep.id = representatives.len() as u64;
-            representatives.push(rep);
-            representatives.len() - 1
-        });
-        slot.push(j);
-    }
-    let computed = run_sweep(&representatives, opts);
-    let records = scenarios
-        .iter()
-        .zip(&canonicals)
-        .zip(&slot)
-        .map(|((s, c), &j)| SweepRecord {
-            scenario: *s,
-            feasibility: feasibility(&s.attributes()),
-            outcome: c.transform.apply(computed[j].outcome),
-        })
-        .collect();
-    (
-        records,
-        DedupStats {
-            scenarios: scenarios.len(),
-            representatives: representatives.len(),
-        },
-    )
-}
-
-/// [`run_sweep_deduped`] with the standard cache grid ([`DEFAULT_GRID`]).
-pub fn run_sweep_deduped_default(
-    scenarios: &[Scenario],
-    opts: &SweepOptions,
-) -> (Vec<SweepRecord>, DedupStats) {
-    run_sweep_deduped(scenarios, opts, DEFAULT_GRID)
 }
 
 #[cfg(test)]
@@ -584,118 +491,5 @@ mod tests {
             },
         );
         assert_eq!(records.len(), 1);
-    }
-
-    #[test]
-    fn dedup_collapses_role_swap_twins_and_maps_outcomes_back() {
-        // A scenario plus its exact role-swap twin: one representative.
-        let base = ScenarioGrid::new()
-            .speeds(&[0.5])
-            .distances(&[0.9])
-            .visibilities(&[0.25])
-            .build()[0];
-        let (twin, _) = base.role_swap();
-        let batch = vec![
-            base,
-            Scenario { id: 1, ..twin },
-            Scenario {
-                id: 2,
-                speed: 0.75,
-                ..base
-            },
-        ];
-        let opts = SweepOptions {
-            threads: 1,
-            ..SweepOptions::default()
-        };
-        let (records, stats) = run_sweep_deduped_default(&batch, &opts);
-        assert_eq!(stats.scenarios, 3);
-        assert_eq!(stats.representatives, 2, "twins must share one orbit");
-        assert!(stats.ratio() > 1.4);
-        assert_eq!(records.len(), 3);
-        for (r, s) in records.iter().zip(&batch) {
-            assert_eq!(r.scenario, *s, "records keep the original scenarios");
-            assert!(r.consistent(), "{:?} -> {}", r.scenario, r.outcome);
-        }
-        // The twin's contact time is the representative's mapped through
-        // the exact transform: time × τ (τ = 1 here ⇒ distances × v·τ).
-        let plain = run_sweep(&batch, &opts);
-        for (d, p) in records.iter().zip(&plain) {
-            assert_eq!(
-                d.outcome.classification(),
-                p.outcome.classification(),
-                "{:?}",
-                d.scenario
-            );
-            if let (Some(td), Some(tp)) = (d.outcome.contact_time(), p.outcome.contact_time()) {
-                assert!(
-                    (td - tp).abs() <= 1e-6 * (1.0 + tp.abs()),
-                    "dedup moved a contact: {td} vs {tp}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dedup_windows_only_extend_never_lose_contacts() {
-        // τ > 1 scenarios canonicalize to their swapped representative
-        // (τ_rep = 1/τ < 1); the mapped window spans τ·horizon, so the
-        // deduplicated run may *add* a contact past the nominal horizon
-        // but must never lose one the plain run found — and the verdict
-        // agreement must survive either way.
-        let scenarios: Vec<Scenario> = [(0.7, 2.0), (1.0, 1.6), (0.9, 3.0)]
-            .iter()
-            .enumerate()
-            .map(|(i, &(speed, clock))| Scenario {
-                id: i as u64,
-                speed,
-                time_unit: clock,
-                orientation: 0.8,
-                distance: 1.5,
-                visibility: 0.2,
-                ..ScenarioGrid::new().build()[0]
-            })
-            .collect();
-        let opts = SweepOptions {
-            threads: 1,
-            contact: rvz_sim::ContactOptions {
-                horizon: rvz_search::times::rounds_total(3),
-                max_steps: 200_000,
-                ..rvz_sim::ContactOptions::default()
-            },
-            ..SweepOptions::default()
-        };
-        let plain = run_sweep(&scenarios, &opts);
-        let (deduped, _) = run_sweep_deduped_default(&scenarios, &opts);
-        for (p, d) in plain.iter().zip(&deduped) {
-            assert!(
-                d.outcome.is_contact() || !p.outcome.is_contact(),
-                "dedup lost a contact: plain {} vs dedup {} ({:?})",
-                p.outcome,
-                d.outcome,
-                p.scenario
-            );
-            assert!(d.consistent(), "{:?} -> {}", d.scenario, d.outcome);
-            if let (Some(tp), Some(td)) = (p.outcome.contact_time(), d.outcome.contact_time()) {
-                assert!((tp - td).abs() <= 1e-6 * (1.0 + tp), "{tp} vs {td}");
-            }
-        }
-    }
-
-    #[test]
-    fn dedup_of_distinct_orbits_is_identity() {
-        let scenarios = ScenarioGrid::new()
-            .speeds(&[0.5, 0.75])
-            .distances(&[0.9])
-            .visibilities(&[0.25])
-            .build();
-        let opts = SweepOptions {
-            threads: 1,
-            ..SweepOptions::default()
-        };
-        let (records, stats) = run_sweep_deduped_default(&scenarios, &opts);
-        assert_eq!(stats.representatives, 2);
-        assert!((stats.ratio() - 1.0).abs() < 1e-12);
-        assert_eq!(records.len(), 2);
     }
 }

@@ -14,7 +14,8 @@
 //!   generation (Cartesian grids and seeded Latin-hypercube samples over
 //!   attributes × placement × algorithm);
 //! * [`run_sweep`] — a scoped-thread batch executor whose output is
-//!   byte-identical for every thread count;
+//!   byte-identical for every thread count, over [`run_scenario`], the
+//!   one per-scenario call;
 //! * [`write_jsonl`] / [`write_csv`] / [`Summary`] — deterministic
 //!   structured sinks and aggregate percentile summaries;
 //! * [`canonicalize`] / [`orbit_key`] — symmetry canonicalization: the
@@ -75,10 +76,7 @@ pub use checkpoint::{
 pub use durable::{
     crc32, read_file_faulty, DiskFaultPlan, DiskFaultSite, DiskFaults, DurableFile, JournalFile,
 };
-pub use executor::{
-    run_sweep, run_sweep_deduped, run_sweep_deduped_default, run_sweep_with, DedupStats,
-    SweepOptions, SweepRecord,
-};
+pub use executor::{run_scenario, run_sweep, run_sweep_with, SweepOptions, SweepRecord};
 pub use json::Json;
 pub use report::{
     breaker_token, outcome_token, percentile, record_from_json, record_to_json, scenario_from_json,

@@ -25,7 +25,7 @@
 //!                                          inverse transform ◄── sharded LRU
 //!                                                    ▲                 │ miss
 //!                                                    │                 ▼
-//!                                                    └──────── engine (run_sweep)
+//!                                                    └──────── engine (run_scenario)
 //! ```
 //!
 //! Module map: [`http`] (wire format), [`cache`] (sharded LRU +

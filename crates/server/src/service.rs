@@ -31,7 +31,7 @@ use crate::snapshot::{
     engine_fingerprint, read_snapshot, write_snapshot, RestoreOutcome, SnapshotData,
 };
 use rvz_experiments::{
-    breaker_token, orbit_key, record_to_json, run_sweep, scenario_from_json, Algorithm, Json,
+    breaker_token, orbit_key, record_to_json, run_scenario, scenario_from_json, Algorithm, Json,
     Scenario, Summary, SweepOptions, SweepRecord, DEFAULT_GRID,
 };
 use rvz_model::{feasibility, Chirality, RobotAttributes};
@@ -71,8 +71,9 @@ pub struct ServiceOptions {
     /// ([`first_contact_streamed`]). Partners are never cached: a miss
     /// on an evicted orbit re-streams its partner (same bytes) and
     /// never re-lowers the reference. Everything the kernel does not
-    /// answer runs on the cursor engine through the sweep executor,
-    /// which never lowers.
+    /// answer runs on the cursor engine through
+    /// [`rvz_experiments::run_scenario`], the sweep executor's
+    /// per-scenario call, which never lowers.
     pub sweep: SweepOptions,
     /// Per-request wall-clock deadline for engine work. Each request
     /// gets a fresh [`Budget`] starting at dispatch; an exhausted one
@@ -730,7 +731,9 @@ impl Service {
 
     /// Simulates the canonical representative: through the compiled
     /// path when it is enabled and the reference lowering covers the
-    /// horizon, otherwise through the cursor-path sweep executor. Both
+    /// horizon, otherwise through [`run_scenario`], the executor's
+    /// per-scenario call that every `rvz sweep` worker makes (one
+    /// `"scenario"` span and one `rvz_sweep_scenario_us` sample). Both
     /// paths are deterministic functions of the scenario, so responses
     /// stay pure functions of the query.
     fn simulate(&self, canonical: &Scenario, contact: &ContactOptions) -> SimOutcome {
@@ -747,12 +750,7 @@ impl Service {
                 return outcome;
             }
         }
-        let single = SweepOptions {
-            threads: 1,
-            contact: *contact,
-            ..self.opts.sweep
-        };
-        run_sweep(std::slice::from_ref(canonical), &single)[0].outcome
+        run_scenario(canonical, contact).outcome
     }
 
     /// The compiled path: the shared reference arena against the

@@ -62,7 +62,7 @@
 //! as before; the horizon endpoint is always sampled.
 
 use rvz_geometry::Vec2;
-use rvz_trajectory::monotone::{Cursor, MonotoneDyn, MonotoneTrajectory, Motion, Probe};
+use rvz_trajectory::monotone::{Cursor, MonotoneTrajectory, Motion, Probe};
 use rvz_trajectory::Trajectory;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -394,33 +394,6 @@ where
     first_contact_cursors(&mut a.cursor(), &mut b.cursor(), radius, opts)
 }
 
-/// [`first_contact`] for type-erased robots.
-///
-/// Runs the cursor fast path through [`MonotoneDyn::with_cursor`]'s
-/// scoped stack cursors instead of `dyn_cursor()`'s boxed ones, so a
-/// query performs **zero** heap allocations (the allocation gate in
-/// `tests/alloc_gate.rs` holds this path to the same standard as the
-/// compiled engine). Virtual dispatch per probe remains — callers with
-/// concrete types keep [`first_contact`].
-///
-/// # Panics
-///
-/// As for [`first_contact`].
-pub fn first_contact_dyn(
-    a: &dyn MonotoneDyn,
-    b: &dyn MonotoneDyn,
-    radius: f64,
-    opts: &ContactOptions,
-) -> SimOutcome {
-    let mut out = None;
-    a.with_cursor(&mut |ca| {
-        b.with_cursor(&mut |cb| {
-            out = Some(first_contact_cursors(ca, cb, radius, opts));
-        });
-    });
-    out.expect("with_cursor always invokes its closure")
-}
-
 /// Work counters for the cursor engine, reported by
 /// [`first_contact_cursors_instrumented`].
 ///
@@ -455,7 +428,7 @@ pub struct EngineStats {
 ///
 /// Takes the two cursors directly, which lets heterogeneous callers
 /// (e.g. `dyn MonotoneDyn` robots) drive the fast path through boxed
-/// cursors.
+/// [`dyn_cursor`](rvz_trajectory::MonotoneDyn::dyn_cursor) cursors.
 ///
 /// # Panics
 ///

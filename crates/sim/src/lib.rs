@@ -70,7 +70,7 @@ pub mod verify;
 pub use batch::{compile_rendezvous_partner, simulate_rendezvous_by_ref};
 pub use compiled::{first_contact_programs, try_first_contact_programs, EngineScratch};
 pub use engine::{
-    first_contact, first_contact_cursors, first_contact_cursors_instrumented, first_contact_dyn,
+    first_contact, first_contact_cursors, first_contact_cursors_instrumented,
     first_contact_generic, Budget, ContactOptions, EngineStats, SimOutcome,
 };
 pub use kernel::{first_contact_soa, try_first_contact_soa, KERNEL_LANES};

@@ -3,10 +3,10 @@
 //!
 //! Registers a counting global allocator for this test binary and
 //! proves that, after a warm-up query, the compiled fast path
-//! ([`first_contact_programs`]), the type-erased cursor path
-//! ([`first_contact_dyn`]'s scoped stack cursors), and the SoA lane
-//! kernel ([`first_contact_soa`]) perform **zero** heap allocations per
-//! query. A positive control (an explicit
+//! ([`first_contact_programs`]), the production cursor query
+//! ([`simulate_rendezvous_by_ref`], which sweeps and serve misses run),
+//! and the SoA lane kernel ([`first_contact_soa`]) perform **zero**
+//! heap allocations per query. A positive control (an explicit
 //! allocation observed by the counter) guards against the vacuous pass
 //! where the allocator silently failed to register.
 //!
@@ -26,13 +26,13 @@
 //! test's count, and no test's work lands in the timing gate's clock.
 
 use rvz_geometry::Vec2;
-use rvz_model::{RendezvousInstance, RobotAttributes};
+use rvz_model::{Chirality, RendezvousInstance, RobotAttributes};
 use rvz_search::UniversalSearch;
 use rvz_sim::{
-    compile_rendezvous_partner, first_contact_dyn, first_contact_programs, first_contact_soa,
-    ContactOptions, EngineScratch,
+    compile_rendezvous_partner, first_contact_programs, first_contact_soa,
+    simulate_rendezvous_by_ref, ContactOptions, EngineScratch,
 };
-use rvz_trajectory::{Compile, CompileOptions, CompiledProgram, MonotoneDyn, ProgramSoA};
+use rvz_trajectory::{Compile, CompileOptions, CompiledProgram, ProgramSoA};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -147,26 +147,53 @@ fn compiled_queries_allocate_nothing_after_warmup() {
     assert_eq!(during, 0, "compiled pair queries allocated {during} times");
 }
 
+/// The production cursor query — [`simulate_rendezvous_by_ref`], the
+/// call every sweep worker and every serve miss off the lane kernel
+/// make — on the four shapes a sweep meets: a feasible `τ = 1` pair and
+/// two twins on the Lemma 4 relative trajectory (an exact twin's zero
+/// warp and a mirror twin's singular rank-1 warp), and a `τ ≠ 1` pair
+/// on two cursors. Each query holds its cursors on the stack, so a
+/// cursor or warp that starts boxing its state fails here.
 #[test]
-fn cursor_dyn_queries_allocate_nothing() {
+fn rendezvous_cursor_queries_allocate_nothing() {
     let _serial = serial();
     let (_, control) = allocs(|| std::hint::black_box(vec![0_u8; 4096]));
     assert!(control > 0, "counting allocator is not registered");
 
-    let horizon = rvz_search::times::rounds_total(3);
-    let opts = ContactOptions::with_horizon(horizon);
-    let a = UniversalSearch;
-    let b = RobotAttributes::reference()
-        .with_speed(0.7)
-        .frame_warp(UniversalSearch, Vec2::new(1.5, -0.5));
-    let da: &dyn MonotoneDyn = &a;
-    let db: &dyn MonotoneDyn = &b;
-
-    first_contact_dyn(da, db, 0.1, &opts);
-    let during = min_allocs(|| {
-        std::hint::black_box(first_contact_dyn(da, db, 0.1, &opts));
-    });
-    assert_eq!(during, 0, "dyn cursor queries allocated {during} times");
+    let opts = ContactOptions::with_horizon(rvz_search::times::rounds_total(3));
+    let reference = RobotAttributes::reference();
+    let mirror = reference
+        .with_chirality(Chirality::Mirrored)
+        .with_orientation(2.0);
+    let cases = [
+        (
+            "feasible tau = 1",
+            reference.with_speed(0.7),
+            Vec2::new(0.3, 0.85),
+            true,
+        ),
+        ("exact twin", reference, Vec2::new(0.9, 0.0), false),
+        ("mirror twin", mirror, Vec2::from_polar(0.9, 1.0), false),
+        (
+            "tau != 1",
+            reference.with_time_unit(0.6),
+            Vec2::new(0.3, 0.85),
+            true,
+        ),
+    ];
+    for (name, attrs, offset, meets) in cases {
+        let instance = RendezvousInstance::new(offset, 0.1, attrs).expect("valid instance");
+        let warm = simulate_rendezvous_by_ref(&UniversalSearch, &instance, &opts);
+        assert_eq!(warm.is_contact(), meets, "{name}: {warm}");
+        let during = min_allocs(|| {
+            std::hint::black_box(simulate_rendezvous_by_ref(
+                &UniversalSearch,
+                &instance,
+                &opts,
+            ));
+        });
+        assert_eq!(during, 0, "{name}: cursor queries allocated {during} times");
+    }
 }
 
 #[test]

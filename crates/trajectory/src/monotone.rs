@@ -291,32 +291,17 @@ impl<T: MonotoneTrajectory + ?Sized> MonotoneTrajectory for Box<T> {
 /// Object-safe access to monotone cursors.
 ///
 /// [`MonotoneTrajectory`]'s generic associated cursor type makes it
-/// non-object-safe; type-erased callers (`rvz_sim::first_contact_dyn`)
-/// use this facade instead. It is implemented automatically for every
-/// [`MonotoneTrajectory`].
+/// non-object-safe; type-erased callers ([`crate::SoaStream`], the
+/// [`crate::Compile`] lowering) use this facade instead. It is
+/// implemented automatically for every [`MonotoneTrajectory`].
 pub trait MonotoneDyn: Trajectory {
     /// A fresh boxed cursor positioned at time `0`.
     fn dyn_cursor(&self) -> Box<dyn Cursor + '_>;
-
-    /// Scoped access to a fresh cursor **without** the box: the cursor
-    /// lives on the callee's stack and is handed to `f` by unsized
-    /// reference. This is the allocation-free twin of
-    /// [`MonotoneDyn::dyn_cursor`] — the blanket impl for
-    /// [`MonotoneTrajectory`] types never touches the heap, so
-    /// `rvz_sim::first_contact_dyn` stays at zero allocations per query. The default body falls back to
-    /// the boxed cursor for hand-rolled `MonotoneDyn` impls.
-    fn with_cursor(&self, f: &mut dyn FnMut(&mut dyn Cursor)) {
-        f(&mut *self.dyn_cursor());
-    }
 }
 
 impl<T: MonotoneTrajectory> MonotoneDyn for T {
     fn dyn_cursor(&self) -> Box<dyn Cursor + '_> {
         Box::new(self.cursor())
-    }
-
-    fn with_cursor(&self, f: &mut dyn FnMut(&mut dyn Cursor)) {
-        f(&mut self.cursor());
     }
 }
 

@@ -181,7 +181,6 @@ Closed-form bounds: Theorem 1/2, and Lemma 13's k* when tau ≠ 1.",
             ("max-steps", true),
             ("horizon-rounds", true),
             ("no-prune", false),
-            ("dedup-orbits", false),
             ("out", true),
             ("checkpoint", true),
             ("resume", false),
@@ -193,17 +192,14 @@ USAGE:
   rvz sweep [--speeds L] [--clocks L] [--phis L] [--chis L] [--distances L]
             [--bearings L] [--r R] [--algos L] [--lhs N] [--seed S]
             [--threads N] [--max-steps M] [--horizon-rounds K] [--no-prune]
-            [--dedup-orbits] [--out PREFIX] [--checkpoint PATH] [--resume]
-            [--faults SPEC] [--heartbeat]
+            [--out PREFIX] [--checkpoint PATH] [--resume] [--faults SPEC]
+            [--heartbeat]
 
 Run a parallel scenario sweep (grid by default, Latin-hypercube sample
 with --lhs N) on the monotone-cursor engine and write PREFIX.jsonl +
 PREFIX.csv. List flags (L) take comma-separated values, e.g. --speeds
 0.5,1. --no-prune disables the engine's swept-envelope pruning layer
 (A/B escape hatch; outcomes keep the same classification).
---dedup-orbits collapses role-swap symmetric scenarios through
-the exact canonical orbit before running, simulates one representative
-per orbit, and maps outcomes back through the orbit transform.
 
 Checkpointing: --checkpoint PATH journals each finished record (CRC
 per line, fsync'd manifest) so a killed sweep can continue with
@@ -468,10 +464,9 @@ fn get_algorithms(opts: &Flags) -> Result<Option<Vec<Algorithm>>, String> {
         .map(Some)
 }
 
-/// Applies the shared engine-tuning flags (`--max-steps`,
+/// Applies the shared engine-tuning flags (`--threads`, `--max-steps`,
 /// `--horizon-rounds`, `--no-prune`, and `--compile-budget`, which only
-/// `rvz serve` accepts) plus the thread flag named `thread_key` on top
-/// of the sweep defaults.
+/// `rvz serve` accepts) on top of the sweep defaults.
 fn sweep_options(opts: &Flags) -> Result<SweepOptions, String> {
     let mut sweep_opts = SweepOptions {
         threads: get_usize(opts, "threads", 0)?,
@@ -713,11 +708,6 @@ fn cmd_sweep(opts: &Flags) -> Result<(), String> {
     if opts.contains_key("faults") && checkpoint.is_none() {
         return Err("`--faults` only applies to checkpoint I/O; pass `--checkpoint PATH`".into());
     }
-    if checkpoint.is_some() && opts.contains_key("dedup-orbits") {
-        // The journal records scenario rows one-to-one; the dedup path
-        // computes representatives, so its work units do not match.
-        return Err("`--checkpoint` and `--dedup-orbits` cannot be combined".into());
-    }
     let disk_faults = match opts.get("faults") {
         None => None,
         Some(spec) => {
@@ -735,7 +725,7 @@ fn cmd_sweep(opts: &Flags) -> Result<(), String> {
     );
     let start = Instant::now();
     let mut checkpoint_stats = None;
-    let (records, dedup) = if let Some(path) = &checkpoint {
+    let records = if let Some(path) = &checkpoint {
         let (records, stats) = plane_rendezvous::experiments::run_sweep_checkpointed(
             &scenarios,
             &sweep_opts,
@@ -744,13 +734,9 @@ fn cmd_sweep(opts: &Flags) -> Result<(), String> {
             disk_faults,
         )?;
         checkpoint_stats = Some(stats);
-        (records, None)
-    } else if opts.contains_key("dedup-orbits") {
-        let (records, stats) =
-            plane_rendezvous::experiments::run_sweep_deduped_default(&scenarios, &sweep_opts);
-        (records, Some(stats))
+        records
     } else {
-        (run_sweep(&scenarios, &sweep_opts), None)
+        run_sweep(&scenarios, &sweep_opts)
     };
     let wall = start.elapsed().as_secs_f64();
 
@@ -759,14 +745,6 @@ fn cmd_sweep(opts: &Flags) -> Result<(), String> {
     save_artifact(&format!("{prefix}.csv"), &records, write_csv)?;
 
     print!("{}", Summary::from_records(&records).render());
-    if let Some(stats) = dedup {
-        println!(
-            "orbit dedup: {} scenarios -> {} representatives ({:.2}x collapse)",
-            stats.scenarios,
-            stats.representatives,
-            stats.ratio()
-        );
-    }
     if let Some(stats) = checkpoint_stats {
         println!(
             "checkpoint: {} resumed, {} computed, {} torn lines dropped{}",

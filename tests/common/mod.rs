@@ -43,21 +43,15 @@ impl EngineCase {
         first_contact_generic(&*self.a, &*self.b, self.radius, &self.opts)
     }
 
-    /// The cursor engine on this pair (scoped stack cursors, as sweeps
-    /// run it), with its pruning-layer work counters.
+    /// The cursor engine on this pair, with its pruning-layer work
+    /// counters.
     pub fn run_cursor(&self) -> (SimOutcome, EngineStats) {
-        let mut out = None;
-        self.a.with_cursor(&mut |ca| {
-            self.b.with_cursor(&mut |cb| {
-                out = Some(first_contact_cursors_instrumented(
-                    ca,
-                    cb,
-                    self.radius,
-                    &self.opts,
-                ));
-            });
-        });
-        out.expect("with_cursor always invokes its closure")
+        first_contact_cursors_instrumented(
+            &mut *self.a.dyn_cursor(),
+            &mut *self.b.dyn_cursor(),
+            self.radius,
+            &self.opts,
+        )
     }
 
     /// Lowers both trajectories for the compiled engines, to the case's

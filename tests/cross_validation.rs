@@ -1,0 +1,126 @@
+//! Cross-validation of the three independent first-contact computations:
+//!
+//! 1. the conservative-advancement engine (`rvz-sim`),
+//! 2. the closed-form analytic discovery oracle (`rvz-search`),
+//! 3. dense brute-force sampling.
+//!
+//! Agreement of (1) and (2) on the search problem is the strongest
+//! correctness evidence in the workspace: they share no code beyond the
+//! schedule formulas.
+//!
+//! The random properties draw their cases from a fixed-seed
+//! [`SplitMix64`] stream, so every run checks the same cases. A debug
+//! build checks 48 draws per property; a release build checks 10,000
+//! (`cargo test --release --test cross_validation`, which `ci.sh` runs;
+//! about 3 s on 2 vCPUs).
+
+use plane_rendezvous::experiments::SplitMix64;
+use plane_rendezvous::prelude::*;
+use plane_rendezvous::sim::first_contact_brute;
+
+/// Draws per random property: a sample in debug, the full set in
+/// release.
+fn cases() -> usize {
+    if cfg!(debug_assertions) {
+        48
+    } else {
+        10_000
+    }
+}
+
+/// The engine's search contact against the analytic discovery time:
+/// declared at distance ≤ r + tol, so it can be early by at most
+/// tol / speed; it can never be late. The engine runs to
+/// `horizon_factor` times the analytic time plus 10.
+fn assert_engine_matches_analytic(p: Vec2, r: f64, horizon_factor: f64) {
+    let inst = SearchInstance::new(p, r).unwrap();
+    let analytic = first_discovery(&inst, 16).expect("analytic finds target");
+    let horizon = analytic.time * horizon_factor + 10.0;
+    let opts = ContactOptions::with_horizon(horizon).tolerance(r * 1e-9);
+    let out = simulate_search(UniversalSearch, &inst, &opts);
+    let simulated = out
+        .contact_time()
+        .unwrap_or_else(|| panic!("engine missed contact for p={p}, r={r}: {out}"));
+    assert!(
+        simulated <= analytic.time + 1e-6,
+        "p={p} r={r}: engine late ({simulated} vs {})",
+        analytic.time
+    );
+    assert!(
+        analytic.time - simulated <= 1e-3 * (1.0 + analytic.time),
+        "p={p} r={r}: engine too early ({simulated} vs {})",
+        analytic.time
+    );
+}
+
+#[test]
+fn engine_matches_analytic_discovery_on_fixed_grid() {
+    let targets = [
+        Vec2::new(0.0, 0.8),
+        Vec2::new(-0.5, 0.5),
+        Vec2::new(0.7, 0.1),
+        Vec2::new(-1.4, -0.9),
+        Vec2::new(0.2, -1.9),
+        Vec2::new(0.52, 0.0),
+    ];
+    for p in targets {
+        for r in [0.2, 0.05, 0.01] {
+            assert_engine_matches_analytic(p, r, 2.0);
+        }
+    }
+}
+
+/// Random targets in `[-2, 2)²` with radius `2^[-7, -2)`: analytic and
+/// engine agree.
+#[test]
+fn engine_matches_analytic_discovery_random() {
+    let mut rng = SplitMix64::new(0x5EA2_C4A1);
+    let mut checked = 0;
+    for _ in 0..cases() {
+        let p = Vec2::new(rng.next_range(-2.0, 2.0), rng.next_range(-2.0, 2.0));
+        let r = rng.next_range(-7.0, -2.0).exp2();
+        if p.norm() <= 1e-3 || p.norm() <= r {
+            continue;
+        }
+        assert_engine_matches_analytic(p, r, 1.0);
+        checked += 1;
+    }
+    assert!(
+        checked * 10 >= cases() * 9,
+        "only {checked} targets checked"
+    );
+}
+
+/// The engine is never later than brute-force sampling on random
+/// piecewise paths (soundness property of conservative advancement).
+#[test]
+fn engine_never_later_than_brute_force() {
+    let mut rng = SplitMix64::new(0xB2_07E);
+    let mut checked = 0;
+    for _ in 0..cases() {
+        let mut point =
+            |half: f64| Vec2::new(rng.next_range(-half, half), rng.next_range(-half, half));
+        let (a1, a2, leg, offset) = (point(3.0), point(3.0), point(3.0), point(4.0));
+        let radius = rng.next_range(0.05, 0.8);
+        let a = PathBuilder::at(Vec2::ZERO).line_to(a1).line_to(a2).build();
+        let b = PathBuilder::at(offset).line_to(offset + leg).build();
+        let horizon = a.duration().max(b.duration().max(1.0)) + 1.0;
+        let Some(brute) = first_contact_brute(&a, &b, radius, horizon, 1e-3) else {
+            continue;
+        };
+        // The engine must find a contact, no later than brute force.
+        match first_contact(&a, &b, radius, &ContactOptions::with_horizon(horizon)) {
+            SimOutcome::Contact { time, .. } => assert!(
+                time <= brute + 1e-9,
+                "engine late: {time} vs brute {brute} (a → {a1}, {a2}; b {offset} + {leg}; r {radius})"
+            ),
+            other => panic!(
+                "brute found {brute} but engine reported {other} (a → {a1}, {a2}; b {offset} + {leg}; r {radius})"
+            ),
+        }
+        checked += 1;
+    }
+    // About one draw in thirteen meets before both robots stop; a
+    // generator that stopped producing contacts would check nothing.
+    assert!(checked * 20 >= cases(), "only {checked} contacts checked");
+}

@@ -443,9 +443,4 @@ fn durability_flags_reject_bad_usage_with_named_clauses() {
         stderr.contains("clause `torn_rename=nope`"),
         "serve names the clause too: {stderr}"
     );
-
-    // Checkpoint and orbit dedup journal different work units.
-    let (ok, _, stderr) = rvz(&["sweep", "--checkpoint", "x.ckpt", "--dedup-orbits"]);
-    assert!(!ok);
-    assert!(stderr.contains("cannot be combined"), "{stderr}");
 }

@@ -154,6 +154,16 @@ fn unknown_flags_name_the_subcommand() {
         "points at sweep usage: {stderr}"
     );
 
+    // A sweep runs every scenario through one per-scenario call: there
+    // is no orbit-dedup fork. The out-of-range horizon makes a sweep
+    // that took the flag exit instead of running.
+    let (ok, _, stderr) = rvz(&["sweep", "--dedup-orbits", "--horizon-rounds", "0"]);
+    assert!(!ok, "rvz sweep accepted --dedup-orbits");
+    assert!(
+        stderr.contains("unknown flag `--dedup-orbits` for `rvz sweep`"),
+        "{stderr}"
+    );
+
     let (ok, _, stderr) = rvz(&["serve", "--por", "1"]);
     assert!(!ok);
     assert!(stderr.contains("unknown flag `--por` for `rvz serve`"));

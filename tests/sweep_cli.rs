@@ -205,41 +205,3 @@ fn sweep_no_prune_flag_is_accepted_and_consistent() {
     assert!(ok, "sweep --no-prune failed: {stderr}");
     assert!(stdout.contains("theorem-4 consistency: 2/2"));
 }
-
-#[test]
-fn sweep_dedup_orbits_collapses_and_stays_consistent() {
-    // Speeds 0.5 and 2.0 with matched placements contain role-swap
-    // pairs only when d and r scale together; a single-cell grid per
-    // speed keeps this simple — the dedup must at least run, report the
-    // collapse line, and keep every record Theorem 4 consistent.
-    let prefix = out_prefix("dedup");
-    let prefix_str = prefix.to_str().unwrap();
-    let (ok, stdout, stderr) = rvz(&[
-        "sweep",
-        "--dedup-orbits",
-        "--speeds",
-        "0.5,1.0",
-        "--clocks",
-        "0.5,2.0",
-        "--phis",
-        "0",
-        "--chis",
-        "+1",
-        "--distances",
-        "0.9",
-        "--r",
-        "0.25",
-        "--threads",
-        "2",
-        "--out",
-        prefix_str,
-    ]);
-    assert!(ok, "sweep --dedup-orbits failed: {stderr}");
-    assert!(
-        stdout.contains("orbit dedup:"),
-        "missing collapse report:\n{stdout}"
-    );
-    assert!(stdout.contains("theorem-4 consistency: 4/4"), "{stdout}");
-    let jsonl = std::fs::read_to_string(format!("{prefix_str}.jsonl")).unwrap();
-    assert_eq!(jsonl.lines().count(), 4, "records keep the input scenarios");
-}
