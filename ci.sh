@@ -64,6 +64,15 @@ echo "==> engine vs analytic discovery and brute force (release: 10,000 seeded d
 # sample of the same fixed-seed stream.
 cargo test --release --quiet --test cross_validation
 
+echo "==> numeric substrate properties (release: 10,000 seeded draws per property)"
+# tests/numeric_properties.rs holds the geometry and numerics oracles
+# every engine step rests on: Vec2::norm within one ulp of hypot and
+# obeying the norm axioms, Cauchy-Schwarz and the Lagrange identity;
+# matrix algebra, inverse, QR and the operator norm; angles; Lambert W;
+# floor_log2/ceil_log2 through pow2i; the root finders; Kahan
+# summation. Tier-1 runs a 256-draw debug sample of the same streams.
+cargo test --release --quiet --test numeric_properties
+
 echo "==> differential fuzz (fixed seed budget: four engine paths agree)"
 # The seeded harness in tests/differential_fuzz.rs runs the generic,
 # cursor, compiled-eager, and SoA lane-kernel paths on random scenario

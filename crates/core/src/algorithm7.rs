@@ -22,6 +22,7 @@
 
 use crate::phases::{PhaseSchedule, MAX_PHASE_ROUND};
 use rvz_geometry::Vec2;
+use rvz_numerics::pow2i;
 use rvz_search::{times, RoundCursor, RoundSchedule};
 use rvz_trajectory::monotone::{segment_motion, Cursor, MonotoneGuard, MonotoneTrajectory, Probe};
 use rvz_trajectory::{Segment, Trajectory};
@@ -160,7 +161,7 @@ impl WaitAndSearch {
     pub fn reach_between(t0: f64, t1: f64) -> f64 {
         let t1 = t1.max(t0);
         if t1 >= PhaseSchedule::inactive_start(MAX_PHASE_ROUND + 1) {
-            return (MAX_PHASE_ROUND as f64).exp2();
+            return pow2i(i64::from(MAX_PHASE_ROUND));
         }
         let n1 = PhaseSchedule::round_at(t1);
         let start1 = PhaseSchedule::inactive_start(n1);
@@ -168,7 +169,7 @@ impl WaitAndSearch {
             Self::round_reach_between(n1, t0, t1)
         } else {
             // Rounds before n₁ (n₁ ≥ 2 here) reach at most 2^{n₁−1}.
-            Self::round_reach_between(n1, start1, t1).max(((n1 - 1) as f64).exp2())
+            Self::round_reach_between(n1, start1, t1).max(pow2i(i64::from(n1) - 1))
         }
     }
 
@@ -194,7 +195,7 @@ impl WaitAndSearch {
             if same_block || k1 == 1 {
                 block_reach
             } else {
-                block_reach.max(((k1 - 1) as f64).exp2())
+                block_reach.max(pow2i(i64::from(k1) - 1))
             }
         } else {
             // Ends inside SearchAllRev(n), in reverse block k₁.
@@ -203,7 +204,7 @@ impl WaitAndSearch {
             if t0 < mid {
                 // The interval contains the forward/reverse boundary and
                 // with it a complete Search(n).
-                return (n as f64).exp2();
+                return pow2i(i64::from(n));
             }
             let u0 = (t0 - mid).min(u1);
             let (k0, _) = Self::reverse_block(n, u0);
@@ -212,7 +213,7 @@ impl WaitAndSearch {
             } else {
                 // Block k₀ runs to completion inside the interval and
                 // dominates every later (smaller) block.
-                (k0 as f64).exp2()
+                pow2i(i64::from(k0))
             }
         }
     }

@@ -18,7 +18,7 @@
 //! simulation measurement.
 
 use crate::phases::{PhaseSchedule, MAX_PHASE_ROUND};
-use rvz_numerics::dyadic::floor_log2;
+use rvz_numerics::dyadic::{floor_log2, pow2i};
 
 /// Length of the intersection of two half-open intervals.
 fn interval_overlap(a: (f64, f64), b: (f64, f64)) -> f64 {
@@ -49,7 +49,7 @@ pub struct OverlapReport {
 /// The hypothesis range of Lemma 9 for `(k, a)`:
 /// `τ ∈ [k/((k+1+a)·2^{a+1}), (3/2)·k/((k+1+a)·2^{a+1})]`.
 pub fn lemma9_tau_range(k: u32, a: u32) -> (f64, f64) {
-    let lo = (k as f64 / (k + 1 + a) as f64) * (-(a as f64) - 1.0).exp2();
+    let lo = (k as f64 / (k + 1 + a) as f64) * pow2i(-i64::from(a) - 1);
     (lo, 1.5 * lo)
 }
 
@@ -87,7 +87,7 @@ pub fn overlap_lemma9(tau: f64, k: u32, a: u32) -> OverlapReport {
 /// The hypothesis range of Lemma 10 for `(k, a)`:
 /// `τ ∈ [(2/3)·k/((k+a)·2^a), k/((k+1+a)·2^a)]`.
 pub fn lemma10_tau_range(k: u32, a: u32) -> (f64, f64) {
-    let p = (-(a as f64)).exp2();
+    let p = pow2i(-i64::from(a));
     (
         (2.0 / 3.0) * (k as f64 / (k + a) as f64) * p,
         (k as f64 / (k + 1 + a) as f64) * p,
@@ -163,7 +163,7 @@ pub fn tau_decomposition(tau: f64) -> TauDecomposition {
     // t = τ·2^a in [1/2, 1).
     let e = floor_log2(tau);
     let a = (-e - 1) as u32;
-    let t = tau * (a as f64).exp2();
+    let t = tau * pow2i(i64::from(a));
     TauDecomposition { a, t }
 }
 

@@ -15,6 +15,7 @@
 //! with clock `τ` hits them at `τ·I(n)` and `τ·A(n)` — the mismatch that
 //! Section 4's overlap argument exploits.
 
+use rvz_numerics::pow2i;
 use rvz_search::times;
 
 /// Closed-form accessors for Algorithm 7's phase boundaries.
@@ -68,7 +69,7 @@ impl PhaseSchedule {
             MAX_PHASE_ROUND + 1
         );
         let nf = n as f64;
-        24.0 * times::PI_PLUS_1 * ((2.0 * nf - 4.0) * nf.exp2() + 4.0)
+        24.0 * times::PI_PLUS_1 * ((2.0 * nf - 4.0) * pow2i(i64::from(n)) + 4.0)
     }
 
     /// `A(n) = 24(π+1)[(3n−4)·2ⁿ + 4]`: global start of round `n`'s active
@@ -76,7 +77,7 @@ impl PhaseSchedule {
     pub fn active_start(n: u32) -> f64 {
         check_phase_round(n);
         let nf = n as f64;
-        24.0 * times::PI_PLUS_1 * ((3.0 * nf - 4.0) * nf.exp2() + 4.0)
+        24.0 * times::PI_PLUS_1 * ((3.0 * nf - 4.0) * pow2i(i64::from(n)) + 4.0)
     }
 
     /// The end of round `n` (= `I(n+1)`).

@@ -37,13 +37,14 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Journal format version, bumped on any framing change and whenever
-/// the records a sweep computes change. Version 3 journals run every
-/// τ = 1 scenario on the Lemma 4 relative trajectory, whose `steps` and
-/// `observed_distance` differ from the two-cursor run's, so a version 2
-/// journal (two cursors for every scenario) or a version 1 journal
-/// (records possibly from the retired compiled path) is refused, never
-/// resumed into.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// the records a sweep computes change. Version 4 records come from an
+/// engine whose `Vec2::norm` is `√(x² + y²)` rather than `hypot`, which
+/// moves `time` and `observed_distance` in the last bits and sometimes
+/// `steps`, so a version 3 journal is refused. So is a version 2 journal
+/// (τ = 1 scenarios on two cursors rather than the Lemma 4 relative
+/// trajectory) or a version 1 journal (records possibly from the
+/// retired compiled path): none is ever resumed into.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Records between forced `fsync`s of the journal (each sync also
 /// rewrites the manifest). A crash loses at most this many records.
@@ -571,10 +572,10 @@ mod tests {
         );
 
         // A manifest from the version 1 executor (records possibly from
-        // its retired compiled path) or the version 2 one (τ = 1 records
-        // from two cursors): refused even under this sweep's own
-        // fingerprint.
-        for version in [1, 2] {
+        // its retired compiled path), the version 2 one (τ = 1 records
+        // from two cursors) or the version 3 one (distances through
+        // `hypot`): refused even under this sweep's own fingerprint.
+        for version in [1, 2, 3] {
             let stale = Json::obj(vec![
                 ("version", Json::Num(f64::from(version))),
                 (

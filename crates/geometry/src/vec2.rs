@@ -60,10 +60,20 @@ impl Vec2 {
 
     /// Euclidean norm `√(x² + y²)`.
     ///
-    /// Uses [`f64::hypot`] for robustness against overflow/underflow.
+    /// Every engine step measures a distance, so the common case is the
+    /// plain formula: when `s = x² + y²` is normal and finite, `√s` is
+    /// within an ulp or so of the exact norm. Only when `s` overflows,
+    /// underflows into the subnormals, is zero or is NaN does it fall
+    /// back to [`f64::hypot`], whose scaling keeps huge and tiny vectors
+    /// finite and nonzero and gives `hypot`'s answer on ±∞ and NaN.
     #[inline]
     pub fn norm(self) -> f64 {
-        self.x.hypot(self.y)
+        let s = self.x * self.x + self.y * self.y;
+        if s.is_normal() {
+            s.sqrt()
+        } else {
+            self.x.hypot(self.y)
+        }
     }
 
     /// Squared Euclidean norm `x² + y²` (avoids the square root).
@@ -318,12 +328,42 @@ mod tests {
 
     #[test]
     fn norm_is_robust_to_extreme_magnitudes() {
-        // hypot avoids overflow where sqrt(x² + y²) would return inf.
+        // x² + y² overflows here; the hypot fallback keeps the norm
+        // finite where sqrt(x² + y²) would return inf.
         let v = Vec2::new(1e200, 1e200);
         assert!(v.norm().is_finite());
         // ... and underflow.
         let w = Vec2::new(1e-200, 1e-200);
         assert!(w.norm() > 0.0);
+    }
+
+    #[test]
+    fn norm_equals_hypot_where_the_plain_formula_does_not_apply() {
+        let tiny = f64::from_bits(1);
+        let sub = f64::MIN_POSITIVE / 3.0;
+        let cases = [
+            (0.0, 0.0),
+            (-0.0, 0.0),
+            (tiny, tiny),
+            (sub, -sub),
+            (tiny, 0.0),
+            (1e-160, 1e-160),
+            (1e200, 1e200),
+            (-1e300, 1e10),
+            (f64::MAX, f64::MAX),
+            (f64::INFINITY, 1.0),
+            (1.0, f64::NEG_INFINITY),
+            (f64::INFINITY, f64::NAN),
+            (f64::NAN, 1.0),
+            (0.0, f64::NAN),
+        ];
+        for (x, y) in cases {
+            assert_eq!(
+                Vec2::new(x, y).norm().to_bits(),
+                x.hypot(y).to_bits(),
+                "({x:e}, {y:e})"
+            );
+        }
     }
 
     #[test]

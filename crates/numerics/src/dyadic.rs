@@ -1,12 +1,19 @@
 //! Exact powers of two and dyadic helpers.
 //!
 //! Every radius, granularity and phase length in the paper is a dyadic
-//! rational (`δ_{j,k} = 2^{j−k}`, `ρ_{j,k} = 2^{2j−3k−1}`, …), so computing
-//! them as `f64::exp2` of integer exponents keeps them **bit-exact** and
-//! makes circle counts and indices integer-exact as well. These helpers
-//! centralize that discipline.
+//! rational (`δ_{j,k} = 2^{j−k}`, `ρ_{j,k} = 2^{2j−3k−1}`, …), so building
+//! them from exponent bits keeps them **bit-exact** and makes circle
+//! counts and indices integer-exact as well. These helpers centralize
+//! that discipline. The engines form every integer power of two through
+//! [`pow2i`], one on every schedule probe, so it stays off libm.
 
 /// `2^e` for an integer exponent, exact whenever representable.
+///
+/// For `e ∈ [−1022, 1023]` the result is a normal `f64` whose bits are
+/// just the biased exponent `e + 1023` over a zero mantissa, so it is
+/// built from those exponent bits without a libm call. Outside that
+/// range (subnormal results and overflow to `+∞`) it defers to
+/// [`f64::exp2`]. Either way the bits equal `(e as f64).exp2()`'s.
 ///
 /// # Example
 ///
@@ -17,7 +24,11 @@
 /// ```
 #[inline]
 pub fn pow2i(e: i64) -> f64 {
-    (e as f64).exp2()
+    if (-1022..=1023).contains(&e) {
+        f64::from_bits(((e + 1023) as u64) << 52)
+    } else {
+        (e as f64).exp2()
+    }
 }
 
 /// `2^e` for a real exponent (thin wrapper over [`f64::exp2`], named for
@@ -86,6 +97,18 @@ mod tests {
         assert_eq!(pow2i(-1), 0.5);
         assert_eq!(pow2i(52), 4_503_599_627_370_496.0);
         assert_eq!(pow2i(-1074), f64::from_bits(1)); // smallest subnormal
+    }
+
+    #[test]
+    fn pow2i_matches_exp2_bit_for_bit() {
+        // Across the normal range, both subnormal edges, underflow to
+        // zero and overflow to infinity.
+        for e in -1100..=1100i64 {
+            assert_eq!(pow2i(e).to_bits(), (e as f64).exp2().to_bits(), "2^{e}");
+        }
+        assert_eq!(pow2i(1023).to_bits(), 0x7FE0_0000_0000_0000);
+        assert_eq!(pow2i(-1022), f64::MIN_POSITIVE);
+        assert_eq!(pow2i(1024), f64::INFINITY);
     }
 
     #[test]

@@ -54,13 +54,16 @@ use std::sync::Arc;
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RVZSNAP1";
 
 /// Snapshot format version, bumped on any layout change and whenever
-/// the bytes a miss computes change. Version 4 caches τ = 1 outcomes
-/// computed on the Lemma 4 relative trajectory (their `steps` and
-/// distances differ from the two-cursor run's), so a version 3 file
-/// cold-starts rather than serving stale bytes; version 3 dropped the
-/// program-key record kind and its count in the meta record, so a
-/// version 1 or 2 file cold-starts rather than misparses.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// the bytes a miss computes change. Version 5 caches outcomes from an
+/// engine whose `Vec2::norm` is `√(x² + y²)` rather than `hypot` (their
+/// times and distances move in the last bits, and sometimes `steps`),
+/// so a version 4 file cold-starts rather than serving stale bytes.
+/// Version 4 cached τ = 1 outcomes computed on the Lemma 4 relative
+/// trajectory, so a version 3 file (two cursors) cold-starts too;
+/// version 3 dropped the program-key record kind and its count in the
+/// meta record, so a version 1 or 2 file cold-starts rather than
+/// misparses.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 const KIND_META: u8 = 0;
 const KIND_RESULT: u8 = 1;
@@ -599,9 +602,9 @@ mod tests {
 
         // Version 1 files (entries the retired scalar tier may have
         // answered), version 2 files (a meta record with a program
-        // count) and version 3 files (τ = 1 entries from two cursors)
-        // cold-start too.
-        for old in [1u32, 2, 3] {
+        // count), version 3 files (τ = 1 entries from two cursors) and
+        // version 4 files (distances through `hypot`) cold-start too.
+        for old in [1u32, 2, 3, 4] {
             let mut previous = bytes.clone();
             previous[8..12].copy_from_slice(&old.to_le_bytes());
             let (d, o) = decode_snapshot(&previous, FP);

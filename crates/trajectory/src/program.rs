@@ -60,6 +60,7 @@ use crate::monotone::{Cursor, MonotoneDyn, MonotoneGuard, Motion, Probe};
 use crate::Trajectory;
 use rvz_geometry::{Aabb, Disk, Vec2};
 use std::fmt;
+use std::sync::Arc;
 
 /// One entry of the flat arena: a motion law on `[t0, t1]`, exact or
 /// certified-approximate.
@@ -384,8 +385,9 @@ pub struct CompiledProgram {
     /// `i` covers nodes `2i`/`2i+1`, leaves sit at `size + piece_index`,
     /// missing leaves hold [`Aabb::EMPTY`] (the union identity). Baked
     /// at compile time — envelope queries allocate nothing, and a box
-    /// union is four branchless min/max ops.
-    tree: Vec<Aabb>,
+    /// union is four branchless min/max ops. Shared, not copied, with
+    /// the SoA arenas transposed from this program.
+    tree: Arc<Vec<Aabb>>,
     size: usize,
     /// Time covered by the arena (`pieces.last().t1`, or `0` for an
     /// immediately-resting trajectory).
@@ -437,8 +439,8 @@ impl CompiledProgram {
 
     /// The baked envelope tree and its leaf offset, for transposers
     /// that keep the piece set (and hence the leaf boxes) identical —
-    /// cloning the baked tree skips re-deriving every arc-chunk disk.
-    pub(crate) fn baked_tree(&self) -> (&[Aabb], usize) {
+    /// sharing the baked tree skips re-deriving every arc-chunk disk.
+    pub(crate) fn baked_tree(&self) -> (&Arc<Vec<Aabb>>, usize) {
         (&self.tree, self.size)
     }
 
@@ -1136,7 +1138,7 @@ fn assemble_program(
     CompiledProgram {
         pieces,
         starts,
-        tree,
+        tree: Arc::new(tree),
         size,
         end_time,
         rest,

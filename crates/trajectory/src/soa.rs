@@ -35,6 +35,7 @@ use crate::program::{
     CompiledProgram, CurvedApprox, LoweredStep, Piece, PieceStream,
 };
 use rvz_geometry::{Aabb, Vec2};
+use std::sync::Arc;
 
 /// Sentinel in the circular-index column marking an affine lane.
 pub const AFFINE: u32 = u32::MAX;
@@ -83,7 +84,7 @@ pub struct ProgramSoA {
     circ: Vec<u32>,
     circles: Vec<CircularLaw>,
     /// Baked envelope tree, laid out exactly as the eager program's.
-    tree: Vec<Aabb>,
+    tree: Arc<Vec<Aabb>>,
     size: usize,
     end_time: f64,
     rest: Option<Vec2>,
@@ -118,7 +119,7 @@ impl ProgramSoA {
             eps: Vec::with_capacity(capacity),
             circ: Vec::with_capacity(capacity),
             circles: Vec::new(),
-            tree: Vec::new(),
+            tree: Arc::default(),
             size: 0,
             end_time: 0.0,
             rest: None,
@@ -145,11 +146,12 @@ impl ProgramSoA {
         }
         // The piece set is copied field-for-field, so the leaf boxes —
         // and therefore the whole baked tree — are identical to the
-        // source program's. Cloning it skips re-deriving every
+        // source program's. Sharing it skips re-deriving every
         // arc-chunk disk, which dominates transposition cost on
-        // circular-heavy programs.
+        // circular-heavy programs, and copying the tree, whose fresh
+        // pages are about half a cold transposition's cost.
         let (tree, size) = program.baked_tree();
-        soa.tree = tree.to_vec();
+        soa.tree = Arc::clone(tree);
         soa.size = size;
         soa.end_time = program.end_time();
         soa.rest = program.rest();
@@ -615,7 +617,7 @@ impl<'a> SoaStream<'a> {
         }
         rvz_obs::counter!("rvz_streamed_pieces_total").add((self.arena.len() - before) as u64);
         let (tree, size) = bake_tree(self.leaves.iter().copied());
-        self.arena.tree = tree;
+        self.arena.tree = Arc::new(tree);
         self.arena.size = size;
         if self.is_complete() {
             self.arena.frontier = f64::INFINITY;

@@ -93,17 +93,31 @@ fn engine_matches_analytic_discovery_random() {
 
 /// The engine is never later than brute-force sampling on random
 /// piecewise paths (soundness property of conservative advancement).
+///
+/// `a` runs two random legs from the origin. `b`'s one leg crosses a
+/// random point of `a`'s path within half a time unit of when `a` is
+/// there, from a random direction, so most draws come within the
+/// visibility radius and are checked; draws that never do are skipped.
 #[test]
 fn engine_never_later_than_brute_force() {
     let mut rng = SplitMix64::new(0xB2_07E);
     let mut checked = 0;
     for _ in 0..cases() {
-        let mut point =
-            |half: f64| Vec2::new(rng.next_range(-half, half), rng.next_range(-half, half));
-        let (a1, a2, leg, offset) = (point(3.0), point(3.0), point(3.0), point(4.0));
+        let (a1, a2) = (
+            Vec2::new(rng.next_range(-3.0, 3.0), rng.next_range(-3.0, 3.0)),
+            Vec2::new(rng.next_range(-3.0, 3.0), rng.next_range(-3.0, 3.0)),
+        );
         let radius = rng.next_range(0.05, 0.8);
         let a = PathBuilder::at(Vec2::ZERO).line_to(a1).line_to(a2).build();
-        let b = PathBuilder::at(offset).line_to(offset + leg).build();
+        let at = rng.next_range(0.0, a.duration());
+        let crossing = a.position(at);
+        let heading = Vec2::from_polar(1.0, rng.next_range(0.0, std::f64::consts::TAU));
+        let lead = (at + rng.next_range(-0.5, 0.5)).max(0.0);
+        let (b0, b1) = (
+            crossing - heading * lead,
+            crossing + heading * rng.next_range(0.5, 3.0),
+        );
+        let b = PathBuilder::at(b0).line_to(b1).build();
         let horizon = a.duration().max(b.duration().max(1.0)) + 1.0;
         let Some(brute) = first_contact_brute(&a, &b, radius, horizon, 1e-3) else {
             continue;
@@ -112,15 +126,14 @@ fn engine_never_later_than_brute_force() {
         match first_contact(&a, &b, radius, &ContactOptions::with_horizon(horizon)) {
             SimOutcome::Contact { time, .. } => assert!(
                 time <= brute + 1e-9,
-                "engine late: {time} vs brute {brute} (a → {a1}, {a2}; b {offset} + {leg}; r {radius})"
+                "engine late: {time} vs brute {brute} (a → {a1}, {a2}; b {b0} → {b1}; r {radius})"
             ),
             other => panic!(
-                "brute found {brute} but engine reported {other} (a → {a1}, {a2}; b {offset} + {leg}; r {radius})"
+                "brute found {brute} but engine reported {other} (a → {a1}, {a2}; b {b0} → {b1}; r {radius})"
             ),
         }
         checked += 1;
     }
-    // About one draw in thirteen meets before both robots stop; a
-    // generator that stopped producing contacts would check nothing.
-    assert!(checked * 20 >= cases(), "only {checked} contacts checked");
+    // A generator that stopped producing contacts would check nothing.
+    assert!(checked * 2 >= cases(), "only {checked} contacts checked");
 }
