@@ -73,6 +73,20 @@ echo "==> numeric substrate properties (release: 10,000 seeded draws per propert
 # summation. Tier-1 runs a 256-draw debug sample of the same streams.
 cargo test --release --quiet --test numeric_properties
 
+echo "==> model properties (release: 10,000 seeded draws per property)"
+# tests/model_properties.rs holds the Theorem 4 predicate to its
+# formula and its symmetry breaker to the attributes, the frame map to
+# speed v and duration scaled by tau, and instances to their reduction
+# and validation rules. Tier-1 runs a 256-draw debug sample.
+cargo test --release --quiet --test model_properties
+
+echo "==> engine output bytes (release: the pinned digest holds in both builds)"
+# tests/engine_bytes.rs hashes a fixed sweep's JSONL and one served
+# /first-contact body against ENGINE_BYTES_DIGEST, declared beside
+# CHECKPOINT_VERSION; tier-1 runs it in debug, so a digest that differs
+# between the two builds fails one of the two runs.
+cargo test --release --quiet --test engine_bytes
+
 echo "==> differential fuzz (fixed seed budget: four engine paths agree)"
 # The seeded harness in tests/differential_fuzz.rs runs the generic,
 # cursor, compiled-eager, and SoA lane-kernel paths on random scenario

@@ -5,7 +5,7 @@
 //! each line is `CRC32-hex TAB record-json NEWLINE`, where the JSON is
 //! exactly the [`crate::record_to_json`] rendering the sweep artifact
 //! itself uses. A crash (or an injected
-//! [`DiskFaultSite::ShortWrite`](crate::durable::DiskFaultSite)) can
+//! [`FaultSite::ShortWrite`](crate::FaultSite::ShortWrite)) can
 //! tear at most the final line; [`Checkpoint::open`] salvages the valid
 //! prefix, truncates the torn tail, and hands back the finished records
 //! so [`run_sweep_checkpointed`] only computes what is missing.
@@ -26,10 +26,10 @@
 //! kill-and-restart smoke asserts with `cmp`.
 
 use crate::durable::{
-    crc32, fnv1a64, remove_stale_temp, truncate_file, DiskFaults, DurableFile, JournalFile,
-    FNV_OFFSET_BASIS,
+    crc32, fnv1a64, remove_stale_temp, truncate_file, DurableFile, JournalFile, FNV_OFFSET_BASIS,
 };
 use crate::executor::{run_sweep_with, SweepOptions, SweepRecord};
+use crate::faults::Faults;
 use crate::json::{self, Json};
 use crate::report::{record_from_json, record_to_json};
 use crate::scenario::Scenario;
@@ -45,6 +45,13 @@ use std::sync::Arc;
 /// trajectory) or a version 1 journal (records possibly from the
 /// retired compiled path): none is ever resumed into.
 pub const CHECKPOINT_VERSION: u32 = 4;
+
+/// FNV-1a digest of the engine's output bytes on a pinned sweep plus one
+/// served `/first-contact` body (`tests/engine_bytes.rs`). Every update
+/// goes with a bump of [`CHECKPOINT_VERSION`] and of the serve
+/// snapshot's `SNAPSHOT_VERSION`, so no journal or snapshot outlives
+/// the bytes it holds.
+pub const ENGINE_BYTES_DIGEST: u64 = 0x3f7b_4f81_e607_0b94;
 
 /// Records between forced `fsync`s of the journal (each sync also
 /// rewrites the manifest). A crash loses at most this many records.
@@ -147,7 +154,7 @@ pub struct Checkpoint {
     entries: usize,
     since_sync: usize,
     sync_failures: u64,
-    faults: Option<Arc<DiskFaults>>,
+    faults: Option<Arc<Faults>>,
 }
 
 impl Checkpoint {
@@ -168,7 +175,7 @@ impl Checkpoint {
         scenarios: &[Scenario],
         opts: &SweepOptions,
         resume: bool,
-        faults: Option<Arc<DiskFaults>>,
+        faults: Option<Arc<Faults>>,
     ) -> Result<(Checkpoint, SalvagedRecords, ResumeInfo), String> {
         let fingerprint = sweep_fingerprint(scenarios, opts);
         let existing = std::fs::metadata(path).map_or(0, |m| m.len());
@@ -380,7 +387,7 @@ pub fn run_sweep_checkpointed(
     opts: &SweepOptions,
     path: &Path,
     resume: bool,
-    faults: Option<Arc<DiskFaults>>,
+    faults: Option<Arc<Faults>>,
 ) -> Result<(Vec<SweepRecord>, CheckpointStats), String> {
     let (mut checkpoint, salvaged, info) = Checkpoint::open(path, scenarios, opts, resume, faults)?;
     let mut out: Vec<Option<SweepRecord>> = vec![None; scenarios.len()];
@@ -418,8 +425,8 @@ pub fn run_sweep_checkpointed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durable::{DiskFaultPlan, DiskFaultSite};
     use crate::executor::run_sweep;
+    use crate::faults::{FaultPlan, FaultSite};
     use crate::scenario::ScenarioGrid;
     use std::path::PathBuf;
 
@@ -621,17 +628,17 @@ mod tests {
         // A corrupted read of the journal on resume: the CRC framing
         // catches the flipped byte, the suffix is recomputed, and the
         // final output is still exact.
-        let faults = Arc::new(DiskFaults::new(DiskFaultPlan {
+        let faults = Arc::new(Faults::new(FaultPlan {
             seed: 11,
             read_corrupt: 1.0,
             limit: 1,
-            ..DiskFaultPlan::default()
+            ..FaultPlan::default()
         }));
         let (records, stats) =
             run_sweep_checkpointed(&scenarios, &opts, &path, true, Some(Arc::clone(&faults)))
                 .unwrap();
         assert_eq!(records, plain);
-        assert_eq!(faults.injected(DiskFaultSite::ReadCorrupt), 1);
+        assert_eq!(faults.injected(FaultSite::ReadCorrupt), 1);
         assert!(
             stats.resumed < scenarios.len(),
             "the flipped byte must have invalidated at least the frame it hit"
@@ -645,11 +652,11 @@ mod tests {
         let path = dir.join("sweep.ckpt");
         let scenarios = batch();
         let opts = quick_opts();
-        let faults = Arc::new(DiskFaults::new(DiskFaultPlan {
+        let faults = Arc::new(Faults::new(FaultPlan {
             seed: 3,
             fsync_fail: 1.0,
             limit: 4,
-            ..DiskFaultPlan::default()
+            ..FaultPlan::default()
         }));
         let (records, stats) =
             run_sweep_checkpointed(&scenarios, &opts, &path, false, Some(faults)).unwrap();

@@ -26,8 +26,10 @@
 //!   restarted sweep recomputes only what is missing, reproducing the
 //!   uninterrupted artifact bit-for-bit (see [`checkpoint`]);
 //! * [`durable`] — the atomic-replace / append-journal file primitives
-//!   with seeded disk-fault injection shared by the checkpoint and the
-//!   `rvz serve` cache snapshot;
+//!   shared by the checkpoint and the `rvz serve` cache snapshot;
+//! * [`faults`] — the one seeded fault injector: a [`FaultPlan`] over
+//!   the five serve sites and the four disk sites, and its runtime
+//!   state [`Faults`];
 //! * [`json`] — the dependency-free JSON value model shared by the
 //!   sinks and the serving layer's wire format.
 //!
@@ -60,6 +62,7 @@ pub mod canonical;
 pub mod checkpoint;
 pub mod durable;
 pub mod executor;
+pub mod faults;
 pub mod json;
 pub mod report;
 pub mod rng;
@@ -71,12 +74,11 @@ pub use canonical::{
 };
 pub use checkpoint::{
     run_sweep_checkpointed, sweep_fingerprint, Checkpoint, CheckpointStats, ResumeInfo,
-    CHECKPOINT_VERSION,
+    CHECKPOINT_VERSION, ENGINE_BYTES_DIGEST,
 };
-pub use durable::{
-    crc32, read_file_faulty, DiskFaultPlan, DiskFaultSite, DiskFaults, DurableFile, JournalFile,
-};
+pub use durable::{crc32, read_file_faulty, DurableFile, JournalFile};
 pub use executor::{run_scenario, run_sweep, run_sweep_with, SweepOptions, SweepRecord};
+pub use faults::{FaultPlan, FaultSite, Faults};
 pub use json::Json;
 pub use report::{
     breaker_token, outcome_token, percentile, record_from_json, record_to_json, scenario_from_json,

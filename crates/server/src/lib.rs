@@ -32,16 +32,15 @@
 //! single-flight), [`service`] (endpoints, admission control and the
 //! determinism contract), [`server`] (listener, bounded connection
 //! queue, workers, load shedding, graceful drain), [`client`] (the
-//! blocking client used by `rvz client` and the CI smoke), [`faults`]
-//! (deterministic seeded fault injection for the overload/panic-isolation
-//! test suite), [`snapshot`] (crash-safe cache snapshots for warm
-//! restarts).
+//! blocking client used by `rvz client` and the CI smoke), [`snapshot`]
+//! (crash-safe cache snapshots for warm restarts). Fault injection for
+//! the overload/panic-isolation test suite is the process-wide
+//! [`rvz_experiments::faults`] plan, carried by [`ServiceOptions::faults`].
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod cache;
 pub mod client;
-pub mod faults;
 pub mod http;
 pub mod server;
 pub mod service;
@@ -49,7 +48,6 @@ pub mod snapshot;
 
 pub use cache::{CacheStats, ResultCache};
 pub use client::{request, ClientOptions, ClientResponse, HttpClient, RetryPolicy};
-pub use faults::{FaultPlan, FaultSite, FaultState};
 pub use http::{Request, Response};
 pub use server::{spawn, spawn_with, ServerHandle, ServerOptions};
 pub use service::{Control, Service, ServiceOptions};

@@ -27,9 +27,9 @@
 //! never started are closed unserved — their clients see a clean EOF
 //! and can retry elsewhere.
 
-use crate::faults::{FaultPlan, FaultSite, FaultState};
 use crate::http::{read_request, RequestError, Response};
 use crate::service::{Control, Service};
+use rvz_experiments::FaultSite;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -54,9 +54,6 @@ pub struct ServerOptions {
     /// How long [`ServerHandle::join`] waits for workers to drain after
     /// shutdown before detaching them.
     pub drain: Duration,
-    /// Deterministic fault injection (tests/CI only; `None` in
-    /// production costs one null check per site).
-    pub faults: Option<FaultPlan>,
 }
 
 impl Default for ServerOptions {
@@ -65,7 +62,6 @@ impl Default for ServerOptions {
             workers: 4,
             queue_depth: 1024,
             drain: Duration::from_secs(5),
-            faults: None,
         }
     }
 }
@@ -160,7 +156,8 @@ pub fn spawn(addr: &str, service: Service, workers: usize) -> std::io::Result<Se
 }
 
 /// Binds `addr` and spawns the accept thread plus the worker pool under
-/// explicit [`ServerOptions`].
+/// explicit [`ServerOptions`]. Worker and connection faults are drawn
+/// from the service's ([`ServiceOptions::faults`](crate::ServiceOptions)).
 ///
 /// # Errors
 ///
@@ -181,10 +178,6 @@ pub fn spawn_with(
     service.attach_server_gauges(Arc::clone(&queued), Arc::clone(&shed));
     let workers = opts.workers.max(1);
     let queue_depth = opts.queue_depth.max(1);
-    let faults = opts
-        .faults
-        .filter(|p| p.is_active())
-        .map(|p| Arc::new(FaultState::new(p)));
 
     let (tx, rx): (Sender<TcpStream>, Receiver<TcpStream>) = std::sync::mpsc::channel();
     let rx = Arc::new(Mutex::new(rx));
@@ -195,7 +188,6 @@ pub fn spawn_with(
         let service = Arc::clone(&service);
         let shutdown = Arc::clone(&shutdown);
         let queued = Arc::clone(&queued);
-        let faults = faults.clone();
         threads.push(std::thread::spawn(move || {
             loop {
                 // Holding the lock only for the pop keeps workers
@@ -207,10 +199,11 @@ pub fn spawn_with(
                     let stream = queue.recv();
                     if stream.is_ok() {
                         queued.fetch_sub(1, Ordering::SeqCst);
-                        if let Some(f) = &faults {
-                            if f.fires(FaultSite::WorkerPanic) {
-                                panic!("injected fault: worker panic while holding the queue lock");
-                            }
+                        if service
+                            .faults()
+                            .is_some_and(|f| f.fires(FaultSite::WorkerPanic))
+                        {
+                            panic!("injected fault: worker panic while holding the queue lock");
                         }
                     }
                     stream
@@ -221,7 +214,7 @@ pub fn spawn_with(
                             // Drain unserved connections on shutdown.
                             continue;
                         }
-                        serve_connection(stream, &service, &shutdown, local, faults.as_deref());
+                        serve_connection(stream, &service, &shutdown, local);
                     }
                     Err(_) => return, // accept thread gone and queue empty
                 }
@@ -312,7 +305,6 @@ fn serve_connection(
     service: &Service,
     shutdown: &AtomicBool,
     local: SocketAddr,
-    faults: Option<&FaultState>,
 ) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
@@ -356,13 +348,13 @@ fn serve_connection(
         };
         let shutting_down = control == Control::Shutdown || shutdown.load(Ordering::SeqCst);
         response.close = response.close || client_close || shutting_down;
-        if let Some(f) = faults {
-            if f.fires(FaultSite::ConnReset) {
-                // Injected transport failure: drop the connection with
-                // the response unsent (the client sees a truncated
-                // stream).
-                return;
-            }
+        if service
+            .faults()
+            .is_some_and(|f| f.fires(FaultSite::ConnReset))
+        {
+            // Injected transport failure: drop the connection with the
+            // response unsent (the client sees a truncated stream).
+            return;
         }
         if response.write_to(&mut writer).is_err() {
             return;

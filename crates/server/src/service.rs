@@ -25,14 +25,13 @@
 //! served by *one* answer, transported along the symmetry.
 
 use crate::cache::{CacheStats, ResultCache};
-use crate::faults::{FaultPlan, FaultSite, FaultState};
 use crate::http::{Request, Response};
 use crate::snapshot::{
     engine_fingerprint, read_snapshot, write_snapshot, RestoreOutcome, SnapshotData,
 };
 use rvz_experiments::{
-    breaker_token, orbit_key, record_to_json, run_scenario, scenario_from_json, Algorithm, Json,
-    Scenario, Summary, SweepOptions, SweepRecord, DEFAULT_GRID,
+    breaker_token, orbit_key, record_to_json, run_scenario, scenario_from_json, Algorithm,
+    FaultPlan, FaultSite, Faults, Json, Scenario, Summary, SweepOptions, SweepRecord, DEFAULT_GRID,
 };
 use rvz_model::{feasibility, Chirality, RobotAttributes};
 use rvz_sim::{first_contact_streamed, Budget, ContactOptions, EngineScratch, SimOutcome};
@@ -87,8 +86,10 @@ pub struct ServiceOptions {
     /// `/sweep`); beyond it requests are shed with `503` +
     /// `Retry-After`. `0` disables the limit.
     pub max_inflight: usize,
-    /// Deterministic fault injection (tests/CI only; `None` in
-    /// production costs one null check per site).
+    /// Deterministic fault injection (tests/CI only): the process's one
+    /// plan, armed once here and read by the server spawned over this
+    /// service ([`crate::spawn_with`]) too. `None` in production costs
+    /// one null check per site.
     pub faults: Option<FaultPlan>,
     /// Disables the observability surface: `/metrics` and
     /// `/trace/recent` answer 404 exactly like unknown endpoints, and
@@ -160,7 +161,7 @@ pub struct Service {
     /// Connections shed at the accept queue, attached alongside.
     server_shed: OnceLock<Arc<AtomicU64>>,
     /// Fault-injection state, built from `opts.faults` (`None` off).
-    faults: Option<Arc<FaultState>>,
+    faults: Option<Arc<Faults>>,
     /// Durability observability (restore outcome, snapshot-write
     /// bookkeeping); `None` inside until snapshots are used.
     durability: Mutex<Durability>,
@@ -186,10 +187,6 @@ struct Durability {
 impl Service {
     /// Creates a service with the given tuning.
     pub fn new(opts: ServiceOptions) -> Self {
-        let faults = opts
-            .faults
-            .filter(|p| p.is_active())
-            .map(|p| Arc::new(FaultState::new(p)));
         preregister_metrics();
         Service {
             cache: ResultCache::new(opts.cache_capacity, opts.cache_shards),
@@ -204,7 +201,7 @@ impl Service {
             trace_seq: AtomicU64::new(1),
             server_queued: OnceLock::new(),
             server_shed: OnceLock::new(),
-            faults,
+            faults: opts.faults.and_then(FaultPlan::arm),
             durability: Mutex::new(Durability::default()),
         }
     }
@@ -242,8 +239,7 @@ impl Service {
     /// gracefully: corrupt or mismatched snapshots cold-start. Returns
     /// the outcome; it is also kept for `/stats` and the boot banner.
     pub fn restore_from(&self, path: &Path) -> RestoreOutcome {
-        let disk = self.faults.as_ref().and_then(|f| f.disk());
-        let (data, outcome) = read_snapshot(path, self.engine_fingerprint(), disk.as_ref());
+        let (data, outcome) = read_snapshot(path, self.engine_fingerprint(), self.faults.as_ref());
         for (key, value) in data.results {
             self.cache.insert(key, value);
         }
@@ -264,8 +260,7 @@ impl Service {
     pub fn write_snapshot_to(&self, path: &Path) -> std::io::Result<usize> {
         let data = self.snapshot_data();
         let entries = data.results.len();
-        let disk = self.faults.as_ref().and_then(|f| f.disk());
-        let result = write_snapshot(path, self.engine_fingerprint(), &data, disk);
+        let result = write_snapshot(path, self.engine_fingerprint(), &data, self.faults.clone());
         let mut d = self.durability.lock().expect("durability poisoned");
         match result {
             Ok(()) => {
@@ -293,6 +288,12 @@ impl Service {
     /// The configured options.
     pub fn options(&self) -> &ServiceOptions {
         &self.opts
+    }
+
+    /// The fault-injection state armed from `opts.faults`, which the
+    /// server's workers share (`None` when no site can fire).
+    pub(crate) fn faults(&self) -> Option<&Faults> {
+        self.faults.as_deref()
     }
 
     /// Cache counters (also served under `/stats`).
@@ -370,10 +371,11 @@ impl Service {
     /// per-request observability wrapper).
     fn dispatch(&self, req: &Request) -> (Response, Control) {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        if let Some(f) = &self.faults {
-            if f.fires(FaultSite::HandlerPanic) {
-                panic!("injected fault: request handler panic");
-            }
+        if self
+            .faults()
+            .is_some_and(|f| f.fires(FaultSite::HandlerPanic))
+        {
+            panic!("injected fault: request handler panic");
         }
         let metrics_on = !self.opts.no_metrics;
         let response = match (req.method.as_str(), req.path.as_str()) {
@@ -698,10 +700,8 @@ impl Service {
         let (outcome, hit) = self.cache.get_or_compute_if(
             canonical.key,
             || {
-                if let Some(f) = &self.faults {
-                    if f.fires(FaultSite::CacheFail) {
-                        panic!("injected fault: cache compute failure");
-                    }
+                if self.faults().is_some_and(|f| f.fires(FaultSite::CacheFail)) {
+                    panic!("injected fault: cache compute failure");
                 }
                 self.simulate(&canonical.scenario, contact)
             },
@@ -737,13 +737,11 @@ impl Service {
     /// paths are deterministic functions of the scenario, so responses
     /// stay pure functions of the query.
     fn simulate(&self, canonical: &Scenario, contact: &ContactOptions) -> SimOutcome {
-        if let Some(f) = &self.faults {
-            if f.fires(FaultSite::EngineDelay) {
-                // Injected engine latency: the request spends extra
-                // wall clock inside "the engine" (drives deadline and
-                // overload paths deterministically in tests).
-                std::thread::sleep(f.delay());
-            }
+        if let Some(f) = self.faults().filter(|f| f.fires(FaultSite::EngineDelay)) {
+            // Injected engine latency: the request spends extra wall
+            // clock inside "the engine" (drives deadline and overload
+            // paths deterministically in tests).
+            std::thread::sleep(f.delay());
         }
         if self.opts.sweep.compile_pieces > 0 {
             if let Some(outcome) = self.simulate_compiled(canonical, contact) {
@@ -994,7 +992,7 @@ fn preregister_metrics() {
     let _ = counter!("rvz_shed_total", "cause" => "deadline");
     let _ = histogram!("rvz_partner_pieces");
     let _ = counter!("rvz_stream_extensions_total");
-    crate::faults::preregister_injected_metrics();
+    rvz_experiments::faults::preregister_metrics();
     rvz_sim::telemetry::preregister_metrics();
 }
 
@@ -1451,7 +1449,6 @@ mod tests {
 
     #[test]
     fn inflight_limit_sheds_with_503_and_retry_after() {
-        use crate::faults::FaultPlan;
         let mut opts = test_options();
         opts.max_inflight = 1;
         // Every engine run sleeps 200ms, guaranteeing overlap.

@@ -40,10 +40,8 @@
 //! and the outcome is reported as `cold`, `warm` or `salvaged n` — the
 //! server never refuses to start over a bad snapshot.
 
-use rvz_experiments::durable::{
-    crc32, fnv1a64, read_file_faulty, DiskFaults, DurableFile, FNV_OFFSET_BASIS,
-};
-use rvz_experiments::{Algorithm, CacheKey};
+use rvz_experiments::durable::{crc32, fnv1a64, read_file_faulty, DurableFile, FNV_OFFSET_BASIS};
+use rvz_experiments::{Algorithm, CacheKey, Faults};
 use rvz_model::Chirality;
 use rvz_sim::SimOutcome;
 use std::io;
@@ -62,7 +60,8 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RVZSNAP1";
 /// trajectory, so a version 3 file (two cursors) cold-starts too;
 /// version 3 dropped the program-key record kind and its count in the
 /// meta record, so a version 1 or 2 file cold-starts rather than
-/// misparses.
+/// misparses. A change to
+/// [`rvz_experiments::ENGINE_BYTES_DIGEST`] goes with a bump here.
 pub const SNAPSHOT_VERSION: u32 = 5;
 
 const KIND_META: u8 = 0;
@@ -315,7 +314,7 @@ pub fn write_snapshot(
     path: &Path,
     fingerprint: u64,
     data: &SnapshotData,
-    faults: Option<Arc<DiskFaults>>,
+    faults: Option<Arc<Faults>>,
 ) -> io::Result<()> {
     let bytes = encode_snapshot(fingerprint, data);
     let mut file = DurableFile::create(path, faults)?;
@@ -445,7 +444,7 @@ fn decode_result(payload: &[u8], data: &mut SnapshotData) -> bool {
 pub fn read_snapshot(
     path: &Path,
     fingerprint: u64,
-    faults: Option<&Arc<DiskFaults>>,
+    faults: Option<&Arc<Faults>>,
 ) -> (SnapshotData, RestoreOutcome) {
     match read_file_faulty(path, faults) {
         Ok(bytes) => decode_snapshot(&bytes, fingerprint),
@@ -655,7 +654,7 @@ mod tests {
 
     #[test]
     fn durable_write_then_read_round_trips_and_survives_torn_rename() {
-        use rvz_experiments::durable::{DiskFaultPlan, DiskFaultSite};
+        use rvz_experiments::{FaultPlan, FaultSite};
         let dir = std::env::temp_dir().join(format!(
             "rvz-snapshot-{}-{:?}",
             std::process::id(),
@@ -670,11 +669,11 @@ mod tests {
         assert!(matches!(outcome, RestoreOutcome::Warm { .. }));
 
         // A torn rename during the *next* snapshot keeps the old one.
-        let faults = Arc::new(DiskFaults::new(DiskFaultPlan {
+        let faults = Arc::new(Faults::new(FaultPlan {
             seed: 5,
             torn_rename: 1.0,
             limit: 1,
-            ..DiskFaultPlan::default()
+            ..FaultPlan::default()
         }));
         let bigger = SnapshotData {
             results: keys(8)
@@ -690,7 +689,7 @@ mod tests {
                 .collect(),
         };
         assert!(write_snapshot(&path, FP, &bigger, Some(Arc::clone(&faults))).is_err());
-        assert_eq!(faults.injected(DiskFaultSite::TornRename), 1);
+        assert_eq!(faults.injected(FaultSite::TornRename), 1);
         let (back, outcome) = read_snapshot(&path, FP, None);
         assert_eq!(back, data, "previous snapshot intact after the fault");
         assert!(matches!(outcome, RestoreOutcome::Warm { .. }));

@@ -1,13 +1,15 @@
 //! Deterministic fault-injection tests of the serve stack, driven by
-//! seeded [`rvz_server::FaultPlan`]s over real loopback sockets: worker
+//! seeded [`rvz_experiments::FaultPlan`]s over real loopback sockets. The
+//! plan rides on [`ServiceOptions::faults`]; the server reads its worker
+//! and connection sites from the service it wraps. Covered: worker
 //! panics (queue-lock poisoning), handler panics, cache-compute
 //! failures, connection resets, queue overflow shedding, and the drain
 //! deadline. Every plan here uses rate `1.0` with a `limit`, so the
 //! injected faults are exactly the first `limit` visits to the site —
 //! fully deterministic regardless of seed or interleaving.
 
-use rvz_experiments::SweepOptions;
-use rvz_server::{client, FaultPlan, HttpClient, Service, ServiceOptions};
+use rvz_experiments::{FaultPlan, SweepOptions};
+use rvz_server::{client, HttpClient, Service, ServiceOptions};
 use rvz_server::{spawn_with, ServerHandle, ServerOptions};
 use std::time::Duration;
 
@@ -43,10 +45,12 @@ fn worker_panic_poisons_the_queue_but_the_server_keeps_answering() {
     // holding the queue lock poisons it; survivors must recover the
     // lock instead of unwinding one after another.
     let server = start(
-        service_options(),
+        ServiceOptions {
+            faults: Some(one_site("worker_panic", 1)),
+            ..service_options()
+        },
         &ServerOptions {
             workers: 2,
-            faults: Some(one_site("worker_panic", 1)),
             ..ServerOptions::default()
         },
     );
@@ -72,7 +76,7 @@ fn worker_panic_poisons_the_queue_but_the_server_keeps_answering() {
 #[test]
 fn handler_panic_costs_one_500_never_the_worker() {
     // HandlerPanic fires inside `Service::handle`, reached through the
-    // worker's `catch_unwind` — so it rides on the service options.
+    // worker's `catch_unwind`.
     let server = start(
         ServiceOptions {
             faults: Some(one_site("handler_panic", 1)),
@@ -206,10 +210,12 @@ fn sweep_joins_a_concurrent_first_contact_for_the_same_orbit() {
 #[test]
 fn connection_reset_truncates_one_response_then_recovers() {
     let server = start(
-        service_options(),
+        ServiceOptions {
+            faults: Some(one_site("conn_reset", 1)),
+            ..service_options()
+        },
         &ServerOptions {
             workers: 1,
-            faults: Some(one_site("conn_reset", 1)),
             ..ServerOptions::default()
         },
     );
@@ -303,34 +309,38 @@ fn drain_deadline_detaches_a_wedged_worker_instead_of_hanging() {
 fn injected_faults_bump_their_site_counters() {
     use rvz_obs::counter;
     // The counters are process-global and other tests in this binary
-    // inject faults concurrently, so assert deltas with `>=`.
+    // inject faults concurrently, so assert deltas with `>=`. Each plan
+    // gets its own server: a plan is one seed and one `limit` for every
+    // site, and these two sites are capped differently.
     let handler_before = counter!("rvz_faults_injected_total", "site" => "handler_panic").get();
     let reset_before = counter!("rvz_faults_injected_total", "site" => "conn_reset").get();
 
-    let server = start(
-        ServiceOptions {
-            faults: Some(one_site("handler_panic", 3)),
-            ..service_options()
-        },
-        &ServerOptions {
-            workers: 1,
-            faults: Some(one_site("conn_reset", 1)),
-            ..ServerOptions::default()
-        },
-    );
-    let addr = server.addr().to_string();
-    let mut failures = 0;
-    for _ in 0..8 {
-        match client::request(&addr, "GET", "/healthz", None) {
-            Ok(resp) if resp.status == 500 => failures += 1, // handler panic
-            Ok(resp) => assert_eq!(resp.status, 200),
-            Err(_) => failures += 1, // injected reset
+    // Counts client-visible failures over 8 sequential requests.
+    let failures = |plan: FaultPlan| {
+        let server = start(
+            ServiceOptions {
+                faults: Some(plan),
+                ..service_options()
+            },
+            &ServerOptions {
+                workers: 1,
+                ..ServerOptions::default()
+            },
+        );
+        let addr = server.addr().to_string();
+        let mut failures = 0;
+        for _ in 0..8 {
+            match client::request(&addr, "GET", "/healthz", None) {
+                Ok(resp) if resp.status == 500 => failures += 1, // handler panic
+                Ok(resp) => assert_eq!(resp.status, 200),
+                Err(_) => failures += 1, // injected reset
+            }
         }
-    }
-    // 3 panics + 1 reset, but the reset can land on an already-panicked
-    // request (one client-visible failure, two injections).
-    assert!((3..=4).contains(&failures), "got {failures} failures");
-    assert!(server.shutdown());
+        assert!(server.shutdown());
+        failures
+    };
+    assert_eq!(failures(one_site("handler_panic", 3)), 3, "3 panics");
+    assert_eq!(failures(one_site("conn_reset", 1)), 1, "1 reset");
 
     let handler_after = counter!("rvz_faults_injected_total", "site" => "handler_panic").get();
     let reset_after = counter!("rvz_faults_injected_total", "site" => "conn_reset").get();

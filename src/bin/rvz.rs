@@ -16,8 +16,8 @@
 
 use plane_rendezvous::core::{completion_time, first_sufficient_overlap_round, WaitAndSearch};
 use plane_rendezvous::experiments::{
-    latin_hypercube, parse_chirality, run_sweep, write_csv, write_jsonl, Algorithm, SampleSpace,
-    ScenarioGrid, Summary, SweepOptions, SweepRecord,
+    latin_hypercube, parse_chirality, run_sweep, write_csv, write_jsonl, Algorithm, FaultPlan,
+    SampleSpace, ScenarioGrid, Summary, SweepOptions, SweepRecord,
 };
 use plane_rendezvous::prelude::*;
 use plane_rendezvous::server::{Service, ServiceOptions};
@@ -207,9 +207,10 @@ per line, fsync'd manifest) so a killed sweep can continue with
 what is missing — the artifacts are bit-identical to an uninterrupted
 run, independent of --threads and of where the kill landed. A journal
 from a different sweep (flags or scenario set changed) is refused.
---faults injects deterministic seeded disk faults into the checkpoint
-I/O (keys: seed, short_write, torn_rename, read_corrupt, fsync_fail,
-limit) — tests/CI only.
+--faults injects seeded disk faults into the checkpoint I/O: the `rvz
+serve --faults` grammar without its serve-only keys (keys: seed,
+short_write, torn_rename, read_corrupt, fsync_fail, limit) — tests/CI
+only.
 
 --heartbeat prints a progress line to stderr about once a second
 (done/total, rate, elapsed). Observation-only: artifacts and
@@ -290,11 +291,12 @@ default: none), --max-inflight bounds concurrent engine requests
 (excess shed with 503 + Retry-After; default: unlimited),
 --queue-depth bounds accepted-but-unserved
 connections (overflow shed with 503; default 1024), --drain-ms is the
-graceful-shutdown drain deadline (default 5000). --faults takes a
-deterministic seeded fault-injection spec `key=value,...` (keys: seed,
-worker_panic, handler_panic, cache_fail, conn_reset, delay_rate,
-delay_ms, short_write, torn_rename, read_corrupt, fsync_fail, limit)
-— tests/CI only.
+graceful-shutdown drain deadline (default 5000). --faults takes one
+seeded fault-injection spec `key=value,...` for the whole process, one
+seed and limit for all nine sites (keys: seed, worker_panic,
+handler_panic, cache_fail, conn_reset, delay_rate, delay_ms,
+short_write, torn_rename, read_corrupt, fsync_fail, limit) — tests/CI
+only.
 
 Durability: --snapshot PATH warm-starts the cache from a crash-safe
 snapshot at boot (torn/corrupt/version-skewed files degrade to a
@@ -708,15 +710,11 @@ fn cmd_sweep(opts: &Flags) -> Result<(), String> {
     if opts.contains_key("faults") && checkpoint.is_none() {
         return Err("`--faults` only applies to checkpoint I/O; pass `--checkpoint PATH`".into());
     }
-    let disk_faults = match opts.get("faults") {
-        None => None,
-        Some(spec) => {
-            let plan = plane_rendezvous::experiments::DiskFaultPlan::parse(spec)
-                .map_err(|e| format!("`--faults`: {e}"))?;
-            plan.is_active()
-                .then(|| std::sync::Arc::new(plane_rendezvous::experiments::DiskFaults::new(plan)))
-        }
-    };
+    let faults = opts
+        .get("faults")
+        .map(|spec| FaultPlan::parse_disk(spec).map_err(|e| format!("`--faults`: {e}")))
+        .transpose()?
+        .and_then(FaultPlan::arm);
 
     println!(
         "sweeping {} scenarios on {} threads ...",
@@ -731,7 +729,7 @@ fn cmd_sweep(opts: &Flags) -> Result<(), String> {
             &sweep_opts,
             path,
             opts.contains_key("resume"),
-            disk_faults,
+            faults,
         )?;
         checkpoint_stats = Some(stats);
         records
@@ -891,13 +889,10 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
             Some(std::time::Duration::from_millis(ms))
         }
     };
-    let faults = match opts.get("faults") {
-        None => None,
-        Some(spec) => Some(
-            plane_rendezvous::server::FaultPlan::parse(spec)
-                .map_err(|e| format!("`--faults`: {e}"))?,
-        ),
-    };
+    let faults = opts
+        .get("faults")
+        .map(|spec| FaultPlan::parse(spec).map_err(|e| format!("`--faults`: {e}")))
+        .transpose()?;
     let slow_log_ms = match opts.get("slow-log-ms") {
         None => None,
         Some(v) => Some(
@@ -926,7 +921,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         workers,
         queue_depth: get_usize(opts, "queue-depth", 1024)?.max(1),
         drain: std::time::Duration::from_millis(get_usize(opts, "drain-ms", 5_000)? as u64),
-        faults,
     };
     let snapshot_path = opts.get("snapshot").map(std::path::PathBuf::from);
     let snapshot_interval = get_usize(opts, "snapshot-interval-s", 30)?.max(1) as u64;

@@ -437,6 +437,21 @@ fn durability_flags_reject_bad_usage_with_named_clauses() {
         "names the constraint: {stderr}"
     );
 
+    // A sweep has no serve stack: its spec refuses the in-process sites
+    // by name instead of accepting a rate that could never fire.
+    let (ok, _, stderr) = rvz(&[
+        "sweep",
+        "--checkpoint",
+        "x.ckpt",
+        "--faults",
+        "worker_panic=1",
+    ]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("`worker_panic` belongs to a serve-only site"),
+        "names the serve-only key: {stderr}"
+    );
+
     let (ok, _, stderr) = rvz(&["serve", "--faults", "torn_rename=nope,seed=1"]);
     assert!(!ok);
     assert!(
