@@ -80,6 +80,17 @@ echo "==> model properties (release: 10,000 seeded draws per property)"
 # and validation rules. Tier-1 runs a 256-draw debug sample.
 cargo test --release --quiet --test model_properties
 
+echo "==> core, search and trajectory properties (release: 10,000 seeded draws per property)"
+# tests/core_properties.rs holds the equivalent-search algebra (Lemma 5
+# closed form vs QR, det T∘, the Lemma 4 relative-motion identity), the
+# tau decomposition and the Lemma 9, 10 and 13 overlap rules;
+# tests/search_properties.rs the dyadic schedule's indexing, the search
+# robot's speed and reach, and the discovery oracle;
+# tests/trajectory_properties.rs the Trajectory contract on random paths
+# and the FrameWarp algebra. Tier-1 runs a 256-draw debug sample.
+cargo test --release --quiet --test core_properties --test search_properties \
+    --test trajectory_properties
+
 echo "==> engine output bytes (release: the pinned digest holds in both builds)"
 # tests/engine_bytes.rs hashes a fixed sweep's JSONL and one served
 # /first-contact body against ENGINE_BYTES_DIGEST, declared beside
@@ -294,5 +305,36 @@ cmp "$DUR_DIR/reference.jsonl" "$DUR_DIR/resumed.jsonl" \
 cmp "$DUR_DIR/reference.csv" "$DUR_DIR/resumed.csv" \
     || { echo "resumed sweep CSV diverged from the uninterrupted run"; exit 1; }
 rm -rf "$DUR_DIR"
+
+echo "==> checkpoint cost gate (checkpointed 20k sweep within 1.15x of the plain one, median of 5 alternating pairs)"
+# The checkpoint holds framed records in memory and syncs them (one
+# write, one fsync, one manifest rewrite) on the first record at least
+# 250 ms after the last sync and at the end, so its cost follows the
+# sweep's wall time, not its record count. Both runs must also write
+# the same JSONL.
+CKPT_DIR="$(mktemp -d -t rvz_checkpoint_gate.XXXXXX)"
+CKPT_FLAGS="--lhs 20000 --seed 11 --algos alg7,alg4 --threads 2"
+wall_ms() {
+    started="$(date +%s%N)"
+    "$@" > /dev/null || return 1
+    echo $(( ($(date +%s%N) - started) / 1000000 ))
+}
+RATIOS=""
+for _ in 1 2 3 4 5; do
+    rm -f "$CKPT_DIR"/sweep.ckpt*
+    # shellcheck disable=SC2086
+    PLAIN_MS="$(wall_ms "$RVZ" sweep $CKPT_FLAGS --out "$CKPT_DIR/plain")"
+    # shellcheck disable=SC2086
+    CKPT_MS="$(wall_ms "$RVZ" sweep $CKPT_FLAGS --out "$CKPT_DIR/ckpt" \
+        --checkpoint "$CKPT_DIR/sweep.ckpt")"
+    RATIOS="$RATIOS $(awk "BEGIN { printf \"%.3f\", $CKPT_MS / $PLAIN_MS }")"
+done
+cmp "$CKPT_DIR/plain.jsonl" "$CKPT_DIR/ckpt.jsonl" \
+    || { echo "checkpointed sweep JSONL differs from the plain run"; exit 1; }
+MEDIAN="$(echo $RATIOS | tr ' ' '\n' | sort -n | sed -n 3p)"
+echo "checkpointed / plain wall time:$RATIOS (median $MEDIAN)"
+awk "BEGIN { exit !($MEDIAN <= 1.15) }" \
+    || { echo "checkpointed sweep costs more than 1.15x the plain one"; exit 1; }
+rm -rf "$CKPT_DIR"
 
 echo "CI OK"

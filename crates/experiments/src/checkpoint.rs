@@ -31,10 +31,12 @@ use crate::durable::{
 use crate::executor::{run_sweep_with, SweepOptions, SweepRecord};
 use crate::faults::Faults;
 use crate::json::{self, Json};
-use crate::report::{record_from_json, record_to_json};
+use crate::report::{record_from_json, write_record_json};
 use crate::scenario::Scenario;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Journal format version, bumped on any framing change and whenever
 /// the records a sweep computes change. Version 4 records come from an
@@ -53,9 +55,15 @@ pub const CHECKPOINT_VERSION: u32 = 4;
 /// the bytes it holds.
 pub const ENGINE_BYTES_DIGEST: u64 = 0x3f7b_4f81_e607_0b94;
 
-/// Records between forced `fsync`s of the journal (each sync also
-/// rewrites the manifest). A crash loses at most this many records.
-const SYNC_EVERY: usize = 32;
+/// Least time between syncs of the checkpoint. Appended records are
+/// held in memory; a sync writes them to the journal in one write,
+/// `fsync`s it, rewrites the manifest and dumps the flight recorder. It
+/// happens on the first append at least this long after the previous
+/// sync, and at [`Checkpoint::finish`]. A crash (`kill -9`, power loss)
+/// therefore loses the records of the unwritten batch: those that
+/// finished since the last sync, about this much sweep time plus one
+/// scenario. They are recomputed on resume.
+const SYNC_EVERY: Duration = Duration::from_millis(250);
 
 /// Digest of the sweep identity: the full scenario batch plus the
 /// engine options that shape outcomes. Thread count is deliberately
@@ -72,8 +80,8 @@ pub fn sweep_fingerprint(scenarios: &[Scenario], opts: &SweepOptions) -> u64 {
     h = word(h, opts.contact.prune as u64);
     h = word(h, scenarios.len() as u64);
     for s in scenarios {
-        h = fnv1a64(s.algorithm.to_string().as_bytes(), h);
-        h = fnv1a64(s.chirality.to_string().as_bytes(), h);
+        h = fnv1a64(s.algorithm.token().as_bytes(), h);
+        h = fnv1a64(s.chirality.token().as_bytes(), h);
         h = word(h, s.id);
         h = word(h, s.speed.to_bits());
         h = word(h, s.time_unit.to_bits());
@@ -152,7 +160,12 @@ pub struct Checkpoint {
     journal: JournalFile,
     fingerprint: u64,
     entries: usize,
-    since_sync: usize,
+    /// Framed lines appended since the last sync, not yet written.
+    pending: String,
+    /// Scratch for one record's JSON, reused across appends.
+    line: String,
+    pending_entries: usize,
+    last_sync: Instant,
     sync_failures: u64,
     faults: Option<Arc<Faults>>,
 }
@@ -211,7 +224,10 @@ impl Checkpoint {
                 journal,
                 fingerprint,
                 entries: salvaged.len(),
-                since_sync: 0,
+                pending: String::new(),
+                line: String::new(),
+                pending_entries: 0,
+                last_sync: Instant::now(),
                 sync_failures: 0,
                 faults,
             },
@@ -220,28 +236,28 @@ impl Checkpoint {
         ))
     }
 
-    /// Journals one completed record. Write failures (including an
-    /// injected short write, which leaves a torn line for the next open
-    /// to salvage around) and sync failures are non-fatal: the record is
-    /// re-derivable, so the worst case is recomputing it after a crash.
+    /// Journals one completed record: frames it into the pending batch,
+    /// and syncs when `SYNC_EVERY` has passed since the last sync.
+    /// Write failures (including an injected short write, which leaves a
+    /// torn line for the next open to salvage around) and sync failures
+    /// are non-fatal: the records are re-derivable, so the worst case is
+    /// recomputing them after a crash.
     pub fn append(&mut self, record: &SweepRecord) {
-        let json = record_to_json(record).render();
-        let line = format!("{:08x}\t{json}\n", crc32(json.as_bytes()));
-        match self.journal.write_all(line.as_bytes()) {
-            Ok(()) => {
-                self.entries += 1;
-                self.since_sync += 1;
-                if self.since_sync >= SYNC_EVERY {
-                    self.sync_and_publish();
-                }
-            }
-            Err(_) => self.sync_failures += 1,
+        self.line.clear();
+        write_record_json(&mut self.line, record);
+        let _ = write!(self.pending, "{:08x}\t", crc32(self.line.as_bytes()));
+        self.pending.push_str(&self.line);
+        self.pending.push('\n');
+        self.pending_entries += 1;
+        if self.last_sync.elapsed() >= SYNC_EVERY {
+            self.sync_and_publish();
         }
     }
 
-    /// Forces the journal durable and republishes the manifest; called
-    /// automatically every `SYNC_EVERY` appends and at the end of the
-    /// run.
+    /// Writes the pending batch, forces the journal durable and
+    /// republishes the manifest; called automatically once
+    /// `SYNC_EVERY` has passed since the last sync, and at the end of
+    /// the run.
     pub fn finish(&mut self) {
         self.sync_and_publish();
     }
@@ -252,7 +268,15 @@ impl Checkpoint {
     }
 
     fn sync_and_publish(&mut self) {
-        self.since_sync = 0;
+        self.last_sync = Instant::now();
+        if !self.pending.is_empty() {
+            match self.journal.write_all(self.pending.as_bytes()) {
+                Ok(()) => self.entries += self.pending_entries,
+                Err(_) => self.sync_failures += 1,
+            }
+            self.pending.clear();
+            self.pending_entries = 0;
+        }
         dump_flight_recorder(&self.path);
         if self.journal.sync().is_err() {
             self.sync_failures += 1;
@@ -366,11 +390,16 @@ fn parse_frame(
     Some((i, record))
 }
 
-/// [`run_sweep_with`][crate::run_sweep] through a checkpoint: salvage
-/// finished records from `path`, compute only the missing scenarios
-/// (journaling each as it completes), and merge back into scenario
-/// order — bit-identical to an uninterrupted [`crate::run_sweep`] of
-/// the same batch, at any thread count and kill point.
+/// [`run_sweep_with`] through a checkpoint: salvage finished records
+/// from `path`, compute only the missing scenarios (journaling each as
+/// it completes), and merge back into scenario order — bit-identical to
+/// an uninterrupted [`crate::run_sweep`] of the same batch, at any
+/// thread count and kill point.
+///
+/// `on_record(i, record)` runs on the calling thread once for every
+/// computed scenario, after the record is journaled, with the
+/// scenario's own index `i = record.scenario.id`. Salvaged records do
+/// not reach it.
 ///
 /// Scenario ids must equal their batch index (true of every generator
 /// in [`crate::scenario`]).
@@ -388,6 +417,7 @@ pub fn run_sweep_checkpointed(
     path: &Path,
     resume: bool,
     faults: Option<Arc<Faults>>,
+    mut on_record: impl FnMut(usize, &SweepRecord),
 ) -> Result<(Vec<SweepRecord>, CheckpointStats), String> {
     let (mut checkpoint, salvaged, info) = Checkpoint::open(path, scenarios, opts, resume, faults)?;
     let mut out: Vec<Option<SweepRecord>> = vec![None; scenarios.len()];
@@ -401,7 +431,10 @@ pub fn run_sweep_checkpointed(
         .map(|(_, s)| *s)
         .collect();
     let computed = todo.len();
-    let fresh = run_sweep_with(&todo, opts, |_, record| checkpoint.append(record));
+    let fresh = run_sweep_with(&todo, opts, |_, record| {
+        checkpoint.append(record);
+        on_record(record.scenario.id as usize, record);
+    });
     checkpoint.finish();
     for record in fresh {
         let i = record.scenario.id as usize;
@@ -464,12 +497,14 @@ mod tests {
         let opts = quick_opts();
         let plain = run_sweep(&scenarios, &opts);
 
-        let (first, s1) = run_sweep_checkpointed(&scenarios, &opts, &path, false, None).unwrap();
+        let (first, s1) =
+            run_sweep_checkpointed(&scenarios, &opts, &path, false, None, |_, _| {}).unwrap();
         assert_eq!(first, plain);
         assert_eq!((s1.resumed, s1.computed), (0, scenarios.len()));
 
         // Resume over a complete journal: zero recomputation.
-        let (second, s2) = run_sweep_checkpointed(&scenarios, &opts, &path, true, None).unwrap();
+        let (second, s2) =
+            run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |_, _| {}).unwrap();
         assert_eq!(second, plain);
         assert_eq!((s2.resumed, s2.computed), (scenarios.len(), 0));
         std::fs::remove_dir_all(&dir).ok();
@@ -481,7 +516,7 @@ mod tests {
         let path = dir.join("sweep.ckpt");
         let scenarios = batch();
         let opts = quick_opts();
-        run_sweep_checkpointed(&scenarios, &opts, &path, false, None).unwrap();
+        run_sweep_checkpointed(&scenarios, &opts, &path, false, None, |_, _| {}).unwrap();
         // Each scenario opened a "scenario" span, so the final sync
         // had events to dump (unless another test disabled recording,
         // which nothing in this crate does).
@@ -502,8 +537,9 @@ mod tests {
         let path = dir.join("sweep.ckpt");
         let scenarios = batch();
         let opts = quick_opts();
-        run_sweep_checkpointed(&scenarios, &opts, &path, false, None).unwrap();
-        let err = run_sweep_checkpointed(&scenarios, &opts, &path, false, None).unwrap_err();
+        run_sweep_checkpointed(&scenarios, &opts, &path, false, None, |_, _| {}).unwrap();
+        let err =
+            run_sweep_checkpointed(&scenarios, &opts, &path, false, None, |_, _| {}).unwrap_err();
         assert!(err.contains("pass --resume"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -515,7 +551,7 @@ mod tests {
         let scenarios = batch();
         let opts = quick_opts();
         let plain = run_sweep(&scenarios, &opts);
-        run_sweep_checkpointed(&scenarios, &opts, &path, false, None).unwrap();
+        run_sweep_checkpointed(&scenarios, &opts, &path, false, None, |_, _| {}).unwrap();
 
         // Tear the journal mid-final-line, as SIGKILL during a write
         // would.
@@ -523,11 +559,61 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
 
         let (records, stats) =
-            run_sweep_checkpointed(&scenarios, &opts, &path, true, None).unwrap();
+            run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |_, _| {}).unwrap();
         assert_eq!(records, plain, "salvage + recompute = uninterrupted run");
         assert_eq!(stats.resumed, scenarios.len() - 1);
         assert_eq!(stats.computed, 1);
         assert_eq!(stats.dropped, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_callback_gets_each_computed_scenario_by_its_own_index() {
+        let dir = tmp_dir("callback");
+        let path = dir.join("sweep.ckpt");
+        let scenarios = batch();
+        let opts = quick_opts();
+        run_sweep_checkpointed(&scenarios, &opts, &path, false, None, |_, _| {}).unwrap();
+        // Keep the first journal line only: the resume computes every
+        // scenario but the one that line holds.
+        let bytes = std::fs::read(&path).unwrap();
+        let first = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        std::fs::write(&path, &bytes[..first]).unwrap();
+        let mut seen = Vec::new();
+        let (_, stats) = run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |i, r| {
+            assert_eq!(i as u64, r.scenario.id, "index is the scenario's own");
+            seen.push(i);
+        })
+        .unwrap();
+        seen.sort_unstable();
+        let (salvaged, _) = salvage(&bytes[..first], &scenarios).0[0];
+        let want: Vec<usize> = (0..scenarios.len()).filter(|&i| i != salvaged).collect();
+        assert_eq!(seen, want);
+        assert_eq!(stats.computed, want.len());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn appends_are_held_until_a_sync_writes_them_in_one_batch() {
+        let dir = tmp_dir("batch");
+        let path = dir.join("sweep.ckpt");
+        let scenarios = batch();
+        let opts = quick_opts();
+        let records = run_sweep(&scenarios, &opts);
+        let (mut checkpoint, _, _) =
+            Checkpoint::open(&path, &scenarios, &opts, false, None).unwrap();
+        // Well inside `SYNC_EVERY` of the open: nothing is written yet.
+        for r in &records {
+            checkpoint.append(r);
+        }
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        checkpoint.finish();
+        let bytes = std::fs::read(&path).unwrap();
+        let (salvaged, valid, dropped) = salvage(&bytes, &scenarios);
+        assert_eq!(
+            (salvaged.len(), valid, dropped),
+            (records.len(), bytes.len() as u64, 0)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -538,7 +624,7 @@ mod tests {
         let scenarios = batch();
         let opts = quick_opts();
         let plain = run_sweep(&scenarios, &opts);
-        run_sweep_checkpointed(&scenarios, &opts, &path, false, None).unwrap();
+        run_sweep_checkpointed(&scenarios, &opts, &path, false, None, |_, _| {}).unwrap();
 
         // Flip one byte inside the second line's JSON: its CRC fails,
         // and everything after loses its framing guarantee.
@@ -548,7 +634,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let (records, stats) =
-            run_sweep_checkpointed(&scenarios, &opts, &path, true, None).unwrap();
+            run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |_, _| {}).unwrap();
         assert_eq!(records, plain);
         assert_eq!(stats.resumed, 1, "only the line before the corruption");
         assert_eq!(stats.computed, scenarios.len() - 1);
@@ -561,7 +647,7 @@ mod tests {
         let path = dir.join("sweep.ckpt");
         let scenarios = batch();
         let opts = quick_opts();
-        run_sweep_checkpointed(&scenarios, &opts, &path, false, None).unwrap();
+        run_sweep_checkpointed(&scenarios, &opts, &path, false, None, |_, _| {}).unwrap();
 
         // Same journal, different engine options: different sweep.
         let other = SweepOptions {
@@ -571,7 +657,8 @@ mod tests {
             },
             ..opts
         };
-        let err = run_sweep_checkpointed(&scenarios, &other, &path, true, None).unwrap_err();
+        let err =
+            run_sweep_checkpointed(&scenarios, &other, &path, true, None, |_, _| {}).unwrap_err();
         assert!(err.contains("different sweep"), "{err}");
         assert_ne!(
             sweep_fingerprint(&scenarios, &opts),
@@ -592,7 +679,8 @@ mod tests {
             ])
             .render();
             std::fs::write(manifest_path(&path), stale).unwrap();
-            let err = run_sweep_checkpointed(&scenarios, &opts, &path, true, None).unwrap_err();
+            let err = run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |_, _| {})
+                .unwrap_err();
             assert!(err.contains(&format!("has version {version}")), "{err}");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -623,7 +711,7 @@ mod tests {
         let scenarios = batch();
         let opts = quick_opts();
         let plain = run_sweep(&scenarios, &opts);
-        run_sweep_checkpointed(&scenarios, &opts, &path, false, None).unwrap();
+        run_sweep_checkpointed(&scenarios, &opts, &path, false, None, |_, _| {}).unwrap();
 
         // A corrupted read of the journal on resume: the CRC framing
         // catches the flipped byte, the suffix is recomputed, and the
@@ -634,9 +722,15 @@ mod tests {
             limit: 1,
             ..FaultPlan::default()
         }));
-        let (records, stats) =
-            run_sweep_checkpointed(&scenarios, &opts, &path, true, Some(Arc::clone(&faults)))
-                .unwrap();
+        let (records, stats) = run_sweep_checkpointed(
+            &scenarios,
+            &opts,
+            &path,
+            true,
+            Some(Arc::clone(&faults)),
+            |_, _| {},
+        )
+        .unwrap();
         assert_eq!(records, plain);
         assert_eq!(faults.injected(FaultSite::ReadCorrupt), 1);
         assert!(
@@ -659,7 +753,8 @@ mod tests {
             ..FaultPlan::default()
         }));
         let (records, stats) =
-            run_sweep_checkpointed(&scenarios, &opts, &path, false, Some(faults)).unwrap();
+            run_sweep_checkpointed(&scenarios, &opts, &path, false, Some(faults), |_, _| {})
+                .unwrap();
         assert_eq!(records, run_sweep(&scenarios, &opts));
         assert!(stats.sync_failures > 0);
         std::fs::remove_dir_all(&dir).ok();

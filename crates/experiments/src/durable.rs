@@ -36,13 +36,17 @@ use std::sync::Arc;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `data`.
 ///
-/// The classic byte-at-a-time table implementation; the table is built
-/// on first use and shared for the process lifetime.
+/// Slicing-by-8: eight 256-entry tables, built on first use and shared
+/// for the process lifetime, fold eight bytes per step; the tail goes a
+/// byte at a time through the first table (the classic implementation).
+/// A journal frame of a few hundred bytes costs a fraction of a
+/// microsecond, which matters because every checkpointed record is
+/// framed on a thread that also runs scenarios.
 pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -53,11 +57,31 @@ pub fn crc32(data: &[u8]) -> u32 {
             }
             *slot = c;
         }
-        table
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            }
+        }
+        t
     });
+    let byte = |x: u32, shift: u32| ((x >> shift) & 0xFF) as usize;
     let mut crc = !0u32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in words.remainder() {
+        crc = t[0][byte(crc ^ u32::from(b), 0)] ^ (crc >> 8);
     }
     !crc
 }
@@ -319,6 +343,30 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        // Every length through two 8-byte words plus a tail agrees with
+        // the bytewise definition.
+        let bytewise = |data: &[u8]| {
+            let mut crc = !0u32;
+            for &b in data {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    crc = if crc & 1 != 0 {
+                        0xEDB8_8320 ^ (crc >> 1)
+                    } else {
+                        crc >> 1
+                    };
+                }
+            }
+            !crc
+        };
+        let data: Vec<u8> = (0..40u32).map(|i| (i * 37 + 11) as u8).collect();
+        for n in 0..=data.len() {
+            assert_eq!(crc32(&data[..n]), bytewise(&data[..n]), "length {n}");
+        }
     }
 
     #[test]

@@ -1,26 +1,34 @@
 //! The parallel batch executor: fan a scenario batch out across threads.
 //!
 //! Each scenario is an independent pure computation (build the instance,
-//! run the contact engine), so the executor is a plain work-stealing
-//! loop over a shared atomic cursor: every worker pops the next
-//! unclaimed scenario index, simulates it, and keeps the result in a
-//! thread-local buffer tagged with the scenario id. After the scoped
-//! threads join, the buffers are merged back into id order.
+//! run the contact engine), so the executor is one work-stealing loop
+//! over a shared atomic cursor, run by `threads` threads: the calling
+//! thread and `threads − 1` scoped helpers. Every thread pops the next
+//! unclaimed scenario index and simulates it. Helpers send their records
+//! over a channel; the calling thread hands its own records and the
+//! helpers' to the record callback between its own scenarios, and
+//! blocks on the channel only once the cursor is empty. The records are
+//! kept by scenario index, so they come back in id order. At one thread
+//! nothing is spawned and no record crosses the channel.
 //!
 //! Two properties follow by construction:
 //!
 //! * **Schedule independence** — a record depends only on its scenario,
-//!   never on which worker ran it or in what order, so the merged output
+//!   never on which thread ran it or in what order, so the merged output
 //!   is *identical* for every thread count (this is tested, and it is
 //!   what makes sweep artifacts diffable across machines);
 //! * **One engine, one call** — every scenario runs through
 //!   [`run_scenario`] on the monotone-cursor engine
-//!   ([`simulate_rendezvous_by_ref`]): no per-worker lowering, no arena,
+//!   ([`simulate_rendezvous_by_ref`]): no per-thread lowering, no arena,
 //!   no fallback. The cursor engine resolves a scenario at the cost of
 //!   the near approaches it actually meets, which at sweep depths beats
 //!   lowering the schedules into program arenas first. `rvz serve`
 //!   answers a cache miss its lane kernel does not cover through the
 //!   same function.
+//!
+//! The executor prints nothing. `rvz sweep`'s progress line and the
+//! checkpoint journal both hang off the record callback of
+//! [`run_sweep_with`].
 
 use crate::scenario::{Algorithm, Scenario};
 use rvz_core::WaitAndSearch;
@@ -33,7 +41,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Tuning for [`run_sweep`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepOptions {
-    /// Worker threads; `0` means one per available CPU.
+    /// Threads that run scenarios, the caller included; `0` means one
+    /// per available CPU.
     pub threads: usize,
     /// Engine options applied to every scenario.
     ///
@@ -49,11 +58,6 @@ pub struct SweepOptions {
     /// never lowers — every scenario runs on the cursor engine — so the
     /// field does not change a sweep record.
     pub compile_pieces: usize,
-    /// Emit a stderr progress line about once a second while the sweep
-    /// runs (`rvz sweep --heartbeat`). Observation-only: the line goes
-    /// to stderr, never into the artifact, and the field is excluded
-    /// from the checkpoint fingerprint.
-    pub heartbeat: bool,
 }
 
 impl Default for SweepOptions {
@@ -67,13 +71,12 @@ impl Default for SweepOptions {
                 ..ContactOptions::default()
             },
             compile_pieces: 32_768,
-            heartbeat: false,
         }
     }
 }
 
 impl SweepOptions {
-    /// The effective worker count.
+    /// The effective thread count, the caller included.
     pub fn effective_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
@@ -166,49 +169,6 @@ pub fn run_scenario(scenario: &Scenario, opts: &ContactOptions) -> SweepRecord {
     }
 }
 
-/// Stderr progress heartbeat: one line roughly per second, plus a final
-/// line when the batch completes. Never touches stdout or the records.
-struct Heartbeat {
-    enabled: bool,
-    total: usize,
-    done: usize,
-    started: std::time::Instant,
-    last: std::time::Instant,
-}
-
-impl Heartbeat {
-    fn new(total: usize, enabled: bool) -> Heartbeat {
-        let now = std::time::Instant::now();
-        Heartbeat {
-            enabled,
-            total,
-            done: 0,
-            started: now,
-            last: now,
-        }
-    }
-
-    fn tick(&mut self) {
-        self.done += 1;
-        if !self.enabled {
-            return;
-        }
-        let finished = self.done == self.total;
-        if !finished && self.last.elapsed() < std::time::Duration::from_secs(1) {
-            return;
-        }
-        self.last = std::time::Instant::now();
-        let secs = self.started.elapsed().as_secs_f64();
-        eprintln!(
-            "rvz-sweep: {}/{} scenarios ({:.1}/s, {:.1}s elapsed)",
-            self.done,
-            self.total,
-            self.done as f64 / secs.max(1e-9),
-            secs,
-        );
-    }
-}
-
 /// Runs every scenario and returns the records in scenario order.
 ///
 /// Work is distributed dynamically (scenarios vary in cost by orders of
@@ -230,75 +190,77 @@ impl Heartbeat {
 ///
 /// # Panics
 ///
-/// Panics when a worker thread panics (a scenario produced a non-finite
-/// position, which the trajectory invariants exclude).
+/// Panics when a scenario does not describe a valid instance (see
+/// [`run_scenario`]), or when the engine panics on one.
 pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> Vec<SweepRecord> {
     run_sweep_with(scenarios, opts, |_, _| {})
 }
 
 /// [`run_sweep`] with a completion callback: `on_record(i, record)` runs
-/// on the calling thread once for every scenario, as soon as its record
-/// exists.
+/// on the calling thread once for every scenario, as soon as the calling
+/// thread holds its record.
 ///
-/// The callback sees records in **completion order**, which depends on
-/// the schedule; only the returned vector is merged back into scenario
-/// order. This is the seam the sweep checkpoint journal hangs off —
-/// records are journaled the moment they complete, independent of where
-/// the batch is in scenario order, and the resume path re-sorts by id.
+/// The calling thread is one of the `threads` threads that run
+/// scenarios. After each of its own scenarios it passes on its record and
+/// every record the helpers have finished since; once the cursor is
+/// empty it waits for the helpers' last records. The callback therefore
+/// sees records in **completion order**, which depends on the schedule;
+/// only the returned vector is merged back into scenario order. This is
+/// the seam the sweep checkpoint journal and `rvz sweep`'s progress
+/// line hang off. A slow callback delays the calling thread's next scenario,
+/// never a helper's.
 ///
 /// # Panics
 ///
-/// As for [`run_sweep`].
+/// As for [`run_sweep`]; a panic in `on_record` propagates too. A
+/// panicking helper surfaces as `sweep worker panicked` once the other
+/// threads have finished. A panic on the calling thread drops the
+/// channel, so the helpers stop at their next record and the panic
+/// propagates once they have returned.
 pub fn run_sweep_with(
     scenarios: &[Scenario],
     opts: &SweepOptions,
     mut on_record: impl FnMut(usize, &SweepRecord),
 ) -> Vec<SweepRecord> {
     let threads = opts.effective_threads().min(scenarios.len()).max(1);
-    let mut heartbeat = Heartbeat::new(scenarios.len(), opts.heartbeat);
-    if threads == 1 {
-        return scenarios
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let record = run_scenario(s, &opts.contact);
-                heartbeat.tick();
-                on_record(i, &record);
-                record
-            })
-            .collect();
-    }
-
     let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        scenarios.get(i).map(|scenario| (i, scenario))
+    };
     let mut out: Vec<Option<SweepRecord>> = vec![None; scenarios.len()];
+    let mut deliver = |i: usize, record: SweepRecord| {
+        on_record(i, &record);
+        out[i] = Some(record);
+    };
     std::thread::scope(|scope| {
         let (tx, rx) = std::sync::mpsc::channel::<(usize, SweepRecord)>();
-        let handles: Vec<_> = (0..threads)
+        let helpers: Vec<_> = (1..threads)
             .map(|_| {
-                let cursor = &cursor;
                 let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(scenario) = scenarios.get(i) else {
-                        return;
-                    };
-                    let record = run_scenario(scenario, &opts.contact);
-                    if tx.send((i, record)).is_err() {
-                        return;
+                scope.spawn(move || {
+                    while let Some((i, scenario)) = claim() {
+                        if tx.send((i, run_scenario(scenario, &opts.contact))).is_err() {
+                            return;
+                        }
                     }
                 })
             })
             .collect();
         drop(tx);
-        // The receive loop ends when every worker has dropped its
-        // sender; a panicked worker surfaces at the joins below.
-        for (i, record) in rx {
-            heartbeat.tick();
-            on_record(i, &record);
-            out[i] = Some(record);
+        while let Some((i, scenario)) = claim() {
+            deliver(i, run_scenario(scenario, &opts.contact));
+            for (i, record) in rx.try_iter() {
+                deliver(i, record);
+            }
         }
-        for h in handles {
-            h.join().expect("sweep worker panicked");
+        // The cursor is empty: this receive ends once every helper has
+        // dropped its sender, and a panicked helper surfaces at its join.
+        for (i, record) in rx {
+            deliver(i, record);
+        }
+        for helper in helpers {
+            helper.join().expect("sweep worker panicked");
         }
     });
 

@@ -22,6 +22,7 @@
 //! ```
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 ///
@@ -129,13 +130,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    out.push_str(&format!("{n}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Num(n) => write_number(out, *n),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -169,7 +164,18 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends a number as [`Json::render`] writes it: shortest round-trip
+/// text, or `null` when non-finite.
+pub(crate) fn write_number(out: &mut String, n: f64) {
+    if n.is_finite() {
+        let _ = write!(out, "{n}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Appends a quoted, escaped string as [`Json::render`] writes it.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

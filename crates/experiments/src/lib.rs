@@ -13,9 +13,10 @@
 //! * [`ScenarioGrid`] / [`latin_hypercube`] — deterministic scenario
 //!   generation (Cartesian grids and seeded Latin-hypercube samples over
 //!   attributes × placement × algorithm);
-//! * [`run_sweep`] — a scoped-thread batch executor whose output is
-//!   byte-identical for every thread count, over [`run_scenario`], the
-//!   one per-scenario call;
+//! * [`run_sweep`] / [`run_sweep_with`] — a batch executor in which the
+//!   calling thread and its scoped helpers share one work loop, whose
+//!   output is byte-identical for every thread count, over
+//!   [`run_scenario`], the one per-scenario call;
 //! * [`write_jsonl`] / [`write_csv`] / [`Summary`] — deterministic
 //!   structured sinks and aggregate percentile summaries;
 //! * [`canonicalize`] / [`orbit_key`] — symmetry canonicalization: the

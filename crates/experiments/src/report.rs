@@ -9,7 +9,7 @@
 //! 1-thread-vs-N-thread determinism test relies on exactly this.
 
 use crate::executor::SweepRecord;
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::scenario::{parse_chirality, Algorithm, Scenario};
 use rvz_model::{feasibility, Feasibility};
 use rvz_sim::SimOutcome;
@@ -120,8 +120,9 @@ pub fn write_csv<W: Write>(w: &mut W, records: &[SweepRecord]) -> io::Result<()>
 
 /// Writes one record per line as a JSON object (JSON-lines).
 ///
-/// Each line is the rendering of [`record_to_json`], so the sink and the
-/// serving layer's decoder share one schema by construction: anything
+/// Each line is the rendering of [`record_to_json`] (streamed, without
+/// building the tree), so the sink and the serving layer's decoder share
+/// one schema by construction: anything
 /// this writer emits is accepted verbatim by [`record_from_json`].
 /// Every value is a number, boolean or fixed token; floats use
 /// shortest-round-trip formatting, so integral values render without a
@@ -132,10 +133,48 @@ pub fn write_csv<W: Write>(w: &mut W, records: &[SweepRecord]) -> io::Result<()>
 ///
 /// Propagates I/O errors from the writer.
 pub fn write_jsonl<W: Write>(w: &mut W, records: &[SweepRecord]) -> io::Result<()> {
+    let mut line = String::new();
     for record in records {
-        writeln!(w, "{}", record_to_json(record).render())?;
+        line.clear();
+        write_record_json(&mut line, record);
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
     }
     Ok(())
+}
+
+/// One field value of a record's JSON object, borrowed so that a row
+/// renders without building a [`Json`] tree.
+enum Field {
+    Num(f64),
+    Token(&'static str),
+    Bool(bool),
+}
+
+/// The record schema: every field of the JSON object, in order. Both
+/// [`record_to_json`] and [`write_record_json`] read it, so the tree and
+/// the streamed text cannot disagree.
+fn record_fields(record: &SweepRecord) -> [(&'static str, Field); 15] {
+    let row = Row { record };
+    let s = &record.scenario;
+    let (time, distance, steps) = row.observables();
+    [
+        ("id", Field::Num(s.id as f64)),
+        ("algorithm", Field::Token(s.algorithm.token())),
+        ("speed", Field::Num(s.speed)),
+        ("time_unit", Field::Num(s.time_unit)),
+        ("orientation", Field::Num(s.orientation)),
+        ("chirality", Field::Token(s.chirality.token())),
+        ("distance", Field::Num(s.distance)),
+        ("bearing", Field::Num(s.bearing)),
+        ("visibility", Field::Num(s.visibility)),
+        ("feasible", Field::Bool(record.feasibility.is_feasible())),
+        ("breaker", Field::Token(row.breaker())),
+        ("outcome", Field::Token(row.outcome_kind())),
+        ("time", Field::Num(time)),
+        ("observed_distance", Field::Num(distance)),
+        ("steps", Field::Num(steps as f64)),
+    ]
 }
 
 /// The JSON-object form of one sweep record (the JSONL row and the
@@ -144,26 +183,38 @@ pub fn write_jsonl<W: Write>(w: &mut W, records: &[SweepRecord]) -> io::Result<(
 /// Field order is fixed; see [`write_jsonl`] for the formatting
 /// guarantees.
 pub fn record_to_json(record: &SweepRecord) -> Json {
-    let row = Row { record };
-    let s = &record.scenario;
-    let (time, distance, steps) = row.observables();
-    Json::obj(vec![
-        ("id", Json::Num(s.id as f64)),
-        ("algorithm", Json::Str(s.algorithm.to_string())),
-        ("speed", Json::Num(s.speed)),
-        ("time_unit", Json::Num(s.time_unit)),
-        ("orientation", Json::Num(s.orientation)),
-        ("chirality", Json::Str(s.chirality.to_string())),
-        ("distance", Json::Num(s.distance)),
-        ("bearing", Json::Num(s.bearing)),
-        ("visibility", Json::Num(s.visibility)),
-        ("feasible", Json::Bool(record.feasibility.is_feasible())),
-        ("breaker", Json::Str(row.breaker().to_string())),
-        ("outcome", Json::Str(row.outcome_kind().to_string())),
-        ("time", Json::Num(time)),
-        ("observed_distance", Json::Num(distance)),
-        ("steps", Json::Num(steps as f64)),
-    ])
+    Json::Obj(
+        record_fields(record)
+            .into_iter()
+            .map(|(key, field)| {
+                let value = match field {
+                    Field::Num(n) => Json::Num(n),
+                    Field::Token(t) => Json::Str(t.to_string()),
+                    Field::Bool(b) => Json::Bool(b),
+                };
+                (key.to_string(), value)
+            })
+            .collect(),
+    )
+}
+
+/// Appends `record_to_json(record).render()` to `out` without building
+/// the tree: the JSONL row and the checkpoint journal's frame payload.
+pub(crate) fn write_record_json(out: &mut String, record: &SweepRecord) {
+    out.push('{');
+    for (i, (key, field)) in record_fields(record).into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_escaped(out, key);
+        out.push(':');
+        match field {
+            Field::Num(n) => json::write_number(out, n),
+            Field::Token(t) => json::write_escaped(out, t),
+            Field::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+        }
+    }
+    out.push('}');
 }
 
 fn field_f64(value: &Json, key: &str) -> Result<f64, String> {
@@ -462,6 +513,47 @@ mod tests {
             // No illegal JSON tokens can appear: the engine only reports
             // finite observables.
             assert!(!line.contains("NaN") && !line.contains("inf"));
+        }
+    }
+
+    #[test]
+    fn streamed_rows_render_like_the_tree() {
+        // Every outcome kind, both chiralities and algorithms, and a
+        // non-finite observable (rendered `null` by both paths).
+        let mut all = records();
+        let base = all[0];
+        let outcomes = [
+            SimOutcome::Horizon {
+                min_distance: 0.5,
+                min_distance_time: 12.25,
+                steps: 7,
+            },
+            SimOutcome::StepBudget {
+                time: f64::INFINITY,
+                min_distance: 0.125,
+                steps: 300_000,
+            },
+            SimOutcome::Deadline {
+                time: 3.0,
+                min_distance: f64::NAN,
+                steps: 1,
+            },
+        ];
+        for outcome in outcomes {
+            all.push(SweepRecord {
+                scenario: Scenario {
+                    algorithm: Algorithm::UniversalSearch,
+                    chirality: rvz_model::Chirality::Mirrored,
+                    ..base.scenario
+                },
+                outcome,
+                ..base
+            });
+        }
+        for record in &all {
+            let mut line = String::new();
+            write_record_json(&mut line, record);
+            assert_eq!(line, record_to_json(record).render());
         }
     }
 

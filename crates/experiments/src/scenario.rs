@@ -66,12 +66,20 @@ pub fn parse_chirality(s: &str) -> Result<Chirality, String> {
     }
 }
 
+impl Algorithm {
+    /// The fixed token naming the algorithm in artifacts and on the
+    /// wire (`alg7`, `alg4`).
+    pub fn token(self) -> &'static str {
+        match self {
+            Algorithm::WaitAndSearch => "alg7",
+            Algorithm::UniversalSearch => "alg4",
+        }
+    }
+}
+
 impl fmt::Display for Algorithm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Algorithm::WaitAndSearch => write!(f, "alg7"),
-            Algorithm::UniversalSearch => write!(f, "alg4"),
-        }
+        f.write_str(self.token())
     }
 }
 

@@ -31,14 +31,19 @@ impl Chirality {
     pub fn reflection(self) -> Mat2 {
         Mat2::chirality_reflection(self.sign())
     }
+
+    /// The fixed token naming `χ` (`+1`, `-1`).
+    pub fn token(self) -> &'static str {
+        match self {
+            Chirality::Consistent => "+1",
+            Chirality::Mirrored => "-1",
+        }
+    }
 }
 
 impl fmt::Display for Chirality {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Chirality::Consistent => write!(f, "+1"),
-            Chirality::Mirrored => write!(f, "-1"),
-        }
+        f.write_str(self.token())
     }
 }
 

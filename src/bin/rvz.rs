@@ -16,8 +16,8 @@
 
 use plane_rendezvous::core::{completion_time, first_sufficient_overlap_round, WaitAndSearch};
 use plane_rendezvous::experiments::{
-    latin_hypercube, parse_chirality, run_sweep, write_csv, write_jsonl, Algorithm, FaultPlan,
-    SampleSpace, ScenarioGrid, Summary, SweepOptions, SweepRecord,
+    latin_hypercube, parse_chirality, run_sweep, run_sweep_with, write_csv, write_jsonl, Algorithm,
+    FaultPlan, SampleSpace, ScenarioGrid, Summary, SweepOptions, SweepRecord,
 };
 use plane_rendezvous::prelude::*;
 use plane_rendezvous::server::{Service, ServiceOptions};
@@ -201,19 +201,23 @@ PREFIX.csv. List flags (L) take comma-separated values, e.g. --speeds
 0.5,1. --no-prune disables the engine's swept-envelope pruning layer
 (A/B escape hatch; outcomes keep the same classification).
 
-Checkpointing: --checkpoint PATH journals each finished record (CRC
-per line, fsync'd manifest) so a killed sweep can continue with
---resume, which replays the journal's valid prefix and computes only
-what is missing — the artifacts are bit-identical to an uninterrupted
-run, independent of --threads and of where the kill landed. A journal
-from a different sweep (flags or scenario set changed) is refused.
+Checkpointing: --checkpoint PATH journals finished records (CRC per
+line, fsync'd manifest) so a killed sweep can continue with --resume,
+which replays the journal's valid prefix and computes only what is
+missing — the artifacts are bit-identical to an uninterrupted run,
+independent of --threads and of where the kill landed. Records are
+written and synced in batches: on the first record at least 250 ms
+after the last sync, and at the end. A kill -9 loses the records
+finished since the last sync (about 250 ms of work), and the resume
+recomputes them. A journal from a different sweep (flags or scenario
+set changed) is refused.
 --faults injects seeded disk faults into the checkpoint I/O: the `rvz
 serve --faults` grammar without its serve-only keys (keys: seed,
 short_write, torn_rename, read_corrupt, fsync_fail, limit) — tests/CI
 only.
 
 --heartbeat prints a progress line to stderr about once a second
-(done/total, rate, elapsed). Observation-only: artifacts and
+(done/total, rate, elapsed) and once when the sweep ends. Observation-only: artifacts and
 checkpoints are byte-identical with it on or off.",
         run: cmd_sweep,
     },
@@ -644,6 +648,50 @@ where
     Ok(())
 }
 
+/// `rvz sweep --heartbeat`: a stderr progress line about once a second
+/// while records arrive, plus a final line when the sweep returns. It
+/// counts the records the sweep computes, so a resumed sweep's count
+/// stops short of the total by the records it salvaged.
+struct Heartbeat {
+    total: usize,
+    done: usize,
+    started: Instant,
+    last: Instant,
+}
+
+impl Heartbeat {
+    fn new(total: usize) -> Heartbeat {
+        let now = Instant::now();
+        Heartbeat {
+            total,
+            done: 0,
+            started: now,
+            last: now,
+        }
+    }
+
+    /// Counts one record; prints when a second has passed since the
+    /// last line, leaving the last record's line to [`Heartbeat::report`].
+    fn tick(&mut self) {
+        self.done += 1;
+        if self.done < self.total && self.last.elapsed() >= std::time::Duration::from_secs(1) {
+            self.last = Instant::now();
+            self.report();
+        }
+    }
+
+    fn report(&self) {
+        let secs = self.started.elapsed().as_secs_f64();
+        eprintln!(
+            "rvz-sweep: {}/{} scenarios ({:.1}/s, {:.1}s elapsed)",
+            self.done,
+            self.total,
+            self.done as f64 / secs.max(1e-9),
+            secs,
+        );
+    }
+}
+
 fn cmd_sweep(opts: &Flags) -> Result<(), String> {
     let r = get_f64(opts, "r", Some(0.1))?;
     if r <= 0.0 {
@@ -700,8 +748,7 @@ fn cmd_sweep(opts: &Flags) -> Result<(), String> {
         grid.build()
     };
 
-    let mut sweep_opts = sweep_options(opts)?;
-    sweep_opts.heartbeat = opts.contains_key("heartbeat");
+    let sweep_opts = sweep_options(opts)?;
 
     let checkpoint = opts.get("checkpoint").map(std::path::PathBuf::from);
     if opts.contains_key("resume") && checkpoint.is_none() {
@@ -722,6 +769,14 @@ fn cmd_sweep(opts: &Flags) -> Result<(), String> {
         sweep_opts.effective_threads()
     );
     let start = Instant::now();
+    let mut heartbeat = opts
+        .contains_key("heartbeat")
+        .then(|| Heartbeat::new(scenarios.len()));
+    let on_record = |_: usize, _: &SweepRecord| {
+        if let Some(heartbeat) = heartbeat.as_mut() {
+            heartbeat.tick();
+        }
+    };
     let mut checkpoint_stats = None;
     let records = if let Some(path) = &checkpoint {
         let (records, stats) = plane_rendezvous::experiments::run_sweep_checkpointed(
@@ -730,12 +785,16 @@ fn cmd_sweep(opts: &Flags) -> Result<(), String> {
             path,
             opts.contains_key("resume"),
             faults,
+            on_record,
         )?;
         checkpoint_stats = Some(stats);
         records
     } else {
-        run_sweep(&scenarios, &sweep_opts)
+        run_sweep_with(&scenarios, &sweep_opts, on_record)
     };
+    if let Some(heartbeat) = &heartbeat {
+        heartbeat.report();
+    }
     let wall = start.elapsed().as_secs_f64();
 
     let prefix = opts.get("out").map(String::as_str).unwrap_or("sweep");
