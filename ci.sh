@@ -43,7 +43,7 @@ echo "==> allocation + SoA-not-slower gate, -C target-cpu=native arm"
 RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/ci-native \
     cargo test --release --quiet -p rvz-sim --test alloc_gate
 
-echo "==> step gate + canonical compiled arms + Lemma 4 oracle + telemetry byte-identity (release)"
+echo "==> step gate + canonical compiled arms + Lemma 4 oracle + curvature certificate + telemetry byte-identity (release)"
 # The cursor engine never takes more steps than the seed loop on the
 # canonical cases, the compiled ladder and lane kernel classify them
 # as the seed loop does, τ = 1 queries on the relative trajectory agree
@@ -54,8 +54,12 @@ cargo test --release --quiet --test engine_equivalence -- \
     cursor_engine_never_takes_more_steps_than_generic_on_canonical_cases \
     compiled_and_lane_engines_classify_canonical_cases_like_generic \
     relative_trajectory_disproves_twins_in_a_few_steps \
-    relative_trajectory_matches_the_two_cursor_oracle
+    relative_trajectory_matches_the_two_cursor_oracle \
+    curvature_certificate_stops_the_arc_crawl_and_declares_inside_the_band
 cargo test --release --quiet --test telemetry_identity
+# The curvature certificate never passes its target on 10,000 seeded
+# piece pairs (unequal-rate arcs, arc vs line, arc vs wait, line vs arc).
+cargo test --release --quiet -p rvz-sim --lib curvature_step
 
 echo "==> engine vs analytic discovery and brute force (release: 10,000 seeded draws per property)"
 # tests/cross_validation.rs checks the engine against the closed-form
@@ -175,6 +179,7 @@ METRICS_SCRAPE="$("$RVZ" client --addr "$ADDR" --path /metrics)"
 for family in rvz_requests_total rvz_responses_total rvz_request_duration_us \
     rvz_cache_requests_total rvz_engine_queries_total rvz_engine_outcomes_total \
     rvz_engine_kernel_dispatch_total rvz_engine_kernel_lanes_active \
+    rvz_engine_steps_curvature_total \
     rvz_faults_injected_total rvz_shed_total rvz_uptime_seconds rvz_inflight; do
     echo "$METRICS_SCRAPE" | grep -q "$family" \
         || { echo "metrics scrape missing $family"; exit 1; }

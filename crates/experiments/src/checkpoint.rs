@@ -39,21 +39,24 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Journal format version, bumped on any framing change and whenever
-/// the records a sweep computes change. Version 4 records come from an
-/// engine whose `Vec2::norm` is `√(x² + y²)` rather than `hypot`, which
-/// moves `time` and `observed_distance` in the last bits and sometimes
-/// `steps`, so a version 3 journal is refused. So is a version 2 journal
+/// the records a sweep computes change. Version 5 records come from an
+/// engine with the curvature certificate in its step ladder, which
+/// changes `steps` and moves contact `time` and `observed_distance`
+/// within the declaration slack, so a version 4 journal is refused.
+/// Version 4 records came from an engine whose `Vec2::norm` is
+/// `√(x² + y²)` rather than `hypot`, so a version 3 journal is refused
+/// too. So is a version 2 journal
 /// (τ = 1 scenarios on two cursors rather than the Lemma 4 relative
 /// trajectory) or a version 1 journal (records possibly from the
 /// retired compiled path): none is ever resumed into.
-pub const CHECKPOINT_VERSION: u32 = 4;
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// FNV-1a digest of the engine's output bytes on a pinned sweep plus one
 /// served `/first-contact` body (`tests/engine_bytes.rs`). Every update
 /// goes with a bump of [`CHECKPOINT_VERSION`] and of the serve
 /// snapshot's `SNAPSHOT_VERSION`, so no journal or snapshot outlives
 /// the bytes it holds.
-pub const ENGINE_BYTES_DIGEST: u64 = 0x3f7b_4f81_e607_0b94;
+pub const ENGINE_BYTES_DIGEST: u64 = 0x9036_acee_957e_d26e;
 
 /// Least time between syncs of the checkpoint. Appended records are
 /// held in memory; a sync writes them to the journal in one write,

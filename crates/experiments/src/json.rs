@@ -126,7 +126,9 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends [`Json::render`]'s text to `out`, so a body can mix
+    /// rendered values with rows streamed through `write_record_json`.
+    pub fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),

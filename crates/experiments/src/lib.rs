@@ -83,7 +83,7 @@ pub use faults::{FaultPlan, FaultSite, Faults};
 pub use json::Json;
 pub use report::{
     breaker_token, outcome_token, percentile, record_from_json, record_to_json, scenario_from_json,
-    write_csv, write_jsonl, Summary, CSV_HEADER,
+    write_csv, write_jsonl, write_record_json, Summary, CSV_HEADER,
 };
 pub use rng::SplitMix64;
 pub use scenario::{

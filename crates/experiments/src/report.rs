@@ -199,8 +199,9 @@ pub fn record_to_json(record: &SweepRecord) -> Json {
 }
 
 /// Appends `record_to_json(record).render()` to `out` without building
-/// the tree: the JSONL row and the checkpoint journal's frame payload.
-pub(crate) fn write_record_json(out: &mut String, record: &SweepRecord) {
+/// the tree: the JSONL row, the checkpoint journal's frame payload and
+/// the records of `rvz serve`'s response bodies.
+pub fn write_record_json(out: &mut String, record: &SweepRecord) {
     out.push('{');
     for (i, (key, field)) in record_fields(record).into_iter().enumerate() {
         if i > 0 {

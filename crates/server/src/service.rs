@@ -30,7 +30,7 @@ use crate::snapshot::{
     engine_fingerprint, read_snapshot, write_snapshot, RestoreOutcome, SnapshotData,
 };
 use rvz_experiments::{
-    breaker_token, orbit_key, record_to_json, run_scenario, scenario_from_json, Algorithm,
+    breaker_token, orbit_key, run_scenario, scenario_from_json, write_record_json, Algorithm,
     FaultPlan, FaultSite, Faults, Json, Scenario, Summary, SweepOptions, SweepRecord, DEFAULT_GRID,
 };
 use rvz_model::{feasibility, Chirality, RobotAttributes};
@@ -829,22 +829,8 @@ impl Service {
             Err(e) => return Response::error(400, &e),
         };
         let (record, canonical, hit) = self.answer(&scenario, &self.request_contact());
-        let body = Json::obj(vec![
-            ("record", record_to_json(&record)),
-            (
-                "canonical",
-                Json::obj(vec![
-                    ("swapped", Json::Bool(canonical.swapped)),
-                    ("time_scale", Json::Num(canonical.transform.time_scale)),
-                    (
-                        "distance_scale",
-                        Json::Num(canonical.transform.distance_scale),
-                    ),
-                ]),
-            ),
-        ])
-        .render();
-        Response::ok(body).header("X-Rvz-Cache", if hit { "hit" } else { "miss" })
+        Response::ok(first_contact_body(&record, &canonical))
+            .header("X-Rvz-Cache", if hit { "hit" } else { "miss" })
     }
 
     fn sweep(&self, req: &Request) -> Response {
@@ -886,27 +872,53 @@ impl Service {
             })
             .collect();
         let misses = records.len() as u64 - hits;
-        let summary = Summary::from_records(&records);
-        let body = Json::obj(vec![
-            (
-                "records",
-                Json::Arr(records.iter().map(record_to_json).collect()),
-            ),
-            (
-                "summary",
-                Json::obj(vec![
-                    ("total", Json::Num(summary.total as f64)),
-                    ("contacts", Json::Num(summary.contacts as f64)),
-                    ("horizons", Json::Num(summary.horizons as f64)),
-                    ("step_budgets", Json::Num(summary.step_budgets as f64)),
-                    ("deadlines", Json::Num(summary.deadlines as f64)),
-                    ("consistent", Json::Num(summary.consistent as f64)),
-                ]),
-            ),
-        ])
-        .render();
-        Response::ok(body).header("X-Rvz-Cache", &format!("hits={hits};misses={misses}"))
+        Response::ok(sweep_body(&records))
+            .header("X-Rvz-Cache", &format!("hits={hits};misses={misses}"))
     }
+}
+
+/// The `/first-contact` body, `{"record":…,"canonical":{…}}`: the record
+/// streams through `write_record_json` instead of a `Json` tree.
+fn first_contact_body(record: &SweepRecord, canonical: &rvz_experiments::Canonical) -> String {
+    let mut body = String::from("{\"record\":");
+    write_record_json(&mut body, record);
+    body.push_str(",\"canonical\":");
+    Json::obj(vec![
+        ("swapped", Json::Bool(canonical.swapped)),
+        ("time_scale", Json::Num(canonical.transform.time_scale)),
+        (
+            "distance_scale",
+            Json::Num(canonical.transform.distance_scale),
+        ),
+    ])
+    .write(&mut body);
+    body.push('}');
+    body
+}
+
+/// The `/sweep` body, `{"records":[…],"summary":{…}}`, with the records
+/// streamed as in [`first_contact_body`].
+fn sweep_body(records: &[SweepRecord]) -> String {
+    let mut body = String::from("{\"records\":[");
+    for (i, record) in records.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        write_record_json(&mut body, record);
+    }
+    body.push_str("],\"summary\":");
+    let summary = Summary::from_records(records);
+    Json::obj(vec![
+        ("total", Json::Num(summary.total as f64)),
+        ("contacts", Json::Num(summary.contacts as f64)),
+        ("horizons", Json::Num(summary.horizons as f64)),
+        ("step_budgets", Json::Num(summary.step_budgets as f64)),
+        ("deadlines", Json::Num(summary.deadlines as f64)),
+        ("consistent", Json::Num(summary.consistent as f64)),
+    ])
+    .write(&mut body);
+    body.push('}');
+    body
 }
 
 thread_local! {
@@ -1738,5 +1750,76 @@ mod tests {
             assert_eq!(hidden.body, unknown.body, "{path}");
             assert_eq!(hidden.content_type, unknown.content_type, "{path}");
         }
+    }
+
+    /// The streamed `/first-contact` and `/sweep` bodies are byte-for-byte
+    /// the rendering of the same body built as a `Json` tree through
+    /// `record_to_json`: a feasible miss, an exact twin's horizon
+    /// disproof and a role-swapped orbit hit.
+    #[test]
+    fn streamed_bodies_render_like_the_tree() {
+        use rvz_experiments::record_to_json;
+        let service = Service::new(test_options());
+        let bodies = [
+            r#"{"speed":0.5,"distance":0.9,"visibility":0.25}"#,
+            r#"{"speed":1,"distance":0.9,"visibility":0.25}"#,
+            r#"{"speed":2,"distance":1.8,"visibility":0.5,"bearing":4.188790204786391}"#,
+        ];
+        let mut records = Vec::new();
+        for (i, body) in bodies.iter().enumerate() {
+            let (response, _) = service.handle(&request("POST", "/first-contact", body));
+            assert_eq!(response.status, 200, "{}", response.body);
+            let scenario = scenario_from_json(&parse_body(body.as_bytes()).unwrap()).unwrap();
+            let (record, canonical, _) = service.answer(&scenario, &service.request_contact());
+            let tree = Json::obj(vec![
+                ("record", record_to_json(&record)),
+                (
+                    "canonical",
+                    Json::obj(vec![
+                        ("swapped", Json::Bool(canonical.swapped)),
+                        ("time_scale", Json::Num(canonical.transform.time_scale)),
+                        (
+                            "distance_scale",
+                            Json::Num(canonical.transform.distance_scale),
+                        ),
+                    ]),
+                ),
+            ]);
+            assert_eq!(response.body, tree.render());
+            records.push(SweepRecord {
+                scenario: Scenario {
+                    id: i as u64,
+                    ..record.scenario
+                },
+                ..record
+            });
+        }
+        let sweep = format!(r#"{{"scenarios":[{}]}}"#, bodies.join(","));
+        let (response, _) = service.handle(&request("POST", "/sweep", &sweep));
+        assert_eq!(response.status, 200, "{}", response.body);
+        let summary = Summary::from_records(&records);
+        let tree = Json::obj(vec![
+            (
+                "records",
+                Json::Arr(records.iter().map(record_to_json).collect()),
+            ),
+            (
+                "summary",
+                Json::obj(vec![
+                    ("total", Json::Num(summary.total as f64)),
+                    ("contacts", Json::Num(summary.contacts as f64)),
+                    ("horizons", Json::Num(summary.horizons as f64)),
+                    ("step_budgets", Json::Num(summary.step_budgets as f64)),
+                    ("deadlines", Json::Num(summary.deadlines as f64)),
+                    ("consistent", Json::Num(summary.consistent as f64)),
+                ]),
+            ),
+        ]);
+        assert_eq!(response.body, tree.render());
+        assert!(
+            summary.contacts > 0 && summary.horizons > 0,
+            "{}",
+            response.body
+        );
     }
 }

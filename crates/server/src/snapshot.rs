@@ -52,17 +52,20 @@ use std::sync::Arc;
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RVZSNAP1";
 
 /// Snapshot format version, bumped on any layout change and whenever
-/// the bytes a miss computes change. Version 5 caches outcomes from an
-/// engine whose `Vec2::norm` is `√(x² + y²)` rather than `hypot` (their
-/// times and distances move in the last bits, and sometimes `steps`),
-/// so a version 4 file cold-starts rather than serving stale bytes.
+/// the bytes a miss computes change. Version 6 caches outcomes from an
+/// engine with the curvature certificate in its step ladder (`steps`
+/// change, contact times and distances move within the declaration
+/// slack), so a version 5 file cold-starts rather than serving stale
+/// bytes. Version 5 cached outcomes from an engine whose `Vec2::norm`
+/// is `√(x² + y²)` rather than `hypot`, so a version 4 file cold-starts
+/// too.
 /// Version 4 cached τ = 1 outcomes computed on the Lemma 4 relative
 /// trajectory, so a version 3 file (two cursors) cold-starts too;
 /// version 3 dropped the program-key record kind and its count in the
 /// meta record, so a version 1 or 2 file cold-starts rather than
 /// misparses. A change to
 /// [`rvz_experiments::ENGINE_BYTES_DIGEST`] goes with a bump here.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 const KIND_META: u8 = 0;
 const KIND_RESULT: u8 = 1;

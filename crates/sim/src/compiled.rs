@@ -43,7 +43,8 @@
 //! `tests/engine_equivalence.rs` over a seeded Latin hypercube.
 
 use crate::engine::{
-    circular_pair_law, piece_gap_lower_bound, ContactOptions, EngineStats, SimOutcome,
+    circular_pair_law, curvature_step, piece_gap_lower_bound, ContactOptions, EngineStats,
+    SimOutcome,
 };
 use rvz_trajectory::{CompiledProgram, Motion};
 
@@ -219,13 +220,15 @@ fn try_first_contact_programs_impl(
             }
         }
 
-        // The certificate ladder, identical to the cursor engine's.
+        // The cursor engine's certificate ladder, rung for rung (the
+        // threshold and the curvature target carry `approx`).
         let conservative = if rel_speed > 0.0 {
             (d - radius) / rel_speed
         } else {
             f64::INFINITY
         };
         let mut exact_root = false;
+        let mut curved = false;
         let step = match (pa.motion, pb.motion) {
             (Motion::Affine { velocity: va }, Motion::Affine { velocity: vb }) => {
                 let boundary = pa.piece_end.min(pb.piece_end).min(opts.horizon);
@@ -286,7 +289,10 @@ fn try_first_contact_programs_impl(
                 } else if piece_gap_lower_bound(&pa, &pb, ma, mb, ub) > threshold {
                     ub.max(conservative)
                 } else if conservative.is_finite() {
-                    conservative
+                    let curvature =
+                        curvature_step(&pa, &pb, d, ub, threshold - 0.5 * opts.tolerance);
+                    curved = curvature > conservative;
+                    curvature.max(conservative)
                 } else {
                     break SimOutcome::Horizon {
                         min_distance,
@@ -298,6 +304,8 @@ fn try_first_contact_programs_impl(
         };
         if exact_root {
             stats.analytic_steps += 1;
+        } else if curved {
+            stats.curvature_steps += 1;
         } else {
             stats.conservative_steps += 1;
         }

@@ -39,11 +39,18 @@
 //! 3. **Circular lower bounds** — the remaining circle combinations get
 //!    a set-distance bound (circle-to-circle, moving-segment-to-circle)
 //!    certifying the whole piece overlap when it clears the threshold.
-//! 4. **Conservative step** — with relative speed at most `s`, a gap
+//! 4. **Curvature bound** — the same pairs, when rung 3 cannot clear the
+//!    piece: each piece has a known velocity and an acceleration of at
+//!    most `ω²R`, so `|q(s)| ≥ d0 + d0'·s − M·s²/2` on the overlap; step
+//!    to that bound's first root at `radius + tolerance/2` (see
+//!    `curvature_step`). An arc pair then approaches contact like a
+//!    second-order method instead of crawling at the speed bound.
+//!    [`Motion::Curved`] pieces get no such bound.
+//! 5. **Conservative step** — with relative speed at most `s`, a gap
 //!    `D − radius` cannot close within `(D − radius)/s`; always taken
 //!    when it is the longest (so the cursor engine never steps more
 //!    often than the generic loop).
-//! 5. **Swept-envelope pruning** (when [`ContactOptions::prune`] is on)
+//! 6. **Swept-envelope pruning** (when [`ContactOptions::prune`] is on)
 //!    — starting from the certified advance, test
 //!    `b.gap_to(window, &envelope_a) > radius + tolerance` (the disk
 //!    gap, or a map-aware bound through a singular frame warp; see
@@ -51,7 +58,7 @@
 //!    look-ahead window: success skips the window wholesale (entire
 //!    sub-rounds of `Search(k)` at the top of the hierarchy) and doubles
 //!    it, failure halves it — coarse-to-fine descent that hands off to
-//!    certificates 1–4 at leaf scale. Complete misses back off
+//!    certificates 1–5 at leaf scale. Complete misses back off
 //!    exponentially so unprunable stretches pay almost nothing. Against
 //!    a fixed `a` (speed bound 0) a skipped window's gap is a lower
 //!    bound on the distance over the window, so it is folded into the
@@ -412,8 +419,11 @@ pub struct EngineStats {
     /// Steps advanced by an exact analytic root (affine quadratic or
     /// cosine-law crossing): the ladder's certificates 1–2.
     pub analytic_steps: u64,
-    /// Steps advanced by the conservative / piece-boundary certificates
-    /// (3–4) — the remainder of the ladder.
+    /// Steps advanced by the curvature certificate (4) where it
+    /// outreached the speed bound.
+    pub curvature_steps: u64,
+    /// Steps advanced by the piece-boundary and conservative
+    /// certificates (3, 5) — the remainder of the ladder.
     pub conservative_steps: u64,
     /// Lane-kernel chunks evaluated (each chunk is up to
     /// [`crate::kernel::KERNEL_LANES`] merged affine intervals minimized
@@ -575,6 +585,7 @@ where
             f64::INFINITY
         };
         let mut exact_root = false;
+        let mut curved = false;
         let step = match (pa.motion, pb.motion) {
             (Motion::Affine { velocity: va }, Motion::Affine { velocity: vb }) => {
                 // Both pieces are exact linear motions until `boundary`
@@ -669,7 +680,13 @@ where
                 } else if piece_gap_lower_bound(&pa, &pb, ma, mb, ub) > threshold {
                     ub.max(conservative)
                 } else if conservative.is_finite() {
-                    conservative
+                    // No closed form and no whole-piece bound: the
+                    // curvature certificate, when it outreaches the speed
+                    // bound. Aimed mid-band, like every declared contact.
+                    let curvature =
+                        curvature_step(&pa, &pb, d, ub, threshold - 0.5 * opts.tolerance);
+                    curved = curvature > conservative;
+                    curvature.max(conservative)
                 } else {
                     // Neither can move: the distance can never change.
                     return (
@@ -685,6 +702,8 @@ where
         };
         if exact_root {
             stats.analytic_steps += 1;
+        } else if curved {
+            stats.curvature_steps += 1;
         } else {
             stats.conservative_steps += 1;
         }
@@ -976,6 +995,60 @@ pub(crate) fn piece_gap_lower_bound(
     }
 }
 
+/// Relative slack on a circular piece's acceleration bound `ω²R`: covers
+/// the rounding of a probe that sits a few ulps off its reported circle.
+const CURVATURE_SLACK: f64 = 1e-9;
+
+/// The second-order (curvature) certificate: a contact-free advance for
+/// a piece pair without a closed form (unequal-rate circles, a circle
+/// against a moving line), or `0` when a side is [`Motion::Curved`].
+///
+/// Each side has a known velocity (`ω·perp(p − c)` on an arc, no trig)
+/// and an acceleration of at most `ω²R` (`0` on an affine piece). With
+/// `q` the relative position, `d0 = |q0| = d`, `d0' = q0·(v_b − v_a)/d0`
+/// and `M = a_a + a_b`, the projection of `q(s)` on `q0/d0` has second
+/// derivative at most `M` in magnitude, so over the piece overlap
+/// `|q(s)| ≥ d0 + d0'·s − M·s²/2`. The step is the first root of that
+/// bound at `target`, capped at `ub`. Callers aim `target` inside the
+/// declaration band (`tolerance/2` above the radius), so rounding in the
+/// bound cannot land a declared contact below the radius.
+pub(crate) fn curvature_step(pa: &Probe, pb: &Probe, d: f64, ub: f64, target: f64) -> f64 {
+    let (Some((va, acc_a)), Some((vb, acc_b))) = (kinematics(pa), kinematics(pb)) else {
+        return 0.0;
+    };
+    let rate = (pb.position - pa.position).dot(vb - va) / d;
+    let gap = d - target;
+    let m = acc_a + acc_b;
+    // Positive root of `m/2·s² − rate·s − gap`, in the cancellation-free
+    // form for each sign of `rate` (`∞` when nothing bends or closes).
+    let sqrt_disc = (rate * rate + 2.0 * m * gap).sqrt();
+    let root = if rate <= 0.0 {
+        2.0 * gap / (sqrt_disc - rate)
+    } else {
+        (rate + sqrt_disc) / m
+    };
+    root.min(ub)
+}
+
+/// A piece's velocity and acceleration bound at the probe, or `None`
+/// for a [`Motion::Curved`] piece.
+fn kinematics(p: &Probe) -> Option<(Vec2, f64)> {
+    match p.motion {
+        Motion::Affine { velocity } => Some((velocity, 0.0)),
+        Motion::Circular {
+            center,
+            radius,
+            angular_velocity: w,
+            ..
+        } => {
+            let rel = p.position - center;
+            let reach = radius.max(rel.norm()) * (1.0 + CURVATURE_SLACK);
+            Some((rel.perp() * w, w * w * reach))
+        }
+        Motion::Curved => None,
+    }
+}
+
 /// Minimum distance from the moving point `p + v·u`, `u ∈ [0, ub]`, to
 /// the fixed point `c`.
 fn segment_point_distance(p: Vec2, v: Vec2, ub: f64, c: Vec2) -> f64 {
@@ -1101,8 +1174,120 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rvz_experiments::SplitMix64;
     use rvz_geometry::Vec2;
     use rvz_trajectory::{FnTrajectory, PathBuilder};
+
+    /// A piece for the curvature property: its probe at `s = 0` and its
+    /// exact position at any `s` in the overlap.
+    struct Piece {
+        probe: Probe,
+        at: Box<dyn Fn(f64) -> Vec2>,
+    }
+
+    fn arc(rng: &mut SplitMix64, omega: f64) -> Piece {
+        let center = Vec2::new(rng.next_range(-3.0, 3.0), rng.next_range(-3.0, 3.0));
+        let radius = rng.next_range(0.05, 4.0);
+        let angle = rng.next_range(0.0, std::f64::consts::TAU);
+        let at = move |s: f64| center + Vec2::from_polar(radius, angle + omega * s);
+        Piece {
+            probe: Probe {
+                position: at(0.0),
+                piece_end: f64::INFINITY,
+                motion: Motion::Circular {
+                    center,
+                    radius,
+                    angular_velocity: omega,
+                    angle,
+                },
+            },
+            at: Box::new(at),
+        }
+    }
+
+    fn line(rng: &mut SplitMix64, speed: f64) -> Piece {
+        let start = Vec2::new(rng.next_range(-3.0, 3.0), rng.next_range(-3.0, 3.0));
+        let velocity = Vec2::from_polar(speed, rng.next_range(0.0, std::f64::consts::TAU));
+        Piece {
+            probe: Probe {
+                position: start,
+                piece_end: f64::INFINITY,
+                motion: Motion::Affine { velocity },
+            },
+            at: Box::new(move |s| start + velocity * s),
+        }
+    }
+
+    fn signed_rate(rng: &mut SplitMix64) -> f64 {
+        let w = rng.next_range(0.05, 5.0);
+        if rng.next_below(2) == 0 {
+            w
+        } else {
+            -w
+        }
+    }
+
+    /// The curvature certificate against the true distance: on random
+    /// unequal-rate arc pairs, arc vs line, arc vs wait and line vs arc,
+    /// the pair never comes closer than the target anywhere in the step
+    /// it certifies (sampled densely on `[0, step]`, the step capped at a
+    /// random piece overlap). 256 draws in debug, 10,000 in release.
+    #[test]
+    fn curvature_step_never_passes_the_target() {
+        let cases = if cfg!(debug_assertions) { 256 } else { 10_000 };
+        let mut rng = SplitMix64::new(0xC0A7_5EED);
+        let mut long = 0_usize;
+        for case in 0..cases {
+            let w = signed_rate(&mut rng);
+            let speed = rng.next_range(0.05, 3.0);
+            let (a, b) = match case % 4 {
+                0 => {
+                    // Either sense of rotation; equal rates have a
+                    // closed form and never reach this rung.
+                    let wb = signed_rate(&mut rng);
+                    (arc(&mut rng, w), arc(&mut rng, wb))
+                }
+                1 => (arc(&mut rng, w), line(&mut rng, speed)),
+                2 => (arc(&mut rng, w), line(&mut rng, 0.0)),
+                _ => (line(&mut rng, speed), arc(&mut rng, w)),
+            };
+            let d = a.probe.position.distance(b.probe.position);
+            let target = d * rng.next_range(0.02, 0.98);
+            let ub = rng.next_range(0.01, 10.0);
+            let step = curvature_step(&a.probe, &b.probe, d, ub, target);
+            assert!(
+                step > 0.0 && step <= ub,
+                "case {case}: step {step} (ub {ub})"
+            );
+            const SAMPLES: usize = 512;
+            for i in 0..=SAMPLES {
+                let s = step * i as f64 / SAMPLES as f64;
+                let gap = (a.at)(s).distance((b.at)(s));
+                assert!(
+                    gap >= target * (1.0 - 1e-12),
+                    "case {case}: distance {gap} < target {target} at s = {s} of {step}"
+                );
+            }
+            long += usize::from(step == ub);
+        }
+        // Some draws certify the whole overlap, most stop short of it.
+        assert!(
+            long * 50 >= cases && long * 2 <= cases,
+            "{long} of {cases} steps reached ub"
+        );
+    }
+
+    #[test]
+    fn curvature_step_declines_curved_pieces() {
+        let curved = Probe {
+            position: Vec2::new(1.0, 0.0),
+            piece_end: 1.0,
+            motion: Motion::Curved,
+        };
+        let rest = Probe::resting(Vec2::ZERO);
+        assert_eq!(curvature_step(&curved, &rest, 1.0, 1.0, 0.5), 0.0);
+        assert_eq!(curvature_step(&rest, &curved, 1.0, 1.0, 0.5), 0.0);
+    }
 
     #[test]
     fn head_on_contact_time_is_exact() {
@@ -1431,7 +1616,10 @@ mod tests {
         assert!(stats.envelope_queries > 0);
         assert!(stats.pruned_intervals > 0);
         // The step-choice counters partition the advancement steps.
-        assert_eq!(stats.analytic_steps + stats.conservative_steps, out.steps());
+        assert_eq!(
+            stats.analytic_steps + stats.curvature_steps + stats.conservative_steps,
+            out.steps()
+        );
         // With pruning off the same query reports zero envelope work
         // (the step-choice counters still account for every step).
         let (silent_out, silent) = first_contact_cursors_instrumented(
@@ -1443,8 +1631,28 @@ mod tests {
         assert_eq!(silent.envelope_queries, 0);
         assert_eq!(silent.pruned_intervals, 0);
         assert_eq!(
-            silent.analytic_steps + silent.conservative_steps,
+            silent.analytic_steps + silent.curvature_steps + silent.conservative_steps,
             silent_out.steps()
+        );
+    }
+
+    #[test]
+    fn curvature_certificate_steps_arcs_against_a_moving_leg() {
+        // Algorithm 4's arcs against a robot crossing its search area:
+        // circle vs moving line has no closed form, so the curvature
+        // certificate takes steps, and the step-choice counters still
+        // partition every step.
+        let a = rvz_search::UniversalSearch;
+        let b = PathBuilder::at(Vec2::new(6.0, 0.0))
+            .line_to(Vec2::new(-6.0, 0.3))
+            .build();
+        let opts = ContactOptions::with_horizon(rvz_search::times::rounds_total(4));
+        let (out, stats) =
+            first_contact_cursors_instrumented(&mut a.cursor(), &mut b.cursor(), 0.05, &opts);
+        assert!(stats.curvature_steps > 0, "{out}: {stats:?}");
+        assert_eq!(
+            stats.analytic_steps + stats.curvature_steps + stats.conservative_steps,
+            out.steps()
         );
     }
 

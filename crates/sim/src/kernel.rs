@@ -57,6 +57,11 @@
 //!   (the pair may touch the circle band, or the bound dips below the
 //!   tracked minimum distance) is refined inline with the scalar
 //!   cosine-law certificates; only contact candidates leave the chain.
+//!   A lane the padded bound leaves inside the threshold without a
+//!   cosine law is such a candidate: the scalar tail runs the ladder's
+//!   curvature certificate (`crate::engine::curvature_step`) on it, the
+//!   same rung at the same place as the cursor engine and the compiled
+//!   ladder.
 //! * Conservative jumps that outrun the boundary (`(d − r)/s` beyond
 //!   the current piece) skip the chain — the scalar jump already
 //!   clears more time than the lanes would certify.
@@ -82,7 +87,8 @@
 
 use crate::compiled::EngineScratch;
 use crate::engine::{
-    circular_pair_law, piece_gap_lower_bound, ContactOptions, EngineStats, SimOutcome,
+    circular_pair_law, curvature_step, piece_gap_lower_bound, ContactOptions, EngineStats,
+    SimOutcome,
 };
 use rvz_geometry::Vec2;
 use rvz_trajectory::soa::AFFINE;
@@ -421,7 +427,8 @@ fn chain_scan(
                     // *is* the scalar `piece_gap_lower_bound` here:
                     // above the threshold the scalar ladder steps the
                     // interval on the entry probe alone; inside it, the
-                    // scalar ladder must crawl conservatively.
+                    // scalar ladder takes the curvature or conservative
+                    // step, so the interval goes back to it.
                     if contact_possible {
                         return (Stream::Candidate { entry }, jumped);
                     }
@@ -546,6 +553,7 @@ pub(crate) fn try_first_contact_soa_impl(
             f64::INFINITY
         };
         let mut exact_root = false;
+        let mut curved = false;
         let mut jumped = 0_u64;
         // Chains stream intervals linearly, so they only pay off where
         // envelope pruning cannot skip whole rounds: launch them when
@@ -625,7 +633,10 @@ pub(crate) fn try_first_contact_soa_impl(
                     }
                     ub.max(conservative)
                 } else if conservative.is_finite() {
-                    conservative
+                    let curvature =
+                        curvature_step(&pa, &pb, d, ub, threshold - 0.5 * opts.tolerance);
+                    curved = curvature > conservative;
+                    curvature.max(conservative)
                 } else {
                     break SimOutcome::Horizon {
                         min_distance,
@@ -671,6 +682,8 @@ pub(crate) fn try_first_contact_soa_impl(
         }
         if exact_root {
             stats.analytic_steps += 1;
+        } else if curved {
+            stats.curvature_steps += 1;
         } else {
             stats.conservative_steps += 1;
         }

@@ -64,6 +64,8 @@ pub struct EngineTelemetry {
     /// Steps advanced by an exact analytic root (affine quadratic or
     /// cosine law).
     pub analytic_steps: u64,
+    /// Steps advanced by the curvature certificate.
+    pub curvature_steps: u64,
     /// Steps advanced by the conservative / piece-boundary certificate.
     pub conservative_steps: u64,
     /// Lane-kernel chunks evaluated (zero on scalar paths).
@@ -147,6 +149,7 @@ pub(crate) fn record(path: EnginePath, outcome: Option<&SimOutcome>, stats: Engi
         envelope_queries: stats.envelope_queries,
         pruned_intervals: stats.pruned_intervals,
         analytic_steps: stats.analytic_steps,
+        curvature_steps: stats.curvature_steps,
         conservative_steps: stats.conservative_steps,
         lane_chunks: stats.lane_chunks,
         lane_intervals: stats.lane_intervals,
@@ -162,6 +165,7 @@ pub(crate) fn record(path: EnginePath, outcome: Option<&SimOutcome>, stats: Engi
     counter!("rvz_engine_envelope_queries_total").add(stats.envelope_queries);
     counter!("rvz_engine_pruned_intervals_total").add(stats.pruned_intervals);
     counter!("rvz_engine_steps_analytic_total").add(stats.analytic_steps);
+    counter!("rvz_engine_steps_curvature_total").add(stats.curvature_steps);
     counter!("rvz_engine_steps_conservative_total").add(stats.conservative_steps);
     match path {
         EnginePath::CompiledEager => dispatch_counter(false).inc(),
@@ -193,6 +197,7 @@ pub fn preregister_metrics() {
     let _ = counter!("rvz_engine_envelope_queries_total");
     let _ = counter!("rvz_engine_pruned_intervals_total");
     let _ = counter!("rvz_engine_steps_analytic_total");
+    let _ = counter!("rvz_engine_steps_curvature_total");
     let _ = counter!("rvz_engine_steps_conservative_total");
     let _ = counter!("rvz_engine_kernel_chunks_total");
     let _ = counter!("rvz_engine_kernel_lanes_active");

@@ -409,6 +409,55 @@ fn compiled_and_cursor_engines_classify_identically() {
     );
 }
 
+/// The curvature certificate on the sweep path: an Algorithm 4 pair
+/// whose arcs approach contact near-tangentially crosses to the contact
+/// in a handful of steps instead of crawling at the speed bound (95
+/// steps on the speed bound alone), and over a seeded batch every
+/// declared contact lies in the declaration band `[radius, radius +
+/// tolerance]`: the certificate aims inside the band, so rounding never
+/// lands a contact below the radius.
+#[test]
+fn curvature_certificate_stops_the_arc_crawl_and_declares_inside_the_band() {
+    use plane_rendezvous::experiments::run_sweep;
+
+    let opts = SweepOptions::default();
+    let pinned = Scenario {
+        id: 0,
+        algorithm: Algorithm::UniversalSearch,
+        speed: 0.3503251654930681,
+        time_unit: 1.7192999907007946,
+        orientation: 4.073873481958583,
+        chirality: Chirality::Consistent,
+        distance: 0.6041149166889439,
+        bearing: 1.375558837784862,
+        visibility: 0.2,
+    };
+    let out = run_fast(&pinned, &opts.contact);
+    assert!(
+        out.is_contact() && out.steps() <= 16,
+        "pinned arc pair: {out}"
+    );
+
+    let space = SampleSpace {
+        visibility: 0.2,
+        algorithms: vec![Algorithm::WaitAndSearch, Algorithm::UniversalSearch],
+        ..Default::default()
+    };
+    let mut contacts = 0_usize;
+    for record in run_sweep(&latin_hypercube(&space, 256, 0xA4C5), &opts) {
+        if let SimOutcome::Contact { distance, .. } = record.outcome {
+            contacts += 1;
+            let r = record.scenario.visibility;
+            assert!(
+                (r..=r + opts.contact.tolerance).contains(&distance),
+                "{:?}: declared at {distance} for radius {r}",
+                record.scenario
+            );
+        }
+    }
+    assert!(contacts >= 64, "only {contacts} batch contacts sampled");
+}
+
 /// The SoA arena vs the eager program it was transposed from, on the
 /// Latin-hypercube partners: bit-for-bit identical probes and envelope
 /// boxes on a time grid, and the same coverage, marks, speed bound and

@@ -204,4 +204,7 @@ fn sweep_no_prune_flag_is_accepted_and_consistent() {
     let (ok, stdout, stderr) = rvz(&with_flag);
     assert!(ok, "sweep --no-prune failed: {stderr}");
     assert!(stdout.contains("theorem-4 consistency: 2/2"));
+    for ext in ["jsonl", "csv"] {
+        let _ = std::fs::remove_file(format!("{prefix_str}.{ext}"));
+    }
 }
