@@ -98,7 +98,7 @@ cargo test --release --quiet --test core_properties --test search_properties \
 echo "==> engine output bytes (release: the pinned digest holds in both builds)"
 # tests/engine_bytes.rs hashes a fixed sweep's JSONL and one served
 # /first-contact body against ENGINE_BYTES_DIGEST, declared beside
-# CHECKPOINT_VERSION; tier-1 runs it in debug, so a digest that differs
+# JOURNAL_VERSION; tier-1 runs it in debug, so a digest that differs
 # between the two builds fails one of the two runs.
 cargo test --release --quiet --test engine_bytes
 
@@ -305,6 +305,11 @@ wait "$SWEEP_PID" 2>/dev/null || true
     --checkpoint "$DUR_DIR/sweep.ckpt" --resume > "$DUR_DIR/resume.log"
 grep -q 'checkpoint:' "$DUR_DIR/resume.log" \
     || { echo "resumed sweep did not report checkpoint stats"; exit 1; }
+# The killed run's journal was non-empty, so it held a valid header and
+# at least one record: a resume that dropped it would still `cmp` equal.
+RESUMED="$(sed -n 's/^checkpoint: \([0-9]*\) resumed.*/\1/p' "$DUR_DIR/resume.log")"
+[ "${RESUMED:-0}" -ge 1 ] \
+    || { echo "resumed sweep reused no journaled record: $(cat "$DUR_DIR/resume.log")"; exit 1; }
 cmp "$DUR_DIR/reference.jsonl" "$DUR_DIR/resumed.jsonl" \
     || { echo "resumed sweep JSONL diverged from the uninterrupted run"; exit 1; }
 cmp "$DUR_DIR/reference.csv" "$DUR_DIR/resumed.csv" \
@@ -313,7 +318,7 @@ rm -rf "$DUR_DIR"
 
 echo "==> checkpoint cost gate (checkpointed 20k sweep within 1.15x of the plain one, median of 5 alternating pairs)"
 # The checkpoint holds framed records in memory and syncs them (one
-# write, one fsync, one manifest rewrite) on the first record at least
+# write, one fsync, one flight-recorder dump) on the first record at least
 # 250 ms after the last sync and at the end, so its cost follows the
 # sweep's wall time, not its record count. Both runs must also write
 # the same JSONL.

@@ -172,7 +172,8 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    fn of(s: &Scenario) -> CacheKey {
+    /// The key of a canonical representative (its id is not part of it).
+    pub fn of(s: &Scenario) -> CacheKey {
         CacheKey {
             algorithm: s.algorithm,
             chirality: s.chirality,
@@ -184,6 +185,24 @@ impl CacheKey {
                 s.bearing.to_bits(),
                 s.visibility.to_bits(),
             ],
+        }
+    }
+
+    /// The representative this key identifies, with id 0: the inverse
+    /// of [`CacheKey::of`], bit for bit.
+    pub fn scenario(&self) -> Scenario {
+        let [speed, time_unit, orientation, distance, bearing, visibility] =
+            self.bits.map(f64::from_bits);
+        Scenario {
+            id: 0,
+            algorithm: self.algorithm,
+            speed,
+            time_unit,
+            orientation,
+            chirality: self.chirality,
+            distance,
+            bearing,
+            visibility,
         }
     }
 

@@ -1,19 +1,16 @@
 //! Sweep checkpoint/resume: journal completed records, skip them on
 //! restart, and reproduce the uninterrupted output bit-for-bit.
 //!
-//! The journal is an append-only text file of CRC-framed JSONL rows —
-//! each line is `CRC32-hex TAB record-json NEWLINE`, where the JSON is
-//! exactly the [`crate::record_to_json`] rendering the sweep artifact
-//! itself uses. A crash (or an injected
-//! [`FaultSite::ShortWrite`](crate::FaultSite::ShortWrite)) can
-//! tear at most the final line; [`Checkpoint::open`] salvages the valid
-//! prefix, truncates the torn tail, and hands back the finished records
-//! so [`run_sweep_checkpointed`] only computes what is missing.
+//! The checkpoint is a [`crate::journal`]: a header line pinning the
+//! sweep **fingerprint** (a digest of the scenario batch and the engine
+//! options, but *not* the thread count), then one CRC-framed
+//! [`crate::write_record_json`] line per finished scenario. A crash (or
+//! an injected [`FaultSite::ShortWrite`](crate::FaultSite::ShortWrite))
+//! can tear at most the final line; [`Checkpoint::open`] salvages the
+//! valid prefix, truncates the torn tail, and hands back the finished
+//! records so [`run_sweep_checkpointed`] only computes what is missing.
 //!
-//! A sibling manifest (`<path>.manifest`, atomic-replace via
-//! [`DurableFile`]) pins the sweep **fingerprint** — a digest of the
-//! scenario batch and the engine options (but *not* the thread count).
-//! Resuming against a journal whose manifest names a different sweep is
+//! Resuming a journal whose header names a different sweep or version is
 //! refused outright: silently merging records from a different grid
 //! would fabricate an artifact no single run could produce. Within a
 //! matching sweep, every salvaged record is additionally cross-checked
@@ -25,47 +22,25 @@
 //! any thread count and any kill point — the property the CI
 //! kill-and-restart smoke asserts with `cmp`.
 
-use crate::durable::{
-    crc32, fnv1a64, remove_stale_temp, truncate_file, DurableFile, JournalFile, FNV_OFFSET_BASIS,
-};
+use crate::durable::{fnv1a64, read_file_faulty, truncate_file, JournalFile, FNV_OFFSET_BASIS};
 use crate::executor::{run_sweep_with, SweepOptions, SweepRecord};
 use crate::faults::Faults;
-use crate::json::{self, Json};
+use crate::journal::{read_journal, write_frame, write_header, JOURNAL_VERSION};
 use crate::report::{record_from_json, write_record_json};
 use crate::scenario::Scenario;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Journal format version, bumped on any framing change and whenever
-/// the records a sweep computes change. Version 5 records come from an
-/// engine with the curvature certificate in its step ladder, which
-/// changes `steps` and moves contact `time` and `observed_distance`
-/// within the declaration slack, so a version 4 journal is refused.
-/// Version 4 records came from an engine whose `Vec2::norm` is
-/// `√(x² + y²)` rather than `hypot`, so a version 3 journal is refused
-/// too. So is a version 2 journal
-/// (τ = 1 scenarios on two cursors rather than the Lemma 4 relative
-/// trajectory) or a version 1 journal (records possibly from the
-/// retired compiled path): none is ever resumed into.
-pub const CHECKPOINT_VERSION: u32 = 5;
-
-/// FNV-1a digest of the engine's output bytes on a pinned sweep plus one
-/// served `/first-contact` body (`tests/engine_bytes.rs`). Every update
-/// goes with a bump of [`CHECKPOINT_VERSION`] and of the serve
-/// snapshot's `SNAPSHOT_VERSION`, so no journal or snapshot outlives
-/// the bytes it holds.
-pub const ENGINE_BYTES_DIGEST: u64 = 0x9036_acee_957e_d26e;
-
 /// Least time between syncs of the checkpoint. Appended records are
 /// held in memory; a sync writes them to the journal in one write,
-/// `fsync`s it, rewrites the manifest and dumps the flight recorder. It
-/// happens on the first append at least this long after the previous
-/// sync, and at [`Checkpoint::finish`]. A crash (`kill -9`, power loss)
-/// therefore loses the records of the unwritten batch: those that
-/// finished since the last sync, about this much sweep time plus one
-/// scenario. They are recomputed on resume.
+/// `fsync`s it and dumps the flight recorder. It happens on the first
+/// append at least this long after the previous sync, and at the end of
+/// the run. A crash (`kill -9`, power loss) therefore loses the records
+/// of the unwritten batch: those that finished since the last sync,
+/// about this much sweep time plus one scenario. They are recomputed on
+/// resume. A new journal's header rides in its first batch, so the file
+/// stays empty until the first sync.
 const SYNC_EVERY: Duration = Duration::from_millis(250);
 
 /// Digest of the sweep identity: the full scenario batch plus the
@@ -76,7 +51,7 @@ pub fn sweep_fingerprint(scenarios: &[Scenario], opts: &SweepOptions) -> u64 {
         fnv1a64(&x.to_le_bytes(), h)
     }
     let mut h = FNV_OFFSET_BASIS;
-    h = word(h, CHECKPOINT_VERSION as u64);
+    h = word(h, JOURNAL_VERSION as u64);
     h = word(h, opts.contact.tolerance.to_bits());
     h = word(h, opts.contact.horizon.to_bits());
     h = word(h, opts.contact.max_steps);
@@ -96,16 +71,6 @@ pub fn sweep_fingerprint(scenarios: &[Scenario], opts: &SweepOptions) -> u64 {
     h
 }
 
-/// What [`Checkpoint::open`] found on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResumeInfo {
-    /// Finished records salvaged from the journal.
-    pub salvaged: usize,
-    /// Torn or corrupt trailing lines discarded (the valid prefix ends
-    /// where the first bad frame begins).
-    pub dropped: usize,
-}
-
 /// Aggregate accounting for a checkpointed sweep run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CheckpointStats {
@@ -115,15 +80,9 @@ pub struct CheckpointStats {
     pub computed: usize,
     /// Torn/corrupt journal lines dropped during salvage.
     pub dropped: usize,
-    /// Journal/manifest `fsync`s that failed (non-fatal: the data is
-    /// re-derivable, so a failed sync only widens the crash window).
+    /// Journal writes and `fsync`s that failed (non-fatal: the data is
+    /// re-derivable, so a failure only widens the crash window).
     pub sync_failures: u64,
-}
-
-fn manifest_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".manifest");
-    path.with_file_name(name)
 }
 
 /// The sibling flight-recorder dump (`<path>.trace.jsonl`).
@@ -157,34 +116,29 @@ fn dump_flight_recorder(path: &Path) {
 /// Records salvaged from an existing journal, keyed by scenario index.
 pub type SalvagedRecords = Vec<(usize, SweepRecord)>;
 
-/// An open sweep checkpoint: the append journal plus its manifest.
+/// An open sweep checkpoint: the append journal and its unwritten batch.
 pub struct Checkpoint {
     path: PathBuf,
     journal: JournalFile,
-    fingerprint: u64,
-    entries: usize,
     /// Framed lines appended since the last sync, not yet written.
     pending: String,
-    /// Scratch for one record's JSON, reused across appends.
-    line: String,
-    pending_entries: usize,
     last_sync: Instant,
     sync_failures: u64,
-    faults: Option<Arc<Faults>>,
 }
 
 impl Checkpoint {
     /// Opens (or creates) the checkpoint at `path` for the given sweep.
     ///
-    /// Returns the checkpoint plus the salvaged records `(index,
-    /// record)` keyed by scenario index. An existing non-empty journal
-    /// requires `resume = true`; its manifest (when present) must name
-    /// this exact sweep.
+    /// Returns the checkpoint, the salvaged records `(index, record)`
+    /// keyed by scenario index, and the number of torn or corrupt lines
+    /// dropped. An existing non-empty journal requires `resume = true`,
+    /// and a valid header line must name this exact sweep.
     ///
     /// # Errors
     ///
     /// * the journal exists but `resume` was not requested;
-    /// * the manifest's version or fingerprint names a different sweep;
+    /// * its header names a different version or sweep, or its first
+    ///   line is not a header at all;
     /// * I/O failure opening or truncating the journal.
     pub fn open(
         path: &Path,
@@ -192,11 +146,12 @@ impl Checkpoint {
         opts: &SweepOptions,
         resume: bool,
         faults: Option<Arc<Faults>>,
-    ) -> Result<(Checkpoint, SalvagedRecords, ResumeInfo), String> {
+    ) -> Result<(Checkpoint, SalvagedRecords, usize), String> {
         let fingerprint = sweep_fingerprint(scenarios, opts);
         let existing = std::fs::metadata(path).map_or(0, |m| m.len());
         let mut salvaged = Vec::new();
-        let mut info = ResumeInfo::default();
+        let mut dropped = 0;
+        let mut valid_bytes = 0;
         if existing > 0 {
             if !resume {
                 return Err(format!(
@@ -205,192 +160,85 @@ impl Checkpoint {
                     path.display()
                 ));
             }
-            check_manifest(&manifest_path(path), fingerprint)?;
-            let bytes = crate::durable::read_file_faulty(path, faults.as_ref())
+            let bytes = read_file_faulty(path, faults.as_ref())
                 .map_err(|e| format!("cannot read checkpoint `{}`: {e}", path.display()))?;
-            let (records, valid_bytes, dropped) = salvage(&bytes, scenarios);
-            info.salvaged = records.len();
-            info.dropped = dropped;
-            salvaged = records;
+            let mut filled = vec![false; scenarios.len()];
+            let prefix = read_journal(&bytes, fingerprint, |value| {
+                let Ok(record) = record_from_json(value) else {
+                    return false;
+                };
+                let i = usize::try_from(record.scenario.id).unwrap_or(usize::MAX);
+                if scenarios.get(i) != Some(&record.scenario) || filled[i] {
+                    return false;
+                }
+                filled[i] = true;
+                salvaged.push((i, record));
+                true
+            })
+            .map_err(|e| {
+                format!(
+                    "checkpoint `{}` {e}; refusing to resume — remove the checkpoint to \
+                     start over",
+                    path.display()
+                )
+            })?;
+            dropped = prefix.dropped_lines;
+            valid_bytes = prefix.valid_bytes as u64;
             if valid_bytes < existing {
                 truncate_file(path, valid_bytes).map_err(|e| {
                     format!("cannot drop torn checkpoint tail `{}`: {e}", path.display())
                 })?;
             }
         }
-        remove_stale_temp(&manifest_path(path));
-        let journal = JournalFile::append_to(path, faults.clone())
+        let journal = JournalFile::append_to(path, faults)
             .map_err(|e| format!("cannot open checkpoint `{}`: {e}", path.display()))?;
+        let mut pending = String::new();
+        if valid_bytes == 0 {
+            write_header(&mut pending, fingerprint, None);
+        }
         Ok((
             Checkpoint {
                 path: path.to_path_buf(),
                 journal,
-                fingerprint,
-                entries: salvaged.len(),
-                pending: String::new(),
-                line: String::new(),
-                pending_entries: 0,
+                pending,
                 last_sync: Instant::now(),
                 sync_failures: 0,
-                faults,
             },
             salvaged,
-            info,
+            dropped,
         ))
     }
 
     /// Journals one completed record: frames it into the pending batch,
     /// and syncs when `SYNC_EVERY` has passed since the last sync.
-    /// Write failures (including an injected short write, which leaves a
-    /// torn line for the next open to salvage around) and sync failures
-    /// are non-fatal: the records are re-derivable, so the worst case is
-    /// recomputing them after a crash.
     pub fn append(&mut self, record: &SweepRecord) {
-        self.line.clear();
-        write_record_json(&mut self.line, record);
-        let _ = write!(self.pending, "{:08x}\t", crc32(self.line.as_bytes()));
-        self.pending.push_str(&self.line);
-        self.pending.push('\n');
-        self.pending_entries += 1;
+        write_frame(&mut self.pending, |out| write_record_json(out, record));
         if self.last_sync.elapsed() >= SYNC_EVERY {
-            self.sync_and_publish();
+            self.sync();
         }
     }
 
-    /// Writes the pending batch, forces the journal durable and
-    /// republishes the manifest; called automatically once
+    /// Writes the pending batch, forces the journal durable and dumps
+    /// the flight recorder; called by [`Checkpoint::append`] once
     /// `SYNC_EVERY` has passed since the last sync, and at the end of
-    /// the run.
-    pub fn finish(&mut self) {
-        self.sync_and_publish();
-    }
-
-    /// `fsync` failures observed so far (injected or real).
-    pub fn sync_failures(&self) -> u64 {
-        self.sync_failures
-    }
-
-    fn sync_and_publish(&mut self) {
+    /// the run. Write failures (including an injected short write,
+    /// which leaves a torn line for the next open to salvage around) and
+    /// `fsync` failures are counted, not fatal: the records are
+    /// re-derivable, so the worst case is recomputing them after a
+    /// crash.
+    pub fn sync(&mut self) {
         self.last_sync = Instant::now();
         if !self.pending.is_empty() {
-            match self.journal.write_all(self.pending.as_bytes()) {
-                Ok(()) => self.entries += self.pending_entries,
-                Err(_) => self.sync_failures += 1,
+            if self.journal.write_all(self.pending.as_bytes()).is_err() {
+                self.sync_failures += 1;
             }
             self.pending.clear();
-            self.pending_entries = 0;
         }
         dump_flight_recorder(&self.path);
         if self.journal.sync().is_err() {
             self.sync_failures += 1;
-            return;
-        }
-        let bytes = self.journal.len().unwrap_or(0);
-        let manifest = Json::obj(vec![
-            ("version", Json::Num(CHECKPOINT_VERSION as f64)),
-            (
-                "fingerprint",
-                Json::Str(format!("{:016x}", self.fingerprint)),
-            ),
-            ("entries", Json::Num(self.entries as f64)),
-            ("bytes", Json::Num(bytes as f64)),
-        ])
-        .render();
-        let write = || -> std::io::Result<()> {
-            let mut f = DurableFile::create(&manifest_path(&self.path), self.faults.clone())?;
-            f.write_all(manifest.as_bytes())?;
-            f.write_all(b"\n")?;
-            f.commit()
-        };
-        if write().is_err() {
-            self.sync_failures += 1;
         }
     }
-}
-
-/// Validates the manifest against this sweep's fingerprint. A missing
-/// or unreadable manifest is tolerated (the per-record scenario check
-/// still guards the journal); a *well-formed manifest for a different
-/// sweep* is a hard error.
-fn check_manifest(path: &Path, fingerprint: u64) -> Result<(), String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Ok(value) = json::parse(text.trim()) else {
-        return Ok(());
-    };
-    if let Some(v) = value.get("version").and_then(Json::as_u64) {
-        if v != CHECKPOINT_VERSION as u64 {
-            return Err(format!(
-                "checkpoint manifest `{}` has version {v}, this build writes \
-                 {CHECKPOINT_VERSION}; remove the checkpoint to start over",
-                path.display()
-            ));
-        }
-    }
-    if let Some(f) = value.get("fingerprint").and_then(Json::as_str) {
-        let want = format!("{fingerprint:016x}");
-        if f != want {
-            return Err(format!(
-                "checkpoint manifest `{}` fingerprints a different sweep ({f} vs {want}); \
-                 refusing to resume — scenarios or engine options changed",
-                path.display()
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Walks the journal's CRC-framed lines, returning the records of the
-/// valid prefix, the byte length of that prefix, and how many trailing
-/// frames were dropped. Parsing stops at the first bad frame: an
-/// append-only journal can only be damaged at its tail (torn final
-/// write) or by corruption, and anything after a bad frame has lost its
-/// framing guarantee.
-fn salvage(bytes: &[u8], scenarios: &[Scenario]) -> (Vec<(usize, SweepRecord)>, u64, usize) {
-    let mut records: Vec<(usize, SweepRecord)> = Vec::new();
-    let mut filled = vec![false; scenarios.len()];
-    let mut valid_bytes = 0u64;
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-            break; // torn final line (no newline landed)
-        };
-        let line = &rest[..nl];
-        let Some(record) = parse_frame(line, scenarios, &filled) else {
-            break;
-        };
-        filled[record.0] = true;
-        records.push(record);
-        offset += nl + 1;
-        valid_bytes = offset as u64;
-    }
-    let dropped = bytes[offset..].iter().filter(|&&b| b == b'\n').count()
-        + usize::from(!bytes[offset..].is_empty() && bytes.last() != Some(&b'\n'));
-    (records, valid_bytes, dropped)
-}
-
-/// Decodes one `crc TAB json` frame into `(scenario index, record)`.
-/// `None` marks the frame bad: CRC mismatch, malformed JSON, a scenario
-/// that is not `scenarios[id]`, or a duplicate index.
-fn parse_frame(
-    line: &[u8],
-    scenarios: &[Scenario],
-    filled: &[bool],
-) -> Option<(usize, SweepRecord)> {
-    let text = std::str::from_utf8(line).ok()?;
-    let (crc_hex, json_text) = text.split_once('\t')?;
-    let stored = u32::from_str_radix(crc_hex, 16).ok()?;
-    if stored != crc32(json_text.as_bytes()) {
-        return None;
-    }
-    let record = record_from_json(&json::parse(json_text).ok()?).ok()?;
-    let i = usize::try_from(record.scenario.id).ok()?;
-    if i >= scenarios.len() || record.scenario != scenarios[i] || filled[i] {
-        return None;
-    }
-    Some((i, record))
 }
 
 /// [`run_sweep_with`] through a checkpoint: salvage finished records
@@ -422,9 +270,11 @@ pub fn run_sweep_checkpointed(
     faults: Option<Arc<Faults>>,
     mut on_record: impl FnMut(usize, &SweepRecord),
 ) -> Result<(Vec<SweepRecord>, CheckpointStats), String> {
-    let (mut checkpoint, salvaged, info) = Checkpoint::open(path, scenarios, opts, resume, faults)?;
+    let (mut checkpoint, salvaged, dropped) =
+        Checkpoint::open(path, scenarios, opts, resume, faults)?;
+    let resumed = salvaged.len();
     let mut out: Vec<Option<SweepRecord>> = vec![None; scenarios.len()];
-    for &(i, record) in &salvaged {
+    for (i, record) in salvaged {
         out[i] = Some(record);
     }
     let todo: Vec<Scenario> = scenarios
@@ -438,7 +288,7 @@ pub fn run_sweep_checkpointed(
         checkpoint.append(record);
         on_record(record.scenario.id as usize, record);
     });
-    checkpoint.finish();
+    checkpoint.sync();
     for record in fresh {
         let i = record.scenario.id as usize;
         out[i] = Some(record);
@@ -450,10 +300,10 @@ pub fn run_sweep_checkpointed(
     Ok((
         records,
         CheckpointStats {
-            resumed: info.salvaged,
+            resumed,
             computed,
-            dropped: info.dropped,
-            sync_failures: checkpoint.sync_failures(),
+            dropped,
+            sync_failures: checkpoint.sync_failures,
         },
     ))
 }
@@ -577,11 +427,12 @@ mod tests {
         let scenarios = batch();
         let opts = quick_opts();
         run_sweep_checkpointed(&scenarios, &opts, &path, false, None, |_, _| {}).unwrap();
-        // Keep the first journal line only: the resume computes every
-        // scenario but the one that line holds.
+        // Keep the header and the first record only: the resume
+        // computes every scenario but the one that record holds.
         let bytes = std::fs::read(&path).unwrap();
-        let first = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
-        std::fs::write(&path, &bytes[..first]).unwrap();
+        let text = std::str::from_utf8(&bytes).unwrap();
+        let kept = text.match_indices('\n').nth(1).unwrap().0 + 1;
+        std::fs::write(&path, &bytes[..kept]).unwrap();
         let mut seen = Vec::new();
         let (_, stats) = run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |i, r| {
             assert_eq!(i as u64, r.scenario.id, "index is the scenario's own");
@@ -589,7 +440,11 @@ mod tests {
         })
         .unwrap();
         seen.sort_unstable();
-        let (salvaged, _) = salvage(&bytes[..first], &scenarios).0[0];
+        let first = text.lines().nth(1).unwrap().split_once('\t').unwrap().1;
+        let salvaged = record_from_json(&crate::json::parse(first).unwrap())
+            .unwrap()
+            .scenario
+            .id as usize;
         let want: Vec<usize> = (0..scenarios.len()).filter(|&i| i != salvaged).collect();
         assert_eq!(seen, want);
         assert_eq!(stats.computed, want.len());
@@ -610,12 +465,17 @@ mod tests {
             checkpoint.append(r);
         }
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-        checkpoint.finish();
+        checkpoint.sync();
         let bytes = std::fs::read(&path).unwrap();
-        let (salvaged, valid, dropped) = salvage(&bytes, &scenarios);
+        let mut salvaged = 0;
+        let prefix = read_journal(&bytes, sweep_fingerprint(&scenarios, &opts), |_| {
+            salvaged += 1;
+            true
+        })
+        .unwrap();
         assert_eq!(
-            (salvaged.len(), valid, dropped),
-            (records.len(), bytes.len() as u64, 0)
+            (salvaged, prefix.valid_bytes, prefix.dropped_lines),
+            (records.len(), bytes.len(), 0)
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -629,11 +489,19 @@ mod tests {
         let plain = run_sweep(&scenarios, &opts);
         run_sweep_checkpointed(&scenarios, &opts, &path, false, None, |_, _| {}).unwrap();
 
-        // Flip one byte inside the second line's JSON: its CRC fails,
-        // and everything after loses its framing guarantee.
+        // Flip one byte inside the second record's JSON (the journal's
+        // third line): its CRC fails, and everything after loses its
+        // framing guarantee.
         let mut bytes = std::fs::read(&path).unwrap();
-        let second_line = bytes.iter().position(|&b| b == b'\n').unwrap() + 12;
-        bytes[second_line] ^= 0x01;
+        let second_record = bytes
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b == b'\n')
+            .nth(1)
+            .unwrap()
+            .0
+            + 12;
+        bytes[second_record] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
         let (records, stats) =
@@ -645,7 +513,7 @@ mod tests {
     }
 
     #[test]
-    fn manifest_from_a_different_sweep_refuses_resume() {
+    fn header_from_a_different_sweep_refuses_resume() {
         let dir = tmp_dir("mismatch");
         let path = dir.join("sweep.ckpt");
         let scenarios = batch();
@@ -662,30 +530,56 @@ mod tests {
         };
         let err =
             run_sweep_checkpointed(&scenarios, &other, &path, true, None, |_, _| {}).unwrap_err();
-        assert!(err.contains("different sweep"), "{err}");
+        assert!(err.contains("fingerprints a different"), "{err}");
         assert_ne!(
             sweep_fingerprint(&scenarios, &opts),
             sweep_fingerprint(&scenarios, &other)
         );
 
-        // A manifest from the version 1 executor (records possibly from
-        // its retired compiled path), the version 2 one (τ = 1 records
-        // from two cursors) or the version 3 one (distances through
-        // `hypot`): refused even under this sweep's own fingerprint.
-        for version in [1, 2, 3] {
-            let stale = Json::obj(vec![
-                ("version", Json::Num(f64::from(version))),
-                (
-                    "fingerprint",
-                    Json::Str(format!("{:016x}", sweep_fingerprint(&scenarios, &opts))),
-                ),
-            ])
-            .render();
-            std::fs::write(manifest_path(&path), stale).unwrap();
+        // A header from an older build (records from the retired
+        // compiled path, two-cursor τ = 1 runs, `hypot` distances, a
+        // step ladder without the curvature certificate): refused even
+        // under this sweep's own fingerprint.
+        let bytes = std::fs::read(&path).unwrap();
+        let body = &bytes[bytes.iter().position(|&b| b == b'\n').unwrap() + 1..];
+        for version in 1..JOURNAL_VERSION {
+            let mut stale = String::new();
+            write_frame(&mut stale, |s| {
+                s.push_str(&format!(
+                    "{{\"version\":{version},\"fingerprint\":\"{:016x}\"}}",
+                    sweep_fingerprint(&scenarios, &opts)
+                ))
+            });
+            std::fs::write(&path, [stale.as_bytes(), body].concat()).unwrap();
             let err = run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |_, _| {})
                 .unwrap_err();
             assert!(err.contains(&format!("has version {version}")), "{err}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journal_torn_inside_its_header_resumes_empty_and_recomputes_everything() {
+        let dir = tmp_dir("tornheader");
+        let path = dir.join("sweep.ckpt");
+        let scenarios = batch();
+        let opts = quick_opts();
+        let plain = run_sweep(&scenarios, &opts);
+        run_sweep_checkpointed(&scenarios, &opts, &path, false, None, |_, _| {}).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let header_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        std::fs::write(&path, &bytes[..header_len / 2]).unwrap();
+
+        let (records, stats) =
+            run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |_, _| {}).unwrap();
+        assert_eq!(records, plain);
+        assert_eq!((stats.resumed, stats.computed), (0, scenarios.len()));
+        assert_eq!(stats.dropped, 1, "the torn header line");
+        // The rewritten journal starts with a fresh header and resumes
+        // whole.
+        let (_, stats) =
+            run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |_, _| {}).unwrap();
+        assert_eq!((stats.resumed, stats.computed), (scenarios.len(), 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 

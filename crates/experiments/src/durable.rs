@@ -1,19 +1,20 @@
 //! Crash-safe file primitives with deterministic disk-fault injection.
 //!
-//! Everything the workspace persists — the serve cache snapshot, the
-//! sweep checkpoint journal and its manifest — goes through the two
-//! wrappers here, so every durability claim in the crash matrix
-//! (ARCHITECTURE.md, "Durability and crash recovery") is exercised by
-//! the same injected faults in tests and CI:
+//! Everything the workspace persists — the serve cache snapshot and the
+//! sweep checkpoint, both in the one [`crate::journal`] format — goes
+//! through the two wrappers here, so every durability claim in the crash
+//! matrix (ARCHITECTURE.md, "Durability and crash recovery") is
+//! exercised by the same injected faults in tests and CI:
 //!
 //! * [`DurableFile`] — whole-file atomic replace: write to a sibling
 //!   temp file, `fsync`, then atomically rename over the destination.
 //!   A crash (or injected fault) at any point leaves either the old
 //!   file or the new file, never a mix; a stale temp file is ignored by
-//!   readers and cleaned up by the next successful commit.
+//!   readers and replaced by the next commit. The snapshot uses it.
 //! * [`JournalFile`] — append-only journal: records are appended and
 //!   periodically `fsync`ed. A crash can tear the final record; readers
-//!   salvage the valid prefix (each record carries its own CRC).
+//!   salvage the valid prefix (each record carries its own CRC). The
+//!   checkpoint uses it.
 //!
 //! ## Fault injection
 //!
@@ -24,13 +25,11 @@
 //! `Option<Arc<Faults>>` is `None` in production and costs one
 //! pointer-null check per I/O operation.
 //!
-//! The CRC-32 (IEEE) implementation lives here too — both the snapshot
-//! segment format and the checkpoint journal frame their records with
-//! it.
+//! The CRC-32 (IEEE) that frames every journal line lives here too.
 
 use crate::faults::{FaultSite, Faults};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -90,8 +89,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 pub const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// One step of a chained FNV-1a 64-bit digest: folds `bytes` into
-/// `hash`. Used for the content fingerprints that pin a checkpoint or
-/// snapshot to the configuration that produced it.
+/// `hash`. Used for the fingerprints a journal header pins.
 pub fn fnv1a64(bytes: &[u8], mut hash: u64) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
@@ -283,24 +281,6 @@ impl JournalFile {
     pub fn sync(&mut self) -> io::Result<()> {
         sync_faulty(&self.file, self.faults.as_ref())
     }
-
-    /// The current journal length in bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates seek failure.
-    pub fn len(&mut self) -> io::Result<u64> {
-        self.file.seek(io::SeekFrom::End(0))
-    }
-
-    /// `true` when the journal holds no bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates seek failure.
-    pub fn is_empty(&mut self) -> io::Result<bool> {
-        Ok(self.len()? == 0)
-    }
 }
 
 /// Truncates `path` to `len` bytes — how a resumer discards a torn
@@ -313,13 +293,6 @@ pub fn truncate_file(path: &Path, len: u64) -> io::Result<()> {
     let file = OpenOptions::new().write(true).open(path)?;
     file.set_len(len)?;
     file.sync_all()
-}
-
-/// Removes the stale temp sibling a crashed [`DurableFile`] commit may
-/// have left next to `path` (harmless but untidy). Missing temp is not
-/// an error.
-pub fn remove_stale_temp(path: &Path) {
-    let _ = std::fs::remove_file(temp_path(path));
 }
 
 #[cfg(test)]

@@ -26,8 +26,11 @@
 //!   resume: completed records are journaled as CRC-framed JSONL and a
 //!   restarted sweep recomputes only what is missing, reproducing the
 //!   uninterrupted artifact bit-for-bit (see [`checkpoint`]);
+//! * [`journal`] — the one durable record format, CRC-framed record
+//!   lines under a version and fingerprint header, that the checkpoint
+//!   and the `rvz serve` cache snapshot both write;
 //! * [`durable`] — the atomic-replace / append-journal file primitives
-//!   shared by the checkpoint and the `rvz serve` cache snapshot;
+//!   under both;
 //! * [`faults`] — the one seeded fault injector: a [`FaultPlan`] over
 //!   the five serve sites and the four disk sites, and its runtime
 //!   state [`Faults`];
@@ -64,6 +67,7 @@ pub mod checkpoint;
 pub mod durable;
 pub mod executor;
 pub mod faults;
+pub mod journal;
 pub mod json;
 pub mod report;
 pub mod rng;
@@ -73,13 +77,11 @@ pub use canonical::{
     canonicalize, orbit_key, role_swap, snap_grid, CacheKey, Canonical, OrbitKey, OutcomeTransform,
     DEFAULT_GRID,
 };
-pub use checkpoint::{
-    run_sweep_checkpointed, sweep_fingerprint, Checkpoint, CheckpointStats, ResumeInfo,
-    CHECKPOINT_VERSION, ENGINE_BYTES_DIGEST,
-};
+pub use checkpoint::{run_sweep_checkpointed, sweep_fingerprint, Checkpoint, CheckpointStats};
 pub use durable::{crc32, read_file_faulty, DurableFile, JournalFile};
 pub use executor::{run_scenario, run_sweep, run_sweep_with, SweepOptions, SweepRecord};
 pub use faults::{FaultPlan, FaultSite, Faults};
+pub use journal::{read_journal, write_frame, write_header, ENGINE_BYTES_DIGEST, JOURNAL_VERSION};
 pub use json::Json;
 pub use report::{
     breaker_token, outcome_token, percentile, record_from_json, record_to_json, scenario_from_json,

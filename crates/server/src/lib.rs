@@ -33,7 +33,8 @@
 //! determinism contract), [`server`] (listener, bounded connection
 //! queue, workers, load shedding, graceful drain), [`client`] (the
 //! blocking client used by `rvz client` and the CI smoke), [`snapshot`]
-//! (crash-safe cache snapshots for warm restarts). Fault injection for
+//! (crash-safe cache snapshots for warm restarts, written in the sweep
+//! checkpoint's [`rvz_experiments::journal`] format). Fault injection for
 //! the overload/panic-isolation test suite is the process-wide
 //! [`rvz_experiments::faults`] plan, carried by [`ServiceOptions::faults`].
 
@@ -51,7 +52,4 @@ pub use client::{request, ClientOptions, ClientResponse, HttpClient, RetryPolicy
 pub use http::{Request, Response};
 pub use server::{spawn, spawn_with, ServerHandle, ServerOptions};
 pub use service::{Control, Service, ServiceOptions};
-pub use snapshot::{
-    engine_fingerprint, read_snapshot, write_snapshot, RestoreOutcome, SnapshotData,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
-};
+pub use snapshot::{engine_fingerprint, read_snapshot, write_snapshot, RestoreOutcome};

@@ -26,9 +26,7 @@
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::http::{Request, Response};
-use crate::snapshot::{
-    engine_fingerprint, read_snapshot, write_snapshot, RestoreOutcome, SnapshotData,
-};
+use crate::snapshot::{engine_fingerprint, read_snapshot, write_snapshot, RestoreOutcome};
 use rvz_experiments::{
     breaker_token, orbit_key, run_scenario, scenario_from_json, write_record_json, Algorithm,
     FaultPlan, FaultSite, Faults, Json, Scenario, Summary, SweepOptions, SweepRecord, DEFAULT_GRID,
@@ -225,22 +223,13 @@ impl Service {
         )
     }
 
-    /// Captures the current cache state for a snapshot: the result
-    /// entries in per-shard recency order. In-flight single-flight
-    /// claims and deadline outcomes are never included (claims are not
-    /// values; deadlines are never cached).
-    pub fn snapshot_data(&self) -> SnapshotData {
-        SnapshotData {
-            results: self.cache.export(),
-        }
-    }
-
     /// Restores caches from the snapshot at `path` (if any), degrading
     /// gracefully: corrupt or mismatched snapshots cold-start. Returns
     /// the outcome; it is also kept for `/stats` and the boot banner.
     pub fn restore_from(&self, path: &Path) -> RestoreOutcome {
-        let (data, outcome) = read_snapshot(path, self.engine_fingerprint(), self.faults.as_ref());
-        for (key, value) in data.results {
+        let (entries, outcome) =
+            read_snapshot(path, self.engine_fingerprint(), self.faults.as_ref());
+        for (key, value) in entries {
             self.cache.insert(key, value);
         }
         let mut d = self.durability.lock().expect("durability poisoned");
@@ -249,17 +238,19 @@ impl Service {
     }
 
     /// Writes a snapshot of the current cache state to `path` (durable:
-    /// temp + fsync + atomic rename). On failure the previous snapshot
-    /// is left intact and the failure is counted, never propagated to
-    /// request handling.
+    /// temp + fsync + atomic rename): the result entries in per-shard
+    /// recency order. In-flight single-flight claims are not values, and
+    /// deadline outcomes are never cached, so neither is written. On
+    /// failure the previous snapshot is left intact and the failure is
+    /// counted, never propagated to request handling.
     ///
     /// # Errors
     ///
     /// Returns the I/O error (including injected disk faults) for the
     /// caller's log line.
     pub fn write_snapshot_to(&self, path: &Path) -> std::io::Result<usize> {
-        let data = self.snapshot_data();
-        let entries = data.results.len();
+        let data = self.cache.export();
+        let entries = data.len();
         let result = write_snapshot(path, self.engine_fingerprint(), &data, self.faults.clone());
         let mut d = self.durability.lock().expect("durability poisoned");
         match result {
@@ -274,15 +265,6 @@ impl Service {
                 Err(e)
             }
         }
-    }
-
-    /// The last boot-restore outcome, if a restore was attempted.
-    pub fn restore_outcome(&self) -> Option<RestoreOutcome> {
-        self.durability
-            .lock()
-            .expect("durability poisoned")
-            .restore
-            .clone()
     }
 
     /// The configured options.

@@ -201,16 +201,17 @@ PREFIX.csv. List flags (L) take comma-separated values, e.g. --speeds
 0.5,1. --no-prune disables the engine's swept-envelope pruning layer
 (A/B escape hatch; outcomes keep the same classification).
 
-Checkpointing: --checkpoint PATH journals finished records (CRC per
-line, fsync'd manifest) so a killed sweep can continue with --resume,
-which replays the journal's valid prefix and computes only what is
-missing — the artifacts are bit-identical to an uninterrupted run,
+Checkpointing: --checkpoint PATH journals finished records (a header
+line pinning the sweep, then one CRC-framed JSON record per line,
+fsync'd) so a killed sweep can continue with --resume, which replays
+the journal's valid prefix and computes only what is missing — the
+artifacts are bit-identical to an uninterrupted run,
 independent of --threads and of where the kill landed. Records are
 written and synced in batches: on the first record at least 250 ms
 after the last sync, and at the end. A kill -9 loses the records
 finished since the last sync (about 250 ms of work), and the resume
 recomputes them. A journal from a different sweep (flags or scenario
-set changed) is refused.
+set changed) or an older build is refused.
 --faults injects seeded disk faults into the checkpoint I/O: the `rvz
 serve --faults` grammar without its serve-only keys (keys: seed,
 short_write, torn_rename, read_corrupt, fsync_fail, limit) — tests/CI
@@ -303,7 +304,8 @@ short_write, torn_rename, read_corrupt, fsync_fail, limit) — tests/CI
 only.
 
 Durability: --snapshot PATH warm-starts the cache from a crash-safe
-snapshot at boot (torn/corrupt/version-skewed files degrade to a
+snapshot at boot (the sweep checkpoint's journal format, one CRC-framed
+record per cached orbit; torn/corrupt/version-skewed files degrade to a
 salvaged prefix or a cold start, never a refusal to boot), rewrites it
 every --snapshot-interval-s seconds (default 30; temp + fsync + atomic
 rename, a kill can never destroy the previous snapshot), and once more

@@ -6,7 +6,11 @@
 //!
 //! Agreement of (1) and (2) on the search problem is the strongest
 //! correctness evidence in the workspace: they share no code beyond the
-//! schedule formulas.
+//! schedule formulas. Two exact reductions carry (2) over to the
+//! rendezvous queries the production call `simulate_rendezvous_by_ref`
+//! answers: at `τ = 1, χ = +1` Algorithm 4's relative motion is search
+//! under a similarity, and at `τ ≠ 1` Section 4's stationary-partner
+//! contact bounds Algorithm 7's first contact from above.
 //!
 //! The random properties draw their cases from a fixed-seed
 //! [`SplitMix64`] stream, so every run checks the same cases. A debug
@@ -14,9 +18,11 @@
 //! (`cargo test --release --test cross_validation`, which `ci.sh` runs;
 //! about 3 s on 2 vCPUs).
 
+use plane_rendezvous::core::stationary_contact_time;
 use plane_rendezvous::experiments::SplitMix64;
 use plane_rendezvous::prelude::*;
-use plane_rendezvous::sim::first_contact_brute;
+use plane_rendezvous::sim::{first_contact_brute, simulate_rendezvous_by_ref};
+use std::f64::consts::TAU;
 
 /// Draws per random property: a sample in debug, the full set in
 /// release.
@@ -136,4 +142,72 @@ fn engine_never_later_than_brute_force() {
     }
     // A generator that stopped producing contacts would check nothing.
     assert!(checked * 2 >= cases(), "only {checked} contacts checked");
+}
+
+/// `τ = 1, χ = +1`: the relative robot of Lemma 4 is `d⃗ − M·S(t)` with
+/// `M = I − v·Rot(φ)`, a similarity `c·Rot(θ)` with `c = √det M`. So
+/// Algorithm 4's robots meet within `r` exactly when the search robot
+/// `S` comes within `r/c` of `M⁻¹d⃗`, and the production engine's
+/// contact time must equal `first_discovery`'s on that target.
+#[test]
+fn consistent_equal_clock_rendezvous_is_search_under_a_similarity() {
+    let opts = SweepOptions::default().contact;
+    let mut rng = SplitMix64::new(9);
+    let r = 0.1;
+    for _ in 0..cases() {
+        let v = rng.next_range(0.3, 0.99);
+        let phi = rng.next_range(0.0, TAU);
+        let offset = Vec2::from_polar(rng.next_range(0.3, 3.0), rng.next_range(0.0, TAU));
+        let attrs = RobotAttributes::new(v, 1.0, phi, Chirality::Consistent);
+        let m = Mat2::IDENTITY - attrs.frame_linear();
+        let c = m.det().sqrt();
+        let target = m.inverse().expect("v < 1 keeps M invertible") * offset;
+        let search = SearchInstance::new(target, r / c).unwrap();
+        let oracle = first_discovery(&search, times::MAX_ROUND).map(|d| d.time);
+        let inst = RendezvousInstance::new(offset, r, attrs).unwrap();
+        let engine = simulate_rendezvous_by_ref(&UniversalSearch, &inst, &opts).contact_time();
+        match (engine, oracle.filter(|&t| t <= opts.horizon)) {
+            (Some(e), Some(o)) => assert!(
+                (e - o).abs() <= 1e-6 * o,
+                "v={v} φ={phi} d⃗={offset}: engine {e} vs search {o}"
+            ),
+            (e, o) => panic!("v={v} φ={phi} d⃗={offset}: engine {e:?} vs search {o:?}"),
+        }
+    }
+}
+
+/// `τ ≠ 1`: while Algorithm 7's partner is inactive it sits at its start
+/// `d⃗`, whatever its speed, compass or chirality, so the reference
+/// robot's first pass within `r` of `d⃗` during such a window
+/// (`stationary_contact_time`, Section 4) is a contact. The production
+/// engine's first contact can only come earlier.
+#[test]
+fn algorithm7_first_contact_never_later_than_the_stationary_partner_witness() {
+    let opts = SweepOptions::default().contact;
+    let mut rng = SplitMix64::new(31);
+    for _ in 0..cases() {
+        let tau = rng.next_range(0.4, 0.95);
+        let v = rng.next_range(0.3, 1.5);
+        let chi = if rng.next_u64() & 1 == 0 {
+            Chirality::Consistent
+        } else {
+            Chirality::Mirrored
+        };
+        let phi = rng.next_range(0.0, TAU);
+        let offset = Vec2::from_polar(rng.next_range(0.3, 3.0), rng.next_range(0.0, TAU));
+        let r = rng.next_range(0.05, 0.3);
+        let case = format!("τ={tau} v={v} {chi:?} φ={phi} d⃗={offset} r={r}");
+        let witness = stationary_contact_time(tau, offset, r, 9)
+            .unwrap_or_else(|| panic!("{case}: no stationary contact"))
+            .time;
+        let inst =
+            RendezvousInstance::new(offset, r, RobotAttributes::new(v, tau, phi, chi)).unwrap();
+        let engine = simulate_rendezvous_by_ref(&WaitAndSearch, &inst, &opts)
+            .contact_time()
+            .unwrap_or_else(|| panic!("{case}: engine found no contact"));
+        assert!(
+            engine <= witness + 1e-9 * (1.0 + witness),
+            "{case}: engine {engine} later than the witness {witness}"
+        );
+    }
 }

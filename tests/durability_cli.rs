@@ -408,6 +408,59 @@ fn torn_journal_and_injected_faults_still_resume_bit_identical() {
 }
 
 #[test]
+fn parent_format_files_get_named_refusals() {
+    let dir = scratch("parent-format");
+    let out = dir.join("out");
+    let journal = dir.join("sweep.ckpt");
+    let journal_str = journal.to_str().unwrap();
+    let version = plane_rendezvous::experiments::JOURNAL_VERSION;
+
+    // A version 5 checkpoint: the same record lines with no header line,
+    // and a `.manifest` sibling that pinned the version and fingerprint.
+    let (ok, _, stderr) = rvz(&sweep_args(out.to_str().unwrap(), Some(journal_str), "2"));
+    assert!(ok, "checkpointed sweep failed: {stderr}");
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let records = &text[text.find('\n').unwrap() + 1..];
+    std::fs::write(&journal, records).unwrap();
+    std::fs::write(
+        dir.join("sweep.ckpt.manifest"),
+        "{\"version\":5,\"fingerprint\":\"0000000000000000\",\"entries\":40}\n",
+    )
+    .unwrap();
+    let mut args = sweep_args(out.to_str().unwrap(), Some(journal_str), "2");
+    args.push("--resume");
+    let (ok, _, stderr) = rvz(&args);
+    assert!(!ok, "a headerless journal must not be resumed");
+    assert!(
+        stderr.contains(&format!("does not start with a version {version} header")),
+        "{stderr}"
+    );
+
+    // An `RVZSNAP1` binary snapshot: magic, version 6, one length- and
+    // CRC-prefixed meta record. Serve boots cold and says why.
+    let snap = dir.join("cache.snap");
+    let mut bytes = b"RVZSNAP1".to_vec();
+    bytes.extend_from_slice(&6u32.to_le_bytes());
+    let mut meta = vec![0u8];
+    meta.extend_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
+    meta.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend_from_slice(&(meta.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&plane_rendezvous::experiments::crc32(&meta).to_le_bytes());
+    bytes.extend_from_slice(&meta);
+    std::fs::write(&snap, &bytes).unwrap();
+    let (mut child, addr, banner) = spawn_server(&["--snapshot", snap.to_str().unwrap()]);
+    assert!(
+        banner
+            .iter()
+            .any(|l| l.contains("restore: cold") && l.contains("not a journal")),
+        "an RVZSNAP1 file cold-starts as not a journal: {banner:?}"
+    );
+    client(&addr, &["--path", "/shutdown", "--method", "POST"]);
+    child.wait().expect("serve exits");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn durability_flags_reject_bad_usage_with_named_clauses() {
     // --resume without --checkpoint is a user error, not a no-op.
     let (ok, _, stderr) = rvz(&["sweep", "--resume"]);

@@ -3,11 +3,11 @@
 //! [`ENGINE_BYTES_DIGEST`].
 //!
 //! Checkpoint journals and serve snapshots hold engine output, so a
-//! change to those bytes must bump `CHECKPOINT_VERSION` and
-//! `SNAPSHOT_VERSION`, or a resumed sweep and a restored cache would
+//! change to those bytes must bump `JOURNAL_VERSION`, the one version
+//! both formats share, or a resumed sweep and a restored cache would
 //! mix old bytes with new ones. This test fails on any such change
 //! until the same change updates the digest, which is the reminder to
-//! bump both versions. The sweep covers τ = 1 and τ ≠ 1, both
+//! bump the version. The sweep covers τ = 1 and τ ≠ 1, both
 //! algorithms, feasible pairs, an exact twin and a mirror twin, at the
 //! default depth. Debug and release builds must agree (`ci.sh` runs
 //! the release build).
@@ -59,8 +59,8 @@ fn engine_output_bytes_match_the_pinned_digest() {
     assert_eq!(
         digest,
         ENGINE_BYTES_DIGEST,
-        "engine output bytes changed (digest {digest:#018x}): bump CHECKPOINT_VERSION and \
-         SNAPSHOT_VERSION, then update ENGINE_BYTES_DIGEST\nsweep:\n{}\nserved: {}",
+        "engine output bytes changed (digest {digest:#018x}): bump JOURNAL_VERSION, then \
+         update ENGINE_BYTES_DIGEST\nsweep:\n{}\nserved: {}",
         String::from_utf8_lossy(&sweep),
         String::from_utf8_lossy(&body),
     );
