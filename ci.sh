@@ -43,7 +43,7 @@ echo "==> allocation + SoA-not-slower gate, -C target-cpu=native arm"
 RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/ci-native \
     cargo test --release --quiet -p rvz-sim --test alloc_gate
 
-echo "==> step gate + canonical compiled arms + Lemma 4 oracle + curvature certificate + telemetry byte-identity (release)"
+echo "==> step gate + canonical compiled arms + Lemma 4 oracle + curvature and wait-window certificates + telemetry byte-identity (release)"
 # The cursor engine never takes more steps than the seed loop on the
 # canonical cases, the compiled ladder and lane kernel classify them
 # as the seed loop does, τ = 1 queries on the relative trajectory agree
@@ -55,11 +55,16 @@ cargo test --release --quiet --test engine_equivalence -- \
     compiled_and_lane_engines_classify_canonical_cases_like_generic \
     relative_trajectory_disproves_twins_in_a_few_steps \
     relative_trajectory_matches_the_two_cursor_oracle \
-    curvature_certificate_stops_the_arc_crawl_and_declares_inside_the_band
+    curvature_certificate_stops_the_arc_crawl_and_declares_inside_the_band \
+    wait_window_certificate_crosses_waits_and_declares_inside_the_band
 cargo test --release --quiet --test telemetry_identity
 # The curvature certificate never passes its target on 10,000 seeded
-# piece pairs (unequal-rate arcs, arc vs line, arc vs wait, line vs arc).
-cargo test --release --quiet -p rvz-sim --lib curvature_step
+# piece pairs (unequal-rate arcs, arc vs line, arc vs wait, line vs arc),
+# and the wait-window certificate's cursor query never clears past a
+# densely sampled visit on 10,000 seeded queries (both schedules,
+# directly, through similarity, reflected and generic frame warps and
+# through drifting clocks).
+cargo test --release --quiet -p rvz-sim --lib -- curvature_step first_visit
 
 echo "==> engine vs analytic discovery and brute force (release: 10,000 seeded draws per property)"
 # tests/cross_validation.rs checks the engine against the closed-form
@@ -179,7 +184,7 @@ METRICS_SCRAPE="$("$RVZ" client --addr "$ADDR" --path /metrics)"
 for family in rvz_requests_total rvz_responses_total rvz_request_duration_us \
     rvz_cache_requests_total rvz_engine_queries_total rvz_engine_outcomes_total \
     rvz_engine_kernel_dispatch_total rvz_engine_kernel_lanes_active \
-    rvz_engine_steps_curvature_total \
+    rvz_engine_steps_curvature_total rvz_engine_steps_window_total \
     rvz_faults_injected_total rvz_shed_total rvz_uptime_seconds rvz_inflight; do
     echo "$METRICS_SCRAPE" | grep -q "$family" \
         || { echo "metrics scrape missing $family"; exit 1; }
@@ -285,31 +290,48 @@ echo "$AGAIN" | grep -q 'X-Rvz-Cache: hit'
 "$RVZ" client --addr "$ADDR" --path /shutdown --method POST >/dev/null
 wait "$SERVE_PID"
 # --- sweep: kill mid-checkpoint, resume, demand bit-identical artifacts.
-SWEEP_FLAGS="--speeds 0.5,0.6,0.7,0.8,0.9,1.0 --clocks 0.6,1.0 --phis 0,1.5
-    --chis +1 --distances 0.9 --r 0.25 --max-steps 20000 --horizon-rounds 6"
+# 1,024 mirror twins with pruning off each run out a 20,000-step budget
+# (about 2 ms apiece), so the run outlasts several 250 ms journal syncs
+# while its artifacts stay small.
+SWEEP_FLAGS="--speeds 1 --clocks 1 --chis -1 --r 0.25 --max-steps 20000
+    --horizon-rounds 6 --no-prune
+    --phis 0.3,0.5,0.7,0.9,1.1,1.3,1.5,1.7,1.9,2.1,2.3,2.5,2.7,2.9,3.1,3.3
+    --distances 0.6,0.8,1.0,1.2,1.4,1.6,1.8,2.0
+    --bearings 0.1,0.5,0.9,1.3,1.7,2.1,2.5,2.9"
 # shellcheck disable=SC2086
 "$RVZ" sweep $SWEEP_FLAGS --threads 1 --out "$DUR_DIR/reference" >/dev/null
 # shellcheck disable=SC2086
 "$RVZ" sweep $SWEEP_FLAGS --threads 2 --out "$DUR_DIR/resumed" \
     --checkpoint "$DUR_DIR/sweep.ckpt" >/dev/null 2>&1 &
 SWEEP_PID=$!
-for _ in $(seq 1 200); do
-    [ -s "$DUR_DIR/sweep.ckpt" ] && break
+# Kill only once the journal holds its header and at least one record
+# line while the sweep is still running: a mid-run kill.
+KILLED_MID_RUN=""
+for _ in $(seq 1 400); do
     kill -0 "$SWEEP_PID" 2>/dev/null || break
-    sleep 0.05
+    JOURNAL_LINES=0
+    [ -f "$DUR_DIR/sweep.ckpt" ] && JOURNAL_LINES="$(wc -l < "$DUR_DIR/sweep.ckpt")"
+    if [ "$JOURNAL_LINES" -ge 2 ]; then
+        kill -9 "$SWEEP_PID" 2>/dev/null && KILLED_MID_RUN=1
+        break
+    fi
+    sleep 0.02
 done
-kill -9 "$SWEEP_PID" 2>/dev/null || true
 wait "$SWEEP_PID" 2>/dev/null || true
+[ -n "$KILLED_MID_RUN" ] \
+    || { echo "checkpointed sweep ended before a mid-run kill"; exit 1; }
 # shellcheck disable=SC2086
 "$RVZ" sweep $SWEEP_FLAGS --threads 4 --out "$DUR_DIR/resumed" \
     --checkpoint "$DUR_DIR/sweep.ckpt" --resume > "$DUR_DIR/resume.log"
 grep -q 'checkpoint:' "$DUR_DIR/resume.log" \
     || { echo "resumed sweep did not report checkpoint stats"; exit 1; }
-# The killed run's journal was non-empty, so it held a valid header and
-# at least one record: a resume that dropped it would still `cmp` equal.
+# The killed run journaled at least one record and left work undone: a
+# resume that dropped the journal, or a kill that came after the last
+# record, would still `cmp` equal.
 RESUMED="$(sed -n 's/^checkpoint: \([0-9]*\) resumed.*/\1/p' "$DUR_DIR/resume.log")"
-[ "${RESUMED:-0}" -ge 1 ] \
-    || { echo "resumed sweep reused no journaled record: $(cat "$DUR_DIR/resume.log")"; exit 1; }
+COMPUTED="$(sed -n 's/^checkpoint: [0-9]* resumed, \([0-9]*\) computed.*/\1/p' "$DUR_DIR/resume.log")"
+[ "${RESUMED:-0}" -ge 1 ] && [ "${COMPUTED:-0}" -ge 1 ] \
+    || { echo "resume was not mid-run: $(cat "$DUR_DIR/resume.log")"; exit 1; }
 cmp "$DUR_DIR/reference.jsonl" "$DUR_DIR/resumed.jsonl" \
     || { echo "resumed sweep JSONL diverged from the uninterrupted run"; exit 1; }
 cmp "$DUR_DIR/reference.csv" "$DUR_DIR/resumed.csv" \

@@ -482,6 +482,40 @@ impl Cursor for WaitAndSearchCursor {
         }
         rvz_geometry::Disk::new(Vec2::ZERO, WaitAndSearch::reach_between(t0, t1))
     }
+
+    /// The closed-form clearance. The robot's `Search(k)` blocks are
+    /// strung along the phase schedule ([`PhaseSchedule::search_blocks`],
+    /// as [`crate::analytic::stationary_contact_time`] strings them),
+    /// each answered by [`rvz_search::first_visit_in_round`]. The
+    /// inactive waits sit at the origin, so a disk holding the origin
+    /// answers `t0`, as does a query past the supported horizon.
+    /// Stateless.
+    fn first_visit(&mut self, t0: f64, t1: f64, center: Vec2, radius: f64) -> f64 {
+        let horizon = PhaseSchedule::inactive_start(MAX_PHASE_ROUND + 1);
+        if t1.is_nan() || t1 <= t0 || t0 >= horizon || center.norm() <= radius {
+            return t0;
+        }
+        let reach = center.norm() - radius;
+        for n in PhaseSchedule::round_at(t0)..=MAX_PHASE_ROUND {
+            if PhaseSchedule::inactive_start(n) >= t1 {
+                return t1;
+            }
+            for (k, start) in PhaseSchedule::search_blocks(n) {
+                if start >= t1 {
+                    return t1;
+                }
+                // Blocks already over, and blocks whose sweep cannot
+                // reach the disk, are skipped without enumeration.
+                if t0 - start >= times::round_duration(k) || reach > pow2i(i64::from(k)) {
+                    continue;
+                }
+                if let Some(s) = rvz_search::first_visit_in_round(k, start, center, radius, t0) {
+                    return s.min(t1);
+                }
+            }
+        }
+        t0
+    }
 }
 
 impl MonotoneTrajectory for WaitAndSearch {

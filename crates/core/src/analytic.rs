@@ -95,17 +95,8 @@ pub fn stationary_contact_time(
     }
 
     for n in 1..=max_round {
-        let a_n = PhaseSchedule::active_start(n);
-        let s_n = PhaseSchedule::search_all_duration(n);
         // Blocks in execution order: Search(1..n) then Search(n..1).
-        let blocks = (1..=n)
-            .map(|k| (k, a_n + times::rounds_total(k - 1)))
-            .chain(
-                (1..=n)
-                    .rev()
-                    .map(|k| (k, a_n + s_n + (s_n - times::rounds_total(k)))),
-            );
-        for (block_idx, (k, block_start)) in blocks.enumerate() {
+        for (block_idx, (k, block_start)) in PhaseSchedule::search_blocks(n).enumerate() {
             if let Some(contact) = scan_block(tau, offset, r, k, block_start) {
                 return Some(StationaryContact {
                     time: contact.0,

@@ -119,6 +119,21 @@ impl PhaseSchedule {
     pub fn active_interval(n: u32) -> (f64, f64) {
         (Self::active_start(n), Self::round_end(n))
     }
+
+    /// The `Search(k)` blocks of round `n`'s active phase in execution
+    /// order, each as `(k, global start)`: `SearchAll(n)`'s block `k` at
+    /// `A(n) + F(k−1)`, then `SearchAllRev(n)`'s in reverse order, block
+    /// `k` at `A(n) + S(n) + (S(n) − F(k))`, where `F(k)` is the
+    /// duration of rounds `1..=k`.
+    pub fn search_blocks(n: u32) -> impl Iterator<Item = (u32, f64)> {
+        let a_n = Self::active_start(n);
+        let s_n = Self::search_all_duration(n);
+        let forward = (1..=n).map(move |k| (k, a_n + times::rounds_total(k - 1)));
+        let reverse = (1..=n)
+            .rev()
+            .map(move |k| (k, a_n + s_n + (s_n - times::rounds_total(k))));
+        forward.chain(reverse)
+    }
 }
 
 #[cfg(test)]

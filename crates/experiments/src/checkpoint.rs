@@ -28,6 +28,7 @@ use crate::faults::Faults;
 use crate::journal::{read_journal, write_frame, write_header, JOURNAL_VERSION};
 use crate::report::{record_from_json, write_record_json};
 use crate::scenario::Scenario;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -115,6 +116,49 @@ fn dump_flight_recorder(path: &Path) {
 
 /// Records salvaged from an existing journal, keyed by scenario index.
 pub type SalvagedRecords = Vec<(usize, SweepRecord)>;
+
+/// A batch's records as JSON lines, each rendered once by
+/// [`write_record_json`] and kept by scenario index: the checkpoint
+/// frames these bytes into its journal, and the sweep's `.jsonl`
+/// artifact is written from them, so no record is rendered twice.
+#[derive(Debug)]
+pub struct RecordLines {
+    /// The rendered records, in the order they were rendered.
+    text: String,
+    /// Each scenario's byte range in `text`.
+    spans: Vec<(usize, usize)>,
+}
+
+impl RecordLines {
+    fn new(records: usize) -> Self {
+        RecordLines {
+            text: String::new(),
+            spans: vec![(0, 0); records],
+        }
+    }
+
+    /// Renders scenario `i`'s record and returns its JSON.
+    fn render(&mut self, i: usize, record: &SweepRecord) -> &str {
+        let start = self.text.len();
+        write_record_json(&mut self.text, record);
+        self.spans[i] = (start, self.text.len());
+        &self.text[start..]
+    }
+
+    /// Writes the records in scenario order, one per line: the bytes
+    /// [`crate::write_jsonl`] writes for the same records.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from the writer.
+    pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        for &(start, end) in &self.spans {
+            w.write_all(&self.text.as_bytes()[start..end])?;
+            w.write_all(b"\n")?;
+        }
+        Ok(())
+    }
+}
 
 /// An open sweep checkpoint: the append journal and its unwritten batch.
 pub struct Checkpoint {
@@ -209,10 +253,11 @@ impl Checkpoint {
         ))
     }
 
-    /// Journals one completed record: frames it into the pending batch,
-    /// and syncs when `SYNC_EVERY` has passed since the last sync.
-    pub fn append(&mut self, record: &SweepRecord) {
-        write_frame(&mut self.pending, |out| write_record_json(out, record));
+    /// Journals one completed record, given as its rendered
+    /// [`write_record_json`] text: frames it into the pending batch, and
+    /// syncs when `SYNC_EVERY` has passed since the last sync.
+    pub fn append(&mut self, record_json: &str) {
+        write_frame(&mut self.pending, |out| out.push_str(record_json));
         if self.last_sync.elapsed() >= SYNC_EVERY {
             self.sync();
         }
@@ -247,6 +292,10 @@ impl Checkpoint {
 /// an uninterrupted [`crate::run_sweep`] of the same batch, at any
 /// thread count and kill point.
 ///
+/// Returns the records, their [`RecordLines`] (each record rendered
+/// once, for the journal and the `.jsonl` artifact alike) and the
+/// run's accounting.
+///
 /// `on_record(i, record)` runs on the calling thread once for every
 /// computed scenario, after the record is journaled, with the
 /// scenario's own index `i = record.scenario.id`. Salvaged records do
@@ -269,12 +318,14 @@ pub fn run_sweep_checkpointed(
     resume: bool,
     faults: Option<Arc<Faults>>,
     mut on_record: impl FnMut(usize, &SweepRecord),
-) -> Result<(Vec<SweepRecord>, CheckpointStats), String> {
+) -> Result<(Vec<SweepRecord>, RecordLines, CheckpointStats), String> {
     let (mut checkpoint, salvaged, dropped) =
         Checkpoint::open(path, scenarios, opts, resume, faults)?;
     let resumed = salvaged.len();
+    let mut lines = RecordLines::new(scenarios.len());
     let mut out: Vec<Option<SweepRecord>> = vec![None; scenarios.len()];
     for (i, record) in salvaged {
+        lines.render(i, &record);
         out[i] = Some(record);
     }
     let todo: Vec<Scenario> = scenarios
@@ -285,8 +336,9 @@ pub fn run_sweep_checkpointed(
         .collect();
     let computed = todo.len();
     let fresh = run_sweep_with(&todo, opts, |_, record| {
-        checkpoint.append(record);
-        on_record(record.scenario.id as usize, record);
+        let i = record.scenario.id as usize;
+        checkpoint.append(lines.render(i, record));
+        on_record(i, record);
     });
     checkpoint.sync();
     for record in fresh {
@@ -299,6 +351,7 @@ pub fn run_sweep_checkpointed(
         .collect();
     Ok((
         records,
+        lines,
         CheckpointStats {
             resumed,
             computed,
@@ -350,16 +403,26 @@ mod tests {
         let opts = quick_opts();
         let plain = run_sweep(&scenarios, &opts);
 
-        let (first, s1) =
+        let (first, lines, s1) =
             run_sweep_checkpointed(&scenarios, &opts, &path, false, None, |_, _| {}).unwrap();
         assert_eq!(first, plain);
         assert_eq!((s1.resumed, s1.computed), (0, scenarios.len()));
+        // The lines rendered once for the journal write the same JSONL
+        // as rendering the records afresh.
+        let jsonl = |write: &dyn Fn(&mut Vec<u8>) -> io::Result<()>| {
+            let mut buf = Vec::new();
+            write(&mut buf).unwrap();
+            buf
+        };
+        let plain_jsonl = jsonl(&|w| crate::write_jsonl(w, &plain));
+        assert_eq!(jsonl(&|w| lines.write_jsonl(w)), plain_jsonl);
 
         // Resume over a complete journal: zero recomputation.
-        let (second, s2) =
+        let (second, lines, s2) =
             run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |_, _| {}).unwrap();
         assert_eq!(second, plain);
         assert_eq!((s2.resumed, s2.computed), (scenarios.len(), 0));
+        assert_eq!(jsonl(&|w| lines.write_jsonl(w)), plain_jsonl);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -411,7 +474,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
 
-        let (records, stats) =
+        let (records, _, stats) =
             run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |_, _| {}).unwrap();
         assert_eq!(records, plain, "salvage + recompute = uninterrupted run");
         assert_eq!(stats.resumed, scenarios.len() - 1);
@@ -434,7 +497,7 @@ mod tests {
         let kept = text.match_indices('\n').nth(1).unwrap().0 + 1;
         std::fs::write(&path, &bytes[..kept]).unwrap();
         let mut seen = Vec::new();
-        let (_, stats) = run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |i, r| {
+        let (_, _, stats) = run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |i, r| {
             assert_eq!(i as u64, r.scenario.id, "index is the scenario's own");
             seen.push(i);
         })
@@ -462,7 +525,9 @@ mod tests {
             Checkpoint::open(&path, &scenarios, &opts, false, None).unwrap();
         // Well inside `SYNC_EVERY` of the open: nothing is written yet.
         for r in &records {
-            checkpoint.append(r);
+            let mut json = String::new();
+            write_record_json(&mut json, r);
+            checkpoint.append(&json);
         }
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         checkpoint.sync();
@@ -504,7 +569,7 @@ mod tests {
         bytes[second_record] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
-        let (records, stats) =
+        let (records, _, stats) =
             run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |_, _| {}).unwrap();
         assert_eq!(records, plain);
         assert_eq!(stats.resumed, 1, "only the line before the corruption");
@@ -570,14 +635,14 @@ mod tests {
         let header_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
         std::fs::write(&path, &bytes[..header_len / 2]).unwrap();
 
-        let (records, stats) =
+        let (records, _, stats) =
             run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |_, _| {}).unwrap();
         assert_eq!(records, plain);
         assert_eq!((stats.resumed, stats.computed), (0, scenarios.len()));
         assert_eq!(stats.dropped, 1, "the torn header line");
         // The rewritten journal starts with a fresh header and resumes
         // whole.
-        let (_, stats) =
+        let (_, _, stats) =
             run_sweep_checkpointed(&scenarios, &opts, &path, true, None, |_, _| {}).unwrap();
         assert_eq!((stats.resumed, stats.computed), (scenarios.len(), 0));
         std::fs::remove_dir_all(&dir).ok();
@@ -619,7 +684,7 @@ mod tests {
             limit: 1,
             ..FaultPlan::default()
         }));
-        let (records, stats) = run_sweep_checkpointed(
+        let (records, _, stats) = run_sweep_checkpointed(
             &scenarios,
             &opts,
             &path,
@@ -649,7 +714,7 @@ mod tests {
             limit: 4,
             ..FaultPlan::default()
         }));
-        let (records, stats) =
+        let (records, _, stats) =
             run_sweep_checkpointed(&scenarios, &opts, &path, false, Some(faults), |_, _| {})
                 .unwrap();
         assert_eq!(records, run_sweep(&scenarios, &opts));

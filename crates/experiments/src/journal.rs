@@ -5,7 +5,7 @@
 //! scenario, so both write it the same way:
 //!
 //! ```text
-//! crc32-hex TAB {"version":7,"fingerprint":"<16 hex>"[,"entries":N]} NEWLINE
+//! crc32-hex TAB {"version":8,"fingerprint":"<16 hex>"[,"entries":N]} NEWLINE
 //! crc32-hex TAB record-json NEWLINE        (one per record)
 //! ```
 //!
@@ -31,6 +31,9 @@ use crate::json::{self, Json};
 /// Format version of every journal, bumped on any framing change and
 /// whenever the records the engine computes change.
 ///
+/// * 8: the wait-window certificate in the step ladder moved the
+///   engine's bytes (`steps`, and contact times and distances within
+///   the declaration slack); the format is unchanged.
 /// * 7: one format for snapshots and checkpoints, with the header as
 ///   the journal's first line. A checkpoint had been at version 5 with
 ///   a `.manifest` sibling, and a snapshot at version 6 in a binary
@@ -41,13 +44,13 @@ use crate::json::{self, Json};
 ///   `√(x² + y²)` rather than `hypot`; τ = 1 scenarios on the Lemma 4
 ///   relative trajectory rather than two cursors; and the retirement of
 ///   the compiled sweep path.
-pub const JOURNAL_VERSION: u32 = 7;
+pub const JOURNAL_VERSION: u32 = 8;
 
 /// FNV-1a digest of the engine's output bytes on a pinned sweep plus one
 /// served `/first-contact` body (`tests/engine_bytes.rs`). Every update
 /// goes with a bump of [`JOURNAL_VERSION`], so no checkpoint or snapshot
 /// outlives the bytes it holds.
-pub const ENGINE_BYTES_DIGEST: u64 = 0x9036_acee_957e_d26e;
+pub const ENGINE_BYTES_DIGEST: u64 = 0xdafa_70cf_8e98_def7;
 
 /// Appends one frame whose JSON `body` writes: `crc32-hex TAB json
 /// NEWLINE`. The JSON is written in place and checksummed after, so no
@@ -177,7 +180,9 @@ mod tests {
         assert_eq!(crc, format!("{:08x}", crc32(json.as_bytes())));
         assert_eq!(
             json,
-            "{\"version\":7,\"fingerprint\":\"000000000000abcd\",\"entries\":2}"
+            format!(
+                "{{\"version\":{JOURNAL_VERSION},\"fingerprint\":\"000000000000abcd\",\"entries\":2}}"
+            )
         );
         let mut seen = Vec::new();
         let prefix = read_journal(text.as_bytes(), 0xABCD, |v| {

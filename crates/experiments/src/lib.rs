@@ -77,7 +77,9 @@ pub use canonical::{
     canonicalize, orbit_key, role_swap, snap_grid, CacheKey, Canonical, OrbitKey, OutcomeTransform,
     DEFAULT_GRID,
 };
-pub use checkpoint::{run_sweep_checkpointed, sweep_fingerprint, Checkpoint, CheckpointStats};
+pub use checkpoint::{
+    run_sweep_checkpointed, sweep_fingerprint, Checkpoint, CheckpointStats, RecordLines,
+};
 pub use durable::{crc32, read_file_faulty, DurableFile, JournalFile};
 pub use executor::{run_scenario, run_sweep, run_sweep_with, SweepOptions, SweepRecord};
 pub use faults::{FaultPlan, FaultSite, Faults};

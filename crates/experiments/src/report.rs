@@ -240,7 +240,7 @@ pub fn scenario_from_json(value: &Json) -> Result<Scenario, String> {
     if value.as_object().is_none() {
         return Err("scenario must be a JSON object".into());
     }
-    let defaults = crate::ScenarioGrid::new().build()[0];
+    let defaults = Scenario::REFERENCE;
     let opt_f64 = |key: &str, default: f64| -> Result<f64, String> {
         match value.get(key) {
             None => Ok(default),
@@ -634,6 +634,9 @@ mod tests {
         let s = scenario_from_json(&minimal).unwrap();
         assert_eq!(s.speed, 0.5);
         assert_eq!(s.time_unit, 1.0, "missing fields take reference values");
+        // The reference values are the default grid's single scenario.
+        let empty = scenario_from_json(&parse("{}").unwrap()).unwrap();
+        assert_eq!(empty, crate::ScenarioGrid::new().build()[0]);
 
         for (bad, needle) in [
             (r#"{"speed":-1}"#, "positive"),

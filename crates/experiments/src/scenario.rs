@@ -107,6 +107,22 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// The reference scenario: the one point of [`ScenarioGrid::new`]
+    /// (Algorithm 7, a reference partner at distance 1 and bearing
+    /// `π/3`, visibility `0.1`), and the value of every field a
+    /// JSON-encoded scenario leaves out (`scenario_from_json`).
+    pub(crate) const REFERENCE: Scenario = Scenario {
+        id: 0,
+        algorithm: Algorithm::WaitAndSearch,
+        speed: 1.0,
+        time_unit: 1.0,
+        orientation: 0.0,
+        chirality: Chirality::Consistent,
+        distance: 1.0,
+        bearing: std::f64::consts::FRAC_PI_3,
+        visibility: 0.1,
+    };
+
     /// The attribute tuple of robot `R'`.
     pub fn attributes(&self) -> RobotAttributes {
         RobotAttributes::new(self.speed, self.time_unit, self.orientation, self.chirality)
@@ -207,17 +223,21 @@ impl Default for ScenarioGrid {
 }
 
 impl ScenarioGrid {
-    /// A grid with one reference value per axis.
+    /// A grid with one reference value per axis: Algorithm 7, a
+    /// reference partner at distance 1 and bearing `π/3`, visibility
+    /// `0.1` — also the value of every field a JSON-encoded scenario
+    /// leaves out.
     pub fn new() -> Self {
+        let s = Scenario::REFERENCE;
         ScenarioGrid {
-            algorithms: vec![Algorithm::WaitAndSearch],
-            speeds: vec![1.0],
-            clocks: vec![1.0],
-            orientations: vec![0.0],
-            chiralities: vec![Chirality::Consistent],
-            distances: vec![1.0],
-            bearings: vec![std::f64::consts::FRAC_PI_3],
-            visibilities: vec![0.1],
+            algorithms: vec![s.algorithm],
+            speeds: vec![s.speed],
+            clocks: vec![s.time_unit],
+            orientations: vec![s.orientation],
+            chiralities: vec![s.chirality],
+            distances: vec![s.distance],
+            bearings: vec![s.bearing],
+            visibilities: vec![s.visibility],
         }
     }
 
@@ -488,6 +508,7 @@ mod tests {
         assert!(s.attributes().is_reference());
         assert_eq!(s.id, 0);
         assert!(s.instance().is_ok());
+        assert_eq!(s, Scenario::REFERENCE);
     }
 
     #[test]

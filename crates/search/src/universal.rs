@@ -243,6 +243,26 @@ impl Cursor for UniversalSearchCursor {
         }
         rvz_geometry::Disk::new(Vec2::ZERO, UniversalSearch::reach_between(t0, t1))
     }
+
+    /// The closed-form clearance: each round's contact windows come from
+    /// [`crate::first_visit_in_round`], so the cost is O(1) per
+    /// sub-round crossed. Stateless; `t0` ("unknown") past the
+    /// supported horizon.
+    fn first_visit(&mut self, t0: f64, t1: f64, center: Vec2, radius: f64) -> f64 {
+        if t1.is_nan() || t1 <= t0 || t0 >= times::rounds_total(times::MAX_ROUND) {
+            return t0;
+        }
+        for k in UniversalSearch::round_at(t0)..=times::MAX_ROUND {
+            let start = UniversalSearch::round_start(k);
+            if start >= t1 {
+                return t1;
+            }
+            if let Some(s) = crate::first_visit_in_round(k, start, center, radius, t0) {
+                return s.min(t1);
+            }
+        }
+        t0
+    }
 }
 
 impl MonotoneTrajectory for UniversalSearch {

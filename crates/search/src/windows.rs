@@ -11,7 +11,7 @@
 //! and skipping the (possibly millions of) non-contacting circles by
 //! index arithmetic.
 
-use crate::schedule::SubRound;
+use crate::schedule::{RoundSchedule, SubRound};
 use crate::times;
 use rvz_geometry::{normalize_angle, Vec2};
 
@@ -36,67 +36,234 @@ pub struct ContactWindow {
 /// If `d ≤ r` the robot *always* sees the target; one window covering the
 /// whole round is returned.
 ///
+/// A collector over [`RoundWindows`], which yields the same windows
+/// without allocating.
+///
 /// # Panics
 ///
 /// Panics on invalid `k` (see [`times::round_duration`]), non-positive
 /// `r`, non-finite `target`, or `limit == 0`.
 pub fn round_contact_windows(k: u32, target: Vec2, r: f64, limit: usize) -> Vec<ContactWindow> {
-    let round_duration = times::round_duration(k);
-    assert!(
-        r > 0.0 && r.is_finite(),
-        "visibility must be positive, got {r}"
-    );
-    assert!(target.is_finite(), "target must be finite");
     assert!(limit > 0, "limit must be positive");
+    RoundWindows::new(k, target, r).take(limit).collect()
+}
 
-    let d = target.norm();
-    if d <= r {
-        return vec![ContactWindow {
-            start: 0.0,
-            end: round_duration,
-        }];
+/// Relative slack of [`first_visit_in_round`]: the windows are computed
+/// for a radius `1 + VISIT_SLACK` times the asked one, and a window start
+/// moves `VISIT_SLACK·(1 + start)` earlier, so neither the rounding of
+/// the window geometry nor that of the block's start time can put the
+/// answer inside the disk.
+const VISIT_SLACK: f64 = 1e-9;
+
+/// The first global time at or after `t0` at which `Search(k)`, run from
+/// global time `block_start`, may be within `r` of `target`: `t0` when
+/// it may already be, `None` when no contact window of the round ends
+/// after `t0`. Before the returned time the robot stays farther than
+/// `r` from the target: the windows are computed for a radius `1e-9`
+/// larger (relative), and a window start is moved `1e-9·(1 + start)`
+/// earlier, so rounding cannot put the answer inside the disk.
+///
+/// The one closed-form clearance query behind the schedule cursors'
+/// [`Cursor::first_visit`](rvz_trajectory::Cursor::first_visit). Costs
+/// O(1) per sub-round of the round and never allocates.
+///
+/// # Panics
+///
+/// As for [`RoundWindows::ending_after`].
+pub fn first_visit_in_round(
+    k: u32,
+    block_start: f64,
+    target: Vec2,
+    r: f64,
+    t0: f64,
+) -> Option<f64> {
+    let u = t0 - block_start;
+    let r = r * (1.0 + VISIT_SLACK);
+    // Nothing ends after `u` past the round, and nothing past the
+    // round's reach sees the target.
+    if u >= times::round_duration(k) || target.norm() - r > times::outer_radius(k, 2 * k - 1) {
+        return None;
+    }
+    let w = RoundWindows::ending_after(k, target, r, u).next()?;
+    let start = block_start + w.start;
+    Some((start - VISIT_SLACK * (1.0 + start.abs())).max(t0))
+}
+
+/// The contact windows of one `Search(k)` round, in increasing time
+/// order and local to the round, as a non-allocating iterator: the
+/// windows [`round_contact_windows`] collects.
+///
+/// Circles that cannot see the target are skipped by index arithmetic:
+/// a sub-round starts at its first circle reaching the target's annulus
+/// or leg, and ends at its first circle past the annulus when the
+/// target has no leg contact. [`RoundWindows::ending_after`] starts the
+/// enumeration at an arbitrary local time, so a query about a late time
+/// window skips the round's earlier sub-rounds and circles too.
+///
+/// # Example
+///
+/// ```
+/// use rvz_search::RoundWindows;
+/// use rvz_geometry::Vec2;
+///
+/// // A target on the x-axis is seen from every long enough leg.
+/// let target = Vec2::new(0.9, 0.0);
+/// let first = RoundWindows::new(2, target, 0.08).next().expect("a window");
+/// // Resuming inside that window yields it again; past it, a later one.
+/// let again = RoundWindows::ending_after(2, target, 0.08, first.start).next();
+/// assert_eq!(again, Some(first));
+/// let later = RoundWindows::ending_after(2, target, 0.08, first.end).next().unwrap();
+/// assert!(later.start >= first.end);
+/// ```
+#[derive(Debug, Clone)]
+pub struct RoundWindows {
+    k: u32,
+    d: f64,
+    r: f64,
+    alpha: f64,
+    /// The target's leg-contact interval `[x_lo, x_hi]` on the x-axis.
+    leg: Option<(f64, f64)>,
+    /// Windows ending at or before this local time are skipped.
+    after: f64,
+    /// The sub-round being enumerated (`2k` once exhausted).
+    j: u32,
+    /// The next circle of sub-round `j` to examine.
+    i: u64,
+    /// `true` once sub-round `j`'s first circle has been positioned.
+    positioned: bool,
+    /// Windows of the last examined circle not yet yielded.
+    pending: [ContactWindow; 4],
+    head: usize,
+    len: usize,
+}
+
+impl RoundWindows {
+    /// Every contact window of `Search(k)` with the target.
+    ///
+    /// # Panics
+    ///
+    /// As for [`round_contact_windows`] (without the limit).
+    pub fn new(k: u32, target: Vec2, r: f64) -> Self {
+        Self::ending_after(k, target, r, f64::NEG_INFINITY)
     }
 
-    // Leg geometry (see discovery.rs): the robot at (x, 0) sees the
-    // target iff x ∈ [x_lo, x_hi]; with d > r the window is positive.
-    let leg = if target.y.abs() <= r {
-        let half = (r * r - target.y * target.y).sqrt();
-        let x_hi = target.x + half;
-        if x_hi > 0.0 {
-            Some(((target.x - half).max(0.0), x_hi))
-        } else {
-            None
-        }
-    } else {
-        None
-    };
-    let alpha = normalize_angle(target.angle());
-
-    let mut out = Vec::new();
-    'rounds: for j in 0..2 * k {
-        let sub = SubRound::new(k, j);
-        let sub_start = sub.start_within_round();
-        let m = sub.circle_count() - 1;
-
-        // Circle ranges with any contact.
-        let arc_lo = first_index_reaching(&sub, d - r);
-        let leg_lo = leg.and_then(|(x_lo, _)| first_index_reaching(&sub, x_lo));
-        let start_i = match (arc_lo, leg_lo) {
-            (Some(a), Some(l)) => a.min(l),
-            (Some(a), None) => a,
-            (None, Some(l)) => l,
-            (None, None) => continue,
+    /// The contact windows of `Search(k)` with the target that end after
+    /// local round time `u`, in time order: the first one yielded
+    /// contains `u` or is the first to start after it.
+    ///
+    /// # Panics
+    ///
+    /// As for [`RoundWindows::new`], and on a NaN `u`.
+    pub fn ending_after(k: u32, target: Vec2, r: f64, u: f64) -> Self {
+        let round_duration = times::round_duration(k);
+        assert!(
+            r > 0.0 && r.is_finite(),
+            "visibility must be positive, got {r}"
+        );
+        assert!(target.is_finite(), "target must be finite");
+        assert!(!u.is_nan(), "window start time must not be NaN");
+        let empty = ContactWindow {
+            start: 0.0,
+            end: 0.0,
         };
+        let mut windows = RoundWindows {
+            k,
+            d: target.norm(),
+            r,
+            alpha: normalize_angle(target.angle()),
+            leg: None,
+            after: u,
+            j: 2 * k,
+            i: 0,
+            positioned: false,
+            pending: [empty; 4],
+            head: 0,
+            len: 0,
+        };
+        if windows.d <= r {
+            // Always in sight: one window covering the whole round.
+            windows.pending[0] = ContactWindow {
+                start: 0.0,
+                end: round_duration,
+            };
+            windows.len = 1;
+            return windows;
+        }
+        // Leg geometry (see discovery.rs): the robot at (x, 0) sees the
+        // target iff x ∈ [x_lo, x_hi]; with d > r the window is positive.
+        if target.y.abs() <= r {
+            let half = (r * r - target.y * target.y).sqrt();
+            let x_hi = target.x + half;
+            if x_hi > 0.0 {
+                windows.leg = Some(((target.x - half).max(0.0), x_hi));
+            }
+        }
+        // Start in the sub-round containing `u`; the terminal wait at the
+        // origin sees nothing.
+        let schedule = RoundSchedule::new(k);
+        windows.j = if u <= 0.0 {
+            0
+        } else if u < round_duration {
+            schedule.subround_index_at(u).unwrap_or(2 * k)
+        } else {
+            2 * k
+        };
+        windows
+    }
 
-        for i in start_i..=m {
+    /// Fills `pending` with the next contacting circle's windows;
+    /// `false` once the round is exhausted.
+    fn refill(&mut self) -> bool {
+        let k = self.k;
+        let (d, r) = (self.d, self.r);
+        while self.j < 2 * k {
+            let sub = SubRound::new(k, self.j);
+            let sub_start = sub.start_within_round();
+            let m = sub.circle_count() - 1;
+            if !self.positioned {
+                self.positioned = true;
+                // Circle ranges with any contact.
+                let arc_lo = first_index_reaching(&sub, d - r);
+                let leg_lo = self
+                    .leg
+                    .and_then(|(x_lo, _)| first_index_reaching(&sub, x_lo));
+                let start_i = match (arc_lo, leg_lo) {
+                    (Some(a), Some(l)) => a.min(l),
+                    (Some(a), None) => a,
+                    (None, Some(l)) => l,
+                    (None, None) => m + 1,
+                };
+                // Circles that finish before `after` have no window
+                // ending after it.
+                let w = self.after - sub_start;
+                self.i = if start_i <= m && w >= sub.circle_start(start_i + 1) {
+                    start_i.max(sub.circle_index_at(w.min(sub.duration() * (1.0 - f64::EPSILON))))
+                } else {
+                    start_i
+                };
+            }
+            if self.i > m || (self.leg.is_none() && sub.circle_radius(self.i) - d > r) {
+                if self.leg.is_none() && sub.inner_radius() - d > r {
+                    // Radii only grow: no later sub-round reaches either.
+                    self.j = 2 * k;
+                    return false;
+                }
+                self.j += 1;
+                self.positioned = false;
+                continue;
+            }
+            let i = self.i;
+            self.i += 1;
+            self.len = 0;
+            self.head = 0;
             let delta = sub.circle_radius(i);
             let block = sub_start + sub.circle_start(i);
             let circle_end = 2.0 * times::PI_PLUS_1 * delta;
 
             // Outbound leg.
-            if let Some((x_lo, x_hi)) = leg {
+            if let Some((x_lo, x_hi)) = self.leg {
                 if delta >= x_lo {
-                    push(&mut out, block + x_lo, block + x_hi.min(delta));
+                    self.push(block + x_lo, block + x_hi.min(delta));
                 }
             }
             // Arc sweep.
@@ -106,42 +273,60 @@ pub fn round_contact_windows(k: u32, target: Vec2, r: f64, limit: usize) -> Vec<
                 let tau = std::f64::consts::TAU;
                 let arc_t = |theta: f64| block + delta + delta * theta;
                 if half_width >= std::f64::consts::PI {
-                    push(&mut out, arc_t(0.0), arc_t(tau));
+                    self.push(arc_t(0.0), arc_t(tau));
                 } else {
-                    let a = normalize_angle(alpha - half_width);
+                    let a = normalize_angle(self.alpha - half_width);
                     let b = a + 2.0 * half_width;
                     if b <= tau {
-                        push(&mut out, arc_t(a), arc_t(b));
+                        self.push(arc_t(a), arc_t(b));
                     } else {
                         // Wraps through θ = 0: split into two windows in
                         // time order.
-                        push(&mut out, arc_t(0.0), arc_t(b - tau));
-                        push(&mut out, arc_t(a), arc_t(tau));
+                        self.push(arc_t(0.0), arc_t(b - tau));
+                        self.push(arc_t(a), arc_t(tau));
                     }
                 }
             }
             // Inbound leg.
-            if let Some((x_lo, x_hi)) = leg {
+            if let Some((x_lo, x_hi)) = self.leg {
                 if delta >= x_lo {
-                    push(
-                        &mut out,
+                    self.push(
                         block + circle_end - x_hi.min(delta),
                         block + circle_end - x_lo,
                     );
                 }
             }
-            if out.len() >= limit {
-                break 'rounds;
+            if self.len > 0 {
+                return true;
             }
         }
+        false
     }
-    out.truncate(limit);
-    out
+
+    fn push(&mut self, start: f64, end: f64) {
+        if end > start {
+            self.pending[self.len] = ContactWindow { start, end };
+            self.len += 1;
+        }
+    }
 }
 
-fn push(out: &mut Vec<ContactWindow>, start: f64, end: f64) {
-    if end > start {
-        out.push(ContactWindow { start, end });
+impl Iterator for RoundWindows {
+    type Item = ContactWindow;
+
+    fn next(&mut self) -> Option<ContactWindow> {
+        loop {
+            while self.head < self.len {
+                let w = self.pending[self.head];
+                self.head += 1;
+                if w.end > self.after {
+                    return Some(w);
+                }
+            }
+            if !self.refill() {
+                return None;
+            }
+        }
     }
 }
 
@@ -285,6 +470,32 @@ mod tests {
                 round_start + first.start,
                 found.time
             );
+        }
+    }
+
+    /// Starting the enumeration at a local time yields exactly the
+    /// windows of the full enumeration that end after it.
+    #[test]
+    fn ending_after_equals_the_filtered_enumeration() {
+        for (k, target, r) in [
+            (3, Vec2::new(0.4, 0.6), 0.1),
+            (3, Vec2::new(0.9, 0.02), 0.2),
+            (4, Vec2::new(-1.3, 0.7), 0.01),
+            (2, Vec2::new(0.05, 0.0), 0.2),
+        ] {
+            let all: Vec<_> = RoundWindows::new(k, target, r).collect();
+            let duration = times::round_duration(k);
+            let mut probes: Vec<f64> = (0..=200).map(|i| duration * i as f64 / 200.0).collect();
+            probes.extend(
+                all.iter()
+                    .flat_map(|w| [w.start, w.end, 0.5 * (w.start + w.end)]),
+            );
+            probes.push(-1.0);
+            for u in probes {
+                let expected: Vec<_> = all.iter().copied().filter(|w| w.end > u).collect();
+                let resumed: Vec<_> = RoundWindows::ending_after(k, target, r, u).collect();
+                assert_eq!(resumed, expected, "k={k}, target={target}, u={u}");
+            }
         }
     }
 

@@ -46,11 +46,18 @@
 //!    `curvature_step`). An arc pair then approaches contact like a
 //!    second-order method instead of crawling at the speed bound.
 //!    [`Motion::Curved`] pieces get no such bound.
-//! 5. **Conservative step** — with relative speed at most `s`, a gap
+//! 5. **Wait window** — while exactly one probe is a wait (a zero
+//!    velocity affine piece, the resting stationary target included),
+//!    the pair is the other robot's plain search for a fixed point:
+//!    [`Cursor::first_visit`] on the moving cursor clears the time
+//!    before it can come within `radius + tolerance` of the waiting
+//!    position, up to the wait's end, in one closed-form query. A
+//!    clearance only: the contact itself is declared by 1–2.
+//! 6. **Conservative step** — with relative speed at most `s`, a gap
 //!    `D − radius` cannot close within `(D − radius)/s`; always taken
 //!    when it is the longest (so the cursor engine never steps more
 //!    often than the generic loop).
-//! 6. **Swept-envelope pruning** (when [`ContactOptions::prune`] is on)
+//! 7. **Swept-envelope pruning** (when [`ContactOptions::prune`] is on)
 //!    — starting from the certified advance, test
 //!    `b.gap_to(window, &envelope_a) > radius + tolerance` (the disk
 //!    gap, or a map-aware bound through a singular frame warp; see
@@ -58,7 +65,7 @@
 //!    look-ahead window: success skips the window wholesale (entire
 //!    sub-rounds of `Search(k)` at the top of the hierarchy) and doubles
 //!    it, failure halves it — coarse-to-fine descent that hands off to
-//!    certificates 1–5 at leaf scale. Complete misses back off
+//!    certificates 1–6 at leaf scale. Complete misses back off
 //!    exponentially so unprunable stretches pay almost nothing. Against
 //!    a fixed `a` (speed bound 0) a skipped window's gap is a lower
 //!    bound on the distance over the window, so it is folded into the
@@ -422,8 +429,11 @@ pub struct EngineStats {
     /// Steps advanced by the curvature certificate (4) where it
     /// outreached the speed bound.
     pub curvature_steps: u64,
+    /// Steps advanced by the wait-window certificate (5) where it
+    /// outreached the rest of the ladder.
+    pub window_steps: u64,
     /// Steps advanced by the piece-boundary and conservative
-    /// certificates (3, 5) — the remainder of the ladder.
+    /// certificates (3, 6) — the remainder of the ladder.
     pub conservative_steps: u64,
     /// Lane-kernel chunks evaluated (each chunk is up to
     /// [`crate::kernel::KERNEL_LANES`] merged affine intervals minimized
@@ -586,7 +596,8 @@ where
         };
         let mut exact_root = false;
         let mut curved = false;
-        let step = match (pa.motion, pb.motion) {
+        let mut windowed = false;
+        let mut step = match (pa.motion, pb.motion) {
             (Motion::Affine { velocity: va }, Motion::Affine { velocity: vb }) => {
                 // Both pieces are exact linear motions until `boundary`
                 // (never past the horizon — the horizon endpoint itself
@@ -700,8 +711,26 @@ where
                 }
             }
         };
+        // The wait-window certificate: while one robot waits, the pair
+        // is the other robot's plain search for a fixed point, and its
+        // cursor clears the wait in one closed-form query. A clearance
+        // only: inside a window the mover is on a leg or an arc against
+        // a fixed point, where certificates 1–2 declare the contact.
+        if !exact_root {
+            let clear = match (is_wait(pa.motion), is_wait(pb.motion)) {
+                (true, false) => window_clearance(b, &pa, t, step, threshold, opts.horizon),
+                (false, true) => window_clearance(a, &pb, t, step, threshold, opts.horizon),
+                _ => 0.0,
+            };
+            if clear > step {
+                step = clear;
+                windowed = true;
+            }
+        }
         if exact_root {
             stats.analytic_steps += 1;
+        } else if windowed {
+            stats.window_steps += 1;
         } else if curved {
             stats.curvature_steps += 1;
         } else {
@@ -779,6 +808,31 @@ where
         }
         t = t_next.min(opts.horizon);
     }
+}
+
+/// `true` for a wait: an affine piece with zero velocity (a schedule's
+/// wait segment, or the permanent rest of a stationary target).
+fn is_wait(motion: Motion) -> bool {
+    matches!(motion, Motion::Affine { velocity } if velocity == Vec2::ZERO)
+}
+
+/// The wait-window certificate's advance from `t`: how long `mover`
+/// provably stays farther than `threshold` from the waiting probe's
+/// position before its wait ends (or the horizon comes). `0` when that
+/// cannot beat the `step` already certified, so the query is skipped.
+fn window_clearance<C: Cursor + ?Sized>(
+    mover: &mut C,
+    waiting: &Probe,
+    t: f64,
+    step: f64,
+    threshold: f64,
+    horizon: f64,
+) -> f64 {
+    let end = waiting.piece_end.min(horizon);
+    if end - t <= step {
+        return 0.0;
+    }
+    mover.first_visit(t, end, waiting.position, threshold) - t
 }
 
 /// The exact pair-distance law on a piece overlap where it reduces to a
@@ -1277,6 +1331,193 @@ mod tests {
         );
     }
 
+    /// Which map a [`first_visit_never_clears_past_a_sampled_visit`]
+    /// draw puts between the schedule and the query.
+    #[derive(Debug, Clone, Copy)]
+    enum VisitFrame {
+        Direct,
+        Similarity,
+        Reflected,
+        Generic,
+        Drift,
+        DriftUnderSimilarity,
+    }
+
+    /// `v·Rot(φ)`, reflected first when `mirror`.
+    fn similarity(rng: &mut SplitMix64, mirror: bool) -> rvz_geometry::Mat2 {
+        use rvz_geometry::Mat2;
+        let m = Mat2::rotation(rng.next_range(0.0, std::f64::consts::TAU))
+            * Mat2::scaling(rng.next_range(0.3, 1.5));
+        if mirror {
+            m * Mat2::chirality_reflection(-1.0)
+        } else {
+            m
+        }
+    }
+
+    /// A random invertible map with condition number below 20.
+    fn generic_map(rng: &mut SplitMix64) -> rvz_geometry::Mat2 {
+        loop {
+            let m = rvz_geometry::Mat2::new(
+                rng.next_range(-1.5, 1.5),
+                rng.next_range(-1.5, 1.5),
+                rng.next_range(-1.5, 1.5),
+                rng.next_range(-1.5, 1.5),
+            );
+            let norm = m.operator_norm();
+            if m.det().abs() * 20.0 > norm * norm {
+                return m;
+            }
+        }
+    }
+
+    fn drifted<T>(inner: T, rng: &mut SplitMix64) -> rvz_trajectory::ClockDrift<T> {
+        let rates: Vec<(f64, f64)> = (0..rng.next_below(4))
+            .map(|_| (rng.next_range(1.0, 3000.0), rng.next_range(0.5, 1.5)))
+            .collect();
+        rvz_trajectory::ClockDrift::from_rates(inner, &rates, rng.next_range(0.5, 1.5))
+    }
+
+    /// One clearance query on `traj` against the trajectory's own
+    /// random-access positions: no sampled position before the answer
+    /// lies within the radius, and a constructed visit bounds it.
+    /// Returns `(answer > t0, answer == t1)`.
+    fn check_visit<T: MonotoneTrajectory>(
+        traj: &T,
+        rng: &mut SplitMix64,
+        horizon: f64,
+        label: &str,
+    ) -> (bool, bool) {
+        let t0 = rng.next_range(0.0, horizon);
+        let t1 = t0 + rng.next_range(0.0, 5.0).exp();
+        let radius = rng.next_range(0.02, 0.5);
+        let visit = rng.next_range(t0, t1);
+        let planted = rng.next_below(2) == 0;
+        let center = if planted {
+            traj.position(visit)
+                + Vec2::from_polar(radius * rng.next_f64(), rng.next_range(0.0, 6.3))
+        } else {
+            Vec2::new(rng.next_range(-4.0, 4.0), rng.next_range(-4.0, 4.0))
+        };
+        let mut cursor = traj.cursor();
+        let _ = cursor.probe(t0);
+        let s = cursor.first_visit(t0, t1, center, radius);
+        assert!(
+            t0 <= s && s <= t1,
+            "{label}: answer {s} outside [{t0}, {t1}]"
+        );
+        if planted {
+            assert!(
+                s <= visit,
+                "{label}: cleared to {s} past the visit at {visit}"
+            );
+        }
+        const SAMPLES: usize = 1024;
+        // `[t0, s)` is empty when the answer is "unknown".
+        for i in (0..SAMPLES).filter(|_| s > t0) {
+            let u = t0 + (s - t0) * i as f64 / SAMPLES as f64;
+            let gap = traj.position(u).distance(center);
+            assert!(
+                gap > radius,
+                "{label}: distance {gap} ≤ {radius} at {u}, before the answer {s} (t0 = {t0})"
+            );
+        }
+        (s > t0, s == t1)
+    }
+
+    /// Draws one schedule behind one frame and checks a query on it.
+    fn visit_draw<A: MonotoneTrajectory + Copy>(
+        algorithm: A,
+        rng: &mut SplitMix64,
+        frame: VisitFrame,
+        horizon: f64,
+    ) -> (bool, bool) {
+        use rvz_trajectory::FrameWarp;
+        let offset = Vec2::new(rng.next_range(-2.0, 2.0), rng.next_range(-2.0, 2.0));
+        let tau = rng.next_range(0.4, 1.6);
+        let label = format!("{frame:?}");
+        match frame {
+            VisitFrame::Direct => check_visit(&algorithm, rng, horizon, &label),
+            VisitFrame::Similarity | VisitFrame::Reflected => {
+                let m = similarity(rng, matches!(frame, VisitFrame::Reflected));
+                let warp = FrameWarp::new(algorithm, m, offset, tau);
+                check_visit(&warp, rng, horizon * tau, &label)
+            }
+            VisitFrame::Generic => {
+                let warp = FrameWarp::new(algorithm, generic_map(rng), offset, tau);
+                check_visit(&warp, rng, horizon * tau, &label)
+            }
+            VisitFrame::Drift => check_visit(&drifted(algorithm, rng), rng, horizon, &label),
+            VisitFrame::DriftUnderSimilarity => {
+                let mirror = rng.next_below(2) == 0;
+                let m = similarity(rng, mirror);
+                let warp = FrameWarp::new(drifted(algorithm, rng), m, offset, tau);
+                check_visit(&warp, rng, horizon * tau, &label)
+            }
+        }
+    }
+
+    /// The wait-window certificate's cursor query against dense
+    /// samples: on Algorithm 4 and Algorithm 7, directly, through
+    /// random similarity, reflected and generic invertible frame warps
+    /// and through drifting clocks, `first_visit` never answers past a
+    /// sampled visit to the disk, nor past a visit planted by centering
+    /// the disk near the trajectory. The samples come from
+    /// `Trajectory::position`, which shares no code with the contact
+    /// windows. A rank-1 warp answers "unknown". 256 draws in debug,
+    /// 10,000 in release.
+    #[test]
+    fn first_visit_never_clears_past_a_sampled_visit() {
+        use rvz_geometry::Mat2;
+        let cases = if cfg!(debug_assertions) { 256 } else { 10_000 };
+        let frames = [
+            VisitFrame::Direct,
+            VisitFrame::Similarity,
+            VisitFrame::Reflected,
+            VisitFrame::Generic,
+            VisitFrame::Drift,
+            VisitFrame::DriftUnderSimilarity,
+        ];
+        let mut rng = SplitMix64::new(0xF1A5_7515);
+        let (mut cleared, mut whole) = (0_usize, 0_usize);
+        for case in 0..cases {
+            let frame = frames[case % frames.len()];
+            let (some, all) = if (case / frames.len()).is_multiple_of(2) {
+                let horizon = rvz_search::times::rounds_total(6);
+                visit_draw(rvz_search::UniversalSearch, &mut rng, frame, horizon)
+            } else {
+                let horizon = rvz_core::completion_time(4);
+                visit_draw(rvz_core::WaitAndSearch, &mut rng, frame, horizon)
+            };
+            cleared += usize::from(some);
+            whole += usize::from(all);
+        }
+        // The certificate is not vacuous: it clears some windows whole
+        // and stops inside many others.
+        assert!(
+            cleared * 2 >= cases && whole * 20 >= cases && whole < cleared,
+            "{cleared} of {cases} cleared something, {whole} the whole window"
+        );
+        // A rank-1 warp confines the robot to a line and has no
+        // preimage disk: it answers t0 ("unknown").
+        for (i, m) in [
+            Mat2::new(1.0, 2.0, 2.0, 4.0),
+            Mat2::IDENTITY - Mat2::rotation(0.7) * Mat2::chirality_reflection(-1.0),
+            Mat2::ZERO,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let warp =
+                rvz_trajectory::FrameWarp::new(rvz_search::UniversalSearch, m, Vec2::ZERO, 1.0);
+            let t0 = 10.0 * i as f64;
+            let s = warp
+                .cursor()
+                .first_visit(t0, t0 + 1e4, Vec2::new(40.0, 0.0), 0.1);
+            assert_eq!(s, t0, "rank-1 map {m:?}");
+        }
+    }
+
     #[test]
     fn curvature_step_declines_curved_pieces() {
         let curved = Probe {
@@ -1603,13 +1844,24 @@ mod tests {
 
     #[test]
     fn instrumented_engine_reports_pruning_work() {
-        // Algorithm 4 against a far-away stationary point: the schedule
-        // envelope (reach ≤ 2^k) certifies huge windows against the
-        // 50-unit separation, so the instrumented entry point must
-        // report pruned intervals.
+        // Algorithm 4 against a far-away stationary point: the target
+        // waits forever, so the wait-window certificate asks the search
+        // cursor when it first comes within reach, and Search(1..5)
+        // never does: one closed-form step clears the whole horizon.
         let a = rvz_search::UniversalSearch;
         let b = crate::Stationary::new(Vec2::new(50.0, 0.0));
         let opts = ContactOptions::with_horizon(rvz_search::times::rounds_total(5));
+        let (out, stats) =
+            first_contact_cursors_instrumented(&mut a.cursor(), &mut b.cursor(), 0.5, &opts);
+        assert!(!out.is_contact());
+        assert_eq!((out.steps(), stats.window_steps), (1, 1), "{stats:?}");
+        // Against a far-away robot walking off instead nothing waits for
+        // long: the schedule envelope (reach ≤ 2^k) certifies huge
+        // windows against the 50-unit separation, so the instrumented
+        // entry point must report pruned intervals.
+        let b = PathBuilder::at(Vec2::new(50.0, 0.0))
+            .line_to(Vec2::new(50.0, 1e4))
+            .build();
         let (out, stats) =
             first_contact_cursors_instrumented(&mut a.cursor(), &mut b.cursor(), 0.5, &opts);
         assert!(!out.is_contact());
@@ -1617,7 +1869,10 @@ mod tests {
         assert!(stats.pruned_intervals > 0);
         // The step-choice counters partition the advancement steps.
         assert_eq!(
-            stats.analytic_steps + stats.curvature_steps + stats.conservative_steps,
+            stats.analytic_steps
+                + stats.curvature_steps
+                + stats.window_steps
+                + stats.conservative_steps,
             out.steps()
         );
         // With pruning off the same query reports zero envelope work
@@ -1631,7 +1886,10 @@ mod tests {
         assert_eq!(silent.envelope_queries, 0);
         assert_eq!(silent.pruned_intervals, 0);
         assert_eq!(
-            silent.analytic_steps + silent.curvature_steps + silent.conservative_steps,
+            silent.analytic_steps
+                + silent.curvature_steps
+                + silent.window_steps
+                + silent.conservative_steps,
             silent_out.steps()
         );
     }
@@ -1651,7 +1909,10 @@ mod tests {
             first_contact_cursors_instrumented(&mut a.cursor(), &mut b.cursor(), 0.05, &opts);
         assert!(stats.curvature_steps > 0, "{out}: {stats:?}");
         assert_eq!(
-            stats.analytic_steps + stats.curvature_steps + stats.conservative_steps,
+            stats.analytic_steps
+                + stats.curvature_steps
+                + stats.window_steps
+                + stats.conservative_steps,
             out.steps()
         );
     }

@@ -66,6 +66,8 @@ pub struct EngineTelemetry {
     pub analytic_steps: u64,
     /// Steps advanced by the curvature certificate.
     pub curvature_steps: u64,
+    /// Steps advanced by the wait-window certificate.
+    pub window_steps: u64,
     /// Steps advanced by the conservative / piece-boundary certificate.
     pub conservative_steps: u64,
     /// Lane-kernel chunks evaluated (zero on scalar paths).
@@ -150,6 +152,7 @@ pub(crate) fn record(path: EnginePath, outcome: Option<&SimOutcome>, stats: Engi
         pruned_intervals: stats.pruned_intervals,
         analytic_steps: stats.analytic_steps,
         curvature_steps: stats.curvature_steps,
+        window_steps: stats.window_steps,
         conservative_steps: stats.conservative_steps,
         lane_chunks: stats.lane_chunks,
         lane_intervals: stats.lane_intervals,
@@ -166,6 +169,7 @@ pub(crate) fn record(path: EnginePath, outcome: Option<&SimOutcome>, stats: Engi
     counter!("rvz_engine_pruned_intervals_total").add(stats.pruned_intervals);
     counter!("rvz_engine_steps_analytic_total").add(stats.analytic_steps);
     counter!("rvz_engine_steps_curvature_total").add(stats.curvature_steps);
+    counter!("rvz_engine_steps_window_total").add(stats.window_steps);
     counter!("rvz_engine_steps_conservative_total").add(stats.conservative_steps);
     match path {
         EnginePath::CompiledEager => dispatch_counter(false).inc(),
@@ -198,6 +202,7 @@ pub fn preregister_metrics() {
     let _ = counter!("rvz_engine_pruned_intervals_total");
     let _ = counter!("rvz_engine_steps_analytic_total");
     let _ = counter!("rvz_engine_steps_curvature_total");
+    let _ = counter!("rvz_engine_steps_window_total");
     let _ = counter!("rvz_engine_steps_conservative_total");
     let _ = counter!("rvz_engine_kernel_chunks_total");
     let _ = counter!("rvz_engine_kernel_lanes_active");

@@ -281,6 +281,25 @@ impl<T: MonotoneTrajectory> Cursor for DriftCursor<'_, T> {
         let local1 = self.drift.local_time(t1.max(t0)).max(local0);
         self.inner.envelope(local0, local1)
     }
+
+    /// The inner cursor's clearance over the local window
+    /// `[L(t0), L(t1)]`, mapped back through the inverse clock map: a
+    /// strictly increasing reparameterization keeps the order of visits
+    /// and moves no point. The start is folded into `last_local` as in
+    /// [`DriftCursor::envelope`].
+    fn first_visit(&mut self, t0: f64, t1: f64, center: Vec2, radius: f64) -> f64 {
+        let local0 = self.drift.local_time(t0).max(self.last_local);
+        self.last_local = local0;
+        let local1 = self.drift.local_time(t1.max(t0)).max(local0);
+        let local = self.inner.first_visit(local0, local1, center, radius);
+        if local <= local0 {
+            t0
+        } else if local >= local1 {
+            t1
+        } else {
+            self.drift.global_time(local).clamp(t0, t1)
+        }
+    }
 }
 
 impl<T: MonotoneTrajectory> MonotoneTrajectory for ClockDrift<T> {

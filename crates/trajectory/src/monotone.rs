@@ -62,6 +62,24 @@
 //!    for the monotonicity rule (the default implementation advances the
 //!    cursor there); `t1` may lie arbitrarily far ahead and must not
 //!    disturb the cursor's forward state.
+//!
+//! ## The first-visit extension
+//!
+//! [`Cursor::first_visit`] answers a *clearance* query against a fixed
+//! disk: a time `s ∈ [t0, t1]` before which the trajectory provably
+//! stays farther than `radius` from `center`. The engine asks it while
+//! the other robot waits, which turns the pair into plain search for a
+//! point (Section 4's mechanism), so one closed-form query crosses a
+//! wait piece that would otherwise take a dozen certified steps.
+//!
+//! 7. **Soundness** — `|position(u) − center| > radius` for every
+//!    `u ∈ [t0, s)`; `s = t1` certifies the whole window, and `s = t0`
+//!    (the default) claims nothing. Implementations computed in floating
+//!    point inflate `radius` slightly, so a rounded window edge cannot
+//!    land inside the disk;
+//! 8. **Statelessness** — the query counts as a probe at `t0` for the
+//!    monotonicity rule and must not disturb the cursor's forward
+//!    state, exactly like an envelope query.
 
 use crate::Trajectory;
 use rvz_geometry::{Disk, Vec2};
@@ -218,6 +236,19 @@ pub trait Cursor {
     fn gap_to(&mut self, t0: f64, t1: f64, other: &Disk) -> f64 {
         other.gap(&self.envelope(t0, t1))
     }
+
+    /// A time `s ∈ [t0, t1]` before which the trajectory stays farther
+    /// than `radius` from `center`: `|position(u) − center| > radius`
+    /// for every `u ∈ [t0, s)`. `s = t1` clears the whole window.
+    ///
+    /// The default answers `t0`, "unknown". The search schedules answer
+    /// from their closed-form contact windows, and frame warps and
+    /// drifting clocks map the query to their inner cursor; see the
+    /// [module docs](self).
+    fn first_visit(&mut self, t0: f64, t1: f64, center: Vec2, radius: f64) -> f64 {
+        let _ = (t1, center, radius);
+        t0
+    }
 }
 
 impl<C: Cursor + ?Sized> Cursor for &mut C {
@@ -233,6 +264,9 @@ impl<C: Cursor + ?Sized> Cursor for &mut C {
     fn gap_to(&mut self, t0: f64, t1: f64, other: &Disk) -> f64 {
         (**self).gap_to(t0, t1, other)
     }
+    fn first_visit(&mut self, t0: f64, t1: f64, center: Vec2, radius: f64) -> f64 {
+        (**self).first_visit(t0, t1, center, radius)
+    }
 }
 
 impl<C: Cursor + ?Sized> Cursor for Box<C> {
@@ -247,6 +281,9 @@ impl<C: Cursor + ?Sized> Cursor for Box<C> {
     }
     fn gap_to(&mut self, t0: f64, t1: f64, other: &Disk) -> f64 {
         (**self).gap_to(t0, t1, other)
+    }
+    fn first_visit(&mut self, t0: f64, t1: f64, center: Vec2, radius: f64) -> f64 {
+        (**self).first_visit(t0, t1, center, radius)
     }
 }
 

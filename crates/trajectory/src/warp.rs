@@ -145,6 +145,28 @@ pub struct WarpCursor<C> {
     /// exact up to the inner envelope): the map sends a disk to an
     /// ellipse, possibly flat, that its disk envelope overstates.
     axes: Option<SingularAxes>,
+    /// `Some((M⁻¹, radius scale))` when the linear map is numerically
+    /// invertible, cached once for [`Cursor::first_visit`]: the warped
+    /// robot is within `ρ` of a point `c` only where the inner one is
+    /// within `ρ/σ_min(M)` of `M⁻¹(c − b)`, because `|M·x| ≥ σ_min·|x|`.
+    /// The scale is `1/σ_min`, slightly inflated to cover its rounding.
+    preimage: Option<(Mat2, f64)>,
+}
+
+/// The [`WarpCursor`] preimage data of a linear map: its inverse and
+/// `1/σ_min` inflated by `1e-9` times the condition number, which covers
+/// the rounding of `σ_min = |det M| / ‖M‖₂` and of the preimage center
+/// (relative errors of a few ulps times the condition number). `None` for
+/// a singular or numerically singular map (condition number above
+/// `1e9`), whose clearance queries answer "unknown".
+fn preimage_parts(m: Mat2) -> Option<(Mat2, f64)> {
+    let norm = m.operator_norm();
+    let sigma_min = m.det().abs() / norm;
+    if sigma_min.is_nan() || sigma_min <= 1e-9 * norm {
+        return None;
+    }
+    let kappa = norm / sigma_min;
+    Some((m.inverse()?, (1.0 + 1e-9 * kappa) / sigma_min))
 }
 
 /// The SVD `M = s₁·u₁·v₁ᵀ + s₂·u₂·v₂ᵀ` of a 2×2 map, with `u₂ = u₁⊥`,
@@ -286,6 +308,31 @@ impl<C: Cursor> Cursor for WarpCursor<C> {
                 .max(disk_gap),
         }
     }
+
+    /// The inner cursor's clearance from the preimage disk
+    /// `D(M⁻¹(center − b), radius/σ_min)` over the local window
+    /// `[t0/τ, t1/τ]`, mapped back to global time. Sound for every
+    /// invertible map and tight for the similarities `v·τ·Rot(φ)·Refl(χ)`
+    /// of the paper's frames; a singular map answers `t0`.
+    fn first_visit(&mut self, t0: f64, t1: f64, center: Vec2, radius: f64) -> f64 {
+        let Some((inverse, scale)) = self.preimage else {
+            return t0;
+        };
+        let (l0, l1) = (t0 / self.time_scale, t1 / self.time_scale);
+        let local = self.inner.first_visit(
+            l0,
+            l1,
+            inverse * (center - self.translation),
+            radius * scale,
+        );
+        if local <= l0 {
+            t0
+        } else if local >= l1 {
+            t1
+        } else {
+            (local * self.time_scale).clamp(t0, t1)
+        }
+    }
 }
 
 impl<C> WarpCursor<C> {
@@ -322,6 +369,7 @@ impl<T: MonotoneTrajectory> MonotoneTrajectory for FrameWarp<T> {
             operator_norm: self.linear.operator_norm(),
             conformal,
             axes: conformal.is_none().then(|| SingularAxes::of(self.linear)),
+            preimage: preimage_parts(self.linear),
         }
     }
 }

@@ -779,9 +779,11 @@ fn cmd_sweep(opts: &Flags) -> Result<(), String> {
             heartbeat.tick();
         }
     };
-    let mut checkpoint_stats = None;
+    // A checkpointed sweep renders each record once, into its journal,
+    // and writes the JSONL artifact from those lines.
+    let mut checkpointed = None;
     let records = if let Some(path) = &checkpoint {
-        let (records, stats) = plane_rendezvous::experiments::run_sweep_checkpointed(
+        let (records, lines, stats) = plane_rendezvous::experiments::run_sweep_checkpointed(
             &scenarios,
             &sweep_opts,
             path,
@@ -789,7 +791,7 @@ fn cmd_sweep(opts: &Flags) -> Result<(), String> {
             faults,
             on_record,
         )?;
-        checkpoint_stats = Some(stats);
+        checkpointed = Some((lines, stats));
         records
     } else {
         run_sweep_with(&scenarios, &sweep_opts, on_record)
@@ -800,11 +802,16 @@ fn cmd_sweep(opts: &Flags) -> Result<(), String> {
     let wall = start.elapsed().as_secs_f64();
 
     let prefix = opts.get("out").map(String::as_str).unwrap_or("sweep");
-    save_artifact(&format!("{prefix}.jsonl"), &records, write_jsonl)?;
+    match &checkpointed {
+        Some((lines, _)) => save_artifact(&format!("{prefix}.jsonl"), &records, |w, _| {
+            lines.write_jsonl(w)
+        })?,
+        None => save_artifact(&format!("{prefix}.jsonl"), &records, write_jsonl)?,
+    }
     save_artifact(&format!("{prefix}.csv"), &records, write_csv)?;
 
     print!("{}", Summary::from_records(&records).render());
-    if let Some(stats) = checkpoint_stats {
+    if let Some((_, stats)) = checkpointed {
         println!(
             "checkpoint: {} resumed, {} computed, {} torn lines dropped{}",
             stats.resumed,

@@ -458,6 +458,42 @@ fn curvature_certificate_stops_the_arc_crawl_and_declares_inside_the_band() {
     assert!(contacts >= 64, "only {contacts} batch contacts sampled");
 }
 
+/// The wait-window certificate on the sweep path: while one robot of an
+/// Algorithm 7 pair waits, the other's cursor clears the wait in one
+/// closed-form query, so over a seeded τ ≠ 1 batch at the default depth
+/// the pairs average at most 30 steps (about 76 stepping through every
+/// wait), and every declared contact still lies in the declaration band
+/// `[radius, radius + tolerance]`: the certificate only clears, and the
+/// closed-form rungs declare.
+#[test]
+fn wait_window_certificate_crosses_waits_and_declares_inside_the_band() {
+    use plane_rendezvous::experiments::run_sweep;
+
+    let opts = SweepOptions::default();
+    let space = SampleSpace {
+        speed: (0.3, 0.9),
+        time_unit: (0.4, 0.9),
+        algorithms: vec![Algorithm::WaitAndSearch],
+        visibility: 0.1,
+        ..Default::default()
+    };
+    let records = run_sweep(&latin_hypercube(&space, 256, 0x3A17), &opts);
+    let steps: u64 = records.iter().map(|r| r.outcome.steps()).sum();
+    let mean = steps as f64 / records.len() as f64;
+    assert!(mean <= 30.0, "Algorithm 7 pairs take {mean:.1} steps each");
+    for record in &records {
+        let r = record.scenario.visibility;
+        match record.outcome {
+            SimOutcome::Contact { distance, .. } => assert!(
+                (r..=r + opts.contact.tolerance).contains(&distance),
+                "{:?}: declared at {distance} for radius {r}",
+                record.scenario
+            ),
+            other => panic!("{:?}: feasible pair ended {other}", record.scenario),
+        }
+    }
+}
+
 /// The SoA arena vs the eager program it was transposed from, on the
 /// Latin-hypercube partners: bit-for-bit identical probes and envelope
 /// boxes on a time grid, and the same coverage, marks, speed bound and
