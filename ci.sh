@@ -43,7 +43,7 @@ echo "==> allocation + SoA-not-slower gate, -C target-cpu=native arm"
 RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/ci-native \
     cargo test --release --quiet -p rvz-sim --test alloc_gate
 
-echo "==> step gate + canonical compiled arms + Lemma 4 oracle + curvature and wait-window certificates + telemetry byte-identity (release)"
+echo "==> step gate + canonical compiled arms + Lemma 4 oracle + curvature, law-walk and wait-window certificates + telemetry byte-identity (release)"
 # The cursor engine never takes more steps than the seed loop on the
 # canonical cases, the compiled ladder and lane kernel classify them
 # as the seed loop does, τ = 1 queries on the relative trajectory agree
@@ -56,15 +56,18 @@ cargo test --release --quiet --test engine_equivalence -- \
     relative_trajectory_disproves_twins_in_a_few_steps \
     relative_trajectory_matches_the_two_cursor_oracle \
     curvature_certificate_stops_the_arc_crawl_and_declares_inside_the_band \
-    wait_window_certificate_crosses_waits_and_declares_inside_the_band
+    wait_window_certificate_crosses_waits_and_declares_inside_the_band \
+    circle_pairs_walk_their_laws_and_declare_inside_the_band
 cargo test --release --quiet --test telemetry_identity
 # The curvature certificate never passes its target on 10,000 seeded
 # piece pairs (unequal-rate arcs, arc vs line, arc vs wait, line vs arc),
-# and the wait-window certificate's cursor query never clears past a
-# densely sampled visit on 10,000 seeded queries (both schedules,
-# directly, through similarity, reflected and generic frame warps and
-# through drifting clocks).
-cargo test --release --quiet -p rvz-sim --lib -- curvature_step first_visit
+# nor does the law walk that chains it along unequal-rate circle pairs
+# (10,000 seeded pairs, 513 samples per walked span), and the
+# wait-window certificate's cursor query never clears past a densely
+# sampled visit on 10,000 seeded queries (both schedules, directly,
+# through similarity, reflected and generic frame warps and through
+# drifting clocks).
+cargo test --release --quiet -p rvz-sim --lib -- curvature_step law_walk first_visit
 
 echo "==> engine vs analytic discovery and brute force (release: 10,000 seeded draws per property)"
 # tests/cross_validation.rs checks the engine against the closed-form
@@ -77,6 +80,8 @@ echo "==> numeric substrate properties (release: 10,000 seeded draws per propert
 # tests/numeric_properties.rs holds the geometry and numerics oracles
 # every engine step rests on: Vec2::norm within one ulp of hypot and
 # obeying the norm axioms, Cauchy-Schwarz and the Lagrange identity;
+# the in-house sin_cos within 2^-52 of libm, exactly odd/even, and
+# libm's own bits past its reduction bound and on NaN and infinities;
 # matrix algebra, inverse, QR and the operator norm; angles; Lambert W;
 # floor_log2/ceil_log2 through pow2i; the root finders; Kahan
 # summation. Tier-1 runs a 256-draw debug sample of the same streams.
@@ -185,6 +190,7 @@ for family in rvz_requests_total rvz_responses_total rvz_request_duration_us \
     rvz_cache_requests_total rvz_engine_queries_total rvz_engine_outcomes_total \
     rvz_engine_kernel_dispatch_total rvz_engine_kernel_lanes_active \
     rvz_engine_steps_curvature_total rvz_engine_steps_window_total \
+    rvz_engine_steps_by_pair_total \
     rvz_faults_injected_total rvz_shed_total rvz_uptime_seconds rvz_inflight; do
     echo "$METRICS_SCRAPE" | grep -q "$family" \
         || { echo "metrics scrape missing $family"; exit 1; }

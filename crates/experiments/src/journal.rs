@@ -31,6 +31,9 @@ use crate::json::{self, Json};
 /// Format version of every journal, bumped on any framing change and
 /// whenever the records the engine computes change.
 ///
+/// * 9: arc positions through the in-house `rvz_geometry::sin_cos`
+///   (last bits of times and distances) and the law walk on
+///   unequal-rate circle pairs (`steps`); the format is unchanged.
 /// * 8: the wait-window certificate in the step ladder moved the
 ///   engine's bytes (`steps`, and contact times and distances within
 ///   the declaration slack); the format is unchanged.
@@ -44,13 +47,13 @@ use crate::json::{self, Json};
 ///   `√(x² + y²)` rather than `hypot`; τ = 1 scenarios on the Lemma 4
 ///   relative trajectory rather than two cursors; and the retirement of
 ///   the compiled sweep path.
-pub const JOURNAL_VERSION: u32 = 8;
+pub const JOURNAL_VERSION: u32 = 9;
 
 /// FNV-1a digest of the engine's output bytes on a pinned sweep plus one
 /// served `/first-contact` body (`tests/engine_bytes.rs`). Every update
 /// goes with a bump of [`JOURNAL_VERSION`], so no checkpoint or snapshot
 /// outlives the bytes it holds.
-pub const ENGINE_BYTES_DIGEST: u64 = 0xdafa_70cf_8e98_def7;
+pub const ENGINE_BYTES_DIGEST: u64 = 0xcf48_0963_08bd_e707;
 
 /// Appends one frame whose JSON `body` writes: `crc32-hex TAB json
 /// NEWLINE`. The JSON is written in place and checksummed after, so no

@@ -147,34 +147,48 @@ pub fn write_jsonl<W: Write>(w: &mut W, records: &[SweepRecord]) -> io::Result<(
 /// renders without building a [`Json`] tree.
 enum Field {
     Num(f64),
+    /// A count (`id`, `steps`): a JSON number, written by integer
+    /// formatting. Counts up to `2^53` render exactly as their `f64`.
+    Int(u64),
+    /// A fixed token: plain ASCII, nothing to escape.
     Token(&'static str),
     Bool(bool),
 }
 
-/// The record schema: every field of the JSON object, in order. Both
-/// [`record_to_json`] and [`write_record_json`] read it, so the tree and
-/// the streamed text cannot disagree.
+/// The record schema: every field of the JSON object, in order, each
+/// as the literal the streamed row writes before its value: `{"key":`
+/// for the first, `,"key":` for the rest ([`field_key`] recovers the
+/// key). Both [`record_to_json`] and [`write_record_json`] read it, so
+/// the tree and the streamed text cannot disagree.
 fn record_fields(record: &SweepRecord) -> [(&'static str, Field); 15] {
     let row = Row { record };
     let s = &record.scenario;
     let (time, distance, steps) = row.observables();
     [
-        ("id", Field::Num(s.id as f64)),
-        ("algorithm", Field::Token(s.algorithm.token())),
-        ("speed", Field::Num(s.speed)),
-        ("time_unit", Field::Num(s.time_unit)),
-        ("orientation", Field::Num(s.orientation)),
-        ("chirality", Field::Token(s.chirality.token())),
-        ("distance", Field::Num(s.distance)),
-        ("bearing", Field::Num(s.bearing)),
-        ("visibility", Field::Num(s.visibility)),
-        ("feasible", Field::Bool(record.feasibility.is_feasible())),
-        ("breaker", Field::Token(row.breaker())),
-        ("outcome", Field::Token(row.outcome_kind())),
-        ("time", Field::Num(time)),
-        ("observed_distance", Field::Num(distance)),
-        ("steps", Field::Num(steps as f64)),
+        ("{\"id\":", Field::Int(s.id)),
+        (",\"algorithm\":", Field::Token(s.algorithm.token())),
+        (",\"speed\":", Field::Num(s.speed)),
+        (",\"time_unit\":", Field::Num(s.time_unit)),
+        (",\"orientation\":", Field::Num(s.orientation)),
+        (",\"chirality\":", Field::Token(s.chirality.token())),
+        (",\"distance\":", Field::Num(s.distance)),
+        (",\"bearing\":", Field::Num(s.bearing)),
+        (",\"visibility\":", Field::Num(s.visibility)),
+        (
+            ",\"feasible\":",
+            Field::Bool(record.feasibility.is_feasible()),
+        ),
+        (",\"breaker\":", Field::Token(row.breaker())),
+        (",\"outcome\":", Field::Token(row.outcome_kind())),
+        (",\"time\":", Field::Num(time)),
+        (",\"observed_distance\":", Field::Num(distance)),
+        (",\"steps\":", Field::Int(steps)),
     ]
+}
+
+/// The key inside a [`record_fields`] literal.
+fn field_key(literal: &'static str) -> &'static str {
+    &literal[2..literal.len() - 2]
 }
 
 /// The JSON-object form of one sweep record (the JSONL row and the
@@ -186,13 +200,14 @@ pub fn record_to_json(record: &SweepRecord) -> Json {
     Json::Obj(
         record_fields(record)
             .into_iter()
-            .map(|(key, field)| {
+            .map(|(literal, field)| {
                 let value = match field {
                     Field::Num(n) => Json::Num(n),
+                    Field::Int(n) => Json::Num(n as f64),
                     Field::Token(t) => Json::Str(t.to_string()),
                     Field::Bool(b) => Json::Bool(b),
                 };
-                (key.to_string(), value)
+                (field_key(literal).to_string(), value)
             })
             .collect(),
     )
@@ -202,16 +217,19 @@ pub fn record_to_json(record: &SweepRecord) -> Json {
 /// the tree: the JSONL row, the checkpoint journal's frame payload and
 /// the records of `rvz serve`'s response bodies.
 pub fn write_record_json(out: &mut String, record: &SweepRecord) {
-    out.push('{');
-    for (i, (key, field)) in record_fields(record).into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::write_escaped(out, key);
-        out.push(':');
+    use std::fmt::Write as _;
+    for (literal, field) in record_fields(record) {
+        out.push_str(literal);
         match field {
             Field::Num(n) => json::write_number(out, n),
-            Field::Token(t) => json::write_escaped(out, t),
+            Field::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Field::Token(t) => {
+                out.push('"');
+                out.push_str(t);
+                out.push('"');
+            }
             Field::Bool(b) => out.push_str(if b { "true" } else { "false" }),
         }
     }
@@ -517,44 +535,73 @@ mod tests {
         }
     }
 
+    /// The literal-key row writer against the tree's render, on seeded
+    /// records: every outcome kind, both algorithms and chiralities,
+    /// raw `f64` fields, a non-finite `observed_distance` (`null` on
+    /// both paths) and `id`/`steps` up to `2^53`.
     #[test]
-    fn streamed_rows_render_like_the_tree() {
-        // Every outcome kind, both chiralities and algorithms, and a
-        // non-finite observable (rendered `null` by both paths).
-        let mut all = records();
-        let base = all[0];
-        let outcomes = [
-            SimOutcome::Horizon {
-                min_distance: 0.5,
-                min_distance_time: 12.25,
-                steps: 7,
-            },
-            SimOutcome::StepBudget {
-                time: f64::INFINITY,
-                min_distance: 0.125,
-                steps: 300_000,
-            },
-            SimOutcome::Deadline {
-                time: 3.0,
-                min_distance: f64::NAN,
-                steps: 1,
-            },
-        ];
-        for outcome in outcomes {
-            all.push(SweepRecord {
+    fn streamed_record_equals_the_tree_render() {
+        use crate::rng::SplitMix64;
+        let base = records()[0];
+        let mut rng = SplitMix64::new(0x05EC_04D5);
+        let cases = if cfg!(debug_assertions) { 256 } else { 10_000 };
+        let count = |rng: &mut SplitMix64| match rng.next_below(3) {
+            0 => rng.next_below(1_000) as u64,
+            1 => rng.next_u64() >> 11,
+            _ => 1 << 53,
+        };
+        for case in 0..cases {
+            let observed = match rng.next_below(4) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                _ => rng.next_range(0.0, 10.0),
+            };
+            let time = rng.next_range(0.0, 1e6);
+            let steps = count(&mut rng);
+            let outcome = match case % 4 {
+                0 => SimOutcome::Contact {
+                    time,
+                    distance: observed,
+                    steps,
+                },
+                1 => SimOutcome::Horizon {
+                    min_distance: observed,
+                    min_distance_time: time,
+                    steps,
+                },
+                2 => SimOutcome::StepBudget {
+                    time,
+                    min_distance: observed,
+                    steps,
+                },
+                _ => SimOutcome::Deadline {
+                    time,
+                    min_distance: observed,
+                    steps,
+                },
+            };
+            let record = SweepRecord {
                 scenario: Scenario {
-                    algorithm: Algorithm::UniversalSearch,
-                    chirality: rvz_model::Chirality::Mirrored,
-                    ..base.scenario
+                    id: count(&mut rng),
+                    algorithm: Algorithm::ALL[rng.next_below(2)],
+                    speed: rng.next_range(0.01, 100.0),
+                    time_unit: rng.next_range(0.01, 100.0),
+                    orientation: rng.next_range(-10.0, 10.0),
+                    chirality: if rng.next_below(2) == 0 {
+                        rvz_model::Chirality::Consistent
+                    } else {
+                        rvz_model::Chirality::Mirrored
+                    },
+                    distance: rng.next_range(1e-3, 1e3),
+                    bearing: rng.next_range(-10.0, 10.0),
+                    visibility: rng.next_range(1e-3, 1.0),
                 },
                 outcome,
                 ..base
-            });
-        }
-        for record in &all {
+            };
             let mut line = String::new();
-            write_record_json(&mut line, record);
-            assert_eq!(line, record_to_json(record).render());
+            write_record_json(&mut line, &record);
+            assert_eq!(line, record_to_json(&record).render(), "case {case}");
         }
     }
 

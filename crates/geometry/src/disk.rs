@@ -97,10 +97,10 @@ impl Disk {
             return Disk::new(center, radius);
         }
         let mid = start_angle + sweep * 0.5;
-        let half = span * 0.5;
+        let (sin_half, cos_half) = crate::sin_cos(span * 0.5);
         Disk::new(
-            center + Vec2::from_polar(radius * half.cos(), mid),
-            radius * half.sin(),
+            center + Vec2::from_polar(radius * cos_half, mid),
+            radius * sin_half,
         )
     }
 

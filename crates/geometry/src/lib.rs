@@ -20,6 +20,8 @@
 //! * [`disk`] — closed disks ([`Disk`]) and the set-distance (`gap`)
 //!   operation behind the simulator's swept-envelope pruning.
 //! * [`angle`] — angle normalization helpers on `[0, 2π)`.
+//! * [`trig`] — [`sin_cos`] without libm for the arc path (fdlibm's
+//!   reduction and kernels; libm beyond `2^19·π/2`).
 //! * [`approx`] — tolerant floating-point comparisons used throughout the
 //!   workspace's tests and the simulator's contact detection.
 //!
@@ -41,6 +43,7 @@ pub mod angle;
 pub mod approx;
 pub mod disk;
 pub mod mat2;
+pub mod trig;
 pub mod vec2;
 
 pub use aabb::Aabb;
@@ -48,4 +51,5 @@ pub use angle::{normalize_angle, TAU};
 pub use approx::{approx_eq, approx_eq_eps, ApproxEq};
 pub use disk::Disk;
 pub use mat2::{Mat2, QrFactors};
+pub use trig::{sin_cos, SIN_COS_REDUCTION_BOUND};
 pub use vec2::Vec2;

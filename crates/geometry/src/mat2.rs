@@ -96,7 +96,7 @@ impl Mat2 {
     /// ```
     #[inline]
     pub fn rotation(angle: f64) -> Self {
-        let (s, c) = angle.sin_cos();
+        let (s, c) = crate::sin_cos(angle);
         Mat2::new(c, -s, s, c)
     }
 

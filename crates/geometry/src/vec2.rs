@@ -54,7 +54,7 @@ impl Vec2 {
     /// ```
     #[inline]
     pub fn from_polar(radius: f64, angle: f64) -> Self {
-        let (s, c) = angle.sin_cos();
+        let (s, c) = crate::sin_cos(angle);
         Vec2::new(radius * c, radius * s)
     }
 
@@ -138,7 +138,7 @@ impl Vec2 {
     /// Rotates this vector counter-clockwise by `angle` radians.
     #[inline]
     pub fn rotated(self, angle: f64) -> Vec2 {
-        let (s, c) = angle.sin_cos();
+        let (s, c) = crate::sin_cos(angle);
         Vec2::new(c * self.x - s * self.y, s * self.x + c * self.y)
     }
 

@@ -71,7 +71,7 @@ pub use batch::{compile_rendezvous_partner, simulate_rendezvous_by_ref};
 pub use compiled::{first_contact_programs, try_first_contact_programs, EngineScratch};
 pub use engine::{
     first_contact, first_contact_cursors, first_contact_cursors_instrumented,
-    first_contact_generic, Budget, ContactOptions, EngineStats, SimOutcome,
+    first_contact_generic, Budget, ContactOptions, EngineStats, PairKind, SimOutcome,
 };
 pub use kernel::{first_contact_soa, try_first_contact_soa, KERNEL_LANES};
 pub use multi::{first_contact_batch_soa, first_contact_streamed};

@@ -5,7 +5,7 @@
 //! reads it to explain an individual request) and into the global
 //! `rvz-obs` counters (`rvz_engine_queries_total{path=…}`,
 //! `rvz_engine_steps_total{path=…}`, the envelope/prune/step-choice
-//! totals and `rvz_engine_outcomes_total{outcome=…}`) that `/metrics`
+//! totals, `rvz_engine_steps_by_pair_total{pair=…}` and `rvz_engine_outcomes_total{outcome=…}`) that `/metrics`
 //! exposes.
 //!
 //! Recording is observation-only and allocation-free: the telemetry
@@ -15,7 +15,7 @@
 //! the global kill switch (the allocation gate in `tests/alloc_gate.rs`
 //! runs with recording live).
 
-use crate::engine::{EngineStats, SimOutcome};
+use crate::engine::{EngineStats, PairKind, SimOutcome};
 use rvz_obs::{counter, Counter};
 use std::cell::Cell;
 
@@ -74,6 +74,9 @@ pub struct EngineTelemetry {
     pub lane_chunks: u64,
     /// Whole intervals certified or localized by lane chunks.
     pub lane_intervals: u64,
+    /// Steps by piece-pair kind, indexed by [`PairKind`] (cursor
+    /// engine only).
+    pub pair_steps: [u64; PairKind::ALL.len()],
 }
 
 thread_local! {
@@ -128,6 +131,19 @@ fn dispatch_counter(soa: bool) -> &'static Counter {
     }
 }
 
+/// The step counter for a piece-pair kind.
+fn pair_counter(kind: PairKind) -> &'static Counter {
+    match kind {
+        PairKind::Curved => counter!("rvz_engine_steps_by_pair_total", "pair" => "curved"),
+        PairKind::Wait => counter!("rvz_engine_steps_by_pair_total", "pair" => "wait"),
+        PairKind::CircleCircle => {
+            counter!("rvz_engine_steps_by_pair_total", "pair" => "circle-circle")
+        }
+        PairKind::CircleLeg => counter!("rvz_engine_steps_by_pair_total", "pair" => "circle-leg"),
+        PairKind::LegLeg => counter!("rvz_engine_steps_by_pair_total", "pair" => "leg-leg"),
+    }
+}
+
 /// The outcome counter for a classification label.
 fn outcome_counter(outcome: &str) -> &'static Counter {
     match outcome {
@@ -156,6 +172,7 @@ pub(crate) fn record(path: EnginePath, outcome: Option<&SimOutcome>, stats: Engi
         conservative_steps: stats.conservative_steps,
         lane_chunks: stats.lane_chunks,
         lane_intervals: stats.lane_intervals,
+        pair_steps: stats.pair_steps,
     };
     LAST.with(|l| l.set(Some(telemetry)));
     if !rvz_obs::enabled() {
@@ -171,6 +188,9 @@ pub(crate) fn record(path: EnginePath, outcome: Option<&SimOutcome>, stats: Engi
     counter!("rvz_engine_steps_curvature_total").add(stats.curvature_steps);
     counter!("rvz_engine_steps_window_total").add(stats.window_steps);
     counter!("rvz_engine_steps_conservative_total").add(stats.conservative_steps);
+    for kind in PairKind::ALL {
+        pair_counter(kind).add(stats.pair_steps[kind as usize]);
+    }
     match path {
         EnginePath::CompiledEager => dispatch_counter(false).inc(),
         EnginePath::CompiledSoA => {
@@ -195,6 +215,9 @@ pub fn preregister_metrics() {
     }
     for outcome in ["contact", "horizon", "step-budget", "deadline", "refused"] {
         let _ = outcome_counter(outcome);
+    }
+    for kind in PairKind::ALL {
+        let _ = pair_counter(kind);
     }
     let _ = dispatch_counter(false);
     let _ = dispatch_counter(true);
@@ -235,6 +258,18 @@ mod tests {
         assert_eq!(t.steps, out.steps());
         clear_last();
         assert_eq!(last(), None);
+    }
+
+    #[test]
+    fn pair_labels_are_stable_and_indexed_in_order() {
+        let labels: Vec<_> = PairKind::ALL.iter().map(|k| k.label()).collect();
+        assert_eq!(
+            labels,
+            ["curved", "wait", "circle-circle", "circle-leg", "leg-leg"]
+        );
+        for (i, kind) in PairKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i);
+        }
     }
 
     #[test]

@@ -494,6 +494,42 @@ fn wait_window_certificate_crosses_waits_and_declares_inside_the_band() {
     }
 }
 
+/// The law walk on the sweep path: when an Algorithm 4 τ ≠ 1 pair has
+/// no closed form on two arcs of unequal rates, the engine walks both
+/// circles along their own laws past the probe's curvature step, so a
+/// seeded batch at the default depth averages at most 50 steps per pair
+/// (about 57 with one curvature step per probe), and every declared
+/// contact still lies in the declaration band `[radius, radius +
+/// tolerance]`: the walk only clears, and probes declare.
+#[test]
+fn circle_pairs_walk_their_laws_and_declare_inside_the_band() {
+    use plane_rendezvous::experiments::run_sweep;
+
+    let opts = SweepOptions::default();
+    let space = SampleSpace {
+        speed: (0.3, 0.9),
+        time_unit: (0.4, 0.9),
+        algorithms: vec![Algorithm::UniversalSearch],
+        visibility: 0.1,
+        ..Default::default()
+    };
+    let records = run_sweep(&latin_hypercube(&space, 256, 0x1A3), &opts);
+    let steps: u64 = records.iter().map(|r| r.outcome.steps()).sum();
+    let mean = steps as f64 / records.len() as f64;
+    assert!(mean <= 50.0, "Algorithm 4 pairs take {mean:.1} steps each");
+    for record in &records {
+        let r = record.scenario.visibility;
+        match record.outcome {
+            SimOutcome::Contact { distance, .. } => assert!(
+                (r..=r + opts.contact.tolerance).contains(&distance),
+                "{:?}: declared at {distance} for radius {r}",
+                record.scenario
+            ),
+            other => panic!("{:?}: feasible pair ended {other}", record.scenario),
+        }
+    }
+}
+
 /// The SoA arena vs the eager program it was transposed from, on the
 /// Latin-hypercube partners: bit-for-bit identical probes and envelope
 /// boxes on a time grid, and the same coverage, marks, speed bound and

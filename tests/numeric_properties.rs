@@ -6,7 +6,8 @@
 //! These are the independent oracles for the hot-path shortcuts: the
 //! norm axioms, Cauchy–Schwarz and the Lagrange identity hold
 //! `Vec2::norm` to its definition, the norm is compared ulp by ulp with
-//! `f64::hypot`, and `floor_log2`/`ceil_log2` are held to their defining
+//! `f64::hypot`, the in-house `sin_cos` is held to libm's within
+//! `2^-52`, and `floor_log2`/`ceil_log2` are held to their defining
 //! inequalities through `pow2i` (whose bits `rvz-numerics`' own tests
 //! compare with `exp2`'s).
 //!
@@ -17,7 +18,9 @@
 //! runs).
 
 use plane_rendezvous::experiments::SplitMix64;
-use plane_rendezvous::geometry::{angle, normalize_angle, Mat2, Vec2, TAU};
+use plane_rendezvous::geometry::{
+    angle, normalize_angle, sin_cos, Mat2, Vec2, SIN_COS_REDUCTION_BOUND, TAU,
+};
 use plane_rendezvous::numerics::dyadic::ceil_log2;
 use plane_rendezvous::numerics::{
     bisect, find_root, floor_log2, lambert_w0, pow2i, Bracket, KahanSum,
@@ -170,6 +173,91 @@ fn perp_properties() {
         );
         assert!(v.cross(v.perp()) >= 0.0, "{v}");
     });
+}
+
+/// The in-house `sin_cos` against libm's: within `2^-52` absolute and
+/// exactly odd/even on `|x| ≤ 64`, on arguments a few ulps from a
+/// multiple of `π/2`, and on the reduced range's edge; bit-equal to libm
+/// from the fallback bound on, and on NaN and ±∞.
+///
+/// Near a multiple of `π/2` the reduction cancels, and one of the pair
+/// is tiny: there it must also be within 2 ulps of libm's value. The
+/// pinned arguments are the doubles below `2^19·π/2` closest to a
+/// multiple of `π/2` relative to their size (`|x − k·π/2|` down to
+/// `1.4e-22·x`, found by an exhaustive search over `k` against 260
+/// digits of `π`). On them the tiny one must equal libm's correctly
+/// rounded value: without the reduction's third part it is an ulp off.
+#[test]
+fn sin_cos_tracks_libm() {
+    use std::f64::consts::FRAC_PI_2;
+    const HARDEST: [u64; 6] = [
+        0x4113_9c6f_d678_05a7, // k = 204551
+        0x4123_9c6f_d678_05a7, // k = 409102
+        0x4119_3c05_c9ed_3cbc, // k = 263205
+        0x411e_db9b_bd62_73d1, // k = 321859
+        0x410b_f9b3_c605_9d24, // k = 145897
+        0x40f6_5a1d_d290_660f, // k = 58285
+    ];
+    let check = |x: f64| {
+        let (s, c) = sin_cos(x);
+        let (ls, lc) = x.sin_cos();
+        assert!(
+            (s - ls).abs() <= f64::EPSILON && (c - lc).abs() <= f64::EPSILON,
+            "sin_cos({x:e}) = ({s:e}, {c:e}), libm ({ls:e}, {lc:e})"
+        );
+        let (ns, nc) = sin_cos(-x);
+        assert_eq!(
+            (ns.to_bits(), nc.to_bits()),
+            ((-s).to_bits(), c.to_bits()),
+            "sin_cos(-{x:e}) is not (-s, c)"
+        );
+    };
+    let near_multiple = |x: f64, max_ulps: u64| {
+        check(x);
+        let ((s, c), (ls, lc)) = (sin_cos(x), x.sin_cos());
+        let (tiny, exact) = if ls.abs() < lc.abs() {
+            (s, ls)
+        } else {
+            (c, lc)
+        };
+        assert!(
+            tiny.signum() == exact.signum() && ulps(tiny.abs(), exact.abs()) <= max_ulps,
+            "sin_cos({x:e}) cancels to {tiny:e}, libm {exact:e}"
+        );
+    };
+    let same_bits = |x: f64| {
+        let ((s, c), (ls, lc)) = (sin_cos(x), x.sin_cos());
+        assert_eq!(
+            (s.to_bits(), c.to_bits()),
+            (ls.to_bits(), lc.to_bits()),
+            "{x:e}"
+        );
+    };
+    for_each_draw(0x51_4C05, |rng| {
+        check(rng.next_range(-64.0, 64.0));
+        // A few ulps off k·π/2, up to the largest quotient reduced here.
+        let k = if rng.next_below(2) == 0 {
+            rng.next_below(64)
+        } else {
+            rng.next_below(1 << 19)
+        } as f64;
+        let near = (k * FRAC_PI_2).max(f64::MIN_POSITIVE);
+        let ulps = rng.next_range(-8.0, 8.0).round() as i64;
+        let x = f64::from_bits(near.to_bits().wrapping_add_signed(ulps));
+        if x < SIN_COS_REDUCTION_BOUND {
+            near_multiple(x, 2);
+        }
+        check(rng.next_range(0.5, 1.0) * SIN_COS_REDUCTION_BOUND);
+        same_bits(SIN_COS_REDUCTION_BOUND * rng.next_range(1.0, 1e6));
+        same_bits(-SIN_COS_REDUCTION_BOUND * rng.next_range(1.0, 1e6));
+    });
+    for bits in HARDEST {
+        near_multiple(f64::from_bits(bits), 0);
+    }
+    same_bits(SIN_COS_REDUCTION_BOUND);
+    for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        same_bits(x);
+    }
 }
 
 // ---------------------------------------------------------------- Mat2
