@@ -112,14 +112,15 @@ echo "==> engine output bytes (release: the pinned digest holds in both builds)"
 # between the two builds fails one of the two runs.
 cargo test --release --quiet --test engine_bytes
 
-echo "==> differential fuzz (fixed seed budget: four engine paths agree)"
-# The seeded harness in tests/differential_fuzz.rs runs the generic,
-# cursor, compiled-eager, and SoA lane-kernel paths on random scenario
-# x trajectory-stack draws and requires agreement within the certified
-# tolerance; the streamed serve miss path must equal the batch kernel
-# exactly on every stack. The budget and seed are pinned so CI is
-# deterministic.
-RVZ_FUZZ_CASES=24 RVZ_FUZZ_SEED=3134984190 \
+echo "==> differential fuzz (fixed seed budget: the engine paths agree)"
+# The seeded harness in tests/differential_fuzz.rs runs the generic and
+# cursor paths on every random scenario x trajectory-stack draw, and the
+# compiled-eager and SoA lane-kernel paths on the exact stacks, and
+# requires agreement within the declaration tolerance; on the exact
+# stacks the streamed serve miss path must equal the batch kernel
+# exactly, and the curved (spiral) stacks must refuse to lower by name.
+# The budget and seed are pinned so CI is deterministic.
+RVZ_FUZZ_CASES=256 RVZ_FUZZ_SEED=3134984190 \
     cargo test --release --quiet --test differential_fuzz
 
 echo "==> perfbench serve_cold --trace 1 (every served body equals the eager replay)"

@@ -169,35 +169,12 @@ impl MonotoneTrajectory for ArchimedeanSpiral {
 }
 
 /// The spiral is transcendental — its cursor reports a single
-/// [`Motion::Curved`] piece — but it lowers to *certified* affine
-/// chords when
-/// [`CompileOptions::approx_tolerance`](rvz_trajectory::CompileOptions::approx_tolerance)
-/// is set, via the closed-form curvature bound below. Without a
-/// tolerance, [`compile`](rvz_trajectory::Compile::compile) still fails
-/// with [`CompileError::Curved`](rvz_trajectory::CompileError::Curved)
-/// and the spiral keeps running on the generic cursor path, so it
-/// remains the workspace's canonical exercise of both the compiled
-/// stack's escape hatch and its certified-approximation path.
-impl rvz_trajectory::Compile for ArchimedeanSpiral {
-    /// Closed-form chord-error bound.
-    ///
-    /// For a unit-speed curve, `‖γ″‖` equals the curvature, and the
-    /// Archimedean spiral's curvature at parameter angle `θ` is
-    /// `κ(θ) = (θ² + 2) / (b·(1 + θ²)^{3/2})`, which is strictly
-    /// decreasing in `θ`. Over an arc-time span `[t0, t1]` the largest
-    /// curvature is therefore at `t0`, and the standard chord bound
-    /// gives `max-deviation ≤ κ(θ(t0))·(t1 − t0)²/8`. A 1/16 safety
-    /// margin absorbs the Newton inversion's rounding in `θ(t0)`.
-    fn chord_error_bound(&self, t0: f64, t1: f64) -> Option<f64> {
-        let dt = t1 - t0;
-        if !t1.is_finite() || dt.is_nan() || dt <= 0.0 || t0 < 0.0 {
-            return None;
-        }
-        let theta = self.theta_at(t0);
-        let kappa = (theta * theta + 2.0) / (self.b * (1.0 + theta * theta).powf(1.5));
-        Some(kappa * dt * dt * 0.125 * 1.0625)
-    }
-}
+/// [`Motion::Curved`] piece — so
+/// [`compile`](rvz_trajectory::Compile::compile) fails with
+/// [`CompileError::Curved`](rvz_trajectory::CompileError::Curved) and the
+/// spiral keeps running on the cursor engines. It is the workspace's
+/// canonical exercise of the compiled stack's refusal.
+impl rvz_trajectory::Compile for ArchimedeanSpiral {}
 
 #[cfg(test)]
 mod tests {
@@ -309,58 +286,10 @@ mod tests {
     }
 
     #[test]
-    fn lowering_without_tolerance_still_refuses() {
+    fn lowering_refuses() {
         use rvz_trajectory::{Compile as _, CompileError, CompileOptions};
         let s = ArchimedeanSpiral::with_pitch(0.5);
         let err = s.compile(&CompileOptions::to_horizon(10.0)).unwrap_err();
         assert!(matches!(err, CompileError::Curved { .. }), "{err}");
-    }
-
-    #[test]
-    fn certified_chords_stay_within_tolerance() {
-        use rvz_trajectory::{Compile as _, CompileOptions};
-        let s = ArchimedeanSpiral::for_visibility(0.05);
-        let eps = 1e-4;
-        let horizon = 50.0;
-        let program = s
-            .compile(
-                &CompileOptions::to_horizon(horizon)
-                    .approx_tolerance(eps)
-                    .max_pieces(1 << 20),
-            )
-            .unwrap();
-        assert!(program.approx_eps() > 0.0 && program.approx_eps() <= eps);
-        let mut idx = 0;
-        for i in 0..=5000 {
-            let t = horizon * i as f64 / 5000.0;
-            let err = program
-                .probe_from(&mut idx, t)
-                .position
-                .distance(s.position(t));
-            assert!(err <= eps, "chord error {err} > ε={eps} at t={t}");
-        }
-    }
-
-    #[test]
-    fn curvature_bound_is_sound_on_dense_samples() {
-        use rvz_trajectory::Compile as _;
-        let s = ArchimedeanSpiral::with_pitch(0.4);
-        // For a variety of spans, the true deviation from the chord must
-        // stay under the claimed bound.
-        for (t0, dt) in [(0.0, 0.05), (0.3, 0.2), (2.0, 0.5), (40.0, 1.0)] {
-            let t1 = t0 + dt;
-            let bound = s.chord_error_bound(t0, t1).unwrap();
-            let p0 = s.position(t0);
-            let v = (s.position(t1) - p0) / dt;
-            let mut worst = 0.0_f64;
-            for i in 0..=200 {
-                let t = t0 + dt * i as f64 / 200.0;
-                worst = worst.max(s.position(t).distance(p0 + v * (t - t0)));
-            }
-            assert!(
-                worst <= bound,
-                "span [{t0}, {t1}]: deviation {worst} exceeds bound {bound}"
-            );
-        }
     }
 }

@@ -68,16 +68,6 @@ impl Disk {
         self.center.distance(p) <= self.radius + slack
     }
 
-    /// The disk grown by `margin` (a sound way to absorb floating-point
-    /// noise in an envelope computation).
-    pub fn expanded(&self, margin: f64) -> Disk {
-        debug_assert!(margin >= 0.0, "margin must be >= 0, got {margin}");
-        Disk {
-            center: self.center,
-            radius: self.radius + margin,
-        }
-    }
-
     /// The smallest disk containing the straight segment from `a` to `b`.
     pub fn spanning(a: Vec2, b: Vec2) -> Disk {
         Disk::new(a.lerp(b, 0.5), 0.5 * a.distance(b))
@@ -215,13 +205,6 @@ mod tests {
             Disk::arc_chunk(center, radius, 0.0, f64::INFINITY).center,
             center
         );
-    }
-
-    #[test]
-    fn expanded_grows_radius_only() {
-        let d = Disk::new(Vec2::new(1.0, 1.0), 2.0).expanded(0.5);
-        assert_eq!(d.center, Vec2::new(1.0, 1.0));
-        assert_eq!(d.radius, 2.5);
     }
 
     #[test]

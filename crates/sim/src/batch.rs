@@ -104,12 +104,9 @@ pub fn compile_rendezvous_partner<T: Compile + MonotoneTrajectory>(
 /// relative trajectory) in outcome kind, and in contact time up to the
 /// declaration slack, but not in `steps` or `min_distance`.
 ///
-/// Returns `None` when the partner does not lower (curved pieces
-/// without an
-/// [`approx_tolerance`](rvz_trajectory::CompileOptions::approx_tolerance),
-/// an uncertifiable bound, a budget trip with truncation off) or when
-/// the query needs time a truncated program does not cover; the caller
-/// falls back to the cursor path.
+/// Returns `None` when the partner does not lower (curved pieces) or
+/// when the query needs time a truncated program does not cover; the
+/// caller falls back to the cursor path.
 ///
 /// Kept only because `perfbench`'s sweep replay calls it; it goes when
 /// the benchmark harness stops calling it.
@@ -143,21 +140,43 @@ mod tests {
     }
 
     #[test]
+    fn pruning_disproves_an_off_axis_mirror_twin_in_one_step() {
+        // v = τ = 1, χ = −1: `I − Rot(φ)·Refl` is rank 1, so the relative
+        // robot stays on one line and an offset with `|d⃗·û| > r` is out
+        // of reach. Pruning (the warp cursor's `gap_to`) disproves that
+        // on the first step; without it the engine steps until its step
+        // budget, so `--no-prune` changes such outcomes' classification.
+        let phi = 1.2;
+        let attrs = RobotAttributes::reference()
+            .with_chirality(rvz_model::Chirality::Mirrored)
+            .with_orientation(phi);
+        let inst =
+            RendezvousInstance::new(Vec2::from_polar(2.0, 0.5 * phi + 0.7), 0.1, attrs).unwrap();
+        let opts = ContactOptions::default().max_steps(1_000);
+        let pruned = simulate_rendezvous_by_ref(&UniversalSearch, &inst, &opts);
+        assert!(
+            matches!(pruned, SimOutcome::Horizon { steps: 1, .. }),
+            "{pruned}"
+        );
+        let unpruned = simulate_rendezvous_by_ref(&UniversalSearch, &inst, &opts.prune(false));
+        assert!(
+            matches!(unpruned, SimOutcome::StepBudget { steps: 1_000, .. }),
+            "{unpruned}"
+        );
+    }
+
+    #[test]
     fn lazy_batch_matches_eager_and_cursor() {
         let attrs = RobotAttributes::reference().with_speed(0.5);
         let opts = ContactOptions::default();
         let full = CompileOptions::to_horizon(opts.horizon);
         let reference = UniversalSearch.compile(&full).unwrap();
         let mut scratch = EngineScratch::new();
-        // The default budget, a truncating budget that answers the near
-        // placement and refuses the two farther ones, and a failing
-        // lowering: the entry point answers exactly as the two eager
-        // calls do, `None` included.
-        let budgets = [
-            full,
-            full.max_pieces(64),
-            full.max_pieces(64).truncate(false),
-        ];
+        // The default budget, and a truncating budget that answers the
+        // near placement and refuses the two farther ones: the entry
+        // point answers exactly as the two eager calls do, `None`
+        // included.
+        let budgets = [full, full.max_pieces(64)];
         let mut refusals = 0;
         for compile in budgets {
             for d in [0.4, 0.9, 1.5] {
@@ -192,6 +211,9 @@ mod tests {
                 assert!((tl - tc).abs() < 1e-6, "d = {d}: {tl} vs {tc}");
             }
         }
-        assert_eq!(refusals, 2 + 3, "truncated refusals plus failed lowerings");
+        assert_eq!(
+            refusals, 2,
+            "the truncated partner refuses the far placements"
+        );
     }
 }

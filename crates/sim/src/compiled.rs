@@ -19,13 +19,8 @@
 //! * the whole query runs without a single heap allocation — enforced
 //!   by a counting-allocator test gate (`tests/alloc_gate.rs`).
 //!
-//! ## Certified approximate pieces
-//!
-//! Programs carrying certified approximate pieces fold their error
-//! bound into the contact threshold — see
-//! [`try_first_contact_programs`] for the soundness argument. The
-//! streaming lowering ([`SoaStream`](rvz_trajectory::SoaStream)) feeds
-//! the lane kernel (`crate::kernel`), not this ladder.
+//! The streaming lowering ([`SoaStream`](rvz_trajectory::SoaStream))
+//! feeds the lane kernel (`crate::kernel`), not this ladder.
 //!
 //! ## Partial programs
 //!
@@ -107,19 +102,6 @@ pub fn first_contact_programs(
 /// an approximation: every returned outcome is exactly what the fully
 /// compiled run would produce.
 ///
-/// ## Certified approximate pieces
-///
-/// When a program carries certified approximate pieces
-/// ([`CompiledProgram::approx_eps`] > 0), the contact threshold is inflated
-/// by `εₐ + ε_b`: every probe sits within that sum of the true pair
-/// distance, so a **contact** verdict certifies a true contact at
-/// tolerance `tolerance + 2(εₐ + ε_b)`, and a **horizon** verdict
-/// certifies that the true trajectories never came within
-/// `radius + tolerance` (the inflation absorbs the approximation error
-/// in the conservative direction for disproofs). Envelope pruning stays
-/// sound because approximate pieces expand their envelopes by their own
-/// `ε` at lowering time.
-///
 /// # Panics
 ///
 /// On invalid options or radius, as in [`crate::first_contact`].
@@ -158,12 +140,7 @@ fn try_first_contact_programs_impl(
         rel_speed.is_finite(),
         "speed bounds must be finite, got {rel_speed}"
     );
-    let approx = a.approx_eps() + b.approx_eps();
-    assert!(
-        approx >= 0.0 && approx.is_finite(),
-        "approx bounds must be finite and >= 0, got {approx}"
-    );
-    let threshold = radius + opts.tolerance + approx;
+    let threshold = radius + opts.tolerance;
 
     let mut ia = 0_usize;
     let mut ib = 0_usize;
@@ -220,8 +197,7 @@ fn try_first_contact_programs_impl(
             }
         }
 
-        // The cursor engine's certificate ladder, rung for rung (the
-        // threshold and the curvature target carry `approx`).
+        // The cursor engine's certificate ladder, rung for rung.
         let conservative = if rel_speed > 0.0 {
             (d - radius) / rel_speed
         } else {

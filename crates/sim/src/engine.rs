@@ -181,6 +181,10 @@ pub struct ContactOptions {
     /// `min_distance` at a different (sparser) set of sample times.
     /// Against a fixed first trajectory each skipped window contributes
     /// its certified gap instead, so the minimum is not overstated.
+    /// Turning it off can change a classification: disproofs that
+    /// pruning certifies in one step (a mirror twin with `|d⃗·û| > r`)
+    /// step instead, and can end as [`SimOutcome::StepBudget`] where the
+    /// pruned run reports [`SimOutcome::Horizon`].
     pub prune: bool,
     /// Optional wall-clock budget; when it expires the engines surface
     /// [`SimOutcome::Deadline`] instead of running to the horizon or

@@ -66,8 +66,7 @@
 //!   the current piece) skip the chain — the scalar jump already
 //!   clears more time than the lanes would certify.
 //! * Truncated coverage refuses exactly like the scalar ladder
-//!   (`None`, never a guess), and every outcome folds `approx_eps`
-//!   into its threshold the same way.
+//!   (`None`, never a guess).
 //! * On the open prefix of a streamed arena
 //!   ([`SoaStream`](rvz_trajectory::SoaStream)) the ladder also refuses
 //!   before it reads anything the prefix has not settled — a probe, a
@@ -134,8 +133,7 @@ pub fn first_contact_soa(
 /// the lane-kernel twin of
 /// [`try_first_contact_programs`](crate::try_first_contact_programs),
 /// with the same refusal contract (`None` when the query needs
-/// uncovered time, never a wrong answer) and the same threshold
-/// inflation for certified approximate pieces.
+/// uncovered time, never a wrong answer).
 ///
 /// # Panics
 ///
@@ -473,12 +471,7 @@ pub(crate) fn try_first_contact_soa_impl(
         rel_speed.is_finite(),
         "speed bounds must be finite, got {rel_speed}"
     );
-    let approx = a.approx_eps() + b.approx_eps();
-    assert!(
-        approx >= 0.0 && approx.is_finite(),
-        "approx bounds must be finite and >= 0, got {approx}"
-    );
-    let threshold = radius + opts.tolerance + approx;
+    let threshold = radius + opts.tolerance;
     let thr2 = threshold * threshold;
     if !a.covers(0.0) || !b.covers(0.0) {
         scratch.stats = EngineStats::default();

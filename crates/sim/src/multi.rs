@@ -113,8 +113,7 @@ pub fn first_contact_batch_soa(
                 partner_table.clear();
                 window_boxes(partner, opts.horizon, &mut partner_table);
                 let (min_gap, argmin) = window_gap_profile(&ref_table, &partner_table);
-                let approx = reference.approx_eps() + partner.approx_eps();
-                if min_gap > radius + opts.tolerance + approx {
+                if min_gap > radius + opts.tolerance {
                     return Some(disproved_outcome(reference, partner, argmin, opts.horizon));
                 }
             }

@@ -139,15 +139,9 @@ impl<F: Fn(f64) -> Vec2> MonotoneTrajectory for FnTrajectory<F> {
     }
 }
 
-/// Closure-backed trajectories lower through the default sampled chord
-/// bound ([`crate::sampled_chord_bound`]): when
-/// [`crate::CompileOptions::approx_tolerance`] is set, the curved spans
-/// are adaptively subdivided into certified affine chords; without it,
-/// lowering refuses with [`crate::CompileError::Curved`] exactly as
-/// before. Closures whose samples contradict the declared speed bound
-/// (non-Lipschitz spikes) fail certification and refuse with
-/// [`crate::CompileError::Uncertifiable`] rather than emitting an
-/// unsound bound.
+/// Closure-backed trajectories are one curved piece, so lowering refuses
+/// with [`crate::CompileError::Curved`]; the impl lets curved stacks
+/// exercise that refusal through the compiled entry points.
 impl<F: Fn(f64) -> Vec2> crate::Compile for FnTrajectory<F> {}
 
 impl<F> std::fmt::Debug for FnTrajectory<F> {

@@ -30,9 +30,7 @@
 //!   trajectory lowered (warps and clock drifts applied at lowering
 //!   time) into an arena of pieces with a baked envelope tree, the
 //!   substrate of the simulator's monomorphic zero-allocation engine.
-//!   Curved motions lower to certified approximate pieces carrying a
-//!   proven error bound when [`CompileOptions::approx_tolerance`] is
-//!   set (see the [`program`] module docs);
+//!   Curved motions refuse to lower (see the [`program`] module docs);
 //! * [`ProgramSoA`] / [`SoaStream`] — the same arena in
 //!   structure-of-arrays layout for the lane kernel, either transposed
 //!   from an eager program or lowered as a stream straight into the
@@ -74,8 +72,7 @@ pub use monotone::{
 };
 pub use path::{Path, PathBuilder};
 pub use program::{
-    lower_program, sampled_chord_bound, Compile, CompileError, CompileOptions, CompiledProgram,
-    Piece, ProgramCursor,
+    lower_program, Compile, CompileError, CompileOptions, CompiledProgram, Piece, ProgramCursor,
 };
 pub use segment::Segment;
 pub use soa::{CircularLaw, ProgramSoA, SoaStream};

@@ -20,14 +20,14 @@
 //!   Algorithm 7 phases) recorded as times, which the engine uses to seed
 //!   its pruning windows at the schedule's natural granularity.
 //!
-//! ## Lowering, budgets, and certified curved pieces
+//! ## Lowering, budgets, and curved pieces
 //!
 //! [`Compile::compile`] drives the trajectory's own monotone cursor from
 //! `t = 0` and records each reported piece. Lowering is bounded by a
 //! [`CompileOptions`] horizon and piece budget: the dyadic schedules hold
-//! Θ(4ᵏ) segments in round `k`, so compiling a deep horizon eagerly is
-//! *deliberately* refused (or truncated — see
-//! [`CompileOptions::truncate`]) rather than silently materializing
+//! Θ(4ᵏ) segments in round `k`, so a deep horizon is *deliberately*
+//! truncated at the budget (the program then covers a prefix, see
+//! [`CompiledProgram::covers`]) rather than silently materializing
 //! millions of pieces. The eager lowering is one consumer of the shared
 //! piece producer; [`SoaStream`](crate::SoaStream) drains the same
 //! producer *on demand*, straight into structure-of-arrays columns, so
@@ -36,19 +36,10 @@
 //!
 //! Trajectories that expose a [`Motion::Curved`] piece (the Archimedean
 //! spiral, arbitrary `FnTrajectory` closures) have no exact closed-form
-//! pieces. By default they refuse to lower and keep running on the
-//! generic cursor path. When [`CompileOptions::approx_tolerance`] is
-//! set, curved spans instead lower to **certified approximate pieces**:
-//! affine chords carrying a proven pointwise error bound
-//! [`Piece::eps`], produced by adaptive subdivision against
-//! [`Compile::chord_error_bound`]. Every certificate the engine emits
-//! then folds the program's [`CompiledProgram::approx_eps`] into its
-//! contact threshold and the per-piece envelopes are expanded by `eps`,
-//! so compiled results remain certificates (see `ARCHITECTURE.md` for
-//! the soundness argument). Trajectories whose error cannot be bounded
-//! (a closure violating its declared speed bound) refuse with
-//! [`CompileError::Uncertifiable`] rather than emitting an unsound
-//! bound.
+//! pieces: they refuse to lower with [`CompileError::Curved`] and keep
+//! running on the cursor engines. Every schedule of the paper is legs,
+//! circles and waits, and every robot frame is a similarity, so no
+//! production lowering meets a curved piece.
 //!
 //! A compiled program is itself a [`Trajectory`] +
 //! [`MonotoneTrajectory`](crate::MonotoneTrajectory)
@@ -62,14 +53,12 @@ use rvz_geometry::{Aabb, Disk, Vec2};
 use std::fmt;
 use std::sync::Arc;
 
-/// One entry of the flat arena: a motion law on `[t0, t1]`, exact or
-/// certified-approximate.
+/// One entry of the flat arena: an exact motion law on `[t0, t1]`.
 ///
 /// The law is evaluable in closed form: an affine piece moves at a
 /// constant velocity from [`Piece::pos0`]; a circular piece follows the
 /// stored circle from the stored phase. [`Motion::Curved`] never appears
-/// in a compiled program — curved spans either refuse to lower or lower
-/// to affine chords with a proven error bound [`Piece::eps`].
+/// in a compiled program — curved spans refuse to lower.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Piece {
     /// Global start time of the piece.
@@ -80,15 +69,6 @@ pub struct Piece {
     pub pos0: Vec2,
     /// The motion law, with circular phases anchored at `t0`.
     pub motion: Motion,
-    /// Certified pointwise error bound: the source trajectory stays
-    /// within `eps` of this piece's law at every time in `[t0, t1]`.
-    /// `0.0` for exact pieces; positive only for the affine chords a
-    /// curved span lowers to under
-    /// [`CompileOptions::approx_tolerance`]. Envelopes
-    /// ([`Piece::bounding_box`], [`Piece::chunk_disk`]) are expanded by
-    /// `eps` so they contain the *true* curve, and the engine folds the
-    /// program-wide maximum into its contact threshold.
-    pub eps: f64,
 }
 
 impl Piece {
@@ -105,7 +85,9 @@ impl Piece {
                 angle,
             } => center + Vec2::from_polar(radius, angle + angular_velocity * u),
             Motion::Curved => {
-                unreachable!("compiled programs never hold curved pieces (curved spans refuse or lower to certified affine chords)")
+                unreachable!(
+                    "compiled programs never hold curved pieces (curved spans refuse to lower)"
+                )
             }
         }
     }
@@ -136,7 +118,9 @@ impl Piece {
                 )
             }
             Motion::Curved => {
-                unreachable!("compiled programs never hold curved pieces (curved spans refuse or lower to certified affine chords)")
+                unreachable!(
+                    "compiled programs never hold curved pieces (curved spans refuse to lower)"
+                )
             }
         };
         Probe {
@@ -146,44 +130,34 @@ impl Piece {
         }
     }
 
-    /// The bounding disk of the whole piece, expanded by [`Piece::eps`]
-    /// so it contains the true curve of an approximate piece.
+    /// The bounding disk of the whole piece.
     pub fn disk(&self) -> Disk {
         self.chunk_disk(self.t0, self.t1)
     }
 
-    /// A bounding box of the whole piece (the baked-tree leaf),
-    /// expanded by [`Piece::eps`].
+    /// A bounding box of the whole piece (the baked-tree leaf).
     pub fn bounding_box(&self) -> Aabb {
         self.chunk_box(self.t0, self.t1)
     }
 
     /// A bounding box of the sub-interval `[a, b] ⊆ [t0, t1]`: exact
-    /// for affine pieces, the arc-chunk disk's box for circular ones —
-    /// in both cases expanded by [`Piece::eps`], so approximate pieces
-    /// still bound the true curve.
+    /// for affine pieces, the arc-chunk disk's box for circular ones.
     pub fn chunk_box(&self, a: f64, b: f64) -> Aabb {
         match self.motion {
             Motion::Affine { velocity } => {
                 let ua = a - self.t0;
                 let from = self.pos0 + velocity * ua;
-                let tight = Aabb::spanning(from, from + velocity * (b - a).max(0.0));
-                if self.eps > 0.0 {
-                    tight.expanded(self.eps)
-                } else {
-                    tight
-                }
+                Aabb::spanning(from, from + velocity * (b - a).max(0.0))
             }
             _ => Aabb::from_disk(&self.chunk_disk(a, b)),
         }
     }
 
-    /// The bounding disk of the sub-interval `[a, b] ⊆ [t0, t1]`,
-    /// expanded by [`Piece::eps`].
+    /// The bounding disk of the sub-interval `[a, b] ⊆ [t0, t1]`.
     pub fn chunk_disk(&self, a: f64, b: f64) -> Disk {
         let ua = a - self.t0;
         let span = (b - a).max(0.0);
-        let tight = match self.motion {
+        match self.motion {
             Motion::Affine { velocity } => {
                 let from = self.pos0 + velocity * ua;
                 if velocity == Vec2::ZERO || span == 0.0 {
@@ -204,13 +178,10 @@ impl Piece {
                 angular_velocity * span,
             ),
             Motion::Curved => {
-                unreachable!("compiled programs never hold curved pieces (curved spans refuse or lower to certified affine chords)")
+                unreachable!(
+                    "compiled programs never hold curved pieces (curved spans refuse to lower)"
+                )
             }
-        };
-        if self.eps > 0.0 {
-            tight.expanded(self.eps)
-        } else {
-            tight
         }
     }
 }
@@ -224,27 +195,16 @@ pub struct CompileOptions {
     pub horizon: f64,
     /// Hard cap on materialized pieces. The dyadic schedules hold Θ(4ᵏ)
     /// segments per round, so an unbounded lowering of a deep horizon
-    /// would silently eat memory; hitting the cap either truncates or
-    /// fails, per [`CompileOptions::truncate`].
+    /// would silently eat memory; hitting the cap returns a **partial**
+    /// program covering a prefix (the engines' partial entry points
+    /// refuse a query that needs uncovered time instead of answering
+    /// wrongly).
     pub max_pieces: usize,
-    /// What to do when the piece budget trips before the horizon:
-    /// `true` returns a **partial** program covering a prefix (usable by
-    /// the engine's partial entry point, which reports "insufficient
-    /// coverage" instead of a wrong answer); `false` returns
-    /// [`CompileError::Budget`].
-    pub truncate: bool,
-    /// `Some(ε)` enables certified lowering of [`Motion::Curved`] spans:
-    /// each span is adaptively subdivided into affine chords whose
-    /// proven pointwise error ([`Compile::chord_error_bound`]) is at
-    /// most `ε`, recorded per piece in [`Piece::eps`]. `None` (the
-    /// default) keeps the exact-only behavior: curved spans refuse with
-    /// [`CompileError::Curved`].
-    pub approx_tolerance: Option<f64>,
 }
 
 impl CompileOptions {
     /// Options lowering up to `horizon` with the default piece budget
-    /// (`65 536`) and truncation enabled.
+    /// (`65 536`).
     ///
     /// # Panics
     ///
@@ -257,8 +217,6 @@ impl CompileOptions {
         CompileOptions {
             horizon,
             max_pieces: 65_536,
-            truncate: true,
-            approx_tolerance: None,
         }
     }
 
@@ -272,28 +230,6 @@ impl CompileOptions {
         self.max_pieces = max_pieces;
         self
     }
-
-    /// Sets the on-budget behavior (see [`CompileOptions::truncate`]).
-    pub fn truncate(mut self, truncate: bool) -> Self {
-        self.truncate = truncate;
-        self
-    }
-
-    /// Enables certified approximate lowering of curved spans with
-    /// pointwise error at most `eps` (see
-    /// [`CompileOptions::approx_tolerance`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `eps` is positive and finite.
-    pub fn approx_tolerance(mut self, eps: f64) -> Self {
-        assert!(
-            eps > 0.0 && eps.is_finite(),
-            "approx tolerance must be positive and finite, got {eps}"
-        );
-        self.approx_tolerance = Some(eps);
-        self
-    }
 }
 
 /// Why a trajectory could not be lowered.
@@ -305,28 +241,11 @@ pub enum CompileError {
         /// The global time of the unloweable piece.
         at: f64,
     },
-    /// The piece budget tripped before the horizon (and
-    /// [`CompileOptions::truncate`] was off).
-    Budget {
-        /// Pieces materialized before giving up.
-        pieces: usize,
-        /// Global time covered by those pieces.
-        covered: f64,
-    },
     /// The cursor reported a piece that does not advance time — a
     /// cursor-contract violation surfaced as an error rather than an
     /// infinite loop.
     Stalled {
         /// The time at which lowering stopped making progress.
-        at: f64,
-    },
-    /// Certified lowering was requested but no sound error bound could
-    /// be established for a curved span, even at the smallest usable
-    /// subdivision step — e.g. a closure that violates its declared
-    /// speed bound. Refusing is the only sound answer: emitting a
-    /// guessed bound would turn compiled certificates into lies.
-    Uncertifiable {
-        /// The global time at which certification failed.
         at: f64,
     },
 }
@@ -337,16 +256,7 @@ impl fmt::Display for CompileError {
             CompileError::Curved { at } => {
                 write!(f, "curved piece at t={at}: no closed-form lowering")
             }
-            CompileError::Budget { pieces, covered } => {
-                write!(
-                    f,
-                    "piece budget hit after {pieces} pieces (covered t={covered})"
-                )
-            }
             CompileError::Stalled { at } => write!(f, "cursor stalled at t={at}"),
-            CompileError::Uncertifiable { at } => {
-                write!(f, "no sound error bound for the curved span at t={at}")
-            }
         }
     }
 }
@@ -398,9 +308,6 @@ pub struct CompiledProgram {
     /// Coarse schedule boundaries (round/phase starts) within the
     /// covered span, strictly increasing.
     marks: Vec<f64>,
-    /// The largest [`Piece::eps`] in the arena (`0.0` for an exact
-    /// program).
-    approx_eps: f64,
 }
 
 impl CompiledProgram {
@@ -423,13 +330,6 @@ impl CompiledProgram {
     /// The wrapped trajectory's speed bound.
     pub fn speed_bound(&self) -> f64 {
         self.speed_bound
-    }
-
-    /// The largest certified error bound in the arena: positions (and
-    /// probes) are within `approx_eps` of the source trajectory at every
-    /// covered time. `0.0` for an exactly lowered program.
-    pub fn approx_eps(&self) -> f64 {
-        self.approx_eps
     }
 
     /// The recorded round marks (coarse schedule boundaries).
@@ -711,12 +611,9 @@ pub trait Compile: MonotoneDyn {
     ///
     /// # Errors
     ///
-    /// [`CompileError::Curved`] when the trajectory exposes curved
-    /// pieces and [`CompileOptions::approx_tolerance`] is unset;
-    /// [`CompileError::Uncertifiable`] when certification was requested
-    /// but no sound chord bound exists; [`CompileError::Budget`] when
-    /// the piece budget trips with truncation disabled;
-    /// [`CompileError::Stalled`] on a cursor that stops advancing.
+    /// [`CompileError::Curved`] when the trajectory exposes a curved
+    /// piece; [`CompileError::Stalled`] on a cursor that stops
+    /// advancing.
     fn compile(&self, opts: &CompileOptions) -> Result<CompiledProgram, CompileError> {
         lower_program(self, opts)
     }
@@ -729,22 +626,6 @@ pub trait Compile: MonotoneDyn {
         let _ = horizon;
         Vec::new()
     }
-
-    /// A proven pointwise bound on the distance between the trajectory
-    /// and the **chord** of `[t0, t1]` (the affine piece interpolating
-    /// `position(t0) → position(t1)`), valid at every time in the
-    /// interval. `None` when no sound bound can be established; the
-    /// certified lowering then subdivides further or refuses with
-    /// [`CompileError::Uncertifiable`].
-    ///
-    /// The default is a sampled Lipschitz bound with a safety factor
-    /// (see [`sampled_chord_bound`]): it checks the declared speed bound
-    /// against the samples and refuses when the trajectory visibly
-    /// violates it. Closed-form trajectories override this with exact
-    /// curvature bounds (the Archimedean spiral in `rvz-baselines`).
-    fn chord_error_bound(&self, t0: f64, t1: f64) -> Option<f64> {
-        sampled_chord_bound(self, self.speed_bound(), t0, t1)
-    }
 }
 
 impl<T: Compile + crate::MonotoneTrajectory + ?Sized> Compile for &T {
@@ -754,94 +635,6 @@ impl<T: Compile + crate::MonotoneTrajectory + ?Sized> Compile for &T {
     fn round_marks(&self, horizon: f64) -> Vec<f64> {
         (**self).round_marks(horizon)
     }
-    fn chord_error_bound(&self, t0: f64, t1: f64) -> Option<f64> {
-        (**self).chord_error_bound(t0, t1)
-    }
-}
-
-/// The default [`Compile::chord_error_bound`]: a sampled Lipschitz bound
-/// with a safety factor.
-///
-/// The interval is sampled at 17 points. The bound is the largest
-/// sampled deviation from the chord plus the worst possible excursion
-/// *between* samples (half a sample step at the combined true/chord
-/// speed), scaled by a 1.25 safety factor. Soundness rests on the
-/// declared speed bound; as a cross-check, any adjacent sample pair
-/// farther apart than the speed bound allows refuses outright (`None`)
-/// — a non-Lipschitz spike must not receive a certificate. The
-/// roundoff slack in that check scales with the positions' magnitude
-/// (never a fixed absolute term): a fixed term would let a
-/// speed-violating span pass once the adaptive subdivision shrinks the
-/// interval below the slack, turning the refusal into a budget-burning
-/// crawl of floor-sized "certified" chords over an uncertifiable span.
-pub fn sampled_chord_bound<T: Trajectory + ?Sized>(
-    trajectory: &T,
-    speed_bound: f64,
-    t0: f64,
-    t1: f64,
-) -> Option<f64> {
-    const N: usize = 16;
-    let dt = t1 - t0;
-    if !t1.is_finite() || !speed_bound.is_finite() || dt.is_nan() || dt <= 0.0 || speed_bound < 0.0
-    {
-        return None;
-    }
-    let p0 = trajectory.position(t0);
-    let p1 = trajectory.position(t1);
-    let chord_v = (p1 - p0) / dt;
-    let h = dt / N as f64;
-    let mut max_dev = 0.0_f64;
-    let mut prev = p0;
-    let mut prev_t = t0;
-    for i in 1..=N {
-        let u = if i == N { t1 } else { t0 + h * i as f64 };
-        let p = trajectory.position(u);
-        let du = u - prev_t;
-        // Adjacent samples farther apart than the declared speed bound
-        // allows: the Lipschitz premise is false, refuse. The slack
-        // covers evaluation roundoff only, so it scales with the
-        // positions' magnitude and the span — not a fixed absolute
-        // floor a shrinking subdivision could hide a violation under.
-        let roundoff = 1e-12 * (p.norm().max(prev.norm()) + speed_bound * dt);
-        if p.distance(prev) > speed_bound * du * (1.0 + 1e-9) + roundoff {
-            return None;
-        }
-        let dev = (p - (p0 + chord_v * (u - t0))).norm();
-        max_dev = max_dev.max(dev);
-        prev = p;
-        prev_t = u;
-    }
-    // Between samples the true point moves at most speed_bound·h/2 from
-    // the nearest sample and the chord point at most |chord_v|·h/2.
-    let between = 0.5 * h * (speed_bound + chord_v.norm());
-    Some((max_dev + between) * 1.25)
-}
-
-/// The certified-approximation hooks a [`PieceStream`] uses to lower
-/// [`Motion::Curved`] spans: random access into the source trajectory
-/// plus its chord error bound, with the target tolerance.
-pub(crate) struct CurvedApprox<'a> {
-    /// Random-access position of the source trajectory.
-    pub position: Box<dyn Fn(f64) -> Vec2 + 'a>,
-    /// [`Compile::chord_error_bound`] of the source trajectory.
-    pub bound: Box<dyn Fn(f64, f64) -> Option<f64> + 'a>,
-    /// The requested pointwise tolerance (`> 0`, finite).
-    pub eps: f64,
-}
-
-/// Adaptive-subdivision state across one [`Motion::Curved`] span.
-#[derive(Debug, Clone, Copy)]
-struct CurvedSpan {
-    /// Where the curved cursor piece ends (clamped to the horizon).
-    seg_end: f64,
-    /// Subdivision frontier: chords up to here are already emitted.
-    u: f64,
-    /// Exact position at `u` (carried forward so chords tile
-    /// continuously).
-    pos_u: Vec2,
-    /// Current adaptive step: halved until the bound certifies, doubled
-    /// after each accepted chord.
-    step: f64,
 }
 
 /// One event produced by a [`PieceStream`].
@@ -859,36 +652,28 @@ pub(crate) enum LoweredStep {
 
 /// The single piece producer behind both the eager lowering and
 /// [`SoaStream`](crate::SoaStream): drives a cursor forward, applies the
-/// ulp stall nudges, and (when a [`CurvedApprox`] handler is present)
-/// subdivides curved spans into certified affine chords. Because both
-/// consumers drain the *same* producer, a stream's materialized prefix
-/// is bit-identical to the eager lowering's.
-pub(crate) struct PieceStream<'h, C> {
+/// ulp stall nudges, and refuses curved pieces. Because both consumers
+/// drain the *same* producer, a stream's materialized prefix is
+/// bit-identical to the eager lowering's.
+pub(crate) struct PieceStream<C> {
     cursor: C,
-    handler: Option<CurvedApprox<'h>>,
     horizon: f64,
     t: f64,
-    span: Option<CurvedSpan>,
     finished: bool,
 }
 
-impl<'h, C: Cursor> PieceStream<'h, C> {
-    pub(crate) fn new(cursor: C, handler: Option<CurvedApprox<'h>>, horizon: f64) -> Self {
+impl<C: Cursor> PieceStream<C> {
+    pub(crate) fn new(cursor: C, horizon: f64) -> Self {
         PieceStream {
             cursor,
-            handler,
             horizon,
             t: 0.0,
-            span: None,
             finished: false,
         }
     }
 
     /// Produces the next lowering event.
     pub(crate) fn next_step(&mut self) -> Result<LoweredStep, CompileError> {
-        if self.span.is_some() {
-            return self.next_chord();
-        }
         if self.finished {
             return Ok(LoweredStep::Finished);
         }
@@ -908,20 +693,7 @@ impl<'h, C: Cursor> PieceStream<'h, C> {
             bumps += 1;
         }
         if let Motion::Curved = p.motion {
-            if self.handler.is_none() {
-                return Err(CompileError::Curved { at: t });
-            }
-            if p.piece_end <= t {
-                return Err(CompileError::Stalled { at: t });
-            }
-            let seg_end = p.piece_end.min(self.horizon);
-            self.span = Some(CurvedSpan {
-                seg_end,
-                u: t,
-                pos_u: p.position,
-                step: (seg_end - t).min(1.0),
-            });
-            return self.next_chord();
+            return Err(CompileError::Curved { at: t });
         }
         if p.piece_end == f64::INFINITY {
             if p.motion
@@ -944,7 +716,6 @@ impl<'h, C: Cursor> PieceStream<'h, C> {
                     t1: self.horizon,
                     pos0: p.position,
                     motion: p.motion,
-                    eps: 0.0,
                 },
                 counted: false,
             });
@@ -965,76 +736,15 @@ impl<'h, C: Cursor> PieceStream<'h, C> {
                 t1,
                 pos0: p.position,
                 motion: p.motion,
-                eps: 0.0,
             },
-            counted: true,
-        })
-    }
-
-    /// Emits the next certified chord of the active curved span.
-    fn next_chord(&mut self) -> Result<LoweredStep, CompileError> {
-        let mut span = self.span.expect("next_chord requires an active span");
-        let handler = self
-            .handler
-            .as_ref()
-            .expect("curved spans require an approx handler");
-        let remaining = span.seg_end - span.u;
-        let mut s = span.step.min(remaining);
-        let (t1, bound) = loop {
-            // Land exactly on the span end when the step reaches it, so
-            // chords tile the span without a floating-point sliver.
-            let t1 = if s >= remaining {
-                span.seg_end
-            } else {
-                span.u + s
-            };
-            match (handler.bound)(span.u, t1) {
-                Some(b) if b >= 0.0 && b.is_finite() && b <= handler.eps => break (t1, b),
-                _ => {
-                    s *= 0.5;
-                    if !s.is_finite() || s <= (1.0 + span.u.abs()) * 1e-13 {
-                        // Even near-degenerate steps cannot be bounded:
-                        // refusing beats certifying a lie.
-                        return Err(CompileError::Uncertifiable { at: span.u });
-                    }
-                }
-            }
-        };
-        let pos1 = (handler.position)(t1);
-        let dt = t1 - span.u;
-        let piece = Piece {
-            t0: span.u,
-            t1,
-            pos0: span.pos_u,
-            motion: Motion::Affine {
-                velocity: (pos1 - span.pos_u) / dt,
-            },
-            eps: bound,
-        };
-        if t1 >= span.seg_end {
-            self.span = None;
-            self.t = span.seg_end;
-            if span.seg_end >= self.horizon {
-                self.finished = true;
-            }
-        } else {
-            span.u = t1;
-            span.pos_u = pos1;
-            span.step = s * 2.0;
-            self.span = Some(span);
-        }
-        Ok(LoweredStep::Piece {
-            piece,
             counted: true,
         })
     }
 }
 
-/// Lowers any [`Compile`] source to an eager [`CompiledProgram`],
-/// including certified curved spans when
-/// [`CompileOptions::approx_tolerance`] is set. This is the body of the
-/// default [`Compile::compile`]; it exists as a free function so the
-/// trait stays object-safe.
+/// Lowers any [`Compile`] source to an eager [`CompiledProgram`]. This
+/// is the body of the default [`Compile::compile`]; it exists as a free
+/// function so the trait stays object-safe.
 ///
 /// # Errors
 ///
@@ -1045,46 +755,22 @@ pub fn lower_program<T: Compile + ?Sized>(
 ) -> Result<CompiledProgram, CompileError> {
     rvz_obs::span!("lower");
     let marks = source.round_marks(opts.horizon);
-    let handler = opts.approx_tolerance.map(|eps| CurvedApprox {
-        position: Box::new(move |t| source.position(t)) as Box<dyn Fn(f64) -> Vec2 + '_>,
-        bound: Box::new(move |a, b| source.chord_error_bound(a, b)),
-        eps,
-    });
-    let program = lower_impl(
-        &mut *source.dyn_cursor(),
-        source.speed_bound(),
-        marks,
-        opts,
-        handler,
-    )?;
+    let program = lower_from_cursor(&mut *source.dyn_cursor(), source.speed_bound(), marks, opts)?;
     rvz_obs::counter!("rvz_lowered_pieces_total").add(program.pieces().len() as u64);
     Ok(program)
 }
 
-/// The cursor-only lowering loop: walk a cursor piece by piece and bake
-/// the arena, the envelope tree, and the marks. Curved pieces always
-/// refuse here — certification needs random access into the source, so
-/// it is only available through [`lower_program`] / [`Compile::compile`].
+/// The lowering loop: walk a cursor piece by piece and bake the arena,
+/// the envelope tree, and the marks.
 ///
 /// # Errors
 ///
-/// As for [`Compile::compile`] (never
-/// [`CompileError::Uncertifiable`]).
+/// As for [`Compile::compile`].
 pub fn lower_from_cursor(
     cursor: &mut dyn Cursor,
     speed_bound: f64,
     marks: Vec<f64>,
     opts: &CompileOptions,
-) -> Result<CompiledProgram, CompileError> {
-    lower_impl(cursor, speed_bound, marks, opts, None)
-}
-
-fn lower_impl(
-    cursor: &mut dyn Cursor,
-    speed_bound: f64,
-    marks: Vec<f64>,
-    opts: &CompileOptions,
-    handler: Option<CurvedApprox<'_>>,
 ) -> Result<CompiledProgram, CompileError> {
     assert!(
         opts.horizon > 0.0 && opts.horizon.is_finite(),
@@ -1092,20 +778,14 @@ fn lower_impl(
         opts.horizon
     );
     assert!(opts.max_pieces > 0, "piece budget must be positive");
-    let mut stream = PieceStream::new(cursor, handler, opts.horizon);
+    let mut stream = PieceStream::new(cursor, opts.horizon);
     let mut pieces: Vec<Piece> = Vec::new();
     let mut rest = None;
     loop {
         match stream.next_step()? {
             LoweredStep::Piece { piece, counted } => {
                 if counted && pieces.len() == opts.max_pieces {
-                    if opts.truncate {
-                        break;
-                    }
-                    return Err(CompileError::Budget {
-                        pieces: pieces.len(),
-                        covered: piece.t0,
-                    });
+                    break;
                 }
                 pieces.push(piece);
             }
@@ -1128,7 +808,6 @@ fn assemble_program(
     speed_bound: f64,
 ) -> CompiledProgram {
     let end_time = pieces.last().map_or(0.0, |p| p.t1);
-    let approx_eps = pieces.iter().fold(0.0_f64, |acc, p| acc.max(p.eps));
 
     // Bake the envelope tree.
     let (tree, size) = bake_tree(pieces.iter().map(Piece::bounding_box));
@@ -1144,7 +823,6 @@ fn assemble_program(
         rest,
         speed_bound,
         marks,
-        approx_eps,
     }
 }
 
@@ -1289,72 +967,22 @@ mod tests {
     }
 
     #[test]
-    fn budget_truncates_or_fails() {
+    fn budget_truncates() {
         let p = sample_path();
-        let opts = CompileOptions::to_horizon(1e4).max_pieces(2);
-        let partial = p.compile(&opts).unwrap();
+        let partial = p
+            .compile(&CompileOptions::to_horizon(1e4).max_pieces(2))
+            .unwrap();
         assert_eq!(partial.pieces().len(), 2);
         assert!(partial.rest().is_none());
         assert!(!partial.covers(p.duration()));
-        let strict = opts.truncate(false);
-        assert_eq!(
-            p.compile(&strict),
-            Err(CompileError::Budget {
-                pieces: 2,
-                covered: partial.end_time(),
-            })
-        );
     }
 
     #[test]
     fn curved_trajectories_refuse_to_lower() {
-        // Without an `approx_tolerance` the historical refusal stands...
-        use crate::monotone::GenericCursor;
         let t = crate::FnTrajectory::new(|t| Vec2::new(t.cos(), t.sin()), 1.0);
-        let err = lower_from_cursor(
-            &mut GenericCursor::new(&t),
-            1.0,
-            Vec::new(),
-            &CompileOptions::to_horizon(10.0),
-        )
-        .unwrap_err();
+        let err = t.compile(&CompileOptions::to_horizon(10.0)).unwrap_err();
         assert_eq!(err, CompileError::Curved { at: 0.0 });
         assert!(err.to_string().contains("curved"));
-        // ... with one, the same source lowers to certified chords whose
-        // realized bound is within the requested tolerance.
-        let opts = CompileOptions::to_horizon(6.0)
-            .max_pieces(1 << 16)
-            .approx_tolerance(1e-4);
-        let program = t.compile(&opts).expect("certified chords lower");
-        assert!(program.approx_eps() > 0.0 && program.approx_eps() <= 1e-4);
-        for i in 0..=3000 {
-            let u = 6.0 * i as f64 / 3000.0;
-            let d = program.position(u).distance(t.position(u));
-            assert!(d <= program.approx_eps() + 1e-12, "t={u}: {d}");
-        }
-    }
-
-    #[test]
-    fn hostile_closures_refuse_instead_of_guessing() {
-        // A continuous kink that moves 50× faster than its declared
-        // speed bound: the sampled Lipschitz premise is false, so no
-        // subdivision step can certify a chord across (or inside) the
-        // fast region. Lowering must refuse with `Uncertifiable`, never
-        // emit a guessed ε.
-        let spike = crate::FnTrajectory::new(
-            |t| Vec2::new(if t > 0.5 { 50.0 * (t - 0.5) } else { 0.0 }, 0.0),
-            1.0,
-        );
-        let opts = CompileOptions::to_horizon(1.0)
-            .max_pieces(1 << 16)
-            .approx_tolerance(1e-3);
-        let err = spike.compile(&opts).unwrap_err();
-        match err {
-            CompileError::Uncertifiable { at } => {
-                assert!((0.0..=1.0).contains(&at), "failure time {at} out of span");
-            }
-            other => panic!("expected Uncertifiable, got {other:?}"),
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! field of every piece (48 bytes apiece), so a kernel that only needs
 //! start times and velocities drags the rest of the struct through the
 //! cache and defeats autovectorization. [`ProgramSoA`] stores the same
-//! arena as parallel `t0/t1/pos0x/pos0y/vx/vy/eps` arrays: the affine
+//! arena as parallel `t0/t1/pos0x/pos0y/vx/vy` arrays: the affine
 //! distance-certificate kernels in `rvz_sim` stream four to eight
 //! pieces per loop iteration out of contiguous `f64` lanes, and the
 //! compiler vectorizes the branch-free inner loop on its own (measured,
@@ -32,7 +32,7 @@
 use crate::monotone::{Cursor, Motion, Probe};
 use crate::program::{
     bake_tree, grow_box, normalize_marks, tree_range_union, Compile, CompileError, CompileOptions,
-    CompiledProgram, CurvedApprox, LoweredStep, Piece, PieceStream,
+    CompiledProgram, LoweredStep, Piece, PieceStream,
 };
 use rvz_geometry::{Aabb, Vec2};
 use std::sync::Arc;
@@ -79,7 +79,6 @@ pub struct ProgramSoA {
     /// side table).
     vx: Vec<f64>,
     vy: Vec<f64>,
-    eps: Vec<f64>,
     /// [`AFFINE`] for affine lanes, else an index into `circles`.
     circ: Vec<u32>,
     circles: Vec<CircularLaw>,
@@ -90,7 +89,6 @@ pub struct ProgramSoA {
     rest: Option<Vec2>,
     speed_bound: f64,
     marks: Vec<f64>,
-    approx_eps: f64,
     /// Queries strictly before this time answer exactly as on the
     /// finished arena: `+∞` once the arena is final, the materialized
     /// end while a [`SoaStream`] is still open.
@@ -101,13 +99,7 @@ impl ProgramSoA {
     /// An arena with no pieces yet and the given program-wide constants
     /// (marks are normalized like the eager lowering's: finite,
     /// positive, within `mark_end`, strictly increasing).
-    fn empty(
-        capacity: usize,
-        speed_bound: f64,
-        marks: Vec<f64>,
-        mark_end: f64,
-        approx_eps: f64,
-    ) -> Self {
+    fn empty(capacity: usize, speed_bound: f64, marks: Vec<f64>, mark_end: f64) -> Self {
         let marks = normalize_marks(marks, mark_end);
         ProgramSoA {
             t0: Vec::with_capacity(capacity),
@@ -116,7 +108,6 @@ impl ProgramSoA {
             pos0y: Vec::with_capacity(capacity),
             vx: Vec::with_capacity(capacity),
             vy: Vec::with_capacity(capacity),
-            eps: Vec::with_capacity(capacity),
             circ: Vec::with_capacity(capacity),
             circles: Vec::new(),
             tree: Arc::default(),
@@ -125,21 +116,19 @@ impl ProgramSoA {
             rest: None,
             speed_bound,
             marks,
-            approx_eps,
             frontier: f64::INFINITY,
         }
     }
 
-    /// Transposes an eager program's arena field-for-field. Per-piece
-    /// `eps` and circular phases are copied exactly, so probes on the
-    /// SoA arena are bit-identical to the source program's.
+    /// Transposes an eager program's arena field-for-field. Circular
+    /// phases are copied exactly, so probes on the SoA arena are
+    /// bit-identical to the source program's.
     pub fn from_program(program: &CompiledProgram) -> Self {
         let mut soa = ProgramSoA::empty(
             program.pieces().len(),
             program.speed_bound(),
             program.round_marks().to_vec(),
             f64::INFINITY,
-            program.approx_eps(),
         );
         for piece in program.pieces() {
             soa.push(piece);
@@ -164,7 +153,6 @@ impl ProgramSoA {
         self.t1.push(piece.t1);
         self.pos0x.push(piece.pos0.x);
         self.pos0y.push(piece.pos0.y);
-        self.eps.push(piece.eps);
         match piece.motion {
             Motion::Affine { velocity } => {
                 self.vx.push(velocity.x);
@@ -205,7 +193,6 @@ impl ProgramSoA {
         self.pos0y.reserve(n);
         self.vx.reserve(n);
         self.vy.reserve(n);
-        self.eps.reserve(n);
         self.circ.reserve(n);
     }
 
@@ -267,12 +254,6 @@ impl ProgramSoA {
         &self.vy
     }
 
-    /// Per-piece certified error bounds.
-    #[inline]
-    pub fn epss(&self) -> &[f64] {
-        &self.eps
-    }
-
     /// The circular sentinel column ([`AFFINE`] on affine lanes).
     #[inline]
     pub fn circ_column(&self) -> &[u32] {
@@ -317,7 +298,6 @@ impl ProgramSoA {
             t1: self.t1[i],
             pos0: Vec2::new(self.pos0x[i], self.pos0y[i]),
             motion,
-            eps: self.eps[i],
         }
     }
 
@@ -348,13 +328,6 @@ impl ProgramSoA {
     /// The wrapped trajectory's speed bound.
     pub fn speed_bound(&self) -> f64 {
         self.speed_bound
-    }
-
-    /// The largest certified error bound in the arena (`0.0` for an
-    /// exactly lowered source); the engine folds it into its contact
-    /// threshold.
-    pub fn approx_eps(&self) -> f64 {
-        self.approx_eps
     }
 
     /// `true` when every query in `[0, t]` is answerable exactly, as
@@ -406,8 +379,7 @@ impl ProgramSoA {
         if self.circ[i] == AFFINE {
             // Hot path: the affine probe straight off the columns —
             // the same `pos0 + velocity * u` the AoS piece computes,
-            // without reconstructing the struct (and without touching
-            // the `eps` column a probe never reports).
+            // without reconstructing the struct.
             let u = t - self.t0[i];
             let velocity = Vec2::new(self.vx[i], self.vy[i]);
             return Probe {
@@ -479,9 +451,6 @@ impl ProgramSoA {
 /// Growth is query-driven: [`SoaStream::extend`] materializes past the
 /// time a refused query needed and at least doubles the covered time,
 /// so a query that resolves early pays for an early prefix only.
-/// Sources lowered with an approximation tolerance materialize in one
-/// step: their arena-wide certified ε (which the engine folds into its
-/// contact threshold) is known only once every chord exists.
 ///
 /// # Example
 ///
@@ -500,7 +469,7 @@ impl ProgramSoA {
 /// assert!(stream.is_complete() && stream.arena().covers(1e9));
 /// ```
 pub struct SoaStream<'a> {
-    stream: PieceStream<'a, Box<dyn Cursor + 'a>>,
+    stream: PieceStream<Box<dyn Cursor + 'a>>,
     opts: CompileOptions,
     arena: ProgramSoA,
     /// Per-piece leaf boxes, kept so growing the envelope tree never
@@ -527,21 +496,15 @@ impl<'a> SoaStream<'a> {
             opts.horizon
         );
         assert!(opts.max_pieces > 0, "piece budget must be positive");
-        let handler = opts.approx_tolerance.map(|eps| CurvedApprox {
-            position: Box::new(move |t| source.position(t)) as Box<dyn Fn(f64) -> Vec2 + 'a>,
-            bound: Box::new(move |a, b| source.chord_error_bound(a, b)),
-            eps,
-        });
         let mut arena = ProgramSoA::empty(
             0,
             source.speed_bound(),
             source.round_marks(opts.horizon),
             opts.horizon,
-            0.0,
         );
         arena.frontier = 0.0;
         SoaStream {
-            stream: PieceStream::new(source.dyn_cursor(), handler, opts.horizon),
+            stream: PieceStream::new(source.dyn_cursor(), opts.horizon),
             opts,
             arena,
             leaves: Vec::new(),
@@ -584,12 +547,9 @@ impl<'a> SoaStream<'a> {
     /// covering at least twice the previous span and at least the
     /// first-prefix span, or until the stream ends.
     pub fn extend(&mut self, need: f64) {
-        let target = if self.opts.approx_tolerance.is_some() {
-            f64::INFINITY
-        } else {
-            need.max(2.0 * self.arena.end_time)
-                .max(self.opts.horizon / FIRST_PREFIX_DIVISOR)
-        };
+        let target = need
+            .max(2.0 * self.arena.end_time)
+            .max(self.opts.horizon / FIRST_PREFIX_DIVISOR);
         self.materialize_past(target);
     }
 
@@ -635,14 +595,7 @@ impl<'a> SoaStream<'a> {
         match self.stream.next_step() {
             Ok(LoweredStep::Piece { piece, counted }) => {
                 if counted && self.arena.len() == self.opts.max_pieces {
-                    self.state = Some(if self.opts.truncate {
-                        Ok(())
-                    } else {
-                        Err(CompileError::Budget {
-                            pieces: self.arena.len(),
-                            covered: piece.t0,
-                        })
-                    });
+                    self.state = Some(Ok(()));
                     return;
                 }
                 if self.arena.len() == self.arena.t0.capacity() {
@@ -651,7 +604,6 @@ impl<'a> SoaStream<'a> {
                 }
                 self.arena.push(&piece);
                 self.arena.end_time = piece.t1;
-                self.arena.approx_eps = self.arena.approx_eps.max(piece.eps);
                 self.leaves.push(piece.bounding_box());
             }
             Ok(LoweredStep::Rest(p)) => {
@@ -745,16 +697,6 @@ mod tests {
             assert!(stream.is_complete() && stream.error().is_none());
             assert_eq!(stream.arena(), &eager, "{opts:?}");
         }
-        // Certified chords: one extension materializes the whole arena,
-        // realized ε included.
-        let curve = crate::FnTrajectory::new(|t| Vec2::new(t.cos(), (0.5 * t).sin()), 1.0);
-        let opts = CompileOptions::to_horizon(20.0).approx_tolerance(1e-4);
-        let eager = ProgramSoA::from_program(&curve.compile(&opts).unwrap());
-        assert!(eager.approx_eps() > 0.0);
-        let mut stream = SoaStream::new(&curve, opts);
-        stream.extend(0.0);
-        assert!(stream.is_complete());
-        assert_eq!(stream.arena(), &eager);
     }
 
     #[test]
@@ -799,7 +741,7 @@ mod tests {
     }
 
     #[test]
-    fn curved_sources_without_tolerance_fail_like_the_eager_lowering() {
+    fn curved_sources_fail_like_the_eager_lowering() {
         let t = crate::FnTrajectory::new(|t| Vec2::new(t.cos(), t.sin()), 1.0);
         let opts = CompileOptions::to_horizon(10.0);
         let mut stream = SoaStream::new(&t, opts);

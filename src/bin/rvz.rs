@@ -199,7 +199,9 @@ Run a parallel scenario sweep (grid by default, Latin-hypercube sample
 with --lhs N) on the monotone-cursor engine and write PREFIX.jsonl +
 PREFIX.csv. List flags (L) take comma-separated values, e.g. --speeds
 0.5,1. --no-prune disables the engine's swept-envelope pruning layer
-(A/B escape hatch; outcomes keep the same classification).
+(A/B escape hatch). Contacts stay the same, but disproofs that pruning
+certifies in one step (mirror twins off the Theorem 4 axis) step
+instead and can end as step_budget where the pruned run says horizon.
 
 Checkpointing: --checkpoint PATH journals finished records (a header
 line pinning the sweep, then one CRC-framed JSON record per line,
@@ -283,8 +285,9 @@ the canonicalization step, snapped to a power of two (default 2^-30;
 0 = bit-exact keys). Every /first-contact and every /sweep scenario
 resolves through the cache, one entry per orbit; a miss runs on the
 worker handling its request, so --workers bounds concurrent engine
-work. --max-steps, --horizon-rounds and --no-prune mean what they mean
-for `rvz sweep`, applied in each orbit's canonical frame. A miss runs
+work. --max-steps, --horizon-rounds and --no-prune act as for `rvz
+sweep` (so --no-prune can turn one-step disproofs into step_budget
+answers), applied in each orbit's canonical frame. A miss runs
 the SoA lane kernel on arenas streamed under --compile-budget pieces
 per trajectory (default 32768) and falls back to the cursor engine
 when the kernel refuses; 0 serves every miss on the cursor engine.

@@ -5,7 +5,8 @@
 //! Seven trajectory pairs, each stressing one engine branch: grazing
 //! passes just above and just below the declaration threshold, an
 //! Algorithm 7 pair near and far, exact Algorithm 4 twins disproved to
-//! a shallow and a deep horizon, and a fully curved spiral. Spans and
+//! a shallow and a deep horizon, and a fully curved spiral (cursor and
+//! generic engines only: it refuses to lower). Spans and
 //! horizons are sized so the seed conservative loop finishes all seven
 //! in well under a second in the debug test profile.
 
@@ -13,7 +14,7 @@ use plane_rendezvous::baselines::ArchimedeanSpiral;
 use plane_rendezvous::core::completion_time;
 use plane_rendezvous::prelude::*;
 use plane_rendezvous::sim::{first_contact_cursors_instrumented, EngineStats};
-use plane_rendezvous::trajectory::{Compile, CompileOptions, CompiledProgram};
+use plane_rendezvous::trajectory::{Compile, CompileError, CompileOptions, CompiledProgram};
 
 /// Piece budget for a case's lowering unless the case needs more.
 const CASE_PIECE_BUDGET: usize = 1 << 19;
@@ -32,9 +33,6 @@ pub struct EngineCase {
     pub b: Box<dyn Compile>,
     /// Piece budget for this case's lowering.
     pub piece_budget: usize,
-    /// Certified-approximation tolerance for curved sources (`None`
-    /// for exactly piecewise pairs).
-    pub approx_tolerance: Option<f64>,
 }
 
 impl EngineCase {
@@ -55,21 +53,13 @@ impl EngineCase {
     }
 
     /// Lowers both trajectories for the compiled engines, to the case's
-    /// horizon and piece budget (plus its approximation tolerance when
-    /// it declares one).
+    /// horizon and piece budget.
     // Used by `engine_equivalence.rs` only; each test binary compiles
     // this module on its own.
     #[allow(dead_code)]
-    pub fn lower(&self) -> (CompiledProgram, CompiledProgram) {
-        let mut copts = CompileOptions::to_horizon(self.opts.horizon).max_pieces(self.piece_budget);
-        if let Some(eps) = self.approx_tolerance {
-            copts = copts.approx_tolerance(eps);
-        }
-        let lower = |t: &dyn Compile| {
-            t.compile(&copts)
-                .unwrap_or_else(|e| panic!("{}: lowering failed: {e:?}", self.name))
-        };
-        (lower(&*self.a), lower(&*self.b))
+    pub fn lower(&self) -> Result<(CompiledProgram, CompiledProgram), CompileError> {
+        let copts = CompileOptions::to_horizon(self.opts.horizon).max_pieces(self.piece_budget);
+        Ok((self.a.compile(&copts)?, self.b.compile(&copts)?))
     }
 }
 
@@ -90,7 +80,6 @@ pub fn canonical_cases(prune: bool) -> Vec<EngineCase> {
         ),
         b: Box::new(Stationary::new(Vec2::ZERO)),
         piece_budget: CASE_PIECE_BUDGET,
-        approx_tolerance: None,
     };
     // Exact twins under Algorithm 4: contact must be disproved all the
     // way to the horizon.
@@ -106,7 +95,6 @@ pub fn canonical_cases(prune: bool) -> Vec<EngineCase> {
         a: Box::new(UniversalSearch),
         b: Box::new(RobotAttributes::reference().frame_warp(UniversalSearch, Vec2::new(0.0, 2.0))),
         piece_budget,
-        approx_tolerance: None,
     };
     let slower = RobotAttributes::reference().with_speed(0.5);
     let spiral_radius = 0.02;
@@ -125,7 +113,6 @@ pub fn canonical_cases(prune: bool) -> Vec<EngineCase> {
             a: Box::new(WaitAndSearch),
             b: Box::new(slower.frame_warp(WaitAndSearch, Vec2::new(0.3, 0.85))),
             piece_budget: CASE_PIECE_BUDGET,
-            approx_tolerance: None,
         },
         twins("universal_twins_horizon", 4, 2_000_000, CASE_PIECE_BUDGET),
         // A fully curved trajectory: the cursor layer's warm-started
@@ -137,9 +124,6 @@ pub fn canonical_cases(prune: bool) -> Vec<EngineCase> {
             a: Box::new(ArchimedeanSpiral::for_visibility(spiral_radius)),
             b: Box::new(Stationary::new(Vec2::new(0.3, 0.4))),
             piece_budget: CASE_PIECE_BUDGET,
-            // Certified chords: the engine folds the realized bound
-            // into its contact threshold.
-            approx_tolerance: Some(spiral_radius * 1e-4),
         },
         // Rounds where one `Search(k)` holds many segments: the envelope
         // hierarchy must skip the sub-`d` sweeps wholesale.
@@ -153,7 +137,6 @@ pub fn canonical_cases(prune: bool) -> Vec<EngineCase> {
             a: Box::new(WaitAndSearch),
             b: Box::new(slower.frame_warp(WaitAndSearch, Vec2::new(8.0, 6.0))),
             piece_budget: CASE_PIECE_BUDGET,
-            approx_tolerance: None,
         },
     ];
     for case in &mut cases {

@@ -6,9 +6,7 @@
 //! radius scale) — including full `FrameWarp ∘ ClockDrift` attribute
 //! stacks — and the baked envelope trees contain every sampled
 //! position. The spiral, the one transcendental trajectory, refuses to
-//! lower unless the caller opts into certified approximation with
-//! [`CompileOptions::approx_tolerance`]; silent guessing is never an
-//! option (see `tests/approx_certification.rs` for the certified path).
+//! lower by name; silent guessing is never an option.
 
 use plane_rendezvous::core::WaitAndSearch;
 use plane_rendezvous::prelude::*;
@@ -75,11 +73,6 @@ fn universal_search_lowers_faithfully() {
         .expect("rounds 1..=3 fit the default budget");
     assert!(program.covers(horizon));
     assert!(!program.round_marks().is_empty(), "schedule marks recorded");
-    assert_eq!(
-        program.approx_eps(),
-        0.0,
-        "exact lowering carries no chord bound"
-    );
     assert_positions_match("alg4", &UniversalSearch, &program, horizon, 4000);
     assert_envelopes_contain("alg4", &UniversalSearch, &program, horizon);
 }
@@ -91,11 +84,6 @@ fn wait_and_search_lowers_faithfully() {
         .compile(&CompileOptions::to_horizon(horizon))
         .expect("rounds 1..=3 fit the default budget");
     assert!(program.covers(horizon));
-    assert_eq!(
-        program.approx_eps(),
-        0.0,
-        "exact lowering carries no chord bound"
-    );
     assert_positions_match("alg7", &WaitAndSearch, &program, horizon, 4000);
     assert_envelopes_contain("alg7", &WaitAndSearch, &program, horizon);
 }
@@ -137,8 +125,7 @@ fn warped_partner_matches_frame_warp_of_reference() {
 
 #[test]
 fn spiral_refuses_to_lower_without_a_tolerance() {
-    // Without an explicit approx_tolerance the curved span still takes
-    // the escape hatch — certified chords are opt-in, never implicit.
+    // Curved spans always refuse: no lowering approximates them.
     use plane_rendezvous::baselines::ArchimedeanSpiral;
     use plane_rendezvous::trajectory::CompileError;
     let err = ArchimedeanSpiral::with_pitch(0.5)
@@ -156,7 +143,7 @@ fn truncated_lowering_stays_faithful_on_its_prefix() {
     let budget = 256;
     let program = UniversalSearch
         .compile(&CompileOptions::to_horizon(horizon).max_pieces(budget))
-        .expect("truncation is allowed by default");
+        .expect("the budget truncates the lowering");
     assert_eq!(program.pieces().len(), budget);
     assert!(!program.covers(horizon));
     let covered = program.end_time();

@@ -279,24 +279,22 @@ fn cursor_engine_never_takes_more_steps_than_generic_on_canonical_cases() {
 /// both the scalar compiled ladder and the SoA lane kernel (on arenas
 /// built from the same programs) resolve it with the seed loop's
 /// classification. This covers the knife-edge grazing passes, which
-/// Latin-hypercube scenarios never hit. The spiral lowers through
-/// certified chords with ε in `(0, tolerance]`; every exact lowering
-/// carries ε = 0.
+/// Latin-hypercube scenarios never hit. The spiral is one curved piece:
+/// it refuses to lower by name and runs on the cursor engines only.
 #[test]
 fn compiled_and_lane_engines_classify_canonical_cases_like_generic() {
     use plane_rendezvous::sim::{try_first_contact_programs, try_first_contact_soa, EngineScratch};
-    use plane_rendezvous::trajectory::ProgramSoA;
+    use plane_rendezvous::trajectory::{CompileError, ProgramSoA};
 
     let mut scratch = EngineScratch::new();
     for case in common::canonical_cases(true) {
         let name = case.name;
         let generic = case.run_generic();
-        let (a, b) = case.lower();
-        let eps = a.approx_eps().max(b.approx_eps());
-        match case.approx_tolerance {
-            Some(tol) => assert!(eps > 0.0 && eps <= tol, "{name}: eps {eps} vs {tol}"),
-            None => assert_eq!(eps, 0.0, "{name}"),
-        }
+        let (a, b) = match case.lower() {
+            Ok(pair) => pair,
+            Err(CompileError::Curved { .. }) if name == "spiral_search" => continue,
+            Err(e) => panic!("{name}: lowering failed: {e}"),
+        };
         let compiled = try_first_contact_programs(&a, &b, case.radius, &case.opts, &mut scratch)
             .unwrap_or_else(|| panic!("{name}: compiled ladder refused"));
         assert_eq!(
@@ -548,7 +546,6 @@ fn soa_arena_probes_and_envelopes_match_the_program() {
     fn assert_same_answers(program: &CompiledProgram, label: &str) {
         let soa = ProgramSoA::from_program(program);
         assert_eq!(soa.speed_bound(), program.speed_bound(), "{label}");
-        assert_eq!(soa.approx_eps(), program.approx_eps(), "{label}");
         let end = program.end_time();
         for t in [0.0, end * 0.5, end, end * 2.0] {
             assert_eq!(soa.covers(t), program.covers(t), "{label}: covers({t})");

@@ -30,7 +30,6 @@ fn assert_prefix_rows(label: &str, prefix: &ProgramSoA, eager: &ProgramSoA) {
         ("pos0y", prefix.pos0ys(), eager.pos0ys()),
         ("vx", prefix.vxs(), eager.vxs()),
         ("vy", prefix.vys(), eager.vys()),
-        ("eps", prefix.epss(), eager.epss()),
     ] {
         assert_eq!(bits(p), bits(&e[..n]), "{label}: column {name} diverges");
     }
@@ -147,19 +146,4 @@ fn warp_drift_stack_prefixes_match_eager() {
         CompileOptions::to_horizon(horizon).max_pieces(1 << 16),
     );
     assert!(open >= 2, "warp∘drift: only {open} open prefixes");
-}
-
-#[test]
-fn certified_spiral_prefixes_match_eager() {
-    use plane_rendezvous::baselines::ArchimedeanSpiral;
-    // The arena-wide ε is known only once every chord exists, so a
-    // certified source streams in one step, straight to the eager arena.
-    let open = assert_prefix_equivalence(
-        "spiral",
-        &ArchimedeanSpiral::for_visibility(0.05),
-        CompileOptions::to_horizon(40.0)
-            .max_pieces(1 << 18)
-            .approx_tolerance(1e-5),
-    );
-    assert_eq!(open, 0, "spiral: a certified source has no open prefix");
 }
