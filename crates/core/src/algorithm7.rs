@@ -484,8 +484,7 @@ impl Cursor for WaitAndSearchCursor {
     }
 
     /// The closed-form clearance. The robot's `Search(k)` blocks are
-    /// strung along the phase schedule ([`PhaseSchedule::search_blocks`],
-    /// as [`crate::analytic::stationary_contact_time`] strings them),
+    /// strung along the phase schedule ([`PhaseSchedule::search_blocks`]),
     /// each answered by [`rvz_search::first_visit_in_round`]. The
     /// inactive waits sit at the origin, so a disk holding the origin
     /// answers `t0`, as does a query past the supported horizon.

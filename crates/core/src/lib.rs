@@ -40,14 +40,12 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod algorithm7;
-pub mod analytic;
 pub mod bounds;
 pub mod equivalent;
 pub mod overlap;
 pub mod phases;
 
 pub use algorithm7::{Algorithm7Phase, WaitAndSearch};
-pub use analytic::{stationary_contact_time, StationaryContact};
 pub use bounds::{theorem2_bound, Theorem2Bound};
 pub use equivalent::EquivalentSearch;
 pub use overlap::{

@@ -31,13 +31,6 @@ pub fn pow2i(e: i64) -> f64 {
     }
 }
 
-/// `2^e` for a real exponent (thin wrapper over [`f64::exp2`], named for
-/// symmetry with [`pow2i`]).
-#[inline]
-pub fn pow2(e: f64) -> f64 {
-    e.exp2()
-}
-
 /// `⌊log₂ x⌋` as an integer, for `x > 0`.
 ///
 /// Exact for all positive finite `f64` including subnormals: uses
@@ -109,11 +102,6 @@ mod tests {
         assert_eq!(pow2i(1023).to_bits(), 0x7FE0_0000_0000_0000);
         assert_eq!(pow2i(-1022), f64::MIN_POSITIVE);
         assert_eq!(pow2i(1024), f64::INFINITY);
-    }
-
-    #[test]
-    fn pow2_real_exponent() {
-        assert!((pow2(0.5) - 2.0_f64.sqrt()).abs() < 1e-15);
     }
 
     #[test]

@@ -1,31 +1,19 @@
 //! # rvz-numerics
 //!
-//! Scalar numerical routines required by the rendezvous analysis of
-//! Czyzowicz, Gąsieniec, Killick and Kranakis (PODC 2019).
+//! Dyadic arithmetic for the rendezvous schedules of Czyzowicz,
+//! Gąsieniec, Killick and Kranakis (PODC 2019).
 //!
-//! The paper's Lemma 12 bounds the rendezvous round through the **Lambert W
-//! function** (`W(y)·e^{W(y)} = y`), and several bound calculators need
-//! robust root bracketing and dyadic (power-of-two) arithmetic that stays
-//! integer-exact in `f64`. Everything here is dependency-free and heavily
-//! unit-tested, because downstream crates treat these routines as ground
-//! truth when checking the paper's closed forms.
+//! Every radius, granularity and phase length of the paper's schedules
+//! is a dyadic rational, so the schedule crates build them from exact
+//! powers of two that stay integer-exact in `f64`. Everything here is
+//! dependency-free.
 //!
 //! ## Modules
 //!
-//! * [`lambert_w`] — the principal branch `W₀` on `[0, ∞)` via Halley
-//!   iteration, plus the `ln x − ln ln x` asymptotic used by the paper.
-//! * [`roots`] — bisection and Brent-style root refinement on a bracket.
 //! * [`dyadic`] — exact powers of two and `log₂` helpers.
-//! * [`summation`] — Kahan compensated summation for long series.
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod dyadic;
-pub mod lambert_w;
-pub mod roots;
-pub mod summation;
 
-pub use dyadic::{floor_log2, pow2, pow2i};
-pub use lambert_w::{lambert_w0, lambert_w0_asymptotic};
-pub use roots::{bisect, find_root, Bracket, RootError};
-pub use summation::KahanSum;
+pub use dyadic::{floor_log2, pow2i};

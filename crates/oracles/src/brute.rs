@@ -1,4 +1,4 @@
-//! Dense-sampling oracle for cross-checking the advancement engine.
+//! Dense-sampling oracle for cross-checking the advancement engines.
 //!
 //! Fixed-step sampling is *unsound* (it can step over a contact) but it
 //! is simple and independent; where it does find a contact, the sound
@@ -34,21 +34,26 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{first_contact, ContactOptions};
+    use crate::generic::{first_contact_generic, GenericOptions};
     use rvz_geometry::Vec2;
     use rvz_trajectory::FnTrajectory;
 
     #[test]
-    fn brute_agrees_with_engine_on_head_on() {
+    fn brute_agrees_with_the_conservative_loop_on_head_on() {
         let a = FnTrajectory::new(|t| Vec2::new(t, 0.0), 1.0);
         let b = FnTrajectory::new(|t| Vec2::new(10.0 - t, 0.0), 1.0);
         let brute = first_contact_brute(&a, &b, 1.0, 20.0, 1e-4).unwrap();
-        let engine = first_contact(&a, &b, 1.0, &ContactOptions::default())
+        let opts = GenericOptions {
+            tolerance: 1e-9,
+            horizon: 1e9,
+            max_steps: 50_000_000,
+        };
+        let generic = first_contact_generic(&a, &b, 1.0, &opts)
             .contact_time()
             .unwrap();
-        assert!((brute - engine).abs() < 2e-4, "{brute} vs {engine}");
-        // One-sided soundness: the engine is never later than brute force.
-        assert!(engine <= brute + 1e-9);
+        assert!((brute - generic).abs() < 2e-4, "{brute} vs {generic}");
+        // One-sided soundness: the sound loop is never later than brute force.
+        assert!(generic <= brute + 1e-9);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! search time of schedule variants, letting the E12 bench show the
 //! asymptotic gap.
 
-use rvz_numerics::pow2i;
 use rvz_search::{coverage, times};
 
 /// The guaranteed-performance summary of a search schedule on `(d, r)`.
@@ -98,8 +97,8 @@ impl SearchScheduleModel for UniformGranularity {
         // Σᵢ 2(π+1)·δᵢ over circles δᵢ = 2^{−k} + 2i·2^{−k}: arithmetic
         // series with n = circle_count terms, first 2^{−k}, last 2^k.
         let n = Self::circle_count(k) as f64;
-        let first = pow2i(-i64::from(k));
-        let last = pow2i(i64::from(k));
+        let first = 2f64.powi(-(k as i32));
+        let last = 2f64.powi(k as i32);
         2.0 * times::PI_PLUS_1 * n * 0.5 * (first + last)
     }
 
@@ -109,8 +108,8 @@ impl SearchScheduleModel for UniformGranularity {
             return Some(1);
         }
         (1..=max_round.min(times::MAX_ROUND)).find(|&k| {
-            let rho = pow2i(-i64::from(k));
-            let reach = pow2i(i64::from(k));
+            let rho = 2f64.powi(-(k as i32));
+            let reach = 2f64.powi(k as i32);
             rho <= r && reach >= d
         })
     }

@@ -22,7 +22,7 @@ use rvz_trajectory::Trajectory;
 /// # Example
 ///
 /// ```
-/// use rvz_baselines::ArchimedeanSpiral;
+/// use rvz_oracles::ArchimedeanSpiral;
 /// use rvz_trajectory::Trajectory;
 ///
 /// let s = ArchimedeanSpiral::with_pitch(0.5);
@@ -233,35 +233,6 @@ mod tests {
         // And matches π·d²/pitch asymptotically.
         let expected = std::f64::consts::PI * 4.0 / 0.02;
         assert!((t2 - expected).abs() / expected < 0.02);
-    }
-
-    #[test]
-    fn spiral_finds_targets_with_informed_pitch() {
-        use rvz_sim::{first_contact, ContactOptions, Stationary};
-        let r = 0.05;
-        let s = ArchimedeanSpiral::for_visibility(r);
-        for target in [
-            Vec2::new(0.7, 0.2),
-            Vec2::new(-0.4, -0.9),
-            Vec2::new(0.0, 1.3),
-        ] {
-            let out = first_contact(
-                &s,
-                &Stationary::new(target),
-                r,
-                &ContactOptions::with_horizon(1e5),
-            );
-            let t = out
-                .contact_time()
-                .unwrap_or_else(|| panic!("missed {target}"));
-            // Found no later than the arc length out to radius d + r, and
-            // not absurdly early.
-            let est = s.search_time_estimate(target.norm() + r);
-            assert!(
-                t <= est * 1.05 + 1.0,
-                "target {target}: {t} vs estimate {est}"
-            );
-        }
     }
 
     #[test]

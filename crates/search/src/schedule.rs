@@ -545,7 +545,6 @@ impl RoundCursor {
 mod tests {
     use super::*;
     use rvz_geometry::assert_approx_eq;
-    use rvz_numerics::KahanSum;
 
     #[test]
     fn subround_radii_match_times_module() {
@@ -580,13 +579,13 @@ mod tests {
     #[test]
     fn circle_starts_telescope() {
         let sub = SubRound::new(2, 1);
-        let mut acc = KahanSum::new();
+        let mut acc = 0.0;
         for i in 0..sub.circle_count() {
-            assert_approx_eq!(sub.circle_start(i), acc.value(), 1e-10);
-            acc.add(times::search_circle_duration(sub.circle_radius(i)));
+            assert_approx_eq!(sub.circle_start(i), acc, 1e-10);
+            acc += times::search_circle_duration(sub.circle_radius(i));
         }
         assert_approx_eq!(sub.circle_start(sub.circle_count()), sub.duration(), 1e-10);
-        assert_approx_eq!(acc.value(), sub.duration(), 1e-10);
+        assert_approx_eq!(acc, sub.duration(), 1e-10);
     }
 
     #[test]

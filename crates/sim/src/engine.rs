@@ -1,27 +1,22 @@
 //! The first-contact engine: analytic advancement over monotone cursors
-//! plus hierarchical swept-envelope pruning, with the original
-//! conservative-advancement loop kept as a generic fallback.
+//! plus hierarchical swept-envelope pruning.
 //!
-//! ## Two engines, one contract
+//! ## One engine, checked against an independent loop
 //!
-//! * [`first_contact`] — the fast path. Both trajectories provide
-//!   [`MonotoneTrajectory`] cursors; the engine probes them at
-//!   non-decreasing times (amortized O(1) per probe) and advances with
-//!   the strongest certificate available at each step (see below).
-//! * [`first_contact_generic`] — the original engine, byte-for-byte: a
-//!   pure conservative-advancement loop over random-access
-//!   [`Trajectory::position`] queries. It exists for exotic downstream
-//!   `Trajectory` impls without cursors and as the reference
-//!   implementation the fast path is equivalence-tested against
-//!   (alongside the dense-sampling [`crate::verify::first_contact_brute`]
-//!   oracle).
+//! [`first_contact`] probes both trajectories' [`MonotoneTrajectory`]
+//! cursors at non-decreasing times (amortized O(1) per probe) and
+//! advances with the strongest certificate available at each step (see
+//! below). A `Trajectory` without a cursor of its own runs through
+//! [`rvz_trajectory::GenericCursor`].
 //!
+//! The seed engine, a pure conservative-advancement loop over
+//! random-access `Trajectory::position` queries, lives on only as a test
+//! oracle in the dev-only `rvz-oracles` crate, beside dense sampling.
 //! Both report the same [`SimOutcome`] classification on the same
-//! scenario; the fast path may declare a contact the generic engine
-//! misses only inside the tolerance band `(radius, radius + tolerance]`,
-//! where the conservative step can legitimately jump a sub-tolerance dip
-//! (and may complete a disproof the generic loop truncates at its step
-//! budget).
+//! scenario; this engine may declare a contact the seed loop misses only
+//! inside the tolerance band `(radius, radius + tolerance]`, where the
+//! conservative step can legitimately jump a sub-tolerance dip (and may
+//! complete a disproof the seed loop truncates at its step budget).
 //!
 //! ## The certificate ladder
 //!
@@ -59,7 +54,7 @@
 //! 6. **Conservative step** — with relative speed at most `s`, a gap
 //!    `D − radius` cannot close within `(D − radius)/s`; always taken
 //!    when it is the longest (so the cursor engine never steps more
-//!    often than the generic loop).
+//!    often than the seed loop).
 //! 7. **Swept-envelope pruning** (when [`ContactOptions::prune`] is on)
 //!    — starting from the certified advance, test
 //!    `b.gap_to(window, &envelope_a) > radius + tolerance` (the disk
@@ -80,7 +75,6 @@
 
 use rvz_geometry::Vec2;
 use rvz_trajectory::monotone::{Cursor, MonotoneTrajectory, Motion, Probe};
-use rvz_trajectory::Trajectory;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -399,9 +393,9 @@ impl fmt::Display for SimOutcome {
 ///
 /// Builds one cursor per trajectory and runs
 /// [`first_contact_cursors`]; see the [module docs](self) for the
-/// algorithm and its soundness argument. For a `Trajectory` without a
-/// [`MonotoneTrajectory`] impl use [`first_contact_generic`] (or wrap it
-/// in [`rvz_trajectory::GenericCursor`]).
+/// algorithm and its soundness argument. A `Trajectory` without a
+/// [`MonotoneTrajectory`] impl runs wrapped in
+/// [`rvz_trajectory::GenericCursor`].
 ///
 /// # Panics
 ///
@@ -1249,123 +1243,22 @@ fn segment_point_distance(p: Vec2, v: Vec2, ub: f64, c: Vec2) -> f64 {
     (p + v * proj).distance(c)
 }
 
-/// The original conservative-advancement engine over random-access
-/// [`Trajectory::position`] queries — the generic fallback and reference
-/// implementation.
-///
-/// Soundness: with `s = a.speed_bound() + b.speed_bound()`, the distance
-/// can decrease at rate at most `s`, so after observing gap `D − radius`
-/// the engine may skip `(D − radius)/s` time units without a contact
-/// being possible in between. The step also never falls below ~4 ulps of
-/// the current time so the loop always makes progress; the extra skip
-/// this introduces is below any physically meaningful scale.
-///
-/// # Panics
-///
-/// Panics on invalid options or a non-positive `radius`.
-pub fn first_contact_generic<A, B>(a: &A, b: &B, radius: f64, opts: &ContactOptions) -> SimOutcome
-where
-    A: Trajectory + ?Sized,
-    B: Trajectory + ?Sized,
-{
-    let out = first_contact_generic_impl(a, b, radius, opts);
-    // Every generic step is a conservative advance; the path has no
-    // analytic or pruning machinery to attribute work to.
-    let stats = EngineStats {
-        conservative_steps: out.steps(),
-        ..EngineStats::default()
-    };
-    crate::telemetry::record(crate::telemetry::EnginePath::Generic, Some(&out), stats);
-    out
-}
-
-/// The conservative-advancement loop proper (telemetry recorded by the
-/// public wrapper above).
-fn first_contact_generic_impl<A, B>(a: &A, b: &B, radius: f64, opts: &ContactOptions) -> SimOutcome
-where
-    A: Trajectory + ?Sized,
-    B: Trajectory + ?Sized,
-{
-    opts.validate();
-    assert!(
-        radius > 0.0 && radius.is_finite(),
-        "radius must be positive and finite, got {radius}"
-    );
-    let rel_speed = a.speed_bound() + b.speed_bound();
-    assert!(
-        rel_speed.is_finite(),
-        "speed bounds must be finite, got {rel_speed}"
-    );
-
-    let mut t = 0.0_f64;
-    let mut min_distance = f64::INFINITY;
-    let mut min_distance_time = 0.0;
-    let mut steps = 0_u64;
-
-    loop {
-        let d = a.position(t).distance(b.position(t));
-        assert!(
-            d.is_finite(),
-            "trajectory produced a non-finite position at t={t}"
-        );
-        if d < min_distance {
-            min_distance = d;
-            min_distance_time = t;
-        }
-        if d <= radius + opts.tolerance {
-            return SimOutcome::Contact {
-                time: t,
-                distance: d,
-                steps,
-            };
-        }
-        if t >= opts.horizon {
-            return SimOutcome::Horizon {
-                min_distance,
-                min_distance_time,
-                steps,
-            };
-        }
-        steps += 1;
-        if steps > opts.max_steps {
-            return SimOutcome::StepBudget {
-                time: t,
-                min_distance,
-                steps: opts.max_steps,
-            };
-        }
-        if let Some(budget) = &opts.budget {
-            if budget.fires_at(steps) {
-                return SimOutcome::Deadline {
-                    time: t,
-                    min_distance,
-                    steps,
-                };
-            }
-        }
-        let gap = d - radius;
-        let step = if rel_speed > 0.0 {
-            gap / rel_speed
-        } else {
-            // Both stationary: the distance can never change.
-            return SimOutcome::Horizon {
-                min_distance,
-                min_distance_time,
-                steps,
-            };
-        };
-        // Progress floor: a few ulps of the current time.
-        let floor = 4.0 * f64::EPSILON * (1.0 + t.abs());
-        t = (t + step.max(floor)).min(opts.horizon);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rvz_experiments::SplitMix64;
     use rvz_geometry::Vec2;
+    use rvz_oracles::{first_contact_generic, GenericOptions, GenericOutcome};
     use rvz_trajectory::{FnTrajectory, PathBuilder};
+
+    /// The seed loop's options for the engine's `opts`.
+    fn generic_opts(opts: &ContactOptions) -> GenericOptions {
+        GenericOptions {
+            tolerance: opts.tolerance,
+            horizon: opts.horizon,
+            max_steps: opts.max_steps,
+        }
+    }
 
     /// A piece for the curvature property: its probe at `s = 0` and its
     /// exact position at any `s` in the overlap.
@@ -1854,21 +1747,25 @@ mod tests {
             .build();
         let b = PathBuilder::at(Vec2::new(200.0, 0.0)).wait(1000.0).build();
         let opts = ContactOptions::with_horizon(10.0);
-        for out in [
-            first_contact(&a, &b, 1.0, &opts),
-            first_contact_generic(&a, &b, 1.0, &opts),
-        ] {
-            match out {
-                SimOutcome::Horizon {
-                    min_distance,
-                    min_distance_time,
-                    ..
-                } => {
-                    assert_eq!(min_distance_time, 10.0);
-                    assert!((min_distance - 190.0).abs() < 1e-9, "min {min_distance}");
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+        let check = |min_distance: f64, min_distance_time: f64| {
+            assert_eq!(min_distance_time, 10.0);
+            assert!((min_distance - 190.0).abs() < 1e-9, "min {min_distance}");
+        };
+        match first_contact(&a, &b, 1.0, &opts) {
+            SimOutcome::Horizon {
+                min_distance,
+                min_distance_time,
+                ..
+            } => check(min_distance, min_distance_time),
+            other => panic!("unexpected {other:?}"),
+        }
+        match first_contact_generic(&a, &b, 1.0, &generic_opts(&opts)) {
+            GenericOutcome::Horizon {
+                min_distance,
+                min_distance_time,
+                ..
+            } => check(min_distance, min_distance_time),
+            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -1895,8 +1792,8 @@ mod tests {
             .build();
         let opts = ContactOptions::with_horizon(50.0);
         let fast = first_contact(&a, &b, 0.5, &opts);
-        let generic = first_contact_generic(&a, &b, 0.5, &opts);
-        assert_eq!(fast.is_contact(), generic.is_contact());
+        let generic = first_contact_generic(&a, &b, 0.5, &generic_opts(&opts));
+        assert_eq!(fast.is_contact(), generic.contact_time().is_some());
         if let (Some(tf), Some(tg)) = (fast.contact_time(), generic.contact_time()) {
             assert!((tf - tg).abs() < 1e-6, "{tf} vs {tg}");
         }
@@ -2100,20 +1997,15 @@ mod tests {
     fn expired_budget_fires_on_the_first_check_boundary() {
         // Parallel motion never contacts, so without the budget the
         // engine would run to the 1e9 horizon. An already-expired budget
-        // with a 4-step check interval must stop both engines at exactly
+        // with a 4-step check interval must stop the engine at exactly
         // step 4 — the first check boundary.
         let a = FnTrajectory::new(|t| Vec2::new(t, 0.0), 1.0);
         let b = FnTrajectory::new(|t| Vec2::new(t, 5.0), 1.0);
         let opts =
             ContactOptions::default().with_budget(Budget::new(Duration::ZERO).check_every(4));
-        for out in [
-            first_contact(&a, &b, 1.0, &opts),
-            first_contact_generic(&a, &b, 1.0, &opts),
-        ] {
-            match out {
-                SimOutcome::Deadline { steps, .. } => assert_eq!(steps, 4),
-                other => panic!("unexpected {other:?}"),
-            }
+        match first_contact(&a, &b, 1.0, &opts) {
+            SimOutcome::Deadline { steps, .. } => assert_eq!(steps, 4),
+            other => panic!("unexpected {other:?}"),
         }
     }
 

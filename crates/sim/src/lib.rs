@@ -31,15 +31,15 @@
 //! whenever both robots are on straight legs or waits the within-piece
 //! first contact is solved in closed form (a quadratic in `t`) rather
 //! than by conservative inching — eliminating the ulp-floor crawl on
-//! grazing configurations. The original random-access loop survives as
-//! [`first_contact_generic`] for exotic `Trajectory` impls and as the
-//! reference the fast path is equivalence-tested against.
+//! grazing configurations. The original random-access loop survives
+//! only as a test oracle (the dev-only `rvz-oracles` crate), the
+//! reference the engine is equivalence-tested against.
 //!
 //! Contact is declared when `D ≤ r + tolerance`; the reported time is
 //! early by at most `tolerance / s` relative to the exact `D = r`
 //! crossing, and every report carries the achieved distance so callers
-//! can judge the slack. A dense-sampling [`verify`] oracle cross-checks
-//! the engine in the test suites.
+//! can judge the slack. Dense sampling from the same oracle crate
+//! cross-checks the engine in the test suites.
 //!
 //! ## Example
 //!
@@ -64,19 +64,15 @@ pub mod multi;
 pub mod runners;
 pub mod stationary;
 pub mod telemetry;
-pub mod trace;
-pub mod verify;
 
 pub use batch::{compile_rendezvous_partner, simulate_rendezvous_by_ref};
 pub use compiled::{first_contact_programs, try_first_contact_programs, EngineScratch};
 pub use engine::{
-    first_contact, first_contact_cursors, first_contact_cursors_instrumented,
-    first_contact_generic, Budget, ContactOptions, EngineStats, PairKind, SimOutcome,
+    first_contact, first_contact_cursors, first_contact_cursors_instrumented, Budget,
+    ContactOptions, EngineStats, PairKind, SimOutcome,
 };
 pub use kernel::{first_contact_soa, try_first_contact_soa, KERNEL_LANES};
 pub use multi::{first_contact_batch_soa, first_contact_streamed};
 pub use runners::{simulate_rendezvous, simulate_search};
 pub use stationary::Stationary;
 pub use telemetry::{EnginePath, EngineTelemetry};
-pub use trace::DistanceTrace;
-pub use verify::first_contact_brute;

@@ -22,8 +22,6 @@ use std::cell::Cell;
 /// Which engine answered a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnginePath {
-    /// The conservative-advancement fallback over random-access probes.
-    Generic,
     /// The monotone-cursor engine with swept-envelope pruning.
     Cursor,
     /// The scalar compiled ladder over eagerly lowered programs.
@@ -38,7 +36,6 @@ impl EnginePath {
     /// The stable label used in metrics and the slow-query log.
     pub fn label(self) -> &'static str {
         match self {
-            EnginePath::Generic => "generic",
             EnginePath::Cursor => "cursor",
             EnginePath::CompiledEager => "compiled-eager",
             EnginePath::CompiledSoA => "compiled-soa",
@@ -98,10 +95,6 @@ pub fn clear_last() {
 /// so each handle caches independently.
 fn path_counters(path: EnginePath) -> (&'static Counter, &'static Counter) {
     match path {
-        EnginePath::Generic => (
-            counter!("rvz_engine_queries_total", "path" => "generic"),
-            counter!("rvz_engine_steps_total", "path" => "generic"),
-        ),
         EnginePath::Cursor => (
             counter!("rvz_engine_queries_total", "path" => "cursor"),
             counter!("rvz_engine_steps_total", "path" => "cursor"),
@@ -198,7 +191,7 @@ pub(crate) fn record(path: EnginePath, outcome: Option<&SimOutcome>, stats: Engi
             counter!("rvz_engine_kernel_chunks_total").add(stats.lane_chunks);
             counter!("rvz_engine_kernel_lanes_active").add(stats.lane_intervals);
         }
-        EnginePath::Generic | EnginePath::Cursor => {}
+        EnginePath::Cursor => {}
     }
 }
 
@@ -206,7 +199,6 @@ pub(crate) fn record(path: EnginePath, outcome: Option<&SimOutcome>, stats: Engi
 /// before the first query (CI greps family names on a fresh scrape).
 pub fn preregister_metrics() {
     for path in [
-        EnginePath::Generic,
         EnginePath::Cursor,
         EnginePath::CompiledEager,
         EnginePath::CompiledSoA,
@@ -274,7 +266,6 @@ mod tests {
 
     #[test]
     fn path_labels_are_stable() {
-        assert_eq!(EnginePath::Generic.label(), "generic");
         assert_eq!(EnginePath::Cursor.label(), "cursor");
         assert_eq!(EnginePath::CompiledEager.label(), "compiled-eager");
         assert_eq!(EnginePath::CompiledSoA.label(), "compiled-soa");

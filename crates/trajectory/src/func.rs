@@ -1,7 +1,7 @@
 //! Closure-backed trajectories.
 //!
 //! Closed-form motions that are awkward to decompose into line/arc
-//! segments — the Archimedean-spiral baseline in `rvz-baselines`, ad-hoc
+//! segments — the Archimedean-spiral baseline in `rvz-oracles`, ad-hoc
 //! adversary motions in tests — implement [`Trajectory`]
 //! through [`FnTrajectory`], which pairs a position closure with an
 //! explicitly declared speed bound.

@@ -18,7 +18,7 @@
 //!   random-access evaluation, built via [`PathBuilder`];
 //! * [`Trajectory`] — the object-safe evaluation trait shared by finite
 //!   paths, closed-form infinite algorithms (in `rvz-search`/`rvz-core`)
-//!   and baselines;
+//!   and the test oracles' baselines;
 //! * [`FrameWarp`] — Lemma 4 as a combinator: `t ↦ b + M·S(t/σ)`;
 //! * [`StreamCursor`] — sequential evaluation of a lazy segment stream,
 //!   used to cross-check the closed-form random-access implementations;

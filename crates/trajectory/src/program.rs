@@ -840,7 +840,7 @@ pub(crate) fn normalize_marks(marks: Vec<f64>, end: f64) -> Vec<f64> {
 
 // ------------------------------------------------------------------
 // Compile impls for the in-crate trajectory types. Schedule crates
-// (rvz-search, rvz-core, rvz-sim, rvz-baselines) implement the trait
+// (rvz-search, rvz-core, rvz-sim, rvz-oracles) implement the trait
 // for their own types next to their cursor impls.
 // ------------------------------------------------------------------
 

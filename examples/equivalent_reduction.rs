@@ -11,7 +11,8 @@
 //! ```
 
 use plane_rendezvous::prelude::*;
-use plane_rendezvous::sim::{DistanceTrace, Stationary};
+use plane_rendezvous::sim::Stationary;
+use rvz_oracles::DistanceTrace;
 
 fn main() {
     let attrs = RobotAttributes::reference()

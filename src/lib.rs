@@ -18,14 +18,13 @@
 //! | module | contents |
 //! |---|---|
 //! | [`geometry`] | vectors, matrices, QR factorization |
-//! | [`numerics`] | Lambert W, root finding, dyadic helpers |
+//! | [`numerics`] | dyadic helpers: exact powers of two, `floor_log2` |
 //! | [`obs`] | zero-dependency metrics registry, spans, and the flight recorder |
 //! | [`trajectory`] | segments, paths, frame warps, the `Trajectory` trait |
 //! | [`model`] | robot attributes, instances, the Theorem 4 predicate |
 //! | [`search`] | Algorithms 1–4 (Section 2) with closed-form indexing |
 //! | [`core`] | equivalent-search reduction, Algorithm 7, overlap algebra |
 //! | [`sim`] | conservative-advancement continuous-time simulation |
-//! | [`baselines`] | omniscient spiral, schedule ablations |
 //! | [`experiments`] | scenario grids, Latin-hypercube samples, parallel sweeps, symmetry canonicalization |
 //! | [`server`] | the `rvz serve` HTTP query service with the symmetry-canonicalized result cache |
 //!
@@ -50,7 +49,6 @@
 
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub use rvz_baselines as baselines;
 pub use rvz_core as core;
 pub use rvz_experiments as experiments;
 pub use rvz_geometry as geometry;
@@ -78,8 +76,7 @@ pub mod prelude {
     };
     pub use rvz_search::{coverage, first_discovery, times, UniversalSearch};
     pub use rvz_sim::{
-        first_contact, first_contact_generic, simulate_rendezvous, simulate_search, ContactOptions,
-        SimOutcome, Stationary,
+        first_contact, simulate_rendezvous, simulate_search, ContactOptions, SimOutcome, Stationary,
     };
     pub use rvz_trajectory::{
         Cursor, FrameWarp, MonotoneDyn, MonotoneTrajectory, Path, PathBuilder, Segment, Trajectory,
@@ -92,13 +89,12 @@ mod tests {
     fn facade_reexports_are_wired() {
         // Touch one item from each module to catch broken re-exports.
         let _ = crate::geometry::Vec2::ZERO;
-        let _ = crate::numerics::lambert_w0(1.0);
+        let _ = crate::numerics::pow2i(1);
         let _ = crate::trajectory::Path::empty();
         let _ = crate::model::RobotAttributes::reference();
         let _ = crate::search::UniversalSearch;
         let _ = crate::core::WaitAndSearch;
         let _ = crate::sim::ContactOptions::default();
-        let _ = crate::baselines::ArchimedeanSpiral::with_pitch(1.0);
         let _ = crate::experiments::ScenarioGrid::new();
         let _ = crate::server::ServiceOptions::default();
     }

@@ -1,10 +1,8 @@
 //! Integration test for E11/E12: the universal algorithm vs the
 //! omniscient spiral, and the granularity-schedule ablation.
 
-use plane_rendezvous::baselines::{
-    ArchimedeanSpiral, PaperSchedule, SearchScheduleModel, UniformGranularity,
-};
 use plane_rendezvous::prelude::*;
+use rvz_oracles::{ArchimedeanSpiral, PaperSchedule, SearchScheduleModel, UniformGranularity};
 
 /// E11: the informed spiral beats the universal algorithm (that's the
 /// price of knowing r), but only by roughly the log factor the paper
@@ -101,6 +99,36 @@ fn spiral_estimate_matches_simulation() {
         assert!(
             (t - est).abs() <= slack,
             "d={d}: sim {t} vs estimate {est} (slack {slack})"
+        );
+    }
+}
+
+/// The informed spiral finds targets no later than its arc length out
+/// to `d + r` says.
+#[test]
+fn spiral_finds_targets_with_informed_pitch() {
+    let r = 0.05;
+    let s = ArchimedeanSpiral::for_visibility(r);
+    for target in [
+        Vec2::new(0.7, 0.2),
+        Vec2::new(-0.4, -0.9),
+        Vec2::new(0.0, 1.3),
+    ] {
+        let out = first_contact(
+            &s,
+            &Stationary::new(target),
+            r,
+            &ContactOptions::with_horizon(1e5),
+        );
+        let t = out
+            .contact_time()
+            .unwrap_or_else(|| panic!("missed {target}"));
+        // Found no later than the arc length out to radius d + r, and
+        // not absurdly early.
+        let est = s.search_time_estimate(target.norm() + r);
+        assert!(
+            t <= est * 1.05 + 1.0,
+            "target {target}: {t} vs estimate {est}"
         );
     }
 }

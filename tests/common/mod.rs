@@ -5,16 +5,66 @@
 //! Seven trajectory pairs, each stressing one engine branch: grazing
 //! passes just above and just below the declaration threshold, an
 //! Algorithm 7 pair near and far, exact Algorithm 4 twins disproved to
-//! a shallow and a deep horizon, and a fully curved spiral (cursor and
-//! generic engines only: it refuses to lower). Spans and
+//! a shallow and a deep horizon, and a fully curved spiral (cursor
+//! engine and seed loop only: it refuses to lower). Spans and
 //! horizons are sized so the seed conservative loop finishes all seven
 //! in well under a second in the debug test profile.
+//!
+//! [`generic`] runs that seed loop, the `rvz-oracles` reference, under
+//! the engine's options and reports in the engine's outcome type; the
+//! differential fuzz holds its arms to it too.
 
-use plane_rendezvous::baselines::ArchimedeanSpiral;
+// Each test binary compiles this module on its own and uses a part of it.
+#![allow(dead_code)]
+
 use plane_rendezvous::core::completion_time;
 use plane_rendezvous::prelude::*;
 use plane_rendezvous::sim::{first_contact_cursors_instrumented, EngineStats};
 use plane_rendezvous::trajectory::{Compile, CompileError, CompileOptions, CompiledProgram};
+use rvz_oracles::{first_contact_generic, ArchimedeanSpiral, GenericOptions, GenericOutcome};
+
+/// The seed conservative loop on `(a, b)` under the engine options
+/// `opts` (their tolerance, horizon and step cap), as a [`SimOutcome`].
+pub fn generic<A, B>(a: &A, b: &B, radius: f64, opts: &ContactOptions) -> SimOutcome
+where
+    A: Trajectory + ?Sized,
+    B: Trajectory + ?Sized,
+{
+    let opts = GenericOptions {
+        tolerance: opts.tolerance,
+        horizon: opts.horizon,
+        max_steps: opts.max_steps,
+    };
+    match first_contact_generic(a, b, radius, &opts) {
+        GenericOutcome::Contact {
+            time,
+            distance,
+            steps,
+        } => SimOutcome::Contact {
+            time,
+            distance,
+            steps,
+        },
+        GenericOutcome::Horizon {
+            min_distance,
+            min_distance_time,
+            steps,
+        } => SimOutcome::Horizon {
+            min_distance,
+            min_distance_time,
+            steps,
+        },
+        GenericOutcome::StepBudget {
+            time,
+            min_distance,
+            steps,
+        } => SimOutcome::StepBudget {
+            time,
+            min_distance,
+            steps,
+        },
+    }
+}
 
 /// Piece budget for a case's lowering unless the case needs more.
 const CASE_PIECE_BUDGET: usize = 1 << 19;
@@ -38,7 +88,7 @@ pub struct EngineCase {
 impl EngineCase {
     /// The seed conservative-advancement loop on this pair.
     pub fn run_generic(&self) -> SimOutcome {
-        first_contact_generic(&*self.a, &*self.b, self.radius, &self.opts)
+        generic(&*self.a, &*self.b, self.radius, &self.opts)
     }
 
     /// The cursor engine on this pair, with its pruning-layer work
@@ -54,9 +104,6 @@ impl EngineCase {
 
     /// Lowers both trajectories for the compiled engines, to the case's
     /// horizon and piece budget.
-    // Used by `engine_equivalence.rs` only; each test binary compiles
-    // this module on its own.
-    #[allow(dead_code)]
     pub fn lower(&self) -> Result<(CompiledProgram, CompiledProgram), CompileError> {
         let copts = CompileOptions::to_horizon(self.opts.horizon).max_pieces(self.piece_budget);
         Ok((self.a.compile(&copts)?, self.b.compile(&copts)?))

@@ -126,8 +126,8 @@ fn warped_partner_matches_frame_warp_of_reference() {
 #[test]
 fn spiral_refuses_to_lower_without_a_tolerance() {
     // Curved spans always refuse: no lowering approximates them.
-    use plane_rendezvous::baselines::ArchimedeanSpiral;
     use plane_rendezvous::trajectory::CompileError;
+    use rvz_oracles::ArchimedeanSpiral;
     let err = ArchimedeanSpiral::with_pitch(0.5)
         .compile(&CompileOptions::to_horizon(100.0))
         .unwrap_err();

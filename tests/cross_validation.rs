@@ -2,7 +2,7 @@
 //!
 //! 1. the conservative-advancement engine (`rvz-sim`),
 //! 2. the closed-form analytic discovery oracle (`rvz-search`),
-//! 3. dense brute-force sampling.
+//! 3. dense brute-force sampling (`rvz-oracles`).
 //!
 //! Agreement of (1) and (2) on the search problem is the strongest
 //! correctness evidence in the workspace: they share no code beyond the
@@ -18,10 +18,10 @@
 //! (`cargo test --release --test cross_validation`, which `ci.sh` runs;
 //! about 3 s on 2 vCPUs).
 
-use plane_rendezvous::core::stationary_contact_time;
 use plane_rendezvous::experiments::SplitMix64;
 use plane_rendezvous::prelude::*;
-use plane_rendezvous::sim::{first_contact_brute, simulate_rendezvous_by_ref};
+use plane_rendezvous::sim::simulate_rendezvous_by_ref;
+use rvz_oracles::{first_contact_brute, stationary_contact_time};
 use std::f64::consts::TAU;
 
 /// Draws per random property: a sample in debug, the full set in
@@ -208,6 +208,40 @@ fn algorithm7_first_contact_never_later_than_the_stationary_partner_witness() {
         assert!(
             engine <= witness + 1e-9 * (1.0 + witness),
             "{case}: engine {engine} later than the witness {witness}"
+        );
+    }
+}
+
+/// The stationary witness against the simulator and Lemma 13: never
+/// earlier than the engine's first contact, and its round never later
+/// than Lemma 13's `k*`.
+#[test]
+fn stationary_witness_bracketed_by_simulation_and_lemma13() {
+    for tau in [0.6, 0.8] {
+        let offset = Vec2::new(0.3, 0.8);
+        let r = 0.25;
+        let c = stationary_contact_time(tau, offset, r, 14).expect("contact");
+        let attrs = RobotAttributes::reference().with_time_unit(tau);
+        let inst = RendezvousInstance::new(offset, r, attrs).unwrap();
+        let sim = simulate_rendezvous(
+            WaitAndSearch,
+            &inst,
+            &ContactOptions::with_horizon(c.time + 1.0).tolerance(r * 1e-9),
+        )
+        .contact_time()
+        .expect("simulation finds a contact no later than the witness");
+        assert!(
+            sim <= c.time + 1e-6,
+            "τ={tau}: sim {sim} later than the witness {}",
+            c.time
+        );
+
+        let n = coverage::guaranteed_discovery_round(offset.norm(), r).unwrap();
+        let k_star = lemma13_round_bound(tau, n);
+        assert!(
+            c.round <= k_star,
+            "τ={tau}: witness round {} beyond k* {k_star}",
+            c.round
         );
     }
 }

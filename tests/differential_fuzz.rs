@@ -5,11 +5,21 @@
 //! warp, warp∘drift, warp∘drift∘spiral, raw spiral vs stationary) and
 //! runs each through:
 //!
-//! 1. the seed conservative-advancement loop (`first_contact_generic`),
+//! 1. the seed conservative-advancement loop
+//!    (`rvz_oracles::first_contact_generic`), the reference the other
+//!    arms are held to,
 //! 2. the monotone-cursor engine (`first_contact_cursors`),
 //! 3. the scalar compiled ladder over eager programs (exact stacks),
 //! 4. the SoA lane kernel (`try_first_contact_soa`) over arenas built
-//!    from the eager programs (exact stacks).
+//!    from the eager programs (exact stacks),
+//! 5. on the plain-warp stack, the production call
+//!    `simulate_rendezvous_by_ref` — the query every sweep worker and
+//!    every serve cursor miss makes — on the same instance.
+//!
+//! Half of the plain-warp draws have equal clocks (`τ = 1`), where the
+//! production call takes the Lemma 4 relative trajectory: general
+//! speeds, exact twins, and mirror twins both on their mirror axis
+//! (bearing `φ/2`) and off it. Shrinking never moves `τ` away from 1.
 //!
 //! The curved stacks (the spiral ones) run on the first two arms only,
 //! and their lowering must refuse by name (`CompileError::Curved`). On
@@ -30,15 +40,17 @@
 //! Budget knobs (CI pins both): `RVZ_FUZZ_CASES` (default 256) and
 //! `RVZ_FUZZ_SEED` (default `0xBADC0FFE`).
 
-use plane_rendezvous::baselines::ArchimedeanSpiral;
+mod common;
+
 use plane_rendezvous::prelude::*;
 use plane_rendezvous::sim::{
     first_contact_batch_soa, first_contact_cursors, first_contact_streamed,
-    try_first_contact_programs, try_first_contact_soa, EngineScratch,
+    simulate_rendezvous_by_ref, try_first_contact_programs, try_first_contact_soa, EngineScratch,
 };
 use plane_rendezvous::trajectory::{
     ClockDrift, Compile, CompileError, CompileOptions, ProgramSoA, SoaStream,
 };
+use rvz_oracles::ArchimedeanSpiral;
 
 const TOL: f64 = 1e-9;
 
@@ -78,7 +90,7 @@ fn generate(state: &mut u64) -> FuzzCase {
         4 => 2,
         _ => 3,
     };
-    FuzzCase {
+    let case = FuzzCase {
         algorithm: (rand01(state) * 2.0) as u8,
         stack,
         offset: Vec2::from_polar(
@@ -91,17 +103,54 @@ fn generate(state: &mut u64) -> FuzzCase {
         mirrored: rand01(state) < 0.5,
         radius: range(state, 0.04, 0.25),
         rounds: 2 + (rand01(state) * 2.0) as u32,
+    };
+    if stack != 0 {
+        return case;
+    }
+    // Half of the plain-warp draws have equal clocks, the production
+    // call's Lemma 4 path: a general frame, exact twins, and mirror
+    // twins on their axis (bearing φ/2) and off it.
+    let equal_clocks = FuzzCase {
+        time_unit: 1.0,
+        ..case
+    };
+    let twins = FuzzCase {
+        speed: 1.0,
+        ..equal_clocks
+    };
+    match (rand01(state) * 8.0) as u8 {
+        4 => equal_clocks,
+        5 => FuzzCase {
+            orientation: 0.0,
+            mirrored: false,
+            ..twins
+        },
+        6 => FuzzCase {
+            mirrored: true,
+            offset: Vec2::from_polar(case.offset.norm(), case.orientation / 2.0),
+            ..twins
+        },
+        7 => FuzzCase {
+            mirrored: true,
+            ..twins
+        },
+        _ => case,
     }
 }
 
-/// The two trajectories plus the engine horizon for a case.
-fn build(case: &FuzzCase) -> (Box<dyn Compile>, Box<dyn Compile>, f64) {
+/// The attributes of the case's partner robot.
+fn attributes(case: &FuzzCase) -> RobotAttributes {
     let chirality = if case.mirrored {
         Chirality::Mirrored
     } else {
         Chirality::Consistent
     };
-    let attrs = RobotAttributes::new(case.speed, case.time_unit, case.orientation, chirality);
+    RobotAttributes::new(case.speed, case.time_unit, case.orientation, chirality)
+}
+
+/// The two trajectories plus the engine horizon for a case.
+fn build(case: &FuzzCase) -> (Box<dyn Compile>, Box<dyn Compile>, f64) {
+    let attrs = attributes(case);
     if case.stack == 3 {
         // Raw spiral search against a stationary target: the curved
         // baseline alone, no attribute frame.
@@ -209,7 +258,7 @@ fn agrees(x: &SimOutcome, y: &SimOutcome, radius: f64) -> Option<String> {
 fn run_case(case: &FuzzCase) -> Result<bool, String> {
     let (a, b, horizon) = build(case);
     let opts = ContactOptions::with_horizon(horizon).tolerance(TOL);
-    let generic = first_contact_generic(&*a, &*b, case.radius, &opts);
+    let generic = common::generic(&*a, &*b, case.radius, &opts);
     let cursor = first_contact_cursors(
         &mut *a.dyn_cursor(),
         &mut *b.dyn_cursor(),
@@ -218,6 +267,22 @@ fn run_case(case: &FuzzCase) -> Result<bool, String> {
     );
     if let Some(why) = agrees(&generic, &cursor, case.radius) {
         return Err(format!("generic vs cursor: {why}"));
+    }
+    if case.stack == 0 {
+        // The plain-warp stack is the instance's two-robot form
+        // `(algorithm, attrs.frame_warp(algorithm, offset))`: what the
+        // production call answers, by the Lemma 4 relative trajectory
+        // when τ = 1.
+        let instance = RendezvousInstance::new(case.offset, case.radius, attributes(case))
+            .map_err(|e| format!("invalid instance: {e}"))?;
+        let production = if case.algorithm == 0 {
+            simulate_rendezvous_by_ref(&UniversalSearch, &instance, &opts)
+        } else {
+            simulate_rendezvous_by_ref(&WaitAndSearch, &instance, &opts)
+        };
+        if let Some(why) = agrees(&generic, &production, case.radius) {
+            return Err(format!("generic vs production: {why}"));
+        }
     }
 
     let copts = CompileOptions::to_horizon(horizon).max_pieces(1 << 18);

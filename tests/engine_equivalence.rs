@@ -3,7 +3,7 @@
 //!
 //! The monotone-cursor fast path (`first_contact`) must classify every
 //! scenario — contact / horizon / step-budget — exactly as the original
-//! conservative-advancement loop (`first_contact_generic`), report
+//! conservative-advancement loop (`rvz_oracles::first_contact_generic`), report
 //! contact times within the tolerance-derived slack, and never contact
 //! later than the dense-sampling brute oracle.
 //!
@@ -19,6 +19,7 @@ use plane_rendezvous::experiments::{
     latin_hypercube, Algorithm, SampleSpace, Scenario, ScenarioGrid, SweepOptions,
 };
 use plane_rendezvous::prelude::*;
+use rvz_oracles::first_contact_brute;
 
 /// The fast path, via the public rendezvous runner.
 fn run_fast(scenario: &Scenario, opts: &ContactOptions) -> SimOutcome {
@@ -37,13 +38,13 @@ fn run_generic(scenario: &Scenario, opts: &ContactOptions) -> SimOutcome {
             let partner = instance
                 .attributes()
                 .frame_warp(WaitAndSearch, instance.offset());
-            first_contact_generic(&WaitAndSearch, &partner, instance.visibility(), opts)
+            common::generic(&WaitAndSearch, &partner, instance.visibility(), opts)
         }
         Algorithm::UniversalSearch => {
             let partner = instance
                 .attributes()
                 .frame_warp(UniversalSearch, instance.offset());
-            first_contact_generic(&UniversalSearch, &partner, instance.visibility(), opts)
+            common::generic(&UniversalSearch, &partner, instance.visibility(), opts)
         }
     }
 }
@@ -118,7 +119,7 @@ fn fast_engine_never_later_than_brute_oracle() {
                     .frame_warp(WaitAndSearch, instance.offset());
                 (
                     first_contact(&WaitAndSearch, &partner, instance.visibility(), &opts),
-                    plane_rendezvous::sim::first_contact_brute(
+                    first_contact_brute(
                         &WaitAndSearch,
                         &partner,
                         instance.visibility(),
@@ -133,7 +134,7 @@ fn fast_engine_never_later_than_brute_oracle() {
                     .frame_warp(UniversalSearch, instance.offset());
                 (
                     first_contact(&UniversalSearch, &partner, instance.visibility(), &opts),
-                    plane_rendezvous::sim::first_contact_brute(
+                    first_contact_brute(
                         &UniversalSearch,
                         &partner,
                         instance.visibility(),
@@ -154,17 +155,17 @@ fn fast_engine_never_later_than_brute_oracle() {
     }
 }
 
-/// The generic fallback itself still matches the brute oracle — the
-/// cross-check required for exotic `Trajectory` impls that bypass the
-/// cursor layer.
+/// The seed loop itself still matches the brute oracle on a curved
+/// pair, so the two oracles the engine is held to agree with each
+/// other.
 #[test]
 fn generic_fallback_agrees_with_brute_oracle() {
     use plane_rendezvous::trajectory::FnTrajectory;
     let a = FnTrajectory::new(|t: f64| Vec2::new(t.sin() * 3.0, t.cos() * 2.0), 3.0);
     let b = FnTrajectory::new(|t: f64| Vec2::new(4.0 - 0.2 * t, 0.1 * t), 0.25);
     let opts = ContactOptions::with_horizon(50.0);
-    let engine = first_contact_generic(&a, &b, 0.5, &opts);
-    let brute = plane_rendezvous::sim::first_contact_brute(&a, &b, 0.5, 50.0, 1e-4);
+    let engine = common::generic(&a, &b, 0.5, &opts);
+    let brute = first_contact_brute(&a, &b, 0.5, 50.0, 1e-4);
     match (engine.contact_time(), brute) {
         (Some(te), Some(tb)) => assert!(te <= tb + 1e-9, "{te} vs {tb}"),
         (Some(_), None) => {} // engine is allowed to be sharper

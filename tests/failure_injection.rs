@@ -150,10 +150,6 @@ fn all_four_engine_paths_surface_deadline_precisely() {
     };
 
     assert_deadline(
-        "generic",
-        first_contact_generic(&UniversalSearch, &partner, radius, &opts),
-    );
-    assert_deadline(
         "cursor",
         first_contact_cursors(
             &mut *UniversalSearch.dyn_cursor(),

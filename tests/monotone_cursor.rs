@@ -18,11 +18,11 @@
 //! Grids are seeded and jittered (SplitMix64, no external deps) so the
 //! probes do not align with segment boundaries by construction.
 
-use plane_rendezvous::baselines::ArchimedeanSpiral;
 use plane_rendezvous::experiments::SplitMix64;
 use plane_rendezvous::prelude::*;
 use plane_rendezvous::trajectory::monotone::Motion;
 use plane_rendezvous::trajectory::{ClockDrift, FnTrajectory};
+use rvz_oracles::ArchimedeanSpiral;
 
 /// Probes `trajectory` over a jittered grid of `n` times in
 /// `[0, horizon]`, checking agreement and affine-piece validity.

@@ -1,7 +1,6 @@
 //! Seeded property checks for the numeric substrate every engine runs
 //! on: `rvz-geometry` (vectors, 2×2 matrices, angles) and
-//! `rvz-numerics` (powers of two, Lambert W, root finders, Kahan
-//! summation).
+//! `rvz-numerics` (powers of two and `log₂`).
 //!
 //! These are the independent oracles for the hot-path shortcuts: the
 //! norm axioms, Cauchy–Schwarz and the Lagrange identity hold
@@ -22,9 +21,7 @@ use plane_rendezvous::geometry::{
     angle, normalize_angle, sin_cos, Mat2, Vec2, SIN_COS_REDUCTION_BOUND, TAU,
 };
 use plane_rendezvous::numerics::dyadic::ceil_log2;
-use plane_rendezvous::numerics::{
-    bisect, find_root, floor_log2, lambert_w0, pow2i, Bracket, KahanSum,
-};
+use plane_rendezvous::numerics::{floor_log2, pow2i};
 
 /// Draws per property: a sample in debug, the full set in release.
 fn cases() -> usize {
@@ -391,74 +388,5 @@ fn ceil_log2_definition() {
         let x = rng.next_range(1.0, 2.0) * pow2i(e);
         let c = ceil_log2(x);
         assert!(pow2i(c) >= x && pow2i(c - 1) < x, "x = {x:e}, c = {c}");
-    });
-}
-
-/// The Lambert W defining identity `W(y)·e^{W(y)} = y` across 60
-/// orders of magnitude.
-#[test]
-fn lambert_identity() {
-    for_each_draw(0xD3, |rng| {
-        let y = rng.next_range(1.0, 10.0) * 10f64.powf(rng.next_range(-20.0, 40.0));
-        let w = lambert_w0(y);
-        let back = w * w.exp();
-        assert!(((back - y) / y).abs() < 1e-11, "y={y}, w={w}, back={back}");
-    });
-}
-
-/// W is monotone non-decreasing.
-#[test]
-fn lambert_monotone() {
-    for_each_draw(0xD4, |rng| {
-        let (a, b) = (rng.next_range(0.0, 1e9), rng.next_range(0.0, 1e9));
-        let (lo, hi) = (a.min(b), a.max(b));
-        assert!(lambert_w0(lo) <= lambert_w0(hi), "{lo} {hi}");
-    });
-}
-
-/// The Hoorfar–Hassani lower bound `ln x − ln ln x ≤ W(x)` for `x ≥ e`.
-#[test]
-fn lambert_asymptotic_is_lower_bound() {
-    for_each_draw(0xD5, |rng| {
-        let x = rng.next_range(2.72, 1e30);
-        let l = x.ln();
-        assert!(l - l.ln() <= lambert_w0(x) + 1e-9, "{x}");
-    });
-}
-
-/// Bisection and the safeguarded root finder both locate the root of a
-/// shifted cubic.
-#[test]
-fn root_finders_agree() {
-    for_each_draw(0xD6, |rng| {
-        let (root, scale) = (rng.next_range(-5.0, 5.0), rng.next_range(0.1, 10.0));
-        let f = |x: f64| scale * (x - root) * ((x - root).powi(2) + 0.5);
-        let bracket = Bracket::new(root - 3.0, root + 4.0);
-        let b = bisect(f, bracket, 1e-12).unwrap();
-        let s = find_root(f, bracket, 1e-12).unwrap();
-        assert!((b - root).abs() < 1e-9, "bisect {b} vs {root}");
-        assert!((s - root).abs() < 1e-9, "find_root {s} vs {root}");
-    });
-}
-
-/// Kahan summation is order-insensitive at `f64` precision: forward,
-/// reversed and shuffled sums agree.
-#[test]
-fn kahan_is_order_insensitive() {
-    for_each_draw(0xD7, |rng| {
-        let len = 2 + rng.next_below(38);
-        let mut values: Vec<f64> = (0..len).map(|_| rng.next_range(-1e12, 1e12)).collect();
-        let forward: KahanSum = values.iter().copied().collect();
-        let backward: KahanSum = values.iter().rev().copied().collect();
-        rng.shuffle(&mut values);
-        let shuffled: KahanSum = values.iter().copied().collect();
-        let scale = values.iter().map(|v| v.abs()).sum::<f64>().max(1.0);
-        for other in [backward.value(), shuffled.value()] {
-            assert!(
-                (forward.value() - other).abs() <= 1e-9 * scale,
-                "forward {} vs {other}",
-                forward.value()
-            );
-        }
     });
 }

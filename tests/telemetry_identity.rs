@@ -3,7 +3,7 @@
 //! a single engine decision.
 //!
 //! Every engine runs once with metrics on and once with metrics off:
-//! the seed loop and the cursor engine on the canonical cases, and the
+//! the cursor engine on the canonical cases, and the
 //! scalar compiled ladder, the SoA lane kernel and the arena batch loop
 //! on warm-batch-sized Algorithm 4 rendezvous pairs. Outcomes, work
 //! counters ([`EngineStats`]) and lowered piece counts must be equal.
@@ -33,12 +33,6 @@ struct Run {
 fn run_all_engines() -> Vec<Run> {
     let mut runs = Vec::new();
     for case in common::canonical_cases(true) {
-        runs.push(Run {
-            label: format!("generic/{}", case.name),
-            outcome: Some(case.run_generic()),
-            stats: EngineStats::default(),
-            pieces: 0,
-        });
         let (outcome, stats) = case.run_cursor();
         runs.push(Run {
             label: format!("cursor/{}", case.name),
