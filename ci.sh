@@ -9,6 +9,23 @@
 
 set -eu
 
+# Runs `cargo test --release` on one target with test-name filters and
+# fails when a filter selects no test: libtest treats a filter that
+# matches nothing as a passing no-op, so a renamed test would drop out
+# of the gate silently. Usage: named_tests "<target args>" name...
+named_tests() {
+    target="$1"
+    shift
+    # shellcheck disable=SC2086
+    listed="$(cargo test --release --quiet $target -- --list | sed -n 's/: test$//p')"
+    for name in "$@"; do
+        echo "$listed" | grep -qF -- "$name" \
+            || { echo "no test of '$target' matches the filter '$name'"; exit 1; }
+    done
+    # shellcheck disable=SC2086
+    cargo test --release --quiet $target -- "$@"
+}
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -69,24 +86,27 @@ echo "==> step gate + canonical compiled arms + Lemma 4 oracle + curvature, law-
 # with the two-cursor oracle on the full sets (tier-1 runs a debug
 # sample) and disprove every twin in a few steps, and flipping the
 # metrics kill switch changes no outcome, work counter or piece count.
-cargo test --release --quiet --test engine_equivalence -- \
+named_tests "--test engine_equivalence" \
     cursor_engine_never_takes_more_steps_than_generic_on_canonical_cases \
     compiled_and_lane_engines_classify_canonical_cases_like_generic \
     relative_trajectory_disproves_twins_in_a_few_steps \
     relative_trajectory_matches_the_two_cursor_oracle \
     curvature_certificate_stops_the_arc_crawl_and_declares_inside_the_band \
     wait_window_certificate_crosses_waits_and_declares_inside_the_band \
-    circle_pairs_walk_their_laws_and_declare_inside_the_band
+    circle_pairs_walk_their_laws_and_declare_inside_the_band \
+    compiled_ladder_and_lane_kernel_walk_circle_pairs_like_the_cursor_engine
 cargo test --release --quiet --test telemetry_identity
 # The curvature certificate never passes its target on 10,000 seeded
 # piece pairs (unequal-rate arcs, arc vs line, arc vs wait, line vs arc),
 # nor does the law walk that chains it along unequal-rate circle pairs
-# (10,000 seeded pairs, 513 samples per walked span), and the
+# (10,000 seeded pairs, 513 samples per walked span); the exact rungs
+# (affine quadratic, cosine law) hold to 513 distance samples on 10,000
+# seeded affine, phase-locked circle and circle-vs-wait pairs; and the
 # wait-window certificate's cursor query never clears past a densely
 # sampled visit on 10,000 seeded queries (both schedules, directly,
 # through similarity, reflected and generic frame warps and through
 # drifting clocks).
-cargo test --release --quiet -p rvz-sim --lib -- curvature_step law_walk first_visit
+named_tests "-p rvz-sim --lib" curvature_step law_walk exact_rungs first_visit
 
 echo "==> engine vs analytic discovery and brute force (release: 10,000 seeded draws per property)"
 # tests/cross_validation.rs checks the engine against the closed-form
@@ -102,7 +122,7 @@ echo "==> numeric substrate properties (release: 10,000 seeded draws per propert
 # the in-house sin_cos within 2^-52 of libm, exactly odd/even, and
 # libm's own bits past its reduction bound and on NaN and infinities;
 # matrix algebra, inverse, QR and the operator norm; angles;
-# floor_log2/ceil_log2 through pow2i. Tier-1 runs a 256-draw debug
+# floor_log2 through pow2i. Tier-1 runs a 256-draw debug
 # sample of the same streams.
 cargo test --release --quiet --test numeric_properties
 

@@ -31,6 +31,11 @@ use crate::json::{self, Json};
 /// Format version of every journal, bumped on any framing change and
 /// whenever the records the engine computes change.
 ///
+/// * 10: one certificate ladder for every engine. The compiled ladder
+///   and the lane kernel walk unequal-rate circle pairs (the kernel's
+///   served `steps` at covering depths), and the cursor engine's rungs
+///   read one pair law (last bits of some contact times and distances,
+///   some `steps`); the format is unchanged.
 /// * 9: arc positions through the in-house `rvz_geometry::sin_cos`
 ///   (last bits of times and distances) and the law walk on
 ///   unequal-rate circle pairs (`steps`); the format is unchanged.
@@ -47,7 +52,7 @@ use crate::json::{self, Json};
 ///   `√(x² + y²)` rather than `hypot`; τ = 1 scenarios on the Lemma 4
 ///   relative trajectory rather than two cursors; and the retirement of
 ///   the compiled sweep path.
-pub const JOURNAL_VERSION: u32 = 9;
+pub const JOURNAL_VERSION: u32 = 10;
 
 /// FNV-1a digest of the engine's output bytes on a pinned sweep plus one
 /// served `/first-contact` body (`tests/engine_bytes.rs`). Every update

@@ -66,20 +66,6 @@ pub fn floor_log2(x: f64) -> i64 {
     e
 }
 
-/// `⌈log₂ x⌉` as an integer, for `x > 0`.
-///
-/// # Panics
-///
-/// Panics if `x ≤ 0` or `x` is not finite.
-pub fn ceil_log2(x: f64) -> i64 {
-    let f = floor_log2(x);
-    if pow2i(f) == x {
-        f
-    } else {
-        f + 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,16 +112,6 @@ mod tests {
     fn floor_log2_subnormals() {
         assert_eq!(floor_log2(f64::from_bits(1)), -1074);
         assert_eq!(floor_log2(f64::MIN_POSITIVE), -1022);
-    }
-
-    #[test]
-    fn ceil_log2_basics() {
-        assert_eq!(ceil_log2(1.0), 0);
-        assert_eq!(ceil_log2(1.1), 1);
-        assert_eq!(ceil_log2(2.0), 1);
-        assert_eq!(ceil_log2(3.0), 2);
-        assert_eq!(ceil_log2(0.25), -2);
-        assert_eq!(ceil_log2(0.3), -1);
     }
 
     #[test]

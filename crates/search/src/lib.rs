@@ -56,7 +56,7 @@ pub mod windows;
 pub use discovery::{first_discovery, Discovery, DiscoveryEvent};
 pub use schedule::{RoundCursor, RoundSchedule, SubRound};
 pub use universal::UniversalSearch;
-pub use windows::{first_visit_in_round, round_contact_windows, ContactWindow, RoundWindows};
+pub use windows::{first_visit_in_round, ContactWindow, RoundWindows};
 
 use rvz_geometry::Vec2;
 use rvz_trajectory::{Path, PathBuilder};

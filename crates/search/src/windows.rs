@@ -4,12 +4,12 @@
 //! [`first_discovery`](crate::discovery::first_discovery) returns only
 //! the first contact of Algorithm 4; the overlap machinery of Section 4
 //! needs more — it asks whether a contact falls inside a *specific* time
-//! window (the partner's inactive phase). [`round_contact_windows`]
-//! enumerates, in execution order, the maximal sub-intervals of one
-//! `Search(k)` round during which the robot is within `r` of the target,
-//! using the same closed-form circle geometry as the discovery oracle
-//! and skipping the (possibly millions of) non-contacting circles by
-//! index arithmetic.
+//! window (the partner's inactive phase). [`RoundWindows`] enumerates,
+//! in execution order, the maximal sub-intervals of one `Search(k)`
+//! round during which the robot is within `r` of the target, using the
+//! same closed-form circle geometry as the discovery oracle and skipping
+//! the (possibly millions of) non-contacting circles by index
+//! arithmetic.
 
 use crate::schedule::{RoundSchedule, SubRound};
 use crate::times;
@@ -22,30 +22,6 @@ pub struct ContactWindow {
     pub start: f64,
     /// Window end (local round time), `≥ start`.
     pub end: f64,
-}
-
-/// Enumerates the contact windows of `Search(k)` for a target at `target`
-/// with visibility `r`, in increasing time order, local to the round.
-///
-/// At most `limit` windows are produced (targets close to the positive
-/// x-axis contact every outbound/inbound leg, which would otherwise
-/// enumerate a window per circle). Consecutive windows may touch (a leg
-/// contact can continue seamlessly into the following arc); they are not
-/// merged.
-///
-/// If `d ≤ r` the robot *always* sees the target; one window covering the
-/// whole round is returned.
-///
-/// A collector over [`RoundWindows`], which yields the same windows
-/// without allocating.
-///
-/// # Panics
-///
-/// Panics on invalid `k` (see [`times::round_duration`]), non-positive
-/// `r`, non-finite `target`, or `limit == 0`.
-pub fn round_contact_windows(k: u32, target: Vec2, r: f64, limit: usize) -> Vec<ContactWindow> {
-    assert!(limit > 0, "limit must be positive");
-    RoundWindows::new(k, target, r).take(limit).collect()
 }
 
 /// Relative slack of [`first_visit_in_round`]: the windows are computed
@@ -90,8 +66,11 @@ pub fn first_visit_in_round(
 }
 
 /// The contact windows of one `Search(k)` round, in increasing time
-/// order and local to the round, as a non-allocating iterator: the
-/// windows [`round_contact_windows`] collects.
+/// order and local to the round, as a non-allocating iterator.
+///
+/// Consecutive windows may touch (a leg contact can continue seamlessly
+/// into the following arc); they are not merged. If `d ≤ r` the robot
+/// *always* sees the target: one window covers the whole round.
 ///
 /// Circles that cannot see the target are skipped by index arithmetic:
 /// a sub-round starts at its first circle reaching the target's annulus
@@ -142,7 +121,8 @@ impl RoundWindows {
     ///
     /// # Panics
     ///
-    /// As for [`round_contact_windows`] (without the limit).
+    /// Panics on invalid `k` (see [`times::round_duration`]), non-positive
+    /// `r` or non-finite `target`.
     pub fn new(k: u32, target: Vec2, r: f64) -> Self {
         Self::ending_after(k, target, r, f64::NEG_INFINITY)
     }
@@ -387,7 +367,7 @@ mod tests {
 
     /// Windows must cover exactly the sampled contact times.
     fn assert_matches_brute(k: u32, target: Vec2, r: f64) {
-        let exact = round_contact_windows(k, target, r, 10_000);
+        let exact: Vec<_> = RoundWindows::new(k, target, r).collect();
         let dt = 1e-3;
         let brute = brute_windows(k, target, r, dt);
         // Every brute window's interior is covered by some exact window.
@@ -423,13 +403,13 @@ mod tests {
         // Target on the +x axis: every sufficiently long leg sees it.
         let target = Vec2::new(0.9, 0.0);
         assert_matches_brute(2, target, 0.08);
-        let windows = round_contact_windows(2, target, 0.08, 10_000);
+        let windows: Vec<_> = RoundWindows::new(2, target, 0.08).collect();
         assert!(windows.len() > 4, "expected many leg windows");
     }
 
     #[test]
     fn visible_target_covers_whole_round() {
-        let w = round_contact_windows(1, Vec2::new(0.05, 0.0), 0.2, 100);
+        let w: Vec<_> = RoundWindows::new(1, Vec2::new(0.05, 0.0), 0.2).collect();
         assert_eq!(w.len(), 1);
         assert_eq!(w[0].start, 0.0);
         assert_eq!(w[0].end, times::round_duration(1));
@@ -437,17 +417,11 @@ mod tests {
 
     #[test]
     fn windows_are_time_ordered() {
-        let ws = round_contact_windows(3, Vec2::new(0.4, 0.6), 0.1, 10_000);
+        let ws: Vec<_> = RoundWindows::new(3, Vec2::new(0.4, 0.6), 0.1).collect();
         assert!(!ws.is_empty());
         for pair in ws.windows(2) {
             assert!(pair[0].start <= pair[1].start, "{pair:?}");
         }
-    }
-
-    #[test]
-    fn limit_truncates() {
-        let ws = round_contact_windows(3, Vec2::new(0.9, 0.0), 0.2, 3);
-        assert_eq!(ws.len(), 3);
     }
 
     #[test]
@@ -461,7 +435,7 @@ mod tests {
         ] {
             let inst = SearchInstance::new(target, r).unwrap();
             let found = first_discovery(&inst, 8).unwrap();
-            let ws = round_contact_windows(found.round, target, r, 10_000);
+            let ws: Vec<_> = RoundWindows::new(found.round, target, r).collect();
             let round_start = crate::universal::UniversalSearch::round_start(found.round);
             let first = ws.first().expect("window exists");
             assert!(
@@ -497,11 +471,5 @@ mod tests {
                 assert_eq!(resumed, expected, "k={k}, target={target}, u={u}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "limit must be positive")]
-    fn zero_limit_rejected() {
-        let _ = round_contact_windows(1, Vec2::UNIT_Y, 0.1, 0);
     }
 }

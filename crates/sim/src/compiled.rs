@@ -5,7 +5,10 @@
 //! generality per probe: frame-warp matrix products, schedule round
 //! arithmetic, and (on the heterogeneous swarm path) virtual dispatch
 //! through `Box<dyn Cursor>`. This module runs the *same certificate
-//! ladder* on two flat [`CompiledProgram`] arenas instead:
+//! ladder* on two flat [`CompiledProgram`] arenas instead: rungs 1–4,
+//! law walk included, through the one `certify` every ladder calls
+//! (`crate::ladder`), without the wait window, which is a cursor
+//! query. Then:
 //!
 //! * a probe is an index bump plus one fused multiply-add (the warp and
 //!   clock arithmetic were baked into the pieces at lowering time);
@@ -37,11 +40,9 @@
 //! contact times within the shared declaration slack) is enforced by
 //! `tests/engine_equivalence.rs` over a seeded Latin hypercube.
 
-use crate::engine::{
-    circular_pair_law, curvature_step, piece_gap_lower_bound, ContactOptions, EngineStats,
-    SimOutcome,
-};
-use rvz_trajectory::{CompiledProgram, Motion};
+use crate::engine::{ContactOptions, EngineStats, SimOutcome};
+use crate::ladder::{certify, Band, PairLaw, Rung};
+use rvz_trajectory::CompiledProgram;
 
 /// Reusable per-worker workspace for the compiled and SoA engines.
 ///
@@ -140,7 +141,8 @@ fn try_first_contact_programs_impl(
         rel_speed.is_finite(),
         "speed bounds must be finite, got {rel_speed}"
     );
-    let threshold = radius + opts.tolerance;
+    let band = Band::new(radius, opts.tolerance);
+    let threshold = band.threshold;
 
     let mut ia = 0_usize;
     let mut ib = 0_usize;
@@ -197,94 +199,28 @@ fn try_first_contact_programs_impl(
             }
         }
 
-        // The cursor engine's certificate ladder, rung for rung.
+        // The cursor engine's certificate ladder, rung for rung, bar
+        // the wait window (a cursor query).
         let conservative = if rel_speed > 0.0 {
             (d - radius) / rel_speed
         } else {
             f64::INFINITY
         };
-        let mut exact_root = false;
-        let mut curved = false;
-        let step = match (pa.motion, pb.motion) {
-            (Motion::Affine { velocity: va }, Motion::Affine { velocity: vb }) => {
-                let boundary = pa.piece_end.min(pb.piece_end).min(opts.horizon);
-                let ub = (boundary - t).max(0.0);
-                let q0 = pb.position - pa.position;
-                let dv = vb - va;
-                let a2 = dv.norm_squared();
-                let b2 = q0.dot(dv);
-                let c2 = q0.norm_squared() - threshold * threshold;
-                let mut jump = f64::NAN;
-                if a2 > 0.0 && b2 < 0.0 {
-                    let disc = b2 * b2 - a2 * c2;
-                    if disc >= 0.0 {
-                        let root = c2 / (-b2 + disc.sqrt());
-                        if root <= ub {
-                            jump = root;
-                            exact_root = true;
-                        }
-                    }
-                    if !exact_root {
-                        let vertex = -b2 / a2;
-                        if vertex < ub {
-                            let dmin = (q0 + dv * vertex).norm();
-                            if dmin < min_distance {
-                                min_distance = dmin;
-                                min_distance_time = t + vertex;
-                            }
-                        }
-                    }
-                }
-                if exact_root {
-                    jump
-                } else {
-                    ub.max(conservative)
-                }
-            }
-            (ma, mb) => {
-                let boundary = pa.piece_end.min(pb.piece_end).min(opts.horizon);
-                let ub = (boundary - t).max(0.0);
-                if let Some(law) = circular_pair_law(&pa, &pb, ma, mb) {
-                    match law.first_crossing(threshold * threshold, ub) {
-                        Some(du) => {
-                            exact_root = true;
-                            du
-                        }
-                        None => {
-                            if law.p - law.q.abs() < min_distance * min_distance * (1.0 - 1e-12) {
-                                if let Some((dmin, smin)) = law.minimum_within(ub) {
-                                    if dmin < min_distance {
-                                        min_distance = dmin;
-                                        min_distance_time = t + smin;
-                                    }
-                                }
-                            }
-                            ub.max(conservative)
-                        }
-                    }
-                } else if piece_gap_lower_bound(&pa, &pb, ma, mb, ub) > threshold {
-                    ub.max(conservative)
-                } else if conservative.is_finite() {
-                    let curvature =
-                        curvature_step(&pa, &pb, d, ub, threshold - 0.5 * opts.tolerance);
-                    curved = curvature > conservative;
-                    curvature.max(conservative)
-                } else {
-                    break SimOutcome::Horizon {
-                        min_distance,
-                        min_distance_time,
-                        steps,
-                    };
-                }
-            }
-        };
-        if exact_root {
-            stats.analytic_steps += 1;
-        } else if curved {
-            stats.curvature_steps += 1;
-        } else {
-            stats.conservative_steps += 1;
+        let boundary = pa.piece_end.min(pb.piece_end).min(opts.horizon);
+        let cert = certify(
+            PairLaw::of(&pa, &pb).as_ref(),
+            (boundary - t).max(0.0),
+            conservative,
+            band,
+            min_distance,
+        );
+        if let Some((dmin, s)) = cert.minimum {
+            min_distance = dmin;
+            min_distance_time = t + s;
         }
+        let exact_root = cert.rung == Rung::Exact;
+        stats.count(cert.rung);
+        let step = cert.step;
         let floor = 4.0 * f64::EPSILON * (1.0 + t.abs());
         let base = step.max(floor);
         let mut t_next = t + base;

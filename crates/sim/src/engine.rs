@@ -27,23 +27,21 @@
 //!    is an exact quadratic; jump to its smallest root (the contact) or
 //!    past the piece.
 //! 2. **Cosine law** — a phase-locked circle pair (equal angular
-//!    velocities; exact twins above all) or a circle against a
-//!    stationary point obeys `d²(s) = P + Q·cos(ψ + ωs)`; jump to the
-//!    first crossing or past the piece overlap. This is what crosses
-//!    the dyadic schedules' arc sweeps in one step per piece.
-//! 3. **Circular lower bounds** — the remaining circle combinations get
-//!    a set-distance bound (circle-to-circle, moving-segment-to-circle)
+//!    velocities; exact twins above all) or a circle against a wait
+//!    obeys `d²(s) = P + Q·cos(ψ + ωs)`; jump to the first crossing or
+//!    past the piece overlap. This is what crosses the dyadic
+//!    schedules' arc sweeps in one step per piece.
+//! 3. **Set distance** — the remaining circle combinations get a bound
 //!    certifying the whole piece overlap when it clears the threshold.
 //! 4. **Curvature bound** — the same pairs, when rung 3 cannot clear the
-//!    piece: each piece has a known velocity and an acceleration of at
-//!    most `ω²R`, so `|q(s)| ≥ d0 + d0'·s − M·s²/2` on the overlap; step
-//!    to that bound's first root at `radius + tolerance/2` (see
-//!    `curvature_step`). An arc pair then approaches contact like a
-//!    second-order method instead of crawling at the speed bound. On
-//!    two circles of unequal rates the engine then walks both along
-//!    their own laws, `c + Rot(ω·s)(p − c)`, and chains the same bound
-//!    from each walked point without probing a cursor (`law_walk`).
-//!    [`Motion::Curved`] pieces get no such bound.
+//!    piece: step to the first root of `d0 + d0'·s − M·s²/2` at
+//!    `radius + tolerance/2`; on two circles of unequal rates, walk the
+//!    pair's law and chain the bound from each walked point.
+//!
+//!    Rungs 1–4 are one law and one function, shared with the compiled
+//!    ladder and the lane kernel: the pair's relative motion
+//!    `q(s) = c + w·s + Σ Rot(ωᵢ·s)·aᵢ` (`crate::ladder`'s `PairLaw`),
+//!    read by `certify`. [`Motion::Curved`] pieces have no law.
 //! 5. **Wait window** — while exactly one probe is a wait (a zero
 //!    velocity affine piece, the resting stationary target included),
 //!    the pair is the other robot's plain search for a fixed point:
@@ -73,6 +71,7 @@
 //! The progress floor (a few ulps of `t`) guarantees termination exactly
 //! as before; the horizon endpoint is always sampled.
 
+use crate::ladder::{certify, Band, PairLaw, Rung};
 use rvz_geometry::Vec2;
 use rvz_trajectory::monotone::{Cursor, MonotoneTrajectory, Motion, Probe};
 use std::fmt;
@@ -567,7 +566,8 @@ where
         rel_speed.is_finite(),
         "speed bounds must be finite, got {rel_speed}"
     );
-    let threshold = radius + opts.tolerance;
+    let band = Band::new(radius, opts.tolerance);
+    let threshold = band.threshold;
     // A fixed `a` (a stationary target) has a point envelope, so a
     // skipped window's gap bounds `b`'s distance to it over the whole
     // window: the skip folds that bound into `min_distance`.
@@ -651,134 +651,29 @@ where
         } else {
             f64::INFINITY
         };
-        let mut exact_root = false;
-        let mut curved = false;
-        let mut windowed = false;
-        let mut step = match (pa.motion, pb.motion) {
-            (Motion::Affine { velocity: va }, Motion::Affine { velocity: vb }) => {
-                // Both pieces are exact linear motions until `boundary`
-                // (never past the horizon — the horizon endpoint itself
-                // must be sampled so `min_distance` covers it).
-                let boundary = pa.piece_end.min(pb.piece_end).min(opts.horizon);
-                let ub = (boundary - t).max(0.0);
-                // Relative motion q(u) = q0 + dv·u for u ∈ [0, ub].
-                let q0 = pb.position - pa.position;
-                let dv = vb - va;
-                let a2 = dv.norm_squared();
-                let b2 = q0.dot(dv);
-                let c2 = q0.norm_squared() - threshold * threshold; // > 0 here
-                let mut jump = f64::NAN;
-                // A first crossing of |q| = threshold needs the distance
-                // to be shrinking (b2 < 0) and a real root.
-                if a2 > 0.0 && b2 < 0.0 {
-                    let disc = b2 * b2 - a2 * c2;
-                    if disc >= 0.0 {
-                        // Smallest root, in the cancellation-free form.
-                        let root = c2 / (-b2 + disc.sqrt());
-                        if root <= ub {
-                            jump = root;
-                            exact_root = true;
-                        }
-                    }
-                    if !exact_root {
-                        // No contact inside the piece: still record the
-                        // true closest approach (the quadratic's vertex)
-                        // if it falls inside, so Horizon outcomes report
-                        // a faithful minimum despite the long jumps.
-                        let vertex = -b2 / a2;
-                        if vertex < ub {
-                            let dmin = (q0 + dv * vertex).norm();
-                            if dmin < min_distance {
-                                min_distance = dmin;
-                                min_distance_time = t + vertex;
-                            }
-                        }
-                    }
-                }
-                if exact_root {
-                    jump
-                } else {
-                    // No contact within the piece (analytic) and none
-                    // within the conservative span (speed bound): both
-                    // certificates are sound, take the longer one — this
-                    // is what keeps the cursor engine's step count at or
-                    // below the generic loop's even when the schedule
-                    // chops time into slivers of pieces.
-                    ub.max(conservative)
-                }
-            }
-            (ma, mb) => {
-                // At least one non-affine piece. Circular pieces still
-                // admit closed forms over the overlap of the two pieces:
-                // a phase-locked circle pair or a circle against a
-                // stationary point obeys the exact cosine law
-                // `d²(s) = P + Q·cos(ψ + ω·s)` (solved like the affine
-                // quadratic — jump to the first crossing or prove there
-                // is none), and the remaining circular combinations get
-                // a sound distance lower bound. Either way a certified
-                // piece is crossed in one step instead of a conservative
-                // crawl through the schedules' arc sweeps.
-                let boundary = pa.piece_end.min(pb.piece_end).min(opts.horizon);
-                let ub = (boundary - t).max(0.0);
-                if let Some(law) = circular_pair_law(&pa, &pb, ma, mb) {
-                    match law.first_crossing(threshold * threshold, ub) {
-                        Some(du) => {
-                            exact_root = true;
-                            du
-                        }
-                        None => {
-                            // No contact within the overlap: fold the
-                            // law's true in-piece minimum into the
-                            // Horizon bookkeeping (the circular analogue
-                            // of the affine vertex) and jump the piece.
-                            // The cheap `p − |q|` bound skips the phase
-                            // arithmetic when the law cannot improve the
-                            // running minimum.
-                            if law.p - law.q.abs() < min_distance * min_distance * (1.0 - 1e-12) {
-                                if let Some((dmin, smin)) = law.minimum_within(ub) {
-                                    if dmin < min_distance {
-                                        min_distance = dmin;
-                                        min_distance_time = t + smin;
-                                    }
-                                }
-                            }
-                            ub.max(conservative)
-                        }
-                    }
-                } else if piece_gap_lower_bound(&pa, &pb, ma, mb, ub) > threshold {
-                    ub.max(conservative)
-                } else if conservative.is_finite() {
-                    // No closed form and no whole-piece bound: the
-                    // curvature certificate, when it outreaches the speed
-                    // bound. Aimed mid-band, like every declared contact.
-                    let target = threshold - 0.5 * opts.tolerance;
-                    let curvature = law_walk(
-                        &pa,
-                        &pb,
-                        curvature_step(&pa, &pb, d, ub, target),
-                        ub,
-                        target,
-                    );
-                    curved = curvature > conservative;
-                    curvature.max(conservative)
-                } else {
-                    // Neither can move: the distance can never change.
-                    return (
-                        SimOutcome::Horizon {
-                            min_distance,
-                            min_distance_time,
-                            steps,
-                        },
-                        stats,
-                    );
-                }
-            }
-        };
+        // Rungs 1–4 on the piece overlap (never past the horizon: the
+        // horizon endpoint itself must be sampled so `min_distance`
+        // covers it), the speed bound under them.
+        let boundary = pa.piece_end.min(pb.piece_end).min(opts.horizon);
+        let cert = certify(
+            PairLaw::of(&pa, &pb).as_ref(),
+            (boundary - t).max(0.0),
+            conservative,
+            band,
+            min_distance,
+        );
+        if let Some((dmin, s)) = cert.minimum {
+            min_distance = dmin;
+            min_distance_time = t + s;
+        }
+        let exact_root = cert.rung == Rung::Exact;
+        let mut step = cert.step;
         // The wait-window certificate: while one robot waits, the pair
         // is the other robot's plain search for a fixed point, and its
         // cursor clears the wait in one closed-form query. A clearance
         // only: inside a window the mover is on a leg or an arc against
         // a fixed point, where certificates 1–2 declare the contact.
+        let mut windowed = false;
         if !exact_root {
             let clear = match (is_wait(pa.motion), is_wait(pb.motion)) {
                 (true, false) => window_clearance(b, &pa, t, step, threshold, opts.horizon),
@@ -791,14 +686,10 @@ where
             }
         }
         stats.pair_steps[PairKind::of(pa.motion, pb.motion) as usize] += 1;
-        if exact_root {
-            stats.analytic_steps += 1;
-        } else if windowed {
+        if windowed {
             stats.window_steps += 1;
-        } else if curved {
-            stats.curvature_steps += 1;
         } else {
-            stats.conservative_steps += 1;
+            stats.count(cert.rung);
         }
         // Progress floor: a few ulps of the current time.
         let floor = 4.0 * f64::EPSILON * (1.0 + t.abs());
@@ -899,350 +790,6 @@ fn window_clearance<C: Cursor + ?Sized>(
     mover.first_visit(t, end, waiting.position, threshold) - t
 }
 
-/// The exact pair-distance law on a piece overlap where it reduces to a
-/// single cosine: `d²(s) = p + q·cos(ψ + ω·s)` for `s` time units past
-/// the probe.
-///
-/// Produced by [`circular_pair_law`] for a phase-locked circle pair
-/// (equal angular velocities — exact twins and identically scheduled
-/// pairs) and for a circle against a stationary point; both reduce to
-/// the law of cosines with a uniformly rotating angle.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CosineLaw {
-    pub(crate) p: f64,
-    pub(crate) q: f64,
-    omega: f64,
-    /// Phase proxies: `ψ = atan2(y, x)`, evaluated lazily — most pieces
-    /// resolve on the `p`/`q` magnitudes alone, without trigonometry.
-    y: f64,
-    x: f64,
-}
-
-impl CosineLaw {
-    /// `(|q|, ψ')` with the sign of `q` folded into the phase.
-    fn normalized(&self) -> (f64, f64) {
-        let psi = self.y.atan2(self.x);
-        if self.q >= 0.0 {
-            (self.q, psi)
-        } else {
-            (-self.q, psi + std::f64::consts::PI)
-        }
-    }
-
-    /// The smallest `s ∈ [0, span]` with `d²(s) ≤ thr2`, or `None` when
-    /// the law proves there is no such time in the span.
-    pub(crate) fn first_crossing(&self, thr2: f64, span: f64) -> Option<f64> {
-        if self.omega == 0.0 {
-            // The phase never moves and the caller already measured
-            // d(0) > threshold.
-            return None;
-        }
-        let q = self.q.abs();
-        if q == 0.0 {
-            // Constant distance, again > threshold at the probe.
-            return None;
-        }
-        let cstar = (thr2 - self.p) / q;
-        if cstar < -1.0 {
-            return None;
-        }
-        if cstar >= 1.0 {
-            return Some(0.0);
-        }
-        let (_, psi) = self.normalized();
-        // Contact set in phase space: x ∈ [β, 2π − β] (mod 2π), the far
-        // side of the cosine.
-        let beta = cstar.acos();
-        let tau = std::f64::consts::TAU;
-        let x0 = psi.rem_euclid(tau);
-        if (beta..=tau - beta).contains(&x0) {
-            return Some(0.0);
-        }
-        let arc = if self.omega > 0.0 {
-            if x0 < beta {
-                beta - x0
-            } else {
-                beta + tau - x0
-            }
-        } else if x0 < beta {
-            x0 + beta
-        } else {
-            x0 - (tau - beta)
-        };
-        let s = arc / self.omega.abs();
-        (s <= span).then_some(s)
-    }
-
-    /// The true distance minimum attained strictly inside `[0, span]`
-    /// (at the phase `x = π`), if the phase reaches it; endpoints are
-    /// sampled by the engine anyway.
-    pub(crate) fn minimum_within(&self, span: f64) -> Option<(f64, f64)> {
-        if self.omega == 0.0 {
-            return None;
-        }
-        let (q, psi) = self.normalized();
-        let pi = std::f64::consts::PI;
-        let arc = if self.omega > 0.0 {
-            (pi - psi).rem_euclid(std::f64::consts::TAU)
-        } else {
-            (psi - pi).rem_euclid(std::f64::consts::TAU)
-        };
-        let s = arc / self.omega.abs();
-        (s <= span).then(|| ((self.p - q).max(0.0).sqrt(), s))
-    }
-}
-
-/// The [`CosineLaw`] governing the pair distance on the current piece
-/// overlap, when one exists.
-pub(crate) fn circular_pair_law(
-    pa: &Probe,
-    pb: &Probe,
-    ma: Motion,
-    mb: Motion,
-) -> Option<CosineLaw> {
-    match (ma, mb) {
-        (
-            Motion::Circular {
-                center: ca,
-                angular_velocity: wa,
-                ..
-            },
-            Motion::Circular {
-                center: cb,
-                angular_velocity: wb,
-                ..
-            },
-        ) if wa == wb => {
-            // Relative displacement: fixed center offset plus a vector
-            // of constant magnitude rotating at ω.
-            let c = cb - ca;
-            let v0 = (pb.position - cb) - (pa.position - ca);
-            Some(CosineLaw {
-                p: c.norm_squared() + v0.norm_squared(),
-                q: 2.0 * c.norm() * v0.norm(),
-                omega: wa,
-                // ψ = angle(v0) − angle(c), deferred.
-                y: c.cross(v0),
-                x: c.dot(v0),
-            })
-        }
-        (
-            Motion::Circular {
-                center,
-                radius,
-                angular_velocity,
-                ..
-            },
-            Motion::Affine { velocity },
-        ) if velocity == Vec2::ZERO => Some(point_circle_law(
-            pb.position,
-            pa.position,
-            center,
-            radius,
-            angular_velocity,
-        )),
-        (
-            Motion::Affine { velocity },
-            Motion::Circular {
-                center,
-                radius,
-                angular_velocity,
-                ..
-            },
-        ) if velocity == Vec2::ZERO => Some(point_circle_law(
-            pa.position,
-            pb.position,
-            center,
-            radius,
-            angular_velocity,
-        )),
-        _ => None,
-    }
-}
-
-/// Law of cosines for a point on a circle (currently at `on_circle`)
-/// against a fixed point `p`: `d²(s) = R² + D² − 2RD·cos(θ(s) − φ_D)`.
-fn point_circle_law(p: Vec2, on_circle: Vec2, center: Vec2, radius: f64, omega: f64) -> CosineLaw {
-    let d = p - center;
-    let rel = on_circle - center;
-    CosineLaw {
-        p: radius * radius + d.norm_squared(),
-        q: -2.0 * radius * d.norm(),
-        omega,
-        // ψ = θ − angle(d) = angle(rel) − angle(d), deferred.
-        y: d.cross(rel),
-        x: d.dot(rel),
-    }
-}
-
-/// A sound lower bound on the pair distance over the next `ub` time
-/// units when at least one active piece is circular; `−∞` when no
-/// closed form applies (an opaque [`Motion::Curved`] piece).
-pub(crate) fn piece_gap_lower_bound(
-    pa: &Probe,
-    pb: &Probe,
-    ma: Motion,
-    mb: Motion,
-    ub: f64,
-) -> f64 {
-    match (ma, mb) {
-        (
-            Motion::Circular {
-                center: ca,
-                radius: ra,
-                ..
-            },
-            Motion::Circular {
-                center: cb,
-                radius: rb,
-                ..
-            },
-        ) => {
-            // Equal-rate pairs never reach here (they get the exact
-            // cosine law); for unequal rates only the two circles bound
-            // the motion.
-            ca.distance(cb) - ra - rb
-        }
-        (Motion::Circular { center, radius, .. }, Motion::Affine { velocity }) => {
-            segment_point_distance(pb.position, velocity, ub, center) - radius
-        }
-        (Motion::Affine { velocity }, Motion::Circular { center, radius, .. }) => {
-            segment_point_distance(pa.position, velocity, ub, center) - radius
-        }
-        _ => f64::NEG_INFINITY,
-    }
-}
-
-/// Relative slack on a circular piece's acceleration bound `ω²R`: covers
-/// the rounding of a probe that sits a few ulps off its reported circle.
-const CURVATURE_SLACK: f64 = 1e-9;
-
-/// The second-order (curvature) certificate: a contact-free advance for
-/// a piece pair without a closed form (unequal-rate circles, a circle
-/// against a moving line), or `0` when a side is [`Motion::Curved`].
-///
-/// Each side has a known velocity (`ω·perp(p − c)` on an arc, no trig)
-/// and an acceleration of at most `ω²R` (`0` on an affine piece). With
-/// `q` the relative position, `d0 = |q0| = d`, `d0' = q0·(v_b − v_a)/d0`
-/// and `M = a_a + a_b`, the projection of `q(s)` on `q0/d0` has second
-/// derivative at most `M` in magnitude, so over the piece overlap
-/// `|q(s)| ≥ d0 + d0'·s − M·s²/2`. The step is the first root of that
-/// bound at `target`, capped at `ub`. Callers aim `target` inside the
-/// declaration band (`tolerance/2` above the radius), so rounding in the
-/// bound cannot land a declared contact below the radius.
-pub(crate) fn curvature_step(pa: &Probe, pb: &Probe, d: f64, ub: f64, target: f64) -> f64 {
-    let (Some((va, acc_a)), Some((vb, acc_b))) = (kinematics(pa), kinematics(pb)) else {
-        return 0.0;
-    };
-    let rate = (pb.position - pa.position).dot(vb - va) / d;
-    bound_root(rate, d - target, acc_a + acc_b).min(ub)
-}
-
-/// Curvature steps a circle pair may chain after the probe's own.
-const LAW_WALK_STEPS: usize = 6;
-
-/// A chained step covering less than this share of the first one ends
-/// the walk: the pair is closing in, and the next probe is cheaper than
-/// further walking.
-const LAW_WALK_FLOOR: f64 = 0.25;
-
-/// Extends a curvature step `first` on an unequal-rate circle pair by
-/// walking both circles along their own laws: each piece is at
-/// `c + Rot(ω·s)·(p − c)` after `s` time units, so the pair's position,
-/// velocities and distance are known in closed form anywhere on the
-/// overlap without probing a cursor. From each walked point the same
-/// bound `d0 + d0'·s − M·s²/2` (the acceleration bound `M` does not
-/// change along a circle) certifies the next stretch at `target`. The
-/// walk stops at the overlap end `ub`, after [`LAW_WALK_STEPS`] links,
-/// or once a link covers less than [`LAW_WALK_FLOOR`] of `first`. A
-/// clearance only: a contact is declared where a probe measures it.
-/// Any other pair returns `first` unchanged.
-pub(crate) fn law_walk(pa: &Probe, pb: &Probe, first: f64, ub: f64, target: f64) -> f64 {
-    let (
-        Motion::Circular {
-            center: ca,
-            angular_velocity: wa,
-            ..
-        },
-        Motion::Circular {
-            center: cb,
-            angular_velocity: wb,
-            ..
-        },
-    ) = (pa.motion, pb.motion)
-    else {
-        return first;
-    };
-    let (Some((_, acc_a)), Some((_, acc_b))) = (kinematics(pa), kinematics(pb)) else {
-        return first;
-    };
-    let m = acc_a + acc_b;
-    let (ra, rb) = (pa.position - ca, pb.position - cb);
-    let mut s = first;
-    for _ in 0..LAW_WALK_STEPS {
-        if s >= ub {
-            break;
-        }
-        let (ra_s, rb_s) = (ra.rotated(wa * s), rb.rotated(wb * s));
-        let q = (cb + rb_s) - (ca + ra_s);
-        let d = q.norm();
-        let gap = d - target;
-        if gap <= 0.0 {
-            break;
-        }
-        let rate = q.dot(rb_s.perp() * wb - ra_s.perp() * wa) / d;
-        let link = bound_root(rate, gap, m);
-        s += link.min(ub - s);
-        if link < LAW_WALK_FLOOR * first {
-            break;
-        }
-    }
-    s.min(ub)
-}
-
-/// The first positive root of `m/2·s² − rate·s − gap` (`gap > 0`), in
-/// the cancellation-free form for each sign of `rate`: the time the
-/// curvature bound `gap + rate·s − m·s²/2` reaches zero (`∞` when
-/// nothing bends or closes).
-fn bound_root(rate: f64, gap: f64, m: f64) -> f64 {
-    let sqrt_disc = (rate * rate + 2.0 * m * gap).sqrt();
-    if rate <= 0.0 {
-        2.0 * gap / (sqrt_disc - rate)
-    } else {
-        (rate + sqrt_disc) / m
-    }
-}
-
-/// A piece's velocity and acceleration bound at the probe, or `None`
-/// for a [`Motion::Curved`] piece.
-fn kinematics(p: &Probe) -> Option<(Vec2, f64)> {
-    match p.motion {
-        Motion::Affine { velocity } => Some((velocity, 0.0)),
-        Motion::Circular {
-            center,
-            radius,
-            angular_velocity: w,
-            ..
-        } => {
-            let rel = p.position - center;
-            let reach = radius.max(rel.norm()) * (1.0 + CURVATURE_SLACK);
-            Some((rel.perp() * w, w * w * reach))
-        }
-        Motion::Curved => None,
-    }
-}
-
-/// Minimum distance from the moving point `p + v·u`, `u ∈ [0, ub]`, to
-/// the fixed point `c`.
-fn segment_point_distance(p: Vec2, v: Vec2, ub: f64, c: Vec2) -> f64 {
-    let vv = v.norm_squared();
-    if vv == 0.0 || ub == 0.0 {
-        return p.distance(c);
-    }
-    let proj = ((c - p).dot(v) / vv).clamp(0.0, ub);
-    (p + v * proj).distance(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1258,145 +805,6 @@ mod tests {
             horizon: opts.horizon,
             max_steps: opts.max_steps,
         }
-    }
-
-    /// A piece for the curvature property: its probe at `s = 0` and its
-    /// exact position at any `s` in the overlap.
-    struct Piece {
-        probe: Probe,
-        at: Box<dyn Fn(f64) -> Vec2>,
-    }
-
-    fn arc(rng: &mut SplitMix64, omega: f64) -> Piece {
-        let center = Vec2::new(rng.next_range(-3.0, 3.0), rng.next_range(-3.0, 3.0));
-        let radius = rng.next_range(0.05, 4.0);
-        let angle = rng.next_range(0.0, std::f64::consts::TAU);
-        let at = move |s: f64| center + Vec2::from_polar(radius, angle + omega * s);
-        Piece {
-            probe: Probe {
-                position: at(0.0),
-                piece_end: f64::INFINITY,
-                motion: Motion::Circular {
-                    center,
-                    radius,
-                    angular_velocity: omega,
-                    angle,
-                },
-            },
-            at: Box::new(at),
-        }
-    }
-
-    fn line(rng: &mut SplitMix64, speed: f64) -> Piece {
-        let start = Vec2::new(rng.next_range(-3.0, 3.0), rng.next_range(-3.0, 3.0));
-        let velocity = Vec2::from_polar(speed, rng.next_range(0.0, std::f64::consts::TAU));
-        Piece {
-            probe: Probe {
-                position: start,
-                piece_end: f64::INFINITY,
-                motion: Motion::Affine { velocity },
-            },
-            at: Box::new(move |s| start + velocity * s),
-        }
-    }
-
-    fn signed_rate(rng: &mut SplitMix64) -> f64 {
-        let w = rng.next_range(0.05, 5.0);
-        if rng.next_below(2) == 0 {
-            w
-        } else {
-            -w
-        }
-    }
-
-    /// The curvature certificate against the true distance: on random
-    /// unequal-rate arc pairs, arc vs line, arc vs wait and line vs arc,
-    /// the pair never comes closer than the target anywhere in the step
-    /// it certifies (sampled densely on `[0, step]`, the step capped at a
-    /// random piece overlap). 256 draws in debug, 10,000 in release.
-    #[test]
-    fn curvature_step_never_passes_the_target() {
-        let cases = if cfg!(debug_assertions) { 256 } else { 10_000 };
-        let mut rng = SplitMix64::new(0xC0A7_5EED);
-        let mut long = 0_usize;
-        for case in 0..cases {
-            let w = signed_rate(&mut rng);
-            let speed = rng.next_range(0.05, 3.0);
-            let (a, b) = match case % 4 {
-                0 => {
-                    // Either sense of rotation; equal rates have a
-                    // closed form and never reach this rung.
-                    let wb = signed_rate(&mut rng);
-                    (arc(&mut rng, w), arc(&mut rng, wb))
-                }
-                1 => (arc(&mut rng, w), line(&mut rng, speed)),
-                2 => (arc(&mut rng, w), line(&mut rng, 0.0)),
-                _ => (line(&mut rng, speed), arc(&mut rng, w)),
-            };
-            let d = a.probe.position.distance(b.probe.position);
-            let target = d * rng.next_range(0.02, 0.98);
-            let ub = rng.next_range(0.01, 10.0);
-            let step = curvature_step(&a.probe, &b.probe, d, ub, target);
-            assert!(
-                step > 0.0 && step <= ub,
-                "case {case}: step {step} (ub {ub})"
-            );
-            const SAMPLES: usize = 512;
-            for i in 0..=SAMPLES {
-                let s = step * i as f64 / SAMPLES as f64;
-                let gap = (a.at)(s).distance((b.at)(s));
-                assert!(
-                    gap >= target * (1.0 - 1e-12),
-                    "case {case}: distance {gap} < target {target} at s = {s} of {step}"
-                );
-            }
-            long += usize::from(step == ub);
-        }
-        // Some draws certify the whole overlap, most stop short of it.
-        assert!(
-            long * 50 >= cases && long * 2 <= cases,
-            "{long} of {cases} steps reached ub"
-        );
-    }
-
-    /// The law walk against the true distance: on random unequal-rate
-    /// arc pairs, the pair never comes closer than the target anywhere
-    /// on the span the walk certifies (513 samples on `[0, walked]`,
-    /// capped at a random piece overlap), the walk never ends short of
-    /// the probe's own curvature step, and it extends most of them.
-    /// 256 draws in debug, 10,000 in release.
-    #[test]
-    fn law_walk_never_passes_the_target() {
-        let cases = if cfg!(debug_assertions) { 256 } else { 10_000 };
-        let mut rng = SplitMix64::new(0x01A3_3A1C);
-        let mut extended = 0_usize;
-        for case in 0..cases {
-            let (wa, wb) = (signed_rate(&mut rng), signed_rate(&mut rng));
-            let (a, b) = (arc(&mut rng, wa), arc(&mut rng, wb));
-            let d = a.probe.position.distance(b.probe.position);
-            let target = d * rng.next_range(0.02, 0.98);
-            let ub = rng.next_range(0.01, 10.0);
-            let first = curvature_step(&a.probe, &b.probe, d, ub, target);
-            let walked = law_walk(&a.probe, &b.probe, first, ub, target);
-            assert!(
-                walked >= first && walked <= ub,
-                "case {case}: walked {walked} from {first} (ub {ub})"
-            );
-            const SAMPLES: usize = 512;
-            for i in 0..=SAMPLES {
-                let s = walked * i as f64 / SAMPLES as f64;
-                let gap = (a.at)(s).distance((b.at)(s));
-                assert!(
-                    gap >= target * (1.0 - 1e-12),
-                    "case {case}: distance {gap} < target {target} at s = {s} of {walked}"
-                );
-            }
-            extended += usize::from(walked > first);
-        }
-        assert!(
-            extended * 2 >= cases,
-            "{extended} of {cases} walks went past the first step"
-        );
     }
 
     /// Which map a [`first_visit_never_clears_past_a_sampled_visit`]
@@ -1584,18 +992,6 @@ mod tests {
                 .first_visit(t0, t0 + 1e4, Vec2::new(40.0, 0.0), 0.1);
             assert_eq!(s, t0, "rank-1 map {m:?}");
         }
-    }
-
-    #[test]
-    fn curvature_step_declines_curved_pieces() {
-        let curved = Probe {
-            position: Vec2::new(1.0, 0.0),
-            piece_end: 1.0,
-            motion: Motion::Curved,
-        };
-        let rest = Probe::resting(Vec2::ZERO);
-        assert_eq!(curvature_step(&curved, &rest, 1.0, 1.0, 0.5), 0.0);
-        assert_eq!(curvature_step(&rest, &curved, 1.0, 1.0, 0.5), 0.0);
     }
 
     #[test]

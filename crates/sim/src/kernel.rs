@@ -22,25 +22,23 @@
 //! circular side anchors that side at the **circle's static center**
 //! and widens the lane's threshold by the circle radius (`pad`): the
 //! quadratic then yields a certified *lower bound* on the pair
-//! distance — `|Δanchor(u)| − pad ≤ |Δposition(u)|` — which coincides
-//! with the scalar ladder's `piece_gap_lower_bound` on every pairing
-//! that has no closed-form cosine law. A padded lane whose bound stays
+//! distance — `|Δanchor(u)| − pad ≤ |Δposition(u)|`, the lane form of
+//! the ladder's set-distance rung. A padded lane whose bound stays
 //! above both the threshold and the running minimum is certified clear
 //! without a single trig call; a lane that cannot be certified that
-//! way is **refined in place** with the *identical* scalar
-//! certificates (entry probes, cosine law, interior minima), so
-//! inconclusive circular intervals stream through the chain instead of
-//! bouncing back through the outer loop. Chunks chain up to
-//! `MAX_CHAIN_CHUNKS` chunks per ladder iteration, so dense schedule runs
-//! are certified at memory bandwidth instead of one boundary per
-//! iteration. Only a genuine contact candidate — an affine vertex or a
-//! padded bound inside the threshold, an exact cosine-law crossing, or
-//! an entry probe already in contact — hands its interval entry back
-//! to the scalar ladder, which re-derives the endgame with the exact
-//! same arithmetic the scalar path would have used. The autovectorizer
-//! turns the lane loop into SIMD on its own — measured via the two-arm
-//! (`-C target-cpu=native` vs baseline) bench smoke in `ci.sh`, not
-//! assumed.
+//! way is **refined in place** with the scalar ladder's own `certify`
+//! at its entry probe, so inconclusive circular intervals stream
+//! through the chain instead of bouncing back through the outer loop.
+//! Chunks chain up to `MAX_CHAIN_CHUNKS` chunks per ladder iteration, so
+//! dense schedule runs are certified at memory bandwidth instead of one
+//! boundary per iteration. Only a genuine contact candidate — an affine
+//! vertex inside the threshold, an entry probe already in contact, an
+//! exact crossing, or a pair only the curvature bound can step — hands
+//! its interval entry back to the scalar ladder, which re-derives the
+//! endgame with the exact same arithmetic the scalar path would have
+//! used. The autovectorizer turns the lane loop into SIMD on its own —
+//! measured via the two-arm (`-C target-cpu=native` vs baseline) bench
+//! smoke in `ci.sh`, not assumed.
 //!
 //! **Envelope rejection stays scalar.** A pruning probe is two
 //! `O(log n)` descents of the baked box trees and a gallop/cooldown
@@ -55,13 +53,13 @@
 //!
 //! * A circular lane whose padded bound cannot disprove the interval
 //!   (the pair may touch the circle band, or the bound dips below the
-//!   tracked minimum distance) is refined inline with the scalar
-//!   cosine-law certificates; only contact candidates leave the chain.
-//!   A lane the padded bound leaves inside the threshold without a
-//!   cosine law is such a candidate: the scalar tail runs the ladder's
-//!   curvature certificate (`crate::engine::curvature_step`) on it, the
-//!   same rung at the same place as the cursor engine and the compiled
-//!   ladder.
+//!   tracked minimum distance) is refined inline with `certify`; only
+//!   contact candidates leave the chain. Rungs 1–3 clear a lane whole.
+//!   A lane they leave open is a candidate even when the curvature
+//!   bound would clear it: the scalar tail runs the same rung 4 (and
+//!   its law walk) with the speed bound beside it, which often reaches
+//!   past several lanes at once. Every ladder — cursor, compiled and
+//!   this one — runs rungs 1–4 through that one function.
 //! * Conservative jumps that outrun the boundary (`(d − r)/s` beyond
 //!   the current piece) skip the chain — the scalar jump already
 //!   clears more time than the lanes would certify.
@@ -85,10 +83,8 @@
 //! **bit-for-bit** against the eager program's.
 
 use crate::compiled::EngineScratch;
-use crate::engine::{
-    circular_pair_law, curvature_step, piece_gap_lower_bound, ContactOptions, EngineStats,
-    SimOutcome,
-};
+use crate::engine::{ContactOptions, EngineStats, SimOutcome};
+use crate::ladder::{certify, Band, PairLaw, Rung};
 use rvz_geometry::Vec2;
 use rvz_trajectory::soa::AFFINE;
 use rvz_trajectory::{Motion, Probe, ProgramSoA};
@@ -299,8 +295,7 @@ fn chain_scan(
     ia: usize,
     ib: usize,
     start: f64,
-    threshold: f64,
-    thr2: f64,
+    band: Band,
     horizon: f64,
     min_distance: &mut f64,
     min_distance_time: &mut f64,
@@ -372,7 +367,7 @@ fn chain_scan(
                 // Affine×affine: the clamped vertex is the exact
                 // interval minimum — inside the threshold it is a
                 // genuine contact candidate.
-                if m2[k] <= thr2 {
+                if m2[k] <= band.threshold * band.threshold {
                     return (Stream::Candidate { entry }, jumped);
                 }
                 if m2[k] < best.0 {
@@ -382,9 +377,8 @@ fn chain_scan(
                 jumped += 1;
                 continue;
             }
-            let ht = threshold + c.pad[k];
-            let contact_possible = m2[k] <= ht * ht;
-            if !contact_possible && m2[k].sqrt() - c.pad[k] >= *min_distance {
+            let ht = band.threshold + c.pad[k];
+            if m2[k] > ht * ht && m2[k].sqrt() - c.pad[k] >= *min_distance {
                 // The padded bound clears the threshold *and* the
                 // running minimum: the scalar ladder could neither find
                 // a crossing here (its law minimum is ≥ this bound) nor
@@ -393,8 +387,11 @@ fn chain_scan(
                 jumped += 1;
                 continue;
             }
-            // Inline refinement: the scalar ladder's certificates with
-            // its exact arithmetic, evaluated at the interval entry.
+            // Inline refinement: the scalar ladder's `certify` at the
+            // interval entry. A lane rungs 1–3 do not clear whole is a
+            // contact candidate: an exact crossing, or a pair only the
+            // curvature bound can step, which the scalar tail steps with
+            // the speed bound beside it (often past several lanes).
             let pa = probe_lane(a, c.ja[k], entry);
             let pb = probe_lane(b, c.jb[k], entry);
             let d = pa.position.distance(pb.position);
@@ -402,35 +399,22 @@ fn chain_scan(
                 *min_distance = d;
                 *min_distance_time = entry;
             }
-            if d <= threshold {
+            if d <= band.threshold {
                 return (Stream::Candidate { entry }, jumped);
             }
-            match circular_pair_law(&pa, &pb, pa.motion, pb.motion) {
-                Some(law) => {
-                    if law.first_crossing(thr2, c.len[k]).is_some() {
-                        return (Stream::Candidate { entry }, jumped);
-                    }
-                    if law.p - law.q.abs() < *min_distance * *min_distance * (1.0 - 1e-12) {
-                        if let Some((dmin, smin)) = law.minimum_within(c.len[k]) {
-                            if dmin < *min_distance {
-                                *min_distance = dmin;
-                                *min_distance_time = entry + smin;
-                            }
-                        }
-                    }
-                }
-                None => {
-                    // No closed form (unequal-rate circles, or a circle
-                    // against a moving line). The padded anchor bound
-                    // *is* the scalar `piece_gap_lower_bound` here:
-                    // above the threshold the scalar ladder steps the
-                    // interval on the entry probe alone; inside it, the
-                    // scalar ladder takes the curvature or conservative
-                    // step, so the interval goes back to it.
-                    if contact_possible {
-                        return (Stream::Candidate { entry }, jumped);
-                    }
-                }
+            let cert = certify(
+                PairLaw::of(&pa, &pb).as_ref(),
+                c.len[k],
+                0.0,
+                band,
+                *min_distance,
+            );
+            if cert.rung != Rung::Piece {
+                return (Stream::Candidate { entry }, jumped);
+            }
+            if let Some((dmin, smin)) = cert.minimum {
+                *min_distance = dmin;
+                *min_distance_time = entry + smin;
             }
             stats.conservative_steps += 1;
             jumped += 1;
@@ -471,8 +455,8 @@ pub(crate) fn try_first_contact_soa_impl(
         rel_speed.is_finite(),
         "speed bounds must be finite, got {rel_speed}"
     );
-    let threshold = radius + opts.tolerance;
-    let thr2 = threshold * threshold;
+    let band = Band::new(radius, opts.tolerance);
+    let threshold = band.threshold;
     if !a.covers(0.0) || !b.covers(0.0) {
         scratch.stats = EngineStats::default();
         return Err(0.0);
@@ -545,110 +529,40 @@ pub(crate) fn try_first_contact_soa_impl(
         } else {
             f64::INFINITY
         };
-        let mut exact_root = false;
-        let mut curved = false;
         let mut jumped = 0_u64;
+        let boundary = pa.piece_end.min(pb.piece_end).min(opts.horizon);
+        let ub = (boundary - t).max(0.0);
+        let cert = certify(
+            PairLaw::of(&pa, &pb).as_ref(),
+            ub,
+            conservative,
+            band,
+            min_distance,
+        );
+        if let Some((dmin, s)) = cert.minimum {
+            min_distance = dmin;
+            min_distance_time = t + s;
+        }
+        let exact_root = cert.rung == Rung::Exact;
+        let mut step = cert.step;
         // Chains stream intervals linearly, so they only pay off where
         // envelope pruning cannot skip whole rounds: launch them when
         // pruning is in a miss/cooldown state (envelopes locally
-        // overlap), or always when pruning is off.
+        // overlap), or always when pruning is off. A chain streams from
+        // the next boundary once rungs 1–3 cleared this overlap and the
+        // speed bound does not already reach past it.
         let chains_on = !opts.prune || cooldown > 0 || miss_streak > 0;
-        // Chunk-chain launch point when this step is boundary-limited
-        // (NaN otherwise): chains run after the scalar certificate for
-        // the current interval, streaming from the next boundary.
-        let mut chain_from = f64::NAN;
-        let mut step = match (pa.motion, pb.motion) {
-            (Motion::Affine { velocity: va }, Motion::Affine { velocity: vb }) => {
-                let boundary = pa.piece_end.min(pb.piece_end).min(opts.horizon);
-                let ub = (boundary - t).max(0.0);
-                let q0 = pb.position - pa.position;
-                let dv = vb - va;
-                let a2 = dv.norm_squared();
-                let b2 = q0.dot(dv);
-                let c2 = q0.norm_squared() - thr2;
-                let mut jump = f64::NAN;
-                if a2 > 0.0 && b2 < 0.0 {
-                    let disc = b2 * b2 - a2 * c2;
-                    if disc >= 0.0 {
-                        let root = c2 / (-b2 + disc.sqrt());
-                        if root <= ub {
-                            jump = root;
-                            exact_root = true;
-                        }
-                    }
-                    if !exact_root {
-                        let vertex = -b2 / a2;
-                        if vertex < ub {
-                            let dmin = (q0 + dv * vertex).norm();
-                            if dmin < min_distance {
-                                min_distance = dmin;
-                                min_distance_time = t + vertex;
-                            }
-                        }
-                    }
-                }
-                if exact_root {
-                    jump
-                } else {
-                    if chains_on && conservative <= ub && boundary < opts.horizon {
-                        chain_from = boundary;
-                    }
-                    ub.max(conservative)
-                }
-            }
-            (ma, mb) => {
-                let boundary = pa.piece_end.min(pb.piece_end).min(opts.horizon);
-                let ub = (boundary - t).max(0.0);
-                if let Some(law) = circular_pair_law(&pa, &pb, ma, mb) {
-                    match law.first_crossing(thr2, ub) {
-                        Some(du) => {
-                            exact_root = true;
-                            du
-                        }
-                        None => {
-                            if law.p - law.q.abs() < min_distance * min_distance * (1.0 - 1e-12) {
-                                if let Some((dmin, smin)) = law.minimum_within(ub) {
-                                    if dmin < min_distance {
-                                        min_distance = dmin;
-                                        min_distance_time = t + smin;
-                                    }
-                                }
-                            }
-                            if chains_on && conservative <= ub && boundary < opts.horizon {
-                                chain_from = boundary;
-                            }
-                            ub.max(conservative)
-                        }
-                    }
-                } else if piece_gap_lower_bound(&pa, &pb, ma, mb, ub) > threshold {
-                    if chains_on && conservative <= ub && boundary < opts.horizon {
-                        chain_from = boundary;
-                    }
-                    ub.max(conservative)
-                } else if conservative.is_finite() {
-                    let curvature =
-                        curvature_step(&pa, &pb, d, ub, threshold - 0.5 * opts.tolerance);
-                    curved = curvature > conservative;
-                    curvature.max(conservative)
-                } else {
-                    break SimOutcome::Horizon {
-                        min_distance,
-                        min_distance_time,
-                        steps,
-                    };
-                }
-            }
-        };
+        let chain =
+            chains_on && cert.rung == Rung::Piece && conservative <= ub && boundary < opts.horizon;
         let mut lane_jumped = false;
-        if chain_from.is_finite() {
+        if chain {
             let (stream, chained) = chain_scan(
                 a,
                 b,
                 ia,
                 ib,
-                chain_from,
-                threshold,
-                thr2,
+                boundary,
+                band,
                 opts.horizon,
                 &mut min_distance,
                 &mut min_distance_time,
@@ -673,13 +587,7 @@ pub(crate) fn try_first_contact_soa_impl(
                 }
             }
         }
-        if exact_root {
-            stats.analytic_steps += 1;
-        } else if curved {
-            stats.curvature_steps += 1;
-        } else {
-            stats.conservative_steps += 1;
-        }
+        stats.count(cert.rung);
         if steps > opts.max_steps {
             break SimOutcome::StepBudget {
                 time: t,

@@ -60,6 +60,7 @@ pub mod batch;
 pub mod compiled;
 pub mod engine;
 pub mod kernel;
+mod ladder;
 pub mod multi;
 pub mod runners;
 pub mod stationary;

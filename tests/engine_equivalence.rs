@@ -529,6 +529,73 @@ fn circle_pairs_walk_their_laws_and_declare_inside_the_band() {
     }
 }
 
+/// One ladder: on a fully covered pair of circles turning at unequal
+/// rates (no closed form, so rung 4 walks the pair's law), the compiled
+/// ladder and the lane kernel's scalar tail take the cursor engine's
+/// steps, curvature step for curvature step, to the same outcome: a
+/// contact in the declaration band, and a near miss disproved to the
+/// horizon with the same minimum.
+#[test]
+fn compiled_ladder_and_lane_kernel_walk_circle_pairs_like_the_cursor_engine() {
+    use plane_rendezvous::sim::{
+        first_contact_cursors_instrumented, first_contact_programs, first_contact_soa,
+        EngineScratch,
+    };
+    use plane_rendezvous::trajectory::{Compile, CompileOptions, ProgramSoA};
+
+    // Radii 2 and 1 at unit speed: rates 1/2 and 1. The two circles
+    // overlap, so the set-distance rung never clears a piece; the pair
+    // comes within 1.1619 of each other near t = 1.59.
+    let a = PathBuilder::at(Vec2::new(2.0, 0.0))
+        .full_circle(Vec2::ZERO)
+        .build();
+    let b = PathBuilder::at(Vec2::new(3.5, 0.0))
+        .full_circle(Vec2::new(2.5, 0.0))
+        .build();
+    let opts = ContactOptions::with_horizon(6.0).prune(false);
+    let copts = CompileOptions::to_horizon(opts.horizon);
+    let (pa, pb) = (a.compile(&copts).unwrap(), b.compile(&copts).unwrap());
+    let (sa, sb) = (ProgramSoA::from_program(&pa), ProgramSoA::from_program(&pb));
+    let mut scratch = EngineScratch::new();
+    for radius in [1.2, 1.16] {
+        let (cursor, stats) =
+            first_contact_cursors_instrumented(&mut a.cursor(), &mut b.cursor(), radius, &opts);
+        assert!(
+            stats.curvature_steps >= 2,
+            "r = {radius}: {cursor} {stats:?}"
+        );
+        let compiled = first_contact_programs(&pa, &pb, radius, &opts, &mut scratch);
+        let compiled_stats = scratch.last_stats();
+        let kernel = first_contact_soa(&sa, &sb, radius, &opts, &mut scratch);
+        let kernel_stats = scratch.last_stats();
+        for (label, out, engine) in [
+            ("compiled", compiled, compiled_stats),
+            ("kernel", kernel, kernel_stats),
+        ] {
+            assert_eq!(
+                (out.classification(), out.steps(), engine.curvature_steps),
+                (
+                    cursor.classification(),
+                    cursor.steps(),
+                    stats.curvature_steps
+                ),
+                "r = {radius}: {label} {out} vs cursor {cursor}"
+            );
+        }
+        match cursor {
+            SimOutcome::Contact { distance, .. } => assert!(
+                (radius..=radius + opts.tolerance).contains(&distance),
+                "declared at {distance}"
+            ),
+            SimOutcome::Horizon { min_distance, .. } => {
+                assert!(min_distance > radius, "minimum {min_distance}");
+            }
+            other => panic!("r = {radius}: {other}"),
+        }
+        assert_eq!(cursor.is_contact(), radius == 1.2, "r = {radius}: {cursor}");
+    }
+}
+
 /// The SoA arena vs the eager program it was transposed from, on the
 /// Latin-hypercube partners: bit-for-bit identical probes and envelope
 /// boxes on a time grid, and the same coverage, marks, speed bound and

@@ -6,9 +6,9 @@
 //! norm axioms, Cauchy–Schwarz and the Lagrange identity hold
 //! `Vec2::norm` to its definition, the norm is compared ulp by ulp with
 //! `f64::hypot`, the in-house `sin_cos` is held to libm's within
-//! `2^-52`, and `floor_log2`/`ceil_log2` are held to their defining
-//! inequalities through `pow2i` (whose bits `rvz-numerics`' own tests
-//! compare with `exp2`'s).
+//! `2^-52`, and `floor_log2` is held to its defining inequality
+//! through `pow2i` (whose bits `rvz-numerics`' own tests compare with
+//! `exp2`'s).
 //!
 //! Each property draws its cases from its own fixed-seed
 //! [`SplitMix64`] stream, so every run checks the same cases. A debug
@@ -20,7 +20,6 @@ use plane_rendezvous::experiments::SplitMix64;
 use plane_rendezvous::geometry::{
     angle, normalize_angle, sin_cos, Mat2, Vec2, SIN_COS_REDUCTION_BOUND, TAU,
 };
-use plane_rendezvous::numerics::dyadic::ceil_log2;
 use plane_rendezvous::numerics::{floor_log2, pow2i};
 
 /// Draws per property: a sample in debug, the full set in release.
@@ -377,16 +376,5 @@ fn floor_log2_definition() {
         let x = rng.next_range(1.0, 2.0) * pow2i(e);
         let f = floor_log2(x);
         assert!(pow2i(f) <= x && pow2i(f + 1) > x, "x = {x:e}, f = {f}");
-    });
-}
-
-/// `ceil_log2` is exactly `⌈log₂ x⌉`: `2^{c−1} < x ≤ 2^c`.
-#[test]
-fn ceil_log2_definition() {
-    for_each_draw(0xD2, |rng| {
-        let e = -1074 + rng.next_below(2098) as i64;
-        let x = rng.next_range(1.0, 2.0) * pow2i(e);
-        let c = ceil_log2(x);
-        assert!(pow2i(c) >= x && pow2i(c - 1) < x, "x = {x:e}, c = {c}");
     });
 }
