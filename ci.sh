@@ -232,12 +232,21 @@ echo "$SWEEP_OUT" | grep -q 'X-Rvz-Cache: hits=1;misses=1' \
 METRICS_SCRAPE="$("$RVZ" client --addr "$ADDR" --path /metrics)"
 for family in rvz_requests_total rvz_responses_total rvz_request_duration_us \
     rvz_cache_requests_total rvz_engine_queries_total rvz_engine_outcomes_total \
-    rvz_engine_kernel_dispatch_total rvz_engine_kernel_lanes_active \
+    rvz_engine_kernel_lanes_active \
     rvz_engine_steps_curvature_total rvz_engine_steps_window_total \
     rvz_engine_steps_by_pair_total \
     rvz_faults_injected_total rvz_shed_total rvz_uptime_seconds rvz_inflight; do
     echo "$METRICS_SCRAPE" | grep -q "$family" \
         || { echo "metrics scrape missing $family"; exit 1; }
+done
+# No family restates another or never moves: kernel dispatch counted
+# the compiled rvz_engine_queries_total paths again, shed connections
+# the queue cause of rvz_shed_total, and compile ns was never recorded.
+for family in rvz_engine_kernel_dispatch_total rvz_shed_connections \
+    rvz_engine_compile_ns_total; do
+    if echo "$METRICS_SCRAPE" | grep -q "$family"; then
+        echo "metrics scrape lists the deleted family $family"; exit 1
+    fi
 done
 # The engine counters moved: the twin queries above ran exactly one
 # engine query through the cache-miss path.

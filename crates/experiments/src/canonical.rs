@@ -53,6 +53,7 @@
 //! function of the query, so cached and freshly computed answers are
 //! identical. A grid `≤ 0` disables quantization (bit-exact keys).
 
+use crate::rng::SplitMix64;
 use crate::scenario::{Algorithm, Scenario};
 use rvz_geometry::normalize_angle;
 use rvz_model::Chirality;
@@ -206,9 +207,9 @@ impl CacheKey {
         }
     }
 
-    /// A deterministic 64-bit mix of the key (SplitMix64 finalizer per
-    /// field), used for shard selection independent of the process's
-    /// hash-map seeding.
+    /// A deterministic 64-bit mix of the key (one [`SplitMix64`] step
+    /// per field), used for shard selection independent of the process's
+    /// hash-map seeding, and as the orbit id in the serve slow-query log.
     pub fn mix(&self) -> u64 {
         let mut h: u64 = match self.algorithm {
             Algorithm::WaitAndSearch => 0x9e37,
@@ -219,17 +220,10 @@ impl CacheKey {
             Chirality::Mirrored => 0x2,
         };
         for &b in &self.bits {
-            h = splitmix(h ^ b);
+            h = SplitMix64::new(h ^ b).next_u64();
         }
         h
     }
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// A scenario reduced to its symmetry-orbit representative.
@@ -667,5 +661,40 @@ mod tests {
         assert_eq!(mixes, mixes2);
         let distinct: std::collections::HashSet<u64> = mixes.iter().copied().collect();
         assert!(distinct.len() > scenarios.len() / 2, "mix collides heavily");
+    }
+
+    /// The mix picks cache shards and so the snapshot's eviction order:
+    /// it must stay bit for bit the hand-written SplitMix64 finalizer
+    /// fold it was first defined as.
+    #[test]
+    fn cache_key_mix_keeps_its_original_formula() {
+        fn finalizer(mut z: u64) -> u64 {
+            z = z.wrapping_add(0x9e3779b97f4a7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^ (z >> 31)
+        }
+        let original = |k: &CacheKey| {
+            let mut h: u64 = match k.algorithm {
+                Algorithm::WaitAndSearch => 0x9e37,
+                Algorithm::UniversalSearch => 0x79b9,
+            };
+            h ^= match k.chirality {
+                Chirality::Consistent => 0x1,
+                Chirality::Mirrored => 0x2,
+            };
+            k.bits.iter().fold(h, |h, &b| finalizer(h ^ b))
+        };
+        let mut rng = SplitMix64::new(0x5EED_CAFE);
+        for i in 0..10_000 {
+            let key = CacheKey {
+                algorithm: [Algorithm::WaitAndSearch, Algorithm::UniversalSearch][i % 2],
+                chirality: [Chirality::Consistent, Chirality::Mirrored][(i / 2) % 2],
+                bits: std::array::from_fn(|_| rng.next_u64()),
+            };
+            assert_eq!(key.mix(), original(&key), "{key:?}");
+        }
+        let reference = CacheKey::of(&Scenario::REFERENCE);
+        assert_eq!(reference.mix(), original(&reference));
     }
 }

@@ -105,11 +105,8 @@ fn dump_flight_recorder(path: &Path) {
     }
     let mut text = String::new();
     for e in &events {
-        text.push_str(&format!(
-            "{{\"span\":\"{}\",\"trace\":\"{:016x}\",\"start_us\":{},\"dur_us\":{},\
-             \"thread\":{},\"depth\":{}}}\n",
-            e.name, e.trace_id, e.start_us, e.dur_us, e.thread, e.depth,
-        ));
+        e.write_json(&mut text);
+        text.push('\n');
     }
     let _ = std::fs::write(trace_path(path), text);
 }

@@ -110,8 +110,8 @@ impl Scenario {
     /// The reference scenario: the one point of [`ScenarioGrid::new`]
     /// (Algorithm 7, a reference partner at distance 1 and bearing
     /// `π/3`, visibility `0.1`), and the value of every field a
-    /// JSON-encoded scenario leaves out (`scenario_from_json`).
-    pub(crate) const REFERENCE: Scenario = Scenario {
+    /// JSON-encoded scenario leaves out ([`crate::scenario_from_json`]).
+    pub const REFERENCE: Scenario = Scenario {
         id: 0,
         algorithm: Algorithm::WaitAndSearch,
         speed: 1.0,

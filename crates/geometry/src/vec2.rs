@@ -102,12 +102,6 @@ impl Vec2 {
         (self - other).norm()
     }
 
-    /// Squared Euclidean distance to `other`.
-    #[inline]
-    pub fn distance_squared(self, other: Vec2) -> f64 {
-        (self - other).norm_squared()
-    }
-
     /// The angle `atan2(y, x)` of this vector, in `(−π, π]`.
     ///
     /// Returns `0.0` for the zero vector (matching `atan2(0, 0)`).
@@ -146,15 +140,6 @@ impl Vec2 {
     #[inline]
     pub fn perp(self) -> Vec2 {
         Vec2::new(-self.y, self.x)
-    }
-
-    /// Reflects this vector about the x-axis (`y ↦ −y`).
-    ///
-    /// This is exactly the effect of opposite chirality (`χ = −1`) on a
-    /// trajectory in the paper's model.
-    #[inline]
-    pub fn mirrored_x(self) -> Vec2 {
-        Vec2::new(self.x, -self.y)
     }
 
     /// Linear interpolation: `self + s·(other − self)`.
@@ -323,7 +308,6 @@ mod tests {
         assert_eq!(v.norm(), 5.0);
         assert_eq!(v.norm_squared(), 25.0);
         assert_eq!(v.distance(Vec2::ZERO), 5.0);
-        assert_eq!(v.distance_squared(Vec2::new(3.0, 0.0)), 16.0);
     }
 
     #[test]
@@ -397,13 +381,6 @@ mod tests {
         // perp is the exact quarter turn.
         assert_eq!(Vec2::UNIT_X.perp(), Vec2::UNIT_Y);
         assert_eq!(Vec2::UNIT_Y.perp(), -Vec2::UNIT_X);
-    }
-
-    #[test]
-    fn mirror_is_chirality_flip() {
-        let v = Vec2::new(1.0, 2.0);
-        assert_eq!(v.mirrored_x(), Vec2::new(1.0, -2.0));
-        assert_eq!(v.mirrored_x().mirrored_x(), v);
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl SearchInstance {
         let d = self.distance();
         d * d / self.visibility
     }
-
-    /// `true` when the target is already visible at time zero (`d ≤ r`).
-    pub fn solved_at_start(&self) -> bool {
-        self.distance() <= self.visibility
-    }
 }
 
 /// A rendezvous problem: the reference robot `R` at the origin, robot `R'`
@@ -194,13 +189,6 @@ mod tests {
         assert_eq!(s.distance(), 5.0);
         assert_eq!(s.visibility(), 0.5);
         assert_eq!(s.difficulty(), 50.0);
-        assert!(!s.solved_at_start());
-    }
-
-    #[test]
-    fn search_solved_at_start_when_d_le_r() {
-        let s = SearchInstance::new(Vec2::new(0.1, 0.0), 0.5).unwrap();
-        assert!(s.solved_at_start());
     }
 
     #[test]

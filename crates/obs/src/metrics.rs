@@ -260,17 +260,6 @@ impl HistogramSnapshot {
         }
         Some(bucket_upper_bound(BUCKETS - 1))
     }
-
-    /// The non-empty buckets as `(upper_bound, count)` pairs, for
-    /// compact serialization.
-    pub fn nonzero(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_upper_bound(i), c))
-            .collect()
-    }
 }
 
 /// What a registry entry points at.

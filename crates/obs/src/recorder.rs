@@ -12,6 +12,7 @@
 //! in-flight writes benignly: each slot is copied under its mutex, so
 //! every returned event is internally consistent.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -33,6 +34,20 @@ pub struct TraceEvent {
     pub thread: u32,
     /// Span nesting depth at drop (0 = top level).
     pub depth: u8,
+}
+
+impl TraceEvent {
+    /// Appends the event as one JSON object, the one rendering that
+    /// `GET /trace/recent` and the checkpoint's `.trace.jsonl` dump
+    /// share. Span names are static identifiers, written unescaped.
+    pub fn write_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"span\":\"{}\",\"trace\":\"{:016x}\",\"start_us\":{},\"dur_us\":{},\
+             \"thread\":{},\"depth\":{}}}",
+            self.name, self.trace_id, self.start_us, self.dur_us, self.thread, self.depth,
+        );
+    }
 }
 
 static HEAD: AtomicUsize = AtomicUsize::new(0);

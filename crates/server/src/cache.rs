@@ -210,16 +210,11 @@ impl<V: Clone> ResultCache<V> {
     ///
     /// The boolean is `true` when the value came from the cache (either
     /// resident or joined from a concurrent computation) and `false`
-    /// when this caller ran `compute`.
-    pub fn get_or_compute<F: FnOnce() -> V>(&self, key: CacheKey, compute: F) -> (V, bool) {
-        self.get_or_compute_if(key, compute, |_| true)
-    }
-
-    /// [`ResultCache::get_or_compute`] with a cacheability predicate:
-    /// the computed value is returned to the caller either way, but is
-    /// only *inserted* when `cacheable` approves it (e.g. a
-    /// deadline-exhausted engine outcome is an artifact of this
-    /// request's wall clock and must never answer a future request).
+    /// when this caller ran `compute`. The computed value is returned
+    /// to the caller either way, but is only *inserted* when `cacheable`
+    /// approves it (e.g. a deadline-exhausted engine outcome is an
+    /// artifact of this request's wall clock and must never answer a
+    /// future request).
     ///
     /// When the value is rejected the single-flight claim is released
     /// and waiters retry — each then computes under its own conditions
@@ -409,12 +404,13 @@ mod tests {
             let cache = Arc::clone(&cache);
             let computed = Arc::clone(&computed);
             handles.push(std::thread::spawn(move || {
-                let (v, _) = cache.get_or_compute(k, || {
+                let compute = || {
                     computed.fetch_add(1, Ordering::SeqCst);
                     // Widen the race window.
                     std::thread::sleep(std::time::Duration::from_millis(20));
                     7u64
-                });
+                };
+                let (v, _) = cache.get_or_compute_if(k, compute, |_| true);
                 v
             }));
         }
@@ -467,12 +463,13 @@ mod tests {
             let started = Arc::clone(&started);
             let key = ks[1];
             std::thread::spawn(move || {
-                cache.get_or_compute(key, || {
+                let compute = || {
                     started.wait();
                     // Hold the claim open while the main thread exports.
                     std::thread::sleep(std::time::Duration::from_millis(60));
                     2u64
-                })
+                };
+                cache.get_or_compute_if(key, compute, |_| true)
             })
         };
         started.wait();

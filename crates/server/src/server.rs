@@ -131,11 +131,6 @@ impl ServerHandle {
         }
         clean
     }
-
-    /// `true` once shutdown has been initiated.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
 }
 
 /// Binds `addr` and spawns the accept thread plus `workers` connection

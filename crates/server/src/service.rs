@@ -97,7 +97,7 @@ pub struct ServiceOptions {
     pub no_metrics: bool,
     /// Structured slow-query log threshold: requests whose total
     /// handling time reaches this many milliseconds emit one JSONL line
-    /// on stderr (trace ID, endpoint, status, canonical orbit digest,
+    /// on stderr (trace ID, endpoint, status, canonical orbit id,
     /// engine path/steps, cache outcome). `None` disables the log.
     pub slow_log_ms: Option<u64>,
 }
@@ -544,11 +544,6 @@ impl Service {
                 .get()
                 .map_or(0, |q| q.load(Ordering::Relaxed)) as i64,
         );
-        gauge!("rvz_shed_connections").set(
-            self.server_shed
-                .get()
-                .map_or(0, |s| s.load(Ordering::Relaxed)) as i64,
-        );
         Response::ok_text(rvz_obs::render(), "text/plain; version=0.0.4")
     }
 
@@ -637,7 +632,7 @@ impl Service {
             time_unit: attrs.time_unit(),
             orientation: attrs.orientation(),
             chirality: attrs.chirality(),
-            ..reference_scenario()
+            ..Scenario::REFERENCE
         };
         let orbit = orbit_key(&probe, self.opts.cache_grid);
         let body = Json::obj(vec![
@@ -697,7 +692,7 @@ impl Service {
             feasibility: feasibility(&scenario.attributes()),
             outcome: canonical.transform.apply(outcome),
         };
-        LAST_ORBIT.with(|o| o.set(Some(orbit_digest(&canonical.key))));
+        LAST_ORBIT.with(|o| o.set(Some(canonical.key.mix())));
         if matches!(record.outcome, SimOutcome::Deadline { .. }) {
             // The third shed cause in `/stats` → `admission.shed_by_cause`.
             self.deadline_outcomes.fetch_add(1, Ordering::Relaxed);
@@ -904,32 +899,11 @@ fn sweep_body(records: &[SweepRecord]) -> String {
 }
 
 thread_local! {
-    /// The canonical-orbit digest of this thread's most recent
-    /// [`Service::answer`] call, for the slow-query log (cache hits
-    /// have no engine telemetry, but they do have an orbit).
+    /// The canonical orbit id ([`rvz_experiments::CacheKey::mix`]) of
+    /// this thread's most recent [`Service::answer`] call, for the
+    /// slow-query log (cache hits have no engine record, but they do
+    /// have an orbit).
     static LAST_ORBIT: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
-}
-
-/// FNV-1a digest of a canonical cache key — a compact, stable orbit
-/// identifier for log lines (the full key is six f64 bit patterns).
-fn orbit_digest(key: &rvz_experiments::CacheKey) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let fold = |h: u64, w: u64| -> u64 {
-        let mut h = h ^ w;
-        for _ in 0..8 {
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
-    };
-    h = fold(
-        h,
-        matches!(key.algorithm, Algorithm::UniversalSearch) as u64,
-    );
-    h = fold(h, matches!(key.chirality, Chirality::Mirrored) as u64);
-    for &w in &key.bits {
-        h = fold(h, w);
-    }
-    h
 }
 
 /// Per-request counters and the latency histogram (called once per
@@ -998,60 +972,56 @@ fn trace_recent_response(req: &Request) -> Response {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(64)
         .min(rvz_obs::RING_CAPACITY);
-    let events: Vec<Json> = rvz_obs::recent(max)
-        .iter()
-        .map(|e| {
-            Json::obj(vec![
-                ("span", Json::Str(e.name.to_string())),
-                ("trace", Json::Str(format!("{:016x}", e.trace_id))),
-                ("start_us", Json::Num(e.start_us as f64)),
-                ("dur_us", Json::Num(e.dur_us as f64)),
-                ("thread", Json::Num(f64::from(e.thread))),
-                ("depth", Json::Num(f64::from(e.depth))),
-            ])
-        })
-        .collect();
-    Response::ok(Json::obj(vec![("events", Json::Arr(events))]).render())
+    let mut body = String::from("{\"events\":[");
+    for (i, e) in rvz_obs::recent(max).iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        e.write_json(&mut body);
+    }
+    body.push_str("]}");
+    Response::ok(body)
 }
 
-/// One structured JSONL line on stderr for a request that crossed the
-/// slow-query threshold: trace ID, endpoint, status, total time, cache
-/// outcome, the canonical orbit digest, and the engine work profile
-/// when an engine ran.
+/// Writes [`slow_log_line`] to stderr for a request that crossed the
+/// slow-query threshold.
 fn slow_log(req: &Request, resp: &Response, trace: u64, elapsed: Duration) {
+    eprintln!("{}", slow_log_line(req, resp, trace, elapsed));
+}
+
+/// One structured JSON line for a finished request: trace ID, endpoint,
+/// status, total time, cache outcome, the canonical orbit id, and the
+/// engine's record of its query when an engine ran. Reads this thread's
+/// last orbit and engine record, so it runs right after the request.
+fn slow_log_line(req: &Request, resp: &Response, trace: u64, elapsed: Duration) -> String {
     let cache = resp
         .extra_headers
         .iter()
         .find(|(n, _)| n == "X-Rvz-Cache")
         .map_or("-", |(_, v)| v.as_str());
-    let mut line = format!(
-        "{{\"slow_query\":true,\"trace\":\"{trace:016x}\",\"method\":\"{}\",\"path\":\"{}\",\
-         \"status\":{},\"total_ms\":{:.3},\"cache\":\"{cache}\"",
-        req.method,
-        req.path,
-        resp.status,
-        elapsed.as_secs_f64() * 1e3,
-    );
+    let mut fields = vec![
+        ("slow_query", Json::Bool(true)),
+        ("trace", Json::Str(format!("{trace:016x}"))),
+        ("method", Json::Str(req.method.clone())),
+        ("path", Json::Str(req.path.clone())),
+        ("status", Json::Num(f64::from(resp.status))),
+        ("total_ms", Json::Num(elapsed.as_micros() as f64 / 1e3)),
+        ("cache", Json::Str(cache.to_string())),
+    ];
     if let Some(orbit) = LAST_ORBIT.with(|o| o.get()) {
-        line.push_str(&format!(",\"orbit\":\"{orbit:016x}\""));
+        fields.push(("orbit", Json::Str(format!("{orbit:016x}"))));
     }
-    if let Some(t) = rvz_sim::telemetry::last() {
-        line.push_str(&format!(
-            ",\"engine_path\":\"{}\",\"engine_outcome\":\"{}\",\"steps\":{},\
-             \"envelope_queries\":{},\"pruned_intervals\":{}",
-            t.path.label(),
-            t.outcome,
-            t.steps,
-            t.envelope_queries,
-            t.pruned_intervals,
-        ));
+    if let Some((path, outcome, stats)) = rvz_sim::telemetry::last() {
+        let label = outcome.map_or("refused", |o| o.classification());
+        fields.extend([
+            ("engine_path", Json::Str(path.label().to_string())),
+            ("engine_outcome", Json::Str(label.to_string())),
+            ("steps", Json::Num(outcome.map_or(0, |o| o.steps()) as f64)),
+            ("envelope_queries", Json::Num(stats.envelope_queries as f64)),
+            ("pruned_intervals", Json::Num(stats.pruned_intervals as f64)),
+        ]);
     }
-    line.push('}');
-    eprintln!("{line}");
-}
-
-fn reference_scenario() -> Scenario {
-    rvz_experiments::ScenarioGrid::new().build()[0]
+    Json::obj(fields).render()
 }
 
 fn parse_body(body: &[u8]) -> Result<Json, String> {
@@ -1300,7 +1270,7 @@ mod tests {
             cache_shards: 1,
             ..ServiceOptions::default()
         });
-        let compiled_path = || rvz_sim::telemetry::last().map(|t| t.path);
+        let compiled_path = || rvz_sim::telemetry::last().map(|(path, ..)| path);
         let body_a = r#"{"algorithm":"alg4","speed":0.5,"distance":0.9,"visibility":0.25}"#;
         let body_b = r#"{"algorithm":"alg4","speed":0.75,"distance":0.9,"visibility":0.25}"#;
         let (first, _) = svc.handle(&request("POST", "/first-contact", body_a));
@@ -1700,6 +1670,101 @@ mod tests {
                 assert!(e.get(key).is_some(), "event missing {key}: {e:?}");
             }
         }
+    }
+
+    #[test]
+    fn fresh_scrape_lists_no_family_that_restates_another_or_never_moves() {
+        let svc = service();
+        let (scrape, _) = svc.handle(&request("GET", "/metrics", ""));
+        assert_eq!(scrape.status, 200);
+        for family in [
+            "rvz_engine_kernel_dispatch_total",
+            "rvz_shed_connections",
+            "rvz_engine_compile_ns_total",
+        ] {
+            assert!(!scrape.body.contains(family), "scrape lists {family}");
+        }
+    }
+
+    fn slow_options() -> ServiceOptions {
+        ServiceOptions {
+            slow_log_ms: Some(0),
+            ..test_options()
+        }
+    }
+
+    /// A slow-query line parsed, with its keys in order.
+    fn parse_slow_line(line: &str) -> (Json, Vec<String>) {
+        let parsed = rvz_experiments::json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let keys = parsed.as_object().unwrap().iter().map(|(k, _)| k.clone());
+        let keys = keys.collect();
+        (parsed, keys)
+    }
+
+    #[test]
+    fn slow_log_line_is_json_with_the_raw_client_path() {
+        let svc = Service::new(slow_options());
+        let raw = "/a\"b\\c";
+        let req = request("GET", raw, "");
+        let (resp, _) = svc.handle(&req);
+        assert_eq!(resp.status, 404);
+        let line = slow_log_line(&req, &resp, 0xfeed, Duration::from_micros(1500));
+        let (parsed, keys) = parse_slow_line(&line);
+        let expected = [
+            "slow_query",
+            "trace",
+            "method",
+            "path",
+            "status",
+            "total_ms",
+            "cache",
+        ];
+        assert_eq!(keys, expected, "{line}");
+        assert_eq!(parsed.get("path").and_then(Json::as_str), Some(raw));
+        assert_eq!(parsed.get("method").and_then(Json::as_str), Some("GET"));
+        assert_eq!(
+            parsed.get("trace").and_then(Json::as_str),
+            Some("000000000000feed")
+        );
+        assert_eq!(parsed.get("total_ms").and_then(Json::as_f64), Some(1.5));
+    }
+
+    #[test]
+    fn slow_log_line_explains_a_miss_with_the_engines_record() {
+        let svc = Service::new(slow_options());
+        let query = r#"{"speed":0.5,"distance":0.9,"visibility":0.25}"#;
+        let req = request("POST", "/first-contact", query);
+        let (resp, _) = svc.handle(&req);
+        assert_eq!(header(&resp, "X-Rvz-Cache"), "miss");
+        let line = slow_log_line(&req, &resp, 1, Duration::ZERO);
+        let (parsed, keys) = parse_slow_line(&line);
+        assert_eq!(
+            keys[7..],
+            [
+                "orbit",
+                "engine_path",
+                "engine_outcome",
+                "steps",
+                "envelope_queries",
+                "pruned_intervals"
+            ],
+            "{line}"
+        );
+        let body = rvz_experiments::json::parse(&resp.body).unwrap();
+        let record = body.get("record").unwrap();
+        let steps = record.get("steps").and_then(Json::as_u64).unwrap();
+        assert!(steps > 0);
+        assert_eq!(parsed.get("steps").and_then(Json::as_u64), Some(steps));
+        let outcome = record.get("outcome").and_then(Json::as_str).unwrap();
+        let engine_outcome = parsed.get("engine_outcome").and_then(Json::as_str).unwrap();
+        assert_eq!(engine_outcome.replace('-', "_"), outcome, "{line}");
+        // The orbit is the cache key's own mix.
+        let scenario = scenario_from_json(&parse_body(query.as_bytes()).unwrap()).unwrap();
+        let orbit = format!("{:016x}", scenario.canonicalize(DEFAULT_GRID).key.mix());
+        assert_eq!(
+            parsed.get("orbit").and_then(Json::as_str),
+            Some(orbit.as_str())
+        );
     }
 
     #[test]

@@ -76,4 +76,4 @@ pub use kernel::{first_contact_soa, try_first_contact_soa, KERNEL_LANES};
 pub use multi::{first_contact_batch_soa, first_contact_streamed};
 pub use runners::{simulate_rendezvous, simulate_search};
 pub use stationary::Stationary;
-pub use telemetry::{EnginePath, EngineTelemetry};
+pub use telemetry::EnginePath;

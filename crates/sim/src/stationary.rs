@@ -35,11 +35,6 @@ impl Stationary {
         assert!(position.is_finite(), "position must be finite");
         Stationary { position }
     }
-
-    /// The fixed location.
-    pub fn location(&self) -> Vec2 {
-        self.position
-    }
 }
 
 impl Trajectory for Stationary {
@@ -103,7 +98,6 @@ mod tests {
         let s = Stationary::new(Vec2::new(-2.0, 7.0));
         assert_eq!(s.position(0.0), Vec2::new(-2.0, 7.0));
         assert_eq!(s.position(12345.0), Vec2::new(-2.0, 7.0));
-        assert_eq!(s.location(), Vec2::new(-2.0, 7.0));
     }
 
     #[test]

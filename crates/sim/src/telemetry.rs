@@ -1,15 +1,20 @@
 //! Per-query engine telemetry: which path answered, how hard it worked.
 //!
-//! Every engine entry point records one [`EngineTelemetry`] at query
-//! end: into the thread-local [`last`] slot (the serve slow-query log
-//! reads it to explain an individual request) and into the global
-//! `rvz-obs` counters (`rvz_engine_queries_total{path=…}`,
-//! `rvz_engine_steps_total{path=…}`, the envelope/prune/step-choice
-//! totals, `rvz_engine_steps_by_pair_total{pair=…}` and `rvz_engine_outcomes_total{outcome=…}`) that `/metrics`
-//! exposes.
+//! Every engine entry point records one [`QueryRecord`] at query end —
+//! its path, its outcome and its own [`EngineStats`] — into the
+//! thread-local [`last`] slot (the serve slow-query log reads it to
+//! explain an individual request) and into the global `rvz-obs`
+//! counters that `/metrics` exposes: `rvz_engine_queries_total{path=…}`,
+//! `rvz_engine_steps_total{path=…}`,
+//! `rvz_engine_outcomes_total{outcome=…}`,
+//! `rvz_engine_envelope_queries_total`,
+//! `rvz_engine_pruned_intervals_total`, the step-choice totals
+//! `rvz_engine_steps_{analytic,curvature,window,conservative}_total`,
+//! `rvz_engine_steps_by_pair_total{pair=…}`, and on the lane kernel
+//! `rvz_engine_kernel_chunks_total` and `rvz_engine_kernel_lanes_active`.
 //!
-//! Recording is observation-only and allocation-free: the telemetry
-//! struct is `Copy`, the counter handles are cached `&'static`
+//! Recording is observation-only and allocation-free: the record is
+//! `Copy`, the counter handles are cached `&'static`
 //! references, and nothing here feeds back into engine control flow —
 //! outcomes are bit-identical with recording on, off, or disabled via
 //! the global kill switch (the allocation gate in `tests/alloc_gate.rs`
@@ -43,45 +48,17 @@ impl EnginePath {
     }
 }
 
-/// One query's work profile, as recorded at query end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineTelemetry {
-    /// The engine path that answered.
-    pub path: EnginePath,
-    /// The outcome classification (`"contact"`, `"horizon"`,
-    /// `"step-budget"`, `"deadline"`), or `"refused"` when a truncated
-    /// program could not answer.
-    pub outcome: &'static str,
-    /// Advancement steps used.
-    pub steps: u64,
-    /// Envelope queries issued by the pruning layer.
-    pub envelope_queries: u64,
-    /// Intervals skipped on an envelope separation certificate.
-    pub pruned_intervals: u64,
-    /// Steps advanced by an exact analytic root (affine quadratic or
-    /// cosine law).
-    pub analytic_steps: u64,
-    /// Steps advanced by the curvature certificate.
-    pub curvature_steps: u64,
-    /// Steps advanced by the wait-window certificate.
-    pub window_steps: u64,
-    /// Steps advanced by the conservative / piece-boundary certificate.
-    pub conservative_steps: u64,
-    /// Lane-kernel chunks evaluated (zero on scalar paths).
-    pub lane_chunks: u64,
-    /// Whole intervals certified or localized by lane chunks.
-    pub lane_intervals: u64,
-    /// Steps by piece-pair kind, indexed by [`PairKind`] (cursor
-    /// engine only).
-    pub pair_steps: [u64; PairKind::ALL.len()],
-}
+/// One finished query as the engine recorded it: the path that
+/// answered, its outcome (`None` when a truncated program refused), and
+/// the engine's own work counters.
+pub type QueryRecord = (EnginePath, Option<SimOutcome>, EngineStats);
 
 thread_local! {
-    static LAST: Cell<Option<EngineTelemetry>> = const { Cell::new(None) };
+    static LAST: Cell<Option<QueryRecord>> = const { Cell::new(None) };
 }
 
-/// The calling thread's most recently recorded query telemetry.
-pub fn last() -> Option<EngineTelemetry> {
+/// The calling thread's most recently recorded query.
+pub fn last() -> Option<QueryRecord> {
     LAST.with(|l| l.get())
 }
 
@@ -107,20 +84,6 @@ fn path_counters(path: EnginePath) -> (&'static Counter, &'static Counter) {
             counter!("rvz_engine_queries_total", "path" => "compiled-soa"),
             counter!("rvz_engine_steps_total", "path" => "compiled-soa"),
         ),
-    }
-}
-
-/// Kernel-vs-scalar dispatch counters: which implementation a compiled
-/// query was answered by (`soa` = the lane kernel, `scalar` = the
-/// per-piece ladder). A lane-kernel query that *contains* scalar
-/// fallback intervals (circular pieces) still counts once as `soa` —
-/// dispatch is per query, lane utilization is the
-/// `rvz_engine_kernel_lanes_active` counter.
-fn dispatch_counter(soa: bool) -> &'static Counter {
-    if soa {
-        counter!("rvz_engine_kernel_dispatch_total", "kernel" => "soa")
-    } else {
-        counter!("rvz_engine_kernel_dispatch_total", "kernel" => "scalar")
     }
 }
 
@@ -151,30 +114,14 @@ fn outcome_counter(outcome: &str) -> &'static Counter {
 /// Records one finished query (engine-internal; every entry point calls
 /// this exactly once per query).
 pub(crate) fn record(path: EnginePath, outcome: Option<&SimOutcome>, stats: EngineStats) {
-    let outcome_label = outcome.map_or("refused", SimOutcome::classification);
-    let steps = outcome.map_or(0, SimOutcome::steps);
-    let telemetry = EngineTelemetry {
-        path,
-        outcome: outcome_label,
-        steps,
-        envelope_queries: stats.envelope_queries,
-        pruned_intervals: stats.pruned_intervals,
-        analytic_steps: stats.analytic_steps,
-        curvature_steps: stats.curvature_steps,
-        window_steps: stats.window_steps,
-        conservative_steps: stats.conservative_steps,
-        lane_chunks: stats.lane_chunks,
-        lane_intervals: stats.lane_intervals,
-        pair_steps: stats.pair_steps,
-    };
-    LAST.with(|l| l.set(Some(telemetry)));
+    LAST.with(|l| l.set(Some((path, outcome.copied(), stats))));
     if !rvz_obs::enabled() {
         return;
     }
-    let (queries, steps_counter) = path_counters(path);
+    let (queries, steps) = path_counters(path);
     queries.inc();
-    steps_counter.add(steps);
-    outcome_counter(outcome_label).inc();
+    steps.add(outcome.map_or(0, SimOutcome::steps));
+    outcome_counter(outcome.map_or("refused", SimOutcome::classification)).inc();
     counter!("rvz_engine_envelope_queries_total").add(stats.envelope_queries);
     counter!("rvz_engine_pruned_intervals_total").add(stats.pruned_intervals);
     counter!("rvz_engine_steps_analytic_total").add(stats.analytic_steps);
@@ -184,14 +131,9 @@ pub(crate) fn record(path: EnginePath, outcome: Option<&SimOutcome>, stats: Engi
     for kind in PairKind::ALL {
         pair_counter(kind).add(stats.pair_steps[kind as usize]);
     }
-    match path {
-        EnginePath::CompiledEager => dispatch_counter(false).inc(),
-        EnginePath::CompiledSoA => {
-            dispatch_counter(true).inc();
-            counter!("rvz_engine_kernel_chunks_total").add(stats.lane_chunks);
-            counter!("rvz_engine_kernel_lanes_active").add(stats.lane_intervals);
-        }
-        EnginePath::Cursor => {}
+    if path == EnginePath::CompiledSoA {
+        counter!("rvz_engine_kernel_chunks_total").add(stats.lane_chunks);
+        counter!("rvz_engine_kernel_lanes_active").add(stats.lane_intervals);
     }
 }
 
@@ -211,8 +153,6 @@ pub fn preregister_metrics() {
     for kind in PairKind::ALL {
         let _ = pair_counter(kind);
     }
-    let _ = dispatch_counter(false);
-    let _ = dispatch_counter(true);
     let _ = counter!("rvz_engine_envelope_queries_total");
     let _ = counter!("rvz_engine_pruned_intervals_total");
     let _ = counter!("rvz_engine_steps_analytic_total");
@@ -221,14 +161,6 @@ pub fn preregister_metrics() {
     let _ = counter!("rvz_engine_steps_conservative_total");
     let _ = counter!("rvz_engine_kernel_chunks_total");
     let _ = counter!("rvz_engine_kernel_lanes_active");
-    let _ = counter!("rvz_engine_compile_ns_total");
-}
-
-/// Records compile/lowering wall-clock attributed to engine queries
-/// (the serve and sweep layers time their compile calls and report
-/// here).
-pub fn record_compile_ns(ns: u64) {
-    counter!("rvz_engine_compile_ns_total").add(ns);
 }
 
 #[cfg(test)]
@@ -244,10 +176,9 @@ mod tests {
         let a = Stationary::new(Vec2::ZERO);
         let b = Stationary::new(Vec2::new(10.0, 0.0));
         let out = first_contact(&a, &b, 1.0, &ContactOptions::default());
-        let t = last().expect("query recorded telemetry");
-        assert_eq!(t.path, EnginePath::Cursor);
-        assert_eq!(t.outcome, out.classification());
-        assert_eq!(t.steps, out.steps());
+        let (path, outcome, _) = last().expect("query recorded telemetry");
+        assert_eq!(path, EnginePath::Cursor);
+        assert_eq!(outcome, Some(out));
         clear_last();
         assert_eq!(last(), None);
     }

@@ -87,17 +87,6 @@ impl<I: Iterator<Item = Segment>> StreamCursor<I> {
         }
     }
 
-    /// The global time at which the current segment began.
-    pub fn current_segment_start(&self) -> f64 {
-        self.segment_start
-    }
-
-    /// The segment currently under the cursor, if the stream is not
-    /// exhausted.
-    pub fn current_segment(&self) -> Option<Segment> {
-        self.current
-    }
-
     fn advance(&mut self, end: f64) {
         self.resting = self.current.map_or(self.resting, |s| s.end());
         self.current = self.stream.next();
@@ -185,13 +174,5 @@ mod tests {
         assert_eq!(c.position(2.0), Vec2::new(1.0, 1.0));
         assert_eq!(c.position(10.0), Vec2::new(5.0, 5.0));
         assert_eq!(c.position(10.5), Vec2::new(5.5, 5.0));
-    }
-
-    #[test]
-    fn current_segment_introspection() {
-        let mut c = StreamCursor::new(two_legs().into_iter());
-        let _ = c.position(2.5);
-        assert_eq!(c.current_segment_start(), 2.0);
-        assert!(matches!(c.current_segment(), Some(Segment::Line { .. })));
     }
 }

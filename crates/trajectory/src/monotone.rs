@@ -146,12 +146,6 @@ impl Probe {
             },
         }
     }
-
-    /// Time remaining until the current piece's boundary when queried at
-    /// time `now` (clamped to zero; `∞` for a permanent rest).
-    pub fn time_to_boundary(&self, now: f64) -> f64 {
-        (self.piece_end - now).max(0.0)
-    }
 }
 
 /// A forward-only evaluator over a trajectory.
@@ -559,21 +553,6 @@ mod tests {
             Motion::Affine {
                 velocity: Vec2::ZERO
             }
-        );
-    }
-
-    #[test]
-    fn probe_time_to_boundary_clamps() {
-        let p = Probe {
-            position: Vec2::ZERO,
-            piece_end: 5.0,
-            motion: Motion::Curved,
-        };
-        assert_eq!(p.time_to_boundary(3.0), 2.0);
-        assert_eq!(p.time_to_boundary(6.0), 0.0);
-        assert_eq!(
-            Probe::resting(Vec2::ZERO).time_to_boundary(1.0),
-            f64::INFINITY
         );
     }
 

@@ -412,16 +412,6 @@ impl PathBuilder {
         self
     }
 
-    /// Appends all segments of an existing path, which must start at the
-    /// current position.
-    pub fn append_path(mut self, path: &Path) -> Self {
-        if !path.is_empty() {
-            self.segments.extend_from_slice(path.segments());
-            self.current = path.end_position();
-        }
-        self
-    }
-
     /// Finishes construction, validating the assembled path.
     pub fn build(self) -> Path {
         Path::from_segments(self.segments)
@@ -544,19 +534,6 @@ mod tests {
         // Concat with empty on either side is identity.
         assert_eq!(a.concat(&Path::empty()), a);
         assert_eq!(Path::empty().concat(&a), a);
-    }
-
-    #[test]
-    fn append_path_in_builder() {
-        let circle = PathBuilder::at(Vec2::new(1.0, 0.0))
-            .full_circle(Vec2::ZERO)
-            .build();
-        let p = PathBuilder::at(Vec2::ZERO)
-            .line_to(Vec2::new(1.0, 0.0))
-            .append_path(&circle)
-            .line_to(Vec2::ZERO)
-            .build();
-        assert_approx_eq!(p.duration(), 2.0 * (PI + 1.0));
     }
 
     #[test]
